@@ -332,11 +332,11 @@ func BenchmarkArchiveParallelQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkArchiveOpenVerify isolates the corruption-hardening cost of
-// frame format v2: open + full query on the same stream written as v1
-// (no checksums) and v2 (header CRC verified at open, payload CRC at
-// first block use). The v2/v1 delta is the checksum overhead; the budget
-// in ISSUE/DESIGN is <5% of open+query time.
+// BenchmarkArchiveOpenVerify tracks the corruption-hardening cost of
+// frame format v2: open + full query (header CRC verified at open,
+// payload CRC at first block use). The writer no longer emits the
+// checksum-free v1 stream this was once paired against; the measured
+// v2/v1 delta (<5% of open+query time) is recorded in EXPERIMENTS.md.
 func BenchmarkArchiveOpenVerify(b *testing.B) {
 	lt, ok := loggen.ByName("G")
 	if !ok {
@@ -349,32 +349,22 @@ func BenchmarkArchiveOpenVerify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts.FormatV1 = true
-	v1, err := archive.Compress(stream, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range []struct {
-		name string
-		data []byte
-	}{{"v1", v1}, {"v2", v2}} {
-		b.Run("open+query/"+c.name, func(b *testing.B) {
-			b.SetBytes(int64(len(stream)))
-			for i := 0; i < b.N; i++ {
-				a, err := archive.Open(c.data)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := a.Query(lt.Query, 4)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Damaged) != 0 {
-					b.Fatal("pristine archive reports damage")
-				}
+	b.Run("open+query/v2", func(b *testing.B) {
+		b.SetBytes(int64(len(stream)))
+		for i := 0; i < b.N; i++ {
+			a, err := archive.Open(v2)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			res, err := a.Query(lt.Query, 4)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(res.Damaged) != 0 {
+				b.Fatal("pristine archive reports damage")
+			}
+		}
+	})
 	// Shallow verify walks every block's payload checksum + decode — the
 	// "scrub" cost an operator pays to audit an archive at rest.
 	b.Run("verify/v2", func(b *testing.B) {

@@ -356,7 +356,7 @@ func addIngestMetrics(f *benchfmt.File, logs []loggen.LogType, cfg harness.Confi
 	f.AddExact("ingest/min_rate_ok", ok, "bool")
 
 	// Drain the tail so every segment's seal is in the histogram.
-	if err := m.TriggerSeal("bench", "app"); err != nil {
+	if err := m.TriggerSeal(context.Background(), "bench", "app"); err != nil {
 		return err
 	}
 	h := obsv.Default.Histogram("loggrep_ingest_seal_ns", "ns", "")

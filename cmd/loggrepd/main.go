@@ -45,9 +45,9 @@
 // Forensics: -slowlog <dur> writes one wide JSON event per slow request to
 // stderr (0 logs every request); -slowlog-sample N additionally emits every
 // Nth request so a healthy baseline stays visible; -slowlog-file redirects
-// the events to a size-bounded rotating file (-slowlog-file-mb per
-// generation, one .1 generation kept). Each response carries an X-Trace-Id
-// header that joins the event to the /metrics latency exemplars.
+// the events to a size-bounded rotating file (64 MB per generation, one
+// .1 generation kept). Each response carries an X-Trace-Id header that
+// joins the event to the /metrics latency exemplars.
 //
 // The flight recorder (-flightrec, on by default) keeps the last
 // -flightrec-events wide events and ~10 minutes of per-second runtime
@@ -97,6 +97,9 @@ import (
 	"loggrep/internal/version"
 )
 
+// slowlogFileBytes is the size at which -slowlog-file rotates.
+const slowlogFileBytes = 64 << 20
+
 type loadFlags []string
 
 func (l *loadFlags) String() string { return strings.Join(*l, ",") }
@@ -129,8 +132,7 @@ func main() {
 	blobBreakerOpen := flag.Duration("blob-breaker-open", 5*time.Second, "how long an open storage breaker sheds reads before probing the backend again")
 	slowlog := flag.Duration("slowlog", -1, "emit a wide JSON event to stderr for requests at least this slow (0 = every request, negative = off)")
 	slowlogSample := flag.Int("slowlog-sample", 0, "additionally emit every Nth request regardless of duration (0 = off)")
-	slowlogFile := flag.String("slowlog-file", "", "write slowlog events to this rotating file instead of stderr (implies -slowlog 0 unless set)")
-	slowlogFileMB := flag.Int64("slowlog-file-mb", 64, "rotate -slowlog-file after this many megabytes (one .1 generation kept)")
+	slowlogFile := flag.String("slowlog-file", "", "write slowlog events to this file instead of stderr, rotated at 64 MB with one .1 generation kept (implies -slowlog 0 unless set)")
 	flightrecOn := flag.Bool("flightrec", true, "keep the always-on flight recorder (event/metrics rings + triggered diagnostic bundles)")
 	flightrecDir := flag.String("flightrec-dir", "flightrec", "directory for diagnostic bundles")
 	flightrecEvents := flag.Int("flightrec-events", 256, "wide events kept in the flight recorder ring")
@@ -252,7 +254,7 @@ func main() {
 		}
 		var sink io.Writer = os.Stderr
 		if *slowlogFile != "" {
-			rf, err := flightrec.OpenRotatingFile(*slowlogFile, *slowlogFileMB<<20)
+			rf, err := flightrec.OpenRotatingFile(*slowlogFile, slowlogFileBytes)
 			if err != nil {
 				fatal(err)
 			}

@@ -2,7 +2,6 @@ package archive
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -17,8 +16,8 @@ import (
 // Magic identifies a v2 archive stream (checksummed frames).
 const Magic = "LGRPARC2"
 
-// MagicV1 identifies the legacy v1 stream (no checksums); Open still
-// accepts it.
+// MagicV1 identifies the legacy v1 stream (no checksums). The writer no
+// longer emits it; Open still accepts it.
 const MagicV1 = "LGRPARC1"
 
 // IsArchive reports whether data begins with any supported archive magic.
@@ -43,11 +42,8 @@ type Options struct {
 	// Workers is the number of concurrent block compressors
 	// (default: GOMAXPROCS).
 	Workers int
-	// FormatV1 writes the legacy checksum-free v1 stream, for
-	// compatibility testing and for measuring checksum overhead.
-	FormatV1 bool
 	// NoIndex disables the block-skipping index sections normally
-	// appended after the terminator (v1 streams never carry them).
+	// appended after the terminator.
 	NoIndex bool
 }
 
@@ -84,7 +80,7 @@ type Writer struct {
 	wg       sync.WaitGroup
 	collDone chan struct{}
 	// index accumulates block scans for the skip-index sections Close
-	// appends after the terminator; nil when disabled or FormatV1.
+	// appends after the terminator; nil when disabled.
 	index *blockindex.Builder
 }
 
@@ -109,11 +105,7 @@ func NewWriter(w io.Writer, opts Options) (*Writer, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	magic := Magic
-	if opts.FormatV1 {
-		magic = MagicV1
-	}
-	if _, err := w.Write([]byte(magic)); err != nil {
+	if _, err := w.Write([]byte(Magic)); err != nil {
 		return nil, err
 	}
 	aw := &Writer{
@@ -124,7 +116,7 @@ func NewWriter(w io.Writer, opts Options) (*Writer, error) {
 		pending:  make(map[int]result),
 		collDone: make(chan struct{}),
 	}
-	if !opts.FormatV1 && !opts.NoIndex {
+	if !opts.NoIndex {
 		aw.index = blockindex.NewBuilder()
 	}
 	for i := 0; i < opts.Workers; i++ {
@@ -180,12 +172,8 @@ func (aw *Writer) collector() {
 	}
 }
 
-// writeFrame emits one block in the configured format. Caller holds aw.mu.
+// writeFrame emits one block. Caller holds aw.mu.
 func (aw *Writer) writeFrame(meta blockMeta, box []byte) error {
-	if aw.opts.FormatV1 {
-		_, err := aw.w.Write(encodeFrameV1(meta, box))
-		return err
-	}
 	if _, err := aw.w.Write(encodeHeader(meta, aw.lines, box)); err != nil {
 		return err
 	}
@@ -221,16 +209,6 @@ func blockStamp(block []byte) rtpattern.Stamp {
 	}
 	st.MaxLen = maxLine
 	return st
-}
-
-func encodeFrameV1(meta blockMeta, box []byte) []byte {
-	frame := binary.AppendUvarint(nil, uint64(len(box)))
-	frame = append(frame, box...)
-	frame = binary.AppendUvarint(frame, uint64(meta.numLines))
-	frame = binary.AppendUvarint(frame, uint64(meta.rawBytes))
-	frame = append(frame, meta.stamp.TypeMask)
-	frame = binary.AppendUvarint(frame, uint64(meta.stamp.MaxLen))
-	return frame
 }
 
 // Write buffers raw log bytes, cutting and dispatching full blocks at line
@@ -294,11 +272,7 @@ func (aw *Writer) Close() error {
 	if err != nil {
 		return err
 	}
-	if aw.opts.FormatV1 {
-		_, err = aw.w.Write(binary.AppendUvarint(nil, 0))
-		return err
-	}
-	// The v2 terminator is a checksummed empty frame carrying the total
+	// The terminator is a checksummed empty frame carrying the total
 	// line count, so truncation at a frame boundary is detectable.
 	if _, err = aw.w.Write(encodeHeader(blockMeta{}, lines, nil)); err != nil {
 		return err

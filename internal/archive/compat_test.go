@@ -1,7 +1,6 @@
 package archive
 
 import (
-	"bytes"
 	"os"
 	"testing"
 
@@ -73,57 +72,6 @@ func TestV1FixtureCompat(t *testing.T) {
 	for i := range lines {
 		if got[i] != lines[i] {
 			t.Fatalf("line %d: %q != %q", i, got[i], lines[i])
-		}
-	}
-}
-
-// TestFormatV1RoundTrip keeps the v1 writer path alive: archives written
-// with Options.FormatV1 carry the v1 magic and read back identically to
-// their v2 counterparts.
-func TestFormatV1RoundTrip(t *testing.T) {
-	raw, err := os.ReadFile("testdata/v1_fixture.log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := testOptions(60_000)
-	opts.FormatV1 = true
-	data, err := Compress(raw, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hasMagic(data, MagicV1) {
-		t.Fatalf("FormatV1 output carries magic %q", data[:8])
-	}
-	// Single-worker compression is deterministic: the fresh v1 stream must
-	// be byte-identical to the checked-in fixture, proving the legacy
-	// encoder still emits exactly what the seed writer did.
-	opts.Workers = 1
-	data1, err := Compress(raw, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixture, err := os.ReadFile("testdata/v1_fixture.lgrep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data1, fixture) {
-		t.Fatal("FormatV1 output diverged from the seed-written fixture")
-	}
-	a, err := Open(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := logparse.SplitLines(raw)
-	if a.NumLines() != len(lines) {
-		t.Fatalf("lines = %d, want %d", a.NumLines(), len(lines))
-	}
-	got, err := a.ReconstructAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range lines {
-		if got[i] != lines[i] {
-			t.Fatalf("line %d mismatch", i)
 		}
 	}
 }

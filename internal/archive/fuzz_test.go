@@ -1,14 +1,16 @@
 package archive
 
 import (
+	"os"
 	"sort"
 	"testing"
 
 	"loggrep/internal/loggen"
 )
 
-// fuzzSeedArchives builds small archives in both formats plus damaged
-// variants — the corpus every archive fuzz target starts from.
+// fuzzSeedArchives builds small v2 archives and damaged variants of them
+// and adds the committed v1 fixture — the corpus every archive fuzz
+// target starts from.
 func fuzzSeedArchives(f *testing.F) [][]byte {
 	f.Helper()
 	lt, _ := loggen.ByName("A")
@@ -24,9 +26,7 @@ func fuzzSeedArchives(f *testing.F) [][]byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	opts.NoIndex = false
-	opts.FormatV1 = true
-	v1, err := Compress(stream, opts)
+	v1, err := os.ReadFile("testdata/v1_fixture.lgrep")
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"loggrep/internal/obsv"
+	"loggrep/internal/retry"
 )
 
 // Policy configures the fault middleware around a backend. The zero
@@ -78,7 +79,7 @@ func (p Policy) withDefaults() Policy {
 		p.now = time.Now
 	}
 	if p.sleep == nil {
-		p.sleep = sleepCtx
+		p.sleep = retry.Sleep
 	}
 	if p.rnd == nil {
 		var mu sync.Mutex
@@ -90,17 +91,6 @@ func (p Policy) withDefaults() Policy {
 		}
 	}
 	return p
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // Store wraps a backend in the fault policy. It implements BlobStore, so
@@ -268,14 +258,7 @@ func opAny[T any](op func(context.Context) (T, error)) func(context.Context) (an
 // backoff returns the full-jitter delay before the given retry
 // (attempt ≥ 1): uniform in [0, min(BackoffMax, BackoffBase·2^(attempt-1))).
 func (s *Store) backoff(attempt int) time.Duration {
-	cap := s.p.BackoffBase
-	for i := 1; i < attempt && cap < s.p.BackoffMax; i++ {
-		cap *= 2
-	}
-	if cap > s.p.BackoffMax {
-		cap = s.p.BackoffMax
-	}
-	return time.Duration(s.p.rnd() * float64(cap))
+	return time.Duration(s.p.rnd() * float64(retry.Backoff(s.p.BackoffBase, s.p.BackoffMax, attempt)))
 }
 
 // attempt runs one policy attempt: a per-attempt deadline around the

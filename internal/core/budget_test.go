@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"loggrep/internal/faultinject"
+	"loggrep/internal/query"
 )
 
 // TestQueryContextPreCancelled: a context cancelled before the query
@@ -65,10 +66,13 @@ func TestStalledReadCancelledWithinDeadline(t *testing.T) {
 // TestBudgetPartialNeverWrong drives queries under shrinking budgets and
 // checks the partial-result contract: Partial set once any cap bites, and
 // every returned match also present in the grep oracle — degraded means
-// fewer matches, never wrong ones.
+// fewer matches, never wrong ones. Counts run under the same budgets: a
+// partial count is at most the oracle's, a complete one equals it, and
+// the exact-bitset path is charged like any other (some budget cuts it).
 func TestBudgetPartialNeverWrong(t *testing.T) {
 	lines := genBlock(3, 2000)
 	st, _ := mustOpen(t, makeBlock(lines...), DefaultOptions())
+	exactCut := false
 	for _, cmd := range testQueries {
 		want := naiveQuery(t, lines, cmd)
 		oracle := make(map[int]bool, len(want))
@@ -101,8 +105,33 @@ func TestBudgetPartialNeverWrong(t *testing.T) {
 			if !res.Partial && len(res.Lines) != len(want) {
 				t.Fatalf("query %q budget %+v: complete result has %d matches, oracle %d", cmd, b, len(res.Lines), len(want))
 			}
+
+			st.ResetCounters()
+			st.ClearCache()
+			n, reason, err := st.CountContext(context.Background(), cmd, NewBudgetState(b))
+			if err != nil {
+				t.Fatalf("budget count %q %+v: %v", cmd, b, err)
+			}
+			if n > len(want) || (reason == "" && n != len(want)) {
+				t.Fatalf("count %q budget %+v: %d (partial %q), oracle %d", cmd, b, n, reason, len(want))
+			}
+			if reason != "" && allExactLeaves(mustParse(t, cmd)) {
+				exactCut = true
+			}
 		}
 	}
+	if !exactCut {
+		t.Fatal("no budget ever cut an exact-bitset count: the fast path is not being charged")
+	}
+}
+
+func mustParse(t *testing.T, cmd string) query.Expr {
+	t.Helper()
+	e, err := query.Parse(cmd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 // TestBudgetPartialNotCached: a partial result must not poison the Query

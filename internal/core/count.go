@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"loggrep/internal/bitset"
+	"loggrep/internal/liveops"
 	"loggrep/internal/query"
 )
 
@@ -18,35 +19,44 @@ import (
 // reconstructs an entry. Otherwise it falls back to the verifying Query
 // path.
 func (st *Store) Count(command string) (int, error) {
-	return st.CountContext(context.Background(), command)
+	n, _, err := st.CountContext(context.Background(), command, nil)
+	return n, err
 }
 
-// CountContext is Count under a context; cancellation is checked at the
-// same scan-granular checkpoints as QueryContext.
-func (st *Store) CountContext(ctx context.Context, command string) (int, error) {
+// CountContext is Count under a context and an optional work budget, both
+// checked at the same scan-granular checkpoints as QueryContext. An
+// exhausted budget is not an error: partialReason is non-empty and n
+// counts only the matches verified before the cut — never more than the
+// true count. The exact-bitset path has nothing verified to report when
+// it is cut, so it reports zero.
+func (st *Store) CountContext(ctx context.Context, command string, budget *BudgetState) (n int, partialReason string, err error) {
 	expr, err := query.Parse(command)
 	if err != nil {
-		return 0, err
+		return 0, "", err
 	}
-	if allExactLeaves(expr) {
-		st.mu.Lock()
-		st.intr = &interruptState{
-			ctx:      ctx,
-			baseScan: st.stats.bytesScanned, baseDecomp: st.box.Decompressions,
-		}
-		set, err := st.exactEval(expr)
-		st.intr = nil
-		st.mu.Unlock()
+	if !allExactLeaves(expr) {
+		res, err := st.QueryContext(ctx, command, budget)
 		if err != nil {
-			return 0, err
+			return 0, "", err
 		}
-		return set.Count(), nil
+		return len(res.Lines), res.PartialReason, nil
 	}
-	res, err := st.QueryContext(ctx, command, nil)
+	st.mu.Lock()
+	st.intr = &interruptState{
+		ctx: ctx, budget: budget, prog: liveops.ProgressFrom(ctx),
+		baseScan: st.stats.bytesScanned, baseDecomp: st.box.Decompressions,
+	}
+	set, err := st.exactEval(expr)
+	st.intr = nil
+	st.mu.Unlock()
+	if isBudgetStop(err) {
+		mQueryBudgetExceeded.Inc()
+		return 0, err.Error(), nil
+	}
 	if err != nil {
-		return 0, err
+		return 0, "", err
 	}
-	return len(res.Lines), nil
+	return set.Count(), "", nil
 }
 
 // allExactLeaves reports whether the expression only contains search

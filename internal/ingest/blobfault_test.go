@@ -19,11 +19,11 @@ func sealTwoPlusTail(t *testing.T, m *Manager) (st *Stream, want []string) {
 		want = append(want, lineFor(i))
 	}
 	appendLines(t, m, "acme", "app", want[:100]...)
-	if err := m.TriggerSeal("acme", "app"); err != nil {
+	if err := m.TriggerSeal(context.Background(), "acme", "app"); err != nil {
 		t.Fatal(err)
 	}
 	appendLines(t, m, "acme", "app", want[100:150]...)
-	if err := m.TriggerSeal("acme", "app"); err != nil {
+	if err := m.TriggerSeal(context.Background(), "acme", "app"); err != nil {
 		t.Fatal(err)
 	}
 	appendLines(t, m, "acme", "app", want[150:]...)
@@ -223,7 +223,7 @@ func TestReplayFallsBackToWALWhenArchiveCorrupt(t *testing.T) {
 		want = append(want, lineFor(i))
 	}
 	appendLines(t, m, "acme", "app", want...)
-	if err := m.TriggerSeal("acme", "app"); err == nil {
+	if err := m.TriggerSeal(context.Background(), "acme", "app"); err == nil {
 		t.Fatal("sealHook should have aborted the seal after publish")
 	}
 	m.abandon()

@@ -48,7 +48,7 @@ func TestCrashDuringSeal(t *testing.T) {
 			}
 			// Attempt a seal; it dies mid-protocol. The stream must keep
 			// answering from the raw tail regardless.
-			if err := m.TriggerSeal("acme", "app"); err == nil {
+			if err := m.TriggerSeal(context.Background(), "acme", "app"); err == nil {
 				t.Fatal("seal should have crashed")
 			}
 			// More acknowledged lines after the failed seal: the next
@@ -68,7 +68,7 @@ func TestCrashDuringSeal(t *testing.T) {
 
 			// Let the recovered process finish the interrupted seal, then
 			// re-check: sealing must not duplicate or drop anything either.
-			if err := m2.TriggerSeal("acme", "app"); err != nil {
+			if err := m2.TriggerSeal(context.Background(), "acme", "app"); err != nil {
 				t.Fatalf("seal after replay: %v", err)
 			}
 			verifyExactlyOnce(t, m2, acked)
@@ -197,7 +197,7 @@ func TestRepeatedCrashReplayCycles(t *testing.T) {
 			t.Fatalf("round %d append: %v", round, err)
 		}
 		acked = append(acked, lines...)
-		if err := m.TriggerSeal("acme", "app"); err == nil {
+		if err := m.TriggerSeal(context.Background(), "acme", "app"); err == nil {
 			t.Fatalf("round %d: seal should have crashed", round)
 		}
 		verifyExactlyOnce(t, m, acked) // pre-crash view already consistent
@@ -209,7 +209,7 @@ func TestRepeatedCrashReplayCycles(t *testing.T) {
 	}
 	defer m.Close()
 	verifyExactlyOnce(t, m, acked)
-	if err := m.TriggerSeal("acme", "app"); err != nil {
+	if err := m.TriggerSeal(context.Background(), "acme", "app"); err != nil {
 		t.Fatal(err)
 	}
 	verifyExactlyOnce(t, m, acked)

@@ -97,11 +97,11 @@ func TestSealAndQueryConsistency(t *testing.T) {
 		want = append(want, fmt.Sprintf("req id=%04d status=%d path=/api/v%d", i, 200+i%5, i%3))
 	}
 	appendLines(t, m, "acme", "app", want[:200]...)
-	if err := m.TriggerSeal("acme", "app"); err != nil {
+	if err := m.TriggerSeal(context.Background(), "acme", "app"); err != nil {
 		t.Fatalf("seal: %v", err)
 	}
 	appendLines(t, m, "acme", "app", want[200:350]...)
-	if err := m.TriggerSeal("acme", "app"); err != nil {
+	if err := m.TriggerSeal(context.Background(), "acme", "app"); err != nil {
 		t.Fatalf("seal 2: %v", err)
 	}
 	appendLines(t, m, "acme", "app", want[350:]...) // raw tail
@@ -224,7 +224,7 @@ func TestBackpressure(t *testing.T) {
 		t.Fatalf("other tenant: %v", err)
 	}
 	// Sealing drains the budget and unblocks the tenant.
-	if err := m.TriggerSeal("t", "s"); err != nil {
+	if err := m.TriggerSeal(context.Background(), "t", "s"); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Append("t", "s", []string{strings.Repeat("b", 40)}); err != nil {
@@ -256,7 +256,7 @@ func TestReplayAfterCleanClose(t *testing.T) {
 	dir := t.TempDir()
 	m := mustOpen(t, testConfig(dir))
 	appendLines(t, m, "acme", "app", "first", "second")
-	if err := m.TriggerSeal("acme", "app"); err != nil {
+	if err := m.TriggerSeal(context.Background(), "acme", "app"); err != nil {
 		t.Fatal(err)
 	}
 	appendLines(t, m, "acme", "app", "third tail")

@@ -36,7 +36,7 @@ func TestQueryOracle(t *testing.T) {
 		}
 		all = append(all, lines...)
 		if name != "E" { // leave the last generator's lines as raw tail
-			if err := m.TriggerSeal("acme", "app"); err != nil {
+			if err := m.TriggerSeal(context.Background(), "acme", "app"); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -121,7 +121,7 @@ func TestQueryOracleAfterReplay(t *testing.T) {
 	if err := m.Append("acme", "app", all[:600]); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.TriggerSeal("acme", "app"); err != nil {
+	if err := m.TriggerSeal(context.Background(), "acme", "app"); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Append("acme", "app", all[600:]); err != nil {

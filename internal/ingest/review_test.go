@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -36,7 +37,7 @@ func TestSealedCacheBoundsResidency(t *testing.T) {
 		}
 		appendLines(t, m, "t", "s", lines...)
 		acked = append(acked, lines...)
-		if err := m.TriggerSeal("t", "s"); err != nil {
+		if err := m.TriggerSeal(context.Background(), "t", "s"); err != nil {
 			t.Fatalf("seal %d: %v", seg, err)
 		}
 	}
@@ -124,7 +125,7 @@ func TestSealFailureBacksOff(t *testing.T) {
 	m := mustOpen(t, cfg)
 	defer m.Close()
 	appendLines(t, m, "t", "s", "line one", "line two")
-	if err := m.TriggerSeal("t", "s"); err == nil {
+	if err := m.TriggerSeal(context.Background(), "t", "s"); err == nil {
 		t.Fatal("seal should have failed")
 	}
 	c0 := attempts.Load()
@@ -164,7 +165,7 @@ func TestTriggerSealUnderLoad(t *testing.T) {
 		}
 	}()
 	t0 := time.Now()
-	err := m.TriggerSeal("t", "s")
+	err := m.TriggerSeal(context.Background(), "t", "s")
 	elapsed := time.Since(t0)
 	close(stopAppend)
 	<-appenderDone

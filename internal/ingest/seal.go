@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
@@ -8,7 +9,12 @@ import (
 	"loggrep/internal/archive"
 	"loggrep/internal/flightrec"
 	"loggrep/internal/obsv"
+	"loggrep/internal/retry"
 )
+
+// maxSealBackoff caps the per-segment retry delay of a persistently
+// failing seal, which doubles from SealInterval per consecutive failure.
+const maxSealBackoff = 30 * time.Second
 
 // kickSealer nudges the sealer without blocking (it also wakes on its
 // poll ticker, so a missed kick only delays a seal, never loses one).
@@ -86,25 +92,12 @@ func (st *Stream) sealPending(stop <-chan struct{}, force bool, bound uint64) er
 			st.mu.Lock()
 			sg.sealing = false
 			sg.failures++
-			sg.retryAt = time.Now().Add(sealBackoff(st.m.cfg.SealInterval, sg.failures))
+			// Un-jittered: one sealer paces one segment, there is no herd.
+			sg.retryAt = time.Now().Add(retry.Backoff(st.m.cfg.SealInterval, maxSealBackoff, sg.failures))
 			st.mu.Unlock()
 			return err
 		}
 	}
-}
-
-// sealBackoff doubles from the sealer's base cadence per consecutive
-// failure, capped at 30s.
-func sealBackoff(base time.Duration, failures int) time.Duration {
-	const max = 30 * time.Second
-	d := base
-	for i := 1; i < failures && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	return d
 }
 
 // claimNext marks the oldest sealable raw segment and returns it, nil if
@@ -250,8 +243,10 @@ func (m *Manager) hook(stage string) error {
 // TriggerSeal synchronously rolls the stream's active segment and seals
 // the whole raw tail. Operators use it (POST /ingest/seal) to force a
 // stream into queryable-archive form — e.g. before copying segments off
-// the box — and tests use it for deterministic sealing.
-func (m *Manager) TriggerSeal(tenant, stream string) error {
+// the box — and tests use it for deterministic sealing. A cancelled ctx
+// stops it between segments with the cancellation cause; segments
+// already sealed stay sealed.
+func (m *Manager) TriggerSeal(ctx context.Context, tenant, stream string) error {
 	m.mu.Lock()
 	st := m.streams[tenant+"/"+stream]
 	closed := m.closed
@@ -282,7 +277,7 @@ func (m *Manager) TriggerSeal(tenant, stream string) error {
 	// is claimable here and briefly wait out the rest.
 	deadline := time.Now().Add(time.Minute)
 	for {
-		if err := st.sealPending(nil, true, bound); err != nil {
+		if err := st.sealPending(ctx.Done(), true, bound); err != nil {
 			return fmt.Errorf("ingest: seal %s/%s: %w", tenant, stream, err)
 		}
 		st.mu.Lock()
@@ -296,6 +291,9 @@ func (m *Manager) TriggerSeal(tenant, stream string) error {
 		st.mu.Unlock()
 		if raw == nil {
 			return nil
+		}
+		if err := context.Cause(ctx); err != nil {
+			return fmt.Errorf("ingest: seal %s/%s: %w", tenant, stream, err)
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("ingest: seal %s/%s: segment %d still raw", tenant, stream, raw.seq)

@@ -34,7 +34,7 @@ func chaosCorpus(t *testing.T, seed int64, policy blobstore.Policy) (*Stream, *f
 	}
 	for _, cut := range [][2]int{{0, 80}, {80, 150}, {150, 200}} {
 		appendLines(t, m, "acme", "app", want[cut[0]:cut[1]]...)
-		if err := m.TriggerSeal("acme", "app"); err != nil {
+		if err := m.TriggerSeal(context.Background(), "acme", "app"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,7 +236,7 @@ func TestStorageChaosSoak(t *testing.T) {
 			}
 			n++
 			if n%100 == 0 {
-				m.TriggerSeal("acme", "app") // error under chaos is fine; sealer retries
+				m.TriggerSeal(context.Background(), "acme", "app") // error under chaos is fine; sealer retries
 			}
 		}
 	}()

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"loggrep/internal/obsv"
+	"loggrep/internal/retry"
 	"loggrep/internal/version"
 )
 
@@ -407,16 +408,15 @@ func (e *Exporter) postOnce(ctx context.Context, url string, body []byte) error 
 // aborting early on ctx cancellation or exporter shutdown (the final
 // flush must not sit in a backoff against a dead collector).
 func (e *Exporter) sleepBackoff(ctx context.Context, attempt int) error {
-	max := e.cfg.BackoffBase
-	for i := 1; i < attempt && max < e.cfg.BackoffMax; i++ {
-		max *= 2
-	}
-	if max > e.cfg.BackoffMax {
-		max = e.cfg.BackoffMax
-	}
-	d := time.Duration(e.cfg.rnd() * float64(max))
+	d := time.Duration(e.cfg.rnd() * float64(retry.Backoff(e.cfg.BackoffBase, e.cfg.BackoffMax, attempt)))
 	if e.cfg.sleep != nil {
 		return e.cfg.sleep(ctx, d)
+	}
+	if e.inFlush.Load() {
+		// The final flush's own retries wait out their backoff, bounded
+		// by the Close context. The loop sets inFlush (after stop closes)
+		// on the goroutine that sleeps here, so it cannot flip mid-sleep.
+		return retry.Sleep(ctx, d)
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -424,16 +424,6 @@ func (e *Exporter) sleepBackoff(ctx context.Context, attempt int) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	case <-e.stop:
-		if e.inFlush.Load() {
-			// The final flush's own retries wait out their backoff,
-			// bounded by the Close context.
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-t.C:
-				return nil
-			}
-		}
 		// A pre-shutdown send caught mid-backoff: abort so the flush can
 		// run; its batch is dropped with a counter.
 		return errStopping

@@ -39,9 +39,9 @@ func (sv *Server) StartDraining() {
 	sv.lifeMu.Unlock()
 }
 
-// HardStop cancels the context of every in-flight query. Draining should
-// come first; HardStop is the escalation when the grace period is half
-// spent. Idempotent.
+// HardStop cancels the context of every in-flight query, count and
+// ingest request. Draining should come first; HardStop is the escalation
+// when the grace period is half spent. Idempotent.
 func (sv *Server) HardStop() {
 	sv.StartDraining()
 	sv.stopCancel()
@@ -55,7 +55,7 @@ type admitState struct {
 	status int  // HTTP status written on refusal, 0 when admitted or silent
 }
 
-// admit applies admission control to one query request. It returns a
+// admit applies admission control to one request. It returns a
 // release function (always call it, via defer), the admission state, and
 // whether the request may proceed; when it may not, the response has
 // already been written: 503 while draining, 429 + Retry-After when the
@@ -102,29 +102,33 @@ func (sv *Server) admit(w http.ResponseWriter, r *http.Request) (func(), admitSt
 	}
 }
 
-// requestContext derives the query's context: the request context (client
-// disconnects cancel it), cancelled on server HardStop, with a deadline
-// from ?timeout_ms= or the server default, clamped to MaxTimeout. The
-// returned cancel must always be called. A malformed timeout_ms writes a
-// 400 and reports not-ok.
+// requestContext derives a request's context: the request context
+// (client disconnects cancel it), cancelled on server HardStop and — when
+// deadline is set — bounded by ?timeout_ms= or the server default,
+// clamped to MaxTimeout. Ingest requests pass deadline=false: an append
+// has no timeout, but shutdown and operators can still stop it. The
+// returned cancel must always be called. A malformed timeout_ms reports
+// not-ok.
 //
 // The context is cancel-cause capable, and the returned cancelCause is
 // the hook the live-ops in-flight registry fires on DELETE
 // /v1/inflight/{id}: cancelling with liveops.ErrCancelled lets the
 // handler tell an operator cancellation (answer a marked empty partial)
 // from a vanished client (answer nothing).
-func (sv *Server) requestContext(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc, context.CancelCauseFunc, bool) {
-	timeout := sv.QueryTimeout
-	if s := r.URL.Query().Get("timeout_ms"); s != "" {
-		ms, err := strconv.Atoi(s)
-		if err != nil || ms <= 0 {
-			httpError(w, http.StatusBadRequest, "bad timeout_ms parameter")
-			return nil, nil, nil, false
+func (sv *Server) requestContext(r *http.Request, deadline bool) (context.Context, context.CancelFunc, context.CancelCauseFunc, bool) {
+	var timeout time.Duration
+	if deadline {
+		timeout = sv.QueryTimeout
+		if s := r.URL.Query().Get("timeout_ms"); s != "" {
+			ms, err := strconv.Atoi(s)
+			if err != nil || ms <= 0 {
+				return nil, nil, nil, false
+			}
+			timeout = time.Duration(ms) * time.Millisecond
 		}
-		timeout = time.Duration(ms) * time.Millisecond
-	}
-	if sv.MaxTimeout > 0 && (timeout <= 0 || timeout > sv.MaxTimeout) {
-		timeout = sv.MaxTimeout
+		if sv.MaxTimeout > 0 && (timeout <= 0 || timeout > sv.MaxTimeout) {
+			timeout = sv.MaxTimeout
+		}
 	}
 	ctx, cancelCause := context.WithCancelCause(r.Context())
 	cancel := func() { cancelCause(nil) }

@@ -17,7 +17,13 @@
 //
 // Every endpoint is wrapped with a per-endpoint request counter and
 // latency histogram in obsv.Default (loggrep_http_*; OPERATIONS.md
-// documents all metric names).
+// documents all metric names). The evented endpoints — /v1/query,
+// /v1/count, POST /ingest and POST /ingest/seal — additionally share one
+// request lifecycle (Server.lifecycle): wide event, method gate,
+// admission control, request context, blob accounting, in-flight
+// registration, and a single deferred finish that fans the event out to
+// its consumers on every return path, a panic included. A new evented
+// endpoint is a body passed to that wrapper.
 //
 // Adding &trace=1 to /v1/query includes a per-stage span breakdown (the
 // same data `loggrep query -trace` prints) in the response's "trace"

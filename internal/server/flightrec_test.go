@@ -16,6 +16,7 @@ import (
 
 	"loggrep/internal/core"
 	"loggrep/internal/flightrec"
+	"loggrep/internal/liveops"
 	"loggrep/internal/loggen"
 	"loggrep/internal/obsv"
 )
@@ -179,14 +180,21 @@ func TestDebugDumpEndpoint(t *testing.T) {
 
 // TestPanicRecoveredAndDumped: a panicking handler is answered with a 500
 // instead of a dropped connection, and the flight recorder writes a
-// panic-triggered bundle carrying the stack. The panic is injected right
-// at the instrument boundary — panics on engine worker goroutines are out
-// of recover's reach by design.
+// panic-triggered bundle carrying the stack. The panic is injected as the
+// body of a real request lifecycle — panics on engine worker goroutines
+// are out of recover's reach by design — so the request still finishes
+// exactly one wide event: status 500 in the recorder's ring (and so in
+// the bundle the panic triggers) and a bad event for the SLO engine.
 func TestPanicRecoveredAndDumped(t *testing.T) {
 	api, sv, rec := newFlightRecServer(t, nil)
-	ts := httptest.NewServer(sv.instrument("query", func(w http.ResponseWriter, r *http.Request) {
-		panic("injected read panic")
-	}))
+	sv.Liveops = liveops.New(liveops.Config{
+		Registry:   obsv.NewRegistry(),
+		Objectives: []liveops.Objective{{Name: "availability", Target: 0.999, Window: 30 * 24 * time.Hour}},
+	})
+	ts := httptest.NewServer(sv.instrument("query", sv.lifecycle("query", false,
+		func(http.ResponseWriter, *http.Request, *request) (int, string) {
+			panic("injected read panic")
+		})))
 	t.Cleanup(ts.Close)
 
 	resp, err := http.Get(ts.URL + "/v1/query?source=arc&q=ERROR")
@@ -211,6 +219,17 @@ func TestPanicRecoveredAndDumped(t *testing.T) {
 	p := b.Panics[0]
 	if p.Endpoint != "query" || !strings.Contains(p.Value, "injected read panic") || !strings.Contains(p.Stack, "goroutine") {
 		t.Fatalf("panic info = %+v", p)
+	}
+	if len(b.Events) != 1 || b.Events[0].Status != http.StatusInternalServerError ||
+		b.Events[0].Endpoint != "query" || b.Events[0].TraceID != resp.Header.Get("X-Trace-Id") {
+		t.Fatalf("panicking request's wide event missing from the ring: %+v", b.Events)
+	}
+	var slo struct {
+		Objectives []liveops.ObjectiveStatus `json:"objectives"`
+	}
+	getJSON(t, api.URL+"/v1/slo", http.StatusOK, &slo)
+	if len(slo.Objectives) != 1 || slo.Objectives[0].Bad != 1 {
+		t.Fatalf("/v1/slo did not count the panic as a bad event: %+v", slo.Objectives)
 	}
 
 	// The panics counter moved (it is process-global, so only monotonicity

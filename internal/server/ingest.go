@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/url"
 	"time"
 
 	"loggrep/internal/core"
@@ -23,17 +24,13 @@ func (s *ingestSource) query(ctx context.Context, cmd string, traced bool, budge
 		return nil, err
 	}
 	return &queryResult{
-		lines: res.Lines, entries: res.Entries, damaged: res.Damaged,
+		matches: len(res.Lines), lines: res.Lines, entries: res.Entries, damaged: res.Damaged,
 		partial: res.Partial, partialReason: res.PartialReason,
 	}, nil
 }
 
-func (s *ingestSource) count(ctx context.Context, cmd string) (matches, damaged int, err error) {
-	res, err := s.st.Query(ctx, cmd, 0, core.Budget{})
-	if err != nil {
-		return 0, 0, err
-	}
-	return len(res.Lines), len(res.Damaged), nil
+func (s *ingestSource) count(ctx context.Context, cmd string, budget core.Budget) (*queryResult, error) {
+	return s.query(ctx, cmd, false, budget)
 }
 
 func (s *ingestSource) entry(line int) (string, error) {
@@ -54,100 +51,61 @@ type ingestResponse struct {
 // handleIngest is the write path: POST /ingest?tenant=T&stream=S with a
 // body of newline-separated log lines (or NDJSON records with
 // Content-Type: application/x-ndjson). The batch is WAL-appended and
-// fsynced before the 200 — an acknowledged line survives a crash.
-// Admission control applies as for queries (503 draining, 429 when the
-// wait queue is full), and a full tenant buffer answers 429 +
-// Retry-After: the admission layer's backpressure contract extended to
-// memory, not just concurrency.
-func (sv *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	ev := sv.startEvent(r, "ingest")
-	tenant := paramOr(r, "tenant", "default")
-	stream := paramOr(r, "stream", "default")
-	if ev != nil {
-		ev.Source = tenant + "/" + stream
-	}
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		sv.finishEvent(ev, t0, admitState{}, http.StatusMethodNotAllowed, "")
-		return
-	}
-	if sv.Ingest == nil {
-		msg := "ingest disabled (start loggrepd with -ingest)"
-		httpError(w, http.StatusNotFound, msg)
-		sv.finishEvent(ev, t0, admitState{}, http.StatusNotFound, msg)
-		return
-	}
-	release, adm, ok := sv.admit(w, r)
-	if !ok {
-		sv.finishEvent(ev, t0, adm, adm.status, "")
-		return
-	}
-	defer release()
+// fsynced before the 200 — an acknowledged line survives a crash. A full
+// tenant buffer answers 429 + Retry-After: the admission layer's
+// backpressure contract extended to memory, not just concurrency. A
+// cancelled request context (HardStop, DELETE /v1/inflight/{id}, client
+// gone) aborts the batch between stream appends with a 503; the lines
+// counted in the response stay durable.
+func (sv *Server) handleIngest(w http.ResponseWriter, r *http.Request, rq *request) (int, string) {
+	tenant, stream := ingestTarget(r.URL.Query())
 	body, err := io.ReadAll(io.LimitReader(r.Body, int64(MaxIngestBytes)+1))
 	if err != nil {
-		msg := "read body: " + err.Error()
-		httpError(w, http.StatusBadRequest, msg)
-		sv.finishEvent(ev, t0, adm, http.StatusBadRequest, msg)
-		return
+		return fail(w, http.StatusBadRequest, "read body: "+err.Error())
 	}
 	if len(body) > MaxIngestBytes {
-		httpError(w, http.StatusRequestEntityTooLarge, "batch too large")
-		sv.finishEvent(ev, t0, adm, http.StatusRequestEntityTooLarge, "batch too large")
-		return
+		return fail(w, http.StatusRequestEntityTooLarge, "batch too large")
 	}
 	batch, err := ingest.ParseBatch(r.Header.Get("Content-Type"), body, stream)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		sv.finishEvent(ev, t0, adm, http.StatusBadRequest, err.Error())
-		return
+		return fail(w, http.StatusBadRequest, err.Error())
 	}
-	// The request context carries the trace identity into the append
-	// (exemplars) and, via blob stats, any WAL/segment reads it triggers.
-	// Ingest requests register in the live-ops in-flight view too, with a
-	// cancel-cause hook so DELETE /v1/inflight/{id} can abort a batch
-	// between stream appends (acknowledged lines stay durable).
-	ictx, icancel := context.WithCancelCause(r.Context())
-	defer icancel(nil)
-	ctx, bst := withBlobStats(ictx, ev)
-	ctx, doneInflight := sv.beginLiveops(ctx, r, ev, "ingest", icancel)
-	defer doneInflight()
 	resp := ingestResponse{Streams: map[string]int{}}
 	var appendErr error
 	for _, s := range batch.Streams {
-		if appendErr = sv.Ingest.AppendContext(ctx, tenant, s, batch.Groups[s]); appendErr != nil {
+		if appendErr = context.Cause(rq.ctx); appendErr != nil {
+			break
+		}
+		if appendErr = sv.Ingest.AppendContext(rq.ctx, tenant, s, batch.Groups[s]); appendErr != nil {
 			break
 		}
 		resp.Accepted += len(batch.Groups[s])
 		resp.Streams[tenant+"/"+s] = len(batch.Groups[s])
 	}
-	stampBlobStats(ev, bst)
-	resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
+	resp.ElapsedMS = float64(time.Since(rq.t0).Microseconds()) / 1000
 	if len(resp.Streams) == 0 {
 		resp.Streams = nil
 	}
-	if ev != nil {
-		ev.Matches = int64(resp.Accepted) // accepted lines, the ingest "result size"
-		ev.IngestBytes = int64(len(body))
-		ev.IngestLines = int64(resp.Accepted)
-	}
+	rq.ev.Matches = int64(resp.Accepted) // accepted lines, the ingest "result size"
+	rq.ev.IngestBytes = int64(len(body))
+	rq.ev.IngestLines = int64(resp.Accepted)
 	status := http.StatusOK
-	switch {
-	case errors.Is(appendErr, ingest.ErrBackpressure):
-		status = http.StatusTooManyRequests
-		w.Header().Set("Retry-After", "1")
-	case errors.Is(appendErr, ingest.ErrBadInput):
-		status = http.StatusBadRequest
-	case appendErr != nil:
-		status = http.StatusInternalServerError
-	}
-	var errMsg string
 	if appendErr != nil {
-		errMsg = appendErr.Error()
-		resp.Error = errMsg
+		resp.Error = appendErr.Error()
+		switch {
+		case errors.Is(appendErr, ingest.ErrBackpressure):
+			status = http.StatusTooManyRequests
+			w.Header().Set("Retry-After", "1")
+		case errors.Is(appendErr, ingest.ErrBadInput):
+			status = http.StatusBadRequest
+		case rq.ctx.Err() != nil:
+			status = http.StatusServiceUnavailable
+		default:
+			status = http.StatusInternalServerError
+		}
 	}
 	writeJSON(w, status, resp)
-	sv.finishEvent(ev, t0, adm, status, errMsg)
+	return status, resp.Error
 }
 
 // handleIngestSeal forces a stream's raw tail into sealed archive
@@ -155,52 +113,34 @@ func (sv *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // segment of the stream is a sealed, index-bearing archive on disk.
 // Operators use it before copying segments off the box; the INGEST.md
 // quickstart uses it to make `loggrep query` over a sealed segment
-// deterministic.
-func (sv *Server) handleIngestSeal(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	ev := sv.startEvent(r, "ingest_seal")
-	tenant := paramOr(r, "tenant", "default")
-	stream := paramOr(r, "stream", "default")
-	if ev != nil {
-		ev.Source = tenant + "/" + stream
-	}
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		sv.finishEvent(ev, t0, admitState{}, http.StatusMethodNotAllowed, "")
-		return
-	}
-	if sv.Ingest == nil {
-		msg := "ingest disabled (start loggrepd with -ingest)"
-		httpError(w, http.StatusNotFound, msg)
-		sv.finishEvent(ev, t0, admitState{}, http.StatusNotFound, msg)
-		return
-	}
-	release, adm, ok := sv.admit(w, r)
-	if !ok {
-		sv.finishEvent(ev, t0, adm, adm.status, "")
-		return
-	}
-	defer release()
-	err := sv.Ingest.TriggerSeal(tenant, stream)
+// deterministic. A cancelled request context stops it between segments.
+func (sv *Server) handleIngestSeal(w http.ResponseWriter, r *http.Request, rq *request) (int, string) {
+	tenant, stream := ingestTarget(r.URL.Query())
+	err := sv.Ingest.TriggerSeal(rq.ctx, tenant, stream)
 	switch {
-	case errors.Is(err, ingest.ErrBadInput):
-		httpError(w, http.StatusNotFound, err.Error())
-		sv.finishEvent(ev, t0, adm, http.StatusNotFound, err.Error())
-	case err != nil:
-		httpError(w, http.StatusInternalServerError, err.Error())
-		sv.finishEvent(ev, t0, adm, http.StatusInternalServerError, err.Error())
-	default:
+	case err == nil:
 		writeJSON(w, http.StatusOK, map[string]any{
 			"sealed":     tenant + "/" + stream,
-			"elapsed_ms": float64(time.Since(t0).Microseconds()) / 1000,
+			"elapsed_ms": float64(time.Since(rq.t0).Microseconds()) / 1000,
 		})
-		sv.finishEvent(ev, t0, adm, http.StatusOK, "")
+		return http.StatusOK, ""
+	case errors.Is(err, ingest.ErrBadInput):
+		return fail(w, http.StatusNotFound, err.Error())
+	case rq.ctx.Err() != nil:
+		return fail(w, http.StatusServiceUnavailable, err.Error())
+	default:
+		return fail(w, http.StatusInternalServerError, err.Error())
 	}
 }
 
-func paramOr(r *http.Request, name, def string) string {
-	if v := r.URL.Query().Get(name); v != "" {
+func paramOr(q url.Values, name, def string) string {
+	if v := q.Get(name); v != "" {
 		return v
 	}
 	return def
+}
+
+// ingestTarget resolves the tenant and stream an ingest request names.
+func ingestTarget(q url.Values) (tenant, stream string) {
+	return paramOr(q, "tenant", "default"), paramOr(q, "stream", "default")
 }

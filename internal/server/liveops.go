@@ -38,29 +38,23 @@ func requestTenant(q url.Values, h http.Header) string {
 // cooperative checkpoints feed the live view. The returned context and
 // done func are always usable; with the plane disabled they are the
 // input context and a no-op.
-func (sv *Server) beginLiveops(ctx context.Context, r *http.Request, ev *obsv.WideEvent, endpoint string, cancel context.CancelCauseFunc) (context.Context, func()) {
+func (sv *Server) beginLiveops(ctx context.Context, ev *obsv.WideEvent, cancel context.CancelCauseFunc) (context.Context, func()) {
 	if sv.Liveops == nil {
 		return ctx, func() {}
 	}
 	deadline, _ := ctx.Deadline()
+	// startEvent already parsed the request; reuse its fields rather
+	// than re-parsing the URL on the query hot path.
 	spec := liveops.EntrySpec{
-		Endpoint:             endpoint,
+		ID:                   ev.TraceID,
+		Tenant:               ev.Tenant,
+		Endpoint:             ev.Endpoint,
+		Query:                ev.Command,
+		Source:               ev.Source,
 		Deadline:             deadline,
 		Cancel:               cancel,
 		BudgetScanBytes:      sv.Budget.MaxScannedBytes,
 		BudgetDecompressions: sv.Budget.MaxDecompressions,
-	}
-	if ev != nil {
-		// startEvent already parsed the request; reuse its fields rather
-		// than re-parsing the URL on the query hot path.
-		spec.ID, spec.Tenant = ev.TraceID, ev.Tenant
-		spec.Query, spec.Source = ev.Command, ev.Source
-	} else {
-		q := r.URL.Query()
-		spec.ID = obsv.IDsFrom(ctx).TraceID
-		spec.Tenant = requestTenant(q, r.Header)
-		spec.Query = q.Get("q")
-		spec.Source = q.Get("source")
 	}
 	if cmd := spec.Query; cmd != "" {
 		// Canonicalization costs a parse; defer it to the operator's

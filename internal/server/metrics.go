@@ -105,7 +105,9 @@ func requestIDs(r *http.Request) obsv.ReqIDs {
 // Finally it is the server's panic boundary: a panicking handler is
 // recovered, counted, handed (with its stack) to the flight recorder —
 // which triggers a diagnostic bundle — and answered with a 500 instead of
-// tearing down the connection.
+// tearing down the connection. On the evented endpoints the panic passes
+// through lifecycle's deferred finish first, so the request's wide event
+// (status 500) is already in the recorder's ring when the bundle is cut.
 func (sv *Server) instrument(endpoint string, fn http.HandlerFunc) http.HandlerFunc {
 	reqs := obsv.Default.Counter(
 		fmt.Sprintf(`loggrep_http_requests_total{endpoint=%q}`, endpoint),

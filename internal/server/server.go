@@ -54,22 +54,25 @@ func (s *source) numLines() int {
 
 // querier is what the query/count/entry handlers need from a resolved
 // source; implemented by loaded boxes/archives (source) and by live
-// ingest streams (ingestSource).
+// ingest streams (ingestSource). Both query and count run under the
+// caller's budget and report what it cut short as a flagged partial.
 type querier interface {
 	query(ctx context.Context, cmd string, traced bool, budget core.Budget) (*queryResult, error)
-	count(ctx context.Context, cmd string) (matches, damaged int, err error)
+	count(ctx context.Context, cmd string, budget core.Budget) (*queryResult, error)
 	entry(line int) (string, error)
 }
 
-// queryResult is the normalized outcome of a query against either kind of
-// source.
+// queryResult is the normalized outcome of a query or count against
+// either kind of source; a count carries matches without lines/entries.
 type queryResult struct {
+	matches       int
 	lines         []int
 	entries       []string
 	damaged       []archive.BlockError
 	partial       bool
 	partialReason string
 	trace         *obsv.Trace
+	elapsedMS     float64 // engine time, stamped by search
 }
 
 func (s *source) query(ctx context.Context, cmd string, traced bool, budget core.Budget) (*queryResult, error) {
@@ -87,7 +90,7 @@ func (s *source) query(ctx context.Context, cmd string, traced bool, budget core
 		if err != nil {
 			return nil, err
 		}
-		return &queryResult{lines: res.Lines, entries: res.Entries, damaged: res.Damaged,
+		return &queryResult{matches: len(res.Lines), lines: res.Lines, entries: res.Entries, damaged: res.Damaged,
 			partial: res.Partial, partialReason: res.PartialReason, trace: tr}, nil
 	}
 	var (
@@ -104,20 +107,21 @@ func (s *source) query(ctx context.Context, cmd string, traced bool, budget core
 	if err != nil {
 		return nil, err
 	}
-	return &queryResult{lines: res.Lines, entries: res.Entries,
+	return &queryResult{matches: len(res.Lines), lines: res.Lines, entries: res.Entries,
 		partial: res.Partial, partialReason: res.PartialReason, trace: tr}, nil
 }
 
-func (s *source) count(ctx context.Context, cmd string) (matches, damaged int, err error) {
+// count keeps the box's exact-bitset fast path (no entry is ever
+// reconstructed); archives count by querying.
+func (s *source) count(ctx context.Context, cmd string, budget core.Budget) (*queryResult, error) {
 	if s.arch != nil {
-		res, err := s.arch.QueryContext(ctx, cmd, 0, core.Budget{})
-		if err != nil {
-			return 0, 0, err
-		}
-		return len(res.Lines), len(res.Damaged), nil
+		return s.query(ctx, cmd, false, budget)
 	}
-	matches, err = s.box.CountContext(ctx, cmd)
-	return matches, 0, err
+	n, reason, err := s.box.CountContext(ctx, cmd, core.NewBudgetState(budget))
+	if err != nil {
+		return nil, err
+	}
+	return &queryResult{matches: n, partial: reason != "", partialReason: reason}, nil
 }
 
 func (s *source) entry(line int) (string, error) {
@@ -276,15 +280,15 @@ func (sv *Server) Handler() http.Handler {
 	mux.HandleFunc("/metrics", sv.instrument("metrics", handleMetrics))
 	mux.HandleFunc("/v1/sources", sv.instrument("sources", sv.handleSources))
 	mux.HandleFunc("/v1/sources/", sv.instrument("source", sv.handleSource))
-	mux.HandleFunc("/v1/query", sv.instrument("query", sv.handleQuery))
-	mux.HandleFunc("/v1/count", sv.instrument("count", sv.handleCount))
+	mux.HandleFunc("/v1/query", sv.instrument("query", sv.lifecycle("query", false, sv.handleQuery)))
+	mux.HandleFunc("/v1/count", sv.instrument("count", sv.lifecycle("count", false, sv.handleCount)))
 	mux.HandleFunc("/v1/entry", sv.instrument("entry", sv.handleEntry))
 	mux.HandleFunc("/v1/inflight", sv.instrument("inflight", sv.handleInflight))
 	mux.HandleFunc("/v1/inflight/", sv.instrument("inflight_cancel", sv.handleInflightID))
 	mux.HandleFunc("/v1/usage", sv.instrument("usage", sv.handleUsage))
 	mux.HandleFunc("/v1/slo", sv.instrument("slo", sv.handleSLO))
-	mux.HandleFunc("/ingest", sv.instrument("ingest", sv.handleIngest))
-	mux.HandleFunc("/ingest/seal", sv.instrument("ingest_seal", sv.handleIngestSeal))
+	mux.HandleFunc("/ingest", sv.instrument("ingest", sv.lifecycle("ingest", true, sv.handleIngest)))
+	mux.HandleFunc("/ingest/seal", sv.instrument("ingest_seal", sv.lifecycle("ingest_seal", true, sv.handleIngestSeal)))
 	mux.HandleFunc("/debug/flightrec", sv.instrument("flightrec", sv.handleFlightRec))
 	mux.HandleFunc("/debug/dump", sv.instrument("dump", sv.handleDump))
 	if sv.Pprof {
@@ -467,20 +471,23 @@ func (sv *Server) resolveSource(name string) querier {
 	return nil
 }
 
-// lookup resolves the source and command of a query request. On failure the
-// error response has been written and errStatus/errMsg describe it (for the
-// request's wide event); errStatus is 0 on success.
-func (sv *Server) lookup(w http.ResponseWriter, r *http.Request) (src querier, cmd string, errStatus int, errMsg string) {
-	name := r.URL.Query().Get("source")
-	src = sv.resolveSource(name)
-	if src == nil {
-		msg := "no such source " + strconv.Quote(name)
-		httpError(w, http.StatusNotFound, msg)
-		return nil, "", http.StatusNotFound, msg
+// fail writes an error response and returns it in the (status, errMsg)
+// shape handler bodies report to the lifecycle.
+func fail(w http.ResponseWriter, code int, msg string) (int, string) {
+	httpError(w, code, msg)
+	return code, msg
+}
+
+// lookup resolves the source and command of a query request; on failure
+// status/errMsg describe the error response to write, status is 0 on
+// success.
+func (sv *Server) lookup(r *http.Request) (src querier, cmd string, status int, errMsg string) {
+	q := r.URL.Query()
+	name := q.Get("source")
+	if src = sv.resolveSource(name); src == nil {
+		return nil, "", http.StatusNotFound, "no such source " + strconv.Quote(name)
 	}
-	cmd = r.URL.Query().Get("q")
-	if cmd == "" && !strings.HasSuffix(r.URL.Path, "/entry") {
-		httpError(w, http.StatusBadRequest, "missing q parameter")
+	if cmd = q.Get("q"); cmd == "" {
 		return nil, "", http.StatusBadRequest, "missing q parameter"
 	}
 	return src, cmd, 0, ""
@@ -543,16 +550,92 @@ func (sv *Server) queryError(w http.ResponseWriter, err error) int {
 	}
 }
 
-// startEvent begins the wide event for one request, or returns nil when
-// neither the wide-event log, the flight recorder, the OTLP exporter,
-// nor the live operations plane wants it; every downstream helper is
-// nil-safe so the handlers stay branch-free.
-func (sv *Server) startEvent(r *http.Request, endpoint string) *obsv.WideEvent {
-	if sv.Events == nil && sv.FlightRec == nil && sv.OTLP == nil && sv.Liveops == nil {
-		return nil
+// observed reports whether anything consumes this server's wide events
+// (the event log, the flight recorder, the OTLP exporter or the live
+// operations plane). When something does, queries run traced so the
+// events carry per-stage span timings.
+func (sv *Server) observed() bool {
+	return sv.Events != nil || sv.FlightRec != nil || sv.OTLP != nil || sv.Liveops != nil
+}
+
+// request is the per-request state the lifecycle hands a handler body.
+type request struct {
+	// ctx is cancelled when the client disconnects, on HardStop, when an
+	// operator cancels the request through the in-flight registry and —
+	// on the read endpoints — at the request's deadline. It carries the
+	// request's blob accounting and live-ops progress publisher.
+	ctx context.Context
+	// ev is the request's wide event, never nil. Bodies fill in what
+	// they learned; the lifecycle stamps the outcome and emits it.
+	ev *obsv.WideEvent
+	// t0 is when the request arrived, before admission.
+	t0 time.Time
+}
+
+// lifecycle is the one path every evented request takes: start the wide
+// event, gate the method (and, for the write endpoints, that ingest is
+// enabled), pass admission control, derive the request context, attach
+// blob accounting, register in the in-flight view, run the body, and —
+// exactly once, on every return path including a panic — finish the
+// event. A body does its work, writes its response and returns the
+// status and error message the event should carry.
+//
+// write selects the POST /ingest* shape (POST only, 404 unless ingest is
+// enabled, no deadline, source "tenant/stream") over the GET /v1/* shape
+// (GET only, ?timeout_ms= or the server default as deadline).
+func (sv *Server) lifecycle(endpoint string, write bool, body func(http.ResponseWriter, *http.Request, *request) (status int, errMsg string)) http.HandlerFunc {
+	method := http.MethodGet
+	if write {
+		method = http.MethodPost
 	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		t0 := time.Now()
+		ev := sv.startEvent(r, endpoint, write)
+		var adm admitState
+		// A body that panics never assigns these, so the event of a
+		// recovered panic (instrument answers it) reads 500.
+		status, errMsg := http.StatusInternalServerError, "handler panic"
+		defer func() { sv.finishEvent(ev, t0, adm, status, errMsg) }()
+
+		if r.Method != method {
+			status, errMsg = fail(w, http.StatusMethodNotAllowed, method+" only")
+			return
+		}
+		if write && sv.Ingest == nil {
+			status, errMsg = fail(w, http.StatusNotFound, "ingest disabled (start loggrepd with -ingest)")
+			return
+		}
+		release, adm, ok := sv.admit(w, r)
+		if !ok {
+			status, errMsg = adm.status, ""
+			return
+		}
+		defer release()
+		ctx, cancel, cancelCause, ok := sv.requestContext(r, !write)
+		if !ok {
+			status, errMsg = fail(w, http.StatusBadRequest, "bad timeout_ms parameter")
+			return
+		}
+		defer cancel()
+		// The request's trace id rides along so blob-layer latency
+		// exemplars join the same trace.
+		bst := &blobstore.OpStats{TraceID: ev.TraceID}
+		defer stampBlobStats(ev, bst)
+		ctx, doneInflight := sv.beginLiveops(blobstore.WithStats(ctx, bst), ev, cancelCause)
+		defer doneInflight()
+		status, errMsg = body(w, r, &request{ctx: ctx, ev: ev, t0: t0})
+	}
+}
+
+// startEvent begins the wide event for one request.
+func (sv *Server) startEvent(r *http.Request, endpoint string, write bool) *obsv.WideEvent {
 	ids := obsv.IDsFrom(r.Context())
 	q := r.URL.Query() // parse once; Query() re-parses per call
+	source := q.Get("source")
+	if write {
+		tenant, stream := ingestTarget(q)
+		source = tenant + "/" + stream
+	}
 	return &obsv.WideEvent{
 		TraceID:              ids.TraceID,
 		SpanID:               ids.SpanID,
@@ -561,7 +644,7 @@ func (sv *Server) startEvent(r *http.Request, endpoint string) *obsv.WideEvent {
 		Time:                 time.Now().UTC().Format(time.RFC3339Nano),
 		Version:              version.Version,
 		Endpoint:             endpoint,
-		Source:               q.Get("source"),
+		Source:               source,
 		Tenant:               requestTenant(q, r.Header),
 		Command:              q.Get("q"),
 		BudgetScanBytes:      sv.Budget.MaxScannedBytes,
@@ -572,12 +655,10 @@ func (sv *Server) startEvent(r *http.Request, endpoint string) *obsv.WideEvent {
 // finishEvent stamps the event's outcome — wall-clock duration (what the
 // slowlog threshold applies to), admission state, final status — then emits
 // it through the log's threshold-or-sampled policy, buffers it in the
-// flight recorder (which may trigger a dump), and hands it to the OTLP
-// exporter (a non-blocking enqueue; a full queue drops with a counter).
+// flight recorder (which may trigger a dump), hands it to the OTLP
+// exporter (a non-blocking enqueue; a full queue drops with a counter)
+// and feeds the usage meter and SLO engine. Every sink is nil-safe.
 func (sv *Server) finishEvent(ev *obsv.WideEvent, t0 time.Time, adm admitState, status int, errMsg string) {
-	if ev == nil {
-		return
-	}
 	ev.DurNS = time.Since(t0).Nanoseconds()
 	ev.Queued, ev.Shed = adm.queued, adm.shed
 	ev.Status = status
@@ -590,23 +671,9 @@ func (sv *Server) finishEvent(ev *obsv.WideEvent, t0 time.Time, adm admitState, 
 	sv.Liveops.RecordEvent(ev)
 }
 
-// withBlobStats attaches per-request blob accounting to the context when
-// the request has a wide event to stamp it into. The request's trace id
-// rides along so blob-layer latency exemplars join the same trace.
-func withBlobStats(ctx context.Context, ev *obsv.WideEvent) (context.Context, *blobstore.OpStats) {
-	if ev == nil {
-		return ctx, nil
-	}
-	bst := &blobstore.OpStats{TraceID: ev.TraceID}
-	return blobstore.WithStats(ctx, bst), bst
-}
-
 // stampBlobStats copies the request's blob-layer accounting into its wide
-// event; both arguments may be nil.
+// event.
 func stampBlobStats(ev *obsv.WideEvent, bst *blobstore.OpStats) {
-	if ev == nil || bst == nil {
-		return
-	}
 	ev.BlobOps = bst.Ops.Load()
 	ev.BlobRetries = bst.Retries.Load()
 	ev.BlobHedges = bst.Hedges.Load()
@@ -615,147 +682,92 @@ func stampBlobStats(ev *obsv.WideEvent, bst *blobstore.OpStats) {
 	ev.BlobFailed = bst.Failed.Load()
 }
 
-func (sv *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	ev := sv.startEvent(r, "query")
-	release, adm, ok := sv.admit(w, r)
-	if !ok {
-		sv.finishEvent(ev, t0, adm, adm.status, "")
-		return
+// search is the shared body of /v1/query and /v1/count: resolve the
+// source, run the command under the server's work budget, and stamp the
+// outcome into the wide event. A nil result means the error response has
+// been written.
+func (sv *Server) search(w http.ResponseWriter, r *http.Request, rq *request, count bool) (qr *queryResult, status int, errMsg string) {
+	src, cmd, status, errMsg := sv.lookup(r)
+	if status != 0 {
+		httpError(w, status, errMsg)
+		return nil, status, errMsg
 	}
-	defer release()
-	src, cmd, errStatus, errMsg := sv.lookup(w, r)
-	if errStatus != 0 {
-		sv.finishEvent(ev, t0, adm, errStatus, errMsg)
-		return
-	}
-	ctx, cancel, cancelCause, ok := sv.requestContext(w, r)
-	if !ok {
-		sv.finishEvent(ev, t0, adm, http.StatusBadRequest, "bad timeout_ms parameter")
-		return
-	}
-	defer cancel()
-	ctx, bst := withBlobStats(ctx, ev)
-	ctx, doneInflight := sv.beginLiveops(ctx, r, ev, "query", cancelCause)
-	defer doneInflight()
 	start := time.Now()
-	traced := r.URL.Query().Get("trace") == "1"
-	// The wide event wants span timings even when the client didn't ask
-	// for a trace; the response only carries it when requested.
-	qr, err := src.query(ctx, cmd, traced || ev != nil, sv.Budget)
-	stampBlobStats(ev, bst)
+	var err error
+	if count {
+		qr, err = src.count(rq.ctx, cmd, sv.Budget)
+	} else {
+		// The wide event wants span timings even when the client didn't
+		// ask for a trace; the response only carries it when requested.
+		qr, err = src.query(rq.ctx, cmd, sv.observed() || r.URL.Query().Get("trace") == "1", sv.Budget)
+	}
+	status = http.StatusOK
 	if err != nil {
-		if reason, ok := liveops.CancelledByOperator(ctx); ok {
-			// An operator killed this request via DELETE /v1/inflight.
-			// Unlike a vanished client, the caller is still listening:
-			// answer a clearly-marked empty partial — the PR 3 contract,
-			// degraded but never wrong.
-			mQueriesHTTPCancelled.Inc()
-			resp := queryResponse{
-				Lines: []int{}, Entries: []string{},
-				Partial: true, PartialTo: reason,
-				ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-			}
-			if ev != nil {
-				ev.Partial, ev.PartialReason = true, reason
-			}
-			writeJSON(w, http.StatusOK, resp)
-			sv.finishEvent(ev, t0, adm, http.StatusOK, reason)
-			return
+		reason, ok := liveops.CancelledByOperator(rq.ctx)
+		if !ok {
+			return nil, sv.queryError(w, err), err.Error()
 		}
-		status := sv.queryError(w, err)
-		sv.finishEvent(ev, t0, adm, status, err.Error())
-		return
+		// An operator killed this request via DELETE /v1/inflight.
+		// Unlike a vanished client, the caller is still listening:
+		// answer a clearly-marked empty partial — degraded but never
+		// wrong.
+		mQueriesHTTPCancelled.Inc()
+		qr = &queryResult{lines: []int{}, entries: []string{}, partial: true, partialReason: reason}
+		errMsg = reason
 	}
-	if ev != nil && qr.trace != nil {
-		ev.FillFromTrace(qr.trace.Data())
+	qr.elapsedMS = float64(time.Since(start).Microseconds()) / 1000
+	if qr.trace != nil {
+		rq.ev.FillFromTrace(qr.trace.Data())
 	}
-	if ev != nil {
-		ev.Matches = int64(len(qr.lines))
-		ev.Partial = qr.partial
-		ev.PartialReason = qr.partialReason
-		ev.DamagedRegions = int64(len(qr.damaged))
+	rq.ev.Matches = int64(qr.matches)
+	rq.ev.Partial = qr.partial
+	rq.ev.PartialReason = qr.partialReason
+	rq.ev.DamagedRegions = int64(len(qr.damaged))
+	return qr, status, errMsg
+}
+
+func (sv *Server) handleQuery(w http.ResponseWriter, r *http.Request, rq *request) (int, string) {
+	qr, status, errMsg := sv.search(w, r, rq, false)
+	if qr == nil {
+		return status, errMsg
 	}
-	if len(qr.damaged) > 0 && r.URL.Query().Get("strict") == "1" {
-		msg := fmt.Sprintf("source has %d damaged region(s); drop strict=1 for partial results", len(qr.damaged))
-		httpError(w, http.StatusInternalServerError, msg)
-		sv.finishEvent(ev, t0, adm, http.StatusInternalServerError, msg)
-		return
+	q := r.URL.Query()
+	if len(qr.damaged) > 0 && q.Get("strict") == "1" {
+		return fail(w, http.StatusInternalServerError,
+			fmt.Sprintf("source has %d damaged region(s); drop strict=1 for partial results", len(qr.damaged)))
 	}
 	resp := queryResponse{
-		Matches:   len(qr.lines),
+		Matches:   qr.matches,
 		Lines:     qr.lines,
 		Entries:   qr.entries,
 		Damaged:   damageJSON(qr.damaged),
 		Partial:   qr.partial,
 		PartialTo: qr.partialReason,
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
+		ElapsedMS: qr.elapsedMS,
 	}
-	if traced && qr.trace != nil {
-		qr.trace.SetIDs(obsv.IDsFrom(ctx))
+	if qr.trace != nil && q.Get("trace") == "1" {
+		qr.trace.SetIDs(obsv.IDsFrom(rq.ctx))
 		d := qr.trace.Data()
 		resp.Trace = &d
 	}
-	writeJSON(w, http.StatusOK, resp)
-	sv.finishEvent(ev, t0, adm, http.StatusOK, "")
+	writeJSON(w, status, resp)
+	return status, errMsg
 }
 
-func (sv *Server) handleCount(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	ev := sv.startEvent(r, "count")
-	release, adm, ok := sv.admit(w, r)
-	if !ok {
-		sv.finishEvent(ev, t0, adm, adm.status, "")
-		return
+func (sv *Server) handleCount(w http.ResponseWriter, r *http.Request, rq *request) (int, string) {
+	qr, status, errMsg := sv.search(w, r, rq, true)
+	if qr == nil {
+		return status, errMsg
 	}
-	defer release()
-	src, cmd, errStatus, errMsg := sv.lookup(w, r)
-	if errStatus != 0 {
-		sv.finishEvent(ev, t0, adm, errStatus, errMsg)
-		return
+	resp := map[string]any{"matches": qr.matches, "elapsed_ms": qr.elapsedMS}
+	if len(qr.damaged) > 0 {
+		resp["damaged_regions"] = len(qr.damaged)
 	}
-	ctx, cancel, cancelCause, ok := sv.requestContext(w, r)
-	if !ok {
-		sv.finishEvent(ev, t0, adm, http.StatusBadRequest, "bad timeout_ms parameter")
-		return
+	if qr.partial {
+		resp["partial"], resp["partial_reason"] = true, qr.partialReason
 	}
-	defer cancel()
-	ctx, bst := withBlobStats(ctx, ev)
-	ctx, doneInflight := sv.beginLiveops(ctx, r, ev, "count", cancelCause)
-	defer doneInflight()
-	start := time.Now()
-	n, damaged, err := src.count(ctx, cmd)
-	stampBlobStats(ev, bst)
-	if err != nil {
-		if reason, ok := liveops.CancelledByOperator(ctx); ok {
-			mQueriesHTTPCancelled.Inc()
-			if ev != nil {
-				ev.Partial, ev.PartialReason = true, reason
-			}
-			writeJSON(w, http.StatusOK, map[string]any{
-				"matches": 0, "partial": true, "partial_reason": reason,
-				"elapsed_ms": float64(time.Since(start).Microseconds()) / 1000,
-			})
-			sv.finishEvent(ev, t0, adm, http.StatusOK, reason)
-			return
-		}
-		status := sv.queryError(w, err)
-		sv.finishEvent(ev, t0, adm, status, err.Error())
-		return
-	}
-	resp := map[string]any{
-		"matches":    n,
-		"elapsed_ms": float64(time.Since(start).Microseconds()) / 1000,
-	}
-	if damaged > 0 {
-		resp["damaged_regions"] = damaged
-	}
-	writeJSON(w, http.StatusOK, resp)
-	if ev != nil {
-		ev.Matches = int64(n)
-		ev.DamagedRegions = int64(damaged)
-	}
-	sv.finishEvent(ev, t0, adm, http.StatusOK, "")
+	writeJSON(w, status, resp)
+	return status, errMsg
 }
 
 func (sv *Server) handleEntry(w http.ResponseWriter, r *http.Request) {

@@ -2,10 +2,12 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"loggrep/internal/archive"
@@ -111,6 +113,57 @@ func TestCountEndpoint(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/query?source=boxA&q=ERROR", http.StatusOK, &full)
 	if count.Matches != full.Matches {
 		t.Fatalf("count %d != query %d", count.Matches, full.Matches)
+	}
+}
+
+// TestCountHonoursBudget: /v1/count runs under the server's work budget on
+// every kind of source, exactly like /v1/query — switching endpoint must
+// not defeat -max-decompressions. A cut count is flagged partial and never
+// exceeds the true count.
+func TestCountHonoursBudget(t *testing.T) {
+	lt, _ := loggen.ByName("A")
+	block := lt.Block(5, 3000)
+	ts, sv := newIngestServer(t)
+	sv.Budget = core.Budget{MaxDecompressions: 1}
+	if err := sv.Load("box", core.Compress(block, core.DefaultOptions())); err != nil {
+		t.Fatal(err)
+	}
+	aopts := archive.DefaultOptions()
+	aopts.BlockBytes = 80 << 10
+	arc, err := archive.Compress(block, aopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.Load("arc", arc); err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.Ingest.Append("t", "s", logparse.SplitLines(block)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.Ingest.TriggerSeal(context.Background(), "t", "s"); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{"box", "arc", "t/s"} {
+		// An exact-bitset count (one wildcard-free keyword) and a
+		// verifying one.
+		for _, q := range []string{"reqId:5E9D21AD5E473938", lt.Query} {
+			truth, _, err := core.RawQuery(block, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out struct {
+				Matches       int    `json:"matches"`
+				Partial       bool   `json:"partial"`
+				PartialReason string `json:"partial_reason"`
+			}
+			getJSON(t, ts.URL+"/v1/count?source="+src+"&q="+escape(q), http.StatusOK, &out)
+			if !out.Partial || !strings.Contains(out.PartialReason, "budget") {
+				t.Errorf("%s %q: count under a 1-decompression budget not flagged partial: %+v", src, q, out)
+			}
+			if out.Matches > len(truth) {
+				t.Errorf("%s %q: partial count %d exceeds the true count %d", src, q, out.Matches, len(truth))
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -47,12 +48,12 @@ func TestQueryDegradesUnderStorageFaults(t *testing.T) {
 	// backend leaves exactly the evicted one unreadable.
 	postIngest(t, ts.URL+"/ingest?tenant=acme&stream=app", "text/plain",
 		"one ERROR alpha\ntwo ok\nthree ERROR beta\n", http.StatusOK)
-	if err := m.TriggerSeal("acme", "app"); err != nil {
+	if err := m.TriggerSeal(context.Background(), "acme", "app"); err != nil {
 		t.Fatal(err)
 	}
 	postIngest(t, ts.URL+"/ingest?tenant=acme&stream=app", "text/plain",
 		"four ok\nfive ERROR gamma\nsix ok\n", http.StatusOK)
-	if err := m.TriggerSeal("acme", "app"); err != nil {
+	if err := m.TriggerSeal(context.Background(), "acme", "app"); err != nil {
 		t.Fatal(err)
 	}
 

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -17,7 +18,10 @@ import (
 
 	"loggrep/internal/archive"
 	"loggrep/internal/faultinject"
+	"loggrep/internal/ingest"
+	"loggrep/internal/liveops"
 	"loggrep/internal/loggen"
+	"loggrep/internal/obsv"
 )
 
 // newStressServer builds a Server with one fresh (never-queried) archive
@@ -175,10 +179,19 @@ func TestStalledQueryTimesOutOverHTTP(t *testing.T) {
 // listener, signal.Notify, and a real SIGTERM — delivered while stalled
 // queries are in flight. ServeGraceful must cancel them and return nil
 // (loggrepd's exit 0) within the grace period, and every client must see
-// one of 200, 429, 503, or a connection error from the dying server.
+// one of 200, 429, 503, or a connection error from the dying server. An
+// ingest batch whose body is still arriving when HardStop fires is
+// refused with 503 and nothing appended, not acknowledged mid-shutdown.
 func TestGracefulShutdownSIGTERM(t *testing.T) {
 	sv := newStressServer(t)
 	sv.QueryTimeout = 0 // keep 504 out of the contract; shutdown must do the cancelling
+	m, _, err := ingest.Open(ingest.Config{Dir: t.TempDir(), SealBytes: 1 << 30, SealAge: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	sv.Ingest = m
+	sv.Liveops = liveops.New(liveops.Config{Registry: obsv.NewRegistry()})
 
 	// Stalls honor ctx, so HardStop's cancellation unwinds them; count
 	// arrivals so the signal lands only once queries are truly in flight.
@@ -219,6 +232,32 @@ func TestGracefulShutdownSIGTERM(t *testing.T) {
 	for arrived.Load() == 0 {
 		time.Sleep(5 * time.Millisecond)
 	}
+	// The batch is admitted before the signal and held in flight by its
+	// unfinished body, which completes only once HardStop has fired.
+	pr, pw := io.Pipe()
+	ingestCode := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(base+"/ingest?tenant=t&stream=s", "text/plain", pr)
+		if err != nil {
+			ingestCode <- -1
+			return
+		}
+		resp.Body.Close()
+		ingestCode <- resp.StatusCode
+	}()
+	waitFor(t, "the ingest request in flight", func() bool {
+		for _, v := range sv.Liveops.Inflight.Snapshot() {
+			if v.Endpoint == "ingest" {
+				return true
+			}
+		}
+		return false
+	})
+	go func() {
+		<-sv.stopCtx.Done()
+		io.WriteString(pw, "arrived after hard stop\n")
+		pw.Close()
+	}()
 
 	start := time.Now()
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
@@ -244,6 +283,13 @@ func TestGracefulShutdownSIGTERM(t *testing.T) {
 		default:
 			t.Fatalf("response during shutdown: %d, want 200/429/503 or a connection error", code)
 		}
+	}
+
+	if code := <-ingestCode; code != http.StatusServiceUnavailable {
+		t.Fatalf("ingest batch completed after HardStop answered %d, want 503", code)
+	}
+	if st := m.Lookup("t/s"); st != nil && st.NumLines() != 0 {
+		t.Fatalf("batch refused with 503 still appended %d line(s)", st.NumLines())
 	}
 
 	// Draining is latched: a request after shutdown is refused outright.

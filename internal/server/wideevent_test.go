@@ -13,9 +13,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"loggrep/internal/archive"
 	"loggrep/internal/core"
+	"loggrep/internal/faultinject"
+	"loggrep/internal/ingest"
+	"loggrep/internal/liveops"
 	"loggrep/internal/loggen"
 	"loggrep/internal/obsv"
 	"loggrep/internal/otlp"
@@ -246,6 +250,261 @@ func TestMetricsExemplarJoinsWideEvent(t *testing.T) {
 	}
 	if !joined {
 		t.Errorf("no exemplar trace id %v found among wide events %v", ms, evIDs)
+	}
+}
+
+// lifecycleEndpoint is one evented endpoint as the conformance table
+// drives it.
+type lifecycleEndpoint struct {
+	name, method, path, body string
+	write                    bool
+}
+
+var lifecycleEndpoints = []lifecycleEndpoint{
+	{name: "query", method: "GET", path: "/v1/query?source=arc&q=ERROR"},
+	{name: "count", method: "GET", path: "/v1/count?source=arc&q=ERROR"},
+	{name: "ingest", method: "POST", path: "/ingest?tenant=t&stream=s", body: "one line\n", write: true},
+	{name: "ingest_seal", method: "POST", path: "/ingest/seal?tenant=t&stream=s", write: true},
+}
+
+// lifecycleEnv is a server with every lifecycle stage observable: an
+// always-on event log, the live-ops plane, one admission slot with a
+// one-deep queue, a never-queried archive "arc" whose reads a row can
+// stall, and (unless a row asks otherwise) ingest with stream t/s.
+type lifecycleEnv struct {
+	sv  *Server
+	ts  *httptest.Server
+	buf *syncBuffer
+}
+
+var lifecycleArchive = sync.OnceValue(func() []byte {
+	lt, _ := loggen.ByName("A")
+	opts := archive.DefaultOptions()
+	opts.BlockBytes = 25_000
+	data, err := archive.Compress(lt.Block(11, 1000), opts)
+	if err != nil {
+		panic(err)
+	}
+	return data
+})
+
+func newLifecycleEnv(t *testing.T, withIngest bool) *lifecycleEnv {
+	t.Helper()
+	sv := New()
+	sv.MaxConcurrent, sv.QueueDepth = 1, 1
+	sv.Liveops = liveops.New(liveops.Config{Registry: obsv.NewRegistry()})
+	if err := sv.Load("arc", lifecycleArchive()); err != nil {
+		t.Fatal(err)
+	}
+	if withIngest {
+		m, _, err := ingest.Open(ingest.Config{Dir: t.TempDir(), SealBytes: 1 << 30, SealAge: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { m.Close() })
+		if err := m.Append("t", "s", []string{"seed line"}); err != nil {
+			t.Fatal(err)
+		}
+		sv.Ingest = m
+	}
+	e := &lifecycleEnv{sv: sv, buf: &syncBuffer{}}
+	sv.Events = obsv.NewEventLog(e.buf, 0, 0)
+	e.ts = httptest.NewServer(sv.Handler())
+	t.Cleanup(e.ts.Close)
+	return e
+}
+
+// do issues ep's request (extra is appended to its query string) and
+// returns the response status, 0 on a transport error.
+func (e *lifecycleEnv) do(ep lifecycleEndpoint, method, extra string, body io.Reader) int {
+	req, err := http.NewRequest(method, e.ts.URL+ep.path+extra, body)
+	if err != nil {
+		return 0
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// stall wedges every read of "arc" until the request's context ends.
+func (e *lifecycleEnv) stall() {
+	e.sv.sources["arc"].arch.SetReadHook(faultinject.SlowRead(30 * time.Second))
+}
+
+// waitFor polls cond for up to 5s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// cancelInflight waits for the row's request to register in the
+// in-flight view, then cancels it the way DELETE /v1/inflight/{id} does.
+func (e *lifecycleEnv) cancelInflight(t *testing.T) {
+	t.Helper()
+	var id string
+	waitFor(t, "request in /v1/inflight", func() bool {
+		for _, v := range e.sv.Liveops.Inflight.Snapshot() {
+			id = v.ID
+		}
+		return id != ""
+	})
+	if !e.sv.Liveops.Inflight.Cancel(id) {
+		t.Fatalf("in-flight request %s not cancellable", id)
+	}
+}
+
+// TestLifecycleConformance is the contract of the one request lifecycle:
+// for every evented endpoint and every way a request can end, exactly one
+// wide event is finished, its status/queued/shed say what the client
+// saw, the in-flight registry is empty afterwards, and the admission slot
+// is free again (a follow-up request at MaxConcurrent=1 is admitted).
+func TestLifecycleConformance(t *testing.T) {
+	type want struct {
+		status       int
+		queued, shed bool
+	}
+	outcomes := []struct {
+		name string
+		// reads restricts the row to the deadline-carrying GET endpoints;
+		// noSeal skips /ingest/seal (nothing in this package can stall a
+		// seal mid-flight).
+		reads, noSeal bool
+		run           func(t *testing.T, ep lifecycleEndpoint) (*lifecycleEnv, want)
+	}{
+		{name: "200", run: func(t *testing.T, ep lifecycleEndpoint) (*lifecycleEnv, want) {
+			e := newLifecycleEnv(t, true)
+			return e, want{status: e.do(ep, ep.method, "", strings.NewReader(ep.body))}
+		}},
+		{name: "405", run: func(t *testing.T, ep lifecycleEndpoint) (*lifecycleEnv, want) {
+			e := newLifecycleEnv(t, true)
+			if got := e.do(ep, http.MethodPut, "", nil); got != http.StatusMethodNotAllowed {
+				t.Fatalf("PUT answered %d, want 405", got)
+			}
+			return e, want{status: http.StatusMethodNotAllowed}
+		}},
+		{name: "404", run: func(t *testing.T, ep lifecycleEndpoint) (*lifecycleEnv, want) {
+			// Unknown source on the read side, ingest disabled on the
+			// write side.
+			e := newLifecycleEnv(t, false)
+			ep.path = strings.Replace(ep.path, "source=arc", "source=nope", 1)
+			if got := e.do(ep, ep.method, "", strings.NewReader(ep.body)); got != http.StatusNotFound {
+				t.Fatalf("answered %d, want 404", got)
+			}
+			return e, want{status: http.StatusNotFound}
+		}},
+		{name: "429 shed", run: func(t *testing.T, ep lifecycleEndpoint) (*lifecycleEnv, want) {
+			e := newLifecycleEnv(t, true)
+			e.sv.sem <- struct{}{}
+			e.sv.queue <- struct{}{}
+			got := e.do(ep, ep.method, "", strings.NewReader(ep.body))
+			<-e.sv.queue
+			<-e.sv.sem
+			if got != http.StatusTooManyRequests {
+				t.Fatalf("answered %d with slot and queue full, want 429", got)
+			}
+			return e, want{status: got, shed: true}
+		}},
+		{name: "queued then 200", run: func(t *testing.T, ep lifecycleEndpoint) (*lifecycleEnv, want) {
+			e := newLifecycleEnv(t, true)
+			e.sv.sem <- struct{}{}
+			got := make(chan int, 1)
+			go func() { got <- e.do(ep, ep.method, "", strings.NewReader(ep.body)) }()
+			waitFor(t, "request in the admission queue", func() bool { return len(e.sv.queue) == 1 })
+			<-e.sv.sem
+			return e, want{status: <-got, queued: true}
+		}},
+		{name: "503 draining", run: func(t *testing.T, ep lifecycleEndpoint) (*lifecycleEnv, want) {
+			e := newLifecycleEnv(t, true)
+			e.sv.StartDraining()
+			if got := e.do(ep, ep.method, "", strings.NewReader(ep.body)); got != http.StatusServiceUnavailable {
+				t.Fatalf("answered %d while draining, want 503", got)
+			}
+			return e, want{status: http.StatusServiceUnavailable}
+		}},
+		{name: "400 bad timeout_ms", reads: true, run: func(t *testing.T, ep lifecycleEndpoint) (*lifecycleEnv, want) {
+			e := newLifecycleEnv(t, true)
+			if got := e.do(ep, ep.method, "&timeout_ms=banana", nil); got != http.StatusBadRequest {
+				t.Fatalf("answered %d, want 400", got)
+			}
+			return e, want{status: http.StatusBadRequest}
+		}},
+		{name: "504 deadline", reads: true, run: func(t *testing.T, ep lifecycleEndpoint) (*lifecycleEnv, want) {
+			e := newLifecycleEnv(t, true)
+			e.stall()
+			if got := e.do(ep, ep.method, "&timeout_ms=50", nil); got != http.StatusGatewayTimeout {
+				t.Fatalf("stalled request answered %d, want 504", got)
+			}
+			return e, want{status: http.StatusGatewayTimeout}
+		}},
+		{name: "operator cancel", noSeal: true, run: func(t *testing.T, ep lifecycleEndpoint) (*lifecycleEnv, want) {
+			e := newLifecycleEnv(t, true)
+			e.stall()
+			// An ingest request is held in flight by its unfinished body;
+			// the cancel lands before the batch's first stream append.
+			pr, pw := io.Pipe()
+			got := make(chan int, 1)
+			go func() { got <- e.do(ep, ep.method, "", pr) }()
+			e.cancelInflight(t)
+			io.WriteString(pw, ep.body)
+			pw.Close()
+			status := http.StatusOK // reads answer a marked empty partial
+			if ep.write {
+				status = http.StatusServiceUnavailable
+			}
+			if s := <-got; s != status {
+				t.Fatalf("cancelled request answered %d, want %d", s, status)
+			}
+			if ep.write && e.sv.Ingest.Lookup("t/s").NumLines() != 1 {
+				t.Fatal("cancelled batch was appended anyway")
+			}
+			return e, want{status: status}
+		}},
+		{name: "panic", run: func(t *testing.T, ep lifecycleEndpoint) (*lifecycleEnv, want) {
+			e := newLifecycleEnv(t, true)
+			h := e.sv.instrument(ep.name, e.sv.lifecycle(ep.name, ep.write,
+				func(http.ResponseWriter, *http.Request, *request) (int, string) { panic("boom") }))
+			rec := httptest.NewRecorder()
+			h(rec, httptest.NewRequest(ep.method, ep.path, strings.NewReader(ep.body)))
+			return e, want{status: rec.Code}
+		}},
+	}
+	for _, ep := range lifecycleEndpoints {
+		for _, oc := range outcomes {
+			if oc.reads && ep.write || oc.noSeal && ep.name == "ingest_seal" {
+				continue
+			}
+			t.Run(ep.name+"/"+oc.name, func(t *testing.T) {
+				e, w := oc.run(t, ep)
+				waitFor(t, "the request's wide event", func() bool { return e.buf.String() != "" })
+				evs := parseEvents(t, e.buf.String())
+				if len(evs) != 1 {
+					t.Fatalf("got %d wide events, want exactly 1:\n%s", len(evs), e.buf.String())
+				}
+				if ev := evs[0]; ev.Endpoint != ep.name || ev.Status != w.status || ev.Queued != w.queued || ev.Shed != w.shed {
+					t.Errorf("event endpoint=%s status=%d queued=%v shed=%v, want %s %+v",
+						ev.Endpoint, ev.Status, ev.Queued, ev.Shed, ep.name, w)
+				}
+				if oc.name == "200" && evs[0].Status != http.StatusOK {
+					t.Errorf("plain request answered %d, want 200", evs[0].Status)
+				}
+				waitFor(t, "the in-flight registry to drain", func() bool { return e.sv.Liveops.Inflight.Len() == 0 })
+				if len(e.sv.sem) != 0 || len(e.sv.queue) != 0 {
+					t.Errorf("admission not released: %d slot(s), %d queue place(s) held", len(e.sv.sem), len(e.sv.queue))
+				}
+				if !e.sv.isDraining() {
+					e.sv.sources["arc"].arch.SetReadHook(nil)
+					getJSON(t, e.ts.URL+"/v1/count?source=arc&q=WARN", http.StatusOK, nil)
+				}
+			})
+		}
 	}
 }
 
