@@ -269,19 +269,24 @@ func WriteBox(meta *Meta, payloads [][]byte, chunkTarget int) []byte {
 	if len(payloads) != len(meta.Capsules) {
 		panic("capsule: payload count does not match capsule directory")
 	}
-	// Encode blobs first: chunking records ChunkRows in the directory,
-	// which the metadata section serializes.
-	blobs := make([][]byte, len(payloads))
+	// Settle the chunking first: it records ChunkRows in the directory,
+	// which the metadata section ahead of the blobs serializes.
+	raw := 0
 	for i, p := range payloads {
-		blobs[i] = encodeBlob(&meta.Capsules[i], p, chunkTarget)
+		if rows := chunkRows(&meta.Capsules[i], p, chunkTarget); rows > 0 {
+			meta.Capsules[i].ChunkRows = rows
+		}
+		raw += len(p)
 	}
-	out := []byte(BoxMagic)
 	mc := lzma.Compress(meta.encode())
+	// Room for payloads that pack 2:1; append grows it if they do worse.
+	out := make([]byte, 0, len(BoxMagic)+len(mc)+raw/2+2*binary.MaxVarintLen64)
+	out = append(out, BoxMagic...)
 	out = binary.AppendUvarint(out, uint64(len(mc)))
 	out = append(out, mc...)
-	out = binary.AppendUvarint(out, uint64(len(blobs)))
-	for _, b := range blobs {
-		out = append(out, b...)
+	out = binary.AppendUvarint(out, uint64(len(payloads)))
+	for i, p := range payloads {
+		out = appendBlob(out, &meta.Capsules[i], p, chunkTarget)
 	}
 	return out
 }

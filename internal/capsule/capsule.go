@@ -2,6 +2,7 @@ package capsule
 
 import (
 	"fmt"
+	"strconv"
 
 	"loggrep/internal/rtpattern"
 	"loggrep/internal/strmatch"
@@ -119,20 +120,30 @@ func DictOffset(counts, widths []int, p int) int {
 	return off
 }
 
-// FormatIndex renders a dictionary index as a fixed-width decimal string.
-func FormatIndex(idx, width int) string {
-	s := fmt.Sprintf("%0*d", width, idx)
-	if len(s) > width {
+// appendIndex appends idx as decimal digits zero-padded to width.
+func appendIndex(dst []byte, idx, width int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(idx), 10)
+	if idx < 0 || len(d) > width {
 		panic(fmt.Sprintf("capsule: index %d overflows width %d", idx, width))
 	}
-	return s
+	for i := len(d); i < width; i++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, d...)
+}
+
+// FormatIndex renders a dictionary index as a fixed-width decimal string.
+func FormatIndex(idx, width int) string {
+	var buf [20]byte
+	return string(appendIndex(buf[:0], idx, width))
 }
 
 // PackIndex packs a row→dictionary-index vector at the given digit width.
 func PackIndex(rowIndex []int, width int) []byte {
 	buf := make([]byte, 0, len(rowIndex)*width)
 	for _, idx := range rowIndex {
-		buf = append(buf, FormatIndex(idx, width)...)
+		buf = appendIndex(buf, idx, width)
 	}
 	return buf
 }

@@ -2,6 +2,7 @@ package capsule
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -72,6 +73,22 @@ func TestIndexPacking(t *testing.T) {
 	for row, want := range idx {
 		if got := ParseIndex(buf, 2, row); got != want {
 			t.Errorf("ParseIndex row %d = %d, want %d", row, got, want)
+		}
+	}
+}
+
+// FormatIndex must keep emitting what fmt's %0*d did: stored index capsules
+// and the dictionary-key lookups in core depend on the exact digits.
+func TestFormatIndexMatchesSprintf(t *testing.T) {
+	for _, width := range []int{1, 2, 3, 7, 19, 25} {
+		for _, idx := range []int{0, 1, 9, 10, 99, 100, 65535, 1234567} {
+			want := fmt.Sprintf("%0*d", width, idx)
+			if len(want) > width {
+				continue
+			}
+			if got := FormatIndex(idx, width); got != want {
+				t.Errorf("FormatIndex(%d, %d) = %q, want %q", idx, width, got, want)
+			}
 		}
 	}
 }

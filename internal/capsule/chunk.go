@@ -45,18 +45,25 @@ func chunkVarPayload(payload []byte, rows, rowsPerChunk int) [][]byte {
 	return chunks
 }
 
-// encodeBlob compresses one capsule payload, chunked when the capsule is
-// chunkable and larger than target.
-func encodeBlob(info *Info, payload []byte, target int) []byte {
-	chunkable := target > 0 && info.Kind != Dict && info.Rows > 1 && len(payload) > target
-	if !chunkable {
-		out := binary.AppendUvarint(nil, 1)
-		c := lzma.Compress(payload)
-		out = binary.AppendUvarint(out, uint64(len(c)))
-		return append(out, c...)
+// chunkRows returns the rows per chunk a capsule payload is cut at, or 0
+// when it compresses whole: chunking is off, the capsule is a dictionary or
+// a single row, or the payload is no larger than target.
+func chunkRows(info *Info, payload []byte, target int) int {
+	if target <= 0 || info.Kind == Dict || info.Rows <= 1 || len(payload) <= target {
+		return 0
 	}
 	avgRow := (len(payload) + info.Rows - 1) / info.Rows
-	rowsPerChunk := max(1, target/max(1, avgRow))
+	return max(1, target/max(1, avgRow))
+}
+
+// appendBlob compresses one capsule payload, chunked as chunkRows says, and
+// appends its blob to dst.
+func appendBlob(dst []byte, info *Info, payload []byte, target int) []byte {
+	rowsPerChunk := chunkRows(info, payload, target)
+	if rowsPerChunk == 0 {
+		dst = binary.AppendUvarint(dst, 1)
+		return appendChunk(dst, payload)
+	}
 	var chunks [][]byte
 	if info.Width > 0 {
 		stride := rowsPerChunk * info.Width
@@ -67,15 +74,19 @@ func encodeBlob(info *Info, payload []byte, target int) []byte {
 	} else {
 		chunks = chunkVarPayload(payload, info.Rows, rowsPerChunk)
 	}
-	info.ChunkRows = rowsPerChunk
-	out := binary.AppendUvarint(nil, uint64(len(chunks)))
-	out = binary.AppendUvarint(out, uint64(rowsPerChunk))
+	dst = binary.AppendUvarint(dst, uint64(len(chunks)))
+	dst = binary.AppendUvarint(dst, uint64(rowsPerChunk))
 	for _, ch := range chunks {
-		c := lzma.Compress(ch)
-		out = binary.AppendUvarint(out, uint64(len(c)))
-		out = append(out, c...)
+		dst = appendChunk(dst, ch)
 	}
-	return out
+	return dst
+}
+
+// appendChunk appends uvarint(len) + lzma blob for one chunk.
+func appendChunk(dst, chunk []byte) []byte {
+	c := lzma.Compress(chunk)
+	dst = binary.AppendUvarint(dst, uint64(len(c)))
+	return append(dst, c...)
 }
 
 // blobRef locates one capsule's chunks inside the box buffer.

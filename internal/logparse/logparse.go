@@ -25,8 +25,12 @@ type Piece struct {
 
 // Tokenize splits line into alternating delimiter-run and token pieces.
 // Concatenating the pieces reproduces the line exactly.
-func Tokenize(line string) []Piece {
-	var pieces []Piece
+func Tokenize(line string) []Piece { return AppendTokenize(nil, line) }
+
+// AppendTokenize appends the pieces of line to dst and returns it, so a
+// caller that is done with one line's pieces can reuse them for the next.
+func AppendTokenize(dst []Piece, line string) []Piece {
+	pieces := dst
 	i := 0
 	for i < len(line) {
 		j := i
@@ -400,8 +404,12 @@ func Parse(block []byte, opts Options) *Parsed {
 	type groupKey struct{ sig, variant string }
 	groups := make(map[groupKey]*Group)
 	var order []groupKey
+	// Templates and values keep a piece's string, never the slice, so one
+	// buffer serves every line. Pass 1 cannot do the same: sigState.observe
+	// retains its slices.
+	var pieces []Piece
 	for lineNo, line := range lines {
-		pieces := Tokenize(line)
+		pieces = AppendTokenize(pieces[:0], line)
 		sig := Signature(pieces)
 		st := states[sig]
 		if st == nil {

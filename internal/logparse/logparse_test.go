@@ -3,6 +3,7 @@ package logparse
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -34,6 +35,22 @@ func TestTokenizeRoundTrip(t *testing.T) {
 				t.Errorf("Tokenize(%q): adjacent pieces of same kind at %d", line, i)
 			}
 		}
+	}
+}
+
+// AppendTokenize into a buffer another line already used yields exactly
+// Tokenize's pieces.
+func TestAppendTokenizeReuse(t *testing.T) {
+	lines := []string{"a=b, c=d;e [x] (y) \"z\"", "", "state: SUC#1604", "T134 bk.FF.13 read, and a much longer line than before"}
+	var buf []Piece
+	for _, line := range lines {
+		buf = AppendTokenize(buf[:0], line)
+		if want := Tokenize(line); !slices.Equal(buf, want) {
+			t.Errorf("AppendTokenize(%q) into a reused buffer = %v, want %v", line, buf, want)
+		}
+	}
+	if got := AppendTokenize([]Piece{{Text: "kept"}}, "x y"); len(got) != 4 || got[0].Text != "kept" {
+		t.Errorf("AppendTokenize dropped or moved dst's pieces: %v", got)
 	}
 }
 

@@ -36,45 +36,84 @@ const (
 // ErrCorrupt is returned when a compressed stream fails to decode.
 var ErrCorrupt = errors.New("lzma: corrupt stream")
 
-// lenCoder codes match lengths in [minMatch, maxMatch] with LZMA's
-// low/mid/high split.
-type lenCoder struct {
-	choice1, choice2 prob
-	low, mid, high   *bitTree
-}
+// models is every adaptive probability of one stream, encoder or decoder,
+// in one flat array: a stream starts by setting them all to probInit, and
+// the coders below are windows into it.
+type models [numProbs]prob
 
-func newLenCoder() *lenCoder {
-	return &lenCoder{
-		choice1: probInit,
-		choice2: probInit,
-		low:     newBitTree(3),
-		mid:     newBitTree(3),
-		high:    newBitTree(8),
+// Layout of models.
+const (
+	offIsMatch = 0
+	offIsRep   = offIsMatch + nStates
+	offLits    = offIsRep + nStates // 1<<lcBits literal trees of 256
+	offLen     = offLits + 256<<lcBits
+	offRepLen  = offLen + lenCoderProbs
+	offDist    = offRepLen + lenCoderProbs // 6-bit distance-slot tree
+	numProbs   = offDist + 1<<distSlotBits
+
+	lenCoderProbs = 2 + lenLowSyms + lenMidSyms + lenHighSyms
+	distSlotBits  = 6
+)
+
+func (m *models) reset() {
+	for i := range m {
+		m[i] = probInit
 	}
 }
 
-func (lc *lenCoder) encode(e *rangeEncoder, length int) {
+func (m *models) isMatch() []prob { return m[offIsMatch : offIsMatch+nStates] }
+func (m *models) isRep() []prob   { return m[offIsRep : offIsRep+nStates] }
+
+// lit returns the 8-bit literal tree for the context of the previous byte:
+// its top lcBits bits.
+func (m *models) lit(prev byte) bitTree {
+	off := offLits + int(prev>>(8-lcBits))<<8
+	return bitTree{probs: m[off : off+256], nbits: 8}
+}
+
+func (m *models) lenCoder(off int) lenCoder {
+	p := m[off : off+lenCoderProbs]
+	return lenCoder{
+		choice: p[:2],
+		low:    bitTree{probs: p[2 : 2+lenLowSyms], nbits: 3},
+		mid:    bitTree{probs: p[2+lenLowSyms : 2+lenLowSyms+lenMidSyms], nbits: 3},
+		high:   bitTree{probs: p[2+lenLowSyms+lenMidSyms:], nbits: 8},
+	}
+}
+
+func (m *models) distCoder() distCoder {
+	return distCoder{slots: bitTree{probs: m[offDist:], nbits: distSlotBits}}
+}
+
+// lenCoder codes match lengths in [minMatch, maxMatch] with LZMA's
+// low/mid/high split.
+type lenCoder struct {
+	choice         []prob // two
+	low, mid, high bitTree
+}
+
+func (lc lenCoder) encode(e *rangeEncoder, length int) {
 	l := length - minMatch
 	switch {
 	case l < lenLowSyms:
-		e.encodeBit(&lc.choice1, 0)
+		e.encodeBit(&lc.choice[0], 0)
 		lc.low.encode(e, uint32(l))
 	case l < lenLowSyms+lenMidSyms:
-		e.encodeBit(&lc.choice1, 1)
-		e.encodeBit(&lc.choice2, 0)
+		e.encodeBit(&lc.choice[0], 1)
+		e.encodeBit(&lc.choice[1], 0)
 		lc.mid.encode(e, uint32(l-lenLowSyms))
 	default:
-		e.encodeBit(&lc.choice1, 1)
-		e.encodeBit(&lc.choice2, 1)
+		e.encodeBit(&lc.choice[0], 1)
+		e.encodeBit(&lc.choice[1], 1)
 		lc.high.encode(e, uint32(l-lenLowSyms-lenMidSyms))
 	}
 }
 
-func (lc *lenCoder) decode(d *rangeDecoder) int {
-	if d.decodeBit(&lc.choice1) == 0 {
+func (lc lenCoder) decode(d *rangeDecoder) int {
+	if d.decodeBit(&lc.choice[0]) == 0 {
 		return minMatch + int(lc.low.decode(d))
 	}
-	if d.decodeBit(&lc.choice2) == 0 {
+	if d.decodeBit(&lc.choice[1]) == 0 {
 		return minMatch + lenLowSyms + int(lc.mid.decode(d))
 	}
 	return minMatch + lenLowSyms + lenMidSyms + int(lc.high.decode(d))
@@ -82,10 +121,8 @@ func (lc *lenCoder) decode(d *rangeDecoder) int {
 
 // distCoder codes distances (≥1) as a 6-bit slot plus direct bits.
 type distCoder struct {
-	slots *bitTree
+	slots bitTree
 }
-
-func newDistCoder() *distCoder { return &distCoder{slots: newBitTree(6)} }
 
 func distSlot(d uint32) uint32 {
 	if d < 4 {
@@ -95,7 +132,7 @@ func distSlot(d uint32) uint32 {
 	return uint32(n<<1) | (d>>(uint(n)-1))&1
 }
 
-func (dc *distCoder) encode(e *rangeEncoder, dist uint32) {
+func (dc distCoder) encode(e *rangeEncoder, dist uint32) {
 	d := dist - 1
 	slot := distSlot(d)
 	dc.slots.encode(e, slot)
@@ -106,7 +143,7 @@ func (dc *distCoder) encode(e *rangeEncoder, dist uint32) {
 	}
 }
 
-func (dc *distCoder) decode(d *rangeDecoder) uint32 {
+func (dc distCoder) decode(d *rangeDecoder) uint32 {
 	slot := dc.slots.decode(d)
 	if slot < 4 {
 		return slot + 1
@@ -114,106 +151,6 @@ func (dc *distCoder) decode(d *rangeDecoder) uint32 {
 	footer := int(slot)/2 - 1
 	base := (2 | (slot & 1)) << uint(footer)
 	return base + d.decodeDirect(footer) + 1
-}
-
-// literal coder: one 8-bit tree per previous-byte context.
-type litCoder struct {
-	trees []*bitTree
-}
-
-func newLitCoder() *litCoder {
-	lc := &litCoder{trees: make([]*bitTree, 1<<lcBits)}
-	for i := range lc.trees {
-		lc.trees[i] = newBitTree(8)
-	}
-	return lc
-}
-
-func (lc *litCoder) ctx(prev byte) int { return int(prev >> (8 - lcBits)) }
-
-// Compress compresses data. The output is self-framing and decompressed by
-// Decompress. Compress never fails; empty input yields a header-only frame.
-func Compress(data []byte) []byte {
-	header := make([]byte, 0, len(data)/2+16)
-	header = append(header, magic...)
-	header = binary.AppendUvarint(header, uint64(len(data)))
-	if len(data) == 0 {
-		return header
-	}
-
-	e := newRangeEncoder()
-	isMatch := [nStates]prob{probInit, probInit, probInit}
-	isRep := [nStates]prob{probInit, probInit, probInit}
-	lits := newLitCoder()
-	lenC := newLenCoder()
-	repLenC := newLenCoder()
-	distC := newDistCoder()
-
-	mf := newMatchFinder(data)
-	state := stLit
-	rep0 := uint32(1)
-	var prev byte
-
-	i := 0
-	for i < len(data) {
-		matchLen, matchDist := mf.find(i)
-		repLen := matchAt(data, i, rep0)
-
-		// Prefer the rep match when it is nearly as long — it codes much
-		// smaller (no distance).
-		useRep := repLen >= minMatch && (repLen+2 >= matchLen || matchLen < minMatch)
-
-		bestLen := matchLen
-		if useRep {
-			bestLen = repLen
-		}
-
-		if bestLen < minMatch {
-			e.encodeBit(&isMatch[state], 0)
-			lits.trees[lits.ctx(prev)].encode(e, uint32(data[i]))
-			prev = data[i]
-			state = stLit
-			mf.insert(i)
-			i++
-			continue
-		}
-
-		// One-step lazy matching: if the next position has a strictly
-		// longer normal match, emit a literal here instead.
-		if !useRep && bestLen < niceLen && i+1 < len(data) {
-			nextLen, _ := mf.findAhead(i + 1)
-			if nextLen > bestLen {
-				e.encodeBit(&isMatch[state], 0)
-				lits.trees[lits.ctx(prev)].encode(e, uint32(data[i]))
-				prev = data[i]
-				state = stLit
-				mf.insert(i)
-				i++
-				continue
-			}
-		}
-
-		e.encodeBit(&isMatch[state], 1)
-		if useRep {
-			e.encodeBit(&isRep[state], 1)
-			repLenC.encode(e, repLen)
-			state = stRep
-			bestLen = repLen
-		} else {
-			e.encodeBit(&isRep[state], 0)
-			lenC.encode(e, matchLen)
-			distC.encode(e, matchDist)
-			rep0 = matchDist
-			state = stMatch
-			bestLen = matchLen
-		}
-		for k := 0; k < bestLen; k++ {
-			mf.insert(i + k)
-		}
-		i += bestLen
-		prev = data[i-1]
-	}
-	return append(header, e.flush()...)
 }
 
 // MaxOutput is the default output bound of Decompress: a forged length
@@ -259,12 +196,10 @@ func DecompressLimit(comp []byte, limit uint64) ([]byte, error) {
 		return []byte{}, nil
 	}
 	d := newRangeDecoder(rest[n:])
-	isMatch := [nStates]prob{probInit, probInit, probInit}
-	isRep := [nStates]prob{probInit, probInit, probInit}
-	lits := newLitCoder()
-	lenC := newLenCoder()
-	repLenC := newLenCoder()
-	distC := newDistCoder()
+	m := new(models)
+	m.reset()
+	isMatch, isRep := m.isMatch(), m.isRep()
+	lenC, repLenC, distC := m.lenCoder(offLen), m.lenCoder(offRepLen), m.distCoder()
 
 	// Cap the preallocation: a forged length header must not OOM the
 	// decoder; append still grows as far as the stream really goes.
@@ -282,7 +217,7 @@ func DecompressLimit(comp []byte, limit uint64) ([]byte, error) {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, d.err)
 		}
 		if d.decodeBit(&isMatch[state]) == 0 {
-			b := byte(lits.trees[lits.ctx(prev)].decode(d))
+			b := byte(m.lit(prev).decode(d))
 			out = append(out, b)
 			prev = b
 			state = stLit
@@ -304,8 +239,14 @@ func DecompressLimit(comp []byte, limit uint64) ([]byte, error) {
 		if uint64(len(out)+length) > rawLen {
 			return nil, fmt.Errorf("%w: output overrun", ErrCorrupt)
 		}
-		for k := 0; k < length; k++ {
-			out = append(out, out[len(out)-dist])
+		if src := len(out) - dist; dist >= length {
+			out = append(out, out[src:src+length]...)
+		} else {
+			// The match overlaps its own output: bytes must be read as
+			// they are written.
+			for k := 0; k < length; k++ {
+				out = append(out, out[src+k])
+			}
 		}
 		prev = out[len(out)-1]
 	}
@@ -314,107 +255,3 @@ func DecompressLimit(comp []byte, limit uint64) ([]byte, error) {
 	}
 	return out, nil
 }
-
-// matchAt returns the length (capped at maxMatch) of the match between
-// data[i:] and data[i-dist:], or 0 when dist is out of window.
-func matchAt(data []byte, i int, dist uint32) int {
-	d := int(dist)
-	if d <= 0 || d > i {
-		return 0
-	}
-	n := 0
-	limit := len(data) - i
-	if limit > maxMatch {
-		limit = maxMatch
-	}
-	for n < limit && data[i+n] == data[i-d+n] {
-		n++
-	}
-	return n
-}
-
-// matchFinder is a hash-chain match finder over the whole input (the window
-// is the full block: capsules are small relative to memory).
-type matchFinder struct {
-	data  []byte
-	head  []int32
-	chain []int32
-}
-
-func newMatchFinder(data []byte) *matchFinder {
-	mf := &matchFinder{
-		data:  data,
-		head:  make([]int32, hashSize),
-		chain: make([]int32, len(data)),
-	}
-	for i := range mf.head {
-		mf.head[i] = -1
-	}
-	return mf
-}
-
-func (mf *matchFinder) hash(i int) uint32 {
-	if i+4 > len(mf.data) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(mf.data[i:])
-	return (v * 2654435761) >> (32 - hashBits)
-}
-
-// insert adds position i to the hash chains.
-func (mf *matchFinder) insert(i int) {
-	if i+4 > len(mf.data) {
-		return
-	}
-	h := mf.hash(i)
-	mf.chain[i] = mf.head[h]
-	mf.head[h] = int32(i)
-}
-
-// find returns the best (length, distance) match at position i among chained
-// candidates, without inserting i.
-func (mf *matchFinder) find(i int) (length int, dist uint32) {
-	if i+4 > len(mf.data) {
-		return 0, 0
-	}
-	h := mf.hash(i)
-	cand := mf.head[h]
-	bestLen := 0
-	var bestDist uint32
-	limit := len(mf.data) - i
-	if limit > maxMatch {
-		limit = maxMatch
-	}
-	for chainLen := 0; cand >= 0 && chainLen < maxChain; chainLen++ {
-		j := int(cand)
-		cand = mf.chain[j]
-		// Quick reject: compare the byte one past the current best.
-		if bestLen > 0 && (bestLen >= limit || mf.data[j+bestLen] != mf.data[i+bestLen]) {
-			continue
-		}
-		n := 0
-		for n < limit && mf.data[j+n] == mf.data[i+n] {
-			n++
-		}
-		if n > bestLen {
-			bestLen = n
-			bestDist = uint32(i - j)
-			if bestLen >= niceLen {
-				break
-			}
-		}
-	}
-	if bestLen < minMatch {
-		return 0, 0
-	}
-	// A length-2 match only pays off when the distance is tiny.
-	if bestLen == minMatch && bestDist > 512 {
-		return 0, 0
-	}
-	return bestLen, bestDist
-}
-
-// findAhead probes position i without modifying the chains (for lazy
-// matching); i has not been inserted yet, which is fine — only earlier
-// positions participate.
-func (mf *matchFinder) findAhead(i int) (int, uint32) { return mf.find(i) }

@@ -157,6 +157,7 @@ func TestImplausibleLengthRejected(t *testing.T) {
 func BenchmarkCompressLogLike(b *testing.B) {
 	data := bytes.Repeat([]byte("2021-01-04 12:33:01.123 INFO write to file:/tmp/1FF8ab.log\n"), 5000)
 	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Compress(data)
@@ -167,6 +168,7 @@ func BenchmarkDecompressLogLike(b *testing.B) {
 	data := bytes.Repeat([]byte("2021-01-04 12:33:01.123 INFO write to file:/tmp/1FF8ab.log\n"), 5000)
 	comp := Compress(data)
 	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Decompress(comp)

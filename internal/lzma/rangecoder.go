@@ -13,6 +13,7 @@ const (
 type prob uint16
 
 // rangeEncoder is a standard LZMA-style range encoder with carry handling.
+// It appends to out, which the owning encoder keeps across calls as scratch.
 type rangeEncoder struct {
 	low       uint64
 	rng       uint32
@@ -21,8 +22,9 @@ type rangeEncoder struct {
 	out       []byte
 }
 
-func newRangeEncoder() *rangeEncoder {
-	return &rangeEncoder{rng: 0xFFFFFFFF, cacheSize: 1}
+// reset starts a new stream that appends to out.
+func (e *rangeEncoder) reset(out []byte) {
+	*e = rangeEncoder{rng: 0xFFFFFFFF, cacheSize: 1, out: out}
 }
 
 func (e *rangeEncoder) shiftLow() {
@@ -73,11 +75,10 @@ func (e *rangeEncoder) encodeDirect(v uint32, n int) {
 	}
 }
 
-func (e *rangeEncoder) flush() []byte {
+func (e *rangeEncoder) flush() {
 	for i := 0; i < 5; i++ {
 		e.shiftLow()
 	}
-	return e.out
 }
 
 var errTruncated = errors.New("lzma: truncated stream")
@@ -157,20 +158,13 @@ func (d *rangeDecoder) decodeDirect(n int) uint32 {
 }
 
 // bitTree codes an n-bit symbol MSB-first through a tree of adaptive probs.
+// It is a view: probs is a 1<<nbits window of a models array.
 type bitTree struct {
 	probs []prob
 	nbits int
 }
 
-func newBitTree(nbits int) *bitTree {
-	t := &bitTree{probs: make([]prob, 1<<nbits), nbits: nbits}
-	for i := range t.probs {
-		t.probs[i] = probInit
-	}
-	return t
-}
-
-func (t *bitTree) encode(e *rangeEncoder, sym uint32) {
+func (t bitTree) encode(e *rangeEncoder, sym uint32) {
 	m := uint32(1)
 	for i := t.nbits - 1; i >= 0; i-- {
 		bit := int((sym >> uint(i)) & 1)
@@ -182,7 +176,7 @@ func (t *bitTree) encode(e *rangeEncoder, sym uint32) {
 // decode keeps the decoder state in locals across the symbol's bits; this
 // loop dominates decompression time, so it trades a little duplication
 // with decodeBit for register residency.
-func (t *bitTree) decode(d *rangeDecoder) uint32 {
+func (t bitTree) decode(d *rangeDecoder) uint32 {
 	code, rng, pos, in := d.code, d.rng, d.pos, d.in
 	probs := t.probs
 	m := uint32(1)
