@@ -15,28 +15,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"io"
-	"net/http/httptest"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"time"
 
-	"loggrep"
 	"loggrep/internal/benchfmt"
-	"loggrep/internal/blobstore"
 	"loggrep/internal/costmodel"
-	"loggrep/internal/faultinject"
 	"loggrep/internal/harness"
-	"loggrep/internal/ingest"
-	"loggrep/internal/liveops"
 	"loggrep/internal/loggen"
-	"loggrep/internal/obsv"
-	"loggrep/internal/server"
 	"loggrep/internal/version"
 )
 
@@ -173,22 +159,6 @@ func main() {
 		}
 		bf := benchfmt.New(*exp, benchfmt.Config{Lines: *lines, Seed: *seed, Reps: *reps, Class: *class})
 		addFig7Metrics(bf, fig7Rows)
-		if err := addIndexMetrics(bf, logs, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "logbench: index metrics:", err)
-			os.Exit(1)
-		}
-		if err := addIngestMetrics(bf, logs, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "logbench: ingest metrics:", err)
-			os.Exit(1)
-		}
-		if err := addBlobMetrics(bf, logs, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "logbench: blob metrics:", err)
-			os.Exit(1)
-		}
-		if err := addLiveopsMetrics(bf, logs, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "logbench: liveops metrics:", err)
-			os.Exit(1)
-		}
 		if err := benchfmt.Write(*jsonOut, bf); err != nil {
 			fmt.Fprintln(os.Stderr, "logbench:", err)
 			os.Exit(1)
@@ -198,15 +168,12 @@ func main() {
 }
 
 // addFig7Metrics folds the per-(log, system) rows into per-system
-// aggregates. Compression ratios and match counts are deterministic for a
-// fixed workload (tight or exact tolerances in bench_compare); wall-clock
-// times are environment-bound and get loose or informational tolerances.
+// aggregates. Only values that are deterministic for a fixed workload go
+// into the file — compression ratios (tolerance-gated in bench_compare)
+// and match counts (exact); wall-clock numbers are bench/'s job, which
+// measures them with an oracle and a noise floor.
 func addFig7Metrics(f *benchfmt.File, rows []harness.Fig7Row) {
-	type agg struct {
-		raw, comp             float64
-		compressSec, querySec float64
-		matches               float64
-	}
+	type agg struct{ raw, comp, matches float64 }
 	order := []string{}
 	sums := map[string]*agg{}
 	for _, r := range rows {
@@ -218,307 +185,13 @@ func addFig7Metrics(f *benchfmt.File, rows []harness.Fig7Row) {
 		}
 		a.raw += float64(r.RawBytes)
 		a.comp += float64(r.CompBytes)
-		a.compressSec += r.CompressSec
-		a.querySec += r.QuerySec
 		a.matches += float64(r.Matches)
 	}
 	for _, name := range order {
 		a := sums[name]
 		f.Add(name+"/compression_ratio", a.raw/a.comp, "x", false)
-		f.Add(name+"/compress_mb_per_s", a.raw/(1<<20)/a.compressSec, "MB/s", false)
-		f.Add(name+"/query_total_s", a.querySec, "s", true)
 		f.AddExact(name+"/matches_total", a.matches, "matches")
 	}
-}
-
-// addIndexMetrics measures the archive block-skipping index on the first
-// workload log: storage overhead of the index sections, the fraction of
-// blocks skipped before decompression on a selective (absent-keyword)
-// query, and the wall-clock cost of the paper query with the index on
-// versus forced full scan. The overhead and skip-rate numbers are
-// deterministic for a fixed workload; the latencies are environment-bound
-// and carry informational tolerances in CI.
-func addIndexMetrics(f *benchfmt.File, logs []loggen.LogType, cfg harness.Config) error {
-	lt := logs[0]
-	stream := lt.Block(cfg.Seed, cfg.LinesPerLog)
-	opts := loggrep.DefaultArchiveOptions()
-	opts.Workers = 4
-	if opts.BlockBytes > len(stream)/16 {
-		opts.BlockBytes = len(stream) / 16 // force a multi-block archive
-	}
-	data, err := loggrep.CompressArchive(stream, opts)
-	if err != nil {
-		return err
-	}
-	indexed, err := loggrep.OpenArchive(data)
-	if err != nil {
-		return err
-	}
-	fullscan, err := loggrep.OpenArchive(data)
-	if err != nil {
-		return err
-	}
-	fullscan.SetIndexEnabled(false)
-
-	st := indexed.IndexStats()
-	f.Add("index/overhead_ratio", float64(st.TotalBytes())/float64(len(data)), "ratio", true)
-
-	p0, b0 := indexed.IndexSkipped()
-	if _, err := indexed.Query("zzz_absent_zzz", 4); err != nil {
-		return err
-	}
-	p1, b1 := indexed.IndexSkipped()
-	f.Add("index/skip_rate", float64((p1-p0)+(b1-b0))/float64(indexed.NumBlocks()), "ratio", false)
-
-	minQuery := func(a *loggrep.Archive) (float64, error) {
-		best := 0.0
-		for r := 0; r < cfg.QueryReps || r == 0; r++ {
-			start := time.Now()
-			if _, err := a.Query(lt.Query, 4); err != nil {
-				return 0, err
-			}
-			if d := time.Since(start).Seconds(); r == 0 || d < best {
-				best = d
-			}
-		}
-		return best, nil
-	}
-	ti, err := minQuery(indexed)
-	if err != nil {
-		return err
-	}
-	tf, err := minQuery(fullscan)
-	if err != nil {
-		return err
-	}
-	f.Add("index/query_indexed_s", ti, "s", true)
-	f.Add("index/query_fullscan_s", tf, "s", true)
-	return nil
-}
-
-// addIngestMetrics measures the streaming write path end to end: real
-// HTTP POSTs of plain-text batches into a loggrepd handler backed by a
-// WAL-durable ingest manager (fsync before every acknowledgement, the
-// production default), with the background sealer compressing rolled
-// segments concurrently. lines_per_sec and mb_per_sec are wall-clock and
-// environment-bound (informational tolerances in CI); lines_total is
-// exact; min_rate_ok pins the ≥28K lines/sec acceptance floor as a
-// deterministic pass/fail bit; seal latency quantiles come from the
-// loggrep_ingest_seal_ns histogram the sealer feeds.
-func addIngestMetrics(f *benchfmt.File, logs []loggen.LogType, cfg harness.Config) error {
-	dir, err := os.MkdirTemp("", "logbench-ingest-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	m, _, err := ingest.Open(ingest.Config{
-		Dir:            dir,
-		SealBytes:      1 << 20, // several seals over the run
-		SealAge:        time.Hour,
-		MaxTenantBytes: 1 << 30,
-	})
-	if err != nil {
-		return err
-	}
-	defer m.Close()
-	sv := server.New()
-	sv.Ingest = m
-	ts := httptest.NewServer(sv.Handler())
-	defer ts.Close()
-
-	lt := logs[0]
-	batch := strings.Join(lt.Lines(cfg.Seed, 2000), "\n") + "\n"
-	const batches = 50
-	client := ts.Client()
-	url := ts.URL + "/ingest?tenant=bench&stream=app"
-	t0 := time.Now()
-	for i := 0; i < batches; i++ {
-		resp, err := client.Post(url, "text/plain", strings.NewReader(batch))
-		if err != nil {
-			return err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			return fmt.Errorf("ingest batch %d: status %d", i, resp.StatusCode)
-		}
-	}
-	wall := time.Since(t0).Seconds()
-	totalLines := float64(batches * 2000)
-	rate := totalLines / wall
-	f.Add("ingest/lines_per_sec", rate, "lines/s", false)
-	f.Add("ingest/mb_per_sec", float64(batches*len(batch))/(1<<20)/wall, "MB/s", false)
-	f.AddExact("ingest/lines_total", totalLines, "lines")
-	ok := 0.0
-	if rate >= 28000 {
-		ok = 1
-	}
-	f.AddExact("ingest/min_rate_ok", ok, "bool")
-
-	// Drain the tail so every segment's seal is in the histogram.
-	if err := m.TriggerSeal(context.Background(), "bench", "app"); err != nil {
-		return err
-	}
-	h := obsv.Default.Histogram("loggrep_ingest_seal_ns", "ns", "")
-	if h.Count() > 0 {
-		f.Add("ingest/seal_p50_ms", float64(h.Quantile(0.5))/1e6, "ms", true)
-		f.Add("ingest/seal_p99_ms", float64(h.Quantile(0.99))/1e6, "ms", true)
-	}
-	return nil
-}
-
-// addBlobMetrics measures the fault-tolerant blob layer over a real
-// sealed archive. cold_read_p50_ms is the median latency of fetching the
-// archive through the policy store when it is not resident (wall-clock,
-// informational tolerance in CI). retry_overhead_ratio is the extra
-// attempts per operation the retry policy spends against a backend
-// failing 30% of calls — the chaos injector is seeded, so the ratio is
-// deterministic for a fixed workload and gated at the default tolerance.
-func addBlobMetrics(f *benchfmt.File, logs []loggen.LogType, cfg harness.Config) error {
-	dir, err := os.MkdirTemp("", "logbench-blob-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	lt := logs[0]
-	data, err := loggrep.CompressArchive(lt.Block(cfg.Seed, cfg.LinesPerLog), loggrep.DefaultArchiveOptions())
-	if err != nil {
-		return err
-	}
-	const key = "bench/app/seg-00000000.lgrep"
-	if err := os.MkdirAll(filepath.Join(dir, "bench", "app"), 0o755); err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, filepath.FromSlash(key)), data, 0o644); err != nil {
-		return err
-	}
-	ctx := context.Background()
-
-	healthy := blobstore.Wrap(blobstore.NewLocal(dir), blobstore.Policy{Name: "bench"})
-	const reads = 64
-	durs := make([]float64, 0, reads)
-	for i := 0; i < reads; i++ {
-		t0 := time.Now()
-		if _, err := healthy.Get(ctx, key); err != nil {
-			return err
-		}
-		durs = append(durs, float64(time.Since(t0).Nanoseconds())/1e6)
-	}
-	sort.Float64s(durs)
-	f.Add("blob/cold_read_p50_ms", durs[reads/2], "ms", true)
-
-	chaos := faultinject.NewChaosBlob(blobstore.NewLocal(dir), cfg.Seed)
-	chaos.SetErrRate(0.3)
-	flaky := blobstore.Wrap(chaos, blobstore.Policy{
-		MaxAttempts: 4, BackoffBase: time.Microsecond, BackoffMax: 10 * time.Microsecond,
-		BreakerFailures: -1,
-	})
-	st := &blobstore.OpStats{}
-	sctx := blobstore.WithStats(ctx, st)
-	for i := 0; i < reads; i++ {
-		// Exhausting all attempts against a 30%-failing backend is part of
-		// the measured behavior, not a bench failure.
-		if _, err := flaky.Get(sctx, key); err != nil && blobstore.Classify(err) != blobstore.ClassRetryable {
-			return err
-		}
-	}
-	ops := float64(st.Ops.Load())
-	if ops == 0 {
-		return fmt.Errorf("blob bench issued no operations")
-	}
-	f.Add("blob/retry_overhead_ratio", float64(st.Retries.Load())/ops, "ratio", true)
-	return nil
-}
-
-// addLiveopsMetrics measures the live operations plane on the query hot
-// path: the same uncached needle-miss query driven through the full
-// handler stack with the plane off and on, interleaved reps,
-// min-of-reps. The wall-clock numbers and their ratio are
-// environment-bound (informational tolerances in CI); the two exact bits
-// are genuinely deterministic — the in-flight registry drains to empty
-// (every registration removed exactly once) and the per-tenant usage
-// meter's request count reconciles with the requests actually sent.
-func addLiveopsMetrics(f *benchfmt.File, logs []loggen.LogType, cfg harness.Config) error {
-	lt := logs[0]
-	capsule := loggrep.Compress(lt.Block(cfg.Seed, 3000), loggrep.DefaultOptions())
-
-	newQueryServer := func(plane *liveops.Plane) (*server.Server, error) {
-		sv := server.New()
-		sv.Events = obsv.NewEventLog(io.Discard, 0, 0)
-		sv.Liveops = plane
-		if err := sv.Load("bench", capsule); err != nil {
-			return nil, err
-		}
-		return sv, nil
-	}
-	svOff, err := newQueryServer(nil)
-	if err != nil {
-		return err
-	}
-	plane := liveops.New(liveops.Config{
-		Registry: obsv.NewRegistry(),
-		Objectives: []liveops.Objective{
-			{Name: "availability", Target: 0.999, Window: 30 * 24 * time.Hour},
-		},
-	})
-	svOn, err := newQueryServer(plane)
-	if err != nil {
-		return err
-	}
-
-	const iters = 200
-	var seq int
-	runRep := func(sv *server.Server) (float64, error) {
-		h := sv.Handler()
-		t0 := time.Now()
-		for i := 0; i < iters; i++ {
-			seq++ // unique needle per request so the result cache never hits
-			r := httptest.NewRequest("GET",
-				fmt.Sprintf("/v1/query?source=bench&tenant=bench&q=needle%dmissing", seq), nil)
-			w := httptest.NewRecorder()
-			h.ServeHTTP(w, r)
-			if w.Code != 200 {
-				return 0, fmt.Errorf("liveops bench query: status %d", w.Code)
-			}
-		}
-		return time.Since(t0).Seconds() / iters, nil
-	}
-	reps := cfg.QueryReps
-	if reps < 1 {
-		reps = 1
-	}
-	minOff, minOn := 0.0, 0.0
-	for r := 0; r < reps; r++ { // interleave so host drift hits both sides
-		tOff, err := runRep(svOff)
-		if err != nil {
-			return err
-		}
-		tOn, err := runRep(svOn)
-		if err != nil {
-			return err
-		}
-		if r == 0 || tOff < minOff {
-			minOff = tOff
-		}
-		if r == 0 || tOn < minOn {
-			minOn = tOn
-		}
-	}
-	f.Add("liveops/query_off_s", minOff, "s", true)
-	f.Add("liveops/query_on_s", minOn, "s", true)
-	f.Add("liveops/overhead_ratio", minOn/minOff, "ratio", true)
-
-	drained := 0.0
-	if plane.Inflight.Len() == 0 {
-		drained = 1
-	}
-	f.AddExact("liveops/inflight_drained_ok", drained, "bool")
-	metered := 0.0
-	if plane.Usage.Total("bench").Requests == int64(reps*iters) {
-		metered = 1
-	}
-	f.AddExact("liveops/usage_reconciled_ok", metered, "bool")
-	return nil
 }
 
 func pickLogs(class string) []loggen.LogType {

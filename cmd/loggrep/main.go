@@ -278,9 +278,9 @@ func (a archFile) Query(ctx context.Context, cmd string, traced bool) ([]int, []
 		err error
 	)
 	if traced {
-		res, tr, err = a.a.QueryTracedContext(ctx, cmd, 0, loggrep.Budget{})
+		res, tr, err = a.a.QueryTracedContext(ctx, cmd, 0, nil)
 	} else {
-		res, err = a.a.QueryContext(ctx, cmd, 0, loggrep.Budget{})
+		res, err = a.a.QueryContext(ctx, cmd, 0, nil)
 	}
 	if err != nil {
 		return nil, nil, 0, nil, nil, err
@@ -425,7 +425,7 @@ func newQueryCmd() *command {
 		if tr != nil {
 			if trace.mode == "json" {
 				ev := &obsv.WideEvent{
-					TraceID:  obsv.NewTraceID(),
+					TraceID:  obsv.NewTraceID128(),
 					Time:     time.Now().UTC().Format(time.RFC3339Nano),
 					Version:  version.Version,
 					Endpoint: "cli",

@@ -290,7 +290,7 @@ func TestCLITraceJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(evLine), &ev); err != nil {
 		t.Fatalf("wide event not valid JSON: %v\n%s", err, evLine)
 	}
-	if len(ev.TraceID) != 16 || ev.Endpoint != "cli" || ev.Source != boxPath {
+	if len(ev.TraceID) != 32 || ev.Endpoint != "cli" || ev.Source != boxPath {
 		t.Errorf("event identity wrong: %+v", ev)
 	}
 	if ev.Command != lt.Query || ev.DurNS <= 0 || ev.Matches == 0 || len(ev.Spans) == 0 {

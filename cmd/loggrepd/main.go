@@ -30,8 +30,8 @@
 // Overload and timeout controls: -max-concurrent bounds simultaneous
 // queries (excess requests queue briefly, then get 429 + Retry-After),
 // -query-timeout sets the default per-query deadline (clients may override
-// per request with ?timeout_ms=, clamped to -max-timeout), and
-// -max-scan-mb / -max-decompressions cap per-query work, degrading
+// per request with ?timeout_ms=; every deadline is clamped to 5 minutes),
+// and -max-scan-mb / -max-decompressions cap per-query work, degrading
 // runaway queries into partial results. SIGINT/SIGTERM trigger a graceful
 // shutdown: draining stops admission (503, /healthz flips to draining),
 // in-flight queries get half of -shutdown-grace to finish, then are
@@ -49,14 +49,14 @@
 // .1 generation kept). Each response carries an X-Trace-Id header that
 // joins the event to the /metrics latency exemplars.
 //
-// The flight recorder (-flightrec, on by default) keeps the last
-// -flightrec-events wide events and ~10 minutes of per-second runtime
+// The flight recorder (-flightrec, on by default) keeps the last 256
+// wide events and ~10 minutes of per-second runtime
 // metrics in bounded in-memory rings. A trigger — a request slower than
 // -flightrec-latency, a burst of -flightrec-errors 5xx responses or
 // -flightrec-budget budget-exhausted queries within 30s, a recovered
 // handler panic, SIGQUIT, or POST /debug/dump — writes one self-contained
-// diagnostic bundle to -flightrec-dir (at most one per
-// -flightrec-cooldown, oldest pruned beyond -flightrec-max-bundles).
+// diagnostic bundle to -flightrec-dir (at most one per minute, oldest
+// pruned beyond 8).
 // Render bundles with `loggrep diag`; live status at GET /debug/flightrec.
 //
 // The live operations plane is always on: GET /v1/inflight lists every
@@ -64,7 +64,7 @@
 // bytes, budget fraction, stage), DELETE /v1/inflight/{id} cancels one
 // cooperatively (the client gets an empty partial marked "cancelled",
 // never a wrong result), GET /v1/usage reports per-tenant consumption
-// over -usage-windows rolling windows, and GET /v1/slo reports
+// over twelve rolling 5-minute windows, and GET /v1/slo reports
 // compliance and multi-window burn rates for each -slo objective. A
 // fast burn (both 5m and 1h burn >= 14.4x) triggers a flight-recorder
 // bundle naming the objective. Watch it live with `loggrep top`.
@@ -113,7 +113,6 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	maxConcurrent := flag.Int("max-concurrent", 0, "max queries executing at once (0 = unlimited)")
 	queryTimeout := flag.Duration("query-timeout", 30*time.Second, "default per-query deadline (0 = none)")
-	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "upper clamp on per-request ?timeout_ms= overrides (0 = no clamp)")
 	shutdownGrace := flag.Duration("shutdown-grace", 20*time.Second, "grace period for draining in-flight queries on SIGTERM")
 	maxScanMB := flag.Int64("max-scan-mb", 0, "per-query cap on scanned megabytes, exceeding returns partial results (0 = unlimited)")
 	maxDecomp := flag.Int64("max-decompressions", 0, "per-query cap on capsule decompressions, exceeding returns partial results (0 = unlimited)")
@@ -124,28 +123,18 @@ func main() {
 	ingestSealAge := flag.Duration("ingest-seal-age", 30*time.Second, "seal a non-empty raw segment this long after its first line, even if under -ingest-seal-mb")
 	ingestMaxTenantMB := flag.Int64("ingest-max-tenant-mb", 64, "per-tenant bound on unsealed raw-tail megabytes; appends past it get 429 + Retry-After")
 	ingestMaxSealedMB := flag.Int64("ingest-max-sealed-mb", 256, "bound on sealed-archive megabytes kept resident in memory; colder segments reload from disk on query")
-	ingestNoFsync := flag.Bool("ingest-no-fsync", false, "skip the WAL fsync before acknowledging batches (faster; a host crash may lose acknowledged data)")
 	blobAttempts := flag.Int("blob-attempts", 3, "total attempts per blob read (retries on transient storage errors; 1 = no retries)")
-	blobAttemptTimeout := flag.Duration("blob-attempt-timeout", 2*time.Second, "per-attempt deadline on blob reads; a wedged read is abandoned and retried (negative = off)")
-	blobHedgeAfter := flag.Duration("blob-hedge-after", 0, "launch a hedged second blob read when the first is still running after this long (0 = off)")
-	blobBreakerFailures := flag.Int("blob-breaker-failures", 5, "consecutive blob-read failures that open the storage circuit breaker (negative = no breaker)")
-	blobBreakerOpen := flag.Duration("blob-breaker-open", 5*time.Second, "how long an open storage breaker sheds reads before probing the backend again")
 	slowlog := flag.Duration("slowlog", -1, "emit a wide JSON event to stderr for requests at least this slow (0 = every request, negative = off)")
 	slowlogSample := flag.Int("slowlog-sample", 0, "additionally emit every Nth request regardless of duration (0 = off)")
 	slowlogFile := flag.String("slowlog-file", "", "write slowlog events to this file instead of stderr, rotated at 64 MB with one .1 generation kept (implies -slowlog 0 unless set)")
 	flightrecOn := flag.Bool("flightrec", true, "keep the always-on flight recorder (event/metrics rings + triggered diagnostic bundles)")
 	flightrecDir := flag.String("flightrec-dir", "flightrec", "directory for diagnostic bundles")
-	flightrecEvents := flag.Int("flightrec-events", 256, "wide events kept in the flight recorder ring")
 	flightrecLatency := flag.Duration("flightrec-latency", 0, "dump a bundle when a request at least this slow completes (0 = off)")
 	flightrecErrors := flag.Int("flightrec-errors", 0, "dump a bundle on this many 5xx responses within 30s (0 = off)")
 	flightrecBudget := flag.Int("flightrec-budget", 0, "dump a bundle on this many budget-exhausted partial queries within 30s (0 = off)")
-	flightrecCooldown := flag.Duration("flightrec-cooldown", time.Minute, "minimum gap between diagnostic bundles")
-	flightrecMax := flag.Int("flightrec-max-bundles", 8, "bundle files kept in -flightrec-dir before pruning the oldest")
 	otlpEndpoint := flag.String("otlp-endpoint", "", "base URL of an OTLP/HTTP collector (e.g. http://localhost:4318); spans for every request and seal, plus a metrics snapshot each -otlp-interval, are pushed as JSON (empty = export off)")
 	otlpInterval := flag.Duration("otlp-interval", 10*time.Second, "metrics push cadence and maximum span batch age for -otlp-endpoint")
 	otlpQueue := flag.Int("otlp-queue", 1024, "export queue capacity; a full queue drops events (counted in loggrep_otlp_dropped_total) rather than blocking requests")
-	inflightMax := flag.Int("inflight-max", 1024, "max requests tracked in the /v1/inflight registry; excess requests run untracked (counted in loggrep_inflight_dropped_total)")
-	usageWindows := flag.Int("usage-windows", 12, "rolling 5-minute per-tenant usage windows kept for /v1/usage (12 = one hour of history)")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	var loads loadFlags
 	flag.Var(&loads, "load", "name=path of a .lgrep file to preload (repeatable)")
@@ -161,19 +150,9 @@ func main() {
 	sv.Pprof = *pprofOn
 	sv.MaxConcurrent = *maxConcurrent
 	sv.QueryTimeout = *queryTimeout
-	sv.MaxTimeout = *maxTimeout
 	sv.Budget = core.Budget{MaxScannedBytes: *maxScanMB << 20, MaxDecompressions: *maxDecomp}
 	sv.DisableIndex = *noIndex
-	blobPolicy := blobstore.Policy{
-		MaxAttempts:     *blobAttempts,
-		AttemptTimeout:  *blobAttemptTimeout,
-		HedgeAfter:      *blobHedgeAfter,
-		BreakerFailures: *blobBreakerFailures,
-		BreakerOpenFor:  *blobBreakerOpen,
-	}
-	serverPolicy := blobPolicy
-	serverPolicy.Name = "server"
-	sv.Blobs = blobstore.Wrap(blobstore.NewLocal(""), serverPolicy)
+	sv.Blobs = blobstore.Wrap(blobstore.NewLocal(""), blobstore.Policy{MaxAttempts: *blobAttempts, Name: "server"})
 	// The live operations plane is always on: every request registers in
 	// the in-flight view, meters its tenant, and feeds the SLO engine.
 	var objectives []liveops.Objective
@@ -184,11 +163,7 @@ func main() {
 		}
 		objectives = append(objectives, o)
 	}
-	plane := liveops.New(liveops.Config{
-		InflightMax:  *inflightMax,
-		UsageWindows: *usageWindows,
-		Objectives:   objectives,
-	})
+	plane := liveops.New(liveops.Config{Objectives: objectives})
 	sv.Liveops = plane
 	if len(objectives) > 0 {
 		names := make([]string, len(objectives))
@@ -216,16 +191,13 @@ func main() {
 			*otlpEndpoint, *otlpInterval, *otlpQueue)
 	}
 	if *ingestOn {
-		ingestPolicy := blobPolicy
-		ingestPolicy.Name = "ingest"
 		m, stats, err := ingest.Open(ingest.Config{
 			Dir:            *ingestDir,
 			SealBytes:      *ingestSealMB << 20,
 			SealAge:        *ingestSealAge,
 			MaxTenantBytes: *ingestMaxTenantMB << 20,
 			MaxSealedBytes: *ingestMaxSealedMB << 20,
-			NoFsync:        *ingestNoFsync,
-			Blobs:          blobstore.Wrap(blobstore.NewLocal(*ingestDir), ingestPolicy),
+			Blobs:          blobstore.Wrap(blobstore.NewLocal(*ingestDir), blobstore.Policy{MaxAttempts: *blobAttempts, Name: "ingest"}),
 			SealEvents:     sealEvents(exp),
 		})
 		if err != nil {
@@ -270,12 +242,9 @@ func main() {
 		flag.Visit(func(f *flag.Flag) { flags[f.Name] = f.Value.String() })
 		rec := flightrec.NewRecorder(flightrec.Config{
 			Dir:            *flightrecDir,
-			EventRingSize:  *flightrecEvents,
 			LatencyTrigger: *flightrecLatency,
 			ErrorBurst:     *flightrecErrors,
 			BudgetBurst:    *flightrecBudget,
-			Cooldown:       *flightrecCooldown,
-			MaxBundles:     *flightrecMax,
 			Static:         map[string]any{"addr": *addr, "flags": flags},
 			StateFn:        func() any { return sv.SourcesSummary() },
 		})

@@ -45,7 +45,7 @@ func TestArchiveStalledQueryCancelledWithinDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	start := time.Now()
-	_, err := a.QueryContext(ctx, "ERROR", 4, core.Budget{})
+	_, err := a.QueryContext(ctx, "ERROR", 4, nil)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("stalled archive query returned %v, want context.DeadlineExceeded", err)
@@ -89,7 +89,7 @@ func TestArchiveBudgetPartial(t *testing.T) {
 	// about the budget contract on the full-scan path.
 	a2, _ := buildTestArchive(t, "G", 20_000, 2500)
 	a2.SetIndexEnabled(false)
-	res, err := a2.QueryContext(context.Background(), "ERROR", 2, core.Budget{MaxDecompressions: 2})
+	res, err := a2.QueryContext(context.Background(), "ERROR", 2, core.NewBudgetState(core.Budget{MaxDecompressions: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestArchiveQueryPreCancelled(t *testing.T) {
 	a, _ := buildTestArchive(t, "A", 25_000, 1500)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := a.QueryContext(ctx, "ERROR", 0, core.Budget{}); !errors.Is(err, context.Canceled) {
+	if _, err := a.QueryContext(ctx, "ERROR", 0, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("QueryContext on cancelled ctx = %v, want context.Canceled", err)
 	}
 }

@@ -458,11 +458,12 @@ func (a *Archive) Query(command string, workers int) (*Result, error) {
 
 // QueryContext runs a command like Query under a context and a work
 // budget. Cancellation or deadline expiry aborts the query and returns the
-// context's error. The budget (zero fields = unlimited) is shared across
-// all blocks; when it runs out the query returns what the searched blocks
+// context's error. The budget state (nil = unlimited) is shared across all
+// blocks — and across archives, when the caller passes the same state to
+// each; when it runs out the query returns what the searched blocks
 // matched with Result.Partial set — a degraded answer, not an error.
-func (a *Archive) QueryContext(ctx context.Context, command string, workers int, budget core.Budget) (*Result, error) {
-	return a.queryTraced(ctx, command, workers, core.NewBudgetState(budget), nil)
+func (a *Archive) QueryContext(ctx context.Context, command string, workers int, bs *core.BudgetState) (*Result, error) {
+	return a.queryTraced(ctx, command, workers, bs, nil)
 }
 
 // QueryTraced runs a command like Query and additionally records a trace:
@@ -471,13 +472,13 @@ func (a *Archive) QueryContext(ctx context.Context, command string, workers int,
 // block stamps, and damaged. Block spans are appended as blocks finish, so
 // their order varies across runs; counter totals are deterministic.
 func (a *Archive) QueryTraced(command string, workers int) (*Result, *obsv.Trace, error) {
-	return a.QueryTracedContext(context.Background(), command, workers, core.Budget{})
+	return a.QueryTracedContext(context.Background(), command, workers, nil)
 }
 
 // QueryTracedContext is QueryContext with a trace, see QueryTraced.
-func (a *Archive) QueryTracedContext(ctx context.Context, command string, workers int, budget core.Budget) (*Result, *obsv.Trace, error) {
+func (a *Archive) QueryTracedContext(ctx context.Context, command string, workers int, bs *core.BudgetState) (*Result, *obsv.Trace, error) {
 	tr := obsv.NewTrace("archive-query")
-	res, err := a.queryTraced(ctx, command, workers, core.NewBudgetState(budget), tr)
+	res, err := a.queryTraced(ctx, command, workers, bs, tr)
 	return res, tr, err
 }
 

@@ -1,7 +1,6 @@
 package benchfmt
 
 import (
-	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -16,13 +15,12 @@ func sample() *File {
 }
 
 // TestCompareExact: an exact metric fails on drift in either direction,
-// even at infinite tolerance.
+// however loose the tolerance.
 func TestCompareExact(t *testing.T) {
 	for _, drift := range []float64{-1, +1} {
 		base, cur := sample(), sample()
 		cur.Metrics[2].Value += drift
-		tol := map[string]float64{"LG/matches_total": math.Inf(1)}
-		deltas, err := Compare(base, cur, tol, 0.5)
+		deltas, err := Compare(base, cur, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +36,7 @@ func TestCompareRegression(t *testing.T) {
 	base, cur := sample(), sample()
 	cur.Metrics[0].Value = 10.0 // ratio halved: 100% worse
 	cur.Metrics[1].Value = 0.8  // latency up 60%
-	deltas, err := Compare(base, cur, nil, 0.3)
+	deltas, err := Compare(base, cur, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +62,7 @@ func TestCompareImprovement(t *testing.T) {
 	cur.Metrics[0].Value = 40.0 // ratio doubled
 	cur.Metrics[1].Value = 0.25 // latency halved
 	cur.Metrics[2].Value = 123  // unchanged
-	deltas, err := Compare(base, cur, nil, 0)
+	deltas, err := Compare(base, cur, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,16 +74,12 @@ func TestCompareImprovement(t *testing.T) {
 }
 
 // TestCompareMissingMetric: a metric dropped from the current run is a
-// failure even at infinite tolerance — silently losing coverage is itself
-// a regression.
+// failure whatever the tolerance — silently losing coverage is itself a
+// regression.
 func TestCompareMissingMetric(t *testing.T) {
 	base, cur := sample(), sample()
 	cur.Metrics = cur.Metrics[:1]
-	tol := map[string]float64{
-		"LG/query_total_s": math.Inf(1),
-		"LG/matches_total": math.Inf(1),
-	}
-	deltas, err := Compare(base, cur, tol, 0)
+	deltas, err := Compare(base, cur, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,35 +105,13 @@ func TestCompareMissingMetric(t *testing.T) {
 func TestCompareSchemaMismatch(t *testing.T) {
 	base, cur := sample(), sample()
 	cur.SchemaVersion = SchemaVersion + 1
-	if _, err := Compare(base, cur, nil, 0.5); err == nil {
+	if _, err := Compare(base, cur, 0.5); err == nil {
 		t.Error("schema mismatch not rejected")
 	}
 	cur = sample()
 	cur.Config.Lines = 999
-	if _, err := Compare(base, cur, nil, 0.5); err == nil {
+	if _, err := Compare(base, cur, 0.5); err == nil {
 		t.Error("workload mismatch not rejected")
-	}
-}
-
-// TestCompareTolerances checks per-metric overrides: tight on one metric,
-// informational on another.
-func TestCompareTolerances(t *testing.T) {
-	base, cur := sample(), sample()
-	cur.Metrics[1].Value = 50.0 // 100x latency — but informational
-	cur.Metrics[2].Value = 124  // one extra match — zero tolerance
-	tol := map[string]float64{
-		"LG/query_total_s": math.Inf(1),
-		"LG/matches_total": 0,
-	}
-	deltas, err := Compare(base, cur, tol, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if deltas[1].Regressed {
-		t.Errorf("informational metric failed: %+v", deltas[1])
-	}
-	if !deltas[2].Regressed {
-		t.Errorf("zero-tolerance drift not caught: %+v", deltas[2])
 	}
 }
 

@@ -15,8 +15,7 @@ type Delta struct {
 	// current run is worse than baseline, regardless of metric orientation
 	// (0.25 = 25% worse).
 	Change float64
-	// Tol is the tolerance applied; math.Inf(1) marks informational
-	// metrics that never fail.
+	// Tol is the tolerance applied.
 	Tol       float64
 	Regressed bool
 	// Missing marks a baseline metric the current run did not report —
@@ -32,19 +31,16 @@ func (d Delta) String() string {
 		return fmt.Sprintf("MISSING %-32s baseline %.6g, absent from current run", d.Name, d.Base)
 	case d.Regressed:
 		status = "REGRESSED"
-	case math.IsInf(d.Tol, 1):
-		status = "info"
 	}
 	return fmt.Sprintf("%-9s %-32s %.6g -> %.6g (%+.1f%%, tol %.0f%%)",
 		status, d.Name, d.Base, d.Cur, 100*d.Change, 100*d.Tol)
 }
 
-// Compare diffs a current run against a baseline. Tolerances are fractional
-// worse-direction budgets per metric name (0 = must not be worse at all,
-// math.Inf(1) = informational only); defaultTol applies to metrics without
-// an entry. It errors on schema or workload-shape mismatch — numbers from
-// different formats or sizings must never be compared silently.
-func Compare(baseline, current *File, tol map[string]float64, defaultTol float64) ([]Delta, error) {
+// Compare diffs a current run against a baseline. tol is the fractional
+// worse-direction budget every non-exact metric gets (0 = must not be
+// worse at all). It errors on schema or workload-shape mismatch — numbers
+// from different formats or sizings must never be compared silently.
+func Compare(baseline, current *File, tol float64) ([]Delta, error) {
 	if baseline.SchemaVersion != current.SchemaVersion {
 		return nil, fmt.Errorf("schema mismatch: baseline v%d, current v%d",
 			baseline.SchemaVersion, current.SchemaVersion)
@@ -55,11 +51,7 @@ func Compare(baseline, current *File, tol map[string]float64, defaultTol float64
 	}
 	deltas := make([]Delta, 0, len(baseline.Metrics))
 	for _, bm := range baseline.Metrics {
-		t, ok := tol[bm.Name]
-		if !ok {
-			t = defaultTol
-		}
-		d := Delta{Name: bm.Name, Base: bm.Value, Tol: t}
+		d := Delta{Name: bm.Name, Base: bm.Value, Tol: tol}
 		cm, ok := current.Lookup(bm.Name)
 		if !ok {
 			d.Missing = true
@@ -83,14 +75,14 @@ func Compare(baseline, current *File, tol map[string]float64, defaultTol float64
 			}
 		} else if cm.Value != 0 {
 			// From exactly zero, any movement in the worse direction is an
-			// infinite relative change; flag it unless informational.
+			// infinite relative change.
 			if (bm.LowerIsBetter && cm.Value > 0) || (!bm.LowerIsBetter && cm.Value < 0) {
 				d.Change = math.Inf(1)
 			} else {
 				d.Change = math.Inf(-1)
 			}
 		}
-		d.Regressed = !math.IsInf(t, 1) && d.Change > t
+		d.Regressed = d.Change > tol
 		deltas = append(deltas, d)
 	}
 	return deltas, nil

@@ -125,20 +125,18 @@ func Classify(err error) Class {
 }
 
 // OpStats accounts one request's blob operations across every store call
-// made under its context (WithStats). All fields are atomic so the
-// hedged-read goroutines can add concurrently.
+// made under its context (WithStats). The counters are atomic so
+// concurrent store calls under one context stay race-free.
 type OpStats struct {
 	// TraceID, when set by the caller, identifies the request these ops
 	// belong to; blob-layer latency exemplars carry it so a slow Get on
 	// /metrics joins the same trace as its wide event and OTLP span.
-	TraceID   string
-	Ops       atomic.Int64 // operations issued
-	Attempts  atomic.Int64 // backend attempts (≥ Ops)
-	Retries   atomic.Int64 // attempts beyond the first, per op
-	Hedges    atomic.Int64 // hedged second reads launched
-	HedgeWins atomic.Int64 // hedges that beat the primary
-	Shed      atomic.Int64 // ops fast-failed by an open breaker
-	Failed    atomic.Int64 // ops that ultimately returned an error
+	TraceID  string
+	Ops      atomic.Int64 // operations issued
+	Attempts atomic.Int64 // backend attempts (≥ Ops)
+	Retries  atomic.Int64 // attempts beyond the first, per op
+	Shed     atomic.Int64 // ops fast-failed by an open breaker
+	Failed   atomic.Int64 // ops that ultimately returned an error
 }
 
 // The inc helpers are nil-safe so the policy can bump unconditionally.
@@ -155,16 +153,6 @@ func (st *OpStats) incAttempts() {
 func (st *OpStats) incRetries() {
 	if st != nil {
 		st.Retries.Add(1)
-	}
-}
-func (st *OpStats) incHedges() {
-	if st != nil {
-		st.Hedges.Add(1)
-	}
-}
-func (st *OpStats) incHedgeWins() {
-	if st != nil {
-		st.HedgeWins.Add(1)
 	}
 }
 func (st *OpStats) incShed() {

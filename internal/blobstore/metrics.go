@@ -11,13 +11,9 @@ var (
 	mOpErrors = obsv.Default.Counter("loggrep_blob_op_errors_total",
 		"Blob operations that ultimately failed after the policy ran out of options")
 	mAttempts = obsv.Default.Counter("loggrep_blob_attempts_total",
-		"Backend attempts, hedges included (attempts - ops = extra work the policy spent)")
+		"Backend attempts (attempts - ops = extra work the policy spent)")
 	mRetries = obsv.Default.Counter("loggrep_blob_retries_total",
 		"Backend attempts beyond an operation's first (transient failures being retried)")
-	mHedges = obsv.Default.Counter("loggrep_blob_hedges_total",
-		"Hedged second reads launched because the primary was slow")
-	mHedgeWins = obsv.Default.Counter("loggrep_blob_hedge_wins_total",
-		"Hedged reads that finished before their primary")
 	mBreakerOpened = obsv.Default.Counter("loggrep_blob_breaker_open_total",
 		"Circuit breaker transitions into open (closed or half-open probe failure)")
 	mBreakerHalfOpen = obsv.Default.Counter("loggrep_blob_breaker_half_open_total",
@@ -36,5 +32,5 @@ var (
 		"Queries degraded to partial results because a blob stayed unreadable after retries")
 
 	hGetNS = obsv.Default.Histogram("loggrep_blob_get_ns", "ns",
-		"Whole-operation Get/ReadRange latency through the fault policy (retries and hedges included)")
+		"Whole-operation Get/ReadRange latency through the fault policy (retries included)")
 )

@@ -33,12 +33,6 @@ type Policy struct {
 	BackoffBase time.Duration
 	// BackoffMax caps the backoff growth (default 1s).
 	BackoffMax time.Duration
-	// HedgeAfter launches a second identical read when a Get/ReadRange
-	// attempt is still running after this long (default 0 = off). First
-	// result wins; the loser is cancelled. Hedging trades duplicate
-	// backend work for tail latency and is only worth it on backends
-	// with heavy-tailed read latency.
-	HedgeAfter time.Duration
 	// BreakerFailures opens the circuit breaker after this many
 	// consecutive failed operations (default 5; negative disables the
 	// breaker). While open, operations fast-fail with ErrBreakerOpen.
@@ -136,7 +130,7 @@ func (s *Store) BreakerState() BreakerState {
 // Get runs the policy around the backend's Get.
 func (s *Store) Get(ctx context.Context, key string) ([]byte, error) {
 	t0 := s.p.now()
-	data, err := run(s, ctx, true, func(ctx context.Context) ([]byte, error) {
+	data, err := run(s, ctx, func(ctx context.Context) ([]byte, error) {
 		return s.b.Get(ctx, key)
 	})
 	hGetNS.ObserveExemplar(s.p.now().Sub(t0).Nanoseconds(), traceIDFrom(ctx))
@@ -149,7 +143,7 @@ func (s *Store) Get(ctx context.Context, key string) ([]byte, error) {
 // ReadRange runs the policy around the backend's ReadRange.
 func (s *Store) ReadRange(ctx context.Context, key string, off, n int64) ([]byte, error) {
 	t0 := s.p.now()
-	data, err := run(s, ctx, true, func(ctx context.Context) ([]byte, error) {
+	data, err := run(s, ctx, func(ctx context.Context) ([]byte, error) {
 		return s.b.ReadRange(ctx, key, off, n)
 	})
 	hGetNS.ObserveExemplar(s.p.now().Sub(t0).Nanoseconds(), traceIDFrom(ctx))
@@ -159,10 +153,9 @@ func (s *Store) ReadRange(ctx context.Context, key string, off, n int64) ([]byte
 	return data, nil
 }
 
-// List runs the policy around the backend's List (no hedging: listings
-// are not latency-critical and duplicating directory walks buys nothing).
+// List runs the policy around the backend's List.
 func (s *Store) List(ctx context.Context, prefix string) ([]string, error) {
-	keys, err := run(s, ctx, false, func(ctx context.Context) ([]string, error) {
+	keys, err := run(s, ctx, func(ctx context.Context) ([]string, error) {
 		return s.b.List(ctx, prefix)
 	})
 	if err != nil {
@@ -173,7 +166,7 @@ func (s *Store) List(ctx context.Context, prefix string) ([]string, error) {
 
 // Stat runs the policy around the backend's Stat.
 func (s *Store) Stat(ctx context.Context, key string) (BlobInfo, error) {
-	info, err := run(s, ctx, false, func(ctx context.Context) (BlobInfo, error) {
+	info, err := run(s, ctx, func(ctx context.Context) (BlobInfo, error) {
 		return s.b.Stat(ctx, key)
 	})
 	if err != nil {
@@ -182,9 +175,9 @@ func (s *Store) Stat(ctx context.Context, key string) (BlobInfo, error) {
 	return info, nil
 }
 
-// run is the policy engine: breaker admission, the retry loop with
-// full-jitter backoff, and (for hedgeable ops) the hedged attempt.
-func run[T any](s *Store, ctx context.Context, hedgeable bool, op func(context.Context) (T, error)) (T, error) {
+// run is the policy engine: breaker admission and the retry loop with
+// full-jitter backoff around per-attempt deadlines.
+func run[T any](s *Store, ctx context.Context, op func(context.Context) (T, error)) (T, error) {
 	var zero T
 	st := StatsFrom(ctx)
 	mOps.Inc()
@@ -217,10 +210,12 @@ func run[T any](s *Store, ctx context.Context, hedgeable bool, op func(context.C
 				return zero, err
 			}
 		}
-		v, err := s.attempt(ctx, hedgeable, opAny(op), st)
+		mAttempts.Inc()
+		st.incAttempts()
+		v, err := oneAttempt(ctx, s.p.AttemptTimeout, op)
 		if err == nil {
 			release(OutcomeOK)
-			return v.(T), nil
+			return v, nil
 		}
 		lastErr = err
 		if ctx.Err() != nil {
@@ -249,77 +244,18 @@ func run[T any](s *Store, ctx context.Context, hedgeable bool, op func(context.C
 	return zero, fmt.Errorf("after %d attempts: %w", s.p.MaxAttempts, lastErr)
 }
 
-// opAny erases the op's result type so attempt stays a method (methods
-// cannot have their own type parameters).
-func opAny[T any](op func(context.Context) (T, error)) func(context.Context) (any, error) {
-	return func(ctx context.Context) (any, error) { return op(ctx) }
-}
-
 // backoff returns the full-jitter delay before the given retry
 // (attempt ≥ 1): uniform in [0, min(BackoffMax, BackoffBase·2^(attempt-1))).
 func (s *Store) backoff(attempt int) time.Duration {
 	return time.Duration(s.p.rnd() * float64(retry.Backoff(s.p.BackoffBase, s.p.BackoffMax, attempt)))
 }
 
-// attempt runs one policy attempt: a per-attempt deadline around the
-// backend call, plus — for hedgeable operations with hedging enabled — a
-// second identical call launched if the first is still running after
-// HedgeAfter. The first success wins and the loser is cancelled; if both
-// fail the last error surfaces to the retry loop.
-func (s *Store) attempt(ctx context.Context, hedgeable bool, op func(context.Context) (any, error), st *OpStats) (any, error) {
-	actx, cancel := context.WithCancel(ctx)
-	if s.p.AttemptTimeout > 0 {
-		actx, cancel = context.WithTimeout(ctx, s.p.AttemptTimeout)
+// oneAttempt runs one backend call under the per-attempt deadline.
+func oneAttempt[T any](ctx context.Context, timeout time.Duration, op func(context.Context) (T, error)) (T, error) {
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
 	}
-	defer cancel()
-	mAttempts.Inc()
-	st.incAttempts()
-	if !hedgeable || s.p.HedgeAfter <= 0 {
-		return op(actx)
-	}
-
-	type result struct {
-		v     any
-		err   error
-		hedge bool
-	}
-	ch := make(chan result, 2) // buffered: the losing goroutine never blocks
-	go func() {
-		v, err := op(actx)
-		ch <- result{v, err, false}
-	}()
-	timer := time.NewTimer(s.p.HedgeAfter)
-	defer timer.Stop()
-	pending, hedged := 1, false
-	for {
-		select {
-		case r := <-ch:
-			pending--
-			if r.err == nil {
-				if r.hedge {
-					mHedgeWins.Inc()
-					st.incHedgeWins()
-				}
-				return r.v, nil
-			}
-			if pending == 0 {
-				return nil, r.err
-			}
-			// One leg failed, the other is still in flight: its result
-			// decides the attempt.
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				pending++
-				mHedges.Inc()
-				mAttempts.Inc()
-				st.incHedges()
-				st.incAttempts()
-				go func() {
-					v, err := op(actx)
-					ch <- result{v, err, true}
-				}()
-			}
-		}
-	}
+	return op(ctx)
 }

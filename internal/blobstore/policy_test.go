@@ -81,6 +81,9 @@ func TestPolicyRetriesTransientThenSucceeds(t *testing.T) {
 	if got := st.Retries.Load(); got != 2 {
 		t.Fatalf("stats retries = %d, want 2", got)
 	}
+	if got := st.Attempts.Load(); got != 3 {
+		t.Fatalf("stats attempts = %d, want 3", got)
+	}
 	if got := st.Failed.Load(); got != 0 {
 		t.Fatalf("stats failed = %d, want 0", got)
 	}
@@ -155,71 +158,6 @@ func TestPolicyAttemptTimeoutRetriesWedgedBackend(t *testing.T) {
 	}
 	if got := back.count(); got != 2 {
 		t.Fatalf("backend calls = %d, want 2", got)
-	}
-}
-
-func TestPolicyHedgeWinsOverSlowPrimary(t *testing.T) {
-	release := make(chan struct{})
-	back := &scripted{fn: func(call int, ctx context.Context) ([]byte, error) {
-		if call == 0 {
-			select {
-			case <-release: // primary stalls until the test lets it go
-			case <-ctx.Done():
-			}
-			return []byte("primary"), ctx.Err()
-		}
-		return []byte("hedge"), nil
-	}}
-	s := Wrap(back, testPolicy(Policy{
-		MaxAttempts:     1,
-		HedgeAfter:      5 * time.Millisecond,
-		BreakerFailures: -1,
-	}, nil))
-	st := &OpStats{}
-	data, err := s.Get(WithStats(context.Background(), st), "k")
-	close(release)
-	if err != nil || string(data) != "hedge" {
-		t.Fatalf("Get = %q, %v; want the hedge's result", data, err)
-	}
-	if got := st.Hedges.Load(); got != 1 {
-		t.Fatalf("stats hedges = %d, want 1", got)
-	}
-	if got := st.HedgeWins.Load(); got != 1 {
-		t.Fatalf("stats hedge wins = %d, want 1", got)
-	}
-	if got := st.Attempts.Load(); got != 2 {
-		t.Fatalf("stats attempts = %d, want 2 (primary + hedge)", got)
-	}
-}
-
-func TestPolicySlowPrimarySurvivesFailedHedge(t *testing.T) {
-	primaryGo := make(chan struct{})
-	back := &scripted{fn: func(call int, ctx context.Context) ([]byte, error) {
-		if call == 0 {
-			select {
-			case <-primaryGo:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			return []byte("primary"), nil
-		}
-		// The hedge leg fails instantly; its failure must not end the
-		// attempt while the primary is still in flight.
-		defer close(primaryGo)
-		return nil, errors.New("hedge leg failed")
-	}}
-	s := Wrap(back, testPolicy(Policy{
-		MaxAttempts:     1,
-		HedgeAfter:      time.Millisecond,
-		BreakerFailures: -1,
-	}, nil))
-	st := &OpStats{}
-	data, err := s.Get(WithStats(context.Background(), st), "k")
-	if err != nil || string(data) != "primary" {
-		t.Fatalf("Get = %q, %v; want the primary to finish the attempt", data, err)
-	}
-	if got := st.HedgeWins.Load(); got != 0 {
-		t.Fatalf("stats hedge wins = %d, want 0", got)
 	}
 }
 

@@ -126,7 +126,7 @@ func RawQuery(block []byte, command string) ([]int, []string, error) {
 	var outLines []int
 	var outEntries []string
 	for i, l := range lines {
-		if exprMatch(expr, l) {
+		if expr.Match(l) {
 			outLines = append(outLines, i)
 			outEntries = append(outEntries, l)
 		}

@@ -509,7 +509,7 @@ func (st *Store) queryTraced(ctx context.Context, command string, budget *Budget
 			verr = err
 			return false
 		}
-		if exprMatch(expr, entry) {
+		if expr.Match(entry) {
 			res.Lines = append(res.Lines, line)
 			res.Entries = append(res.Entries, entry)
 		}
@@ -551,21 +551,6 @@ func (st *Store) queryTraced(ctx context.Context, command string, budget *Budget
 // isBudgetStop distinguishes budget exhaustion from cancellation among
 // interrupt errors.
 func isBudgetStop(err error) bool { return errors.Is(err, ErrBudgetExceeded) }
-
-// exprMatch evaluates a query expression exactly against one entry's text.
-func exprMatch(e query.Expr, entry string) bool {
-	switch x := e.(type) {
-	case *query.And:
-		return exprMatch(x.L, entry) && exprMatch(x.R, entry)
-	case *query.Or:
-		return exprMatch(x.L, entry) || exprMatch(x.R, entry)
-	case *query.Not:
-		return !exprMatch(x.X, entry)
-	case *query.Search:
-		return x.MatchEntry(entry)
-	}
-	return false
-}
 
 // overApprox returns a superset of the lines matching the expression.
 // NOT nodes yield the full set (complementing a superset would not be

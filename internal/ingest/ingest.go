@@ -61,12 +61,6 @@ type Config struct {
 	// Archive configures seal-time compression; the zero value means
 	// archive.DefaultOptions() (v2 frames + block-skipping index).
 	Archive archive.Options
-	// NoFsync skips every durability fsync: the WAL fsync before each
-	// batch acknowledgement, the directory fsyncs that pin fresh WAL
-	// files, and the seal-time archive/directory fsyncs. Throughput
-	// rises; a host crash may then lose acknowledged batches (a process
-	// crash still cannot). Benchmarks only.
-	NoFsync bool
 	// SealInterval is the background sealer's poll cadence (default
 	// 250ms).
 	SealInterval time.Duration
@@ -508,13 +502,11 @@ func (m *Manager) stream(tenant, name string) (*Stream, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	if !m.cfg.NoFsync {
-		// Pin the fresh tenant/stream directory entries; a WAL file whose
-		// parent directories vanish in a host crash is lost with them.
-		for _, d := range []string{filepath.Join(m.cfg.Dir, tenant), m.cfg.Dir} {
-			if err := flightrec.SyncDir(d); err != nil {
-				return nil, err
-			}
+	// Pin the fresh tenant/stream directory entries; a WAL file whose
+	// parent directories vanish in a host crash is lost with them.
+	for _, d := range []string{filepath.Join(m.cfg.Dir, tenant), m.cfg.Dir} {
+		if err := flightrec.SyncDir(d); err != nil {
+			return nil, err
 		}
 	}
 	st := &Stream{tenant: tenant, name: name, dir: dir, m: m}
@@ -523,10 +515,10 @@ func (m *Manager) stream(tenant, name string) (*Stream, error) {
 }
 
 // Append durably accepts one batch of lines for tenant/stream: the batch
-// is framed into the active WAL segment, fsynced (unless NoFsync), and
-// only then acknowledged. All-or-nothing: on any error no line of the
-// batch was accepted. ErrBackpressure means the tenant's raw-tail budget
-// is full — back off, let the sealer drain, retry.
+// is framed into the active WAL segment, fsynced, and only then
+// acknowledged. All-or-nothing: on any error no line of the batch was
+// accepted. ErrBackpressure means the tenant's raw-tail budget is full —
+// back off, let the sealer drain, retry.
 func (m *Manager) Append(tenant, stream string, lines []string) error {
 	return m.AppendContext(context.Background(), tenant, stream, lines)
 }
@@ -592,19 +584,17 @@ func (st *Stream) append(lines []string, add int64) error {
 		return st.walFailLocked(sg,
 			fmt.Errorf("ingest: WAL write %s/%s: %w", st.tenant, st.name, err))
 	}
-	if !st.m.cfg.NoFsync {
-		t0 := time.Now()
-		err := sg.f.Sync()
-		if err == nil && st.m.cfg.walSyncHook != nil {
-			err = st.m.cfg.walSyncHook()
-		}
-		if err != nil {
-			return st.walFailLocked(sg,
-				fmt.Errorf("ingest: WAL fsync %s/%s: %w", st.tenant, st.name, err))
-		}
-		mFsyncs.Inc()
-		hFsyncNS.Observe(time.Since(t0).Nanoseconds())
+	t0 := time.Now()
+	err = sg.f.Sync()
+	if err == nil && st.m.cfg.walSyncHook != nil {
+		err = st.m.cfg.walSyncHook()
 	}
+	if err != nil {
+		return st.walFailLocked(sg,
+			fmt.Errorf("ingest: WAL fsync %s/%s: %w", st.tenant, st.name, err))
+	}
+	mFsyncs.Inc()
+	hFsyncNS.Observe(time.Since(t0).Nanoseconds())
 	sg.walOff += int64(len(rec))
 	sg.lines = append(sg.lines, lines...)
 	sg.rawBytes += add
@@ -657,15 +647,13 @@ func (st *Stream) activeLocked() (*segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !st.m.cfg.NoFsync {
-		// The file's own fsyncs (one per batch) do not pin its directory
-		// entry; without this a host crash could drop the whole WAL file,
-		// acknowledged records included.
-		if err := flightrec.SyncDir(st.dir); err != nil {
-			f.Close()
-			os.Remove(path)
-			return nil, err
-		}
+	// The file's own fsyncs (one per batch) do not pin its directory
+	// entry; without this a host crash could drop the whole WAL file,
+	// acknowledged records included.
+	if err := flightrec.SyncDir(st.dir); err != nil {
+		f.Close()
+		os.Remove(path)
+		return nil, err
 	}
 	st.nextSeq++
 	sg := &segment{seq: seq, f: f, walOff: int64(len(walMagic)), born: time.Now()}
@@ -767,10 +755,8 @@ func (m *Manager) Close() error {
 		st.mu.Lock()
 		if n := len(st.segs); n > 0 && st.segs[n-1].f != nil {
 			sg := st.segs[n-1]
-			if !m.cfg.NoFsync {
-				if err := sg.f.Sync(); err != nil && first == nil {
-					first = err
-				}
+			if err := sg.f.Sync(); err != nil && first == nil {
+				first = err
 			}
 			if err := sg.f.Close(); err != nil && first == nil {
 				first = err

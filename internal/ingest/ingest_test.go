@@ -12,6 +12,7 @@ import (
 
 	"loggrep/internal/archive"
 	"loggrep/internal/core"
+	"loggrep/internal/liveops"
 )
 
 // testConfig returns a config sealing only on demand (huge thresholds)
@@ -346,6 +347,69 @@ func TestParseBatchPlainAndNDJSON(t *testing.T) {
 	}
 	if _, err := ParseBatch("application/x-ndjson", []byte(`not json`), "app"); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("bad json: %v", err)
+	}
+}
+
+// TestQueryBudgetSpansSegments: the work budget bounds the whole stream
+// query, not each sealed segment. Four sealed segments, a decompression
+// cap one segment alone exhausts: the result must be a flagged partial,
+// every line a true match, and the work done — read off the live-ops
+// progress the engine charges alongside the budget — must stay within the
+// cap plus one checkpoint's slack instead of growing with the segment
+// count.
+func TestQueryBudgetSpansSegments(t *testing.T) {
+	m := mustOpen(t, testConfig(t.TempDir()))
+	defer m.Close()
+	const segs = 4
+	for sgi := 0; sgi < segs; sgi++ {
+		lines := make([]string, 400)
+		for i := range lines {
+			lines[i] = fmt.Sprintf("req id=%04d seg=%d status=%d path=/api/v%d", i, sgi, 200+i%5, i%3)
+		}
+		appendLines(t, m, "acme", "app", lines...)
+		if err := m.TriggerSeal(context.Background(), "acme", "app"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if info := m.Snapshot()[0]; info.SealedSegs != segs {
+		t.Fatalf("sealed segments = %d, want %d", info.SealedSegs, segs)
+	}
+	st := m.Lookup("acme/app")
+
+	run := func(b core.Budget) (*Result, int64) {
+		prog := &liveops.Progress{}
+		res, err := st.Query(liveops.WithProgress(context.Background(), prog), "status=203", 1, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, prog.Decompressions()
+	}
+	// Budgeted run first, while every payload is still cold.
+	budget := core.Budget{MaxDecompressions: 4}
+	res, work := run(budget)
+	if !res.Partial || res.PartialReason == "" {
+		t.Fatalf("budgeted query not flagged partial: partial=%v reason=%q matches=%d",
+			res.Partial, res.PartialReason, len(res.Lines))
+	}
+	// The cap is checked before each payload fetch and per verified
+	// candidate, so the overshoot is bounded by what one step between two
+	// checks decompresses — not by the segment count.
+	const slack = 2
+	if work > budget.MaxDecompressions+slack {
+		t.Fatalf("decompressions = %d over %d sealed segments, want <= cap %d + slack %d",
+			work, segs, budget.MaxDecompressions, slack)
+	}
+	for i, e := range res.Entries {
+		// A line's text is a function of its number; only status=203
+		// lines equal this rendering.
+		ln := res.Lines[i]
+		if e != fmt.Sprintf("req id=%04d seg=%d status=203 path=/api/v%d", ln%400, ln/400, ln%400%3) {
+			t.Fatalf("line %d %q is not a true match", res.Lines[i], e)
+		}
+	}
+	full, _ := run(core.Budget{})
+	if full.Partial || len(full.Lines) != segs*80 {
+		t.Fatalf("unbudgeted query: partial=%v matches=%d, want %d", full.Partial, len(full.Lines), segs*80)
 	}
 }
 

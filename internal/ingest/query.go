@@ -68,14 +68,18 @@ func (st *Stream) snapshot() []segView {
 // (scanned with the exact match semantics) — and merges matches in
 // stream-global line order. The view is consistent: every line
 // acknowledged before the call is searched exactly once, whether it has
-// been sealed yet or not. The budget applies per sealed segment; workers
-// bounds per-segment block parallelism (0 = GOMAXPROCS).
+// been sealed yet or not. The budget bounds the whole query: one state is
+// charged by every sealed segment, and once it is spent the remaining
+// sealed segments go unsearched (the raw tail costs no budgeted work and
+// is still scanned). workers bounds per-segment block parallelism (0 =
+// GOMAXPROCS).
 func (st *Stream) Query(ctx context.Context, command string, workers int, budget core.Budget) (*Result, error) {
 	expr, err := query.Parse(command)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{}
+	bs := core.NewBudgetState(budget)
 	degraded := false
 	shed := func(v segView, err error) {
 		// The segment is unreadable right now; every line it holds is
@@ -97,6 +101,10 @@ func (st *Stream) Query(ctx context.Context, command string, workers int, budget
 			return nil, err
 		}
 		if v.sealed {
+			if err := bs.Err(); err != nil {
+				res.Partial, res.PartialReason = true, err.Error()
+				continue
+			}
 			if v.sg.quarantined {
 				shed(v, errQuarantined)
 				continue
@@ -109,7 +117,7 @@ func (st *Stream) Query(ctx context.Context, command string, workers int, budget
 				shed(v, err)
 				continue
 			}
-			ar, err := a.QueryContext(ctx, command, workers, budget)
+			ar, err := a.QueryContext(ctx, command, workers, bs)
 			if err != nil {
 				return nil, err
 			}
@@ -144,30 +152,13 @@ func (st *Stream) Query(ctx context.Context, command string, workers int, budget
 					return nil, err
 				}
 			}
-			if matchLine(expr, line) {
+			if expr.Match(line) {
 				res.Lines = append(res.Lines, v.base+i)
 				res.Entries = append(res.Entries, line)
 			}
 		}
 	}
 	return res, nil
-}
-
-// matchLine evaluates the expression against one raw line with the exact
-// semantics (query.Search.MatchEntry) — the same oracle the compressed
-// path is tested against, so raw-tail and sealed matches always agree.
-func matchLine(e query.Expr, line string) bool {
-	switch x := e.(type) {
-	case *query.And:
-		return matchLine(x.L, line) && matchLine(x.R, line)
-	case *query.Or:
-		return matchLine(x.L, line) || matchLine(x.R, line)
-	case *query.Not:
-		return !matchLine(x.X, line)
-	case *query.Search:
-		return x.MatchEntry(line)
-	}
-	return false
 }
 
 // Entry reconstructs one line by stream-global number.

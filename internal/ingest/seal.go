@@ -139,8 +139,7 @@ func (st *Stream) claimNext(force bool, bound uint64) *segment {
 // process kills: the WAL is deleted only once the archive's bytes AND
 // its directory entry are durable, so no interleaving of a crash with
 // the page cache can make the rename+unlink stick while the archive's
-// data blocks are lost. (With NoFsync the plain AtomicWriteFile is used
-// and that guarantee is waived, like every other fsync.)
+// data blocks are lost.
 //
 // The WAL and the archive share the sequence number, so "both exist"
 // always means "seal completed, cleanup didn't", never a duplicate.
@@ -158,11 +157,7 @@ func (st *Stream) sealOne(sg *segment) error {
 	if err := st.m.hook("compressed"); err != nil {
 		return err
 	}
-	write := flightrec.AtomicWriteFileSync
-	if st.m.cfg.NoFsync {
-		write = flightrec.AtomicWriteFile
-	}
-	if err := write(segPath(st.dir, sg.seq), data, 0o644); err != nil {
+	if err := flightrec.AtomicWriteFileSync(segPath(st.dir, sg.seq), data, 0o644); err != nil {
 		return err
 	}
 	if err := st.m.hook("published"); err != nil {

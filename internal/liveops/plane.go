@@ -12,10 +12,10 @@ import (
 type Config struct {
 	// Registry receives the plane's metrics; nil means obsv.Default.
 	Registry *obsv.Registry
-	// InflightMax bounds the in-flight registry (loggrepd -inflight-max).
+	// InflightMax bounds the in-flight registry (default 1024).
 	InflightMax int
 	// UsageWindows is how many completed rolling windows the usage meter
-	// keeps besides the current one (loggrepd -usage-windows).
+	// keeps besides the current one (default 12).
 	UsageWindows int
 	// UsageWindowDur is each usage window's length (default 5m).
 	UsageWindowDur time.Duration

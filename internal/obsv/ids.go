@@ -13,9 +13,9 @@ import (
 func NewTraceID128() string {
 	var b [16]byte
 	if _, err := rand.Read(b[:]); err != nil {
-		// Mirror NewTraceID: crypto/rand failing is effectively fatal
-		// elsewhere; degrade to a fixed non-zero id (all-zero is invalid
-		// per W3C trace-context) rather than plumbing an error through.
+		// crypto/rand failing is effectively fatal elsewhere; degrade to a
+		// fixed non-zero id (all-zero is invalid per W3C trace-context)
+		// rather than plumbing an error through callers.
 		return "00000000000000000000000000000001"
 	}
 	id := hex.EncodeToString(b[:])

@@ -1,27 +1,12 @@
 package obsv
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"io"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// NewTraceID returns a 16-hex-character random trace id. IDs only need to
-// be unique enough to join a wide event to a /metrics exemplar and an
-// X-Trace-Id header within one process's recent history.
-func NewTraceID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand failing is effectively fatal elsewhere; degrade to
-		// an all-zero id rather than plumbing an error through callers.
-		return "0000000000000000"
-	}
-	return hex.EncodeToString(b[:])
-}
 
 // WideEvent is one query's wide observability record: a single structured
 // event carrying everything known about the request, emitted as one JSON
@@ -90,15 +75,13 @@ type WideEvent struct {
 
 	// Blob-layer activity under this request, from the fault-policy
 	// store's per-request accounting: operations issued, retries spent on
-	// transient failures, hedged reads launched/won, operations shed by
-	// an open breaker, and operations that ultimately failed. All zero
-	// when every read was cache-resident or healthy on the first attempt.
-	BlobOps       int64 `json:"blob_ops,omitempty"`
-	BlobRetries   int64 `json:"blob_retries,omitempty"`
-	BlobHedges    int64 `json:"blob_hedges,omitempty"`
-	BlobHedgeWins int64 `json:"blob_hedge_wins,omitempty"`
-	BlobShed      int64 `json:"blob_shed,omitempty"`
-	BlobFailed    int64 `json:"blob_failed,omitempty"`
+	// transient failures, operations shed by an open breaker, and
+	// operations that ultimately failed. All zero when every read was
+	// cache-resident or healthy on the first attempt.
+	BlobOps     int64 `json:"blob_ops,omitempty"`
+	BlobRetries int64 `json:"blob_retries,omitempty"`
+	BlobShed    int64 `json:"blob_shed,omitempty"`
+	BlobFailed  int64 `json:"blob_failed,omitempty"`
 
 	// Per-stage span timings, verbatim from the query trace.
 	Spans []Span `json:"spans,omitempty"`

@@ -15,12 +15,12 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 func TestTraceIDShape(t *testing.T) {
-	re := regexp.MustCompile(`^[0-9a-f]{16}$`)
+	re := regexp.MustCompile(`^[0-9a-f]{32}$`)
 	seen := map[string]bool{}
 	for i := 0; i < 100; i++ {
-		id := NewTraceID()
+		id := NewTraceID128()
 		if !re.MatchString(id) {
-			t.Fatalf("trace id %q is not 16 hex chars", id)
+			t.Fatalf("trace id %q is not 32 hex chars", id)
 		}
 		if seen[id] {
 			t.Fatalf("trace id %q repeated within 100 draws", id)

@@ -279,8 +279,6 @@ func eventAttrs(ev *obsv.WideEvent) []keyValue {
 	add("loggrep.damaged_regions", ev.DamagedRegions)
 	add("loggrep.blob_ops", ev.BlobOps)
 	add("loggrep.blob_retries", ev.BlobRetries)
-	add("loggrep.blob_hedges", ev.BlobHedges)
-	add("loggrep.blob_hedge_wins", ev.BlobHedgeWins)
 	add("loggrep.blob_shed", ev.BlobShed)
 	add("loggrep.blob_failed", ev.BlobFailed)
 	return attrs

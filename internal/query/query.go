@@ -12,6 +12,9 @@ import (
 type Expr interface {
 	// String renders the expression in canonical form.
 	String() string
+	// Match evaluates the expression against one entry's text with the
+	// exact semantics; the filtering path may only over-approximate it.
+	Match(entry string) bool
 }
 
 // And matches entries satisfying both operands.
@@ -70,6 +73,18 @@ func NewSearch(phrase string) *Search {
 	}
 	return s
 }
+
+// Match reports whether both operands match entry.
+func (a *And) Match(entry string) bool { return a.L.Match(entry) && a.R.Match(entry) }
+
+// Match reports whether either operand matches entry.
+func (o *Or) Match(entry string) bool { return o.L.Match(entry) || o.R.Match(entry) }
+
+// Match reports whether the operand does not match entry.
+func (n *Not) Match(entry string) bool { return !n.X.Match(entry) }
+
+// Match is MatchEntry: a leaf matches when its phrase occurs in entry.
+func (s *Search) Match(entry string) bool { return s.MatchEntry(entry) }
 
 // MatchEntry reports whether the phrase occurs in entry, with '*' matching
 // any run of non-delimiter characters. This is the exact semantics; the

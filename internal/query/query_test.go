@@ -160,6 +160,35 @@ func TestMatchEntryVerifiesPhrase(t *testing.T) {
 	}
 }
 
+// TestExprMatch pins the exact matcher the verify loop, RawQuery and the
+// ingest raw-tail scan all call, one row per node kind.
+func TestExprMatch(t *testing.T) {
+	cases := []struct {
+		cmd, entry string
+		want       bool
+	}{
+		{"ERROR", "x ERROR y", true},
+		{"ERROR", "x WARN y", false},
+		{"ERROR AND state:5*", "ERROR state:503", true},
+		{"ERROR AND state:5*", "ERROR state:404", false},
+		{"ERROR OR WARN", "x WARN y", true},
+		{"ERROR OR WARN", "x INFO y", false},
+		{"NOT INFO", "x WARN y", true},
+		{"NOT INFO", "x INFO y", false},
+		{"(ERROR OR WARN) AND NOT retry", "WARN retry later", false},
+		{"(ERROR OR WARN) AND NOT retry", "WARN gave up", true},
+	}
+	for _, c := range cases {
+		e, err := Parse(c.cmd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.Match(c.entry); got != c.want {
+			t.Errorf("%q.Match(%q) = %v, want %v", c.cmd, c.entry, got, c.want)
+		}
+	}
+}
+
 func TestEval(t *testing.T) {
 	e, err := Parse("a AND b NOT c")
 	if err != nil {

@@ -7,6 +7,10 @@ import (
 	"time"
 )
 
+// maxTimeout is the ceiling on any read request's deadline: ?timeout_ms=
+// overrides and the server default are both clamped to it.
+const maxTimeout = 5 * time.Minute
+
 // initAdmission builds the semaphore and wait queue from MaxConcurrent /
 // QueueDepth. Called once from Handler; changing the fields afterwards has
 // no effect.
@@ -105,7 +109,7 @@ func (sv *Server) admit(w http.ResponseWriter, r *http.Request) (func(), admitSt
 // requestContext derives a request's context: the request context
 // (client disconnects cancel it), cancelled on server HardStop and — when
 // deadline is set — bounded by ?timeout_ms= or the server default,
-// clamped to MaxTimeout. Ingest requests pass deadline=false: an append
+// clamped to maxTimeout. Ingest requests pass deadline=false: an append
 // has no timeout, but shutdown and operators can still stop it. The
 // returned cancel must always be called. A malformed timeout_ms reports
 // not-ok.
@@ -126,8 +130,8 @@ func (sv *Server) requestContext(r *http.Request, deadline bool) (context.Contex
 			}
 			timeout = time.Duration(ms) * time.Millisecond
 		}
-		if sv.MaxTimeout > 0 && (timeout <= 0 || timeout > sv.MaxTimeout) {
-			timeout = sv.MaxTimeout
+		if timeout <= 0 || timeout > maxTimeout {
+			timeout = maxTimeout
 		}
 	}
 	ctx, cancelCause := context.WithCancelCause(r.Context())

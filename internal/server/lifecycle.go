@@ -8,6 +8,19 @@ import (
 	"time"
 )
 
+// httpServer is the http.Server ServeGraceful runs.
+func (sv *Server) httpServer() *http.Server {
+	return &http.Server{
+		Handler: sv.Handler(),
+		// Slowloris guard; generous because queries arrive as one-line GETs.
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+		// The write timeout backstops the per-query deadline: response
+		// serialization gets 30s beyond the longest allowed query.
+		WriteTimeout: maxTimeout + 30*time.Second,
+	}
+}
+
 // ServeGraceful serves the handler on ln until a signal arrives on sig,
 // then shuts down in phases within grace:
 //
@@ -23,17 +36,7 @@ import (
 // the listener fails first, and the close error only if phase 3 was
 // needed. loggrepd exits 0 exactly when this returns nil.
 func (sv *Server) ServeGraceful(ln net.Listener, sig <-chan os.Signal, grace time.Duration) error {
-	hs := &http.Server{
-		Handler: sv.Handler(),
-		// Slowloris guard; generous because queries arrive as one-line GETs.
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	if sv.MaxTimeout > 0 {
-		// The write timeout backstops the per-query deadline: response
-		// serialization gets 30s beyond the longest allowed query.
-		hs.WriteTimeout = sv.MaxTimeout + 30*time.Second
-	}
+	hs := sv.httpServer()
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {

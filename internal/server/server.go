@@ -76,6 +76,7 @@ type queryResult struct {
 }
 
 func (s *source) query(ctx context.Context, cmd string, traced bool, budget core.Budget) (*queryResult, error) {
+	bs := core.NewBudgetState(budget)
 	if s.arch != nil {
 		var (
 			res *archive.Result
@@ -83,9 +84,9 @@ func (s *source) query(ctx context.Context, cmd string, traced bool, budget core
 			err error
 		)
 		if traced {
-			res, tr, err = s.arch.QueryTracedContext(ctx, cmd, 0, budget)
+			res, tr, err = s.arch.QueryTracedContext(ctx, cmd, 0, bs)
 		} else {
-			res, err = s.arch.QueryContext(ctx, cmd, 0, budget)
+			res, err = s.arch.QueryContext(ctx, cmd, 0, bs)
 		}
 		if err != nil {
 			return nil, err
@@ -98,7 +99,6 @@ func (s *source) query(ctx context.Context, cmd string, traced bool, budget core
 		tr  *obsv.Trace
 		err error
 	)
-	bs := core.NewBudgetState(budget)
 	if traced {
 		res, tr, err = s.box.QueryTracedContext(ctx, cmd, bs)
 	} else {
@@ -145,12 +145,10 @@ type Server struct {
 	// QueueDepth sizes the wait queue in front of the semaphore. 0 picks
 	// the default of 2×MaxConcurrent. Ignored when MaxConcurrent is 0.
 	QueueDepth int
-	// QueryTimeout is the default per-request deadline; 0 means none. A
-	// request may override it with ?timeout_ms=, clamped to MaxTimeout.
+	// QueryTimeout is the default per-request deadline. A request may
+	// override it with ?timeout_ms=; either way the deadline is clamped to
+	// maxTimeout, which is also what 0 (no default) gets.
 	QueryTimeout time.Duration
-	// MaxTimeout clamps per-request ?timeout_ms= overrides (and, when
-	// set, the default too). 0 means no clamp.
-	MaxTimeout time.Duration
 	// Budget caps the work of each query; zero fields mean unlimited.
 	// Queries that exhaust it return partial results, never errors.
 	Budget core.Budget
@@ -676,8 +674,6 @@ func (sv *Server) finishEvent(ev *obsv.WideEvent, t0 time.Time, adm admitState, 
 func stampBlobStats(ev *obsv.WideEvent, bst *blobstore.OpStats) {
 	ev.BlobOps = bst.Ops.Load()
 	ev.BlobRetries = bst.Retries.Load()
-	ev.BlobHedges = bst.Hedges.Load()
-	ev.BlobHedgeWins = bst.HedgeWins.Load()
 	ev.BlobShed = bst.Shed.Load()
 	ev.BlobFailed = bst.Failed.Load()
 }

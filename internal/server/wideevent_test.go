@@ -436,6 +436,41 @@ func TestLifecycleConformance(t *testing.T) {
 			}
 			return e, want{status: http.StatusBadRequest}
 		}},
+		{name: "400 zero timeout_ms", reads: true, run: func(t *testing.T, ep lifecycleEndpoint) (*lifecycleEnv, want) {
+			e := newLifecycleEnv(t, true)
+			if got := e.do(ep, ep.method, "&timeout_ms=0", nil); got != http.StatusBadRequest {
+				t.Fatalf("answered %d, want 400", got)
+			}
+			return e, want{status: http.StatusBadRequest}
+		}},
+		{name: "timeout_ms clamped", reads: true, run: func(t *testing.T, ep lifecycleEndpoint) (*lifecycleEnv, want) {
+			// An hour-long ?timeout_ms= is cut to maxTimeout: the stalled
+			// request's deadline, read off the in-flight view, is at most
+			// the ceiling away, and the connection's write timeout is
+			// derived from the same constant.
+			e := newLifecycleEnv(t, true)
+			e.stall()
+			got := make(chan int, 1)
+			go func() { got <- e.do(ep, ep.method, "&timeout_ms=3600000", nil) }()
+			var deadlineMS *float64
+			waitFor(t, "request in /v1/inflight", func() bool {
+				for _, v := range e.sv.Liveops.Inflight.Snapshot() {
+					deadlineMS = v.DeadlineMS
+					return true
+				}
+				return false
+			})
+			if deadlineMS == nil {
+				t.Errorf("request has no deadline, want one clamped to %v", maxTimeout)
+			} else if *deadlineMS > float64(maxTimeout.Milliseconds()) {
+				t.Errorf("request deadline %.0f ms away, want clamped to %v", *deadlineMS, maxTimeout)
+			}
+			if wt := e.sv.httpServer().WriteTimeout; wt != maxTimeout+30*time.Second {
+				t.Errorf("WriteTimeout = %v, want maxTimeout + 30s", wt)
+			}
+			e.cancelInflight(t)
+			return e, want{status: <-got}
+		}},
 		{name: "504 deadline", reads: true, run: func(t *testing.T, ep lifecycleEndpoint) (*lifecycleEnv, want) {
 			e := newLifecycleEnv(t, true)
 			e.stall()

@@ -92,8 +92,8 @@ type Session = core.Session
 // Budget caps the work one query may perform (bytes scanned, payload
 // decompressions); zero fields mean unlimited. A query that exhausts its
 // budget returns the matches verified so far with Result.Partial set —
-// degraded, not wrong. Pass it to Archive.QueryContext, or track one
-// explicitly with NewBudgetState for Store.QueryContext.
+// degraded, not wrong. Track one with NewBudgetState and pass the state to
+// Store.QueryContext or Archive.QueryContext.
 type Budget = core.Budget
 
 // BudgetState tracks one query's consumption against a Budget; a single

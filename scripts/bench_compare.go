@@ -4,51 +4,24 @@
 //
 //	go run ./scripts -baseline BENCH_baseline.json -current BENCH_fig7.json
 //
-// Tolerances are fractional worse-direction budgets: -tol sets the default,
-// -tol-metric name=frac overrides per metric (repeatable; "inf" marks a
-// metric informational — reported, never failing). Exact metrics (match
-// counts) fail on any drift regardless of tolerance, and a baseline metric
-// missing from the current run always fails: silently dropping a benchmark
-// is itself a regression.
+// -tol is the fractional worse-direction budget every non-exact metric
+// gets. Exact metrics (match counts) fail on any drift regardless of
+// tolerance, and a baseline metric missing from the current run always
+// fails: silently dropping a benchmark is itself a regression.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"strconv"
-	"strings"
 
 	"loggrep/internal/benchfmt"
 )
 
-type tolFlags map[string]float64
-
-func (t tolFlags) String() string { return fmt.Sprint(map[string]float64(t)) }
-func (t tolFlags) Set(v string) error {
-	name, val, ok := strings.Cut(v, "=")
-	if !ok {
-		return fmt.Errorf("want name=frac, got %q", v)
-	}
-	if val == "inf" {
-		t[name] = math.Inf(1)
-		return nil
-	}
-	f, err := strconv.ParseFloat(val, 64)
-	if err != nil {
-		return err
-	}
-	t[name] = f
-	return nil
-}
-
 func main() {
 	basePath := flag.String("baseline", "BENCH_baseline.json", "committed baseline result file")
 	curPath := flag.String("current", "", "freshly measured result file")
-	defTol := flag.Float64("tol", 0.3, "default fractional regression tolerance")
-	tols := tolFlags{}
-	flag.Var(tols, "tol-metric", "per-metric tolerance override, name=frac or name=inf (repeatable)")
+	tol := flag.Float64("tol", 0.3, "fractional regression tolerance")
 	flag.Parse()
 	if *curPath == "" {
 		fmt.Fprintln(os.Stderr, "bench_compare: -current is required")
@@ -63,7 +36,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	deltas, err := benchfmt.Compare(baseline, current, tols, *defTol)
+	deltas, err := benchfmt.Compare(baseline, current, *tol)
 	if err != nil {
 		fatal(err)
 	}
