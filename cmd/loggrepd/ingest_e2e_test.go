@@ -7,11 +7,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
+
+	"loggrep"
 )
 
 // startDaemon launches a freshly-built loggrepd with the given extra args
@@ -207,5 +211,71 @@ func getInto(t *testing.T, url string, v any) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoggrepdServesRev1Segments: an ingest directory sealed by an older
+// loggrepd — seg-N.lgrep archives whose blocks are rev-1 CapsuleBoxes, here
+// two copies of the fixture commit 7abb5d0 wrote — replays and answers
+// exactly what grep over the raw lines answers, untouched on disk.
+func TestLoggrepdServesRev1Segments(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary and runs a daemon")
+	}
+	dir := t.TempDir()
+	daemon := filepath.Join(dir, "loggrepd")
+	if out, err := exec.Command("go", "build", "-o", daemon, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build loggrepd: %v\n%s", err, out)
+	}
+	fixture := filepath.Join("..", "..", "internal", "archive", "testdata", "box1_fixture")
+	seg, err := os.ReadFile(fixture + ".lgrep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(fixture + ".log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamDir := filepath.Join(dir, "ingest", "acme", "app")
+	if err := os.MkdirAll(streamDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	segs := []string{filepath.Join(streamDir, "seg-00000001.lgrep"), filepath.Join(streamDir, "seg-00000002.lgrep")}
+	for _, p := range segs {
+		if err := os.WriteFile(p, seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	base, _, _, preamble := startDaemon(t, daemon, "-ingest", "-ingest-dir", filepath.Join(dir, "ingest"))
+	if banner := strings.Join(preamble, "\n"); !strings.Contains(banner, "2 sealed") {
+		t.Fatalf("replay banner does not report the two sealed segments:\n%s", banner)
+	}
+	perSeg := bytes.Count(raw, []byte("\n"))
+	for _, cmd := range []string{"ERROR", "Operation:ReadChunk AND SATADiskId:7", "NOT INFO"} {
+		want, wantEntries, err := loggrep.RawQuery(raw, cmd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var q struct {
+			Lines   []int    `json:"lines"`
+			Entries []string `json:"entries"`
+			Partial bool     `json:"partial"`
+		}
+		getInto(t, base+"/v1/query?source=acme/app&q="+url.QueryEscape(cmd), &q)
+		if q.Partial || len(q.Lines) != 2*len(want) {
+			t.Fatalf("query %q: %d matches (partial=%v), want %d", cmd, len(q.Lines), q.Partial, 2*len(want))
+		}
+		for i, line := range q.Lines {
+			w := i % len(want)
+			if line != want[w]+i/len(want)*perSeg || q.Entries[i] != wantEntries[w] {
+				t.Fatalf("query %q: match %d is line %d %q", cmd, i, line, q.Entries[i])
+			}
+		}
+	}
+	for _, p := range segs {
+		if got, err := os.ReadFile(p); err != nil || !bytes.Equal(got, seg) {
+			t.Fatalf("%s changed on disk (%v)", p, err)
+		}
 	}
 }

@@ -8,7 +8,6 @@
 package anatomy
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -296,7 +295,7 @@ func inspectBox(data []byte) (*BoxStats, error) {
 		NumLines:     meta.NumLines,
 		Flags:        flagNames(meta.Flags),
 		TotalBytes:   len(data),
-		OutlierLines: len(meta.OutlierLines),
+		OutlierLines: meta.OutlierLines.Rows(),
 	}
 
 	// Per-capsule stats. Dict capsules pad per pattern segment, so their
@@ -325,7 +324,7 @@ func inspectBox(data []byte) (*BoxStats, error) {
 	// Raw-coverage attribution: every byte of the original block is a
 	// template literal, a newline, a runtime-pattern literal, or a stored
 	// value.
-	parseRaw := meta.NumLines // one newline per line
+	parseRaw := 0
 	extractRaw := 0
 	assembleRaw := 0
 	for gi := range meta.Groups {
@@ -381,29 +380,31 @@ func inspectBox(data []byte) (*BoxStats, error) {
 	}
 	bs.RawAccounted = parseRaw + extractRaw + assembleRaw
 
-	// Packed attribution: magic + varint framing + compressed metadata +
-	// capsule blobs reconstructs the file size exactly.
+	// Packed attribution: compressed metadata + line-map section + capsule
+	// blobs, and whatever else the file holds (magic, length varints) as
+	// framing, so the column sums to the file size exactly.
 	metaComp, _ := box.MetaSizes()
+	lineMaps := box.LineMapBytes()
 	blobBytes := 0
 	for id := range meta.Capsules {
 		blobBytes += box.BlobSize(id)
 	}
-	framing := len(capsule.BoxMagic) +
-		uvarintLen(uint64(metaComp)) +
-		uvarintLen(uint64(len(meta.Capsules))) +
-		(len(data) - len(capsule.BoxMagic) -
-			uvarintLen(uint64(metaComp)) - uvarintLen(uint64(len(meta.Capsules))) -
-			metaComp - blobBytes) // residual is 0 for a well-formed box
+	parseNote := "templates + all pattern metadata (lzma, one section)"
+	lineMapNote := "row→line maps, one Rice bitstream per group; raw = one newline per line"
+	if lineMaps == 0 && meta.NumLines > 0 {
+		parseNote = "templates, line maps + all pattern metadata (lzma, one section)"
+		lineMapNote = "rev-1 box: row→line maps are packed inside the parse section"
+	}
 	bs.Stages = []StageBytes{
-		{Stage: "parse", RawBytes: parseRaw, PackedBytes: metaComp,
-			Note: "templates, line maps + all pattern metadata (lzma, one section)"},
+		{Stage: "parse", RawBytes: parseRaw, PackedBytes: metaComp, Note: parseNote},
+		{Stage: "linemap", RawBytes: meta.NumLines, PackedBytes: lineMaps, Note: lineMapNote},
 		{Stage: "extract", RawBytes: extractRaw,
 			Note: "runtime-pattern literals (stored in the parse metadata section)"},
 		{Stage: "assemble", RawBytes: assembleRaw,
 			Note: "capsule values; compressed bytes appear under pack"},
 		{Stage: "pack", PackedBytes: blobBytes,
 			Note: "lzma capsule blobs incl chunk framing"},
-		{Stage: "framing", PackedBytes: framing,
+		{Stage: "framing", PackedBytes: len(data) - metaComp - lineMaps - blobBytes,
 			Note: "magic + length varints"},
 	}
 	return bs, nil
@@ -641,10 +642,4 @@ func entropyBits(b []byte) float64 {
 		h -= p * math.Log2(p)
 	}
 	return h
-}
-
-// uvarintLen returns the encoded size of x as a uvarint.
-func uvarintLen(x uint64) int {
-	var buf [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(buf[:], x)
 }

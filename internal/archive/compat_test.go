@@ -1,9 +1,12 @@
 package archive
 
 import (
+	"bytes"
 	"os"
 	"testing"
 
+	"loggrep/internal/capsule"
+	"loggrep/internal/loggen"
 	"loggrep/internal/logparse"
 )
 
@@ -13,19 +16,43 @@ import (
 // produced by the v1 writer before the v2 format landed; they must keep
 // opening forever.
 func TestV1FixtureCompat(t *testing.T) {
-	raw, err := os.ReadFile("testdata/v1_fixture.log")
+	checkFixture(t, "v1_fixture", MagicV1, 4, []string{"ERROR", "Operation:WriteChunk", "NOT INFO"})
+}
+
+// TestBox1FixtureCompat does the same for a v2-frame archive whose blocks
+// are rev-1 CapsuleBoxes (LGRPBOX1: line maps inside the LZMA'd metadata),
+// written by commit 7abb5d0 — the last whose writer emitted them — from 700
+// lines each of loggen types A, G and S in 32 KiB blocks. The queries are
+// those types' Table-1 queries plus a broad and a negated one.
+func TestBox1FixtureCompat(t *testing.T) {
+	queries := []string{"ERROR", "NOT INFO"}
+	for _, name := range []string{"A", "G", "S"} {
+		lt, _ := loggen.ByName(name)
+		queries = append(queries, lt.Query)
+	}
+	data := checkFixture(t, "box1_fixture", Magic, 6, queries)
+	if n := bytes.Count(data, []byte("LGRPBOX1")); n != 6 || bytes.Contains(data, []byte(capsule.BoxMagic)) {
+		t.Fatalf("fixture holds %d rev-1 boxes (want 6) or a current-revision one", n)
+	}
+}
+
+// checkFixture opens testdata/<name>.lgrep, checks it against the raw log
+// beside it, and returns the archive bytes.
+func checkFixture(t *testing.T, name, magic string, minBlocks int, queries []string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/" + name + ".log")
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile("testdata/v1_fixture.lgrep")
+	data, err := os.ReadFile("testdata/" + name + ".lgrep")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hasMagic(data, MagicV1) {
-		t.Fatalf("fixture is not a v1 archive (magic %q)", data[:8])
+	if !hasMagic(data, magic) {
+		t.Fatalf("fixture is not a %s archive (magic %q)", magic, data[:8])
 	}
 	if !IsArchive(data) {
-		t.Fatal("IsArchive rejects the v1 fixture")
+		t.Fatal("IsArchive rejects the fixture")
 	}
 	lines := logparse.SplitLines(raw)
 
@@ -36,17 +63,17 @@ func TestV1FixtureCompat(t *testing.T) {
 	if a.NumLines() != len(lines) {
 		t.Fatalf("lines = %d, want %d", a.NumLines(), len(lines))
 	}
-	if a.NumBlocks() < 4 {
-		t.Fatalf("fixture has %d blocks, want >= 4", a.NumBlocks())
+	if a.NumBlocks() < minBlocks {
+		t.Fatalf("fixture has %d blocks, want >= %d", a.NumBlocks(), minBlocks)
 	}
 	if a.RawBytes() != len(raw) {
 		t.Fatalf("raw bytes = %d, want %d", a.RawBytes(), len(raw))
 	}
 	if d := a.Verify(true); d != nil {
-		t.Fatalf("pristine v1 fixture reports damage: %v", d)
+		t.Fatalf("pristine fixture reports damage: %v", d)
 	}
 
-	for _, cmd := range []string{"ERROR", "Operation:WriteChunk", "NOT INFO"} {
+	for _, cmd := range queries {
 		res, err := a.Query(cmd, 2)
 		if err != nil {
 			t.Fatalf("query %q: %v", cmd, err)
@@ -74,4 +101,5 @@ func TestV1FixtureCompat(t *testing.T) {
 			t.Fatalf("line %d: %q != %q", i, got[i], lines[i])
 		}
 	}
+	return data
 }

@@ -106,18 +106,17 @@ func (a *Archive) Explain(command string) (*core.Explain, error) {
 
 // mergeExplain folds one block's explanation into the aggregate: searches
 // line up by position (both come from the same parsed command), and groups
-// merge by template string — rows, funnel counts, and candidates sum.
+// merge by template string — rows, seeds, funnel counts, and candidates
+// sum. A group counts only in the blocks whose filter entered it.
 func mergeExplain(agg, ex *core.Explain) {
 	agg.Decompressions += ex.Decompressions
 	agg.StampPrunes += ex.StampPrunes
 	for si, se := range ex.Searches {
 		if si >= len(agg.Searches) {
-			agg.Searches = append(agg.Searches, core.SearchExplain{
-				Phrase:    se.Phrase,
-				Fragments: se.Fragments,
-			})
+			agg.Searches = append(agg.Searches, core.SearchExplain{Phrase: se.Phrase})
 		}
 		as := &agg.Searches[si]
+		as.Order, as.Fragments = se.Order, se.Fragments // the command's, the same in every block
 		as.Candidates += se.Candidates
 		for _, ge := range se.Groups {
 			gi := -1
@@ -136,6 +135,7 @@ func mergeExplain(agg, ex *core.Explain) {
 			}
 			ag := &as.Groups[gi]
 			ag.Rows += ge.Rows
+			ag.Seed += ge.Seed
 			for i, n := range ge.AfterFragment {
 				if i < len(ag.AfterFragment) {
 					ag.AfterFragment[i] += n

@@ -8,8 +8,14 @@ import (
 	"loggrep/internal/rtpattern"
 )
 
-// BoxMagic identifies a CapsuleBox stream.
-const BoxMagic = "LGRPBOX1"
+// BoxMagic identifies a CapsuleBox stream: the one format WriteBox emits.
+// Rev 2 keeps the row→line maps out of the LZMA'd metadata, as per-map Rice
+// bitstreams that decode on first touch (see LineMap).
+const BoxMagic = "LGRPBOX2"
+
+// boxMagicV1 marks the previous revision, whose metadata section carried
+// every line map as delta varints. ReadBox still opens it.
+const boxMagicV1 = "LGRPBOX1"
 
 // Flags recorded in a CapsuleBox header. They echo the compressor options a
 // box was built with so the query engine adapts (ablation modes).
@@ -77,29 +83,41 @@ type TemplateElem struct {
 // GroupMeta describes one static-pattern group.
 type GroupMeta struct {
 	Template []TemplateElem
-	Lines    []int // original block line number of each entry, ascending
+	Lines    LineMap // original block line number of each entry
 	Vars     []VarMeta
 }
 
 // Rows returns the number of entries in the group.
-func (g *GroupMeta) Rows() int { return len(g.Lines) }
+func (g *GroupMeta) Rows() int { return g.Lines.Rows() }
 
 // Meta is the metadata section of a CapsuleBox.
 type Meta struct {
 	NumLines     int
 	Flags        uint64
 	Groups       []GroupMeta
-	OutlierCapID int   // capsule holding unparsed raw lines; -1 if none
-	OutlierLines []int // their original line numbers, ascending
+	OutlierCapID int     // capsule holding unparsed raw lines; -1 if none
+	OutlierLines LineMap // their original line numbers
 	Capsules     []Info
 }
 
+// lineMaps lists the box's line maps in stored order: one per group, then
+// the outlier lines'.
+func (m *Meta) lineMaps() []*LineMap {
+	maps := make([]*LineMap, 0, len(m.Groups)+1)
+	for gi := range m.Groups {
+		maps = append(maps, &m.Groups[gi].Lines)
+	}
+	return append(maps, &m.OutlierLines)
+}
+
+// encode serializes the directory: everything but the line maps, of which
+// it records the row counts only.
 func (m *Meta) encode() []byte {
 	var e encbuf
 	e.uint(uint64(m.NumLines))
 	e.uint(m.Flags)
 	e.int(m.OutlierCapID)
-	e.ascInts(m.OutlierLines)
+	e.uint(uint64(m.OutlierLines.Rows()))
 	e.uint(uint64(len(m.Capsules)))
 	for _, c := range m.Capsules {
 		e.uint(uint64(c.Kind))
@@ -119,7 +137,7 @@ func (m *Meta) encode() []byte {
 				e.str(t.Lit)
 			}
 		}
-		e.ascInts(g.Lines)
+		e.uint(uint64(g.Rows()))
 		e.uint(uint64(len(g.Vars)))
 		for _, v := range g.Vars {
 			e.uint(uint64(v.Kind))
@@ -180,19 +198,38 @@ func decodeElems(d *decbuf) []PatternElem {
 	return elems
 }
 
-func decodeMeta(raw []byte) (*Meta, error) {
+// decodeMeta parses the metadata section. A rev-1 section carries the line
+// maps inline; a rev-2 directory carries their row counts and readLineMaps
+// attaches the bitstreams.
+func decodeMeta(raw []byte, rev1 bool) (*Meta, error) {
 	d := &decbuf{b: raw}
 	m := &Meta{}
+	lineMap := func() LineMap {
+		if !rev1 {
+			return LineMap{rows: d.size()}
+		}
+		// Decoded here, so validated here — what a rev-2 map's first touch
+		// checks: strictly ascending, inside the block.
+		lines := d.ascInts()
+		for i, l := range lines {
+			if l < 0 || l >= m.NumLines || (i > 0 && l <= lines[i-1]) {
+				d.fail("line map out of order or range")
+				break
+			}
+		}
+		return NewLineMap(lines)
+	}
 	m.NumLines = d.size()
-	// Every line costs at least one encoded byte in the group line maps or
-	// the outlier line list, so a line count beyond the metadata size is
-	// forged — reject it before it sizes the line index allocation.
-	if d.err == nil && m.NumLines > len(raw) {
+	// Every rev-1 line costs at least one encoded byte in the group line
+	// maps or the outlier line list, so a line count beyond the metadata
+	// size is forged — reject it before it sizes the line index allocation.
+	// (readLineMaps bounds a rev-2 count by the bitstreams the same way.)
+	if rev1 && d.err == nil && m.NumLines > len(raw) {
 		d.fail("implausible line count")
 	}
 	m.Flags = d.uint()
 	m.OutlierCapID = d.int()
-	m.OutlierLines = d.ascInts()
+	m.OutlierLines = lineMap()
 	nc := d.length(4)
 	m.Capsules = make([]Info, 0, nc)
 	for i := 0; i < nc && d.err == nil; i++ {
@@ -220,7 +257,7 @@ func decodeMeta(raw []byte) (*Meta, error) {
 			}
 			g.Template = append(g.Template, t)
 		}
-		g.Lines = d.ascInts()
+		g.Lines = lineMap()
 		nv := d.length(2)
 		g.Vars = make([]VarMeta, 0, nv)
 		for j := 0; j < nv && d.err == nil; j++ {
@@ -260,8 +297,9 @@ func decodeMeta(raw []byte) (*Meta, error) {
 	return m, nil
 }
 
-// WriteBox assembles a CapsuleBox: LZMA-compressed metadata followed by one
-// blob per Capsule payload (payloads[i] belongs to meta.Capsules[i]).
+// WriteBox assembles a CapsuleBox: the LZMA-compressed directory, the
+// line-map section, then one blob per Capsule payload (payloads[i] belongs
+// to meta.Capsules[i]).
 // chunkTarget > 0 cuts large capsules into ~chunkTarget-byte chunks that
 // compress independently (see chunk.go); 0 compresses each capsule whole,
 // as the paper does.
@@ -280,15 +318,79 @@ func WriteBox(meta *Meta, payloads [][]byte, chunkTarget int) []byte {
 	}
 	mc := lzma.Compress(meta.encode())
 	// Room for payloads that pack 2:1; append grows it if they do worse.
-	out := make([]byte, 0, len(BoxMagic)+len(mc)+raw/2+2*binary.MaxVarintLen64)
+	out := make([]byte, 0, len(BoxMagic)+len(mc)+raw/2+3*binary.MaxVarintLen64)
 	out = append(out, BoxMagic...)
 	out = binary.AppendUvarint(out, uint64(len(mc)))
 	out = append(out, mc...)
+	out = appendLineMaps(out, meta.lineMaps(), meta.NumLines)
 	out = binary.AppendUvarint(out, uint64(len(payloads)))
 	for i, p := range payloads {
 		out = appendBlob(out, &meta.Capsules[i], p, chunkTarget)
 	}
 	return out
+}
+
+// appendLineMaps appends the line-map section of a block of numLines lines:
+// its byte length, then a table of (Rice parameter byte, stream length
+// uvarint) per map, then the streams back to back. Each map gets the
+// parameter that codes it smallest; a map that came out of a rev-2 box is
+// copied as stored.
+func appendLineMaps(dst []byte, maps []*LineMap, numLines int) []byte {
+	var table, streams []byte
+	for _, m := range maps {
+		k, start := uint(m.k), len(streams)
+		if m.enc != nil {
+			streams = append(streams, m.enc...)
+		} else {
+			k = riceParam(m.lines, numLines)
+			streams = appendRice(streams, m.lines, k, numLines)
+		}
+		table = append(table, byte(k))
+		table = binary.AppendUvarint(table, uint64(len(streams)-start))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(table)+len(streams)))
+	dst = append(dst, table...)
+	return append(dst, streams...)
+}
+
+// readLineMaps attaches a rev-2 line-map section to the maps whose row
+// counts the directory declared. Nothing is decoded; the checks are the ones
+// that bound what a later decode may allocate.
+func readLineMaps(meta *Meta, sec []byte) error {
+	bad := func(what string) error { return fmt.Errorf("%w: line maps: %s", ErrCorrupt, what) }
+	// A line costs at least one bit of some map's stream.
+	if meta.NumLines > 8*len(sec) {
+		return bad("implausible line count")
+	}
+	maps := meta.lineMaps()
+	lens := make([]int, len(maps))
+	pos := 0
+	for i, m := range maps {
+		if pos >= len(sec) {
+			return bad("table truncated")
+		}
+		m.k = sec[pos]
+		ln, n := binary.Uvarint(sec[pos+1:])
+		if n <= 0 || ln > uint64(len(sec)) {
+			return bad("bad stream length")
+		}
+		pos += 1 + n
+		lens[i] = int(ln)
+	}
+	for i, m := range maps {
+		if lens[i] > len(sec)-pos {
+			return bad("stream overruns section")
+		}
+		m.enc, m.limit = sec[pos:pos+lens[i]], meta.NumLines
+		pos += lens[i]
+		if m.k > maxRiceParam || m.rows > 8*lens[i] || (m.rows == 0 && lens[i] != 0) {
+			return bad("implausible map header")
+		}
+	}
+	if pos != len(sec) {
+		return bad("trailing bytes")
+	}
+	return nil
 }
 
 // Box is a read-opened CapsuleBox. Payloads decompress lazily and are
@@ -306,11 +408,17 @@ type Box struct {
 
 	metaCompLen int // compressed metadata section size
 	metaRawLen  int // decompressed metadata size
+	lineMapLen  int // line-map section size (0 in a rev-1 box)
 }
 
-// ReadBox parses a CapsuleBox produced by WriteBox.
+// ReadBox parses a CapsuleBox produced by WriteBox, of this or the previous
+// format revision.
 func ReadBox(data []byte) (*Box, error) {
-	if len(data) < len(BoxMagic) || string(data[:len(BoxMagic)]) != BoxMagic {
+	if len(data) < len(BoxMagic) {
+		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	}
+	magic := string(data[:len(BoxMagic)])
+	if magic != BoxMagic && magic != boxMagicV1 {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	rest := data[len(BoxMagic):]
@@ -324,9 +432,20 @@ func ReadBox(data []byte) (*Box, error) {
 		return nil, fmt.Errorf("%w: meta: %v", ErrCorrupt, err)
 	}
 	rest = rest[mlen:]
-	meta, err := decodeMeta(metaRaw)
+	meta, err := decodeMeta(metaRaw, magic == boxMagicV1)
 	if err != nil {
 		return nil, err
+	}
+	var lmlen uint64
+	if magic == BoxMagic {
+		lmlen, n = binary.Uvarint(rest)
+		if n <= 0 || uint64(len(rest)-n) < lmlen {
+			return nil, fmt.Errorf("%w: bad line-map section length", ErrCorrupt)
+		}
+		if err := readLineMaps(meta, rest[n:n+int(lmlen)]); err != nil {
+			return nil, err
+		}
+		rest = rest[n+int(lmlen):]
 	}
 	nb, n := binary.Uvarint(rest)
 	if n <= 0 || nb != uint64(len(meta.Capsules)) {
@@ -349,19 +468,25 @@ func ReadBox(data []byte) (*Box, error) {
 	return &Box{
 		Meta: meta, refs: refs,
 		cache: make(map[int][]byte), chunkCache: make(map[[2]int][]byte),
-		metaCompLen: int(mlen), metaRawLen: len(metaRaw),
+		metaCompLen: int(mlen), metaRawLen: len(metaRaw), lineMapLen: int(lmlen),
 	}, nil
 }
 
 // MetaSizes returns the compressed and decompressed byte size of the box's
-// metadata section (templates, runtime patterns, line maps, capsule
-// directory) — the "parse/extract" share of the packed bytes.
+// metadata section (templates, runtime patterns, capsule directory; in a
+// rev-1 box the line maps too) — the "parse/extract" share of the packed
+// bytes.
 func (b *Box) MetaSizes() (compressed, raw int) { return b.metaCompLen, b.metaRawLen }
+
+// LineMapBytes returns the size of the box's line-map section (table and
+// Rice streams); 0 for a rev-1 box, whose maps sit in the metadata section.
+func (b *Box) LineMapBytes() int { return b.lineMapLen }
 
 // BlobSize returns the encoded size of capsule id's blob inside the box:
 // the compressed chunks plus their chunk framing. Summing BlobSize over
-// all capsules plus MetaSizes' compressed size plus the box header framing
-// reconstructs the exact box file size (anatomy accounting relies on it).
+// all capsules plus MetaSizes' compressed size plus LineMapBytes plus the
+// box header framing reconstructs the exact box file size (anatomy
+// accounting relies on it).
 func (b *Box) BlobSize(id int) int {
 	if id < 0 || id >= len(b.refs) {
 		return 0
@@ -461,12 +586,17 @@ func (b *Box) PayloadChunk(id, ci int) ([]byte, error) {
 	return p, nil
 }
 
-// DropCache releases decompressed payloads (used between benchmark
-// iterations to model cold queries).
+// DropCache releases decompressed payloads and decoded line maps (used
+// between benchmark iterations to model cold queries).
 func (b *Box) DropCache() {
 	b.cache = make(map[int][]byte)
 	b.chunkCache = make(map[[2]int][]byte)
 	b.Decompressions = 0
+	for _, m := range b.Meta.lineMaps() {
+		if m.enc != nil {
+			m.lines = nil
+		}
+	}
 }
 
 // CacheSnapshot exposes the decompressed payload cache (test/diagnostics).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -116,7 +117,7 @@ func sampleMeta() (*Meta, [][]byte) {
 		NumLines:     6,
 		Flags:        FlagStaticOnly,
 		OutlierCapID: 4,
-		OutlierLines: []int{5},
+		OutlierLines: NewLineMap([]int{5}),
 		Capsules: []Info{
 			{Kind: SubVar, Stamp: rtpattern.Stamp{TypeMask: 1, MaxLen: 3}, Rows: 2, Width: 3},
 			{Kind: SubVar, Stamp: rtpattern.Stamp{TypeMask: 5, MaxLen: 4}, Rows: 2, Width: 4},
@@ -127,7 +128,7 @@ func sampleMeta() (*Meta, [][]byte) {
 		Groups: []GroupMeta{
 			{
 				Template: []TemplateElem{{Var: -1, Lit: "T"}, {Var: 0}, {Var: -1, Lit: " read"}},
-				Lines:    []int{0, 2},
+				Lines:    NewLineMap([]int{0, 2}),
 				Vars: []VarMeta{
 					{
 						Kind: RealVar,
@@ -144,7 +145,7 @@ func sampleMeta() (*Meta, [][]byte) {
 			},
 			{
 				Template: []TemplateElem{{Var: 0}, {Var: -1, Lit: " state"}},
-				Lines:    []int{1, 3, 4},
+				Lines:    NewLineMap([]int{1, 3, 4}),
 				Vars: []VarMeta{
 					{
 						Kind:       NominalVar,
@@ -308,10 +309,12 @@ func TestQuickMetaRoundTrip(t *testing.T) {
 		for i := 0; i < ng; i++ {
 			var g GroupMeta
 			g.Template = []TemplateElem{{Var: -1, Lit: "x"}, {Var: 0}}
+			var lines []int
 			for j := 0; j < rng.Intn(5)+1; j++ {
 				lineNo += rng.Intn(3) + 1
-				g.Lines = append(g.Lines, lineNo)
+				lines = append(lines, lineNo)
 			}
+			g.Lines = NewLineMap(lines)
 			g.Vars = []VarMeta{{
 				Kind:     RealVar,
 				Pattern:  []PatternElem{{Sub: 0, Stamp: rtpattern.Stamp{TypeMask: 1, MaxLen: 5}, CapID: 0}},
@@ -347,19 +350,104 @@ func TestQuickMetaRoundTrip(t *testing.T) {
 			return false
 		}
 		for i, g := range meta.Groups {
-			got := box.Meta.Groups[i]
-			if len(got.Lines) != len(g.Lines) {
+			want, _ := g.Lines.Lines()
+			got, err := box.Meta.Groups[i].Lines.Lines()
+			if err != nil || !slices.Equal(got, want) {
 				return false
-			}
-			for j := range g.Lines {
-				if got.Lines[j] != g.Lines[j] {
-					return false
-				}
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Line maps of every density round-trip through the Rice code at the
+// parameter the writer picks, and no other parameter codes them smaller.
+func TestLineMapRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		stride := 1 << rng.Intn(14)
+		var lines []int
+		next := rng.Intn(stride)
+		for i := rng.Intn(300); i > 0; i-- {
+			lines = append(lines, next)
+			next += 1 + rng.Intn(stride)
+		}
+		k := riceParam(lines, next)
+		enc := appendRice(nil, lines, k, next)
+		for other := uint(0); other <= maxRiceParam; other++ {
+			if n := len(appendRice(nil, lines, other, next)); n < len(enc) {
+				t.Fatalf("stride %d: parameter %d codes %d bytes, chosen %d codes %d", stride, other, n, k, len(enc))
+			}
+		}
+		got, err := decodeRice(enc, k, len(lines), next)
+		if err != nil || !slices.Equal(got, lines) {
+			t.Fatalf("stride %d k %d: decoded %v (%v), want %v", stride, k, got, err, lines)
+		}
+	}
+}
+
+// The first-touch validation rejects every way a stored map can disagree
+// with its header.
+func TestLineMapRejects(t *testing.T) {
+	lines := []int{3, 4, 90, 91, 500} // at k = 4 the last gap is escaped
+	const k = 4
+	enc := appendRice(nil, lines, k, 501)
+	if _, err := decodeRice(enc, k, len(lines), 501); err != nil {
+		t.Fatalf("pristine map rejected: %v", err)
+	}
+	padded := bytes.Clone(enc)
+	padded[len(padded)-1] |= 1
+	for name, c := range map[string]struct {
+		enc         []byte
+		k           uint
+		rows, limit int
+	}{
+		"line beyond block":   {enc, k, len(lines), 500},
+		"fewer rows":          {enc, k, len(lines) - 1, 501},
+		"more rows":           {enc, k, len(lines) + 1, 501},
+		"truncated":           {enc[:len(enc)-1], k, len(lines), 501},
+		"trailing byte":       {append(bytes.Clone(enc), 0), k, len(lines), 501},
+		"nonzero padding":     {padded, k, len(lines), 501},
+		"other parameter":     {enc, k + 1, len(lines), 501},
+		"parameter too large": {enc, maxRiceParam + 1, len(lines), 501},
+		"rows beyond stream":  {enc, k, 8*len(enc) + 1, 1 << 30},
+		"negative rows":       {enc, k, -1, 501},
+		// Line 0 as sixteen one-bits and a 7-bit zero, where "0" codes it.
+		"escaped a short gap": {[]byte{0xff, 0xff, 0x00}, 0, 1, 100},
+	} {
+		if got, err := decodeRice(c.enc, c.k, c.rows, c.limit); err == nil {
+			t.Errorf("%s: accepted as %v", name, got)
+		}
+	}
+}
+
+// A Meta that came out of ReadBox re-encodes to the same box without its
+// line maps ever being decoded (the benchmark harness re-packs boxes so).
+func TestBoxReencodeKeepsLineMapsPacked(t *testing.T) {
+	meta, payloads := sampleMeta()
+	data := WriteBox(meta, payloads, 0)
+	box, err := ReadBox(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := WriteBox(box.Meta, payloads, 0); !bytes.Equal(again, data) {
+		t.Fatal("re-encoded box differs")
+	}
+	for i, m := range box.Meta.lineMaps() {
+		if !m.Pending() {
+			t.Fatalf("line map %d was decoded by ReadBox or WriteBox", i)
+		}
+	}
+	want := [][]int{{0, 2}, {1, 3, 4}, {5}}
+	for i, m := range box.Meta.lineMaps() {
+		if got, err := m.Lines(); err != nil || !slices.Equal(got, want[i]) {
+			t.Fatalf("line map %d = %v (%v), want %v", i, got, err, want[i])
+		}
+	}
+	if box.LineMapBytes() == 0 {
+		t.Fatal("rev-2 box reports no line-map section")
 	}
 }

@@ -7,7 +7,8 @@
 // numbers by division. Each Capsule carries a stamp — a 6-bit character-type
 // mask and the maximal value length — used to skip decompression during
 // keyword matching. A CapsuleBox is the compressed form of one log block:
-// an LZMA-compressed metadata section (static patterns, runtime patterns,
-// stamps, line maps, capsule directory) followed by independently
+// an LZMA-compressed directory (static patterns, runtime patterns, stamps,
+// capsule table, per-group row counts), the groups' row→line maps as Rice
+// bitstreams that decode on first touch, then independently
 // LZMA-compressed Capsule payloads.
 package capsule

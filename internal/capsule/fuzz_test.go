@@ -1,6 +1,9 @@
 package capsule
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // FuzzReadBox: arbitrary bytes must never panic, and whatever opens must
 // serve payloads without panicking.
@@ -36,6 +39,42 @@ func FuzzReadBox(f *testing.F) {
 		}
 		for i := range box.Meta.Capsules {
 			box.Payload(i)
+		}
+		for _, m := range box.Meta.lineMaps() {
+			m.Lines()
+		}
+	})
+}
+
+// FuzzLineMap: a Rice stream under any header must never panic or allocate
+// beyond its own size, and what decodes is what the first-touch validation
+// promises — the declared count of strictly ascending numbers below the
+// limit, from exactly these bytes (the code is canonical, so re-encoding
+// gives them back).
+func FuzzLineMap(f *testing.F) {
+	f.Add(appendRice(nil, []int{0, 2, 5, 9}, 1, 10), uint8(1), 4, 10)
+	f.Add(appendRice(nil, []int{7, 4000, 4001, 70000}, 2, 70001), uint8(2), 4, 70001) // escaped gaps
+	f.Add(appendRice(nil, []int{0, 1, 2, 3, 4, 5, 6, 7, 8}, 0, 9), uint8(0), 9, 9)
+	f.Add(bytes.Repeat([]byte{0xff}, 64), uint8(0), 1, 1<<31-1) // ones all the way
+	f.Add([]byte{0x00}, uint8(3), 9, 100)                       // more rows than bits
+	f.Add([]byte(nil), uint8(0), 0, 0)
+	f.Fuzz(func(t *testing.T, enc []byte, k uint8, rows, limit int) {
+		lines, err := decodeRice(enc, uint(k), rows, limit)
+		if err != nil {
+			return
+		}
+		if len(lines) != rows || rows > 8*len(enc) {
+			t.Fatalf("%d lines from %d bytes, header says %d", len(lines), len(enc), rows)
+		}
+		prev := -1
+		for _, l := range lines {
+			if l <= prev || l >= limit {
+				t.Fatalf("line %d after %d under limit %d", l, prev, limit)
+			}
+			prev = l
+		}
+		if re := appendRice(nil, lines, uint(k), limit); !bytes.Equal(re, enc) {
+			t.Fatalf("re-encoded to %x, decoded from %x", re, enc)
 		}
 	})
 }

@@ -28,7 +28,7 @@ func Compress(block []byte, opts Options) []byte {
 	meta := &capsule.Meta{
 		NumLines:     parsed.NumLines,
 		OutlierCapID: -1,
-		OutlierLines: parsed.OutlierLines,
+		OutlierLines: capsule.NewLineMap(parsed.OutlierLines),
 	}
 	if opts.StaticOnly {
 		meta.Flags |= capsule.FlagStaticOnly
@@ -42,7 +42,7 @@ func Compress(block []byte, opts Options) []byte {
 
 	for _, g := range parsed.Groups {
 		tGroup := time.Now()
-		gm := capsule.GroupMeta{Lines: g.Lines}
+		gm := capsule.GroupMeta{Lines: capsule.NewLineMap(g.Lines)}
 		for _, e := range g.Template.Elems {
 			gm.Template = append(gm.Template, capsule.TemplateElem{Lit: e.Lit, Var: e.Var})
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 
-	"loggrep/internal/bitset"
 	"loggrep/internal/liveops"
 	"loggrep/internal/query"
 )
@@ -46,7 +45,7 @@ func (st *Store) CountContext(ctx context.Context, command string, budget *Budge
 		ctx: ctx, budget: budget, prog: liveops.ProgressFrom(ctx),
 		baseScan: st.stats.bytesScanned, baseDecomp: st.box.Decompressions,
 	}
-	set, err := st.exactEval(expr)
+	set, err := st.exactEval(expr, nil)
 	st.intr = nil
 	st.mu.Unlock()
 	if isBudgetStop(err) {
@@ -56,7 +55,7 @@ func (st *Store) CountContext(ctx context.Context, command string, budget *Budge
 	if err != nil {
 		return 0, "", err
 	}
-	return set.Count(), "", nil
+	return set.count(), "", nil
 }
 
 // allExactLeaves reports whether the expression only contains search
@@ -78,40 +77,40 @@ func allExactLeaves(e query.Expr) bool {
 	return false
 }
 
-// exactEval evaluates an all-exact expression purely on filter bitsets;
-// NOT complements soundly because the leaf sets are exact.
-func (st *Store) exactEval(e query.Expr) (*bitset.Set, error) {
+// exactEval evaluates an all-exact expression purely on filter sets,
+// restricted to within like overApprox (whose narrowing it shares: the sets
+// being exact, result = M(e) ∩ within). NOT complements soundly because the
+// leaf sets are exact — but only a set computed over all rows, so a NOT's
+// operand is evaluated unrestricted and the complement cut to within after.
+func (st *Store) exactEval(e query.Expr, within *rowSets) (*rowSets, error) {
 	switch x := e.(type) {
 	case *query.And:
-		l, err := st.exactEval(x.L)
-		if err != nil {
-			return nil, err
+		hi, lo := andOrder(x)
+		l, err := st.exactEval(hi, within)
+		if err != nil || !l.any() {
+			return l, err
 		}
-		r, err := st.exactEval(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return l.And(r), nil
+		return st.exactEval(lo, l)
 	case *query.Or:
-		l, err := st.exactEval(x.L)
+		l, err := st.exactEval(x.L, within)
 		if err != nil {
 			return nil, err
 		}
-		r, err := st.exactEval(x.R)
+		r, err := st.exactEval(x.R, within)
 		if err != nil {
 			return nil, err
 		}
-		return l.Or(r), nil
+		return l.or(r), nil
 	case *query.Not:
-		s, err := st.exactEval(x.X)
+		s, err := st.exactEval(x.X, nil)
 		if err != nil {
 			return nil, err
 		}
-		return s.Not(), nil
+		return st.rowsOf(within).andNot(s), nil
 	case *query.Search:
-		return st.searchCandidates(x)
+		return st.searchCandidates(x, within)
 	}
-	return bitset.New(st.NumLines()), nil
+	return st.noRows(), nil
 }
 
 // RawQuery runs a command over an uncompressed block with the same exact

@@ -42,10 +42,27 @@ type Explain struct {
 	IndexState            string
 }
 
+// explainRec is the recorder Store.Explain attaches to the filter phase:
+// ex.Searches[i] describes the command's i-th search string, leaves[i]. A
+// nil recorder (every ordinary query) records nothing, and so do the nil
+// recorders it hands out.
+type explainRec struct {
+	ex      *Explain
+	leaves  []*query.Search
+	planned int // search strings numbered so far
+}
+
 // SearchExplain is the funnel of one search string.
 type SearchExplain struct {
-	Phrase     string
-	Fragments  []string
+	Phrase    string
+	Fragments []string
+	// Order is the string's place in the filter's evaluation order, from
+	// 1; 0 means the filter never evaluates it because it sits under a NOT
+	// (NOT operands are checked on the reconstructed text).
+	Order int
+	// Groups holds the groups the string was evaluated in — all of them
+	// for the first conjunct, only those an earlier AND operand left
+	// candidates in for a later one, none when that left nothing.
 	Groups     []GroupExplain
 	Candidates int // total candidate lines across groups and outliers
 }
@@ -54,14 +71,18 @@ type SearchExplain struct {
 type GroupExplain struct {
 	Template string
 	Rows     int
-	// AfterFragment[i] is how many of the group's rows remain candidates
+	// Seed is how many of the group's rows the string started from: Rows,
+	// or the survivors of the AND operands evaluated before it.
+	Seed int
+	// AfterFragment[i] is how many of the seed rows remain candidates
 	// after intersecting fragments [0..i] (sorted longest-first, the
 	// execution order).
 	AfterFragment []int
 }
 
-// Explain analyzes a command without producing result entries. It performs
-// the same filtering a Query would (and warms the same caches), but skips
+// Explain analyzes a command without producing result entries. It runs the
+// filter phase a Query would — the same evaluation order, the same
+// narrowing, the same caches warmed — with a recorder attached, and skips
 // verification and reconstruction.
 func (st *Store) Explain(command string) (*Explain, error) {
 	expr, err := query.Parse(command)
@@ -73,44 +94,73 @@ func (st *Store) Explain(command string) (*Explain, error) {
 	d0 := st.box.Decompressions
 	st.en.pruned = 0
 	ex := &Explain{Command: command, NumLines: st.NumLines()}
-	for _, s := range query.Searches(expr) {
-		se := SearchExplain{Phrase: s.Raw}
-		frags := append([]string(nil), s.Fragments...)
-		// Longest first — same order searchCandidates uses.
-		for i := 0; i < len(frags); i++ {
-			for j := i + 1; j < len(frags); j++ {
-				if len(frags[j]) > len(frags[i]) {
-					frags[i], frags[j] = frags[j], frags[i]
-				}
-			}
-		}
-		se.Fragments = frags
-		for _, g := range st.groups {
-			ge := GroupExplain{Template: templateString(g), Rows: g.n}
-			cand := bitset.NewFull(g.n)
-			for _, frag := range frags {
-				if cand.Any() {
-					fs, err := st.en.findSubstr(g.seq, g.n, frag)
-					if err != nil {
-						return nil, err
-					}
-					cand.And(fs)
-				}
-				ge.AfterFragment = append(ge.AfterFragment, cand.Count())
-			}
-			if len(frags) == 0 {
-				ge.AfterFragment = []int{g.n}
-			}
-			se.Candidates += cand.Count()
-			// Keep every group for completeness; String() elides the
-			// fully pruned ones.
-			se.Groups = append(se.Groups, ge)
-		}
-		ex.Searches = append(ex.Searches, se)
+	rec := &explainRec{ex: ex, leaves: query.Searches(expr)}
+	for _, s := range rec.leaves {
+		ex.Searches = append(ex.Searches, SearchExplain{Phrase: s.Raw})
+	}
+	rec.plan(expr)
+	st.ex = rec
+	_, err = st.overApprox(expr, nil)
+	st.ex = nil
+	if err != nil {
+		return nil, err
 	}
 	ex.Decompressions = st.box.Decompressions - d0
 	ex.StampPrunes = st.en.pruned
 	return ex, nil
+}
+
+// plan numbers the search strings in the order overApprox reaches them.
+func (r *explainRec) plan(e query.Expr) {
+	switch x := e.(type) {
+	case *query.And:
+		hi, lo := andOrder(x)
+		r.plan(hi)
+		r.plan(lo)
+	case *query.Or:
+		r.plan(x.L)
+		r.plan(x.R)
+	case *query.Search:
+		r.planned++
+		se := r.search(x)
+		se.Order, se.Fragments = r.planned, fragmentOrder(x)
+	}
+}
+
+// search returns the record of one search string.
+func (r *explainRec) search(s *query.Search) *SearchExplain {
+	if r == nil {
+		return nil
+	}
+	for i, leaf := range r.leaves {
+		if leaf == s {
+			return &r.ex.Searches[i]
+		}
+	}
+	panic("core: explained search is not a leaf of the command")
+}
+
+// group starts recording one entered group, seeded with cand.
+func (se *SearchExplain) group(g *qGroup, cand *bitset.Set) *GroupExplain {
+	if se == nil {
+		return nil
+	}
+	se.Groups = append(se.Groups, GroupExplain{Template: templateString(g), Rows: g.n, Seed: cand.Count()})
+	return &se.Groups[len(se.Groups)-1]
+}
+
+// after records the candidates left once one more fragment is intersected.
+func (ge *GroupExplain) after(cand *bitset.Set) {
+	if ge != nil {
+		ge.AfterFragment = append(ge.AfterFragment, cand.Count())
+	}
+}
+
+// add counts the candidates one group, or the outlier capsule, ended with.
+func (se *SearchExplain) add(cand *bitset.Set) {
+	if se != nil {
+		se.Candidates += cand.Count()
+	}
 }
 
 // String renders the funnel, eliding groups nothing survived in.
@@ -131,21 +181,26 @@ func (ex *Explain) String() string {
 		}
 	}
 	for _, se := range ex.Searches {
-		fmt.Fprintf(&b, "search %q (fragments, most selective first: %v)\n", se.Phrase, se.Fragments)
-		shown := 0
+		if se.Order == 0 {
+			fmt.Fprintf(&b, "search %q: not filtered (under a NOT, checked on the reconstructed text)\n", se.Phrase)
+			continue
+		}
+		fmt.Fprintf(&b, "search %q (evaluated #%d; fragments, most selective first: %v)\n", se.Phrase, se.Order, se.Fragments)
+		shown, seeded := 0, 0
 		for _, ge := range se.Groups {
-			last := ge.Rows
+			last := ge.Seed
 			if n := len(ge.AfterFragment); n > 0 {
 				last = ge.AfterFragment[n-1]
 			}
+			seeded += ge.Seed
 			if last == 0 {
 				continue
 			}
 			shown++
-			fmt.Fprintf(&b, "  group %-50.50q rows=%-7d funnel=%v\n", ge.Template, ge.Rows, ge.AfterFragment)
+			fmt.Fprintf(&b, "  group %-50.50q rows=%-7d seed=%-7d funnel=%v\n", ge.Template, ge.Rows, ge.Seed, ge.AfterFragment)
 		}
-		fmt.Fprintf(&b, "  -> %d candidate lines in %d groups (%d groups fully pruned)\n",
-			se.Candidates, shown, len(se.Groups)-shown)
+		fmt.Fprintf(&b, "  -> %d candidate lines in %d groups (%d groups entered with %d rows, %d fully pruned)\n",
+			se.Candidates, shown, len(se.Groups), seeded, len(se.Groups)-shown)
 	}
 	fmt.Fprintf(&b, "capsules decompressed: %d, scans pruned by stamps: %d\n",
 		ex.Decompressions, ex.StampPrunes)

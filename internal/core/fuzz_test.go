@@ -48,12 +48,14 @@ func FuzzCompressReconstruct(f *testing.F) {
 func FuzzOpen(f *testing.F) {
 	f.Add(Compress([]byte("a b c\n"), DefaultOptions()))
 	f.Add([]byte("LGRPBOX1 garbage"))
+	f.Add([]byte("LGRPBOX2 garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Open(data, QueryOptions{})
 		if err != nil {
 			return
 		}
 		st.Query("a AND b")
+		st.Query("read OR NOT state:")
 		st.ReconstructAll()
 	})
 }

@@ -15,7 +15,6 @@ type searcher interface {
 	Bytes() int
 	Value(i int) []byte
 	ScanRows(part string, kind strmatch.Kind, fn func(row int) bool)
-	MatchRow(i int, part string, kind strmatch.Kind) bool
 }
 
 // capsuleHole exposes one Capsule as a hole; its row space is the

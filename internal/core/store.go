@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -39,13 +41,18 @@ type Store struct {
 	padding        bool
 	cacheOn        bool
 	groups         []*qGroup
-	lineIndex      []lineRef
 	searchers      map[int]searcher
 	chunkSearchers map[[2]int]searcher
 	findCache      map[findKey]*bitset.Set
 	size           int
 	stats          scanStats
 	readHook       ReadHook
+	// lineIndex inverts the line maps (block line → group row). Queries
+	// never need it; lineRefs builds it for the by-line-number entry points.
+	lineIndex    []lineRef
+	lineIndexErr error
+	// ex, non-nil only while Explain holds mu, records the filter funnel.
+	ex *explainRec
 
 	// mu serializes every path that touches the mutable state above
 	// (searchers, findCache, the box payload caches, stats, the engine's
@@ -72,6 +79,8 @@ type scanStats struct {
 	// bytesScanned sums the decompressed payload bytes those scans
 	// examined.
 	bytesScanned int
+	// lineMaps counts line maps decoded (first touches).
+	lineMaps int
 }
 
 // findKey keys the per-store cache of capsule scan results.
@@ -112,7 +121,11 @@ type Result struct {
 	PartialReason string
 }
 
-// Open parses a CapsuleBox produced by Compress.
+// Open parses a CapsuleBox produced by Compress. It validates the directory
+// — capsule references, row counts that agree with each other and add up
+// to the block's line count — and decodes no line map: a map is validated
+// when a query first needs it (capsule.LineMap.Lines), and that every line
+// is mapped exactly once when the by-line index is built (lineRefs).
 func Open(data []byte, opts QueryOptions) (*Store, error) {
 	box, err := capsule.ReadBox(data)
 	if err != nil {
@@ -130,11 +143,11 @@ func Open(data []byte, opts QueryOptions) (*Store, error) {
 		size:           len(data),
 		readHook:       opts.ReadHook,
 	}
-	st.lineIndex = make([]lineRef, box.Meta.NumLines)
-	covered := make([]bool, box.Meta.NumLines)
+	mapped := box.Meta.OutlierLines.Rows()
 	for gi := range box.Meta.Groups {
 		g := &box.Meta.Groups[gi]
 		qg := &qGroup{meta: g, n: g.Rows()}
+		mapped += qg.n
 		for _, te := range g.Template {
 			if te.Var < 0 {
 				qg.seq = append(qg.seq, seqElem{lit: te.Lit})
@@ -161,47 +174,67 @@ func Open(data []byte, opts QueryOptions) (*Store, error) {
 			}
 			qg.seq = append(qg.seq, seqElem{h: h})
 		}
-		for row, line := range g.Lines {
-			if line < 0 || line >= len(st.lineIndex) {
-				return nil, fmt.Errorf("%w: line %d out of range", capsule.ErrCorrupt, line)
-			}
-			if covered[line] {
-				return nil, fmt.Errorf("%w: line %d mapped twice", capsule.ErrCorrupt, line)
-			}
-			covered[line] = true
-			st.lineIndex[line] = lineRef{group: gi, row: row}
-		}
 		st.groups = append(st.groups, qg)
 	}
 	if oc := box.Meta.OutlierCapID; oc >= 0 {
 		if oc >= len(box.Meta.Capsules) {
 			return nil, fmt.Errorf("%w: outlier capsule id %d out of range", capsule.ErrCorrupt, oc)
 		}
-		if box.Meta.Capsules[oc].Rows != len(box.Meta.OutlierLines) {
+		if box.Meta.Capsules[oc].Rows != box.Meta.OutlierLines.Rows() {
 			return nil, fmt.Errorf("%w: outlier capsule rows mismatch", capsule.ErrCorrupt)
 		}
-	} else if len(box.Meta.OutlierLines) > 0 {
+	} else if box.Meta.OutlierLines.Rows() > 0 {
 		return nil, fmt.Errorf("%w: outlier lines without an outlier capsule", capsule.ErrCorrupt)
 	}
-	for rank, line := range box.Meta.OutlierLines {
-		if line < 0 || line >= len(st.lineIndex) {
-			return nil, fmt.Errorf("%w: outlier line %d out of range", capsule.ErrCorrupt, line)
-		}
-		if covered[line] {
-			return nil, fmt.Errorf("%w: outlier line %d mapped twice", capsule.ErrCorrupt, line)
-		}
-		covered[line] = true
-		st.lineIndex[line] = lineRef{group: -1, row: rank}
-	}
-	// Every line must be mapped: an uncovered line would silently
-	// reconstruct as group 0 row 0, turning corrupt metadata into wrong
-	// query matches instead of an error.
-	for line, ok := range covered {
-		if !ok {
-			return nil, fmt.Errorf("%w: line %d unmapped", capsule.ErrCorrupt, line)
-		}
+	// With as many rows as lines, the per-map checks (ascending, in range)
+	// and lineRefs' no-line-twice check leave no line unmapped.
+	if mapped != box.Meta.NumLines {
+		return nil, fmt.Errorf("%w: %d rows mapped for %d lines", capsule.ErrCorrupt, mapped, box.Meta.NumLines)
 	}
 	return st, nil
+}
+
+// lines returns a line map's numbers, counting its first touch.
+func (st *Store) lines(m *capsule.LineMap) ([]int, error) {
+	if m.Pending() {
+		st.stats.lineMaps++
+	}
+	return m.Lines()
+}
+
+// lineRefs returns the block line → (group, row) index, building it on
+// first use from every line map. This is where a box proves that its maps
+// cover each line exactly once.
+func (st *Store) lineRefs() ([]lineRef, error) {
+	if st.lineIndex != nil || st.lineIndexErr != nil {
+		return st.lineIndex, st.lineIndexErr
+	}
+	index := make([]lineRef, st.NumLines())
+	covered := make([]bool, len(index))
+	add := func(m *capsule.LineMap, group int) error {
+		lines, err := st.lines(m)
+		if err != nil {
+			return err
+		}
+		for row, line := range lines {
+			if covered[line] {
+				return fmt.Errorf("%w: line %d mapped twice", capsule.ErrCorrupt, line)
+			}
+			covered[line] = true
+			index[line] = lineRef{group: group, row: row}
+		}
+		return nil
+	}
+	for gi, g := range st.groups {
+		if st.lineIndexErr = add(&g.meta.Lines, gi); st.lineIndexErr != nil {
+			return nil, st.lineIndexErr
+		}
+	}
+	if st.lineIndexErr = add(&st.box.Meta.OutlierLines, -1); st.lineIndexErr != nil {
+		return nil, st.lineIndexErr
+	}
+	st.lineIndex = index
+	return index, nil
 }
 
 // checkRealVar validates capsule references before they are dereferenced.
@@ -327,6 +360,9 @@ func (st *Store) searcher(id int) (searcher, error) {
 		sr = strmatch.NewFixedWidth(payload, info.Width)
 	} else {
 		sr = strmatch.NewVarWidth(payload, info.Rows)
+		if sr.Rows() != info.Rows {
+			return nil, fmt.Errorf("%w: capsule %d holds %d values, want %d", capsule.ErrCorrupt, id, sr.Rows(), info.Rows)
+		}
 	}
 	st.searchers[id] = sr
 	return sr, nil
@@ -360,6 +396,7 @@ func (st *Store) ResetCounters() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.box.DropCache()
+	st.lineIndex = nil
 	st.searchers = make(map[int]searcher)
 	st.chunkSearchers = make(map[[2]int]searcher)
 	st.findCache = make(map[findKey]*bitset.Set)
@@ -376,12 +413,14 @@ func (st *Store) ClearCache() {
 // and returns matching entries in block order.
 //
 // Evaluation has two phases. The filtering phase computes, per search
-// string, a superset of matching lines using runtime-pattern matching and
+// string, a superset of matching rows using runtime-pattern matching and
 // Capsule-stamp filtering (§5.1), and combines those supersets across
-// AND/OR (a NOT operand contributes "all lines", keeping the union an
+// AND/OR (a NOT operand contributes "all rows", keeping the union an
 // over-approximation). The verification phase reconstructs only the
-// surviving candidate lines and evaluates the exact expression on their
+// surviving candidate rows and evaluates the exact expression on their
 // text, so results are precisely what grep on the raw block would return.
+// Candidates stay (group, row) pairs throughout; line numbers are looked up
+// last, for the groups that produced matches.
 func (st *Store) Query(command string) (*Result, error) {
 	return st.queryTraced(context.Background(), command, nil, nil)
 }
@@ -459,7 +498,7 @@ func (st *Store) queryTraced(ctx context.Context, command string, budget *Budget
 	stats0 := st.stats
 	prog.SetStage(liveops.StageFilter)
 	filterSpan := tr.StartSpan("filter")
-	cand, err := st.overApprox(expr)
+	cand, err := st.overApprox(expr, nil)
 	if err != nil && !isInterrupt(err) {
 		filterSpan.End()
 		return nil, err
@@ -480,7 +519,7 @@ func (st *Store) queryTraced(ctx context.Context, command string, budget *Budget
 		mQueryNS.Observe(time.Since(t0).Nanoseconds())
 		return res, nil
 	}
-	filterSpan.Attr("candidates", int64(cand.Count())).
+	filterSpan.Attr("candidates", int64(cand.count())).
 		Attr("stamp_admits", int64(st.en.admitted-admitted0)).
 		Attr("stamp_skips", int64(st.en.pruned-pruned0)).
 		Attr("capsule_scans", int64(st.stats.scans-stats0.scans)).
@@ -496,25 +535,7 @@ func (st *Store) queryTraced(ctx context.Context, command string, budget *Budget
 	dFilter := st.box.Decompressions
 	prog.SetStage(liveops.StageVerify)
 	verifySpan := tr.StartSpan("verify")
-	var verr error
-	checked := 0
-	cand.ForEach(func(line int) bool {
-		if err := st.checkpoint(); err != nil {
-			verr = err
-			return false
-		}
-		checked++
-		entry, err := st.reconstructLineLocked(line)
-		if err != nil {
-			verr = err
-			return false
-		}
-		if expr.Match(entry) {
-			res.Lines = append(res.Lines, line)
-			res.Entries = append(res.Entries, entry)
-		}
-		return true
-	})
+	found, checked, verr := st.verify(expr, cand)
 	if verr != nil && !isInterrupt(verr) {
 		verifySpan.End()
 		return nil, verr
@@ -530,9 +551,16 @@ func (st *Store) queryTraced(ctx context.Context, command string, budget *Budget
 		mQueryBudgetExceeded.Inc()
 		res.Partial, res.PartialReason = true, verr.Error()
 	}
+	if len(found) > 0 {
+		res.Lines, res.Entries = make([]int, len(found)), make([]string, len(found))
+	}
+	for i, m := range found {
+		res.Lines[i], res.Entries[i] = m.line, m.entry
+	}
 	verifySpan.Attr("candidates_checked", int64(checked)).
 		Attr("matches", int64(len(res.Lines))).
 		Attr("decompressions", int64(st.box.Decompressions-dFilter)).
+		Attr("line_maps", int64(st.stats.lineMaps-stats0.lineMaps)).
 		End()
 
 	res.Decompressions = st.box.Decompressions - d0
@@ -548,96 +576,220 @@ func (st *Store) queryTraced(ctx context.Context, command string, budget *Budget
 	return res, nil
 }
 
+// match is one verified result entry.
+type match struct {
+	line  int
+	entry string
+}
+
+// verify reconstructs every candidate row, keeps those the exact expression
+// matches, and returns them in ascending line order with how many rows it
+// checked. Only groups that produced a match have their line map decoded.
+// On an interrupt it returns the matches verified so far with the error.
+func (st *Store) verify(expr query.Expr, cand *rowSets) (found []match, checked int, err error) {
+	runs := 0
+	// check verifies one group's (or the outlier capsule's) candidates.
+	check := func(set *bitset.Set, m *capsule.LineMap, entryOf func(row int) (string, error)) error {
+		if set == nil {
+			return nil
+		}
+		start := len(found)
+		var stop error
+		set.ForEach(func(row int) bool {
+			if stop = st.checkpoint(); stop != nil {
+				return false
+			}
+			checked++
+			var entry string
+			if entry, stop = entryOf(row); stop != nil {
+				return false
+			}
+			if expr.Match(entry) {
+				found = append(found, match{line: row, entry: entry})
+			}
+			return true
+		})
+		if len(found) == start {
+			return stop
+		}
+		lines, lerr := st.lines(m)
+		if lerr != nil {
+			return lerr
+		}
+		for i := start; i < len(found); i++ {
+			found[i].line = lines[found[i].line]
+		}
+		runs++
+		return stop
+	}
+	for gi, g := range st.groups {
+		err = check(cand.sets[gi], &g.meta.Lines, func(row int) (string, error) { return st.reconstructRow(gi, row) })
+		if err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = check(cand.outlier(), &st.box.Meta.OutlierLines, st.outlierEntry)
+	}
+	if err != nil && !isInterrupt(err) {
+		return nil, checked, err
+	}
+	// Each run ascends already (rows ascend with lines); only a result
+	// drawn from several groups needs merging.
+	if runs > 1 {
+		slices.SortFunc(found, func(a, b match) int { return cmp.Compare(a.line, b.line) })
+	}
+	return found, checked, err
+}
+
+// outlierEntry returns the rank-th block outlier line.
+func (st *Store) outlierEntry(rank int) (string, error) {
+	sr, err := st.searcher(st.box.Meta.OutlierCapID)
+	if err != nil {
+		return "", err
+	}
+	if rank < 0 || rank >= sr.Rows() {
+		return "", fmt.Errorf("%w: outlier line %d beyond its capsule", capsule.ErrCorrupt, rank)
+	}
+	return string(sr.Value(rank)), nil
+}
+
 // isBudgetStop distinguishes budget exhaustion from cancellation among
 // interrupt errors.
 func isBudgetStop(err error) bool { return errors.Is(err, ErrBudgetExceeded) }
 
-// overApprox returns a superset of the lines matching the expression.
-// NOT nodes yield the full set (complementing a superset would not be
+// overApprox returns a superset of the rows of within that match the
+// expression — of all the block's rows when within is nil — and never a row
+// outside within. It does not modify within.
+//
+// NOT nodes yield all of within (complementing a superset would not be
 // sound); their pruning happens in the verification phase, just as
 // "grep -v" scans what earlier pipeline stages let through.
-func (st *Store) overApprox(e query.Expr) (*bitset.Set, error) {
+//
+// Narrowing (§5.2, "check these rows in the second Capsule instead of
+// scanning all rows"): an AND evaluates its more selective child first and
+// hands the surviving rows to the other child as its within, so a later
+// conjunct skips every group — and the outlier capsule — the earlier ones
+// emptied, and starts each remaining group from the surviving rows. This is
+// sound because restriction only ever intersects: with M(e) the rows that
+// truly match e, each case keeps M(e) ∩ within ⊆ result ⊆ within. A search
+// intersects its per-group sets into (a copy of) within. An OR hands within
+// to both children and unions. An AND's first child returns
+// L ⊇ M(hi) ∩ within and the second, given L, returns a superset of
+// M(lo) ∩ L ⊇ M(hi AND lo) ∩ within. A NOT's operand is never evaluated
+// here, so no narrowed set can reach under a NOT; it contributes all of
+// within. (exactEval in count.go does evaluate NOT operands, and keeps them
+// unrestricted.)
+func (st *Store) overApprox(e query.Expr, within *rowSets) (*rowSets, error) {
 	switch x := e.(type) {
 	case *query.And:
-		// Evaluate the higher-selectivity side first (longest required
-		// fragment wins): when it comes up empty the other side — and all
-		// of its capsule lookups — is skipped entirely.
-		hi, lo := x.L, x.R
-		if query.SelectivityHint(lo) > query.SelectivityHint(hi) {
-			hi, lo = lo, hi
+		// The higher-selectivity side first (longest required fragment
+		// wins): when it comes up empty the other side — and all of its
+		// capsule lookups — is skipped entirely.
+		hi, lo := andOrder(x)
+		l, err := st.overApprox(hi, within)
+		if err != nil || !l.any() {
+			return l, err
 		}
-		l, err := st.overApprox(hi)
-		if err != nil {
-			return nil, err
-		}
-		if !l.Any() {
-			return l, nil
-		}
-		r, err := st.overApprox(lo)
-		if err != nil {
-			return nil, err
-		}
-		return l.And(r), nil
+		return st.overApprox(lo, l)
 	case *query.Or:
-		l, err := st.overApprox(x.L)
+		l, err := st.overApprox(x.L, within)
 		if err != nil {
 			return nil, err
 		}
-		r, err := st.overApprox(x.R)
+		r, err := st.overApprox(x.R, within)
 		if err != nil {
 			return nil, err
 		}
-		return l.Or(r), nil
+		return l.or(r), nil
 	case *query.Not:
-		return bitset.NewFull(st.NumLines()), nil
+		return st.rowsOf(within), nil
 	case *query.Search:
-		return st.searchCandidates(x)
+		return st.searchCandidates(x, within)
 	}
 	return nil, fmt.Errorf("core: unknown query node %T", e)
 }
 
-// searchCandidates computes one search string's candidate superset: per
-// group, the intersection over the string's fragments of the rows whose
-// entries may contain the fragment (runtime-pattern matching plus stamp
-// filtering); block-level outlier lines are always scanned (§4.1).
-func (st *Store) searchCandidates(s *query.Search) (*bitset.Set, error) {
-	lines := bitset.New(st.NumLines())
-	// Longest fragments are the most selective (CLP queries its
-	// "obscurest" keyword first for the same reason); putting them first
-	// lets the per-group intersection go empty before cheaper fragments
-	// are even looked up.
+// andOrder returns an AND's children in evaluation order: the one with the
+// higher selectivity hint first.
+func andOrder(x *query.And) (hi, lo query.Expr) {
+	if query.SelectivityHint(x.R) > query.SelectivityHint(x.L) {
+		return x.R, x.L
+	}
+	return x.L, x.R
+}
+
+// fragmentOrder returns a search string's fragments longest first. Longest
+// fragments are the most selective (CLP queries its "obscurest" keyword
+// first for the same reason); putting them first lets the per-group
+// intersection go empty before cheaper fragments are even looked up.
+func fragmentOrder(s *query.Search) []string {
 	frags := append([]string(nil), s.Fragments...)
-	sort.Slice(frags, func(i, j int) bool { return len(frags[i]) > len(frags[j]) })
+	sort.SliceStable(frags, func(i, j int) bool { return len(frags[i]) > len(frags[j]) })
+	return frags
+}
+
+// searchCandidates computes one search string's candidate superset among
+// the rows of within (all rows when nil): per group, the intersection over
+// the string's fragments of the rows whose entries may contain the fragment
+// (runtime-pattern matching plus stamp filtering); block-level outlier
+// lines match no template, so their text is always scanned (§4.1). Groups
+// and outlier lines outside within are not looked at.
+func (st *Store) searchCandidates(s *query.Search, within *rowSets) (*rowSets, error) {
+	out := st.noRows()
+	frags := fragmentOrder(s)
+	se := st.ex.search(s)
 	for gi, g := range st.groups {
-		cand := bitset.NewFull(g.n)
+		var cand *bitset.Set
+		switch {
+		case within == nil:
+			cand = bitset.NewFull(g.n)
+		case within.sets[gi] != nil:
+			cand = within.sets[gi].Clone()
+		default:
+			continue
+		}
+		ge := se.group(g, cand)
 		for _, frag := range frags {
-			if !cand.Any() {
+			if cand.Any() {
+				fs, err := st.en.findSubstr(g.seq, g.n, frag)
+				if err != nil {
+					return nil, err
+				}
+				cand.And(fs)
+			} else if ge == nil {
 				break
 			}
-			fs, err := st.en.findSubstr(g.seq, g.n, frag)
-			if err != nil {
-				return nil, err
-			}
-			cand.And(fs)
+			ge.after(cand)
 		}
-		cand.ForEach(func(row int) bool {
-			lines.Set(st.groups[gi].meta.Lines[row])
-			return true
-		})
+		se.add(cand)
+		out.sets[gi] = nonEmpty(cand)
 	}
-	// Outlier lines match no template; every query scans them.
-	if oc := st.box.Meta.OutlierCapID; oc >= 0 {
-		sr, err := st.searcher(oc)
-		if err != nil {
-			return nil, err
+	oc := st.box.Meta.OutlierCapID
+	if oc < 0 || (within != nil && within.outlier() == nil) {
+		return out, nil
+	}
+	sr, err := st.searcher(oc)
+	if err != nil {
+		return nil, err
+	}
+	hits := bitset.New(sr.Rows())
+	test := func(rank int) bool {
+		if s.MatchEntry(string(sr.Value(rank))) {
+			hits.Set(rank)
 		}
-		for rank, line := range st.box.Meta.OutlierLines {
-			if s.MatchEntry(string(sr.Value(rank))) {
-				lines.Set(line)
-			}
+		return true
+	}
+	if within != nil {
+		within.outlier().ForEach(test)
+	} else {
+		for rank := 0; rank < sr.Rows(); rank++ {
+			test(rank)
 		}
 	}
-	return lines, nil
+	se.add(hits)
+	out.sets[len(st.groups)] = nonEmpty(hits)
+	return out, nil
 }
 
 // ReconstructLine rebuilds the original text of one block line.
@@ -648,18 +800,18 @@ func (st *Store) ReconstructLine(line int) (string, error) {
 }
 
 // reconstructLineLocked is ReconstructLine for callers already holding
-// st.mu (the query verification loop, ReconstructAll).
+// st.mu (ReconstructAll).
 func (st *Store) reconstructLineLocked(line int) (string, error) {
-	if line < 0 || line >= len(st.lineIndex) {
+	index, err := st.lineRefs()
+	if err != nil {
+		return "", err
+	}
+	if line < 0 || line >= len(index) {
 		return "", fmt.Errorf("core: line %d out of range", line)
 	}
-	ref := st.lineIndex[line]
+	ref := index[line]
 	if ref.group < 0 {
-		sr, err := st.searcher(st.box.Meta.OutlierCapID)
-		if err != nil {
-			return "", err
-		}
-		return string(sr.Value(ref.row)), nil
+		return st.outlierEntry(ref.row)
 	}
 	return st.reconstructRow(ref.group, ref.row)
 }

@@ -85,28 +85,6 @@ func (fw *FixedWidth) valueLen(i int) int {
 	return end
 }
 
-// MatchRow reports whether row i satisfies (kind, part).
-func (fw *FixedWidth) MatchRow(i int, part string, kind Kind) bool {
-	if i < 0 || i >= fw.rows {
-		return false
-	}
-	v := fw.Value(i)
-	switch kind {
-	case Exact:
-		return string(v) == part
-	case Prefix:
-		return len(v) >= len(part) && string(v[:len(part)]) == part
-	case Suffix:
-		return len(v) >= len(part) && string(v[len(v)-len(part):]) == part
-	case Substr:
-		if len(part) == 0 {
-			return true
-		}
-		return NewBoyerMoore(part).Index(v, 0) >= 0
-	}
-	return false
-}
-
 // FindRows returns every row whose value satisfies (kind, part), ascending.
 // It scans the packed buffer once with Boyer–Moore and converts positions to
 // rows by division, verifying that a hit does not cross a row boundary.
@@ -184,17 +162,4 @@ func (fw *FixedWidth) ScanRows(part string, kind Kind, fn func(row int) bool) {
 			}
 		}
 	}
-}
-
-// CheckRows filters rows (ascending) down to those satisfying (kind, part).
-// This implements the paper's "check these rows in the second Capsule
-// directly, instead of scanning all rows" optimization.
-func (fw *FixedWidth) CheckRows(rows []int, part string, kind Kind) []int {
-	out := rows[:0]
-	for _, r := range rows {
-		if fw.MatchRow(r, part, kind) {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -161,15 +161,6 @@ func TestFixedWidthNoCrossRowHits(t *testing.T) {
 	}
 }
 
-func TestFixedWidthCheckRows(t *testing.T) {
-	vals := []string{"a1", "b2", "a3", "a1"}
-	fw := NewFixedWidth(padBuf(vals, 2), 2)
-	got := fw.CheckRows([]int{0, 1, 2, 3}, "a", Prefix)
-	if !equalInts(got, []int{0, 2, 3}) {
-		t.Fatalf("CheckRows = %v", got)
-	}
-}
-
 func TestVarWidth(t *testing.T) {
 	vals := []string{"ERR", "SUCC", "ERRX", "XERR", "", "RR"}
 	buf := []byte(strings.Join(vals, string(rune(Delim))))

@@ -1,7 +1,5 @@
 package strmatch
 
-import "bytes"
-
 // Delim separates values in a variant-length capsule payload. It exists for
 // the "w/o fixed" ablation (paper §5.2 and §6.3): without padding, values
 // need a delimiter, Boyer–Moore can no longer recover row numbers after
@@ -49,25 +47,6 @@ func (vw *VarWidth) Value(i int) []byte {
 		end = vw.starts[i+1] - 1
 	}
 	return vw.buf[start:end]
-}
-
-// MatchRow reports whether row i satisfies (kind, part).
-func (vw *VarWidth) MatchRow(i int, part string, kind Kind) bool {
-	if i < 0 || i >= len(vw.starts) {
-		return false
-	}
-	v := vw.Value(i)
-	switch kind {
-	case Exact:
-		return string(v) == part
-	case Prefix:
-		return bytes.HasPrefix(v, []byte(part))
-	case Suffix:
-		return bytes.HasSuffix(v, []byte(part))
-	case Substr:
-		return bytes.Contains(v, []byte(part))
-	}
-	return false
 }
 
 // ScanRows calls fn with each matching row in ascending order, using a
