@@ -6,6 +6,7 @@
 package loggrep_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -294,7 +295,7 @@ func BenchmarkDupThresholdSweep(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := st.Query(lt.Query); err != nil {
+				if _, err := st.Search(context.Background(), lt.Query, core.SearchOpts{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -324,7 +325,7 @@ func BenchmarkArchiveParallelQuery(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := a.Query(lt.Query, workers); err != nil {
+				if _, err := a.Search(context.Background(), lt.Query, core.SearchOpts{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -356,7 +357,7 @@ func BenchmarkArchiveOpenVerify(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := a.Query(lt.Query, 4)
+			res, err := a.Search(context.Background(), lt.Query, core.SearchOpts{Workers: 4})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -411,7 +412,7 @@ func BenchmarkChunkedCapsules(b *testing.B) {
 				b.StartTimer()
 				// A clustered incident: 50 adjacent entries.
 				for line := 12000; line < 12050; line++ {
-					if _, err := st.ReconstructLine(line); err != nil {
+					if _, err := st.ReconstructLine(context.Background(), line); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -219,97 +219,6 @@ func newCompressCmd() *command {
 	return c
 }
 
-// opened abstracts a single box or an archive.
-type opened interface {
-	Query(ctx context.Context, command string, traced bool) ([]int, []string, int, []loggrep.ArchiveBlockError, *loggrep.Trace, error)
-	Cat(strict bool) ([]string, []loggrep.ArchiveBlockError, error)
-	Stat() string
-	Verify(deep bool) []loggrep.ArchiveBlockError
-}
-
-type boxFile struct{ st *loggrep.Store }
-
-func (b boxFile) Query(ctx context.Context, cmd string, traced bool) ([]int, []string, int, []loggrep.ArchiveBlockError, *loggrep.Trace, error) {
-	var (
-		res *loggrep.Result
-		tr  *loggrep.Trace
-		err error
-	)
-	if traced {
-		res, tr, err = b.st.QueryTracedContext(ctx, cmd, nil)
-	} else {
-		res, err = b.st.QueryContext(ctx, cmd, nil)
-	}
-	if err != nil {
-		return nil, nil, 0, nil, nil, err
-	}
-	return res.Lines, res.Entries, res.Decompressions, nil, tr, nil
-}
-func (b boxFile) Cat(bool) ([]string, []loggrep.ArchiveBlockError, error) {
-	lines, err := b.st.ReconstructAll()
-	return lines, nil, err
-}
-func (b boxFile) Stat() string {
-	return fmt.Sprintf("format: capsule box\nlines: %d\ncompressed bytes: %d",
-		b.st.NumLines(), b.st.CompressedSize())
-}
-
-// Verify for a single box: metadata was validated at open; deep
-// additionally reconstructs every line, exercising all payloads.
-func (b boxFile) Verify(deep bool) []loggrep.ArchiveBlockError {
-	if !deep {
-		return nil
-	}
-	if _, err := b.st.ReconstructAll(); err != nil {
-		return []loggrep.ArchiveBlockError{{NumLines: b.st.NumLines(), Err: err}}
-	}
-	return nil
-}
-
-type archFile struct {
-	a    *loggrep.Archive
-	size int
-}
-
-func (a archFile) Query(ctx context.Context, cmd string, traced bool) ([]int, []string, int, []loggrep.ArchiveBlockError, *loggrep.Trace, error) {
-	var (
-		res *loggrep.ArchiveResult
-		tr  *loggrep.Trace
-		err error
-	)
-	if traced {
-		res, tr, err = a.a.QueryTracedContext(ctx, cmd, 0, nil)
-	} else {
-		res, err = a.a.QueryContext(ctx, cmd, 0, nil)
-	}
-	if err != nil {
-		return nil, nil, 0, nil, nil, err
-	}
-	return res.Lines, res.Entries, 0, res.Damaged, tr, nil
-}
-func (a archFile) Cat(strict bool) ([]string, []loggrep.ArchiveBlockError, error) {
-	if strict {
-		lines, err := a.a.ReconstructAll()
-		return lines, nil, err
-	}
-	lines, damaged := a.a.ReconstructPartial()
-	return lines, damaged, nil
-}
-func (a archFile) Stat() string {
-	s := fmt.Sprintf("format: archive\nblocks: %d\nlines: %d\nraw bytes: %d\ncompressed bytes: %d",
-		a.a.NumBlocks(), a.a.NumLines(), a.a.RawBytes(), a.size)
-	if a.a.HasIndex() {
-		ix := a.a.IndexStats()
-		s += fmt.Sprintf("\nindex bytes: %d (blooms %d, postings %d, %d tokens)",
-			ix.TotalBytes(), ix.BloomBytes, ix.PostingsBytes, ix.Tokens)
-	}
-	if d := a.a.Damage(); len(d) > 0 {
-		s += fmt.Sprintf("\ndamaged regions: %d", len(d))
-	}
-	return s
-}
-func (a archFile) Verify(deep bool) []loggrep.ArchiveBlockError { return a.a.Verify(deep) }
-
 // cliBlobs is the CLI's fault-policy blob store: plain paths, default
 // retry policy, no breaker gauge (one-shot processes don't scrape).
 var cliBlobs = sync.OnceValue(func() *blobstore.Store {
@@ -323,23 +232,15 @@ func readBlob(path string) ([]byte, error) {
 	return cliBlobs().Get(context.Background(), path)
 }
 
-func openAny(path string) (opened, error) {
+// openFile opens a user-named compressed file: an archive, or a bare
+// CapsuleBox as an archive of one block. size is the file's byte length.
+func openFile(path string) (a *loggrep.Archive, size int, err error) {
 	data, err := readBlob(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if loggrep.IsArchive(data) {
-		a, err := loggrep.OpenArchive(data)
-		if err != nil {
-			return nil, err
-		}
-		return archFile{a: a, size: len(data)}, nil
-	}
-	st, err := loggrep.Open(data, loggrep.QueryOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return boxFile{st: st}, nil
+	a, err = loggrep.OpenArchive(data)
+	return a, len(data), err
 }
 
 // reportDamage prints each damaged region on stderr; with strict set it
@@ -393,14 +294,12 @@ func newQueryCmd() *command {
 		if fs.NArg() < 2 {
 			return fmt.Errorf("query needs a compressed file and a command")
 		}
-		f, err := openAny(fs.Arg(0))
+		a, _, err := openFile(fs.Arg(0))
 		if err != nil {
 			return err
 		}
 		if *noIndex {
-			if af, ok := f.(archFile); ok {
-				af.a.SetIndexEnabled(false)
-			}
+			a.SetIndexEnabled(false)
 		}
 		ctx := context.Background()
 		if *timeout > 0 {
@@ -409,41 +308,44 @@ func newQueryCmd() *command {
 			defer cancel()
 		}
 		cmd := strings.Join(fs.Args()[1:], " ")
+		var tr *loggrep.Trace
+		if trace.mode != "" {
+			tr = obsv.NewTrace("query")
+		}
 		t0 := time.Now()
-		lines, entries, decomp, damaged, tr, err := f.Query(ctx, cmd, trace.mode != "")
+		res, err := a.Search(ctx, cmd, loggrep.SearchOpts{Trace: tr})
 		if err != nil {
 			return err
 		}
-		for i, line := range lines {
-			fmt.Printf("%d:%s\n", line+1, entries[i])
+		for i, line := range res.Lines {
+			fmt.Printf("%d:%s\n", line+1, res.Entries[i])
 		}
-		if decomp > 0 {
-			fmt.Fprintf(os.Stderr, "%d matches, %d capsules decompressed\n", len(lines), decomp)
+		if res.Decompressions > 0 {
+			fmt.Fprintf(os.Stderr, "%d matches, %d capsules decompressed\n", res.Matches, res.Decompressions)
 		} else {
-			fmt.Fprintf(os.Stderr, "%d matches\n", len(lines))
+			fmt.Fprintf(os.Stderr, "%d matches\n", res.Matches)
 		}
-		if tr != nil {
-			if trace.mode == "json" {
-				ev := &obsv.WideEvent{
-					TraceID:  obsv.NewTraceID128(),
-					Time:     time.Now().UTC().Format(time.RFC3339Nano),
-					Version:  version.Version,
-					Endpoint: "cli",
-					Source:   fs.Arg(0),
-					Command:  cmd,
-				}
-				ev.FillFromTrace(tr.Data())
-				ev.DurNS = time.Since(t0).Nanoseconds()
-				ev.Matches = int64(len(lines))
-				ev.DamagedRegions = int64(len(damaged))
-				if err := ev.WriteLine(os.Stderr); err != nil {
-					return err
-				}
-			} else {
-				fmt.Fprint(os.Stderr, tr.String())
+		switch trace.mode {
+		case "json":
+			ev := &obsv.WideEvent{
+				TraceID:  obsv.NewTraceID128(),
+				Time:     time.Now().UTC().Format(time.RFC3339Nano),
+				Version:  version.Version,
+				Endpoint: "cli",
+				Source:   fs.Arg(0),
+				Command:  cmd,
 			}
+			ev.FillFromTrace(tr.Data())
+			ev.DurNS = time.Since(t0).Nanoseconds()
+			ev.Matches = int64(res.Matches)
+			ev.DamagedRegions = int64(len(res.Damaged))
+			if err := ev.WriteLine(os.Stderr); err != nil {
+				return err
+			}
+		case "text":
+			fmt.Fprint(os.Stderr, tr.String())
 		}
-		return reportDamage(damaged, *strict)
+		return reportDamage(res.Damaged, *strict)
 	}
 	return c
 }
@@ -461,13 +363,20 @@ func newCatCmd() *command {
 		if fs.NArg() != 1 {
 			return fmt.Errorf("cat needs a compressed file")
 		}
-		f, err := openAny(fs.Arg(0))
+		a, _, err := openFile(fs.Arg(0))
 		if err != nil {
 			return err
 		}
-		lines, damaged, err := f.Cat(*strict)
-		if err != nil {
-			return err
+		var (
+			lines   []string
+			damaged []loggrep.ArchiveBlockError
+		)
+		if *strict {
+			if lines, err = a.ReconstructAll(); err != nil {
+				return err
+			}
+		} else {
+			lines, damaged = a.ReconstructPartial()
 		}
 		for _, l := range lines {
 			fmt.Println(l)
@@ -490,11 +399,11 @@ func newVerifyCmd() *command {
 		if fs.NArg() != 1 {
 			return fmt.Errorf("verify needs a compressed file")
 		}
-		f, err := openAny(fs.Arg(0))
+		a, _, err := openFile(fs.Arg(0))
 		if err != nil {
 			return err
 		}
-		damaged := f.Verify(*deep)
+		damaged := a.Verify(*deep)
 		if len(damaged) == 0 {
 			fmt.Println("ok")
 			return nil
@@ -516,11 +425,23 @@ func newStatCmd() *command {
 		if fs.NArg() != 1 {
 			return fmt.Errorf("stat needs a compressed file")
 		}
-		f, err := openAny(fs.Arg(0))
+		a, size, err := openFile(fs.Arg(0))
 		if err != nil {
 			return err
 		}
-		fmt.Println(f.Stat())
+		fmt.Printf("format: archive\nblocks: %d\nlines: %d\n", a.NumBlocks(), a.NumLines())
+		if raw := a.RawBytes(); raw > 0 { // a bare box does not record its raw size
+			fmt.Printf("raw bytes: %d\n", raw)
+		}
+		fmt.Printf("compressed bytes: %d\n", size)
+		if a.HasIndex() {
+			ix := a.IndexStats()
+			fmt.Printf("index bytes: %d (blooms %d, postings %d, %d tokens)\n",
+				ix.TotalBytes(), ix.BloomBytes, ix.PostingsBytes, ix.Tokens)
+		}
+		if d := a.Damage(); len(d) > 0 {
+			fmt.Printf("damaged regions: %d\n", len(d))
+		}
 		return nil
 	}
 	return c
@@ -538,33 +459,16 @@ func newExplainCmd() *command {
 		if fs.NArg() < 2 {
 			return fmt.Errorf("explain needs a compressed file and a command")
 		}
-		data, err := readBlob(fs.Arg(0))
+		// Blocks are explained one by one and the funnels merged by
+		// template, so the output reads like one big box under a
+		// block-pruning summary.
+		a, _, err := openFile(fs.Arg(0))
 		if err != nil {
 			return err
 		}
-		cmd := strings.Join(fs.Args()[1:], " ")
-		var ex *loggrep.Explain
-		if loggrep.IsArchive(data) {
-			// Archives explain block by block; the funnels merge by
-			// template so the output reads like one big box plus a
-			// block-stamp pruning summary.
-			a, err := loggrep.OpenArchive(data)
-			if err != nil {
-				return err
-			}
-			ex, err = a.Explain(cmd)
-			if err != nil {
-				return err
-			}
-		} else {
-			st, err := loggrep.Open(data, loggrep.QueryOptions{})
-			if err != nil {
-				return err
-			}
-			ex, err = st.Explain(cmd)
-			if err != nil {
-				return err
-			}
+		ex, err := a.Explain(strings.Join(fs.Args()[1:], " "))
+		if err != nil {
+			return err
 		}
 		fmt.Print(ex.String())
 		return nil

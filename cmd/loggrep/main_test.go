@@ -370,11 +370,11 @@ func TestCLIExplainArchive(t *testing.T) {
 			t.Errorf("archive explain missing %q:\n%s", want, out)
 		}
 	}
-	// And still works on plain boxes.
+	// A plain box explains as an archive of one block.
 	boxPath := filepath.Join(dir, "a.box")
 	run(t, bin, "compress", "-o", boxPath, logPath)
 	out, _ = run(t, bin, "explain", boxPath, lt.Query)
-	if !strings.Contains(out, "candidate lines") || strings.Contains(out, "archive:") {
+	if !strings.Contains(out, "candidate lines") || !strings.Contains(out, "archive: 1 blocks (1 searched") {
 		t.Errorf("box explain wrong:\n%s", out)
 	}
 }

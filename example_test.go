@@ -1,6 +1,7 @@
 package loggrep_test
 
 import (
+	"context"
 	"fmt"
 
 	"loggrep"
@@ -19,7 +20,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := store.Query("ERR#16*")
+	res, err := store.Search(context.Background(), "ERR#16*", loggrep.SearchOpts{})
 	if err != nil {
 		panic(err)
 	}
@@ -51,16 +52,16 @@ func ExampleSession() {
 	// 2 after state AND fail
 }
 
-// Count answers grep -c without reconstructing entries when every search
-// string is a single wildcard-free keyword.
-func ExampleStore_Count() {
+// A CountOnly search answers grep -c, without reconstructing entries when
+// every search string is a single wildcard-free keyword.
+func ExampleStore_Search_countOnly() {
 	block := []byte("a ok 1\nb fail 2\nc ok 3\nd fail 4\ne fail 5\n")
 	store, err := loggrep.Open(loggrep.Compress(block, loggrep.DefaultOptions()), loggrep.QueryOptions{})
 	if err != nil {
 		panic(err)
 	}
-	n, _ := store.Count("fail")
-	fmt.Println(n)
+	res, _ := store.Search(context.Background(), "fail", loggrep.SearchOpts{CountOnly: true})
+	fmt.Println(res.Matches, res.Lines)
 	// Output:
-	// 3
+	// 3 []
 }

@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -53,7 +54,7 @@ func main() {
 	fmt.Printf("archive: %d blocks, %d entries\n", a.NumBlocks(), a.NumLines())
 
 	start = time.Now()
-	res, err := a.Query("WARNING AND Errorcode:0 AND Packet id:172397858", 4)
+	res, err := a.Search(context.Background(), "WARNING AND Errorcode:0 AND Packet id:172397858", loggrep.SearchOpts{Workers: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := store.Query("ERROR AND state:REQ_ST_CLOSED AND reqId:5E9D21AD5E473938")
+	ctx := context.Background()
+	res, err := store.Search(ctx, "ERROR AND state:REQ_ST_CLOSED AND reqId:5E9D21AD5E473938", loggrep.SearchOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func main() {
 
 	// Results are exact — wildcards match within a token, AND/OR/NOT
 	// combine search strings.
-	res, err = store.Query("ERROR AND peer 11.187.4.* NOT state:REQ_ST_IDLE")
+	res, err = store.Search(ctx, "ERROR AND peer 11.187.4.* NOT state:REQ_ST_IDLE", loggrep.SearchOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}

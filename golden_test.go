@@ -1,6 +1,7 @@
 package loggrep_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestArchiveGrepOracle(t *testing.T) {
 			queries := []string{lt.Query, "NOT " + strings.Fields(lt.Query)[0]}
 			for _, q := range queries {
 				want := oracle(t, lines, q)
-				res, err := a.Query(q, 3)
+				res, err := a.Search(context.Background(), q, loggrep.SearchOpts{Workers: 3})
 				if err != nil {
 					t.Fatalf("query %q: %v", q, err)
 				}
@@ -154,10 +155,17 @@ func TestArchiveIndexOracle(t *testing.T) {
 				queries[3]+" NOT zzz_absent_zzz",
 			)
 
+			// One trace for every query of the indexed archive: its block
+			// totals add up across them.
+			skips := loggrep.NewTrace("archive-query")
 			for _, q := range queries {
 				want := oracle(t, lines, q)
 				for which, a := range map[string]*loggrep.Archive{"indexed": ai, "no-index-build": ap, "index-disabled": aq} {
-					res, err := a.Query(q, 3)
+					opts := loggrep.SearchOpts{Workers: 3}
+					if a == ai {
+						opts.Trace = skips
+					}
+					res, err := a.Search(context.Background(), q, opts)
 					if err != nil {
 						t.Fatalf("%s: query %q: %v", which, q, err)
 					}
@@ -181,7 +189,13 @@ func TestArchiveIndexOracle(t *testing.T) {
 			// The indexed archive must actually have skipped work on the
 			// absent keyword — otherwise this test proves only half its
 			// name.
-			if post, bloom := ai.IndexSkipped(); post+bloom == 0 {
+			skipped := int64(0)
+			for _, at := range skips.Data().Attrs {
+				if at.Key == "blocks_skipped_postings" || at.Key == "blocks_skipped_blooms" {
+					skipped += at.Val
+				}
+			}
+			if skipped == 0 {
 				t.Fatalf("index never skipped a block across %d queries", len(queries))
 			}
 		})

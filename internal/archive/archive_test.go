@@ -2,14 +2,27 @@ package archive
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
 
+	"loggrep/internal/core"
 	"loggrep/internal/loggen"
 	"loggrep/internal/logparse"
+	"loggrep/internal/obsv"
 	"loggrep/internal/query"
 )
+
+// attr reads one trace-level counter, 0 when the trace has none of the name.
+func attr(tr *obsv.Trace, key string) int64 {
+	for _, a := range tr.Data().Attrs {
+		if a.Key == key {
+			return a.Val
+		}
+	}
+	return 0
+}
 
 func testOptions(blockBytes int) Options {
 	o := DefaultOptions()
@@ -71,7 +84,7 @@ func TestArchiveQueryEquivalence(t *testing.T) {
 	}
 	for _, cmd := range queries {
 		for _, workers := range []int{1, 4} {
-			res, err := a.Query(cmd, workers)
+			res, err := a.Search(context.Background(), cmd, core.SearchOpts{Workers: workers})
 			if err != nil {
 				t.Fatalf("query %q: %v", cmd, err)
 			}
@@ -147,14 +160,15 @@ func TestArchiveBlockStampSkipping(t *testing.T) {
 	// The block-skipping index would eliminate the digit blocks first;
 	// turn it off so the stamp layer is what this test exercises.
 	a.SetIndexEnabled(false)
-	res, err := a.Query("alpha", 2)
+	tr := obsv.NewTrace("archive-query")
+	res, err := a.Search(context.Background(), "alpha", core.SearchOpts{Workers: 2, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Lines) != 500 {
 		t.Fatalf("matches = %d, want 500", len(res.Lines))
 	}
-	if a.SkippedBlocks() == 0 {
+	if attr(tr, "blocks_skipped") == 0 {
 		t.Fatal("no blocks skipped by block stamps")
 	}
 	// The digit blocks must never have been opened.
@@ -177,7 +191,7 @@ func TestArchiveEmpty(t *testing.T) {
 	if a.NumBlocks() != 0 || a.NumLines() != 0 {
 		t.Fatalf("empty archive: %d blocks %d lines", a.NumBlocks(), a.NumLines())
 	}
-	res, err := a.Query("x", 1)
+	res, err := a.Search(context.Background(), "x", core.SearchOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +322,7 @@ func TestArchiveEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, line := range []int{0, 1, 1999, len(lines) - 1} {
-		got, err := a.Entry(line)
+		got, err := a.Entry(context.Background(), line)
 		if err != nil {
 			t.Fatalf("Entry(%d): %v", line, err)
 		}
@@ -316,10 +330,10 @@ func TestArchiveEntry(t *testing.T) {
 			t.Fatalf("Entry(%d) = %q, want %q", line, got, lines[line])
 		}
 	}
-	if _, err := a.Entry(-1); err == nil {
+	if _, err := a.Entry(context.Background(), -1); err == nil {
 		t.Fatal("negative line accepted")
 	}
-	if _, err := a.Entry(len(lines)); err == nil {
+	if _, err := a.Entry(context.Background(), len(lines)); err == nil {
 		t.Fatal("past-end line accepted")
 	}
 }

@@ -30,7 +30,7 @@ func buildTestArchive(t *testing.T, gen string, blockBytes, lines int) (*Archive
 
 // TestArchiveStalledQueryCancelledWithinDeadline is the tentpole
 // acceptance criterion: with every block read stalled far beyond the
-// deadline, QueryContext returns context.DeadlineExceeded within 2x the
+// deadline, Search returns context.DeadlineExceeded within 2x the
 // deadline — and, crucially, the interrupted blocks are NOT quarantined:
 // the same archive answers the same query completely once the stall is
 // removed.
@@ -45,7 +45,7 @@ func TestArchiveStalledQueryCancelledWithinDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	start := time.Now()
-	_, err := a.QueryContext(ctx, "ERROR", 4, nil)
+	_, err := a.Search(ctx, "ERROR", core.SearchOpts{Workers: 4})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("stalled archive query returned %v, want context.DeadlineExceeded", err)
@@ -56,7 +56,7 @@ func TestArchiveStalledQueryCancelledWithinDeadline(t *testing.T) {
 
 	// No latched damage: remove the stall and the full answer comes back.
 	a.SetReadHook(nil)
-	res, err := a.Query("ERROR", 0)
+	res, err := a.Search(context.Background(), "ERROR", core.SearchOpts{})
 	if err != nil {
 		t.Fatalf("query after clearing stall: %v", err)
 	}
@@ -74,7 +74,7 @@ func TestArchiveStalledQueryCancelledWithinDeadline(t *testing.T) {
 // the matches a strict subset-or-equal of the oracle, no wrong entries.
 func TestArchiveBudgetPartial(t *testing.T) {
 	a, lines := buildTestArchive(t, "G", 20_000, 2500)
-	full, err := a.Query("ERROR", 0)
+	full, err := a.Search(context.Background(), "ERROR", core.SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestArchiveBudgetPartial(t *testing.T) {
 	// about the budget contract on the full-scan path.
 	a2, _ := buildTestArchive(t, "G", 20_000, 2500)
 	a2.SetIndexEnabled(false)
-	res, err := a2.QueryContext(context.Background(), "ERROR", 2, core.NewBudgetState(core.Budget{MaxDecompressions: 2}))
+	res, err := a2.Search(context.Background(), "ERROR", core.SearchOpts{Workers: 2, Budget: core.NewBudgetState(core.Budget{MaxDecompressions: 2})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestArchiveQueryPreCancelled(t *testing.T) {
 	a, _ := buildTestArchive(t, "A", 25_000, 1500)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := a.QueryContext(ctx, "ERROR", 0, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QueryContext on cancelled ctx = %v, want context.Canceled", err)
+	if _, err := a.Search(ctx, "ERROR", core.SearchOpts{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Search on cancelled ctx = %v, want context.Canceled", err)
 	}
 }

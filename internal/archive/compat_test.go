@@ -2,10 +2,12 @@ package archive
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"testing"
 
 	"loggrep/internal/capsule"
+	"loggrep/internal/core"
 	"loggrep/internal/loggen"
 	"loggrep/internal/logparse"
 )
@@ -74,7 +76,7 @@ func checkFixture(t *testing.T, name, magic string, minBlocks int, queries []str
 	}
 
 	for _, cmd := range queries {
-		res, err := a.Query(cmd, 2)
+		res, err := a.Search(context.Background(), cmd, core.SearchOpts{Workers: 2})
 		if err != nil {
 			t.Fatalf("query %q: %v", cmd, err)
 		}

@@ -12,10 +12,11 @@
 //
 // Frame format v2 adds per-frame CRC32C checksums (see frame.go) so that
 // storage corruption is detected and quarantined block by block instead of
-// poisoning the whole archive; Open still reads v1 streams.
+// poisoning the whole archive; Open still reads v1 streams, and serves a
+// bare CapsuleBox as an archive of one block.
 //
 // Cross-block query work is observable: each query records block-skip and
 // per-block latency metrics into obsv.Default (the loggrep_archive_*
-// family, documented in OPERATIONS.md), and QueryTraced returns a span
-// per searched block alongside the result.
+// family, documented in OPERATIONS.md), and a Search given a trace records a
+// span per searched block on it.
 package archive

@@ -1,8 +1,10 @@
 package archive
 
 import (
+	"context"
 	"testing"
 
+	"loggrep/internal/core"
 	"loggrep/internal/faultinject"
 	"loggrep/internal/loggen"
 	"loggrep/internal/logparse"
@@ -44,7 +46,7 @@ func checkCorrupted(t *testing.T, name string, data []byte, or *faultOracle, dee
 		return // clean refusal is the first acceptable arm
 	}
 	for _, q := range or.queries {
-		res, err := a.Query(q, 2)
+		res, err := a.Search(context.Background(), q, core.SearchOpts{Workers: 2})
 		if err != nil {
 			t.Errorf("%s: query %q failed instead of quarantining: %v", name, q, err)
 			continue
@@ -88,7 +90,7 @@ func checkCorrupted(t *testing.T, name string, data []byte, or *faultOracle, dee
 		if l >= a.NumLines() {
 			continue // truncated away; the damage report covers it
 		}
-		if got, err := a.Entry(l); err == nil && got != or.lines[l] {
+		if got, err := a.Entry(context.Background(), l); err == nil && got != or.lines[l] {
 			t.Errorf("%s: Entry(%d) = %q, want %q", name, l, got, or.lines[l])
 		}
 	}

@@ -1,16 +1,19 @@
 package archive
 
 import (
+	"context"
 	"os"
 	"sort"
 	"testing"
 
+	"loggrep/internal/capsule"
+	"loggrep/internal/core"
 	"loggrep/internal/loggen"
 )
 
 // fuzzSeedArchives builds small v2 archives and damaged variants of them
-// and adds the committed v1 fixture — the corpus every archive fuzz
-// target starts from.
+// and adds the committed v1 fixture and bare boxes of both revisions — the
+// corpus every archive fuzz target starts from.
 func fuzzSeedArchives(f *testing.F) [][]byte {
 	f.Helper()
 	lt, _ := loggen.ByName("A")
@@ -30,6 +33,18 @@ func fuzzSeedArchives(f *testing.F) [][]byte {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// Bare CapsuleBoxes, which Open serves as one-block archives: one of
+	// the current revision, one of the previous (the fixture's first block).
+	box2 := core.Compress(stream, opts.Core)
+	fixture, err := os.ReadFile("testdata/box1_fixture.lgrep")
+	if err != nil {
+		f.Fatal(err)
+	}
+	frames, err := ScanFrames(fixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	box1 := fixture[frames[0].PayloadOff : frames[0].PayloadOff+frames[0].PayloadLen]
 	flipped := append([]byte(nil), v2...)
 	flipped[len(flipped)/3] ^= 0x10
 	headerHit := append([]byte(nil), v2...)
@@ -47,8 +62,12 @@ func fuzzSeedArchives(f *testing.F) [][]byte {
 		flipped,        // payload or header bit flip
 		headerHit,      // first frame header bit flip
 		indexHit,       // index tail bit flip
+		box2,
+		box1,
+		box2[:len(box2)/2], // truncated box
 		[]byte(Magic),
 		[]byte(MagicV1),
+		[]byte(capsule.BoxMagic),
 		nil,
 	}
 }
@@ -80,8 +99,8 @@ func FuzzOpenArchive(f *testing.F) {
 		}
 		a.Verify(false)
 		if a.NumLines() > 0 {
-			a.Entry(0)
-			a.Entry(a.NumLines() - 1)
+			a.Entry(context.Background(), 0)
+			a.Entry(context.Background(), a.NumLines()-1)
 		}
 	})
 }
@@ -100,9 +119,9 @@ func FuzzArchiveQuery(f *testing.F) {
 		if err != nil {
 			return
 		}
-		res, err := a.Query(cmd, int(workers%5))
+		res, err := a.Search(context.Background(), cmd, core.SearchOpts{Workers: int(workers % 5)})
 		if err != nil {
-			return // unparsable command
+			return // unparsable command, or a decode fault in a bare box (no frame to quarantine around)
 		}
 		if len(res.Lines) != len(res.Entries) {
 			t.Fatalf("%d lines but %d entries", len(res.Lines), len(res.Entries))

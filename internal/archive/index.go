@@ -28,12 +28,6 @@ func (a *Archive) IndexStats() blockindex.Stats {
 	return a.index.ScanStats
 }
 
-// IndexSkipped reports how many blocks the index eliminated across all
-// queries so far, split by stage.
-func (a *Archive) IndexSkipped() (postings, blooms int) {
-	return int(a.indexSkippedPostings.Load()), int(a.indexSkippedBlooms.Load())
-}
-
 // IndexSectionRange locates the index tail of a v2 archive: the byte
 // offset just past the terminator frame and the framed sections found
 // there. Fault-injection and inspection tooling uses it to target exact

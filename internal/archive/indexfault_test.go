@@ -1,12 +1,15 @@
 package archive
 
 import (
+	"context"
 	"testing"
 
 	"loggrep/internal/blockindex"
+	"loggrep/internal/core"
 	"loggrep/internal/faultinject"
 	"loggrep/internal/loggen"
 	"loggrep/internal/logparse"
+	"loggrep/internal/obsv"
 )
 
 // TestIndexFaultInjectionSweep corrupts every region of the index tail —
@@ -67,7 +70,7 @@ func TestIndexFaultInjectionSweep(t *testing.T) {
 			t.Fatalf("%s: Verify reports damage for index-only corruption: %v", name, d)
 		}
 		for _, q := range queries {
-			res, err := a.Query(q, 2)
+			res, err := a.Search(context.Background(), q, core.SearchOpts{Workers: 2})
 			if err != nil {
 				t.Fatalf("%s: query %q: %v", name, q, err)
 			}
@@ -174,7 +177,7 @@ func TestIndexDamagedStillSkips(t *testing.T) {
 	}
 	q := lt.Query
 	wantLines := oracle(t, lines, q)
-	res, err := a.Query(q, 2)
+	res, err := a.Search(context.Background(), q, core.SearchOpts{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +186,11 @@ func TestIndexDamagedStillSkips(t *testing.T) {
 	}
 	// An absent value must still be skippable through the surviving
 	// blooms.
-	if _, err := a.Query("zzz_absent_7q8w9e", 2); err != nil {
+	tr := obsv.NewTrace("archive-query")
+	if _, err := a.Search(context.Background(), "zzz_absent_7q8w9e", core.SearchOpts{Workers: 2, Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
-	if post, bloom := a.IndexSkipped(); bloom == 0 {
-		t.Fatalf("surviving blooms skipped nothing (postings=%d blooms=%d)", post, bloom)
+	if attr(tr, "blocks_skipped_blooms") == 0 {
+		t.Fatalf("surviving blooms skipped nothing (postings=%d blooms=0)", attr(tr, "blocks_skipped_postings"))
 	}
 }

@@ -1,11 +1,14 @@
 package archive
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
+	"loggrep/internal/core"
 	"loggrep/internal/logparse"
+	"loggrep/internal/obsv"
 )
 
 // indexSkipStream builds a synthetic multi-group log shaped like real
@@ -86,8 +89,8 @@ func TestIndexSkipRate(t *testing.T) {
 
 	skipRate := func(q string, wantMatches int) float64 {
 		t.Helper()
-		p0, b0 := a.IndexSkipped()
-		res, err := a.Query(q, 3)
+		tr := obsv.NewTrace("archive-query")
+		res, err := a.Search(context.Background(), q, core.SearchOpts{Workers: 3, Trace: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,8 +102,7 @@ func TestIndexSkipRate(t *testing.T) {
 				t.Fatalf("query %q: entry %d differs from raw line %d", q, i, l)
 			}
 		}
-		p1, b1 := a.IndexSkipped()
-		return float64((p1-p0)+(b1-b0)) / float64(a.NumBlocks())
+		return float64(attr(tr, "blocks_skipped_postings")+attr(tr, "blocks_skipped_blooms")) / float64(a.NumBlocks())
 	}
 
 	// Postings selectivity: a group-unique textual tag.

@@ -42,15 +42,13 @@ func (a *Archive) BlockInfos() []BlockInfo {
 // counted), every other block is explained like a single box, and the
 // per-group funnels are merged by template so the output reads like one
 // big box. Damaged blocks are counted, never fatal — same contract as
-// Query.
+// Search.
 func (a *Archive) Explain(command string) (*core.Explain, error) {
 	expr, err := query.Parse(command)
 	if err != nil {
 		return nil, err
 	}
 	agg := &core.Explain{Command: command, NumLines: a.numLines, Blocks: len(a.blocks)}
-	// Mirror queryTraced's index funnel so the explanation reports the
-	// same pruning a real query would get.
 	var plan *blockindex.Plan
 	switch {
 	case a.indexDisabled.Load():
@@ -74,17 +72,14 @@ func (a *Archive) Explain(command string) (*core.Explain, error) {
 	}
 	hook := a.hook()
 	for _, b := range a.blocks {
-		if plan != nil {
-			switch plan.Admits(uint64(b.lineOff), b.meta.numLines) {
-			case blockindex.SkipPostings:
-				agg.BlocksSkippedPostings++
-				continue
-			case blockindex.SkipBlooms:
-				agg.BlocksSkippedBlooms++
-				continue
-			}
-		}
-		if !mayMatch(expr, b.meta.stamp) {
+		switch admit(plan, expr, b) {
+		case skipPostings:
+			agg.BlocksSkippedPostings++
+			continue
+		case skipBlooms:
+			agg.BlocksSkippedBlooms++
+			continue
+		case skipStamp:
 			agg.BlocksSkipped++
 			continue
 		}

@@ -26,9 +26,9 @@ var (
 		"Bytes of block-skipping index sections written by archive writers")
 	mArchiveIndexVocabOverflow = obsv.Default.Counter("loggrep_archive_index_vocab_overflow_total",
 		"Archives whose postings section was dropped at the vocabulary cap")
-	mArchiveIndexSkippedPostings = obsv.Default.Counter("loggrep_archive_blocks_skipped_postings_total",
+	mArchiveSkippedPostings = obsv.Default.Counter("loggrep_archive_blocks_skipped_postings_total",
 		"Blocks eliminated by the token-postings section without opening them")
-	mArchiveIndexSkippedBlooms = obsv.Default.Counter("loggrep_archive_blocks_skipped_blooms_total",
+	mArchiveSkippedBlooms = obsv.Default.Counter("loggrep_archive_blocks_skipped_blooms_total",
 		"Blocks eliminated by per-block gram bloom filters without opening them")
 	mArchiveIndexAdmitted = obsv.Default.Counter("loggrep_archive_index_admitted_total",
 		"Blocks an index-filterable query admitted for searching")

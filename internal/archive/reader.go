@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"loggrep/internal/blockindex"
+	"loggrep/internal/capsule"
 	"loggrep/internal/core"
 	"loggrep/internal/liveops"
 	"loggrep/internal/obsv"
@@ -19,33 +21,8 @@ import (
 	"loggrep/internal/rtpattern"
 )
 
-// BlockError describes one damaged region of an archive: a block whose
-// checksum or decode failed, or a line range lost to header corruption or
-// truncation. Queries report these alongside partial results instead of
-// failing outright.
-type BlockError struct {
-	// Block is the ordinal of the damaged region among the archive's
-	// frames (best effort when the frame itself was unreadable).
-	Block int
-	// FirstLine is the global line number of the first affected line.
-	FirstLine int
-	// NumLines is the number of affected lines; 0 means the extent is
-	// unknown (e.g. the archive ends mid-frame with no terminator).
-	NumLines int
-	// Err is the underlying cause.
-	Err error
-}
-
-// Error describes the damaged region: block, line range, and cause.
-func (e *BlockError) Error() string {
-	if e.NumLines > 0 {
-		return fmt.Sprintf("block %d (lines %d-%d): %v", e.Block, e.FirstLine, e.FirstLine+e.NumLines-1, e.Err)
-	}
-	return fmt.Sprintf("block %d (line %d, extent unknown): %v", e.Block, e.FirstLine, e.Err)
-}
-
-// Unwrap returns the underlying cause for errors.Is/As.
-func (e *BlockError) Unwrap() error { return e.Err }
+// BlockError lives in core, beside the Result that carries it.
+type BlockError = core.BlockError
 
 // block is one opened archive block.
 type block struct {
@@ -103,17 +80,14 @@ type Archive struct {
 	damage   []BlockError // line ranges lost to structural damage, by FirstLine
 	numLines int
 	rawBytes int
-	// blocksSkipped counts blocks eliminated by block stamps across all
-	// queries (harness statistic). Atomic: queries may run concurrently.
-	blocksSkipped atomic.Int64
 
 	// index is the block-skipping index decoded from the sections after
 	// the terminator; nil or empty when the archive has none (old writer,
-	// -no-index, damage). indexDisabled turns it off at query time.
-	index                *blockindex.Index
-	indexDisabled        atomic.Bool
-	indexSkippedPostings atomic.Int64
-	indexSkippedBlooms   atomic.Int64
+	// -no-index, damage, a bare box). indexDisabled turns it off at query
+	// time.
+	index         *blockindex.Index
+	indexDisabled atomic.Bool
+	bare          *core.Store // the one block's store, for a bare CapsuleBox
 
 	hookMu   sync.Mutex
 	readHook core.ReadHook
@@ -143,11 +117,8 @@ func (a *Archive) hook() core.ReadHook {
 	return a.readHook
 }
 
-// SkippedBlocks reports how many blocks stamp filtering eliminated
-// across all queries so far.
-func (a *Archive) SkippedBlocks() int { return int(a.blocksSkipped.Load()) }
-
-// Open parses an archive produced by Writer/Compress, either format.
+// Open parses an archive produced by Writer/Compress, either format, or a
+// bare CapsuleBox, which it serves as a one-block archive.
 //
 // For v2 archives every frame header is checksum-verified up front; frames
 // with damaged headers are skipped by re-synchronizing on the next valid
@@ -160,8 +131,23 @@ func Open(data []byte) (*Archive, error) {
 		return openV2(data)
 	case hasMagic(data, MagicV1):
 		return openV1(data)
+	case capsule.IsBox(data):
+		return openBox(data)
 	}
 	return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+}
+
+// openBox wraps a bare CapsuleBox as an archive of one block with no
+// checksum, no index and a block stamp that admits every query. With no frame
+// to quarantine damage around, a box core.Open rejects fails the open.
+func openBox(data []byte) (*Archive, error) {
+	st, err := core.Open(data, core.QueryOptions{})
+	if err != nil {
+		return nil, err
+	}
+	admitAll := rtpattern.Stamp{TypeMask: 0xff, MaxLen: math.MaxInt}
+	b := &block{box: data, store: st, meta: blockMeta{numLines: st.NumLines(), stamp: admitAll}}
+	return &Archive{blocks: []*block{b}, numLines: st.NumLines(), bare: st}, nil
 }
 
 func openV2(data []byte) (*Archive, error) {
@@ -408,23 +394,8 @@ func (a *Archive) Damage() []BlockError {
 	return out
 }
 
-// Result is an archive query result with global line numbers.
-type Result struct {
-	Lines   []int
-	Entries []string
-	// Damaged lists blocks and line ranges that could not be searched;
-	// Lines/Entries are complete for every range not listed here. Empty on
-	// a healthy archive.
-	Damaged []BlockError
-	// Partial marks a result cut short by an exhausted query budget:
-	// every returned entry is a verified exact match, but blocks past the
-	// cut were not searched (and a mid-block cut may omit later matches
-	// within it). Distinct from Damaged — the data is fine, the query just
-	// ran out of budget.
-	Partial bool
-	// PartialReason says which cap stopped the query.
-	PartialReason string
-}
+// Result is an archive query result: core.Result with global line numbers.
+type Result = core.Result
 
 // mayMatch applies the block stamp: every fragment of every search string
 // in the expression must be admissible for the block to need a look. A NOT
@@ -448,46 +419,88 @@ func mayMatch(e query.Expr, st rtpattern.Stamp) bool {
 	return true
 }
 
-// Query runs a command over all blocks, parallel across workers, and
-// merges results in global line order. Damaged blocks do not fail the
-// query: their line ranges are reported in Result.Damaged and every other
-// block's matches are returned. Only an unparsable command is an error.
+// verdict is what the admission funnel decided for one block.
+type verdict int
+
+const (
+	searchBlock verdict = iota
+	skipPostings
+	skipBlooms
+	skipStamp
+	numVerdicts
+)
+
+// skipCounters are the process-wide counters behind the skip verdicts.
+var skipCounters = [numVerdicts]*obsv.Counter{
+	skipPostings: mArchiveSkippedPostings,
+	skipBlooms:   mArchiveSkippedBlooms,
+	skipStamp:    mArchiveBlocksSkipped,
+}
+
+// admit is the funnel every block passes before it is opened: the index's
+// postings, then its blooms (a nil plan means no usable index), then the
+// block stamp — all long before any capsule decompression. Search and Explain
+// both decide through it, so an explanation reports the pruning a query gets.
+func admit(plan *blockindex.Plan, expr query.Expr, b *block) verdict {
+	if plan != nil {
+		switch plan.Admits(uint64(b.lineOff), b.meta.numLines) {
+		case blockindex.SkipPostings:
+			return skipPostings
+		case blockindex.SkipBlooms:
+			return skipBlooms
+		}
+	}
+	if !mayMatch(expr, b.meta.stamp) {
+		return skipStamp
+	}
+	return searchBlock
+}
+
+// Query and QueryTraced are Search under its two former spellings, kept
+// solely because bench/ calls them and this PR may not edit bench/. ROADMAP
+// item 1's benchmark PR moves bench/ to Search and deletes both.
 func (a *Archive) Query(command string, workers int) (*Result, error) {
-	return a.queryTraced(context.Background(), command, workers, nil, nil)
+	return a.Search(context.Background(), command, core.SearchOpts{Workers: workers})
 }
 
-// QueryContext runs a command like Query under a context and a work
-// budget. Cancellation or deadline expiry aborts the query and returns the
-// context's error. The budget state (nil = unlimited) is shared across all
-// blocks — and across archives, when the caller passes the same state to
-// each; when it runs out the query returns what the searched blocks
-// matched with Result.Partial set — a degraded answer, not an error.
-func (a *Archive) QueryContext(ctx context.Context, command string, workers int, bs *core.BudgetState) (*Result, error) {
-	return a.queryTraced(ctx, command, workers, bs, nil)
-}
-
-// QueryTraced runs a command like Query and additionally records a trace:
-// one span per searched block (attrs: block ordinal, matches, payloads
-// decompressed) plus trace-level totals for blocks searched, skipped by
-// block stamps, and damaged. Block spans are appended as blocks finish, so
-// their order varies across runs; counter totals are deterministic.
+// QueryTraced: see Query.
 func (a *Archive) QueryTraced(command string, workers int) (*Result, *obsv.Trace, error) {
-	return a.QueryTracedContext(context.Background(), command, workers, nil)
-}
-
-// QueryTracedContext is QueryContext with a trace, see QueryTraced.
-func (a *Archive) QueryTracedContext(ctx context.Context, command string, workers int, bs *core.BudgetState) (*Result, *obsv.Trace, error) {
 	tr := obsv.NewTrace("archive-query")
-	res, err := a.queryTraced(ctx, command, workers, bs, tr)
+	res, err := a.Search(context.Background(), command, core.SearchOpts{Workers: workers, Trace: tr})
 	return res, tr, err
 }
 
-func (a *Archive) queryTraced(ctx context.Context, command string, workers int, bs *core.BudgetState, tr *obsv.Trace) (*Result, error) {
+// Search runs a command over all blocks, o.Workers at a time, and merges
+// results in global line order. Damaged blocks do not fail the query: their
+// line ranges are reported in Result.Damaged and every other block's
+// matches are returned. Only an unparsable command, cancellation or
+// deadline expiry is an error.
+//
+// The options reach every block unchanged: one budget state bounds the
+// whole query (and, when the caller hands the same state to several
+// archives, all of them) and running out of it returns what the searched
+// blocks matched with Result.Partial set; a count is summed per block. A
+// trace is named "archive-query" and gets one span per searched block
+// (attrs: block ordinal, matches, payloads decompressed, the engine's scan
+// and stamp counters) plus totals for blocks searched, skipped and damaged.
+// The totals are added to what the trace already holds, so a caller
+// searching several archives under one trace reads sums. Block spans are
+// appended as blocks finish, so their order varies across runs; counter
+// totals are deterministic.
+//
+// A bare CapsuleBox has no frame, index or stamp to decide anything before
+// its one block: that Store's Search answers, trace and metrics included.
+func (a *Archive) Search(ctx context.Context, command string, o core.SearchOpts) (*Result, error) {
+	if a.bare != nil {
+		return a.bare.Search(ctx, command, o)
+	}
 	t0 := time.Now()
 	expr, err := query.Parse(command)
 	if err != nil {
 		return nil, err
 	}
+	workers, bs, tr := o.Workers, o.Budget, o.Trace
+	tr.SetName("archive-query")
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -512,7 +525,7 @@ func (a *Archive) queryTraced(ctx context.Context, command string, workers int, 
 	prog := liveops.ProgressFrom(ctx)
 	prog.SetBlocksTotal(int64(len(a.blocks)))
 	prog.SetStage(liveops.StageFilter)
-	var skipped, searched, skippedPost, skippedBloom atomic.Int64
+	var verdicts [numVerdicts]atomic.Int64
 	type blockRes struct {
 		idx int
 		res *core.Result
@@ -535,33 +548,16 @@ func (a *Archive) queryTraced(ctx context.Context, command string, workers int, 
 					continue
 				}
 				b := a.blocks[idx]
-				if plan != nil {
-					// Postings then blooms, before the stamp and long before
-					// any capsule decompression.
-					switch plan.Admits(uint64(b.lineOff), b.meta.numLines) {
-					case blockindex.SkipPostings:
-						a.indexSkippedPostings.Add(1)
-						mArchiveIndexSkippedPostings.Inc()
-						skippedPost.Add(1)
-						prog.AddBlocksSkipped(1)
-						continue
-					case blockindex.SkipBlooms:
-						a.indexSkippedBlooms.Add(1)
-						mArchiveIndexSkippedBlooms.Inc()
-						skippedBloom.Add(1)
-						prog.AddBlocksSkipped(1)
-						continue
-					}
+				v := admit(plan, expr, b)
+				verdicts[v].Add(1)
+				if plan != nil && (v == searchBlock || v == skipStamp) {
 					mArchiveIndexAdmitted.Inc()
 				}
-				if !mayMatch(expr, b.meta.stamp) {
-					a.blocksSkipped.Add(1)
-					mArchiveBlocksSkipped.Inc()
-					skipped.Add(1)
+				if v != searchBlock {
+					skipCounters[v].Inc()
 					prog.AddBlocksSkipped(1)
 					continue
 				}
-				searched.Add(1)
 				mArchiveBlocksSearched.Inc()
 				prog.AddBlocksSearched(1)
 				span := tr.StartSpan("block").Attr("block", int64(idx))
@@ -580,30 +576,26 @@ func (a *Archive) queryTraced(ctx context.Context, command string, workers int, 
 					out <- blockRes{idx: idx, err: err}
 					continue
 				}
-				var (
-					res *core.Result
-					btr *obsv.Trace
-				)
+				// A traced archive query traces each block on a trace of its
+				// own, so the engine's scan and stamp counters survive onto
+				// the block span (and into wide events built from it).
+				bo := o
 				if tr != nil {
-					// Traced archive queries trace each block too, so the
-					// engine's scan and stamp counters survive onto the
-					// block span (and into wide events built from it).
-					res, btr, err = st.QueryTracedContext(ctx, command, bs)
-				} else {
-					res, err = st.QueryContext(ctx, command, bs)
+					bo.Trace = obsv.NewTrace("query")
 				}
+				res, err := st.Search(ctx, command, bo)
 				mArchiveBlockNS.Observe(time.Since(tb).Nanoseconds())
 				switch {
 				case err == nil:
-					if plan != nil && len(res.Lines) == 0 {
+					if plan != nil && res.Matches == 0 {
 						// The index admitted a block with no match — an upper
 						// bound on its false-positive rate (the block may have
 						// been admitted for sound reasons, e.g. a NOT branch).
 						mArchiveIndexFalseAdmit.Inc()
 					}
-					span.Attr("matches", int64(len(res.Lines))).
+					span.Attr("matches", int64(res.Matches)).
 						Attr("decompressions", int64(res.Decompressions))
-					liftEngineAttrs(span, btr)
+					liftEngineAttrs(span, bo.Trace)
 					if res.Partial {
 						span.Attr("partial", 1)
 					}
@@ -653,6 +645,8 @@ func (a *Archive) queryTraced(ctx context.Context, command string, workers int, 
 				res.PartialReason = br.PartialReason
 			}
 		}
+		res.Matches += br.Matches
+		res.Decompressions += br.Decompressions
 		off := a.blocks[idx].lineOff
 		for i, line := range br.Lines {
 			res.Lines = append(res.Lines, off+line)
@@ -667,13 +661,13 @@ func (a *Archive) queryTraced(ctx context.Context, command string, workers int, 
 		mArchiveQueryPartial.Inc()
 	}
 	sort.SliceStable(res.Damaged, func(i, j int) bool { return res.Damaged[i].FirstLine < res.Damaged[j].FirstLine })
-	tr.Attr("blocks", int64(len(a.blocks)))
-	tr.Attr("blocks_searched", searched.Load())
-	tr.Attr("blocks_skipped", skipped.Load())
-	tr.Attr("blocks_skipped_postings", skippedPost.Load())
-	tr.Attr("blocks_skipped_blooms", skippedBloom.Load())
-	tr.Attr("damaged_regions", int64(len(res.Damaged)))
-	tr.Attr("matches", int64(len(res.Lines)))
+	tr.AddAttr("blocks", int64(len(a.blocks)))
+	tr.AddAttr("blocks_searched", verdicts[searchBlock].Load())
+	tr.AddAttr("blocks_skipped", verdicts[skipStamp].Load())
+	tr.AddAttr("blocks_skipped_postings", verdicts[skipPostings].Load())
+	tr.AddAttr("blocks_skipped_blooms", verdicts[skipBlooms].Load())
+	tr.AddAttr("damaged_regions", int64(len(res.Damaged)))
+	tr.AddAttr("matches", int64(res.Matches))
 	if res.Partial {
 		tr.Attr("partial", 1)
 	}
@@ -711,18 +705,19 @@ func (b *block) asBlockError(err error) *BlockError {
 }
 
 // Entry reconstructs one entry by its global line number. A line lost to
-// damage returns a *BlockError describing the affected range.
-func (a *Archive) Entry(line int) (string, error) {
+// damage returns a *BlockError describing the affected range; a cancelled
+// context returns its error and latches nothing.
+func (a *Archive) Entry(ctx context.Context, line int) (string, error) {
 	if line < 0 || line >= a.numLines {
 		return "", fmt.Errorf("archive: line %d out of range", line)
 	}
 	for _, b := range a.blocks {
 		if line >= b.lineOff && line < b.lineOff+b.meta.numLines {
-			st, err := b.openStore(context.Background(), a.hook())
+			st, err := b.openStore(ctx, a.hook())
 			if err != nil {
 				return "", err
 			}
-			return st.ReconstructLine(line - b.lineOff)
+			return st.ReconstructLine(ctx, line-b.lineOff)
 		}
 	}
 	for i := range a.damage {

@@ -2,11 +2,13 @@ package archive
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"loggrep/internal/core"
 	"loggrep/internal/loggen"
 	"loggrep/internal/logparse"
 )
@@ -126,7 +128,7 @@ func TestWriterEntryLargerThanBlock(t *testing.T) {
 	}
 	want := logparse.SplitLines(stream)
 	for i := range want {
-		got, err := a.Entry(i)
+		got, err := a.Entry(context.Background(), i)
 		if err != nil {
 			t.Fatalf("entry %d: %v", i, err)
 		}
@@ -158,7 +160,7 @@ func TestParallelQueryStress(t *testing.T) {
 	// Reference results computed single-threaded before the race starts.
 	want := make(map[string]int)
 	for _, q := range queries {
-		res, err := a.Query(q, 1)
+		res, err := a.Search(context.Background(), q, core.SearchOpts{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +193,7 @@ func TestParallelQueryStress(t *testing.T) {
 			}
 			for i := 0; i < 8; i++ {
 				q := queries[(g+i)%len(queries)]
-				res, err := view.Query(q, 1+((g+i)%4))
+				res, err := view.Search(context.Background(), q, core.SearchOpts{Workers: 1 + ((g + i) % 4)})
 				if err != nil {
 					errc <- fmt.Errorf("query %q: %v", q, err)
 					return
@@ -201,7 +203,7 @@ func TestParallelQueryStress(t *testing.T) {
 					return
 				}
 				line := (g*131 + i*17) % view.NumLines()
-				if _, err := view.Entry(line); err != nil {
+				if _, err := view.Entry(context.Background(), line); err != nil {
 					errc <- fmt.Errorf("entry %d: %v", line, err)
 					return
 				}

@@ -1,6 +1,7 @@
 package capsule
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -411,16 +412,19 @@ type Box struct {
 	lineMapLen  int // line-map section size (0 in a rev-1 box)
 }
 
+// IsBox reports whether data begins with a CapsuleBox magic, of this or
+// the previous format revision.
+func IsBox(data []byte) bool {
+	return bytes.HasPrefix(data, []byte(BoxMagic)) || bytes.HasPrefix(data, []byte(boxMagicV1))
+}
+
 // ReadBox parses a CapsuleBox produced by WriteBox, of this or the previous
 // format revision.
 func ReadBox(data []byte) (*Box, error) {
-	if len(data) < len(BoxMagic) {
+	if !IsBox(data) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	magic := string(data[:len(BoxMagic)])
-	if magic != BoxMagic && magic != boxMagicV1 {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
 	rest := data[len(BoxMagic):]
 	mlen, n := binary.Uvarint(rest)
 	if n <= 0 || uint64(len(rest)-n) < mlen {

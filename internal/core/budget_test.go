@@ -12,15 +12,15 @@ import (
 	"loggrep/internal/query"
 )
 
-// TestQueryContextPreCancelled: a context cancelled before the query
+// TestSearchPreCancelled: a context cancelled before the query
 // starts stops it before any work, with the context's error.
-func TestQueryContextPreCancelled(t *testing.T) {
+func TestSearchPreCancelled(t *testing.T) {
 	lines := genBlock(1, 500)
 	st, _ := mustOpen(t, makeBlock(lines...), DefaultOptions())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := st.QueryContext(ctx, "ERROR", nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QueryContext on cancelled ctx = %v, want context.Canceled", err)
+	if _, err := st.Search(ctx, "ERROR", SearchOpts{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Search on cancelled ctx = %v, want context.Canceled", err)
 	}
 	// The same store still answers uncancelled queries normally.
 	checkQuery(t, st, lines, "ERROR")
@@ -43,7 +43,7 @@ func TestStalledReadCancelledWithinDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	start := time.Now()
-	_, qerr := st.QueryContext(ctx, "ERROR AND state:ERR#404", nil)
+	_, qerr := st.Search(ctx, "ERROR AND state:ERR#404", SearchOpts{})
 	elapsed := time.Since(start)
 	if !errors.Is(qerr, context.DeadlineExceeded) {
 		t.Fatalf("stalled query returned %v, want context.DeadlineExceeded", qerr)
@@ -53,7 +53,7 @@ func TestStalledReadCancelledWithinDeadline(t *testing.T) {
 	}
 	// Clearing the hook heals the store: nothing latched.
 	st.SetReadHook(nil)
-	res, err := st.Query("ERROR AND state:ERR#404")
+	res, err := st.Search(context.Background(), "ERROR AND state:ERR#404", SearchOpts{})
 	if err != nil {
 		t.Fatalf("query after clearing hook: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestBudgetPartialNeverWrong(t *testing.T) {
 		} {
 			st.ResetCounters() // cold caches so the caps actually bite
 			st.ClearCache()
-			res, err := st.QueryContext(context.Background(), cmd, NewBudgetState(b))
+			res, err := st.Search(context.Background(), cmd, SearchOpts{Budget: NewBudgetState(b)})
 			if err != nil {
 				t.Fatalf("budget query %q %+v: %v", cmd, b, err)
 			}
@@ -108,11 +108,12 @@ func TestBudgetPartialNeverWrong(t *testing.T) {
 
 			st.ResetCounters()
 			st.ClearCache()
-			n, reason, err := st.CountContext(context.Background(), cmd, NewBudgetState(b))
+			cnt, err := st.Search(context.Background(), cmd, SearchOpts{Budget: NewBudgetState(b), CountOnly: true})
 			if err != nil {
 				t.Fatalf("budget count %q %+v: %v", cmd, b, err)
 			}
-			if n > len(want) || (reason == "" && n != len(want)) {
+			n, reason := cnt.Matches, cnt.PartialReason
+			if n > len(want) || (reason == "" && n != len(want)) || cnt.Partial != (reason != "") {
 				t.Fatalf("count %q budget %+v: %d (partial %q), oracle %d", cmd, b, n, reason, len(want))
 			}
 			if reason != "" && allExactLeaves(mustParse(t, cmd)) {
@@ -140,7 +141,7 @@ func TestBudgetPartialNotCached(t *testing.T) {
 	lines := genBlock(4, 1500)
 	st, _ := mustOpen(t, makeBlock(lines...), DefaultOptions())
 	cmd := "ERROR AND 11.187.*.*"
-	res, err := st.QueryContext(context.Background(), cmd, NewBudgetState(Budget{MaxScannedBytes: 1}))
+	res, err := st.Search(context.Background(), cmd, SearchOpts{Budget: NewBudgetState(Budget{MaxScannedBytes: 1})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestBudgetStateShared(t *testing.T) {
 	// verifying candidates still decompresses payloads, which a
 	// decompression cap observes.
 	bs := NewBudgetState(Budget{MaxDecompressions: 1})
-	if _, err := st.QueryContext(context.Background(), "ERROR", bs); err != nil {
+	if _, err := st.Search(context.Background(), "ERROR", SearchOpts{Budget: bs}); err != nil {
 		t.Fatal(err)
 	}
 	if bs.Decompressions() == 0 {
@@ -167,7 +168,7 @@ func TestBudgetStateShared(t *testing.T) {
 	}
 	// The state is now exhausted; a fresh store stops immediately.
 	st2, _ := mustOpen(t, makeBlock(lines...), DefaultOptions())
-	res, err := st2.QueryContext(context.Background(), "ERROR", bs)
+	res, err := st2.Search(context.Background(), "ERROR", SearchOpts{Budget: bs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestConcurrentQueryClearCache(t *testing.T) {
 					st.ResetCounters()
 				default:
 					cmd := testQueries[(g*31+i)%len(testQueries)]
-					if _, err := st.Query(cmd); err != nil {
+					if _, err := st.Search(context.Background(), cmd, SearchOpts{}); err != nil {
 						t.Errorf("concurrent Query(%q): %v", cmd, err)
 						return
 					}
@@ -209,7 +210,7 @@ func TestConcurrentQueryClearCache(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	res, err := st.Query("ERROR")
+	res, err := st.Search(context.Background(), "ERROR", SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -44,7 +45,7 @@ func TestChunkedReconstructTouchesFewChunks(t *testing.T) {
 		st, _ := mustOpen(t, block, opts)
 		// An incident: 20 adjacent entries reconstructed.
 		for line := 500; line < 520; line++ {
-			if _, err := st.ReconstructLine(line); err != nil {
+			if _, err := st.ReconstructLine(context.Background(), line); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -62,7 +63,7 @@ func TestChunkedReconstructTouchesFewChunks(t *testing.T) {
 			t.Fatal(err)
 		}
 		for line := 500; line < 520; line++ {
-			st.ReconstructLine(line)
+			st.ReconstructLine(context.Background(), line)
 		}
 		total := 0
 		for _, p := range st.box.CacheSnapshot() {

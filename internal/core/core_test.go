@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"loggrep/internal/logparse"
+	"loggrep/internal/obsv"
 	"loggrep/internal/query"
 )
 
@@ -47,6 +49,13 @@ func naiveQuery(t *testing.T, lines []string, command string) []int {
 	return out
 }
 
+// searchTraced runs a command under a fresh trace.
+func searchTraced(st *Store, command string) (*Result, *obsv.Trace, error) {
+	tr := obsv.NewTrace("query")
+	res, err := st.Search(context.Background(), command, SearchOpts{Trace: tr})
+	return res, tr, err
+}
+
 func mustOpen(t *testing.T, block []byte, opts Options) (*Store, []string) {
 	t.Helper()
 	data := Compress(block, opts)
@@ -59,7 +68,7 @@ func mustOpen(t *testing.T, block []byte, opts Options) (*Store, []string) {
 
 func checkQuery(t *testing.T, st *Store, lines []string, command string) {
 	t.Helper()
-	res, err := st.Query(command)
+	res, err := st.Search(context.Background(), command, SearchOpts{})
 	if err != nil {
 		t.Fatalf("Query(%q): %v", command, err)
 	}
@@ -236,11 +245,11 @@ func TestQueryEquivalenceRandomized(t *testing.T) {
 func TestQueryCache(t *testing.T) {
 	lines := genBlock(3, 300)
 	st, _ := mustOpen(t, makeBlock(lines...), DefaultOptions())
-	r1, err := st.Query("ERROR AND state:ERR#404")
+	r1, err := st.Search(context.Background(), "ERROR AND state:ERR#404", SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := st.Query("ERROR AND state:ERR#404")
+	r2, err := st.Search(context.Background(), "ERROR AND state:ERR#404", SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,9 +267,9 @@ func TestQueryCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2.Query("ERROR AND state:ERR#404")
+	st2.Search(context.Background(), "ERROR AND state:ERR#404", SearchOpts{})
 	st2.ResetCounters()
-	r4, err := st2.Query("ERROR AND state:ERR#404")
+	r4, err := st2.Search(context.Background(), "ERROR AND state:ERR#404", SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +286,7 @@ func TestStampFilteringSkipsCapsules(t *testing.T) {
 		lines = append(lines, fmt.Sprintf("T%06d bk.%02X.%d read", i, i%256, i%20))
 	}
 	st, _ := mustOpen(t, makeBlock(lines...), DefaultOptions())
-	res, err := st.Query("zzz*qq")
+	res, err := st.Search(context.Background(), "zzz*qq", SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +308,7 @@ func TestTemplateHitAvoidsCapsules(t *testing.T) {
 		lines = append(lines, fmt.Sprintf("alpha beta event %d", i))
 	}
 	st, _ := mustOpen(t, makeBlock(lines...), DefaultOptions())
-	res, err := st.Query("gamma")
+	res, err := st.Search(context.Background(), "gamma", SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,10 +319,10 @@ func TestTemplateHitAvoidsCapsules(t *testing.T) {
 
 func TestQueryParseError(t *testing.T) {
 	st, _ := mustOpen(t, makeBlock("a b c"), DefaultOptions())
-	if _, err := st.Query("AND AND"); err == nil {
+	if _, err := st.Search(context.Background(), "AND AND", SearchOpts{}); err == nil {
 		t.Fatal("bad query accepted")
 	}
-	if _, err := st.Query(""); err == nil {
+	if _, err := st.Search(context.Background(), "", SearchOpts{}); err == nil {
 		t.Fatal("empty query accepted")
 	}
 }
@@ -323,7 +332,7 @@ func TestEmptyBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.Query("anything")
+	res, err := st.Search(context.Background(), "anything", SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +388,7 @@ func TestCorruptBoxRejected(t *testing.T) {
 				return
 			}
 			// Even if the box opens, queries must not panic.
-			st.Query("ERROR AND state:ERR#404")
+			st.Search(context.Background(), "ERROR AND state:ERR#404", SearchOpts{})
 			st.ReconstructAll()
 		}()
 	}
@@ -398,16 +407,26 @@ func TestCountMatchesQuery(t *testing.T) {
 		"blk_1* AND ERROR",
 		"request done",
 	} {
-		res, err := st.Query(cmd)
-		if err != nil {
-			t.Fatalf("Query(%q): %v", cmd, err)
-		}
-		n, err := st.Count(cmd)
+		// Count first: afterwards the Query Cache would answer it.
+		cnt, err := st.Search(context.Background(), cmd, SearchOpts{CountOnly: true})
 		if err != nil {
 			t.Fatalf("Count(%q): %v", cmd, err)
 		}
-		if n != len(res.Lines) {
-			t.Fatalf("Count(%q) = %d, Query matched %d", cmd, n, len(res.Lines))
+		res, tr, err := searchTraced(st, cmd)
+		if err != nil {
+			t.Fatalf("Query(%q): %v", cmd, err)
+		}
+		if cnt.Matches != len(res.Lines) || cnt.Lines != nil || cnt.Entries != nil {
+			t.Fatalf("Count(%q) = %d (lines %v), Query matched %d", cmd, cnt.Matches, cnt.Lines, len(res.Lines))
+		}
+		// A verifying count reconstructed the whole answer on its way and
+		// leaves it in the Query Cache; an exact one had no lines to leave.
+		expr, _ := query.Parse(cmd)
+		if hit := strings.Contains(tr.Outline(), "cache_hit=1"); hit == allExactLeaves(expr) {
+			t.Errorf("Query(%q) after its count: cache hit = %v, exact count = %v", cmd, hit, !hit)
+		}
+		if want, _, _ := RawQuery(makeBlock(lines...), cmd); fmt.Sprint(res.Lines) != fmt.Sprint(want) {
+			t.Errorf("Query(%q) after its count = lines %v, raw grep %v", cmd, res.Lines, want)
 		}
 	}
 }
@@ -421,7 +440,7 @@ func TestRawQueryMatchesCompressedQuery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("RawQuery(%q): %v", cmd, err)
 		}
-		res, err := st.Query(cmd)
+		res, err := st.Search(context.Background(), cmd, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

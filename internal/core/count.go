@@ -1,66 +1,18 @@
 package core
 
 import (
-	"context"
 	"strings"
 
-	"loggrep/internal/liveops"
 	"loggrep/internal/query"
 )
 
-// Count returns the number of entries matching a command — grep -c.
-//
-// When every search string in the expression is exactly filterable (a
-// single wildcard-free keyword), the filter bitsets are not supersets but
-// the precise answer: a keyword that is one token matches an entry iff it
-// occurs as a substring, which is exactly what the runtime-pattern
-// matching computes. In that case Count combines bitsets and never
-// reconstructs an entry. Otherwise it falls back to the verifying Query
-// path.
-func (st *Store) Count(command string) (int, error) {
-	n, _, err := st.CountContext(context.Background(), command, nil)
-	return n, err
-}
-
-// CountContext is Count under a context and an optional work budget, both
-// checked at the same scan-granular checkpoints as QueryContext. An
-// exhausted budget is not an error: partialReason is non-empty and n
-// counts only the matches verified before the cut — never more than the
-// true count. The exact-bitset path has nothing verified to report when
-// it is cut, so it reports zero.
-func (st *Store) CountContext(ctx context.Context, command string, budget *BudgetState) (n int, partialReason string, err error) {
-	expr, err := query.Parse(command)
-	if err != nil {
-		return 0, "", err
-	}
-	if !allExactLeaves(expr) {
-		res, err := st.QueryContext(ctx, command, budget)
-		if err != nil {
-			return 0, "", err
-		}
-		return len(res.Lines), res.PartialReason, nil
-	}
-	st.mu.Lock()
-	st.intr = &interruptState{
-		ctx: ctx, budget: budget, prog: liveops.ProgressFrom(ctx),
-		baseScan: st.stats.bytesScanned, baseDecomp: st.box.Decompressions,
-	}
-	set, err := st.exactEval(expr, nil)
-	st.intr = nil
-	st.mu.Unlock()
-	if isBudgetStop(err) {
-		mQueryBudgetExceeded.Inc()
-		return 0, err.Error(), nil
-	}
-	if err != nil {
-		return 0, "", err
-	}
-	return set.count(), "", nil
-}
-
 // allExactLeaves reports whether the expression only contains search
 // strings whose filter result is exact: one keyword, no wildcards, and the
-// keyword is the entire phrase (no cross-token adjacency to verify).
+// keyword is the entire phrase (no cross-token adjacency to verify). Such a
+// keyword matches an entry iff it occurs as a substring, which is exactly
+// what the runtime-pattern matching computes, so the filter bitsets are not
+// supersets but the precise answer and a CountOnly Search combines them
+// without reconstructing an entry.
 func allExactLeaves(e query.Expr) bool {
 	switch x := e.(type) {
 	case *query.And:
@@ -114,7 +66,7 @@ func (st *Store) exactEval(e query.Expr, within *rowSets) (*rowSets, error) {
 }
 
 // RawQuery runs a command over an uncompressed block with the same exact
-// semantics as Query — the first-phase path for blocks that have not been
+// semantics as Search — the first-phase path for blocks that have not been
 // compressed yet (§2 of the paper).
 func RawQuery(block []byte, command string) ([]int, []string, error) {
 	expr, err := query.Parse(command)

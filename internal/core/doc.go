@@ -8,7 +8,7 @@
 // logparse mines static patterns and partitions entries into per-template
 // variable vectors, rtpattern decomposes each vector by runtime patterns
 // into Capsules, and the packer pads, stamps, and LZMA-compresses each
-// Capsule independently. Querying (Store.Query) runs the paper's
+// Capsule independently. Querying (Store.Search) runs the paper's
 // filter-then-verify scheme: keywords are matched structurally against
 // static and runtime patterns, Capsule stamps prune Capsules that cannot
 // contain a keyword, the few surviving Capsules are scanned with
@@ -17,6 +17,6 @@
 //
 // Both paths are instrumented: per-stage compression timings and sizes,
 // and per-query counters, are recorded into obsv.Default (metrics.go lists
-// them; OPERATIONS.md documents them). Store.QueryTraced additionally
-// returns a per-query obsv.Trace with parse/filter/verify spans.
+// them; OPERATIONS.md documents them). A Search given a SearchOpts.Trace
+// additionally records parse/filter/verify spans on it.
 package core

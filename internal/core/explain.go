@@ -81,7 +81,7 @@ type GroupExplain struct {
 }
 
 // Explain analyzes a command without producing result entries. It runs the
-// filter phase a Query would — the same evaluation order, the same
+// filter phase a Search would — the same evaluation order, the same
 // narrowing, the same caches warmed — with a recorder attached, and skips
 // verification and reconstruction.
 func (st *Store) Explain(command string) (*Explain, error) {

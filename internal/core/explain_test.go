@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -17,7 +18,7 @@ func TestExplainFunnel(t *testing.T) {
 	}
 	// Candidate counts must match what the query actually returns when the
 	// leaf is exactly filterable.
-	res, err := st.Query("state:ERR#404")
+	res, err := st.Search(context.Background(), "state:ERR#404", SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestExplainFollowsNarrowing(t *testing.T) {
 	}
 
 	fresh, _ := mustOpen(t, block, DefaultOptions())
-	_, tr, err := fresh.QueryTraced(cmd)
+	_, tr, err := searchTraced(fresh, cmd)
 	if err != nil {
 		t.Fatal(err)
 	}

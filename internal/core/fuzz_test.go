@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"loggrep/internal/logparse"
@@ -54,8 +55,8 @@ func FuzzOpen(f *testing.F) {
 		if err != nil {
 			return
 		}
-		st.Query("a AND b")
-		st.Query("read OR NOT state:")
+		st.Search(context.Background(), "a AND b", SearchOpts{})
+		st.Search(context.Background(), "read OR NOT state:", SearchOpts{})
 		st.ReconstructAll()
 	})
 }

@@ -70,6 +70,10 @@ func randomTree(rng *rand.Rand, lines []string, depth int) string {
 	}
 }
 
+// RandomTree lends the generator to TestSourceKindsAgree (package
+// core_test: it needs the archive and ingest layers, which import core).
+var RandomTree = randomTree
+
 // TestNarrowingOracle is the soundness test of AND narrowing: over every
 // production log type, random AND/OR/NOT/wildcard trees answer exactly what
 // a line-by-line matcher over the raw block answers, and Count agrees. Each
@@ -97,7 +101,7 @@ func TestNarrowingOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("type %s: RawQuery(%q): %v", lt.Name, cmd, err)
 			}
-			res, err := st.Query(cmd)
+			res, err := st.Search(context.Background(), cmd, SearchOpts{})
 			if err != nil {
 				t.Fatalf("type %s: Query(%q): %v", lt.Name, cmd, err)
 			}
@@ -105,8 +109,9 @@ func TestNarrowingOracle(t *testing.T) {
 				t.Fatalf("type %s: Query(%q) = %d lines %v, raw grep %d lines %v",
 					lt.Name, cmd, len(res.Lines), res.Lines, len(wantLines), wantLines)
 			}
-			if n, err := st.Count(cmd); err != nil || n != len(wantLines) {
-				t.Fatalf("type %s: Count(%q) = %d, %v; want %d", lt.Name, cmd, n, err, len(wantLines))
+			st.ClearCache() // or the cached query answers the count
+			if cnt, err := st.Search(context.Background(), cmd, SearchOpts{CountOnly: true}); err != nil || cnt.Matches != len(wantLines) {
+				t.Fatalf("type %s: count of %q = %+v, %v; want %d", lt.Name, cmd, cnt, err, len(wantLines))
 			}
 		}
 	}
@@ -148,7 +153,7 @@ func TestNarrowingInterrupted(t *testing.T) {
 			}
 			for _, b := range []Budget{{MaxDecompressions: 1}, {MaxDecompressions: 5}, {MaxScannedBytes: 4 << 10}} {
 				st.ResetCounters()
-				res, err := st.QueryContext(context.Background(), cmd, NewBudgetState(b))
+				res, err := st.Search(context.Background(), cmd, SearchOpts{Budget: NewBudgetState(b)})
 				if err != nil {
 					t.Fatalf("type %s budget %+v %q: %v", name, b, cmd, err)
 				}
@@ -164,7 +169,7 @@ func TestNarrowingInterrupted(t *testing.T) {
 					}
 					return nil
 				})
-				res, err := st.QueryContext(ctx, cmd, nil)
+				res, err := st.Search(ctx, cmd, SearchOpts{})
 				cancel()
 				st.SetReadHook(nil)
 				switch {
@@ -175,7 +180,7 @@ func TestNarrowingInterrupted(t *testing.T) {
 				}
 			}
 			st.ResetCounters()
-			res, err := st.Query(cmd)
+			res, err := st.Search(context.Background(), cmd, SearchOpts{})
 			if err != nil || !slices.Equal(res.Lines, wantLines) {
 				t.Fatalf("type %s %q after interruptions: %v, %d of %d matches", name, cmd, err, len(res.Lines), len(wantLines))
 			}
@@ -212,7 +217,7 @@ func TestNarrowingCounters(t *testing.T) {
 		}
 		return st
 	}
-	res, tr, err := open().QueryTraced(lt.Query)
+	res, tr, err := searchTraced(open(), lt.Query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +233,7 @@ func TestNarrowingCounters(t *testing.T) {
 		t.Errorf("line maps decoded = %d, want 1: every match sits in the needle's group\n%s", got["line_maps"], tr.Outline())
 	}
 
-	res, tr, err = open().QueryTraced("absent0123456789 AND ERROR")
+	res, tr, err = searchTraced(open(), "absent0123456789 AND ERROR")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 )
@@ -25,7 +26,7 @@ func (s *Session) Refine(clause string) (*Result, error) {
 		return nil, fmt.Errorf("core: empty clause")
 	}
 	s.clauses = append(s.clauses, clause)
-	res, err := s.st.Query(s.Command())
+	res, err := s.st.Search(context.Background(), s.Command(), SearchOpts{})
 	if err != nil {
 		s.clauses = s.clauses[:len(s.clauses)-1]
 		return nil, err
@@ -44,7 +45,7 @@ func (s *Session) Back() (*Result, error) {
 	if len(s.clauses) == 0 {
 		return nil, nil
 	}
-	return s.st.Query(s.Command())
+	return s.st.Search(context.Background(), s.Command(), SearchOpts{})
 }
 
 // Command renders the current conjunction.

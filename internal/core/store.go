@@ -102,23 +102,85 @@ type qGroup struct {
 	n    int
 }
 
-// Result is the answer to one query: matching line numbers (ascending) and
-// their reconstructed text.
+// Result is the answer to one query, in the one shape every source —
+// a Store, an archive.Archive, an ingest.Stream — returns.
 type Result struct {
+	// Matches is the number of matching entries: len(Lines), or the whole
+	// answer of a SearchOpts.CountOnly query.
+	Matches int
+	// Lines are the matching line numbers, ascending (block-local for a
+	// Store, global for an archive or stream); Entries their reconstructed
+	// text. Both are nil for a CountOnly query.
 	Lines   []int
 	Entries []string
 	// Decompressions is how many Capsule payloads were decompressed to
 	// answer this query (0 when served from the Query Cache).
 	Decompressions int
-	// Partial marks a result cut short by an exhausted query budget.
-	// Every returned entry is still a verified, exact match — partiality
-	// only means later matches may be missing. Mirrors the
-	// archive.Result.Damaged contract: report what was searched instead
-	// of failing. Partial results are never cached.
+	// Damaged lists blocks and line ranges that could not be searched;
+	// the answer is complete for every range not listed here. Always empty
+	// for a Store, and for a healthy archive.
+	Damaged []BlockError
+	// Partial marks a result cut short — by an exhausted query budget or,
+	// on a stream, by storage damage. Every returned entry is still a
+	// verified, exact match; only later matches may be missing. (Damaged
+	// alone is not Partial: an archive answers in full for the rest.)
+	// Partial results are never cached.
 	Partial bool
-	// PartialReason says which cap stopped the query (empty when
-	// Partial is false).
+	// PartialReason says what stopped the query (empty when Partial is
+	// false).
 	PartialReason string
+}
+
+// BlockError describes one damaged region of an archive: a block whose
+// checksum or decode failed, or a line range lost to header corruption or
+// truncation. Queries report these alongside partial results instead of
+// failing outright.
+type BlockError struct {
+	// Block is the ordinal of the damaged region among the archive's
+	// frames (best effort when the frame itself was unreadable).
+	Block int
+	// FirstLine is the global line number of the first affected line.
+	FirstLine int
+	// NumLines is the number of affected lines; 0 means the extent is
+	// unknown (e.g. the archive ends mid-frame with no terminator).
+	NumLines int
+	// Err is the underlying cause.
+	Err error
+}
+
+// Error describes the damaged region: block, line range, and cause.
+func (e *BlockError) Error() string {
+	if e.NumLines > 0 {
+		return fmt.Sprintf("block %d (lines %d-%d): %v", e.Block, e.FirstLine, e.FirstLine+e.NumLines-1, e.Err)
+	}
+	return fmt.Sprintf("block %d (line %d, extent unknown): %v", e.Block, e.FirstLine, e.Err)
+}
+
+// Unwrap returns the underlying cause for errors.Is/As.
+func (e *BlockError) Unwrap() error { return e.Err }
+
+// SearchOpts are the per-call choices of a Search, the same at every level:
+// an archive or stream passes them to each block it searches.
+type SearchOpts struct {
+	// Budget caps the query's work; nil means unlimited. One state bounds
+	// the whole query however many blocks (or archives) it is handed to.
+	// An exhausted budget is not an error: the matches verified so far
+	// come back with Result.Partial set.
+	Budget *BudgetState
+	// Trace, when set, receives the query's spans and counters: per phase
+	// (parse, filter, verify) from a Store, per searched block from an
+	// archive; Search names the trace after which it was. The counter
+	// attributes are deterministic for a given source and command; durations
+	// are wall-clock. Nil records nothing and costs nothing.
+	Trace *obsv.Trace
+	// Workers bounds how many blocks an archive searches at once
+	// (0 = GOMAXPROCS). A Store is one block and ignores it.
+	Workers int
+	// CountOnly asks for grep -c: Result.Matches alone, no Lines or
+	// Entries. When every search string filters exactly the count is pure
+	// bitset algebra and no entry is reconstructed (see allExactLeaves);
+	// otherwise it verifies, and fills the Query Cache, as a query does.
+	CountOnly bool
 }
 
 // Open parses a CapsuleBox produced by Compress. It validates the directory
@@ -409,8 +471,8 @@ func (st *Store) ClearCache() {
 	st.qcache = make(map[string]*Result)
 }
 
-// Query executes a grep-like command ("error AND dst:11.8.* NOT state:503")
-// and returns matching entries in block order.
+// Search executes a grep-like command ("error AND dst:11.8.* NOT
+// state:503") and returns matching entries in block order.
 //
 // Evaluation has two phases. The filtering phase computes, per search
 // string, a superset of matching rows using runtime-pattern matching and
@@ -421,41 +483,14 @@ func (st *Store) ClearCache() {
 // text, so results are precisely what grep on the raw block would return.
 // Candidates stay (group, row) pairs throughout; line numbers are looked up
 // last, for the groups that produced matches.
-func (st *Store) Query(command string) (*Result, error) {
-	return st.queryTraced(context.Background(), command, nil, nil)
-}
-
-// QueryContext executes a command like Query under a context and an
-// optional work budget. Cancellation is cooperative, checked before each
-// capsule scan or payload fetch and per verified candidate, and surfaces
-// as the context's error. An exhausted budget is not an error: the query
-// returns the matches verified so far with Result.Partial set. budget may
-// be nil (unlimited) or shared across stores (archive queries share one
-// per query).
-func (st *Store) QueryContext(ctx context.Context, command string, budget *BudgetState) (*Result, error) {
-	return st.queryTraced(ctx, command, budget, nil)
-}
-
-// QueryTraced executes a command like Query and additionally records a
-// per-stage trace: one span per phase (parse, filter, verify) carrying the
-// stamp admissions and skips, capsule scans and scan-cache hits, payloads
-// decompressed, bytes scanned, candidate and match counts. The counter
-// attributes are deterministic for a given store and command; span
-// durations are wall-clock.
-func (st *Store) QueryTraced(command string) (*Result, *obsv.Trace, error) {
-	return st.QueryTracedContext(context.Background(), command, nil)
-}
-
-// QueryTracedContext is QueryContext with a trace, see QueryTraced.
-func (st *Store) QueryTracedContext(ctx context.Context, command string, budget *BudgetState) (*Result, *obsv.Trace, error) {
-	tr := obsv.NewTrace("query")
-	res, err := st.queryTraced(ctx, command, budget, tr)
-	return res, tr, err
-}
-
-func (st *Store) queryTraced(ctx context.Context, command string, budget *BudgetState, tr *obsv.Trace) (*Result, error) {
+//
+// Cancellation is cooperative, checked before each capsule scan or payload
+// fetch and per verified candidate, and surfaces as the context's error.
+func (st *Store) Search(ctx context.Context, command string, o SearchOpts) (*Result, error) {
 	t0 := time.Now()
+	tr := o.Trace
 	mQueries.Inc()
+	tr.SetName("query")
 	tr.Attr("lines", int64(st.NumLines()))
 	if st.cacheOn {
 		st.cacheMu.RLock()
@@ -464,10 +499,13 @@ func (st *Store) queryTraced(ctx context.Context, command string, budget *Budget
 		if ok {
 			mQueryCacheHits.Inc()
 			mQueryNS.Observe(time.Since(t0).Nanoseconds())
-			mQueryMatches.Observe(int64(len(r.Lines)))
+			mQueryMatches.Observe(int64(r.Matches))
 			tr.Attr("cache_hit", 1)
-			tr.Attr("matches", int64(len(r.Lines)))
-			return &Result{Lines: r.Lines, Entries: r.Entries}, nil
+			tr.Attr("matches", int64(r.Matches))
+			if o.CountOnly {
+				return &Result{Matches: r.Matches}, nil
+			}
+			return &Result{Matches: r.Matches, Lines: r.Lines, Entries: r.Entries}, nil
 		}
 	}
 	tr.Attr("cache_hit", 0)
@@ -482,12 +520,15 @@ func (st *Store) queryTraced(ctx context.Context, command string, budget *Budget
 	if err != nil {
 		return nil, err
 	}
+	// A count over exactly filterable search strings is the filter sets
+	// themselves: no verification, nothing reconstructed.
+	exact := o.CountOnly && allExactLeaves(expr)
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	prog := liveops.ProgressFrom(ctx)
 	st.intr = &interruptState{
-		ctx: ctx, budget: budget, prog: prog,
+		ctx: ctx, budget: o.Budget, prog: prog,
 		baseScan: st.stats.bytesScanned, baseDecomp: st.box.Decompressions,
 	}
 	defer func() { st.intr = nil }()
@@ -498,7 +539,12 @@ func (st *Store) queryTraced(ctx context.Context, command string, budget *Budget
 	stats0 := st.stats
 	prog.SetStage(liveops.StageFilter)
 	filterSpan := tr.StartSpan("filter")
-	cand, err := st.overApprox(expr, nil)
+	var cand *rowSets
+	if exact {
+		cand, err = st.exactEval(expr, nil)
+	} else {
+		cand, err = st.overApprox(expr, nil)
+	}
 	if err != nil && !isInterrupt(err) {
 		filterSpan.End()
 		return nil, err
@@ -506,7 +552,7 @@ func (st *Store) queryTraced(ctx context.Context, command string, budget *Budget
 	if err != nil {
 		// Stopped mid-filter. Budget exhaustion degrades to an empty
 		// partial result (candidates collected so far are an incomplete
-		// superset — verifying them is sound but overApprox has already
+		// superset — verifying them is sound but the filter has already
 		// discarded them); cancellation is a real error.
 		filterSpan.Attr("interrupted", 1).End()
 		if !isBudgetStop(err) {
@@ -532,46 +578,58 @@ func (st *Store) queryTraced(ctx context.Context, command string, budget *Budget
 	mQueryScanCacheHits.Add(int64(st.stats.scanCacheHits - stats0.scanCacheHits))
 	mQueryBytesScanned.Add(int64(st.stats.bytesScanned - stats0.bytesScanned))
 
-	dFilter := st.box.Decompressions
-	prog.SetStage(liveops.StageVerify)
-	verifySpan := tr.StartSpan("verify")
-	found, checked, verr := st.verify(expr, cand)
-	if verr != nil && !isInterrupt(verr) {
-		verifySpan.End()
-		return nil, verr
+	if exact {
+		res.Matches = cand.count()
+	} else {
+		dFilter := st.box.Decompressions
+		prog.SetStage(liveops.StageVerify)
+		verifySpan := tr.StartSpan("verify")
+		found, checked, verr := st.verify(expr, cand)
+		if verr != nil && !isInterrupt(verr) {
+			verifySpan.End()
+			return nil, verr
+		}
+		if verr != nil && !isBudgetStop(verr) {
+			verifySpan.Attr("interrupted", 1).End()
+			mQueriesCancelled.Inc()
+			return nil, verr
+		}
+		if verr != nil {
+			// Budget ran out mid-verification: everything verified so far is
+			// an exact match; report it and mark the cut.
+			mQueryBudgetExceeded.Inc()
+			res.Partial, res.PartialReason = true, verr.Error()
+		}
+		res.Matches = len(found)
+		if len(found) > 0 {
+			res.Lines, res.Entries = make([]int, len(found)), make([]string, len(found))
+			for i, m := range found {
+				res.Lines[i], res.Entries[i] = m.line, m.entry
+			}
+		}
+		verifySpan.Attr("candidates_checked", int64(checked)).
+			Attr("matches", int64(res.Matches)).
+			Attr("decompressions", int64(st.box.Decompressions-dFilter)).
+			Attr("line_maps", int64(st.stats.lineMaps-stats0.lineMaps)).
+			End()
 	}
-	if verr != nil && !isBudgetStop(verr) {
-		verifySpan.Attr("interrupted", 1).End()
-		mQueriesCancelled.Inc()
-		return nil, verr
-	}
-	if verr != nil {
-		// Budget ran out mid-verification: everything verified so far is
-		// an exact match; report it and mark the cut.
-		mQueryBudgetExceeded.Inc()
-		res.Partial, res.PartialReason = true, verr.Error()
-	}
-	if len(found) > 0 {
-		res.Lines, res.Entries = make([]int, len(found)), make([]string, len(found))
-	}
-	for i, m := range found {
-		res.Lines[i], res.Entries[i] = m.line, m.entry
-	}
-	verifySpan.Attr("candidates_checked", int64(checked)).
-		Attr("matches", int64(len(res.Lines))).
-		Attr("decompressions", int64(st.box.Decompressions-dFilter)).
-		Attr("line_maps", int64(st.stats.lineMaps-stats0.lineMaps)).
-		End()
 
 	res.Decompressions = st.box.Decompressions - d0
 	mQueryDecompressions.Add(int64(res.Decompressions))
 	mQueryNS.Observe(time.Since(t0).Nanoseconds())
-	mQueryMatches.Observe(int64(len(res.Lines)))
-	tr.Attr("matches", int64(len(res.Lines)))
-	if st.cacheOn && !res.Partial {
+	mQueryMatches.Observe(int64(res.Matches))
+	tr.Attr("matches", int64(res.Matches))
+	// A verifying count found the whole answer on its way, so it fills the
+	// cache like a query; only the exact-bitset count has no lines to keep.
+	if st.cacheOn && !res.Partial && !exact {
 		st.cacheMu.Lock()
 		st.qcache[command] = res
 		st.cacheMu.Unlock()
+	}
+	if o.CountOnly && res.Lines != nil {
+		c := *res
+		c.Lines, c.Entries = nil, nil
+		return &c, nil
 	}
 	return res, nil
 }
@@ -792,10 +850,13 @@ func (st *Store) searchCandidates(s *query.Search, within *rowSets) (*rowSets, e
 	return out, nil
 }
 
-// ReconstructLine rebuilds the original text of one block line.
-func (st *Store) ReconstructLine(line int) (string, error) {
+// ReconstructLine rebuilds the original text of one block line. The
+// context gates the payload reads it causes, like a query's.
+func (st *Store) ReconstructLine(ctx context.Context, line int) (string, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	st.intr = &interruptState{ctx: ctx}
+	defer func() { st.intr = nil }()
 	return st.reconstructLineLocked(line)
 }
 

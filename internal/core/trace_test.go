@@ -1,6 +1,12 @@
 package core
 
-import "testing"
+import (
+	"context"
+	"testing"
+
+	"loggrep/internal/loggen"
+	"loggrep/internal/obsv"
+)
 
 // TestQueryTracedGolden pins the deterministic part of a query trace —
 // span names in order plus every counter attribute — for a fixed input.
@@ -11,7 +17,7 @@ func TestQueryTracedGolden(t *testing.T) {
 	lines := genBlock(42, 500)
 	st, _ := mustOpen(t, makeBlock(lines...), DefaultOptions())
 
-	res, tr, err := st.QueryTraced("ERROR AND state:ERR#404")
+	res, tr, err := searchTraced(st, "ERROR AND state:ERR#404")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +35,7 @@ func TestQueryTracedGolden(t *testing.T) {
 
 	// The repeated query is answered from the Query Cache: no spans, just
 	// the cache_hit marker.
-	_, tr2, err := st.QueryTraced("ERROR AND state:ERR#404")
+	_, tr2, err := searchTraced(st, "ERROR AND state:ERR#404")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,31 +45,65 @@ func TestQueryTracedGolden(t *testing.T) {
 	}
 }
 
-// TestQueryTracedMatchesQuery checks the traced and untraced paths return
-// identical results, and that a nil trace is never handed back.
+// TestQueryTracedMatchesQuery checks that a traced and an untraced Search
+// return identical results.
 func TestQueryTracedMatchesQuery(t *testing.T) {
 	lines := genBlock(7, 300)
 	st, _ := mustOpen(t, makeBlock(lines...), DefaultOptions())
 	for _, q := range testQueries {
-		res, err := st.Query(q)
+		res, err := st.Search(context.Background(), q, SearchOpts{})
 		if err != nil {
-			t.Fatalf("Query(%q): %v", q, err)
+			t.Fatalf("Search(%q): %v", q, err)
 		}
 		st2, _ := mustOpen(t, makeBlock(lines...), DefaultOptions())
-		resT, tr, err := st2.QueryTraced(q)
+		resT, _, err := searchTraced(st2, q)
 		if err != nil {
-			t.Fatalf("QueryTraced(%q): %v", q, err)
-		}
-		if tr == nil {
-			t.Fatalf("QueryTraced(%q): nil trace", q)
+			t.Fatalf("traced Search(%q): %v", q, err)
 		}
 		if len(res.Lines) != len(resT.Lines) {
-			t.Fatalf("QueryTraced(%q) = %d lines, Query = %d", q, len(resT.Lines), len(res.Lines))
+			t.Fatalf("traced Search(%q) = %d lines, untraced = %d", q, len(resT.Lines), len(res.Lines))
 		}
 		for i := range res.Lines {
 			if res.Lines[i] != resT.Lines[i] {
-				t.Fatalf("QueryTraced(%q) line %d = %d, want %d", q, i, resT.Lines[i], res.Lines[i])
+				t.Fatalf("traced Search(%q) line %d = %d, want %d", q, i, resT.Lines[i], res.Lines[i])
 			}
 		}
+	}
+}
+
+// TestUntracedSearchAllocations: the options Search takes cost an untraced,
+// unbudgeted query nothing. A zero SearchOpts must allocate strictly less
+// than the same warm query with a trace and a budget, and a Query Cache hit
+// only its Result. For the record (go1.24.0, this block and command): the
+// parent commit's context-and-budget entry point (b6f3573) allocated 955
+// times per warm uncached query and once per cache hit; Search with zero
+// SearchOpts allocates 955 and 1.
+func TestUntracedSearchAllocations(t *testing.T) {
+	lt, _ := loggen.ByName("A")
+	box := Compress(lt.Block(11, 5000), DefaultOptions())
+	allocs := func(qopts QueryOptions, opts func() SearchOpts) float64 {
+		st, err := Open(box, qopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if _, err := st.Search(context.Background(), lt.Query, opts()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		return testing.AllocsPerRun(50, run)
+	}
+	plain := func() SearchOpts { return SearchOpts{} }
+	observed := func() SearchOpts {
+		return SearchOpts{Trace: obsv.NewTrace("query"), Budget: NewBudgetState(Budget{MaxScannedBytes: 1 << 40})}
+	}
+	warm, warmObserved := allocs(QueryOptions{DisableCache: true}, plain), allocs(QueryOptions{DisableCache: true}, observed)
+	t.Logf("warm uncached query: %v allocations untraced, %v traced and budgeted", warm, warmObserved)
+	if warm >= warmObserved {
+		t.Errorf("untraced warm query allocates %v, no less than the %v of a traced, budgeted one", warm, warmObserved)
+	}
+	if hit := allocs(QueryOptions{}, plain); hit > 1 {
+		t.Errorf("Query Cache hit allocates %v, want only the Result", hit)
 	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -27,7 +28,7 @@ type System struct {
 type coreQuerier struct{ st *core.Store }
 
 func (q coreQuerier) Query(command string) ([]int, []string, error) {
-	res, err := q.st.Query(command)
+	res, err := q.st.Search(context.Background(), command, core.SearchOpts{})
 	if err != nil {
 		return nil, nil, err
 	}

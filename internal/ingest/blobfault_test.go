@@ -70,7 +70,7 @@ func TestQueryDegradesWhenSealedSegmentUnreadable(t *testing.T) {
 	// still cache-resident and keeps serving — resident archives never
 	// touch storage), and the raw tail still answers.
 	chaos.SetErrRate(1)
-	res, err := st.Query(context.Background(), "ERROR", 0, core.Budget{})
+	res, err := st.Search(context.Background(), "ERROR", core.SearchOpts{})
 	if err != nil {
 		t.Fatalf("query with storage down must degrade, not fail: %v", err)
 	}
@@ -129,7 +129,7 @@ func TestQueryRetriesTornReload(t *testing.T) {
 	}
 	full := 0
 	for i := 0; i < 20; i++ {
-		res, err := st.Query(context.Background(), "ERROR", 0, core.Budget{})
+		res, err := st.Search(context.Background(), "ERROR", core.SearchOpts{})
 		if err != nil {
 			t.Fatalf("query %d: torn reads must degrade or heal, not error: %v", i, err)
 		}
@@ -178,7 +178,7 @@ func TestReplayQuarantinesCorruptSealedSegment(t *testing.T) {
 		t.Fatalf("quarantined = %d, want 1", stats.Quarantined)
 	}
 	st2 := m2.Lookup("acme/app")
-	res, err := st2.Query(context.Background(), "ERROR", 0, core.Budget{})
+	res, err := st2.Search(context.Background(), "ERROR", core.SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

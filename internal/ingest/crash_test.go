@@ -231,7 +231,7 @@ func verifyExactlyOnce(t *testing.T, m *Manager, acked []string) {
 	if got := st.NumLines(); got != len(acked) {
 		t.Fatalf("NumLines = %d, want %d (lost or duplicated lines)", got, len(acked))
 	}
-	res, err := st.Query(context.Background(), "NOT no-such-token-xyzzy", 0, core.Budget{})
+	res, err := st.Search(context.Background(), "NOT no-such-token-xyzzy", core.SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,9 +43,9 @@ func appendLines(t *testing.T, m *Manager, tenant, stream string, lines ...strin
 	}
 }
 
-func queryAll(t *testing.T, st *Stream, cmd string) *Result {
+func queryAll(t *testing.T, st *Stream, cmd string) *core.Result {
 	t.Helper()
-	res, err := st.Query(context.Background(), cmd, 0, core.Budget{})
+	res, err := st.Search(context.Background(), cmd, core.SearchOpts{})
 	if err != nil {
 		t.Fatalf("query %q: %v", cmd, err)
 	}
@@ -67,10 +67,10 @@ func TestAppendQueryRawTail(t *testing.T) {
 	if res.Entries[1] != "gamma ERROR two" {
 		t.Fatalf("entry = %q", res.Entries[1])
 	}
-	if got, _ := st.Entry(1); got != "beta ok" {
+	if got, _ := st.Entry(context.Background(), 1); got != "beta ok" {
 		t.Fatalf("Entry(1) = %q", got)
 	}
-	if _, err := st.Entry(3); err == nil {
+	if _, err := st.Entry(context.Background(), 3); err == nil {
 		t.Fatal("Entry(3) should fail")
 	}
 }
@@ -376,9 +376,9 @@ func TestQueryBudgetSpansSegments(t *testing.T) {
 	}
 	st := m.Lookup("acme/app")
 
-	run := func(b core.Budget) (*Result, int64) {
+	run := func(b core.Budget) (*core.Result, int64) {
 		prog := &liveops.Progress{}
-		res, err := st.Query(liveops.WithProgress(context.Background(), prog), "status=203", 1, b)
+		res, err := st.Search(liveops.WithProgress(context.Background(), prog), "status=203", core.SearchOpts{Workers: 1, Budget: core.NewBudgetState(b)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,7 +413,7 @@ func TestQueryBudgetSpansSegments(t *testing.T) {
 	}
 }
 
-func TestQueryContextCancel(t *testing.T) {
+func TestSearchCancel(t *testing.T) {
 	m := mustOpen(t, testConfig(t.TempDir()))
 	defer m.Close()
 	lines := make([]string, 5000)
@@ -423,7 +423,7 @@ func TestQueryContextCancel(t *testing.T) {
 	appendLines(t, m, "t", "s", lines...)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := m.Lookup("t/s").Query(ctx, "filler", 0, core.Budget{}); !errors.Is(err, context.Canceled) {
+	if _, err := m.Lookup("t/s").Search(ctx, "filler", core.SearchOpts{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -73,7 +73,7 @@ func TestQueryOracle(t *testing.T) {
 				wantText = append(wantText, line)
 			}
 		}
-		res, err := st.Query(context.Background(), q, 0, core.Budget{})
+		res, err := st.Search(context.Background(), q, core.SearchOpts{})
 		if err != nil {
 			t.Fatalf("query %q: %v", q, err)
 		}
@@ -149,7 +149,7 @@ func TestQueryOracleAfterReplay(t *testing.T) {
 				want++
 			}
 		}
-		res, err := st.Query(context.Background(), q, 0, core.Budget{})
+		res, err := st.Search(context.Background(), q, core.SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

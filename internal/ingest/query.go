@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"loggrep/internal/archive"
 	"loggrep/internal/blobstore"
 	"loggrep/internal/core"
 	"loggrep/internal/query"
@@ -14,24 +13,6 @@ import (
 // errQuarantined reports a sealed segment quarantined at replay: its
 // archive was unreadable or corrupt and no WAL survived to rebuild it.
 var errQuarantined = errors.New("ingest: segment quarantined at replay (archive unreadable, no WAL fallback)")
-
-// Result is a stream query result with stream-global line numbers:
-// segments in ascending sequence order, lines numbered from 0 at the
-// stream's first ever line. Sealing replaces a raw segment with its
-// archive in place, so a line's number never changes.
-type Result struct {
-	Lines   []int
-	Entries []string
-	// Damaged lists sealed-segment regions lost to storage corruption,
-	// line ranges rebased to stream-global numbers.
-	Damaged []archive.BlockError
-	// Partial marks a result cut short by the work budget, a raw-tail
-	// scan abort, or a sealed segment left unreadable by storage faults
-	// (PartialReason "storage"); returned matches are verified exact,
-	// later ones may be missing — degraded, never wrong.
-	Partial       bool
-	PartialReason string
-}
 
 // segView is an immutable snapshot of one segment for a query: either a
 // sealed segment (its archive fetched through the Manager's bounded
@@ -63,32 +44,32 @@ func (st *Stream) snapshot() []segView {
 	return views
 }
 
-// Query runs a grep-like command over the whole stream — sealed archive
+// Search runs a grep-like command over the whole stream — sealed archive
 // segments (index-pruned, stamp-filtered, budgeted) and the raw tail
 // (scanned with the exact match semantics) — and merges matches in
-// stream-global line order. The view is consistent: every line
-// acknowledged before the call is searched exactly once, whether it has
-// been sealed yet or not. The budget bounds the whole query: one state is
-// charged by every sealed segment, and once it is spent the remaining
-// sealed segments go unsearched (the raw tail costs no budgeted work and
-// is still scanned). workers bounds per-segment block parallelism (0 =
-// GOMAXPROCS).
-func (st *Stream) Query(ctx context.Context, command string, workers int, budget core.Budget) (*Result, error) {
+// stream-global line order: segments in ascending sequence order, lines
+// numbered from 0 at the stream's first ever line. Sealing replaces a raw
+// segment with its archive in place, so a line's number never changes, and
+// the view is consistent: every line acknowledged before the call is
+// searched exactly once, whether it has been sealed yet or not.
+//
+// The options go to every sealed segment's archive unchanged. The budget
+// bounds the whole query: once it is spent the remaining sealed segments go
+// unsearched (the raw tail costs no budgeted work and is still scanned). A
+// trace (named "stream-query") collects every segment's block spans, their
+// totals summed, and one raw_tail span per unsealed segment. Result.Damaged
+// lists sealed regions lost to storage corruption in stream-global lines;
+// such a result, like one an unreadable segment cut short, is Partial
+// (reason "storage"): its matches are verified exact, later ones may be
+// missing — degraded, never wrong.
+func (st *Stream) Search(ctx context.Context, command string, o core.SearchOpts) (*core.Result, error) {
 	expr, err := query.Parse(command)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{}
-	bs := core.NewBudgetState(budget)
+	res := &core.Result{}
 	degraded := false
-	shed := func(v segView, err error) {
-		// The segment is unreadable right now; every line it holds is
-		// reported as damage and the result degrades to partial instead
-		// of failing the whole query. Matches from every other segment
-		// stay verified-exact: degraded, never wrong.
-		res.Damaged = append(res.Damaged, archive.BlockError{
-			Block: int(v.sg.seq), FirstLine: v.base, NumLines: v.n, Err: err,
-		})
+	degrade := func() {
 		res.Partial = true
 		res.PartialReason = "storage"
 		if !degraded {
@@ -96,12 +77,22 @@ func (st *Stream) Query(ctx context.Context, command string, workers int, budget
 			blobstore.FaultShedQueries.Inc()
 		}
 	}
+	shed := func(v segView, err error) {
+		// The segment is unreadable right now; every line it holds is
+		// reported as damage and the result degrades to partial instead
+		// of failing the whole query. Matches from every other segment
+		// stay verified-exact: degraded, never wrong.
+		res.Damaged = append(res.Damaged, core.BlockError{
+			Block: int(v.sg.seq), FirstLine: v.base, NumLines: v.n, Err: err,
+		})
+		degrade()
+	}
 	for _, v := range st.snapshot() {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if v.sealed {
-			if err := bs.Err(); err != nil {
+			if err := o.Budget.Err(); err != nil {
 				res.Partial, res.PartialReason = true, err.Error()
 				continue
 			}
@@ -117,10 +108,12 @@ func (st *Stream) Query(ctx context.Context, command string, workers int, budget
 				shed(v, err)
 				continue
 			}
-			ar, err := a.QueryContext(ctx, command, workers, bs)
+			ar, err := a.Search(ctx, command, o)
 			if err != nil {
 				return nil, err
 			}
+			res.Matches += ar.Matches
+			res.Decompressions += ar.Decompressions
 			for i, ln := range ar.Lines {
 				res.Lines = append(res.Lines, v.base+ln)
 				res.Entries = append(res.Entries, ar.Entries[i])
@@ -133,12 +126,7 @@ func (st *Stream) Query(ctx context.Context, command string, workers int, budget
 				// Damaged blocks inside a sealed segment are the same
 				// degradation as an unreadable segment, just finer-grained:
 				// the result is a verified-exact subset, flagged as such.
-				res.Partial = true
-				res.PartialReason = "storage"
-				if !degraded {
-					degraded = true
-					blobstore.FaultShedQueries.Inc()
-				}
+				degrade()
 			}
 			if ar.Partial {
 				res.Partial = true
@@ -146,34 +134,44 @@ func (st *Stream) Query(ctx context.Context, command string, workers int, budget
 			}
 			continue
 		}
+		span := o.Trace.StartSpan("raw_tail").Attr("segment", int64(v.sg.seq))
+		matches := 0
 		for i, line := range v.lines {
 			if i%1024 == 1023 {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
 			}
-			if expr.Match(line) {
+			if !expr.Match(line) {
+				continue
+			}
+			matches++
+			if !o.CountOnly {
 				res.Lines = append(res.Lines, v.base+i)
 				res.Entries = append(res.Entries, line)
 			}
 		}
+		res.Matches += matches
+		span.Attr("lines", int64(v.n)).Attr("matches", int64(matches)).End()
+		o.Trace.AddAttr("matches", int64(matches))
 	}
+	o.Trace.SetName("stream-query")
 	return res, nil
 }
 
 // Entry reconstructs one line by stream-global number.
-func (st *Stream) Entry(line int) (string, error) {
+func (st *Stream) Entry(ctx context.Context, line int) (string, error) {
 	if line < 0 {
 		return "", fmt.Errorf("ingest: line %d out of range", line)
 	}
 	for _, v := range st.snapshot() {
 		if line < v.base+v.n {
 			if v.sealed {
-				a, err := st.archive(context.Background(), v.sg)
+				a, err := st.archive(ctx, v.sg)
 				if err != nil {
 					return "", err
 				}
-				return a.Entry(line - v.base)
+				return a.Entry(ctx, line-v.base)
 			}
 			return v.lines[line-v.base], nil
 		}

@@ -51,7 +51,7 @@ func TestSealedCacheBoundsResidency(t *testing.T) {
 	verifyExactlyOnce(t, m, acked) // queries reload evicted segments
 	st := m.Lookup("t/s")
 	for _, i := range []int{0, len(acked) / 2, len(acked) - 1} {
-		got, err := st.Entry(i)
+		got, err := st.Entry(context.Background(), i)
 		if err != nil {
 			t.Fatalf("entry %d: %v", i, err)
 		}

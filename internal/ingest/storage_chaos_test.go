@@ -57,7 +57,7 @@ func oracleMatches(want []string, needle string) map[int]string {
 // full results are byte-identical to the oracle; partial results are
 // flagged "storage" and every returned match is an exact oracle line.
 // Anything else — a wrong line, an unflagged subset — fails the test.
-func assertNeverWrong(t *testing.T, tag string, res *Result, oracle map[int]string) {
+func assertNeverWrong(t *testing.T, tag string, res *core.Result, oracle map[int]string) {
 	t.Helper()
 	for i, ln := range res.Lines {
 		wantEntry, ok := oracle[ln]
@@ -127,7 +127,7 @@ func TestStorageChaosSweep(t *testing.T) {
 			tc.inject(chaos)
 			full, partial := 0, 0
 			for q := 0; q < tc.queries; q++ {
-				res, err := st.Query(context.Background(), "ERROR", 0, core.Budget{})
+				res, err := st.Search(context.Background(), "ERROR", core.SearchOpts{})
 				if err != nil {
 					// A clean error satisfies the contract only if it is
 					// classified — never a raw panic or a wrong result.
@@ -253,7 +253,7 @@ func TestStorageChaosSoak(t *testing.T) {
 					return
 				default:
 				}
-				res, err := st.Query(context.Background(), "ERROR", 0, core.Budget{})
+				res, err := st.Search(context.Background(), "ERROR", core.SearchOpts{})
 				if err != nil {
 					failed.CompareAndSwap(nil, fmt.Sprintf("worker %d: query error %v", w, err))
 					return

@@ -26,10 +26,10 @@ type Span struct {
 // methods are safe for concurrent use, and every method is a no-op on a
 // nil *Trace, so instrumented code paths need no "is tracing on" branches.
 type Trace struct {
-	name  string
 	start time.Time
 
 	mu    sync.Mutex
+	name  string
 	spans []Span
 	attrs []Attr
 	ids   ReqIDs
@@ -40,6 +40,17 @@ func NewTrace(name string) *Trace {
 	return &Trace{name: name, start: time.Now()}
 }
 
+// SetName renames the trace: a Search names the one it is handed after what
+// recorded it, so its caller need not know which kind of source it holds.
+func (t *Trace) SetName(name string) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.name = name
+	t.mu.Unlock()
+}
+
 // Attr attaches a trace-level counter, overwriting an existing key.
 func (t *Trace) Attr(key string, v int64) {
 	if t == nil {
@@ -48,6 +59,24 @@ func (t *Trace) Attr(key string, v int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.attrs = setAttr(t.attrs, key, v)
+}
+
+// AddAttr adds v to a trace-level counter, creating it at v. Totals that
+// several parts of one query contribute to — an archive per segment of a
+// stream — accumulate through it.
+func (t *Trace) AddAttr(key string, v int64) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range t.attrs {
+		if t.attrs[i].Key == key {
+			t.attrs[i].Val += v
+			return
+		}
+	}
+	t.attrs = append(t.attrs, Attr{Key: key, Val: v})
 }
 
 func setAttr(attrs []Attr, key string, v int64) []Attr {

@@ -6,36 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"time"
 
-	"loggrep/internal/core"
 	"loggrep/internal/ingest"
 )
-
-// ingestSource adapts a live ingest stream to the querier interface so
-// /v1/query, /v1/count and /v1/entry serve it like any loaded source.
-// Ingest queries are not traced (no per-stage spans yet); the wide event
-// still carries outcome, duration and admission state.
-type ingestSource struct{ st *ingest.Stream }
-
-func (s *ingestSource) query(ctx context.Context, cmd string, traced bool, budget core.Budget) (*queryResult, error) {
-	res, err := s.st.Query(ctx, cmd, 0, budget)
-	if err != nil {
-		return nil, err
-	}
-	return &queryResult{
-		matches: len(res.Lines), lines: res.Lines, entries: res.Entries, damaged: res.Damaged,
-		partial: res.Partial, partialReason: res.PartialReason,
-	}, nil
-}
-
-func (s *ingestSource) count(ctx context.Context, cmd string, budget core.Budget) (*queryResult, error) {
-	return s.query(ctx, cmd, false, budget)
-}
-
-func (s *ingestSource) entry(line int) (string, error) {
-	return s.st.Entry(line)
-}
 
 // ingestResponse is the POST /ingest body: how many lines were durably
 // acknowledged, per stream. On a 429 the counts are still authoritative —
@@ -82,7 +55,7 @@ func (sv *Server) handleIngest(w http.ResponseWriter, r *http.Request, rq *reque
 		resp.Accepted += len(batch.Groups[s])
 		resp.Streams[tenant+"/"+s] = len(batch.Groups[s])
 	}
-	resp.ElapsedMS = float64(time.Since(rq.t0).Microseconds()) / 1000
+	resp.ElapsedMS = msSince(rq.t0)
 	if len(resp.Streams) == 0 {
 		resp.Streams = nil
 	}
@@ -121,7 +94,7 @@ func (sv *Server) handleIngestSeal(w http.ResponseWriter, r *http.Request, rq *r
 	case err == nil:
 		writeJSON(w, http.StatusOK, map[string]any{
 			"sealed":     tenant + "/" + stream,
-			"elapsed_ms": float64(time.Since(rq.t0).Microseconds()) / 1000,
+			"elapsed_ms": msSince(rq.t0),
 		})
 		return http.StatusOK, ""
 	case errors.Is(err, ingest.ErrBadInput):

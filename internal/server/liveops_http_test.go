@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -452,5 +453,80 @@ func BenchmarkQueryLiveops(b *testing.B) {
 		if w.Code != http.StatusOK {
 			b.Fatalf("status %d", w.Code)
 		}
+	}
+}
+
+// TestUsageMetersEveryRead: /v1/query and /v1/count meter their engine
+// work on every kind of source — a loaded archive, and an ingest stream of
+// two sealed segments plus a raw tail. Each event carries the bytes scanned
+// and payloads decompressed, a count agrees with its query, and the
+// tenant's usage total is exactly the sum over the emitted wide events
+// (the reconciliation OPERATIONS.md promises). Before Search reached every
+// source, counts and stream queries ran untraced and billed zero.
+func TestUsageMetersEveryRead(t *testing.T) {
+	lt, _ := loggen.ByName("A")
+	sv := New()
+	sv.Liveops = liveops.New(liveops.Config{Registry: obsv.NewRegistry()})
+	buf := &syncBuffer{}
+	sv.Events = obsv.NewEventLog(buf, 0, 0)
+	m, _, err := ingest.Open(ingest.Config{Dir: t.TempDir(), SealBytes: 1 << 30, SealAge: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	sv.Ingest = m
+	// Each source exists twice, once for the query and once for the count,
+	// so both requests start cold and have capsules to read.
+	for _, use := range []string{"query", "count"} {
+		if err := sv.Load("arc-"+use, lifecycleArchive()); err != nil {
+			t.Fatal(err)
+		}
+		for seg := 0; seg < 3; seg++ {
+			lines := strings.Split(strings.TrimSuffix(string(lt.Block(int64(20+seg), 400)), "\n"), "\n")
+			if err := m.Append("acme", use, lines); err != nil {
+				t.Fatal(err)
+			}
+			if seg < 2 { // the third batch stays the raw tail
+				if err := m.TriggerSeal(context.Background(), "acme", use); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for _, info := range m.Snapshot() {
+		if info.SealedSegs != 2 || info.RawBytes == 0 {
+			t.Fatalf("stream shape %+v, want 2 sealed segments and a raw tail", info)
+		}
+	}
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+
+	for _, src := range []string{"arc-", "acme/"} {
+		var qr queryResponse
+		var cr struct{ Matches int }
+		getJSON(t, ts.URL+"/v1/query?tenant=acme&q=ERROR&source="+escape(src+"query"), http.StatusOK, &qr)
+		getJSON(t, ts.URL+"/v1/count?tenant=acme&q=ERROR&source="+escape(src+"count"), http.StatusOK, &cr)
+		if qr.Matches == 0 || cr.Matches != qr.Matches {
+			t.Errorf("%s*: query matched %d, count %d", src, qr.Matches, cr.Matches)
+		}
+	}
+
+	evs := parseEvents(t, buf.String())
+	if len(evs) != 4 {
+		t.Fatalf("got %d wide events, want 4", len(evs))
+	}
+	var sum liveops.Usage
+	for _, ev := range evs {
+		if ev.Status != http.StatusOK || ev.BytesScanned == 0 || ev.Decompressions == 0 {
+			t.Errorf("%s on %s: status %d, bytes_scanned %d, decompressions %d: capsules were read, the event must say so",
+				ev.Endpoint, ev.Source, ev.Status, ev.BytesScanned, ev.Decompressions)
+		}
+		sum.Requests++
+		sum.ScanBytes += ev.BytesScanned
+		sum.Decompressions += ev.Decompressions
+	}
+	got := sv.Liveops.Usage.Total("acme")
+	if got.Requests != sum.Requests || got.ScanBytes != sum.ScanBytes || got.Decompressions != sum.Decompressions {
+		t.Errorf("usage total %+v does not reconcile with the wide events' sum %+v", got, sum)
 	}
 }

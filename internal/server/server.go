@@ -35,100 +35,21 @@ const MaxUploadBytes = 1 << 30
 // can shrink it.
 var MaxIngestBytes = 64 << 20
 
-// source is one loaded compressed dataset. Store and Archive synchronize
-// internally, so sources need no lock of their own and queries against
-// one source proceed concurrently (cache hits and distinct archive blocks
-// in parallel; same-block work serialized by the store).
-type source struct {
-	box   *core.Store
+// source is what the query, count and entry handlers need from a resolved
+// source name: a loaded archive (a bare box is a one-block archive) or a
+// live ingest stream, both as they are.
+type source interface {
+	Search(ctx context.Context, command string, o core.SearchOpts) (*core.Result, error)
+	Entry(ctx context.Context, line int) (string, error)
+}
+
+// loaded is one loaded compressed dataset. An Archive synchronizes
+// internally, so queries against one source proceed concurrently (cache hits
+// and distinct blocks in parallel; same-block work serialized by its store).
+type loaded struct {
 	arch  *archive.Archive
+	kind  string // "box" or "archive": what the uploaded bytes were
 	bytes int
-}
-
-func (s *source) numLines() int {
-	if s.arch != nil {
-		return s.arch.NumLines()
-	}
-	return s.box.NumLines()
-}
-
-// querier is what the query/count/entry handlers need from a resolved
-// source; implemented by loaded boxes/archives (source) and by live
-// ingest streams (ingestSource). Both query and count run under the
-// caller's budget and report what it cut short as a flagged partial.
-type querier interface {
-	query(ctx context.Context, cmd string, traced bool, budget core.Budget) (*queryResult, error)
-	count(ctx context.Context, cmd string, budget core.Budget) (*queryResult, error)
-	entry(line int) (string, error)
-}
-
-// queryResult is the normalized outcome of a query or count against
-// either kind of source; a count carries matches without lines/entries.
-type queryResult struct {
-	matches       int
-	lines         []int
-	entries       []string
-	damaged       []archive.BlockError
-	partial       bool
-	partialReason string
-	trace         *obsv.Trace
-	elapsedMS     float64 // engine time, stamped by search
-}
-
-func (s *source) query(ctx context.Context, cmd string, traced bool, budget core.Budget) (*queryResult, error) {
-	bs := core.NewBudgetState(budget)
-	if s.arch != nil {
-		var (
-			res *archive.Result
-			tr  *obsv.Trace
-			err error
-		)
-		if traced {
-			res, tr, err = s.arch.QueryTracedContext(ctx, cmd, 0, bs)
-		} else {
-			res, err = s.arch.QueryContext(ctx, cmd, 0, bs)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &queryResult{matches: len(res.Lines), lines: res.Lines, entries: res.Entries, damaged: res.Damaged,
-			partial: res.Partial, partialReason: res.PartialReason, trace: tr}, nil
-	}
-	var (
-		res *core.Result
-		tr  *obsv.Trace
-		err error
-	)
-	if traced {
-		res, tr, err = s.box.QueryTracedContext(ctx, cmd, bs)
-	} else {
-		res, err = s.box.QueryContext(ctx, cmd, bs)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &queryResult{matches: len(res.Lines), lines: res.Lines, entries: res.Entries,
-		partial: res.Partial, partialReason: res.PartialReason, trace: tr}, nil
-}
-
-// count keeps the box's exact-bitset fast path (no entry is ever
-// reconstructed); archives count by querying.
-func (s *source) count(ctx context.Context, cmd string, budget core.Budget) (*queryResult, error) {
-	if s.arch != nil {
-		return s.query(ctx, cmd, false, budget)
-	}
-	n, reason, err := s.box.CountContext(ctx, cmd, core.NewBudgetState(budget))
-	if err != nil {
-		return nil, err
-	}
-	return &queryResult{matches: n, partial: reason != "", partialReason: reason}, nil
-}
-
-func (s *source) entry(line int) (string, error) {
-	if s.arch != nil {
-		return s.arch.Entry(line)
-	}
-	return s.box.ReconstructLine(line)
 }
 
 // Server is the HTTP handler set.
@@ -193,7 +114,7 @@ type Server struct {
 	Blobs blobstore.BlobStore
 
 	mu      sync.RWMutex
-	sources map[string]*source
+	sources map[string]*loaded
 	start   time.Time
 
 	admitOnce sync.Once
@@ -212,33 +133,27 @@ type Server struct {
 func New() *Server {
 	stopCtx, stopCancel := context.WithCancel(context.Background())
 	return &Server{
-		sources: make(map[string]*source), start: time.Now(),
+		sources: make(map[string]*loaded), start: time.Now(),
 		stopCtx: stopCtx, stopCancel: stopCancel,
 	}
 }
 
-// Load registers compressed data under a name (box or archive,
-// auto-detected).
+// Load registers compressed data under a name: an archive, or a bare box
+// as a one-block archive.
 func (sv *Server) Load(name string, data []byte) error {
 	if name == "" {
 		return fmt.Errorf("server: empty source name")
 	}
-	src := &source{bytes: len(data)}
+	a, err := archive.Open(data)
+	if err != nil {
+		return err
+	}
+	if sv.DisableIndex {
+		a.SetIndexEnabled(false)
+	}
+	src := &loaded{arch: a, kind: "box", bytes: len(data)}
 	if archive.IsArchive(data) {
-		a, err := archive.Open(data)
-		if err != nil {
-			return err
-		}
-		if sv.DisableIndex {
-			a.SetIndexEnabled(false)
-		}
-		src.arch = a
-	} else {
-		st, err := core.Open(data, core.QueryOptions{})
-		if err != nil {
-			return err
-		}
-		src.box = st
+		src.kind = "archive"
 	}
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
@@ -380,9 +295,8 @@ func (sv *Server) SourcesSummary() []SourceInfo {
 	sv.mu.RLock()
 	out := make([]SourceInfo, 0, len(sv.sources))
 	for name, s := range sv.sources {
-		info := SourceInfo{Name: name, Kind: "box", Lines: s.numLines(), Bytes: s.bytes}
-		if s.arch != nil {
-			info.Kind = "archive"
+		info := SourceInfo{Name: name, Kind: s.kind, Lines: s.arch.NumLines(), Bytes: s.bytes}
+		if s.kind == "archive" {
 			info.Blocks = s.arch.NumBlocks()
 			info.RawSize = s.arch.RawBytes()
 		}
@@ -450,20 +364,20 @@ func (sv *Server) handleSource(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// resolveSource maps a source name to its querier: loaded boxes/archives
-// first, then — when ingest is enabled — live ingest streams under
+// resolveSource maps a source name to its source: loaded archives first,
+// then — when ingest is enabled — live ingest streams under
 // "tenant/stream" (a bare "stream" means tenant "default"). nil when the
 // name resolves to nothing.
-func (sv *Server) resolveSource(name string) querier {
+func (sv *Server) resolveSource(name string) source {
 	sv.mu.RLock()
 	src := sv.sources[name]
 	sv.mu.RUnlock()
 	if src != nil {
-		return src
+		return src.arch
 	}
 	if sv.Ingest != nil {
 		if st := sv.Ingest.Lookup(name); st != nil {
-			return &ingestSource{st: st}
+			return st
 		}
 	}
 	return nil
@@ -479,7 +393,7 @@ func fail(w http.ResponseWriter, code int, msg string) (int, string) {
 // lookup resolves the source and command of a query request; on failure
 // status/errMsg describe the error response to write, status is 0 on
 // success.
-func (sv *Server) lookup(r *http.Request) (src querier, cmd string, status int, errMsg string) {
+func (sv *Server) lookup(r *http.Request) (src source, cmd string, status int, errMsg string) {
 	q := r.URL.Query()
 	name := q.Get("source")
 	if src = sv.resolveSource(name); src == nil {
@@ -502,7 +416,7 @@ type queryResponse struct {
 	Trace     *obsv.TraceData `json:"trace,omitempty"`
 }
 
-// damageInfo is the JSON shape of one archive.BlockError.
+// damageInfo is the JSON shape of one core.BlockError.
 type damageInfo struct {
 	Block     int    `json:"block"`
 	FirstLine int    `json:"first_line"`
@@ -510,7 +424,7 @@ type damageInfo struct {
 	Error     string `json:"error"`
 }
 
-func damageJSON(damaged []archive.BlockError) []damageInfo {
+func damageJSON(damaged []core.BlockError) []damageInfo {
 	if len(damaged) == 0 {
 		return nil
 	}
@@ -680,70 +594,74 @@ func stampBlobStats(ev *obsv.WideEvent, bst *blobstore.OpStats) {
 
 // search is the shared body of /v1/query and /v1/count: resolve the
 // source, run the command under the server's work budget, and stamp the
-// outcome into the wide event. A nil result means the error response has
+// outcome into the wide event. It returns the trace it recorded, nil
+// unless something reads one. A nil result means the error response has
 // been written.
-func (sv *Server) search(w http.ResponseWriter, r *http.Request, rq *request, count bool) (qr *queryResult, status int, errMsg string) {
+func (sv *Server) search(w http.ResponseWriter, r *http.Request, rq *request, count bool) (res *core.Result, tr *obsv.Trace, status int, errMsg string) {
 	src, cmd, status, errMsg := sv.lookup(r)
 	if status != 0 {
 		httpError(w, status, errMsg)
-		return nil, status, errMsg
+		return nil, nil, status, errMsg
 	}
-	start := time.Now()
-	var err error
-	if count {
-		qr, err = src.count(rq.ctx, cmd, sv.Budget)
-	} else {
-		// The wide event wants span timings even when the client didn't
-		// ask for a trace; the response only carries it when requested.
-		qr, err = src.query(rq.ctx, cmd, sv.observed() || r.URL.Query().Get("trace") == "1", sv.Budget)
+	// The wide event wants span timings even when the client didn't ask
+	// for a trace; the response only carries it when requested.
+	if sv.observed() || r.URL.Query().Get("trace") == "1" {
+		tr = obsv.NewTrace("query")
 	}
+	res, err := src.Search(rq.ctx, cmd, core.SearchOpts{
+		Budget: core.NewBudgetState(sv.Budget), Trace: tr, CountOnly: count,
+	})
 	status = http.StatusOK
 	if err != nil {
 		reason, ok := liveops.CancelledByOperator(rq.ctx)
 		if !ok {
-			return nil, sv.queryError(w, err), err.Error()
+			return nil, nil, sv.queryError(w, err), err.Error()
 		}
 		// An operator killed this request via DELETE /v1/inflight.
 		// Unlike a vanished client, the caller is still listening:
 		// answer a clearly-marked empty partial — degraded but never
 		// wrong.
 		mQueriesHTTPCancelled.Inc()
-		qr = &queryResult{lines: []int{}, entries: []string{}, partial: true, partialReason: reason}
+		res, tr = &core.Result{Lines: []int{}, Entries: []string{}, Partial: true, PartialReason: reason}, nil
 		errMsg = reason
 	}
-	qr.elapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	if qr.trace != nil {
-		rq.ev.FillFromTrace(qr.trace.Data())
+	if tr != nil {
+		rq.ev.FillFromTrace(tr.Data())
 	}
-	rq.ev.Matches = int64(qr.matches)
-	rq.ev.Partial = qr.partial
-	rq.ev.PartialReason = qr.partialReason
-	rq.ev.DamagedRegions = int64(len(qr.damaged))
-	return qr, status, errMsg
+	rq.ev.Matches = int64(res.Matches)
+	rq.ev.Partial = res.Partial
+	rq.ev.PartialReason = res.PartialReason
+	rq.ev.DamagedRegions = int64(len(res.Damaged))
+	return res, tr, status, errMsg
 }
 
+// msSince is the elapsed_ms of a response body.
+func msSince(t0 time.Time) float64 { return float64(time.Since(t0).Microseconds()) / 1000 }
+
 func (sv *Server) handleQuery(w http.ResponseWriter, r *http.Request, rq *request) (int, string) {
-	qr, status, errMsg := sv.search(w, r, rq, false)
-	if qr == nil {
+	start := time.Now()
+	res, tr, status, errMsg := sv.search(w, r, rq, false)
+	if res == nil {
 		return status, errMsg
 	}
+	elapsed := msSince(start)
 	q := r.URL.Query()
-	if len(qr.damaged) > 0 && q.Get("strict") == "1" {
+	if len(res.Damaged) > 0 && q.Get("strict") == "1" {
 		return fail(w, http.StatusInternalServerError,
-			fmt.Sprintf("source has %d damaged region(s); drop strict=1 for partial results", len(qr.damaged)))
+			fmt.Sprintf("source has %d damaged region(s); drop strict=1 for partial results", len(res.Damaged)))
 	}
 	resp := queryResponse{
-		Matches:   qr.matches,
-		Lines:     qr.lines,
-		Entries:   qr.entries,
-		Damaged:   damageJSON(qr.damaged),
-		Partial:   qr.partial,
-		PartialTo: qr.partialReason,
-		ElapsedMS: qr.elapsedMS,
+		Matches:   res.Matches,
+		Lines:     res.Lines,
+		Entries:   res.Entries,
+		Damaged:   damageJSON(res.Damaged),
+		Partial:   res.Partial,
+		PartialTo: res.PartialReason,
+		ElapsedMS: elapsed,
 	}
-	if qr.trace != nil && q.Get("trace") == "1" {
-		qr.trace.SetIDs(obsv.IDsFrom(rq.ctx))
-		d := qr.trace.Data()
+	if tr != nil && q.Get("trace") == "1" {
+		tr.SetIDs(obsv.IDsFrom(rq.ctx))
+		d := tr.Data()
 		resp.Trace = &d
 	}
 	writeJSON(w, status, resp)
@@ -751,21 +669,24 @@ func (sv *Server) handleQuery(w http.ResponseWriter, r *http.Request, rq *reques
 }
 
 func (sv *Server) handleCount(w http.ResponseWriter, r *http.Request, rq *request) (int, string) {
-	qr, status, errMsg := sv.search(w, r, rq, true)
-	if qr == nil {
+	start := time.Now()
+	res, _, status, errMsg := sv.search(w, r, rq, true)
+	if res == nil {
 		return status, errMsg
 	}
-	resp := map[string]any{"matches": qr.matches, "elapsed_ms": qr.elapsedMS}
-	if len(qr.damaged) > 0 {
-		resp["damaged_regions"] = len(qr.damaged)
+	resp := map[string]any{"matches": res.Matches, "elapsed_ms": msSince(start)}
+	if len(res.Damaged) > 0 {
+		resp["damaged_regions"] = len(res.Damaged)
 	}
-	if qr.partial {
-		resp["partial"], resp["partial_reason"] = true, qr.partialReason
+	if res.Partial {
+		resp["partial"], resp["partial_reason"] = true, res.PartialReason
 	}
 	writeJSON(w, status, resp)
 	return status, errMsg
 }
 
+// handleEntry serves GET /v1/entry. Its reads hear the client going away
+// and HardStop, like a query's.
 func (sv *Server) handleEntry(w http.ResponseWriter, r *http.Request) {
 	src := sv.resolveSource(r.URL.Query().Get("source"))
 	if src == nil {
@@ -777,7 +698,9 @@ func (sv *Server) handleEntry(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad line parameter")
 		return
 	}
-	entry, err := src.entry(line)
+	ctx, cancel, _, _ := sv.requestContext(r, false)
+	defer cancel()
+	entry, err := src.Entry(ctx, line)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return

@@ -9,9 +9,11 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"loggrep/internal/archive"
 	"loggrep/internal/core"
+	"loggrep/internal/faultinject"
 	"loggrep/internal/loggen"
 	"loggrep/internal/logparse"
 )
@@ -273,4 +275,55 @@ func escape(q string) string {
 		}
 	}
 	return out
+}
+
+// TestEntryHearsCancellation: a /v1/entry wedged on a stalled block read
+// returns when its client goes away, and on HardStop — and the interrupted
+// open leaves the block healthy, not latched as damaged.
+func TestEntryHearsCancellation(t *testing.T) {
+	for _, how := range []string{"client gone", "hard stop"} {
+		t.Run(how, func(t *testing.T) {
+			sv := New()
+			if err := sv.Load("arc", lifecycleArchive()); err != nil {
+				t.Fatal(err)
+			}
+			arch := sv.sources["arc"].arch
+			arch.SetReadHook(faultinject.SlowRead(30 * time.Second))
+			h := sv.Handler()
+			entered, returned := make(chan struct{}), make(chan struct{})
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				close(entered)
+				h.ServeHTTP(w, r)
+				close(returned)
+			}))
+			defer ts.Close()
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/entry?source=arc&line=3", nil)
+			go func() {
+				if resp, err := http.DefaultClient.Do(req); err == nil {
+					resp.Body.Close()
+				}
+			}()
+			<-entered
+			if how == "client gone" {
+				cancel()
+			} else {
+				sv.HardStop()
+			}
+			select {
+			case <-returned:
+			case <-time.After(5 * time.Second):
+				t.Fatal("handler still wedged on the stalled read 5s after the cancellation")
+			}
+			arch.SetReadHook(nil)
+			if d := arch.Verify(false); d != nil {
+				t.Fatalf("interrupted entry read latched damage: %v", d)
+			}
+			if got, err := arch.Entry(context.Background(), 3); err != nil || got == "" {
+				t.Fatalf("entry after the interruption = %q, %v", got, err)
+			}
+		})
+	}
 }

@@ -154,6 +154,9 @@ func TestWideEventPerRequest(t *testing.T) {
 	if count.Endpoint != "count" || count.Status != http.StatusOK || count.Matches == 0 {
 		t.Errorf("count event wrong: %+v", count)
 	}
+	if count.CapsuleScans == 0 || count.BytesScanned == 0 || count.Decompressions == 0 {
+		t.Errorf("count event carries no engine work: %+v", count)
+	}
 
 	miss := evs[3]
 	if miss.Status != http.StatusNotFound || miss.Error == "" {
@@ -529,6 +532,10 @@ func TestLifecycleConformance(t *testing.T) {
 				}
 				if oc.name == "200" && evs[0].Status != http.StatusOK {
 					t.Errorf("plain request answered %d, want 200", evs[0].Status)
+				}
+				if ev := evs[0]; oc.name == "200" && !ep.write && (ev.BytesScanned == 0 || ev.Decompressions == 0) {
+					t.Errorf("a cold %s read capsules but its event meters bytes_scanned=%d decompressions=%d",
+						ep.name, ev.BytesScanned, ev.Decompressions)
 				}
 				waitFor(t, "the in-flight registry to drain", func() bool { return e.sv.Liveops.Inflight.Len() == 0 })
 				if len(e.sv.sem) != 0 || len(e.sv.queue) != 0 {

@@ -21,7 +21,7 @@
 //	data := loggrep.Compress(rawBlock, loggrep.DefaultOptions())
 //	store, err := loggrep.Open(data, loggrep.QueryOptions{})
 //	if err != nil { ... }
-//	res, err := store.Query("ERROR AND dst:11.8.* NOT state:503")
+//	res, err := store.Search(ctx, "ERROR AND dst:11.8.* NOT state:503", loggrep.SearchOpts{})
 //	for i, line := range res.Lines {
 //		fmt.Printf("%d: %s\n", line, res.Entries[i])
 //	}
@@ -51,8 +51,16 @@ type QueryOptions = core.QueryOptions
 // Store answers grep-like queries over one compressed log block.
 type Store = core.Store
 
-// Result holds a query's matching line numbers and reconstructed entries.
+// Result is the answer to a query: the match count, the matching line
+// numbers and reconstructed entries, what could not be searched (Damaged)
+// and whether the query was cut short (Partial). A Store, an Archive and a
+// live stream all return it.
 type Result = core.Result
+
+// SearchOpts are the per-call choices of Store.Search and Archive.Search:
+// a work budget, a trace to record into, block parallelism, count-only.
+// The zero value is a plain, unlimited, untraced query.
+type SearchOpts = core.SearchOpts
 
 // DefaultOptions mirrors the paper's configuration: 5% parser sampling,
 // duplication-rate threshold 0.5, 95% delimiter coverage, padding and
@@ -79,7 +87,7 @@ func Open(data []byte, opts QueryOptions) (*Store, error) {
 }
 
 // RawQuery runs a command over an uncompressed block with the same exact
-// semantics as Store.Query — the path for blocks not yet compressed.
+// semantics as Store.Search — the path for blocks not yet compressed.
 func RawQuery(block []byte, command string) (lines []int, entries []string, err error) {
 	return core.RawQuery(block, command)
 }
@@ -92,8 +100,8 @@ type Session = core.Session
 // Budget caps the work one query may perform (bytes scanned, payload
 // decompressions); zero fields mean unlimited. A query that exhausts its
 // budget returns the matches verified so far with Result.Partial set —
-// degraded, not wrong. Track one with NewBudgetState and pass the state to
-// Store.QueryContext or Archive.QueryContext.
+// degraded, not wrong. Track one with NewBudgetState and pass the state in
+// SearchOpts.Budget.
 type Budget = core.Budget
 
 // BudgetState tracks one query's consumption against a Budget; a single
@@ -134,9 +142,9 @@ type ArchiveWriter = archive.Writer
 // ArchiveOptions configures archive creation.
 type ArchiveOptions = archive.Options
 
-// ArchiveResult is an archive query result with stream-global line
-// numbers. Its Damaged field lists blocks that could not be searched;
-// results are complete for every line range not listed there.
+// ArchiveResult is Result under its former archive-only name: line numbers
+// are stream-global, and Damaged lists blocks that could not be searched
+// (results are complete for every line range not listed there).
 type ArchiveResult = archive.Result
 
 // ArchiveBlockError describes one damaged region of an archive: a block
@@ -160,18 +168,23 @@ func CompressArchive(stream []byte, opts ArchiveOptions) ([]byte, error) {
 }
 
 // OpenArchive parses an archive produced by an ArchiveWriter, either
-// format version. Damaged v2 frames are quarantined rather than failing
-// the open; inspect Archive.Damage or Archive.Verify for their extent.
+// format version, or a bare CapsuleBox, which it serves as an archive of
+// one block. Damaged v2 frames are quarantined rather than failing the
+// open; inspect Archive.Damage or Archive.Verify for their extent.
 func OpenArchive(data []byte) (*Archive, error) { return archive.Open(data) }
 
 // IsArchive reports whether data looks like an archive (any supported
 // format version) rather than a single CapsuleBox.
 func IsArchive(data []byte) bool { return archive.IsArchive(data) }
 
-// Trace records the per-stage spans of one query, returned alongside the
-// result by Store.QueryTraced and Archive.QueryTraced. Its String method
-// renders the breakdown `loggrep query -trace` prints.
+// Trace records the per-stage spans of one query: start one with NewTrace
+// and hand it to Search in SearchOpts.Trace. Its String method renders the
+// breakdown `loggrep query -trace` prints.
 type Trace = obsv.Trace
+
+// NewTrace starts a trace for SearchOpts.Trace; the Search it is handed to
+// renames it after the source that recorded it ("query", "archive-query").
+func NewTrace(name string) *Trace { return obsv.NewTrace(name) }
 
 // TraceData is a Trace's JSON-ready snapshot (Trace.Data).
 type TraceData = obsv.TraceData

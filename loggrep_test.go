@@ -1,6 +1,7 @@
 package loggrep_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -50,7 +51,7 @@ func TestTable1Queries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := st.Query(lt.Query)
+			res, err := st.Search(context.Background(), lt.Query, loggrep.SearchOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +84,7 @@ func TestStaticOnlyOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.Query(lt.Query)
+	res, err := st.Search(context.Background(), lt.Query, loggrep.SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestDocExampleCompiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := store.Query("ERROR AND dst:11.8.* NOT state:503")
+	res, err := store.Search(context.Background(), "ERROR AND dst:11.8.* NOT state:503", loggrep.SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestArchivePublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.Query(lt.Query, 2)
+	res, err := a.Search(context.Background(), lt.Query, loggrep.SearchOpts{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package loggrep_test
 
 import (
+	"context"
 	"testing"
 
 	"loggrep"
@@ -30,7 +31,7 @@ func TestSoakLargeBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.Query(lt.Query)
+	res, err := st.Search(context.Background(), lt.Query, loggrep.SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestSoakLargeBlock(t *testing.T) {
 	// Spot-check reconstruction across the block.
 	lines := logparse.SplitLines(block)
 	for _, i := range []int{0, 123_457, 250_000, 499_999} {
-		got, err := st.ReconstructLine(i)
+		got, err := st.ReconstructLine(context.Background(), i)
 		if err != nil {
 			t.Fatal(err)
 		}
