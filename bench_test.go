@@ -223,10 +223,7 @@ func BenchmarkSec63PaddingRatio(b *testing.B) {
 // LogGrep, one sub-benchmark per log — the full query workload of the
 // evaluation.
 func BenchmarkTable1Queries(b *testing.B) {
-	lg, err := harness.SystemByName(harness.CoreSystems(), "LG")
-	if err != nil {
-		b.Fatal(err)
-	}
+	lg := harness.LogGrepSystem("LG", core.DefaultOptions(), core.QueryOptions{})
 	for _, lt := range loggen.All() {
 		block := lt.Block(1, benchLines/2)
 		data, err := lg.Compress(block)

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"os"
 
-	"loggrep/internal/benchfmt"
 	"loggrep/internal/costmodel"
 	"loggrep/internal/harness"
 	"loggrep/internal/loggen"
@@ -36,7 +35,6 @@ func main() {
 	file := flag.String("file", "", "run the 5-system comparison on this raw log file instead of synthetic workloads")
 	fileQuery := flag.String("query", "", "query command for -file mode")
 	stages := flag.Bool("stages", false, "print the compression stage breakdown (parse/extract/assemble/pack) at the end")
-	jsonOut := flag.String("json", "", "also write machine-readable results to this path (see internal/benchfmt; \"\" = off)")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *showVersion {
@@ -151,46 +149,6 @@ func main() {
 	})
 	if *stages {
 		harness.PrintStageBreakdown(w)
-	}
-	if *jsonOut != "" {
-		if fig7Rows == nil {
-			fmt.Fprintln(os.Stderr, "logbench: -json needs the fig7 measurements (use -exp fig7 or -exp all)")
-			os.Exit(2)
-		}
-		bf := benchfmt.New(*exp, benchfmt.Config{Lines: *lines, Seed: *seed, Reps: *reps, Class: *class})
-		addFig7Metrics(bf, fig7Rows)
-		if err := benchfmt.Write(*jsonOut, bf); err != nil {
-			fmt.Fprintln(os.Stderr, "logbench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(w, "\nwrote %s (%d metrics)\n", *jsonOut, len(bf.Metrics))
-	}
-}
-
-// addFig7Metrics folds the per-(log, system) rows into per-system
-// aggregates. Only values that are deterministic for a fixed workload go
-// into the file — compression ratios (tolerance-gated in bench_compare)
-// and match counts (exact); wall-clock numbers are bench/'s job, which
-// measures them with an oracle and a noise floor.
-func addFig7Metrics(f *benchfmt.File, rows []harness.Fig7Row) {
-	type agg struct{ raw, comp, matches float64 }
-	order := []string{}
-	sums := map[string]*agg{}
-	for _, r := range rows {
-		a := sums[r.System]
-		if a == nil {
-			a = &agg{}
-			sums[r.System] = a
-			order = append(order, r.System)
-		}
-		a.raw += float64(r.RawBytes)
-		a.comp += float64(r.CompBytes)
-		a.matches += float64(r.Matches)
-	}
-	for _, name := range order {
-		a := sums[name]
-		f.Add(name+"/compression_ratio", a.raw/a.comp, "x", false)
-		f.AddExact(name+"/matches_total", a.matches, "matches")
 	}
 }
 

@@ -69,7 +69,6 @@ type Writer struct {
 	seq  int
 	jobs chan job
 	done chan result
-	errs chan error
 
 	mu       sync.Mutex
 	pending  map[int]result // seq -> finished block, reordering buffer

@@ -3,6 +3,8 @@ package archive
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"strings"
 	"testing"
@@ -29,6 +31,33 @@ func testOptions(blockBytes int) Options {
 	o.BlockBytes = blockBytes
 	o.Workers = 4
 	return o
+}
+
+// TestOnDiskBytesPinned holds the writer's output still: every loggen type
+// (seed 1, 4 000 lines) as one box and as a multi-block archive hashes to
+// what commit bf7eea6 wrote. A format or mining change moves these on
+// purpose and re-measures them; a refactor must not.
+func TestOnDiskBytesPinned(t *testing.T) {
+	const (
+		wantBoxes    = "7f4c6310951af707888acd9ec71f63feecd67971b10d30146b5052ea435bc984"
+		wantArchives = "d3695ec3a737487f9fad1e1de6f7c0ed06473124fff6ae7575593f24a95defc0"
+	)
+	boxes, archives := sha256.New(), sha256.New()
+	for _, lt := range loggen.All() {
+		block := lt.Block(1, 4000)
+		boxes.Write(core.Compress(block, core.DefaultOptions()))
+		arc, err := Compress(block, testOptions(128<<10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		archives.Write(arc)
+	}
+	if got := hex.EncodeToString(boxes.Sum(nil)); got != wantBoxes {
+		t.Errorf("core.Compress over all types hashes to %s, pinned %s", got, wantBoxes)
+	}
+	if got := hex.EncodeToString(archives.Sum(nil)); got != wantArchives {
+		t.Errorf("archive.Compress over all types hashes to %s, pinned %s", got, wantArchives)
+	}
 }
 
 func TestArchiveRoundTrip(t *testing.T) {

@@ -12,10 +12,6 @@ import (
 // index-on/index-off differential testing meaningful.
 func (a *Archive) SetIndexEnabled(on bool) { a.indexDisabled.Store(!on) }
 
-// IndexEnabled reports whether queries consult the index (regardless of
-// whether one was decoded).
-func (a *Archive) IndexEnabled() bool { return !a.indexDisabled.Load() }
-
 // HasIndex reports whether a usable index section was decoded at Open.
 func (a *Archive) HasIndex() bool { return !a.index.Empty() }
 

@@ -61,14 +61,6 @@ func (s *Set) Set(i int) {
 	s.words[i/wordBits] |= 1 << uint(i%wordBits)
 }
 
-// Clear clears bit i. Out-of-range indexes are ignored.
-func (s *Set) Clear(i int) {
-	if i < 0 || i >= s.n {
-		return
-	}
-	s.words[i/wordBits] &^= 1 << uint(i%wordBits)
-}
-
 // Test reports whether bit i is set.
 func (s *Set) Test(i int) bool {
 	if i < 0 || i >= s.n {

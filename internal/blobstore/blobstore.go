@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io/fs"
 	"sync/atomic"
-	"time"
 )
 
 // BlobStore is the read-side storage abstraction archive bytes come
@@ -20,21 +19,6 @@ import (
 type BlobStore interface {
 	// Get returns the blob's full contents.
 	Get(ctx context.Context, key string) ([]byte, error)
-	// ReadRange returns up to n bytes starting at off. Reading at or past
-	// the end returns an empty slice, not an error; a range crossing the
-	// end returns the short tail.
-	ReadRange(ctx context.Context, key string, off, n int64) ([]byte, error)
-	// List returns the keys under prefix, sorted.
-	List(ctx context.Context, prefix string) ([]string, error)
-	// Stat returns the blob's metadata.
-	Stat(ctx context.Context, key string) (BlobInfo, error)
-}
-
-// BlobInfo is one blob's metadata.
-type BlobInfo struct {
-	Key     string
-	Size    int64
-	ModTime time.Time
 }
 
 // ErrNotFound reports a key with no blob behind it. Terminal: retrying
@@ -74,30 +58,19 @@ func (c Class) String() string {
 	return "unknown"
 }
 
-// classified wraps an error with an explicit class, overriding Classify's
-// defaults (backends use it to mark errors the taxonomy cannot infer).
-type classified struct {
-	err error
-	c   Class
-}
+// terminal marks an error the taxonomy cannot infer to be permanent
+// (backends use it for malformed requests such as a key outside the root).
+type terminal struct{ err error }
 
-func (e *classified) Error() string { return e.err.Error() }
-func (e *classified) Unwrap() error { return e.err }
+func (e *terminal) Error() string { return e.err.Error() }
+func (e *terminal) Unwrap() error { return e.err }
 
 // MarkTerminal marks err as not worth retrying.
 func MarkTerminal(err error) error {
 	if err == nil {
 		return nil
 	}
-	return &classified{err: err, c: ClassTerminal}
-}
-
-// MarkRetryable marks err as transient.
-func MarkRetryable(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &classified{err: err, c: ClassRetryable}
+	return &terminal{err}
 }
 
 // Classify maps an error to its retry class. Unknown errors default to
@@ -109,9 +82,9 @@ func Classify(err error) Class {
 	if err == nil {
 		return ClassTerminal
 	}
-	var cl *classified
-	if errors.As(err, &cl) {
-		return cl.c
+	var marked *terminal
+	if errors.As(err, &marked) {
+		return ClassTerminal
 	}
 	switch {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):

@@ -1,8 +1,8 @@
 // Package blobstore is the storage seam every archive byte is read
-// through: a small context-aware interface (Get, ReadRange, List, Stat)
-// with a local-filesystem backend today and room for S3-style range-read
-// backends next, wrapped in a fault-policy middleware that turns a
-// flaky backend into one that is "never wrong, only slower".
+// through: a one-method context-aware interface (Get) with a
+// local-filesystem backend — a backend adds what its first caller needs —
+// wrapped in a fault-policy middleware that turns a flaky backend into
+// one that is "never wrong, only slower".
 //
 // The policy layer (Wrap) classifies errors as retryable or terminal,
 // bounds each attempt with its own deadline, retries transient failures

@@ -4,12 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 )
 
 // Local is the filesystem backend: keys are slash paths under Root.
@@ -60,89 +57,4 @@ func (l *Local) Get(ctx context.Context, key string) ([]byte, error) {
 		return nil, mapErr(err)
 	}
 	return data, nil
-}
-
-// ReadRange returns up to n bytes from off.
-func (l *Local) ReadRange(ctx context.Context, key string, off, n int64) ([]byte, error) {
-	if off < 0 || n < 0 {
-		return nil, MarkTerminal(fmt.Errorf("blobstore: bad range off=%d n=%d", off, n))
-	}
-	p, err := l.path(key)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	f, err := os.Open(p)
-	if err != nil {
-		return nil, mapErr(err)
-	}
-	defer f.Close()
-	buf := make([]byte, n)
-	m, err := f.ReadAt(buf, off)
-	if err != nil && err != io.EOF {
-		return nil, mapErr(err)
-	}
-	return buf[:m], nil
-}
-
-// List returns the keys under prefix, sorted. The prefix is matched
-// against whole slash-separated keys, so "a/b" matches key "a/b/c" and
-// key "a/b" but not "a/bc".
-func (l *Local) List(ctx context.Context, prefix string) ([]string, error) {
-	root := l.Root
-	if root == "" {
-		root = "."
-	}
-	var keys []string
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			// A subtree vanishing mid-walk is a miss, not a failure.
-			if errors.Is(err, fs.ErrNotExist) {
-				return nil
-			}
-			return err
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		if d.IsDir() {
-			return nil
-		}
-		rel, err := filepath.Rel(root, p)
-		if err != nil {
-			return err
-		}
-		key := filepath.ToSlash(rel)
-		if prefix == "" || key == prefix || strings.HasPrefix(key, prefix+"/") ||
-			strings.HasPrefix(key, prefix) && strings.HasSuffix(prefix, "/") {
-			keys = append(keys, key)
-		}
-		return nil
-	})
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, nil
-		}
-		return nil, mapErr(err)
-	}
-	sort.Strings(keys)
-	return keys, nil
-}
-
-// Stat returns the file's metadata.
-func (l *Local) Stat(ctx context.Context, key string) (BlobInfo, error) {
-	p, err := l.path(key)
-	if err != nil {
-		return BlobInfo{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return BlobInfo{}, err
-	}
-	fi, err := os.Stat(p)
-	if err != nil {
-		return BlobInfo{}, mapErr(err)
-	}
-	return BlobInfo{Key: key, Size: fi.Size(), ModTime: fi.ModTime()}, nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
@@ -29,10 +28,6 @@ func TestLocalGetStat(t *testing.T) {
 	if err != nil || string(data) != "hello blob" {
 		t.Fatalf("Get = %q, %v", data, err)
 	}
-	info, err := l.Stat(ctx, "t/s/seg-00000001.lgrep")
-	if err != nil || info.Size != int64(len("hello blob")) {
-		t.Fatalf("Stat = %+v, %v", info, err)
-	}
 
 	_, err = l.Get(ctx, "t/s/absent")
 	if !errors.Is(err, ErrNotFound) {
@@ -40,36 +35,6 @@ func TestLocalGetStat(t *testing.T) {
 	}
 	if Classify(err) != ClassTerminal {
 		t.Fatalf("not-found err %v classified %v, want terminal", err, Classify(err))
-	}
-	if _, err := l.Stat(ctx, "t/s/absent"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing Stat err = %v, want ErrNotFound", err)
-	}
-}
-
-func TestLocalReadRange(t *testing.T) {
-	dir := t.TempDir()
-	writeFile(t, filepath.Join(dir, "blob"), "0123456789")
-	l := NewLocal(dir)
-	ctx := context.Background()
-
-	cases := []struct {
-		off, n int64
-		want   string
-	}{
-		{0, 4, "0123"},
-		{5, 5, "56789"},
-		{8, 10, "89"}, // crosses EOF: short tail
-		{10, 4, ""},   // at EOF: empty, no error
-		{99, 4, ""},   // past EOF: empty, no error
-	}
-	for _, c := range cases {
-		got, err := l.ReadRange(ctx, "blob", c.off, c.n)
-		if err != nil || string(got) != c.want {
-			t.Fatalf("ReadRange(%d,%d) = %q, %v; want %q", c.off, c.n, got, err, c.want)
-		}
-	}
-	if _, err := l.ReadRange(ctx, "blob", -1, 4); Classify(err) != ClassTerminal {
-		t.Fatalf("negative offset err = %v, want terminal", err)
 	}
 }
 
@@ -99,43 +64,6 @@ func TestLocalEmptyRootUsesPlainPaths(t *testing.T) {
 	data, err := l.Get(context.Background(), filepath.ToSlash(p))
 	if err != nil || string(data) != "cli-opened" {
 		t.Fatalf("Get = %q, %v", data, err)
-	}
-}
-
-func TestLocalList(t *testing.T) {
-	dir := t.TempDir()
-	writeFile(t, filepath.Join(dir, "a", "s1", "seg-00000001.lgrep"), "1")
-	writeFile(t, filepath.Join(dir, "a", "s1", "wal-00000002.wal"), "2")
-	writeFile(t, filepath.Join(dir, "a", "s2", "seg-00000001.lgrep"), "3")
-	writeFile(t, filepath.Join(dir, "ab", "x"), "4")
-	l := NewLocal(dir)
-	ctx := context.Background()
-
-	got, err := l.List(ctx, "a/s1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"a/s1/seg-00000001.lgrep", "a/s1/wal-00000002.wal"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("List(a/s1) = %v, want %v", got, want)
-	}
-
-	got, err = l.List(ctx, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("List(a) = %v, want 3 keys (prefix must not match %q)", got, "ab/x")
-	}
-
-	got, err = l.List(ctx, "")
-	if err != nil || len(got) != 4 {
-		t.Fatalf("List(\"\") = %v, %v; want all 4 keys", got, err)
-	}
-
-	got, err = l.List(ctx, "nope")
-	if err != nil || len(got) != 0 {
-		t.Fatalf("List(nope) = %v, %v; want empty", got, err)
 	}
 }
 

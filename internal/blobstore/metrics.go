@@ -32,5 +32,5 @@ var (
 		"Queries degraded to partial results because a blob stayed unreadable after retries")
 
 	hGetNS = obsv.Default.Histogram("loggrep_blob_get_ns", "ns",
-		"Whole-operation Get/ReadRange latency through the fault policy (retries included)")
+		"Whole-operation Get latency through the fault policy (retries included)")
 )

@@ -130,9 +130,7 @@ func (s *Store) BreakerState() BreakerState {
 // Get runs the policy around the backend's Get.
 func (s *Store) Get(ctx context.Context, key string) ([]byte, error) {
 	t0 := s.p.now()
-	data, err := run(s, ctx, func(ctx context.Context) ([]byte, error) {
-		return s.b.Get(ctx, key)
-	})
+	data, err := s.run(ctx, key)
 	hGetNS.ObserveExemplar(s.p.now().Sub(t0).Nanoseconds(), traceIDFrom(ctx))
 	if err != nil {
 		return nil, fmt.Errorf("blob get %q: %w", key, err)
@@ -140,50 +138,14 @@ func (s *Store) Get(ctx context.Context, key string) ([]byte, error) {
 	return data, nil
 }
 
-// ReadRange runs the policy around the backend's ReadRange.
-func (s *Store) ReadRange(ctx context.Context, key string, off, n int64) ([]byte, error) {
-	t0 := s.p.now()
-	data, err := run(s, ctx, func(ctx context.Context) ([]byte, error) {
-		return s.b.ReadRange(ctx, key, off, n)
-	})
-	hGetNS.ObserveExemplar(s.p.now().Sub(t0).Nanoseconds(), traceIDFrom(ctx))
-	if err != nil {
-		return nil, fmt.Errorf("blob read %q [%d,+%d): %w", key, off, n, err)
-	}
-	return data, nil
-}
-
-// List runs the policy around the backend's List.
-func (s *Store) List(ctx context.Context, prefix string) ([]string, error) {
-	keys, err := run(s, ctx, func(ctx context.Context) ([]string, error) {
-		return s.b.List(ctx, prefix)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("blob list %q: %w", prefix, err)
-	}
-	return keys, nil
-}
-
-// Stat runs the policy around the backend's Stat.
-func (s *Store) Stat(ctx context.Context, key string) (BlobInfo, error) {
-	info, err := run(s, ctx, func(ctx context.Context) (BlobInfo, error) {
-		return s.b.Stat(ctx, key)
-	})
-	if err != nil {
-		return BlobInfo{}, fmt.Errorf("blob stat %q: %w", key, err)
-	}
-	return info, nil
-}
-
 // run is the policy engine: breaker admission and the retry loop with
 // full-jitter backoff around per-attempt deadlines.
-func run[T any](s *Store, ctx context.Context, op func(context.Context) (T, error)) (T, error) {
-	var zero T
+func (s *Store) run(ctx context.Context, key string) ([]byte, error) {
 	st := StatsFrom(ctx)
 	mOps.Inc()
 	st.incOps()
 	if err := ctx.Err(); err != nil {
-		return zero, err
+		return nil, err
 	}
 
 	release := func(BreakerOutcome) {}
@@ -195,7 +157,7 @@ func run[T any](s *Store, ctx context.Context, op func(context.Context) (T, erro
 			mOpErrors.Inc()
 			st.incShed()
 			st.incFailed()
-			return zero, err
+			return nil, err
 		}
 	}
 
@@ -207,15 +169,15 @@ func run[T any](s *Store, ctx context.Context, op func(context.Context) (T, erro
 			if err := s.p.sleep(ctx, s.backoff(attempt)); err != nil {
 				release(OutcomeAborted)
 				st.incFailed()
-				return zero, err
+				return nil, err
 			}
 		}
 		mAttempts.Inc()
 		st.incAttempts()
-		v, err := oneAttempt(ctx, s.p.AttemptTimeout, op)
+		data, err := s.oneAttempt(ctx, key)
 		if err == nil {
 			release(OutcomeOK)
-			return v, nil
+			return data, nil
 		}
 		lastErr = err
 		if ctx.Err() != nil {
@@ -223,7 +185,7 @@ func run[T any](s *Store, ctx context.Context, op func(context.Context) (T, erro
 			// echo. Aborts carry no verdict on the backend.
 			release(OutcomeAborted)
 			st.incFailed()
-			return zero, err
+			return nil, err
 		}
 		switch Classify(err) {
 		case ClassTerminal:
@@ -232,7 +194,7 @@ func run[T any](s *Store, ctx context.Context, op func(context.Context) (T, erro
 			release(OutcomeOK)
 			mOpErrors.Inc()
 			st.incFailed()
-			return zero, err
+			return nil, err
 		case ClassAborted:
 			// Only the per-attempt deadline can produce this with the
 			// parent context still live: the attempt wedged. Retry.
@@ -241,7 +203,7 @@ func run[T any](s *Store, ctx context.Context, op func(context.Context) (T, erro
 	release(OutcomeFailure)
 	mOpErrors.Inc()
 	st.incFailed()
-	return zero, fmt.Errorf("after %d attempts: %w", s.p.MaxAttempts, lastErr)
+	return nil, fmt.Errorf("after %d attempts: %w", s.p.MaxAttempts, lastErr)
 }
 
 // backoff returns the full-jitter delay before the given retry
@@ -250,12 +212,12 @@ func (s *Store) backoff(attempt int) time.Duration {
 	return time.Duration(s.p.rnd() * float64(retry.Backoff(s.p.BackoffBase, s.p.BackoffMax, attempt)))
 }
 
-// oneAttempt runs one backend call under the per-attempt deadline.
-func oneAttempt[T any](ctx context.Context, timeout time.Duration, op func(context.Context) (T, error)) (T, error) {
-	if timeout > 0 {
+// oneAttempt runs one backend Get under the per-attempt deadline.
+func (s *Store) oneAttempt(ctx context.Context, key string) ([]byte, error) {
+	if s.p.AttemptTimeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
+		ctx, cancel = context.WithTimeout(ctx, s.p.AttemptTimeout)
 		defer cancel()
 	}
-	return op(ctx)
+	return s.b.Get(ctx, key)
 }

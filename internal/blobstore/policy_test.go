@@ -10,33 +10,19 @@ import (
 	"time"
 )
 
-// scripted is a backend whose Get follows a per-call script. Other
-// operations delegate to the same script.
+// scripted is a backend whose Get follows a per-call script.
 type scripted struct {
 	mu    sync.Mutex
 	calls int
 	fn    func(call int, ctx context.Context) ([]byte, error)
 }
 
-func (s *scripted) invoke(ctx context.Context) ([]byte, error) {
+func (s *scripted) Get(ctx context.Context, key string) ([]byte, error) {
 	s.mu.Lock()
 	call := s.calls
 	s.calls++
 	s.mu.Unlock()
 	return s.fn(call, ctx)
-}
-
-func (s *scripted) Get(ctx context.Context, key string) ([]byte, error) { return s.invoke(ctx) }
-func (s *scripted) ReadRange(ctx context.Context, key string, off, n int64) ([]byte, error) {
-	return s.invoke(ctx)
-}
-func (s *scripted) List(ctx context.Context, prefix string) ([]string, error) {
-	_, err := s.invoke(ctx)
-	return nil, err
-}
-func (s *scripted) Stat(ctx context.Context, key string) (BlobInfo, error) {
-	_, err := s.invoke(ctx)
-	return BlobInfo{}, err
 }
 
 func (s *scripted) count() int {
@@ -253,7 +239,6 @@ func TestClassify(t *testing.T) {
 		{context.Canceled, ClassAborted},
 		{context.DeadlineExceeded, ClassAborted},
 		{MarkTerminal(errors.New("torn config")), ClassTerminal},
-		{MarkRetryable(ErrNotFound), ClassRetryable}, // explicit mark wins
 		{fmt.Errorf("outer: %w", MarkTerminal(errors.New("inner"))), ClassTerminal},
 	}
 	for _, c := range cases {

@@ -605,6 +605,3 @@ func (b *Box) DropCache() {
 
 // CacheSnapshot exposes the decompressed payload cache (test/diagnostics).
 func (b *Box) CacheSnapshot() map[int][]byte { return b.cache }
-
-// ChunkCacheSnapshot exposes the decompressed chunk cache (diagnostics).
-func (b *Box) ChunkCacheSnapshot() map[[2]int][]byte { return b.chunkCache }

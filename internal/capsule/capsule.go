@@ -111,15 +111,6 @@ func PackDict(values []string, counts, widths []int) []byte {
 	return buf
 }
 
-// DictOffset returns the byte offset of pattern p's segment.
-func DictOffset(counts, widths []int, p int) int {
-	off := 0
-	for i := 0; i < p; i++ {
-		off += counts[i] * widths[i]
-	}
-	return off
-}
-
 // appendIndex appends idx as decimal digits zero-padded to width.
 func appendIndex(dst []byte, idx, width int) []byte {
 	var digits [20]byte
@@ -137,22 +128,4 @@ func appendIndex(dst []byte, idx, width int) []byte {
 func FormatIndex(idx, width int) string {
 	var buf [20]byte
 	return string(appendIndex(buf[:0], idx, width))
-}
-
-// PackIndex packs a row→dictionary-index vector at the given digit width.
-func PackIndex(rowIndex []int, width int) []byte {
-	buf := make([]byte, 0, len(rowIndex)*width)
-	for _, idx := range rowIndex {
-		buf = appendIndex(buf, idx, width)
-	}
-	return buf
-}
-
-// ParseIndex reads the row-th index entry from a fixed-width index payload.
-func ParseIndex(payload []byte, width, row int) int {
-	v := 0
-	for _, b := range payload[row*width : (row+1)*width] {
-		v = v*10 + int(b-'0')
-	}
-	return v
 }

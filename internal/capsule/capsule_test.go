@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -56,9 +57,6 @@ func TestPackDictAndOffset(t *testing.T) {
 	if len(buf) != 2*7+4 {
 		t.Fatalf("dict payload %d bytes", len(buf))
 	}
-	if DictOffset(counts, widths, 0) != 0 || DictOffset(counts, widths, 1) != 14 {
-		t.Fatal("DictOffset wrong")
-	}
 	seg1 := strmatch.NewFixedWidth(buf[14:], 4)
 	if string(seg1.Value(0)) != "SUCC" {
 		t.Fatalf("segment 1 value = %q", seg1.Value(0))
@@ -67,13 +65,16 @@ func TestPackDictAndOffset(t *testing.T) {
 
 func TestIndexPacking(t *testing.T) {
 	idx := []int{0, 2, 1, 10, 9}
-	buf := PackIndex(idx, 2)
+	var buf []byte
+	for _, i := range idx {
+		buf = append(buf, FormatIndex(i, 2)...)
+	}
 	if string(buf) != "0002011009" {
-		t.Fatalf("PackIndex = %q", buf)
+		t.Fatalf("packed index = %q", buf)
 	}
 	for row, want := range idx {
-		if got := ParseIndex(buf, 2, row); got != want {
-			t.Errorf("ParseIndex row %d = %d, want %d", row, got, want)
+		if got, err := strconv.Atoi(string(buf[row*2 : row*2+2])); err != nil || got != want {
+			t.Errorf("index row %d = %d, %v; want %d", row, got, err, want)
 		}
 	}
 }
@@ -170,7 +171,7 @@ func sampleMeta() (*Meta, [][]byte) {
 		PackFixed([]string{"13", "15"}, 3),
 		PackFixed([]string{"FF", "C5"}, 4),
 		PackDict([]string{"ERR#404", "ERR#501", "SUCC"}, []int{2, 1}, []int{7, 4}),
-		PackIndex([]int{0, 2, 1}, 1),
+		PackFixed([]string{"0", "2", "1"}, 1),
 		PackVar([]string{"garbage line"}),
 	}
 	return meta, payloads

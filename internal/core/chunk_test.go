@@ -69,8 +69,8 @@ func TestChunkedReconstructTouchesFewChunks(t *testing.T) {
 		for _, p := range st.box.CacheSnapshot() {
 			total += len(p)
 		}
-		for _, p := range st.box.ChunkCacheSnapshot() {
-			total += len(p)
+		for _, sr := range st.chunkSearchers {
+			total += sr.Bytes()
 		}
 		return total
 	}

@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"loggrep/internal/capsule"
+	"loggrep/internal/loggen"
 	"loggrep/internal/logparse"
 	"loggrep/internal/obsv"
 	"loggrep/internal/query"
@@ -184,16 +187,13 @@ func TestRoundTripAllModes(t *testing.T) {
 func TestQueryEquivalenceAllModes(t *testing.T) {
 	lines := genBlock(42, 500)
 	block := makeBlock(lines...)
-	simParse := logparse.DefaultOptions()
-	simParse.Strategy = logparse.StrategySimilarity
 	modes := map[string]Options{
-		"full":       DefaultOptions(),
-		"sp":         {Parse: logparse.DefaultOptions(), StaticOnly: true},
-		"noReal":     {Parse: logparse.DefaultOptions(), DisableReal: true},
-		"noNominal":  {Parse: logparse.DefaultOptions(), DisableNominal: true},
-		"noStamps":   {Parse: logparse.DefaultOptions(), DisableStamps: true},
-		"noPadding":  {Parse: logparse.DefaultOptions(), DisablePadding: true},
-		"similarity": {Parse: simParse},
+		"full":      DefaultOptions(),
+		"sp":        {Parse: logparse.DefaultOptions(), StaticOnly: true},
+		"noReal":    {Parse: logparse.DefaultOptions(), DisableReal: true},
+		"noNominal": {Parse: logparse.DefaultOptions(), DisableNominal: true},
+		"noStamps":  {Parse: logparse.DefaultOptions(), DisableStamps: true},
+		"noPadding": {Parse: logparse.DefaultOptions(), DisablePadding: true},
 	}
 	for name, opts := range modes {
 		t.Run(name, func(t *testing.T) {
@@ -392,6 +392,31 @@ func TestCorruptBoxRejected(t *testing.T) {
 			st.ReconstructAll()
 		}()
 	}
+}
+
+// A dictionary index outside the dictionary — a forged index capsule can
+// hold any digits, or a minus sign — is corruption, not a panic.
+func TestDictValueRejectsBadIndex(t *testing.T) {
+	lt, _ := loggen.ByName("I")
+	st, err := Open(Compress(lt.Block(1, 500), DefaultOptions()), QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gi := range st.box.Meta.Groups {
+		for vi := range st.box.Meta.Groups[gi].Vars {
+			vm := &st.box.Meta.Groups[gi].Vars[vi]
+			if vm.Kind != capsule.NominalVar {
+				continue
+			}
+			for _, idx := range []int{-1, st.box.Meta.Capsules[vm.DictCapID].Rows} {
+				if _, err := st.dictValue(vm, idx); !errors.Is(err, capsule.ErrCorrupt) {
+					t.Fatalf("dictValue(%d) = %v, want ErrCorrupt", idx, err)
+				}
+			}
+			return
+		}
+	}
+	t.Fatal("type I has no nominal variable")
 }
 
 func TestCountMatchesQuery(t *testing.T) {

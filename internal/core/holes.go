@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"loggrep/internal/bitset"
 	"loggrep/internal/capsule"
 	"loggrep/internal/rtpattern"
@@ -233,32 +231,27 @@ func parseDecimal(b []byte) int {
 func (h *nominalVarHole) findDict(part string, kind strmatch.Kind) ([]int, error) {
 	var dictIdxs []int
 	if h.st.padding {
-		payload, err := h.st.box.Payload(h.vm.DictCapID)
+		w, err := h.st.walkDict(h.vm)
 		if err != nil {
 			return nil, err
 		}
-		off, base := 0, 0
-		for _, dp := range h.vm.DictPatterns {
-			w := max(1, dp.MaxLen)
-			segLen := dp.Count * w
-			if off+segLen > len(payload) {
-				return nil, fmt.Errorf("%w: dict capsule %d shorter than its segments", capsule.ErrCorrupt, h.vm.DictCapID)
+		for w.next() {
+			if !h.feasible(*w.dp, part, kind) {
+				continue
 			}
-			if h.feasible(dp, part, kind) {
-				if err := h.st.checkpoint(); err != nil {
-					return nil, err
-				}
-				fw := strmatch.NewFixedWidth(payload[off:off+segLen], w)
-				h.st.stats.scans++
-				h.st.stats.bytesScanned += segLen
-				b := base
-				fw.ScanRows(part, kind, func(row int) bool {
-					dictIdxs = append(dictIdxs, b+row)
-					return true
-				})
+			if err := h.st.checkpoint(); err != nil {
+				return nil, err
 			}
-			off += segLen
-			base += dp.Count
+			h.st.stats.scans++
+			h.st.stats.bytesScanned += len(w.seg)
+			base := w.base
+			strmatch.NewFixedWidth(w.seg, w.width).ScanRows(part, kind, func(row int) bool {
+				dictIdxs = append(dictIdxs, base+row)
+				return true
+			})
+		}
+		if err := w.err(); err != nil {
+			return nil, err
 		}
 		return dictIdxs, nil
 	}

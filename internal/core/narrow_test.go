@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"loggrep/internal/capsule"
 	"loggrep/internal/loggen"
 	"loggrep/internal/logparse"
 	"loggrep/internal/obsv"
@@ -117,12 +118,75 @@ func TestNarrowingOracle(t *testing.T) {
 	}
 }
 
+// readKinds runs cmd cold and returns the kind of capsule each gated read
+// fetched, in order. The hook is not told what is about to be read, so it
+// notes what the reads before it left in the box's payload cache.
+func readKinds(t *testing.T, st *Store, cmd string) []capsule.Kind {
+	t.Helper()
+	st.ResetCounters()
+	var kinds []capsule.Kind
+	seen := make(map[int]bool)
+	note := func() {
+		for id := range st.box.CacheSnapshot() {
+			if !seen[id] {
+				seen[id] = true
+				kinds = append(kinds, st.box.Meta.Capsules[id].Kind)
+			}
+		}
+	}
+	calls := 0
+	st.SetReadHook(func(context.Context) error {
+		note()
+		if calls++; len(kinds) != calls-1 {
+			t.Fatalf("%q: %d payloads cached before gated read %d", cmd, len(kinds), calls)
+		}
+		return nil
+	})
+	_, err := st.Search(context.Background(), cmd, SearchOpts{})
+	st.SetReadHook(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	note()
+	return kinds
+}
+
+// TestReadHookGatesEveryRead is ReadHook's contract — "before each capsule
+// payload fetch" — over every log type: a cold Table-1 query calls the hook
+// once per decompression, dictionary capsules included, so an injected
+// stall, a cancellation or a decompression cap can land on any of them.
+func TestReadHookGatesEveryRead(t *testing.T) {
+	var short []string
+	for _, lt := range loggen.All() {
+		calls := 0
+		st, err := Open(Compress(lt.Block(1, 4000), DefaultOptions()), QueryOptions{
+			ReadHook: func(context.Context) error { calls++; return nil },
+		})
+		if err != nil {
+			t.Fatalf("type %s: %v", lt.Name, err)
+		}
+		res, err := st.Search(context.Background(), lt.Query, SearchOpts{})
+		if err != nil {
+			t.Fatalf("type %s: %v", lt.Name, err)
+		}
+		if calls != res.Decompressions {
+			short = append(short, fmt.Sprintf("%s %d/%d", lt.Name, calls, res.Decompressions))
+		}
+	}
+	if len(short) > 0 {
+		t.Fatalf("hook calls / decompressions differ on %d types: %s", len(short), strings.Join(short, ", "))
+	}
+}
+
 // TestNarrowingInterrupted cuts random trees short — by a work budget, and
-// by a cancellation that lands after the k-th payload read, so mid-filter
-// for small k — and checks the contract: a flagged subset of the truth, or
-// a clean context error, and a store that answers in full afterwards.
+// by a cancellation at the k-th payload read, so mid-filter for small k and
+// on the query's first dictionary read when it has one — and checks the
+// contract: a flagged subset of the truth, or a clean context error, and a
+// store that answers in full afterwards. I, T and Hdfs are the
+// nominal-heavy types: each must see a cancel land on a dictionary.
 func TestNarrowingInterrupted(t *testing.T) {
-	for ti, name := range []string{"A", "G", "S", "U"} {
+	for ti, name := range []string{"A", "G", "S", "U", "I", "T", "Hdfs"} {
+		dictCancels := 0
 		lt, _ := loggen.ByName(name)
 		block := lt.Block(int64(7+ti), 1500)
 		lines := logparse.SplitLines(block)
@@ -159,7 +223,12 @@ func TestNarrowingInterrupted(t *testing.T) {
 				}
 				subset(fmt.Sprintf("budget %+v", b), res)
 			}
-			for _, k := range []int{1, 2, 4, 9} {
+			ks := []int{1, 2, 4, 9}
+			if k := slices.Index(readKinds(t, st, cmd), capsule.Dict) + 1; k > 0 {
+				ks = append(ks, k)
+				dictCancels++
+			}
+			for _, k := range ks {
 				st.ResetCounters()
 				ctx, cancel := context.WithCancel(context.Background())
 				reads := 0
@@ -184,6 +253,9 @@ func TestNarrowingInterrupted(t *testing.T) {
 			if err != nil || !slices.Equal(res.Lines, wantLines) {
 				t.Fatalf("type %s %q after interruptions: %v, %d of %d matches", name, cmd, err, len(res.Lines), len(wantLines))
 			}
+		}
+		if dictCancels == 0 && slices.Contains([]string{"I", "T", "Hdfs"}, name) {
+			t.Errorf("type %s: no query read a dictionary capsule, so no cancel landed on one", name)
 		}
 	}
 }

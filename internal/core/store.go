@@ -404,15 +404,24 @@ func (st *Store) value(id, row int) ([]byte, error) {
 	return sr.Value(row), nil
 }
 
+// payload is the one door to a capsule's whole decompressed bytes: the
+// box's cache, or the read gate and then the box decompressing them.
+func (st *Store) payload(id int) ([]byte, error) {
+	if p, cached := st.box.CacheSnapshot()[id]; cached {
+		return p, nil
+	}
+	if err := st.beforeRead(); err != nil {
+		return nil, err
+	}
+	return st.box.Payload(id)
+}
+
 // searcher returns the cached payload searcher of a capsule.
 func (st *Store) searcher(id int) (searcher, error) {
 	if sr, ok := st.searchers[id]; ok {
 		return sr, nil
 	}
-	if err := st.beforeRead(); err != nil {
-		return nil, err
-	}
-	payload, err := st.box.Payload(id)
+	payload, err := st.payload(id)
 	if err != nil {
 		return nil, err
 	}
@@ -943,34 +952,84 @@ func (st *Store) varValue(vm *capsule.VarMeta, row int) (string, error) {
 // dictValue fetches dictionary entry idx, jumping to its pattern's segment
 // via the (count, length) stamps when the dictionary is padded.
 func (st *Store) dictValue(vm *capsule.VarMeta, idx int) (string, error) {
+	if idx < 0 {
+		return "", fmt.Errorf("%w: dict index %d out of range", capsule.ErrCorrupt, idx)
+	}
 	if !st.padding {
 		sr, err := st.searcher(vm.DictCapID)
 		if err != nil {
 			return "", err
 		}
-		if idx < 0 || idx >= sr.Rows() {
+		if idx >= sr.Rows() {
 			return "", fmt.Errorf("%w: dict index %d out of range", capsule.ErrCorrupt, idx)
 		}
 		return string(sr.Value(idx)), nil
 	}
-	payload, err := st.box.Payload(vm.DictCapID)
+	w, err := st.walkDict(vm)
 	if err != nil {
 		return "", err
 	}
-	off, base := 0, 0
-	for _, dp := range vm.DictPatterns {
-		w := max(1, dp.MaxLen)
-		if off+dp.Count*w > len(payload) {
-			return "", fmt.Errorf("%w: dict capsule %d shorter than its segments", capsule.ErrCorrupt, vm.DictCapID)
+	for w.next() {
+		if idx < w.base+w.dp.Count {
+			return string(strmatch.NewFixedWidth(w.seg, w.width).Value(idx - w.base)), nil
 		}
-		if idx < base+dp.Count {
-			fw := strmatch.NewFixedWidth(payload[off:off+dp.Count*w], w)
-			return string(fw.Value(idx - base)), nil
-		}
-		off += dp.Count * w
-		base += dp.Count
+	}
+	if err := w.err(); err != nil {
+		return "", err
 	}
 	return "", fmt.Errorf("%w: dict index %d out of range", capsule.ErrCorrupt, idx)
+}
+
+// dictWalk steps through a padded dictionary capsule one runtime pattern's
+// segment at a time, in dictionary order. It is the one place that fetches
+// a dictionary's bytes and checks the directory's segment sizes against
+// them.
+type dictWalk struct {
+	payload []byte
+	pats    []capsule.DictPatternMeta
+	capID   int
+	i       int // segments visited so far
+	end     int // payload offset just past the current segment
+
+	// The current segment, valid after next returns true.
+	dp    *capsule.DictPatternMeta
+	base  int    // dictionary position of its first entry
+	seg   []byte // its entries: dp.Count rows of width bytes
+	width int
+}
+
+func (st *Store) walkDict(vm *capsule.VarMeta) (dictWalk, error) {
+	payload, err := st.payload(vm.DictCapID)
+	return dictWalk{payload: payload, pats: vm.DictPatterns, capID: vm.DictCapID}, err
+}
+
+// next moves to the following segment. It returns false after the last
+// one, and at a segment the capsule is too short to hold: err tells which.
+func (w *dictWalk) next() bool {
+	if w.i == len(w.pats) {
+		return false
+	}
+	if w.dp != nil {
+		w.base += w.dp.Count
+	}
+	w.dp = &w.pats[w.i]
+	w.width = max(1, w.dp.MaxLen)
+	off := w.end
+	w.end += w.dp.Count * w.width
+	if w.end > len(w.payload) {
+		return false
+	}
+	w.seg = w.payload[off:w.end]
+	w.i++
+	return true
+}
+
+// err reports why next returned false: nil at the end of the dictionary.
+func (w *dictWalk) err() error {
+	if w.i == len(w.pats) {
+		return nil
+	}
+	return fmt.Errorf("%w: dict capsule %d shorter than its segments", capsule.ErrCorrupt, w.capID)
 }
 
 // ReconstructAll rebuilds the entire block, one string per line.

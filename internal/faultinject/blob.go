@@ -90,9 +90,9 @@ func (c *ChaosBlob) intn(n int) int {
 	return c.rng.Intn(n)
 }
 
-// gate runs the pre-read fault decisions shared by every operation:
-// latency, the flap schedule, then the error-rate roll.
-func (c *ChaosBlob) gate(ctx context.Context, op string) error {
+// gate runs the pre-read fault decisions: latency, the flap schedule,
+// then the error-rate roll.
+func (c *ChaosBlob) gate(ctx context.Context) error {
 	seq := c.ops.Add(1) - 1
 	if d := time.Duration(c.latency.Load()); d > 0 {
 		if err := Stall(ctx, d); err != nil {
@@ -101,11 +101,11 @@ func (c *ChaosBlob) gate(ctx context.Context, op string) error {
 	}
 	if per := c.flapPer.Load(); per > 0 && seq%per < c.flapDown.Load() {
 		c.injected.Add(1)
-		return fmt.Errorf("%w: %s down (flap op %d)", ErrInjected, op, seq)
+		return fmt.Errorf("%w: get down (flap op %d)", ErrInjected, seq)
 	}
 	if p := math.Float64frombits(c.errRate.Load()); p > 0 && c.roll() < p {
 		c.injected.Add(1)
-		return fmt.Errorf("%w: %s error (op %d)", ErrInjected, op, seq)
+		return fmt.Errorf("%w: get error (op %d)", ErrInjected, seq)
 	}
 	return nil
 }
@@ -126,7 +126,7 @@ func (c *ChaosBlob) tear(data []byte) []byte {
 
 // Get injects faults around the inner Get.
 func (c *ChaosBlob) Get(ctx context.Context, key string) ([]byte, error) {
-	if err := c.gate(ctx, "get"); err != nil {
+	if err := c.gate(ctx); err != nil {
 		return nil, err
 	}
 	data, err := c.inner.Get(ctx, key)
@@ -134,33 +134,4 @@ func (c *ChaosBlob) Get(ctx context.Context, key string) ([]byte, error) {
 		return nil, err
 	}
 	return c.tear(data), nil
-}
-
-// ReadRange injects faults around the inner ReadRange.
-func (c *ChaosBlob) ReadRange(ctx context.Context, key string, off, n int64) ([]byte, error) {
-	if err := c.gate(ctx, "readrange"); err != nil {
-		return nil, err
-	}
-	data, err := c.inner.ReadRange(ctx, key, off, n)
-	if err != nil {
-		return nil, err
-	}
-	return c.tear(data), nil
-}
-
-// List injects faults around the inner List (no torn reads: listings
-// carry no payload bytes to tear).
-func (c *ChaosBlob) List(ctx context.Context, prefix string) ([]string, error) {
-	if err := c.gate(ctx, "list"); err != nil {
-		return nil, err
-	}
-	return c.inner.List(ctx, prefix)
-}
-
-// Stat injects faults around the inner Stat.
-func (c *ChaosBlob) Stat(ctx context.Context, key string) (blobstore.BlobInfo, error) {
-	if err := c.gate(ctx, "stat"); err != nil {
-		return blobstore.BlobInfo{}, err
-	}
-	return c.inner.Stat(ctx, key)
 }

@@ -14,20 +14,6 @@ import (
 type memBlob struct{ data []byte }
 
 func (m *memBlob) Get(context.Context, string) ([]byte, error) { return m.data, nil }
-func (m *memBlob) ReadRange(_ context.Context, _ string, off, n int64) ([]byte, error) {
-	if off >= int64(len(m.data)) {
-		return nil, nil
-	}
-	end := off + n
-	if end > int64(len(m.data)) {
-		end = int64(len(m.data))
-	}
-	return m.data[off:end], nil
-}
-func (m *memBlob) List(context.Context, string) ([]string, error) { return []string{"k"}, nil }
-func (m *memBlob) Stat(context.Context, string) (blobstore.BlobInfo, error) {
-	return blobstore.BlobInfo{Key: "k", Size: int64(len(m.data))}, nil
-}
 
 func TestChaosBlobDeterministic(t *testing.T) {
 	run := func() ([]bool, int64) {
@@ -125,15 +111,6 @@ func TestChaosBlobCleanPassthrough(t *testing.T) {
 	ctx := context.Background()
 	if data, err := c.Get(ctx, "k"); err != nil || string(data) != "payload" {
 		t.Fatalf("Get = %q, %v", data, err)
-	}
-	if data, err := c.ReadRange(ctx, "k", 0, 3); err != nil || string(data) != "pay" {
-		t.Fatalf("ReadRange = %q, %v", data, err)
-	}
-	if keys, err := c.List(ctx, ""); err != nil || len(keys) != 1 {
-		t.Fatalf("List = %v, %v", keys, err)
-	}
-	if info, err := c.Stat(ctx, "k"); err != nil || info.Size != 7 {
-		t.Fatalf("Stat = %+v, %v", info, err)
 	}
 	if c.Injected() != 0 || c.Torn() != 0 {
 		t.Fatalf("clean passthrough injected %d errors, %d tears", c.Injected(), c.Torn())

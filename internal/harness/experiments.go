@@ -23,9 +23,6 @@ type Config struct {
 	QueryReps int
 }
 
-// DefaultConfig is a laptop-scale run.
-func DefaultConfig() Config { return Config{LinesPerLog: 20000, Seed: 1, QueryReps: 3} }
-
 // QuickConfig is a fast run for tests.
 func QuickConfig() Config { return Config{LinesPerLog: 2000, Seed: 1, QueryReps: 1} }
 

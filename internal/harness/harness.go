@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"loggrep/internal/baselines/clp"
@@ -35,18 +34,6 @@ func (q coreQuerier) Query(command string) ([]int, []string, error) {
 	return res.Lines, res.Entries, nil
 }
 
-type ggrepQuerier struct{ st *ggrep.Store }
-
-func (q ggrepQuerier) Query(c string) ([]int, []string, error) { return q.st.Query(c) }
-
-type clpQuerier struct{ st *clp.Store }
-
-func (q clpQuerier) Query(c string) ([]int, []string, error) { return q.st.Query(c) }
-
-type esQuerier struct{ st *eslite.Store }
-
-func (q esQuerier) Query(c string) ([]int, []string, error) { return q.st.Query(c) }
-
 // LogGrepSystem builds a System from core options.
 func LogGrepSystem(name string, opts core.Options, qopts core.QueryOptions) System {
 	return System{
@@ -76,7 +63,7 @@ func CoreSystems() []System {
 				if err != nil {
 					return nil, err
 				}
-				return ggrepQuerier{st}, nil
+				return st, nil
 			},
 		},
 		{
@@ -87,7 +74,7 @@ func CoreSystems() []System {
 				if err != nil {
 					return nil, err
 				}
-				return clpQuerier{st}, nil
+				return st, nil
 			},
 		},
 		{
@@ -98,7 +85,7 @@ func CoreSystems() []System {
 				if err != nil {
 					return nil, err
 				}
-				return esQuerier{st}, nil
+				return st, nil
 			},
 		},
 		LogGrepSystem("LG-SP", spOpts, core.QueryOptions{}),
@@ -148,14 +135,4 @@ func bestOf(reps int, f func() error) (float64, error) {
 		}
 	}
 	return best, nil
-}
-
-// SystemByName finds a system in a slice.
-func SystemByName(systems []System, name string) (System, error) {
-	for _, s := range systems {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return System{}, fmt.Errorf("harness: unknown system %q", name)
 }

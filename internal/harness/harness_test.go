@@ -2,9 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
+	"loggrep/internal/costmodel"
 	"loggrep/internal/loggen"
 )
 
@@ -60,7 +63,7 @@ func TestFig8Aggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f8 := Fig8(rows, CostParams())
+	f8 := Fig8(rows, costmodel.Default())
 	if len(f8) != 5 {
 		t.Fatalf("fig8 rows = %d", len(f8))
 	}
@@ -196,7 +199,7 @@ func TestCrossovers(t *testing.T) {
 		{Log: "Y", System: "LG", RawBytes: 1e9, CompBytes: 5e7, CompressSec: 50, QuerySec: 0.005},
 		{Log: "Y", System: "ES", RawBytes: 1e9, CompBytes: 2e9, CompressSec: 100, QuerySec: 0.01},
 	}
-	xs := Crossovers(rows, CostParams())
+	xs := Crossovers(rows, costmodel.Default())
 	if len(xs) != 1 || xs[0].Log != "X" {
 		t.Fatalf("crossovers = %+v", xs)
 	}
@@ -210,13 +213,81 @@ func TestCrossovers(t *testing.T) {
 	}
 }
 
-func TestSystemByName(t *testing.T) {
-	if _, err := SystemByName(CoreSystems(), "LG"); err != nil {
+// fig7Pinned is what RunFig7 over loggen.Production() at 2000 lines, seed 1
+// produces per system: the summed Table-1 match count, exact, and the
+// aggregate compression ratio. Measured on commit bf7eea6; to re-measure
+// after a change that is meant to move them, run this test with -v and
+// copy the values it logs.
+var fig7Pinned = []struct {
+	system  string
+	matches int
+	ratio   float64
+}{
+	{"ggrep", 680, 4.9167},
+	{"CLP", 680, 4.9345},
+	{"ES", 680, 1.5691},
+	{"LG-SP", 680, 4.1681},
+	{"LG", 680, 4.3454},
+}
+
+// fig7Drift aggregates rows per system and compares them against
+// fig7Pinned. It returns what it measured and one line per system whose
+// match count differs or whose ratio is more than 5 % off.
+func fig7Drift(rows []Fig7Row) (got string, drift []string) {
+	type agg struct {
+		raw, comp int64
+		matches   int
+	}
+	sums := map[string]*agg{}
+	for _, r := range rows {
+		a := sums[r.System]
+		if a == nil {
+			a = &agg{}
+			sums[r.System] = a
+		}
+		a.raw += r.RawBytes
+		a.comp += r.CompBytes
+		a.matches += r.Matches
+	}
+	for _, want := range fig7Pinned {
+		a := sums[want.system]
+		if a == nil {
+			drift = append(drift, want.system+": no rows")
+			continue
+		}
+		ratio := float64(a.raw) / float64(a.comp)
+		got += fmt.Sprintf(" {%q, %d, %.4f}", want.system, a.matches, ratio)
+		if a.matches != want.matches || math.Abs(ratio-want.ratio) > 0.05*want.ratio {
+			drift = append(drift, fmt.Sprintf("%s: matches %d ratio %.4f, pinned %d / %.4f",
+				want.system, a.matches, ratio, want.matches, want.ratio))
+		}
+	}
+	return got, drift
+}
+
+// The deterministic outputs of the Figure 7 run hold still: a change that
+// loses matches or moves a system's ratio by more than 5 % fails here.
+func TestFig7Deterministic(t *testing.T) {
+	rows, err := RunFig7(loggen.Production(), CoreSystems(), Config{LinesPerLog: 2000, Seed: 1, QueryReps: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SystemByName(CoreSystems(), "nope"); err == nil {
-		t.Fatal("unknown system found")
+	got, drift := fig7Drift(rows)
+	t.Logf("measured:%s", got)
+	if len(drift) > 0 {
+		t.Fatalf("Figure 7 moved:\n%s", strings.Join(drift, "\n"))
 	}
+	t.Run("doctored", func(t *testing.T) {
+		bad := append([]Fig7Row(nil), rows...)
+		for i := range bad {
+			if bad[i].System == "LG" {
+				bad[i].CompBytes *= 2
+			}
+		}
+		if _, drift := fig7Drift(bad); len(drift) != 1 || !strings.HasPrefix(drift[0], "LG:") {
+			t.Fatalf("halved LG ratio reported as %q, want one LG line", drift)
+		}
+	})
 }
 
 func TestRunFile(t *testing.T) {

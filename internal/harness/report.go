@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"loggrep/internal/costmodel"
 )
 
 // PrintFig7 renders the latency / ratio / speed tables behind Figure 7
@@ -147,7 +145,3 @@ func logOrder(rows []Fig7Row) []string {
 	sort.Strings(out)
 	return out
 }
-
-// CostParams returns the paper's cost parameters (re-exported so callers
-// need not import costmodel directly).
-func CostParams() costmodel.Params { return costmodel.Default() }

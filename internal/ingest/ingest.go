@@ -178,10 +178,7 @@ type Stream struct {
 	mu      sync.Mutex
 	segs    []*segment
 	nextSeq uint64
-	// appended counts lines acknowledged over this Stream's lifetime
-	// (replayed lines included); it only grows.
-	appended int64
-	lastErr  error // latched WAL write failure; stream refuses appends
+	lastErr error // latched WAL write failure; stream refuses appends
 }
 
 // Tenant returns the stream's tenant name.
@@ -357,7 +354,6 @@ func (m *Manager) replayStream(tenant, name string, stats *ReplayStats) (*Stream
 				sg.numLines, sg.sealedBytes = a.NumLines(), int64(len(data))
 				st.segs = append(st.segs, sg)
 				m.cache.admit(sg, a, int64(len(data)))
-				st.appended += int64(sg.numLines)
 				stats.SealedSegs++
 				if wals[q] {
 					// The seal's rename published before the crash; the WAL
@@ -387,7 +383,6 @@ func (m *Manager) replayStream(tenant, name string, stats *ReplayStats) (*Stream
 		st.segs = append(st.segs, &segment{
 			seq: q, lines: lines, rawBytes: bytes, born: time.Now(),
 		})
-		st.appended += int64(len(lines))
 		m.tenantAdd(tenant, bytes)
 		stats.RawSegs++
 		stats.RawLines += len(lines)
@@ -598,7 +593,6 @@ func (st *Stream) append(lines []string, add int64) error {
 	sg.walOff += int64(len(rec))
 	sg.lines = append(sg.lines, lines...)
 	sg.rawBytes += add
-	st.appended += int64(len(lines))
 	if sg.rawBytes >= st.m.cfg.SealBytes {
 		st.rollLocked()
 		st.m.kickSealer()
@@ -680,13 +674,6 @@ func (st *Stream) NumLines() int {
 		n += sg.lineCount()
 	}
 	return n
-}
-
-// Appended returns the lines acknowledged over the stream's lifetime.
-func (st *Stream) Appended() int64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.appended
 }
 
 // Info describes one stream for /v1/sources and diagnostics.

@@ -10,6 +10,16 @@ import (
 	"loggrep/internal/obsv"
 )
 
+// totalOf reads one tenant's cumulative usage out of the meter's snapshot.
+func totalOf(m *Meter, tenant string) Usage {
+	for _, row := range m.Snapshot() {
+		if row.Tenant == tenant {
+			return row.Total
+		}
+	}
+	return Usage{}
+}
+
 // TestProgressMonotonicUnderConcurrency hammers one Progress from many
 // writer goroutines while readers poll snapshots, asserting no reading
 // ever runs backwards. Run with -race this doubles as the data-race
@@ -254,7 +264,7 @@ func TestMeterWindowsRotate(t *testing.T) {
 			t.Fatalf("window %d = %+v, want decayed to zero", i, w)
 		}
 	}
-	if got := m.Total("acme"); got.ScanBytes != 107 || got.Requests != 2 {
+	if got := totalOf(m, "acme"); got.ScanBytes != 107 || got.Requests != 2 {
 		t.Fatalf("total = %+v, want 107 bytes / 2 requests", got)
 	}
 }
@@ -271,7 +281,7 @@ func TestMeterCardinalityBound(t *testing.T) {
 	if len(snap) != 3 { // a, b, _other
 		t.Fatalf("tracked tenants = %d (%v), want 3 (a, b, _other)", len(snap), snap)
 	}
-	if got := m.Total(OverflowTenant); got.Requests != 2 {
+	if got := totalOf(m, OverflowTenant); got.Requests != 2 {
 		t.Fatalf("overflow requests = %d, want 2", got.Requests)
 	}
 }
@@ -413,7 +423,7 @@ func TestPlaneRecordEventReconciles(t *testing.T) {
 			wantDec += ev.Decompressions
 		}
 	}
-	got := p.Usage.Total("acme")
+	got := totalOf(p.Usage, "acme")
 	if got.ScanBytes != wantScan || got.Decompressions != wantDec {
 		t.Fatalf("acme usage %+v, want %d bytes / %d decompressions", got, wantScan, wantDec)
 	}
@@ -424,7 +434,7 @@ func TestPlaneRecordEventReconciles(t *testing.T) {
 	if got.CPUNanos != 1e6+7e6 {
 		t.Fatalf("acme cpu = %d, want %d", got.CPUNanos, int64(1e6+7e6))
 	}
-	if b := p.Usage.Total("bravo"); b.IngestBytes != 2048 || b.IngestLines != 32 || b.CPUNanos != 5e5 {
+	if b := totalOf(p.Usage, "bravo"); b.IngestBytes != 2048 || b.IngestLines != 32 || b.CPUNanos != 5e5 {
 		t.Fatalf("bravo usage %+v", b)
 	}
 	p.RecordEvent(nil) // nil-safe

@@ -241,23 +241,6 @@ func (m *Meter) Snapshot() []TenantUsage {
 	return out
 }
 
-// Total returns a tenant's cumulative usage since process start (the
-// reconciliation hook for tests and the scheduler-to-be).
-func (m *Meter) Total(tenant string) Usage {
-	if m == nil {
-		return Usage{}
-	}
-	m.mu.RLock()
-	t := m.tenants[SanitizeTenant(tenant)]
-	m.mu.RUnlock()
-	if t == nil {
-		return Usage{}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
 // SanitizeTenant maps an arbitrary tenant name to a bounded, Prometheus
 // label-safe form: [a-zA-Z0-9_.-] kept, everything else replaced with
 // '_', truncated to 64 bytes, empty mapped to "default". Hostile names

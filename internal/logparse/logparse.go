@@ -126,30 +126,6 @@ func (t *Template) Reconstruct(vars []string) string {
 	return b.String()
 }
 
-// AppendReconstruct appends the reconstruction to dst and returns it.
-func (t *Template) AppendReconstruct(dst []byte, vars []string) []byte {
-	for _, e := range t.Elems {
-		if e.Var >= 0 {
-			dst = append(dst, vars[e.Var]...)
-		} else {
-			dst = append(dst, e.Lit...)
-		}
-	}
-	return dst
-}
-
-// StaticText returns the template's literal elements — text a query keyword
-// can hit "for free" (every entry of the group contains it).
-func (t *Template) StaticText() []string {
-	var out []string
-	for _, e := range t.Elems {
-		if e.Var < 0 && e.Lit != "" {
-			out = append(out, e.Lit)
-		}
-	}
-	return out
-}
-
 // Group is all entries sharing one template, decomposed into variable
 // vectors.
 type Group struct {
@@ -162,15 +138,6 @@ type Group struct {
 
 // Rows returns the number of entries in the group.
 func (g *Group) Rows() int { return len(g.Lines) }
-
-// ReconstructRow rebuilds the original text of the group's k-th entry.
-func (g *Group) ReconstructRow(k int) string {
-	vals := make([]string, len(g.Vars))
-	for v := range g.Vars {
-		vals[v] = g.Vars[v][k]
-	}
-	return g.Template.Reconstruct(vals)
-}
 
 // Parsed is the result of structurizing one log block.
 type Parsed struct {
@@ -188,18 +155,13 @@ type Options struct {
 	// (the paper uses 5%). Clamped to (0, 1].
 	SampleRate float64
 	// MaxVariants is the per-signature budget of level-2 templates
-	// (variant keys before merging, or similarity templates).
+	// (variant keys before merging).
 	MaxVariants int
-	// Strategy selects the level-2 mining algorithm.
-	Strategy Strategy
-	// SimThreshold is the join threshold for StrategySimilarity
-	// (Drain's default is 0.4).
-	SimThreshold float64
 }
 
 // DefaultOptions mirror the paper's settings.
 func DefaultOptions() Options {
-	return Options{SampleRate: 0.05, MaxVariants: 16, SimThreshold: 0.4}
+	return Options{SampleRate: 0.05, MaxVariants: 16}
 }
 
 func containsDigit(s string) bool {
@@ -368,13 +330,7 @@ func Parse(block []byte, opts Options) *Parsed {
 	if opts.MaxVariants <= 0 {
 		opts.MaxVariants = DefaultOptions().MaxVariants
 	}
-	if opts.SimThreshold <= 0 || opts.SimThreshold > 1 {
-		opts.SimThreshold = DefaultOptions().SimThreshold
-	}
 	lines := SplitLines(block)
-	if opts.Strategy == StrategySimilarity {
-		return parseSimilarity(lines, opts)
-	}
 	p := &Parsed{NumLines: len(lines)}
 	if len(lines) == 0 {
 		return p

@@ -156,8 +156,12 @@ func TestParseReconstructsEverything(t *testing.T) {
 func ReconstructAll(p *Parsed) []string {
 	out := make([]string, p.NumLines)
 	for _, g := range p.Groups {
+		vals := make([]string, len(g.Vars))
 		for k, lineNo := range g.Lines {
-			out[lineNo] = g.ReconstructRow(k)
+			for v := range g.Vars {
+				vals[v] = g.Vars[v][k]
+			}
+			out[lineNo] = g.Template.Reconstruct(vals)
 		}
 	}
 	for i, lineNo := range p.OutlierLines {
@@ -257,15 +261,6 @@ func TestDigitTokensAreVariables(t *testing.T) {
 	}
 }
 
-func TestStaticText(t *testing.T) {
-	p := Parse(block("alpha 1 beta 2", "alpha 3 beta 4"), Options{SampleRate: 1})
-	texts := p.Groups[0].Template.StaticText()
-	joined := strings.Join(texts, "|")
-	if !strings.Contains(joined, "alpha") || !strings.Contains(joined, "beta") {
-		t.Fatalf("static text = %q", joined)
-	}
-}
-
 func TestEmptyBlock(t *testing.T) {
 	p := Parse(nil, DefaultOptions())
 	if p.NumLines != 0 || len(p.Groups) != 0 {
@@ -324,7 +319,7 @@ func TestQuickParseLossless(t *testing.T) {
 	}
 }
 
-func BenchmarkParseStrategies(b *testing.B) {
+func BenchmarkParse(b *testing.B) {
 	rng := rand.New(rand.NewSource(31))
 	var lines []string
 	for i := 0; i < 20000; i++ {
@@ -332,14 +327,8 @@ func BenchmarkParseStrategies(b *testing.B) {
 			rng.Intn(20), []string{"handle", "accept", "flush", "retry"}[rng.Intn(4)], rng.Intn(1e6), rng.Intn(500)))
 	}
 	blk := block(lines...)
-	for _, strat := range []Strategy{StrategyVariant, StrategySimilarity} {
-		b.Run(strat.String(), func(b *testing.B) {
-			b.SetBytes(int64(len(blk)))
-			for i := 0; i < b.N; i++ {
-				opts := DefaultOptions()
-				opts.Strategy = strat
-				Parse(blk, opts)
-			}
-		})
+	b.SetBytes(int64(len(blk)))
+	for i := 0; i < b.N; i++ {
+		Parse(blk, DefaultOptions())
 	}
 }

@@ -434,16 +434,6 @@ func (r *Registry) sorted() []*metric {
 	return out
 }
 
-// Names returns every registered metric name, sorted.
-func (r *Registry) Names() []string {
-	ms := r.sorted()
-	names := make([]string, len(ms))
-	for i, m := range ms {
-		names[i] = m.name
-	}
-	return names
-}
-
 // Reset zeroes every registered counter and histogram (tests and
 // benchmark harnesses). Gauges are callbacks and have no state to reset.
 func (r *Registry) Reset() {

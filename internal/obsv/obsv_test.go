@@ -176,8 +176,8 @@ func TestRegistryReuseAndReset(t *testing.T) {
 	if a.Value() != 0 || h.Count() != 0 {
 		t.Fatal("Reset must zero all metrics")
 	}
-	if got := r.Names(); len(got) != 2 || got[0] != "x_total" || got[1] != "y_ns" {
-		t.Fatalf("Names = %v", got)
+	if got := r.sorted(); len(got) != 2 || got[0].name != "x_total" || got[1].name != "y_ns" {
+		t.Fatalf("registered after Reset = %v", got)
 	}
 }
 

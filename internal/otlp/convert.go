@@ -15,10 +15,9 @@ import (
 // 64-bit integers are decimal strings.
 
 type anyValue struct {
-	StringValue *string  `json:"stringValue,omitempty"`
-	IntValue    *string  `json:"intValue,omitempty"`
-	BoolValue   *bool    `json:"boolValue,omitempty"`
-	DoubleValue *float64 `json:"doubleValue,omitempty"`
+	StringValue *string `json:"stringValue,omitempty"`
+	IntValue    *string `json:"intValue,omitempty"`
+	BoolValue   *bool   `json:"boolValue,omitempty"`
 }
 
 type keyValue struct {

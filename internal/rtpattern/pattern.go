@@ -95,9 +95,6 @@ func (p *Pattern) Reconstruct(subs []string) string {
 	return b.String()
 }
 
-// LitOnly reports whether the pattern has no sub-variables (a constant).
-func (p *Pattern) LitOnly() bool { return p.NumSubs == 0 }
-
 // singleSub returns a degenerate pattern of one sub-variable covering the
 // whole value — the fallback when no structure is found.
 func singleSub() *Pattern {

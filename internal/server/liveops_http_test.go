@@ -24,6 +24,16 @@ import (
 	"loggrep/internal/obsv"
 )
 
+// usageTotal reads one tenant's cumulative usage out of /v1/usage's source.
+func usageTotal(sv *Server, tenant string) liveops.Usage {
+	for _, row := range sv.Liveops.Usage.Snapshot() {
+		if row.Tenant == tenant {
+			return row.Total
+		}
+	}
+	return liveops.Usage{}
+}
+
 // inflightResp mirrors the GET /v1/inflight envelope.
 type inflightResp struct {
 	Enabled  bool                `json:"enabled"`
@@ -353,7 +363,7 @@ func TestLiveopsE2E(t *testing.T) {
 		wantDec[ev.Tenant] += ev.Decompressions
 	}
 	for tenant := range tenants {
-		got := sv.Liveops.Usage.Total(tenant)
+		got := usageTotal(sv, tenant)
 		if got.Requests != 1 || got.ScanBytes != wantScan[tenant] || got.Decompressions != wantDec[tenant] {
 			t.Errorf("tenant %s usage %+v does not reconcile with wide events (want scan=%d dec=%d)",
 				tenant, got, wantScan[tenant], wantDec[tenant])
@@ -419,7 +429,7 @@ func TestIngestMetersTenantUsage(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest status %d", resp.StatusCode)
 	}
-	got := sv.Liveops.Usage.Total("acme")
+	got := usageTotal(sv, "acme")
 	if got.IngestBytes != int64(len(body)) || got.IngestLines != 3 || got.Requests != 1 {
 		t.Fatalf("acme ingest usage %+v, want %d bytes / 3 lines / 1 request", got, len(body))
 	}
@@ -525,7 +535,7 @@ func TestUsageMetersEveryRead(t *testing.T) {
 		sum.ScanBytes += ev.BytesScanned
 		sum.Decompressions += ev.Decompressions
 	}
-	got := sv.Liveops.Usage.Total("acme")
+	got := usageTotal(sv, "acme")
 	if got.Requests != sum.Requests || got.ScanBytes != sum.ScanBytes || got.Decompressions != sum.Decompressions {
 		t.Errorf("usage total %+v does not reconcile with the wide events' sum %+v", got, sum)
 	}

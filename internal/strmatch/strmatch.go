@@ -96,16 +96,6 @@ func (bm *BoyerMoore) Index(text []byte, from int) int {
 	return -1
 }
 
-// FindAll returns every occurrence (possibly overlapping) of the pattern in
-// text, in ascending order.
-func (bm *BoyerMoore) FindAll(text []byte) []int {
-	var out []int
-	for pos := bm.Index(text, 0); pos >= 0; pos = bm.Index(text, pos+1) {
-		out = append(out, pos)
-	}
-	return out
-}
-
 // KMP is a compiled Knuth–Morris–Pratt searcher. LogGrep proper uses
 // Boyer–Moore; KMP exists for the "w/o fixed" ablation, which must scan
 // variant-length capsules where Boyer–Moore's skipping would lose track of

@@ -23,9 +23,12 @@ func TestBoyerMooreBasic(t *testing.T) {
 	}
 	for _, c := range cases {
 		bm := NewBoyerMoore(c.pat)
-		got := bm.FindAll([]byte(c.text))
+		var got []int // every occurrence, overlapping ones included
+		for pos := bm.Index([]byte(c.text), 0); pos >= 0; pos = bm.Index([]byte(c.text), pos+1) {
+			got = append(got, pos)
+		}
 		if !equalInts(got, c.want) {
-			t.Errorf("BM(%q).FindAll(%q) = %v, want %v", c.pat, c.text, got, c.want)
+			t.Errorf("BM(%q) in %q = %v, want %v", c.pat, c.text, got, c.want)
 		}
 	}
 }
