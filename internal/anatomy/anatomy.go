@@ -137,33 +137,22 @@ type Report struct {
 	Index *IndexStats `json:"index,omitempty"`
 }
 
-// Inspect decodes a CapsuleBox or archive and returns its anatomy.
+// Inspect decodes a CapsuleBox or archive and returns its anatomy. Both go
+// through archive.Open, which serves a bare box, of either format
+// revision, as a one-block archive; what stays box-specific is the format
+// label, a raw size re-derived from the capsules (a box records none) and
+// no block stamp (a box has none).
 func Inspect(data []byte) (*Report, error) {
-	if len(data) >= len(capsule.BoxMagic) && string(data[:len(capsule.BoxMagic)]) == capsule.BoxMagic {
-		bs, err := inspectBox(data)
-		if err != nil {
-			return nil, err
-		}
-		rep := &Report{
-			Format:     "box",
-			TotalBytes: len(data),
-			RawBytes:   bs.RawAccounted,
-			NumLines:   bs.NumLines,
-			Blocks: []BlockStats{{
-				NumLines: bs.NumLines,
-				Box:      *bs,
-			}},
-		}
-		rep.finish(0)
-		return rep, nil
-	}
-
 	a, err := archive.Open(data)
 	if err != nil {
 		return nil, err
 	}
+	bare := capsule.IsBox(data)
 	format := "archive-v2"
-	if len(data) >= len(archive.MagicV1) && string(data[:len(archive.MagicV1)]) == archive.MagicV1 {
+	switch {
+	case bare:
+		format = "box"
+	case len(data) >= len(archive.MagicV1) && string(data[:len(archive.MagicV1)]) == archive.MagicV1:
 		format = "archive-v1"
 	}
 	rep := &Report{
@@ -180,7 +169,9 @@ func Inspect(data []byte) (*Report, error) {
 			FirstLine: bi.FirstLine,
 			NumLines:  bi.NumLines,
 			RawBytes:  bi.RawBytes,
-			Stamp:     fmt.Sprintf("[%s] maxlen=%d", classesString(bi.Stamp.TypeMask), bi.Stamp.MaxLen),
+		}
+		if !bare {
+			blk.Stamp = fmt.Sprintf("[%s] maxlen=%d", classesString(bi.Stamp.TypeMask), bi.Stamp.MaxLen)
 		}
 		boxBytes += len(bi.Box)
 		bs, err := inspectBox(bi.Box)
@@ -191,6 +182,9 @@ func Inspect(data []byte) (*Report, error) {
 			blk.Box = *bs
 		}
 		rep.Blocks = append(rep.Blocks, blk)
+	}
+	if bare {
+		rep.RawBytes = rep.Blocks[0].Box.RawAccounted
 	}
 	// Everything outside the block payloads and the index sections is
 	// frame overhead: magic, headers, terminator — plus any damaged

@@ -219,3 +219,35 @@ func TestInspectArchiveRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestInspectRev1Box: a bare box of the previous format revision inspects
+// as a box, like a current one — its raw size re-derived from its capsules,
+// no block stamp — not as an archive holding it.
+func TestInspectRev1Box(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "archive", "testdata", "box1_fixture.lgrep"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := archive.Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bi := a.BlockInfos()[0]
+	rep, err := Inspect(bi.Box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Format != "box" || rep.NumLines != bi.NumLines || len(rep.Blocks) != 1 || rep.Blocks[0].Stamp != "" {
+		t.Fatalf("rev-1 box inspects as %s, %d lines, %d blocks, stamp %q; want a box of %d lines and no stamp",
+			rep.Format, rep.NumLines, len(rep.Blocks), rep.Blocks[0].Stamp, bi.NumLines)
+	}
+	if got := rep.PackedTotal(); got != len(bi.Box) {
+		t.Errorf("packed total %d, box is %d bytes", got, len(bi.Box))
+	}
+	if rep.RawBytes == 0 || rep.RawBytes != rep.Blocks[0].Box.RawAccounted {
+		t.Errorf("raw bytes %d, want the box's accounted %d", rep.RawBytes, rep.Blocks[0].Box.RawAccounted)
+	}
+	if got, want := rep.RawTotal(), bi.RawBytes; got < want*99/100 || got > want*101/100 {
+		t.Errorf("raw column %d, the frame says the block was %d bytes", got, want)
+	}
+}

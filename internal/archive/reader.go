@@ -15,7 +15,6 @@ import (
 	"loggrep/internal/blockindex"
 	"loggrep/internal/capsule"
 	"loggrep/internal/core"
-	"loggrep/internal/liveops"
 	"loggrep/internal/obsv"
 	"loggrep/internal/query"
 	"loggrep/internal/rtpattern"
@@ -476,13 +475,14 @@ func (a *Archive) QueryTraced(command string, workers int) (*Result, *obsv.Trace
 // matches are returned. Only an unparsable command, cancellation or
 // deadline expiry is an error.
 //
-// The options reach every block unchanged: one budget state bounds the
-// whole query (and, when the caller hands the same state to several
-// archives, all of them) and running out of it returns what the searched
-// blocks matched with Result.Partial set; a count is summed per block. A
-// trace is named "archive-query" and gets one span per searched block
-// (attrs: block ordinal, matches, payloads decompressed, the engine's scan
-// and stamp counters) plus totals for blocks searched, skipped and damaged.
+// The options reach every block unchanged: one budget state bounds and
+// meters the whole query (and, when the caller hands the same state to
+// several archives, all of them, their block counts summed) and running
+// out of it returns what the searched blocks matched with Result.Partial
+// set; a count is summed per block. A trace is named "archive-query" and
+// gets one span per searched block (attrs: block ordinal, matches,
+// payloads decompressed, the engine's scan and stamp counters) plus
+// totals for blocks searched, skipped and damaged.
 // The totals are added to what the trace already holds, so a caller
 // searching several archives under one trace reads sums. Block spans are
 // appended as blocks finish, so their order varies across runs; counter
@@ -518,13 +518,10 @@ func (a *Archive) Search(ctx context.Context, command string, o core.SearchOpts)
 	if plan == nil {
 		mArchiveIndexUnusable.Inc()
 	}
-	// Live-ops progress: the block plan is the denominator; workers bump
-	// searched/skipped as they go and the core engine publishes scan
-	// bytes through the same context. All calls are nil-safe no-ops for
-	// unregistered queries.
-	prog := liveops.ProgressFrom(ctx)
-	prog.SetBlocksTotal(int64(len(a.blocks)))
-	prog.SetStage(liveops.StageFilter)
+	// The meter counts this archive's blocks into the query's total;
+	// workers count each block searched or skipped as they decide it.
+	bs.AddBlocks(int64(len(a.blocks)), 0, 0)
+	bs.SetStage(core.StageFilter)
 	var verdicts [numVerdicts]atomic.Int64
 	type blockRes struct {
 		idx int
@@ -555,11 +552,11 @@ func (a *Archive) Search(ctx context.Context, command string, o core.SearchOpts)
 				}
 				if v != searchBlock {
 					skipCounters[v].Inc()
-					prog.AddBlocksSkipped(1)
+					bs.AddBlocks(0, 0, 1)
 					continue
 				}
 				mArchiveBlocksSearched.Inc()
-				prog.AddBlocksSearched(1)
+				bs.AddBlocks(0, 1, 0)
 				span := tr.StartSpan("block").Attr("block", int64(idx))
 				tb := time.Now()
 				st, err := b.openStore(ctx, hook)

@@ -218,3 +218,115 @@ func TestConcurrentQueryClearCache(t *testing.T) {
 		t.Fatalf("after concurrent churn: %d matches, want %d", len(res.Lines), len(want))
 	}
 }
+
+// TestMeterMonotonicUnderConcurrency hammers one meter from many writer
+// goroutines while readers poll it, asserting no reading ever runs
+// backwards — what /v1/inflight promises its pollers. Run with -race this
+// doubles as the data-race check on the hot-path atomics.
+func TestMeterMonotonicUnderConcurrency(t *testing.T) {
+	m := NewBudgetState(Budget{})
+	m.AddBlocks(64, 0, 0)
+	type reading struct{ total, searched, skipped, scanned, decomp int64 }
+	read := func() reading {
+		total, searched, skipped := m.Blocks()
+		return reading{total, searched, skipped, m.ScannedBytes(), m.Decompressions()}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				m.AddBlocks(0, 1, 1)
+				m.add(100, 1)
+				m.SetStage(StageFilter)
+			}
+			m.SetStage(StageVerify)
+		}()
+	}
+	var readers sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var prev reading
+			for {
+				s := read()
+				if s.searched < prev.searched || s.skipped < prev.skipped || s.scanned < prev.scanned ||
+					s.decomp < prev.decomp || s.total < prev.total {
+					t.Errorf("meter ran backwards: %+v then %+v", prev, s)
+					return
+				}
+				prev = s
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	if s := read(); s.searched != 8000 || s.scanned != 800000 || s.decomp != 8000 {
+		t.Fatalf("final reading %+v, want 8000 blocks / 800000 bytes / 8000 decompressions", s)
+	}
+	if m.Stage() != StageVerify {
+		t.Fatalf("stage = %v, want verify", m.Stage())
+	}
+}
+
+// TestMeterStageNeverLowers: SetStage keeps the highest stage; a late
+// racing filter publish cannot drag a verifying query backwards.
+func TestMeterStageNeverLowers(t *testing.T) {
+	m := NewBudgetState(Budget{})
+	m.SetStage(StageVerify)
+	m.SetStage(StageFilter)
+	if got := m.Stage().String(); got != "verify" {
+		t.Fatalf("stage = %q after lowering attempt, want verify", got)
+	}
+	m.SetStage(StageDone)
+	if got := m.Stage().String(); got != "done" {
+		t.Fatalf("stage = %q, want done", got)
+	}
+}
+
+// TestMeterNilSafe: every method must work on a nil receiver — the
+// unmetered, unlimited query.
+func TestMeterNilSafe(t *testing.T) {
+	var m *BudgetState
+	m.AddBlocks(5, 1, 1)
+	m.add(10, 1)
+	m.SetStage(StageVerify)
+	if total, searched, skipped := m.Blocks(); m.ScannedBytes() != 0 || m.Decompressions() != 0 ||
+		total != 0 || searched != 0 || skipped != 0 || m.Fraction() != 0 || m.Err() != nil {
+		t.Fatal("nil meter reported work")
+	}
+	if got := m.Stage().String(); got != "queued" {
+		t.Fatalf("nil meter stage = %q, want queued", got)
+	}
+}
+
+// TestBudgetFraction: the tighter of the two caps wins, clamped to [0,1],
+// and zero caps mean unbudgeted.
+func TestBudgetFraction(t *testing.T) {
+	for _, tc := range []struct {
+		scan, scanCap, dec, decCap int64
+		want                       float64
+	}{
+		{0, 0, 0, 0, 0},
+		{500, 1000, 0, 0, 0.5},
+		{500, 1000, 90, 100, 0.9}, // decompressions are the tighter cap
+		{2000, 1000, 0, 0, 1},     // clamped
+		{123, 0, 0, 0, 0},         // unbudgeted
+	} {
+		m := NewBudgetState(Budget{MaxScannedBytes: tc.scanCap, MaxDecompressions: tc.decCap})
+		m.add(tc.scan, tc.dec)
+		if got := m.Fraction(); got != tc.want {
+			t.Errorf("fraction of %d/%d bytes, %d/%d decompressions = %v, want %v",
+				tc.scan, tc.scanCap, tc.dec, tc.decCap, got, tc.want)
+		}
+	}
+}

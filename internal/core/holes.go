@@ -43,8 +43,7 @@ func (c *capsuleHole) find(part string, kind strmatch.Kind) (*bitset.Set, error)
 	if err != nil {
 		return nil, err
 	}
-	c.st.stats.scans++
-	c.st.stats.bytesScanned += sr.Bytes()
+	c.st.scanned(sr.Bytes())
 	set := bitset.New(c.rows())
 	sr.ScanRows(part, kind, func(row int) bool {
 		set.Set(row)
@@ -186,8 +185,7 @@ func (h *nominalVarHole) find(part string, kind strmatch.Kind) (*bitset.Set, err
 				return nil, err
 			}
 			key := capsule.FormatIndex(di, h.vm.IndexWidth)
-			h.st.stats.scans++
-			h.st.stats.bytesScanned += idxSr.Bytes()
+			h.st.scanned(idxSr.Bytes())
 			idxSr.ScanRows(key, strmatch.Exact, func(row int) bool {
 				out.Set(row)
 				return true
@@ -200,8 +198,7 @@ func (h *nominalVarHole) find(part string, kind strmatch.Kind) (*bitset.Set, err
 	if err := h.st.checkpoint(); err != nil {
 		return nil, err
 	}
-	h.st.stats.scans++
-	h.st.stats.bytesScanned += idxSr.Bytes()
+	h.st.scanned(idxSr.Bytes())
 	dictRows := h.st.box.Meta.Capsules[h.vm.DictCapID].Rows
 	member := bitset.FromRows(dictRows, dictIdxs)
 	for row := 0; row < idxSr.Rows(); row++ {
@@ -242,8 +239,7 @@ func (h *nominalVarHole) findDict(part string, kind strmatch.Kind) ([]int, error
 			if err := h.st.checkpoint(); err != nil {
 				return nil, err
 			}
-			h.st.stats.scans++
-			h.st.stats.bytesScanned += len(w.seg)
+			h.st.scanned(len(w.seg))
 			base := w.base
 			strmatch.NewFixedWidth(w.seg, w.width).ScanRows(part, kind, func(row int) bool {
 				dictIdxs = append(dictIdxs, base+row)
@@ -264,8 +260,7 @@ func (h *nominalVarHole) findDict(part string, kind strmatch.Kind) ([]int, error
 	if err != nil {
 		return nil, err
 	}
-	h.st.stats.scans++
-	h.st.stats.bytesScanned += sr.Bytes()
+	h.st.scanned(sr.Bytes())
 	sr.ScanRows(part, kind, func(row int) bool {
 		dictIdxs = append(dictIdxs, row)
 		return true

@@ -82,6 +82,10 @@ func sourceKinds(t *testing.T, block []byte, lines []string) map[string]searcher
 //   - cancelled: context.Canceled;
 //   - under a tight budget: a subset of the truth, flagged Partial unless
 //     complete;
+//   - metered and traced: the meter's decompressions are the Result's, its
+//     scanned bytes the sum of the trace spans' bytes_scanned, and its
+//     blocks searched plus skipped its blocks total, the trace's "blocks"
+//     (summed over a stream's sealed segments; none for a bare box);
 //   - CountOnly: the number of matching lines and no Lines or Entries;
 //   - plain: exactly what RawQuery finds in the raw block, byte for byte;
 //   - traced: the same, the trace's matches total agreeing, every block of
@@ -145,6 +149,20 @@ func TestSourceKindsAgree(t *testing.T) {
 					cut++
 				}
 
+				meter, mtr := core.NewBudgetState(core.Budget{}), obsv.NewTrace("query")
+				res, err = src.Search(context.Background(), cmd, core.SearchOpts{Budget: meter, Trace: mtr})
+				if err != nil || res.Partial || res.Matches != len(wantLines) {
+					fail("metered: %+v, %v; want %d matches", res, err, len(wantLines))
+				}
+				md := mtr.Data()
+				if meter.Decompressions() != int64(res.Decompressions) || meter.ScannedBytes() != spanSum(md, "bytes_scanned") {
+					fail("meter says %d decompressions and %d bytes scanned; the result says %d, the trace's spans %d",
+						meter.Decompressions(), meter.ScannedBytes(), res.Decompressions, spanSum(md, "bytes_scanned"))
+				}
+				if total, searched, skipped := meter.Blocks(); total != attr(md, "blocks") || searched+skipped != total {
+					fail("meter blocks %d searched + %d skipped of %d; the trace has %d", searched, skipped, total, attr(md, "blocks"))
+				}
+
 				res, err = src.Search(context.Background(), cmd, core.SearchOpts{CountOnly: true})
 				if err != nil || res.Matches != len(wantLines) || res.Lines != nil || res.Entries != nil || res.Partial {
 					fail("count = %+v, %v; want %d matches and no lines", res, err, len(wantLines))
@@ -196,4 +214,17 @@ func attr(d obsv.TraceData, key string) int64 {
 		}
 	}
 	return 0
+}
+
+// spanSum adds one counter over a trace's spans.
+func spanSum(d obsv.TraceData, key string) int64 {
+	n := int64(0)
+	for _, sp := range d.Spans {
+		for _, a := range sp.Attrs {
+			if a.Key == key {
+				n += a.Val
+			}
+		}
+	}
+	return n
 }

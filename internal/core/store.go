@@ -13,7 +13,6 @@ import (
 
 	"loggrep/internal/bitset"
 	"loggrep/internal/capsule"
-	"loggrep/internal/liveops"
 	"loggrep/internal/obsv"
 	"loggrep/internal/query"
 	"loggrep/internal/strmatch"
@@ -162,8 +161,9 @@ func (e *BlockError) Unwrap() error { return e.Err }
 // SearchOpts are the per-call choices of a Search, the same at every level:
 // an archive or stream passes them to each block it searches.
 type SearchOpts struct {
-	// Budget caps the query's work; nil means unlimited. One state bounds
-	// the whole query however many blocks (or archives) it is handed to.
+	// Budget meters and caps the query's work; nil means unlimited and
+	// unmetered. One state bounds the whole query however many blocks (or
+	// archives) it is handed to.
 	// An exhausted budget is not an error: the matches verified so far
 	// come back with Result.Partial set.
 	Budget *BudgetState
@@ -373,10 +373,7 @@ func (st *Store) value(id, row int) ([]byte, error) {
 			key := [2]int{id, ci}
 			sr, ok := st.chunkSearchers[key]
 			if !ok {
-				if err := st.beforeRead(); err != nil {
-					return nil, err
-				}
-				chunk, err := st.box.PayloadChunk(id, ci)
+				chunk, err := st.read(func() ([]byte, error) { return st.box.PayloadChunk(id, ci) })
 				if err != nil {
 					return nil, err
 				}
@@ -404,16 +401,13 @@ func (st *Store) value(id, row int) ([]byte, error) {
 	return sr.Value(row), nil
 }
 
-// payload is the one door to a capsule's whole decompressed bytes: the
-// box's cache, or the read gate and then the box decompressing them.
+// payload returns a capsule's whole decompressed bytes: from the box's
+// cache, or read.
 func (st *Store) payload(id int) ([]byte, error) {
 	if p, cached := st.box.CacheSnapshot()[id]; cached {
 		return p, nil
 	}
-	if err := st.beforeRead(); err != nil {
-		return nil, err
-	}
-	return st.box.Payload(id)
+	return st.read(func() ([]byte, error) { return st.box.Payload(id) })
 }
 
 // searcher returns the cached payload searcher of a capsule.
@@ -535,18 +529,14 @@ func (st *Store) Search(ctx context.Context, command string, o SearchOpts) (*Res
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	prog := liveops.ProgressFrom(ctx)
-	st.intr = &interruptState{
-		ctx: ctx, budget: o.Budget, prog: prog,
-		baseScan: st.stats.bytesScanned, baseDecomp: st.box.Decompressions,
-	}
+	st.intr = &interruptState{ctx: ctx, meter: o.Budget}
 	defer func() { st.intr = nil }()
 
 	res := &Result{}
 	d0 := st.box.Decompressions
 	pruned0, admitted0 := st.en.pruned, st.en.admitted
 	stats0 := st.stats
-	prog.SetStage(liveops.StageFilter)
+	o.Budget.SetStage(StageFilter)
 	filterSpan := tr.StartSpan("filter")
 	var cand *rowSets
 	if exact {
@@ -591,7 +581,7 @@ func (st *Store) Search(ctx context.Context, command string, o SearchOpts) (*Res
 		res.Matches = cand.count()
 	} else {
 		dFilter := st.box.Decompressions
-		prog.SetStage(liveops.StageVerify)
+		o.Budget.SetStage(StageVerify)
 		verifySpan := tr.StartSpan("verify")
 		found, checked, verr := st.verify(expr, cand)
 		if verr != nil && !isInterrupt(verr) {

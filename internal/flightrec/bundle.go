@@ -98,7 +98,7 @@ func (r *Recorder) writeBundle(trigger string, seq int) (string, error) {
 	name := fmt.Sprintf("%s%s-%04d-%s.json",
 		bundlePrefix, now.Format("20060102T150405.000"), seq, safeName(trigger))
 	path := filepath.Join(r.cfg.Dir, name)
-	if err := AtomicWriteFile(path, data, 0o644); err != nil {
+	if err := AtomicWriteFileSync(path, data, 0o644); err != nil {
 		return "", err
 	}
 	return path, nil

@@ -192,26 +192,45 @@ func TestRotatingFile(t *testing.T) {
 	}
 }
 
+// TestAtomicWriteFile: the bundle writer publishes each dump atomically —
+// every file in the bundle directory is a whole, loadable bundle with mode
+// 0644, and no temp file is left behind.
 func TestAtomicWriteFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "out.json")
-	if err := AtomicWriteFile(path, []byte("v1"), 0o644); err != nil {
+	r := testRecorder(t, nil)
+	r.Record(&obsv.WideEvent{TraceID: "00c0ffee00c0ffee", Endpoint: "query", Status: 200})
+	for _, trigger := range []string{"manual", "sigquit"} {
+		if _, err := r.TriggerDump(trigger); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := os.ReadDir(r.cfg.Dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := AtomicWriteFile(path, []byte("v2"), 0o644); err != nil {
-		t.Fatal(err)
+	if len(entries) != 2 {
+		t.Errorf("dir has %d entries, want 2", len(entries))
 	}
-	got, err := os.ReadFile(path)
-	if err != nil || string(got) != "v2" {
-		t.Fatalf("read %q, %v", got, err)
-	}
-	// No temp litter.
-	entries, _ := os.ReadDir(dir)
-	if len(entries) != 1 {
-		t.Errorf("dir has %d entries, want 1", len(entries))
+	for _, e := range entries {
+		path := filepath.Join(r.cfg.Dir, e.Name())
+		if !strings.HasPrefix(e.Name(), bundlePrefix) {
+			t.Errorf("temp litter %q", e.Name())
+			continue
+		}
+		if _, err := LoadBundle(path); err != nil {
+			t.Errorf("%s: %v", e.Name(), err)
+		}
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Mode().Perm() != 0o644 {
+			t.Errorf("%s: mode %v, want 0644", e.Name(), st.Mode().Perm())
+		}
 	}
 }
 
+// TestAtomicWriteFileSync: an overwrite publishes the new bytes and mode
+// and leaves no temp file behind.
 func TestAtomicWriteFileSync(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.json")
@@ -232,6 +251,7 @@ func TestAtomicWriteFileSync(t *testing.T) {
 	if st.Mode().Perm() != 0o600 {
 		t.Errorf("mode %v, want 0600", st.Mode().Perm())
 	}
+	// No temp litter.
 	entries, _ := os.ReadDir(dir)
 	if len(entries) != 1 {
 		t.Errorf("dir has %d entries, want 1", len(entries))

@@ -6,39 +6,13 @@ import (
 	"sync"
 )
 
-// AtomicWriteFile writes data to path so a concurrent reader never
-// observes a partial file: the bytes land in a temp file in the same
-// directory, then a rename publishes them. The bundle writer uses it for
-// every dump; it is exported because it is the file-sink primitive the
-// rest of the telemetry stack (slowlog rotation) shares.
-func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
-	f, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	_, err = f.Write(data)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Chmod(tmp, perm)
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
-}
-
-// AtomicWriteFileSync is AtomicWriteFile with host-crash durability: the
-// temp file is fsynced before the rename and the containing directory
-// after it, so once it returns neither a process kill nor a host crash
-// or power loss can lose the file or resurface the old bytes. Use it
-// when something else is deleted on the strength of this file existing
-// (the ingest sealer deletes the WAL only after this returns).
+// AtomicWriteFileSync writes data to path so a concurrent reader never
+// observes a partial file and a crash cannot lose it: the bytes land in a
+// temp file in the same directory, fsynced, then a rename publishes them
+// and the directory is fsynced, so once it returns neither a process kill
+// nor a host crash or power loss can lose the file or resurface the old
+// bytes. The ingest sealer deletes the WAL only after this returns; the
+// flight recorder writes every bundle through it.
 func AtomicWriteFileSync(path string, data []byte, perm os.FileMode) error {
 	f, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"loggrep/internal/blobstore"
@@ -201,6 +202,60 @@ func TestReplayQuarantinesCorruptSealedSegment(t *testing.T) {
 	for _, info := range m2.Snapshot() {
 		if info.Tenant == "acme" && info.Quarantined != 1 {
 			t.Fatalf("Info.Quarantined = %d, want 1", info.Quarantined)
+		}
+	}
+}
+
+// tornFirstRead serves a blob store, except that the first read of key
+// comes back truncated: a torn read the I/O layer cannot see.
+type tornFirstRead struct {
+	blobstore.BlobStore
+	key  string
+	torn atomic.Bool
+}
+
+func (b *tornFirstRead) Get(ctx context.Context, key string) ([]byte, error) {
+	data, err := b.BlobStore.Get(ctx, key)
+	if err == nil && key == b.key && b.torn.CompareAndSwap(false, true) {
+		return data[:len(data)/2], nil
+	}
+	return data, err
+}
+
+// TestReplayRetriesTornSegmentRead: replay loads sealed segments through
+// the query-time loader, so one torn read at startup is re-fetched like
+// one at query time — it neither quarantines a healthy segment until
+// restart nor pins a damaged copy in the resident cache.
+func TestReplayRetriesTornSegmentRead(t *testing.T) {
+	dir := t.TempDir()
+	m := mustOpen(t, testConfig(dir))
+	_, want := sealTwoPlusTail(t, m)
+	m.Close()
+
+	cfg := testConfig(dir)
+	blobs := &tornFirstRead{BlobStore: blobstore.NewLocal(dir), key: "acme/app/seg-00000001.lgrep"}
+	cfg.Blobs = blobs
+	m2, stats, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if !blobs.torn.Load() {
+		t.Fatal("the torn read was never served")
+	}
+	if stats.Quarantined != 0 || stats.SealedSegs != 2 {
+		t.Fatalf("replay: %d quarantined, %d sealed segments; want 0 and 2", stats.Quarantined, stats.SealedSegs)
+	}
+	res := queryAll(t, m2.Lookup("acme/app"), "req")
+	if res.Partial || len(res.Damaged) != 0 {
+		t.Fatalf("partial=%v (%q), damaged=%v: want the whole stream", res.Partial, res.PartialReason, res.Damaged)
+	}
+	if len(res.Lines) != len(want) {
+		t.Fatalf("%d of %d lines served", len(res.Lines), len(want))
+	}
+	for i, ln := range res.Lines {
+		if ln != i || res.Entries[i] != want[i] {
+			t.Fatalf("match %d: line %d %q, want line %d %q", i, ln, res.Entries[i], i, want[i])
 		}
 	}
 }

@@ -90,28 +90,38 @@ func (c *archCache) resident() int64 {
 // lives here.
 const reloadAttempts = 3
 
-// archive returns sg's sealed archive, reloading it through the blob
-// store (and re-admitting it to the resident cache) after an eviction.
-// sg must be sealed and not quarantined. Concurrent loaders may both
-// read the blob; admit keeps one. Failures are transient — the next
-// query retries the reload — and classify through blobstore.Classify
-// for the caller's degrade decision.
+// archive returns sg's sealed archive from the resident cache, loading it
+// again after an eviction. sg must be sealed and not quarantined.
 func (st *Stream) archive(ctx context.Context, sg *segment) (*archive.Archive, error) {
 	if a := st.m.cache.get(sg); a != nil {
 		mSealedCacheHits.Inc()
 		return a, nil
 	}
 	mSealedCacheMisses.Inc()
-	key := segKey(st.tenant, st.name, sg.seq)
+	a, _, err := st.m.load(ctx, st.tenant, st.name, sg)
+	return a, err
+}
+
+// load is the one loader of a sealed segment's archive, for replay and
+// for queries after an eviction: it fetches the archive through the blob
+// store and admits a healthy one to the resident cache, returning it with
+// its size. Concurrent loaders may both read the blob; admit keeps one.
+// Bytes that are readable but fail validation are re-fetched up to
+// reloadAttempts times. Failures are not latched — the next call tries
+// again — and classify through blobstore.Classify for the caller's
+// degrade decision.
+func (m *Manager) load(ctx context.Context, tenant, stream string, sg *segment) (*archive.Archive, int64, error) {
+	key := segKey(tenant, stream, sg.seq)
 	var lastErr error
 	for i := 0; i < reloadAttempts; i++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		data, err := st.m.cfg.Blobs.Get(ctx, key)
+		data, err := m.cfg.Blobs.Get(ctx, key)
 		if err != nil {
-			return nil, err // the policy already retried what was retryable
+			return nil, 0, err // the policy already retried what was retryable
 		}
+		size := int64(len(data))
 		a, err := archive.Open(data)
 		if err != nil {
 			// Readable bytes, broken archive: a torn read or real on-disk
@@ -125,16 +135,16 @@ func (st *Stream) archive(ctx context.Context, sg *segment) (*archive.Archive, e
 			// the same torn-read shape one layer down. Re-fetch; on the
 			// last attempt serve the survivors (readable blocks answer,
 			// damaged ones are reported) but do NOT cache the damaged
-			// copy: if the damage was a read artifact, the next query's
+			// copy: if the damage was a read artifact, the next load's
 			// fresh fetch heals it.
 			mSealedReloadCorrupt.Inc()
 			if i < reloadAttempts-1 {
 				continue
 			}
-			return a, nil
+			return a, size, nil
 		}
-		st.m.cache.admit(sg, a, int64(len(data)))
-		return a, nil
+		m.cache.admit(sg, a, size)
+		return a, size, nil
 	}
-	return nil, lastErr
+	return nil, 0, lastErr
 }

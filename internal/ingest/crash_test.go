@@ -142,7 +142,7 @@ func TestCrashLeavesTornTail(t *testing.T) {
 	verifyExactlyOnce(t, m2, []string{"acked one", "acked two", "post-crash line"})
 }
 
-// TestReplayRemovesAbandonedTemp proves an AtomicWriteFile interrupted
+// TestReplayRemovesAbandonedTemp proves an AtomicWriteFileSync interrupted
 // before its rename (crash between temp-write and rename) is garbage
 // collected and never mistaken for data.
 func TestReplayRemovesAbandonedTemp(t *testing.T) {

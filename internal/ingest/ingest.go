@@ -296,7 +296,7 @@ func (m *Manager) replayStream(tenant, name string, stats *ReplayStats) (*Stream
 		n := e.Name()
 		switch {
 		case strings.HasPrefix(n, ".tmp-"):
-			// An AtomicWriteFile interrupted before its rename; the WAL
+			// An AtomicWriteFileSync interrupted before its rename; the WAL
 			// it was sealing survived, so the temp bytes are garbage.
 			os.Remove(filepath.Join(dir, n))
 			stats.TempRemoved++
@@ -319,21 +319,14 @@ func (m *Manager) replayStream(tenant, name string, stats *ReplayStats) (*Stream
 	ctx := context.Background()
 	for _, q := range seqs {
 		if sealed[q] {
-			// Open to validate and count lines, then hand the archive to
-			// the bounded resident cache: replay memory peaks at one
-			// segment plus the cache cap, not the whole history. The read
-			// goes through the blob policy (retries, breaker); a segment
-			// that stays unreadable or fails validation degrades instead
+			// Load to validate and count lines, through the loader queries
+			// use: the blob policy (retries, breaker), re-fetched torn
+			// reads, and the bounded resident cache, so replay memory
+			// peaks at one segment plus the cache cap, not the whole
+			// history. A segment the loader gives up on degrades instead
 			// of refusing startup.
 			sg := &segment{seq: q, sealed: true}
-			data, err := m.cfg.Blobs.Get(ctx, segKey(tenant, name, q))
-			var a *archive.Archive
-			if err == nil {
-				a, err = archive.Open(data)
-				if err != nil {
-					mSealedReloadCorrupt.Inc()
-				}
-			}
+			a, size, err := m.load(ctx, tenant, name, sg)
 			if err != nil {
 				if wals[q] {
 					// A crash between the seal's publish and its WAL
@@ -351,9 +344,8 @@ func (m *Manager) replayStream(tenant, name string, stats *ReplayStats) (*Stream
 					continue
 				}
 			} else {
-				sg.numLines, sg.sealedBytes = a.NumLines(), int64(len(data))
+				sg.numLines, sg.sealedBytes = a.NumLines(), size
 				st.segs = append(st.segs, sg)
-				m.cache.admit(sg, a, int64(len(data)))
 				stats.SealedSegs++
 				if wals[q] {
 					// The seal's rename published before the crash; the WAL

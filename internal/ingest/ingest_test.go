@@ -12,7 +12,6 @@ import (
 
 	"loggrep/internal/archive"
 	"loggrep/internal/core"
-	"loggrep/internal/liveops"
 )
 
 // testConfig returns a config sealing only on demand (huge thresholds)
@@ -353,10 +352,9 @@ func TestParseBatchPlainAndNDJSON(t *testing.T) {
 // TestQueryBudgetSpansSegments: the work budget bounds the whole stream
 // query, not each sealed segment. Four sealed segments, a decompression
 // cap one segment alone exhausts: the result must be a flagged partial,
-// every line a true match, and the work done — read off the live-ops
-// progress the engine charges alongside the budget — must stay within the
-// cap plus one checkpoint's slack instead of growing with the segment
-// count.
+// every line a true match, and the work done — read off the query's meter,
+// which the engine charges as it works — must stay within the cap plus one
+// checkpoint's slack instead of growing with the segment count.
 func TestQueryBudgetSpansSegments(t *testing.T) {
 	m := mustOpen(t, testConfig(t.TempDir()))
 	defer m.Close()
@@ -377,12 +375,12 @@ func TestQueryBudgetSpansSegments(t *testing.T) {
 	st := m.Lookup("acme/app")
 
 	run := func(b core.Budget) (*core.Result, int64) {
-		prog := &liveops.Progress{}
-		res, err := st.Search(liveops.WithProgress(context.Background(), prog), "status=203", core.SearchOpts{Workers: 1, Budget: core.NewBudgetState(b)})
+		meter := core.NewBudgetState(b)
+		res, err := st.Search(context.Background(), "status=203", core.SearchOpts{Workers: 1, Budget: meter})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, prog.Decompressions()
+		return res, meter.Decompressions()
 	}
 	// Budgeted run first, while every payload is still cold.
 	budget := core.Budget{MaxDecompressions: 4}

@@ -6,12 +6,13 @@
 // It has three parts:
 //
 //   - An in-flight request registry (Registry): every query/ingest
-//     request registers a live entry carrying its trace id, tenant,
-//     query, start time and deadline. The engine's cooperative
-//     checkpoints publish progress into the entry's Progress — blocks
-//     scanned/skipped/total, bytes scanned, decompressions, current
-//     stage — via lock-free atomic adds on the hot path. The server
-//     exposes the registry at GET /v1/inflight and cancels an entry via
+//     request registers a live entry pointing at its wide event (trace
+//     id, tenant, endpoint, command, source) and its work meter
+//     (core.BudgetState: blocks searched/skipped/total, bytes scanned,
+//     decompressions, current stage, which the engine counts with
+//     lock-free atomic adds where the work happens), plus its start time
+//     and deadline. The server exposes the registry at GET /v1/inflight
+//     and cancels an entry via
 //     DELETE /v1/inflight/{id}, which fires the request context's cancel
 //     cause with ErrCancelled so the handler can answer a clearly-marked
 //     empty partial instead of a silent drop.
@@ -32,9 +33,10 @@
 //     flight-recorder trigger class: a fast-burn edge captures a
 //     diagnostic bundle naming the breached objective.
 //
-// The package depends only on internal/obsv and the standard library so
-// the engine layers (internal/core, internal/archive) can publish
-// progress without an import cycle. Every hot-path type is nil-safe: a
-// nil *Progress, *Registry, *Meter, *Engine or *Plane accepts all calls
-// as no-ops, so instrumented code needs no "is liveops on" branches.
+// The package sits above the engine: it reads internal/core's meter and
+// internal/query's canonical form, and neither internal/core nor
+// internal/archive imports it (scripts/check_query_surface.sh fails the
+// build if one does). Every hot-path type is nil-safe: a nil *Registry,
+// *Meter, *Engine or *Plane accepts all calls as no-ops, so instrumented
+// code needs no "is liveops on" branches.
 package liveops

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"loggrep/internal/core"
 	"loggrep/internal/obsv"
 )
 
@@ -18,98 +19,6 @@ func totalOf(m *Meter, tenant string) Usage {
 		}
 	}
 	return Usage{}
-}
-
-// TestProgressMonotonicUnderConcurrency hammers one Progress from many
-// writer goroutines while readers poll snapshots, asserting no reading
-// ever runs backwards. Run with -race this doubles as the data-race
-// check on the hot-path atomics.
-func TestProgressMonotonicUnderConcurrency(t *testing.T) {
-	p := &Progress{}
-	p.SetBlocksTotal(64)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				p.AddBlocksSearched(1)
-				p.AddBlocksSkipped(1)
-				p.AddScan(100, 1)
-				p.SetStage(StageFilter)
-			}
-			p.SetStage(StageVerify)
-		}()
-	}
-	var readers sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			var prev ProgressSnapshot
-			for {
-				s := p.Snapshot()
-				if s.BlocksSearched < prev.BlocksSearched || s.BlocksSkipped < prev.BlocksSkipped ||
-					s.BytesScanned < prev.BytesScanned || s.Decompressions < prev.Decompressions ||
-					s.BlocksTotal < prev.BlocksTotal {
-					t.Errorf("progress ran backwards: %+v then %+v", prev, s)
-					return
-				}
-				prev = s
-				select {
-				case <-stop:
-					return
-				default:
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	readers.Wait()
-	s := p.Snapshot()
-	if s.BlocksSearched != 8000 || s.BytesScanned != 800000 || s.Decompressions != 8000 {
-		t.Fatalf("final snapshot %+v, want 8000 blocks / 800000 bytes / 8000 decompressions", s)
-	}
-	if s.Stage != "verify" {
-		t.Fatalf("stage = %q, want verify", s.Stage)
-	}
-}
-
-// TestProgressStageNeverLowers: SetStage keeps the highest stage; a late
-// racing filter publish cannot drag a verifying query backwards.
-func TestProgressStageNeverLowers(t *testing.T) {
-	p := &Progress{}
-	p.SetStage(StageVerify)
-	p.SetStage(StageFilter)
-	if got := p.Snapshot().Stage; got != "verify" {
-		t.Fatalf("stage = %q after lowering attempt, want verify", got)
-	}
-	p.SetStage(StageDone)
-	if got := p.Snapshot().Stage; got != "done" {
-		t.Fatalf("stage = %q, want done", got)
-	}
-}
-
-// TestProgressNilSafe: every method must work on a nil receiver — that is
-// what the engine sees when liveops is off.
-func TestProgressNilSafe(t *testing.T) {
-	var p *Progress
-	p.SetBlocksTotal(5)
-	p.AddBlocksSearched(1)
-	p.AddBlocksSkipped(1)
-	p.AddScan(10, 1)
-	p.SetStage(StageVerify)
-	if p.BytesScanned() != 0 || p.Decompressions() != 0 {
-		t.Fatal("nil Progress reported non-zero work")
-	}
-	if s := p.Snapshot(); s.Stage != "queued" {
-		t.Fatalf("nil snapshot stage = %q, want queued", s.Stage)
-	}
-	if got := ProgressFrom(context.Background()); got != nil {
-		t.Fatalf("ProgressFrom(empty ctx) = %v, want nil", got)
-	}
 }
 
 func testClock(start time.Time) (func() time.Time, func(time.Duration)) {
@@ -135,9 +44,13 @@ func TestRegistryLifecycle(t *testing.T) {
 	reg.now = now
 
 	ctx1, cancel1 := context.WithCancelCause(context.Background())
-	e1 := reg.Register(EntrySpec{ID: "aaa", Tenant: "acme", Endpoint: "query", Query: "ERROR", Cancel: cancel1})
+	e1 := reg.Register(EntrySpec{
+		Event:  &obsv.WideEvent{TraceID: "aaa", Tenant: "acme", Endpoint: "query", Command: "ERROR  AND x"},
+		Meter:  core.NewBudgetState(core.Budget{MaxDecompressions: 4}),
+		Cancel: cancel1,
+	})
 	advance(time.Second)
-	e2 := reg.Register(EntrySpec{ID: "bbb", Tenant: "bravo", Endpoint: "count"})
+	e2 := reg.Register(EntrySpec{Event: &obsv.WideEvent{TraceID: "bbb", Tenant: "bravo", Endpoint: "count"}})
 	if reg.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", reg.Len())
 	}
@@ -150,6 +63,17 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 	if views[0].AgeMS < 1000 {
 		t.Fatalf("aaa age = %vms, want >= 1000", views[0].AgeMS)
+	}
+	// The view reads the request's event and meter, not copies of them.
+	e1.Meter.AddBlocks(3, 1, 1)
+	e1.Meter.SetStage(core.StageFilter)
+	v := reg.Snapshot()[0]
+	if v.Tenant != "acme" || v.Endpoint != "query" || v.Query != "ERROR  AND x" || v.Canonical != "(ERROR AND x)" ||
+		v.Stage != "filter" || v.BlocksTotal != 3 || v.BlocksSearched != 1 || v.BlocksSkipped != 1 {
+		t.Fatalf("view of aaa = %+v", v)
+	}
+	if v := reg.Snapshot()[1]; v.Stage != "queued" || v.Canonical != "" || v.BudgetFraction != 0 {
+		t.Fatalf("view of bbb (no meter) = %+v", v)
 	}
 
 	if reg.Cancel("bbb") {
@@ -187,14 +111,20 @@ func TestRegistryLifecycle(t *testing.T) {
 // untracked entry, and id collisions are not tracked twice.
 func TestRegistryBound(t *testing.T) {
 	reg := NewRegistry(obsv.NewRegistry(), 2)
-	a := reg.Register(EntrySpec{ID: "a"})
-	b := reg.Register(EntrySpec{ID: "b"})
-	c := reg.Register(EntrySpec{ID: "c"}) // over the bound
-	d := reg.Register(EntrySpec{ID: "a"}) // collision
-	e := reg.Register(EntrySpec{ID: ""})  // no id
+	spec := func(id string) EntrySpec {
+		return EntrySpec{Event: &obsv.WideEvent{TraceID: id}, Meter: core.NewBudgetState(core.Budget{})}
+	}
+	a := reg.Register(spec("a"))
+	b := reg.Register(spec("b"))
+	c := reg.Register(spec("c")) // over the bound
+	d := reg.Register(spec("a")) // collision
+	e := reg.Register(spec(""))  // no id
 	for _, ent := range []*Entry{c, d, e} {
-		ent.Progress.AddScan(1, 1) // untracked entries still publish safely
+		ent.Meter.AddBlocks(1, 1, 0) // untracked entries still count safely
 		ent.Done()
+		if got := ent.Meter.Stage(); got != core.StageDone {
+			t.Fatalf("untracked entry's stage after Done = %v, want done", got)
+		}
 	}
 	if reg.Len() != 2 {
 		t.Fatalf("Len = %d, want 2 (bound respected)", reg.Len())
@@ -208,26 +138,6 @@ func TestRegistryBound(t *testing.T) {
 	b.Done()
 	if reg.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", reg.Len())
-	}
-}
-
-// TestBudgetFraction: the tighter of the two caps wins, clamped to [0,1],
-// and zero caps mean unbudgeted.
-func TestBudgetFraction(t *testing.T) {
-	for _, tc := range []struct {
-		scan, scanCap, dec, decCap int64
-		want                       float64
-	}{
-		{0, 0, 0, 0, 0},
-		{500, 1000, 0, 0, 0.5},
-		{500, 1000, 90, 100, 0.9}, // decompressions are the tighter cap
-		{2000, 1000, 0, 0, 1},     // clamped
-		{123, 0, 0, 0, 0},         // unbudgeted
-	} {
-		if got := budgetFraction(tc.scan, tc.scanCap, tc.dec, tc.decCap); got != tc.want {
-			t.Errorf("budgetFraction(%d,%d,%d,%d) = %v, want %v",
-				tc.scan, tc.scanCap, tc.dec, tc.decCap, got, tc.want)
-		}
 	}
 }
 

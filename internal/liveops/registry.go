@@ -8,7 +8,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"loggrep/internal/core"
 	"loggrep/internal/obsv"
+	"loggrep/internal/query"
 )
 
 // ErrCancelled is the cancellation cause installed when an operator
@@ -29,40 +31,25 @@ func CancelledByOperator(ctx context.Context) (string, bool) {
 
 // EntrySpec describes one request being registered.
 type EntrySpec struct {
-	// ID is the request's trace id — the same id carried by its wide
-	// event, /metrics exemplars and exported OTLP span, so an operator
-	// can join the live view to the retrospective one.
-	ID       string
-	Tenant   string
-	Endpoint string
-	// Query is the raw q parameter; Canonical its parser-normalized
-	// form (empty when the command didn't parse), useful for grouping
-	// retries of the same logical query under different spellings.
-	// CanonicalFn, when set and Canonical is empty, computes it lazily
-	// on Snapshot — the operator's cold path — keeping registration off
-	// the query hot path. It must be pure: Snapshot may call it from
-	// concurrent pollers.
-	Query       string
-	Canonical   string
-	CanonicalFn func() string
-	Source      string
+	// Event is the request's wide event. Its trace id keys the entry — the
+	// same id its /metrics exemplars and exported OTLP span carry, so an
+	// operator can join the live view to the retrospective one — and its
+	// tenant, endpoint, command and source, which are never written after
+	// the request starts, are what the entry shows.
+	Event *obsv.WideEvent
+	// Meter is the request's work meter (nil reads as queued, no work).
+	Meter *core.BudgetState
 	// Deadline is the request context's deadline; zero when none.
 	Deadline time.Time
 	// Cancel is the request context's cancel-cause hook; nil entries
 	// are visible but not cancellable.
 	Cancel context.CancelCauseFunc
-	// Budget caps in force (0 = unlimited), for the budget-fraction
-	// reading. Plain integers so this package needs no engine imports.
-	BudgetScanBytes      int64
-	BudgetDecompressions int64
 }
 
-// Entry is one live in-flight request. Progress is its hot-path
-// publisher; everything else is immutable after Register.
+// Entry is one live in-flight request; immutable after Register.
 type Entry struct {
 	EntrySpec
-	Start    time.Time
-	Progress *Progress
+	Start time.Time
 
 	reg     *Registry
 	tracked bool
@@ -76,13 +63,13 @@ func (e *Entry) Done() {
 	if e == nil || !e.removed.CompareAndSwap(false, true) {
 		return
 	}
-	e.Progress.SetStage(StageDone)
+	e.Meter.SetStage(core.StageDone)
 	if e.tracked {
 		e.reg.mu.Lock()
 		// Only delete our own entry: a colliding id registered later must
 		// not be evicted by this entry's removal.
-		if cur, ok := e.reg.entries[e.ID]; ok && cur == e {
-			delete(e.reg.entries, e.ID)
+		if cur, ok := e.reg.entries[e.Event.TraceID]; ok && cur == e {
+			delete(e.reg.entries, e.Event.TraceID)
 		}
 		e.reg.mu.Unlock()
 	}
@@ -106,12 +93,19 @@ type EntryView struct {
 	// BudgetFraction is how much of the tighter work cap is consumed,
 	// in [0,1]; 0 when the request runs unbudgeted.
 	BudgetFraction float64 `json:"budget_fraction"`
-	ProgressSnapshot
+	// The meter's reading. Each field is individually atomic; fields may
+	// be skewed by in-flight adds, never by decrements (there are none).
+	Stage          string `json:"stage"`
+	BlocksTotal    int64  `json:"blocks_total,omitempty"`
+	BlocksSearched int64  `json:"blocks_searched,omitempty"`
+	BlocksSkipped  int64  `json:"blocks_skipped,omitempty"`
+	BytesScanned   int64  `json:"bytes_scanned"`
+	Decompressions int64  `json:"decompressions"`
 }
 
 // Registry tracks the live in-flight requests, keyed by trace id. It is
 // bounded: beyond max entries, Register still hands out a working Entry
-// (progress publication and Done stay correct) but the entry is not
+// (its meter and Done stay correct) but the entry is not
 // listed or cancellable, and a dropped counter records the overflow —
 // the live view degrades before the serving path ever does.
 type Registry struct {
@@ -152,11 +146,11 @@ func NewRegistry(reg *obsv.Registry, max int) *Registry {
 	return r
 }
 
-// Register adds a request to the registry and returns its live entry,
-// ready for progress publication. Nil-safe: a nil registry returns an
-// untracked entry whose methods all work.
+// Register adds a request to the registry and returns its live entry.
+// Nil-safe: a nil registry returns an untracked entry whose methods all
+// work.
 func (r *Registry) Register(spec EntrySpec) *Entry {
-	e := &Entry{EntrySpec: spec, Progress: &Progress{}}
+	e := &Entry{EntrySpec: spec}
 	if r == nil {
 		e.Start = time.Now()
 		return e
@@ -164,10 +158,11 @@ func (r *Registry) Register(spec EntrySpec) *Entry {
 	e.Start = r.now()
 	e.reg = r
 	r.registered.Inc()
+	id := spec.Event.TraceID
 	r.mu.Lock()
-	_, collision := r.entries[spec.ID]
-	if len(r.entries) < r.max && !collision && spec.ID != "" {
-		r.entries[spec.ID] = e
+	_, collision := r.entries[id]
+	if len(r.entries) < r.max && !collision && id != "" {
+		r.entries[id] = e
 		e.tracked = true
 	}
 	r.mu.Unlock()
@@ -223,52 +218,43 @@ func (r *Registry) Snapshot() []EntryView {
 		if !es[i].Start.Equal(es[j].Start) {
 			return es[i].Start.Before(es[j].Start)
 		}
-		return es[i].ID < es[j].ID
+		return es[i].Event.TraceID < es[j].Event.TraceID
 	})
 	out := make([]EntryView, len(es))
 	for i, e := range es {
-		canon := e.Canonical
-		if canon == "" && e.CanonicalFn != nil {
-			canon = e.CanonicalFn()
-		}
+		ev, m := e.Event, e.Meter
 		v := EntryView{
-			ID:               e.ID,
-			Tenant:           e.Tenant,
-			Endpoint:         e.Endpoint,
-			Query:            e.Query,
-			Canonical:        canon,
-			Source:           e.Source,
-			Start:            e.Start.UTC().Format(time.RFC3339Nano),
-			AgeMS:            float64(now.Sub(e.Start).Microseconds()) / 1000,
-			Cancellable:      e.Cancel != nil,
-			ProgressSnapshot: e.Progress.Snapshot(),
+			ID:             ev.TraceID,
+			Tenant:         ev.Tenant,
+			Endpoint:       ev.Endpoint,
+			Query:          ev.Command,
+			Canonical:      canonical(ev.Command),
+			Source:         ev.Source,
+			Start:          e.Start.UTC().Format(time.RFC3339Nano),
+			AgeMS:          float64(now.Sub(e.Start).Microseconds()) / 1000,
+			Cancellable:    e.Cancel != nil,
+			BudgetFraction: m.Fraction(),
+			Stage:          m.Stage().String(),
+			BytesScanned:   m.ScannedBytes(),
+			Decompressions: m.Decompressions(),
 		}
+		v.BlocksTotal, v.BlocksSearched, v.BlocksSkipped = m.Blocks()
 		if !e.Deadline.IsZero() {
 			ms := float64(e.Deadline.Sub(now).Microseconds()) / 1000
 			v.DeadlineMS = &ms
 		}
-		v.BudgetFraction = budgetFraction(v.BytesScanned, e.BudgetScanBytes,
-			v.Decompressions, e.BudgetDecompressions)
 		out[i] = v
 	}
 	return out
 }
 
-// budgetFraction is the consumed share of the tighter cap, clamped to
-// [0,1]; 0 when no cap is set. Computed at snapshot time so the hot path
-// stays plain atomic adds.
-func budgetFraction(scan, scanCap, dec, decCap int64) float64 {
-	frac := 0.0
-	if scanCap > 0 {
-		frac = float64(scan) / float64(scanCap)
+// canonical is a command's parser-normalized form, useful for grouping
+// retries of the same logical query under different spellings; empty when
+// it is the command itself or the command does not parse. It costs a
+// parse, so it runs on the operator's poll, never on the query path.
+func canonical(cmd string) string {
+	if c := query.Canonical(cmd); c != cmd {
+		return c
 	}
-	if decCap > 0 {
-		if f := float64(dec) / float64(decCap); f > frac {
-			frac = f
-		}
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	return frac
+	return ""
 }

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"loggrep/internal/obsv"
 )
 
 // maxTimeout is the ceiling on any read request's deadline: ?timeout_ms=
@@ -106,13 +108,18 @@ func (sv *Server) admit(w http.ResponseWriter, r *http.Request) (func(), admitSt
 	}
 }
 
-// requestContext derives a request's context: the request context
-// (client disconnects cancel it), cancelled on server HardStop and — when
-// deadline is set — bounded by ?timeout_ms= or the server default,
-// clamped to maxTimeout. Ingest requests pass deadline=false: an append
-// has no timeout, but shutdown and operators can still stop it. The
-// returned cancel must always be called. A malformed timeout_ms reports
-// not-ok.
+// requestContext derives a request's context: cancelled on server
+// HardStop, when the client disconnects and — when deadline is set — at
+// ?timeout_ms= or the server default, clamped to maxTimeout. Ingest
+// requests pass deadline=false: an append has no timeout, but shutdown
+// and operators can still stop it. The returned cancel must always be
+// called. A malformed timeout_ms reports not-ok.
+//
+// The context derives from the server's stop context, so HardStop has
+// cancelled it by the time HardStop returns; the client's context is
+// joined through a callback instead, because a vanished client is the
+// side that may be noticed late. The trace ids instrument put on the
+// request context are carried over.
 //
 // The context is cancel-cause capable, and the returned cancelCause is
 // the hook the live-ops in-flight registry fires on DELETE
@@ -134,9 +141,9 @@ func (sv *Server) requestContext(r *http.Request, deadline bool) (context.Contex
 			timeout = maxTimeout
 		}
 	}
-	ctx, cancelCause := context.WithCancelCause(r.Context())
+	ctx, cancelCause := context.WithCancelCause(obsv.ContextWithIDs(sv.stopCtx, obsv.IDsFrom(r.Context())))
 	cancel := func() { cancelCause(nil) }
-	stop := context.AfterFunc(sv.stopCtx, cancel)
+	stop := context.AfterFunc(r.Context(), cancel)
 	if timeout > 0 {
 		var tcancel context.CancelFunc
 		ctx, tcancel = context.WithTimeout(ctx, timeout)

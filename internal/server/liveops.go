@@ -7,8 +7,6 @@ import (
 	"strings"
 
 	"loggrep/internal/liveops"
-	"loggrep/internal/obsv"
-	"loggrep/internal/query"
 )
 
 // requestTenant resolves the accountable tenant of a request: the
@@ -33,41 +31,17 @@ func requestTenant(q url.Values, h http.Header) string {
 	return "default"
 }
 
-// beginLiveops registers one request in the in-flight registry and
-// attaches its progress publisher to the context so the engine's
-// cooperative checkpoints feed the live view. The returned context and
-// done func are always usable; with the plane disabled they are the
-// input context and a no-op.
-func (sv *Server) beginLiveops(ctx context.Context, ev *obsv.WideEvent, cancel context.CancelCauseFunc) (context.Context, func()) {
+// beginLiveops registers one request in the in-flight registry: its wide
+// event and meter are what /v1/inflight shows. The returned done func is
+// always usable; with the plane disabled it is a no-op.
+func (sv *Server) beginLiveops(rq *request, cancel context.CancelCauseFunc) func() {
 	if sv.Liveops == nil {
-		return ctx, func() {}
+		return func() {}
 	}
-	deadline, _ := ctx.Deadline()
-	// startEvent already parsed the request; reuse its fields rather
-	// than re-parsing the URL on the query hot path.
-	spec := liveops.EntrySpec{
-		ID:                   ev.TraceID,
-		Tenant:               ev.Tenant,
-		Endpoint:             ev.Endpoint,
-		Query:                ev.Command,
-		Source:               ev.Source,
-		Deadline:             deadline,
-		Cancel:               cancel,
-		BudgetScanBytes:      sv.Budget.MaxScannedBytes,
-		BudgetDecompressions: sv.Budget.MaxDecompressions,
-	}
-	if cmd := spec.Query; cmd != "" {
-		// Canonicalization costs a parse; defer it to the operator's
-		// Snapshot (the cold path) instead of paying it per request.
-		spec.CanonicalFn = func() string {
-			if c := query.Canonical(cmd); c != cmd {
-				return c
-			}
-			return ""
-		}
-	}
-	e := sv.Liveops.Inflight.Register(spec)
-	return liveops.WithProgress(ctx, e.Progress), e.Done
+	deadline, _ := rq.ctx.Deadline()
+	return sv.Liveops.Inflight.Register(liveops.EntrySpec{
+		Event: rq.ev, Meter: rq.meter, Deadline: deadline, Cancel: cancel,
+	}).Done
 }
 
 // handleInflight serves GET /v1/inflight: the live in-flight requests,

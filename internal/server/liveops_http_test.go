@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -539,4 +541,56 @@ func TestUsageMetersEveryRead(t *testing.T) {
 	if got.Requests != sum.Requests || got.ScanBytes != sum.ScanBytes || got.Decompressions != sum.Decompressions {
 		t.Errorf("usage total %+v does not reconcile with the wide events' sum %+v", got, sum)
 	}
+}
+
+// TestInflightKeySet: an in-flight entry that reads its request's wide event
+// and meter keeps every JSON key it had when it held copies of them. The
+// list was recorded on the commit before that change, for this request: a
+// deadlined archive query stalled in its first blocks, whose command has a
+// canonical form of its own.
+func TestInflightKeySet(t *testing.T) {
+	sv := newLiveopsServer(t)
+	sv.Budget = core.Budget{MaxDecompressions: 1 << 20}
+	sv.sources["arc"].arch.SetReadHook(faultinject.SlowRead(30 * time.Second))
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		resp, err := http.Get(ts.URL + "/v1/query?source=arc&timeout_ms=60000&q=" + escape("ERROR   OR  INFO"))
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	var entry map[string]any
+	waitFor(t, "the stalled query searching blocks", func() bool {
+		var view struct {
+			Inflight []map[string]any `json:"inflight"`
+		}
+		getJSON(t, ts.URL+"/v1/inflight", http.StatusOK, &view)
+		if len(view.Inflight) != 1 || view.Inflight[0]["blocks_searched"] == nil {
+			return false
+		}
+		entry = view.Inflight[0]
+		return true
+	})
+	var keys []string
+	for k := range entry {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	want := []string{"age_ms", "blocks_searched", "blocks_total", "budget_fraction", "bytes_scanned", "cancellable",
+		"deadline_ms", "decompressions", "endpoint", "id", "query", "query_canonical", "source", "stage", "start_time", "tenant"}
+	if !slices.Equal(keys, want) {
+		t.Errorf("in-flight entry keys %v, want %v", keys, want)
+	}
+	if entry["query_canonical"] != "(ERROR OR INFO)" || entry["stage"] != "filter" {
+		t.Errorf("entry %v", entry)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/inflight/"+entry["id"].(string), nil)
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		resp.Body.Close()
+	}
+	<-done
 }

@@ -475,11 +475,14 @@ type request struct {
 	// ctx is cancelled when the client disconnects, on HardStop, when an
 	// operator cancels the request through the in-flight registry and —
 	// on the read endpoints — at the request's deadline. It carries the
-	// request's blob accounting and live-ops progress publisher.
+	// request's trace ids and blob accounting.
 	ctx context.Context
 	// ev is the request's wide event, never nil. Bodies fill in what
 	// they learned; the lifecycle stamps the outcome and emits it.
 	ev *obsv.WideEvent
+	// meter caps and counts the request's engine work under the server's
+	// budget; the in-flight registry reads it live.
+	meter *core.BudgetState
 	// t0 is when the request arrived, before admission.
 	t0 time.Time
 }
@@ -487,7 +490,8 @@ type request struct {
 // lifecycle is the one path every evented request takes: start the wide
 // event, gate the method (and, for the write endpoints, that ingest is
 // enabled), pass admission control, derive the request context, attach
-// blob accounting, register in the in-flight view, run the body, and —
+// blob accounting, build the work meter, register in the in-flight view,
+// run the body, and —
 // exactly once, on every return path including a panic — finish the
 // event. A body does its work, writes its response and returns the
 // status and error message the event should carry.
@@ -533,9 +537,10 @@ func (sv *Server) lifecycle(endpoint string, write bool, body func(http.Response
 		// exemplars join the same trace.
 		bst := &blobstore.OpStats{TraceID: ev.TraceID}
 		defer stampBlobStats(ev, bst)
-		ctx, doneInflight := sv.beginLiveops(blobstore.WithStats(ctx, bst), ev, cancelCause)
+		rq := &request{ctx: blobstore.WithStats(ctx, bst), ev: ev, meter: core.NewBudgetState(sv.Budget), t0: t0}
+		doneInflight := sv.beginLiveops(rq, cancelCause)
 		defer doneInflight()
-		status, errMsg = body(w, r, &request{ctx: ctx, ev: ev, t0: t0})
+		status, errMsg = body(w, r, rq)
 	}
 }
 
@@ -609,7 +614,7 @@ func (sv *Server) search(w http.ResponseWriter, r *http.Request, rq *request, co
 		tr = obsv.NewTrace("query")
 	}
 	res, err := src.Search(rq.ctx, cmd, core.SearchOpts{
-		Budget: core.NewBudgetState(sv.Budget), Trace: tr, CountOnly: count,
+		Budget: rq.meter, Trace: tr, CountOnly: count,
 	})
 	status = http.StatusOK
 	if err != nil {

@@ -301,3 +301,40 @@ func TestGracefulShutdownSIGTERM(t *testing.T) {
 		t.Fatalf("query on draining server returned %d, want 503", rec.Code)
 	}
 }
+
+// TestHardStopCancelsRequestContexts: once HardStop returns, every request
+// context already handed out is cancelled — none waits on a callback
+// goroutine — so a handler looking right after cannot answer 200 where a
+// 503 is due. Over 1000 fresh servers none may lag. The context still
+// carries the request's trace ids and still hears the client leave.
+func TestHardStopCancelsRequestContexts(t *testing.T) {
+	ids := obsv.ReqIDs{TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", SpanID: "00f067aa0ba902b7"}
+	lagged := 0
+	for i := 0; i < 1000; i++ {
+		sv := New()
+		r := httptest.NewRequest("GET", "/v1/query?q=x", nil)
+		r = r.WithContext(obsv.ContextWithIDs(r.Context(), ids))
+		ctx, cancel, _, _ := sv.requestContext(r, true)
+		if i == 0 && obsv.IDsFrom(ctx) != ids {
+			t.Fatalf("request context carries ids %+v, want %+v", obsv.IDsFrom(ctx), ids)
+		}
+		sv.HardStop()
+		if ctx.Err() == nil {
+			lagged++
+		}
+		cancel()
+	}
+	if lagged > 0 {
+		t.Fatalf("%d of 1000 request contexts were still live right after HardStop", lagged)
+	}
+
+	client, leave := context.WithCancel(context.Background())
+	ctx, cancel, _, _ := New().requestContext(httptest.NewRequest("GET", "/v1/query?q=x", nil).WithContext(client), true)
+	defer cancel()
+	leave()
+	select {
+	case <-ctx.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("request context never heard the client leave")
+	}
+}

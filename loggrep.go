@@ -104,13 +104,14 @@ type Session = core.Session
 // SearchOpts.Budget.
 type Budget = core.Budget
 
-// BudgetState tracks one query's consumption against a Budget; a single
-// state can be shared across stores so the caps bound the whole query.
-// nil means unlimited.
+// BudgetState is one query's meter: it counts the query's work (bytes
+// scanned, decompressions, blocks) against a Budget; a single state can be
+// shared across stores so the caps bound the whole query. nil means
+// unlimited and counts nothing.
 type BudgetState = core.BudgetState
 
-// NewBudgetState starts tracking a budget; it returns nil (unlimited)
-// when no cap is set.
+// NewBudgetState starts a meter under a budget; a zero Budget counts
+// without capping.
 func NewBudgetState(b Budget) *BudgetState { return core.NewBudgetState(b) }
 
 // ReadHook gates capsule payload fetches and archive block opens —

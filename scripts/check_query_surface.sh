@@ -1,9 +1,12 @@
 #!/usr/bin/env sh
 # check_query_surface.sh fails the build when a query can be spelled any way
-# but one. The exported methods named Query*, Count* or Search* on the three
-# source types must be exactly Search on each, plus the two shims bench/
-# still calls on Archive (ROADMAP item 1 deletes them; delete their line
-# here in the same change).
+# but one, or metered anywhere but on its one meter. The exported methods
+# named Query*, Count* or Search* on the three source types must be exactly
+# Search on each, plus the two shims bench/ still calls on Archive (ROADMAP
+# item 1 deletes them; delete their line here in the same change). And the
+# engine must not depend on the live operations plane: internal/liveops
+# reads core.BudgetState, so neither internal/core nor internal/archive may
+# import it, directly or through anything else.
 set -eu
 
 want='archive.Archive.Query
@@ -22,5 +25,10 @@ if [ "$got" != "$want" ]; then
     echo "check_query_surface: the query entry points are not the expected set" >&2
     echo "want:" >&2; echo "$want" >&2
     echo "got:" >&2; echo "$got" >&2
+    exit 1
+fi
+
+if go list -deps ./internal/core ./internal/archive | grep -qx 'loggrep/internal/liveops'; then
+    echo "check_query_surface: internal/core or internal/archive depends on internal/liveops" >&2
     exit 1
 fi
