@@ -312,8 +312,9 @@ func newQueryCmd() *command {
 		if trace.mode != "" {
 			tr = obsv.NewTrace("query")
 		}
+		meter := loggrep.NewBudgetState(loggrep.Budget{})
 		t0 := time.Now()
-		res, err := a.Search(ctx, cmd, loggrep.SearchOpts{Trace: tr})
+		res, err := a.Search(ctx, cmd, loggrep.SearchOpts{Trace: tr, Budget: meter})
 		if err != nil {
 			return err
 		}
@@ -336,6 +337,7 @@ func newQueryCmd() *command {
 				Command:  cmd,
 			}
 			ev.FillFromTrace(tr.Data())
+			meter.Reading().FillEvent(ev)
 			ev.DurNS = time.Since(t0).Nanoseconds()
 			ev.Matches = int64(res.Matches)
 			ev.DamagedRegions = int64(len(res.Damaged))

@@ -475,14 +475,14 @@ func (a *Archive) QueryTraced(command string, workers int) (*Result, *obsv.Trace
 // matches are returned. Only an unparsable command, cancellation or
 // deadline expiry is an error.
 //
-// The options reach every block unchanged: one budget state bounds and
-// meters the whole query (and, when the caller hands the same state to
-// several archives, all of them, their block counts summed) and running
-// out of it returns what the searched blocks matched with Result.Partial
-// set; a count is summed per block. A trace is named "archive-query" and
-// gets one span per searched block (attrs: block ordinal, matches,
-// payloads decompressed, the engine's scan and stamp counters) plus
-// totals for blocks searched, skipped and damaged.
+// One budget state bounds and meters the whole query (and, when the caller
+// hands the same state to several archives, all of them, their block
+// counts summed): each searched block runs under a child of it, and
+// running out of it returns what the searched blocks matched with
+// Result.Partial set; a count is summed per block. A trace is named
+// "archive-query" and gets one span per searched block — its ordinal,
+// matches, and its meter's reading (core.Ledger.BlockAttrs) — plus totals
+// for blocks searched, skipped (per reason) and damaged.
 // The totals are added to what the trace already holds, so a caller
 // searching several archives under one trace reads sums. Block spans are
 // appended as blocks finish, so their order varies across runs; counter
@@ -527,6 +527,8 @@ func (a *Archive) Search(ctx context.Context, command string, o core.SearchOpts)
 		idx int
 		res *core.Result
 		err error
+		// decompressions the block's search did, whatever its outcome
+		decompressions int64
 	}
 	var (
 		wg   sync.WaitGroup
@@ -573,15 +575,13 @@ func (a *Archive) Search(ctx context.Context, command string, o core.SearchOpts)
 					out <- blockRes{idx: idx, err: err}
 					continue
 				}
-				// A traced archive query traces each block on a trace of its
-				// own, so the engine's scan and stamp counters survive onto
-				// the block span (and into wide events built from it).
-				bo := o
-				if tr != nil {
-					bo.Trace = obsv.NewTrace("query")
-				}
-				res, err := st.Search(ctx, command, bo)
+				// The block searches under a meter of its own: its span
+				// reads it, and closing it folds the block into the query's.
+				bm := bs.Child()
+				res, err := st.Search(ctx, command, core.SearchOpts{Budget: bm, CountOnly: o.CountOnly})
+				spent := bm.Close()
 				mArchiveBlockNS.Observe(time.Since(tb).Nanoseconds())
+				r := blockRes{idx: idx, res: res, decompressions: spent.Decompressions}
 				switch {
 				case err == nil:
 					if plan != nil && res.Matches == 0 {
@@ -590,20 +590,18 @@ func (a *Archive) Search(ctx context.Context, command string, o core.SearchOpts)
 						// been admitted for sound reasons, e.g. a NOT branch).
 						mArchiveIndexFalseAdmit.Inc()
 					}
-					span.Attr("matches", int64(res.Matches)).
-						Attr("decompressions", int64(res.Decompressions))
-					liftEngineAttrs(span, bo.Trace)
+					span.Attr("matches", int64(res.Matches))
 					if res.Partial {
 						span.Attr("partial", 1)
 					}
-					span.End()
-					out <- blockRes{idx: idx, res: res}
 				case core.IsInterrupt(err):
-					span.Attr("interrupted", 1).End()
+					span.Attr("interrupted", 1)
 				default:
-					span.Attr("damaged", 1).End()
-					out <- blockRes{idx: idx, err: err}
+					span.Attr("damaged", 1)
+					r.err = err
 				}
+				spent.BlockAttrs(span).End()
+				out <- r
 			}
 		}()
 	}
@@ -625,6 +623,7 @@ func (a *Archive) Search(ctx context.Context, command string, o core.SearchOpts)
 	res := &Result{Damaged: a.Damage()}
 	byBlock := make([]*core.Result, len(a.blocks))
 	for r := range out {
+		res.Decompressions += int(r.decompressions)
 		if r.err != nil {
 			res.Damaged = append(res.Damaged, *a.blocks[r.idx].asBlockError(r.err))
 			continue
@@ -643,7 +642,6 @@ func (a *Archive) Search(ctx context.Context, command string, o core.SearchOpts)
 			}
 		}
 		res.Matches += br.Matches
-		res.Decompressions += br.Decompressions
 		off := a.blocks[idx].lineOff
 		for i, line := range br.Lines {
 			res.Lines = append(res.Lines, off+line)
@@ -670,26 +668,6 @@ func (a *Archive) Search(ctx context.Context, command string, o core.SearchOpts)
 	}
 	mArchiveQueryNS.Observe(time.Since(t0).Nanoseconds())
 	return res, nil
-}
-
-// liftEngineAttrs sums the engine work counters from a block's inner query
-// trace onto the archive-level block span, in a fixed key order so traced
-// archive output stays deterministic.
-func liftEngineAttrs(span *obsv.SpanCursor, btr *obsv.Trace) {
-	if btr == nil {
-		return
-	}
-	sums := map[string]int64{}
-	for _, sp := range btr.Data().Spans {
-		for _, a := range sp.Attrs {
-			sums[a.Key] += a.Val
-		}
-	}
-	for _, k := range []string{"stamp_admits", "stamp_skips", "capsule_scans", "scan_cache_hits", "bytes_scanned"} {
-		if v, ok := sums[k]; ok {
-			span.Attr(k, v)
-		}
-	}
 }
 
 // asBlockError normalizes a block failure: openStore already returns

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
+
+	"loggrep/internal/obsv"
 )
 
 // ErrBudgetExceeded marks a query stopped by its work budget. It never
@@ -59,74 +62,180 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// BudgetState is one query's meter. It counts the query's work — payload
-// bytes scanned and capsule payloads decompressed, added by the Store where
-// the work happens; the blocks its archives planned, searched and skipped;
-// the stage it is in — and stops the query once the work reaches a cap of
-// its Budget. When a query ends its counters equal Result.Decompressions
-// and the bytes_scanned of its trace; while it runs, the live view reads
-// them. One state is shared by every block (and archive) a query touches,
-// so the caps bound the whole query, not each block.
+// Ledger is one reading of a meter: the engine work counted on it. Every
+// reader of a query's work reads one — a Store's filter and verify spans, an
+// archive's block spans, Result.Decompressions, the process counters, the
+// wide event, /v1/inflight, /v1/usage — so they agree by construction.
+type Ledger struct {
+	// StampAdmits counts stamp checks that let a capsule scan proceed,
+	// StampSkips the scans the stamps eliminated (§5.1).
+	StampAdmits, StampSkips int64
+	// CapsuleScans counts capsule payload scans executed, ScanCacheHits the
+	// scans a store's scan cache answered, and BytesScanned the
+	// decompressed payload bytes the executed scans examined.
+	CapsuleScans, ScanCacheHits, BytesScanned int64
+	// Decompressions counts capsule payloads (or chunks) decompressed,
+	// LineMaps the line maps decoded on first touch.
+	Decompressions, LineMaps int64
+	// QueryCacheHits counts Store searches the Query Cache answered whole.
+	QueryCacheHits int64
+	// Blocks counts the archive blocks planned; BlocksSearched and
+	// BlocksSkipped (by the index or a block stamp) those decided so far.
+	Blocks, BlocksSearched, BlocksSkipped int64
+}
+
+func (l *Ledger) add(o Ledger) {
+	l.StampAdmits += o.StampAdmits
+	l.StampSkips += o.StampSkips
+	l.CapsuleScans += o.CapsuleScans
+	l.ScanCacheHits += o.ScanCacheHits
+	l.BytesScanned += o.BytesScanned
+	l.Decompressions += o.Decompressions
+	l.LineMaps += o.LineMaps
+	l.QueryCacheHits += o.QueryCacheHits
+	l.Blocks += o.Blocks
+	l.BlocksSearched += o.BlocksSearched
+	l.BlocksSkipped += o.BlocksSkipped
+}
+
+// Spans carry the ledger's counters in the order attrs lists them: a
+// Store's filter span all but line maps, its verify span what verification
+// adds (decompressions, line maps), an archive's block span all.
+const keyDecompressions, keyLineMaps, numKeys = 5, 6, 7
+
+// attrs writes counters [from, to) onto a span. Their names, which bench/
+// and OPERATIONS.md §6 read, are written here and nowhere else.
+func (l Ledger) attrs(sp *obsv.SpanCursor, from, to int) *obsv.SpanCursor {
+	keys := [numKeys]string{"stamp_admits", "stamp_skips", "capsule_scans", "scan_cache_hits", "bytes_scanned", "decompressions", "line_maps"}
+	vals := [numKeys]int64{l.StampAdmits, l.StampSkips, l.CapsuleScans, l.ScanCacheHits, l.BytesScanned, l.Decompressions, l.LineMaps}
+	for i := from; i < to; i++ {
+		sp = sp.Attr(keys[i], vals[i])
+	}
+	return sp
+}
+
+// BlockAttrs writes a searched block's ledger onto its span: every counter,
+// unless the block's Query Cache answered it — then none, which is how a
+// reader of the spans tells a cached block from one that did no work.
+func (l Ledger) BlockAttrs(sp *obsv.SpanCursor) *obsv.SpanCursor {
+	if l.QueryCacheHits > 0 {
+		return sp
+	}
+	return l.attrs(sp, 0, numKeys)
+}
+
+// FillEvent writes the reading into a request's wide event: its work
+// counters and block counts, which is what /v1/usage bills.
+func (l Ledger) FillEvent(ev *obsv.WideEvent) {
+	ev.StampAdmits, ev.StampSkips = l.StampAdmits, l.StampSkips
+	ev.CapsuleScans, ev.ScanCacheHits = l.CapsuleScans, l.ScanCacheHits
+	ev.BytesScanned, ev.Decompressions = l.BytesScanned, l.Decompressions
+	ev.Blocks, ev.BlocksSearched, ev.BlocksSkipped = l.Blocks, l.BlocksSearched, l.BlocksSkipped
+}
+
+// BudgetState is one query's meter. It counts the query's work where the
+// work happens — the Store's stamp checks, scans, reads and line maps, the
+// blocks its archives planned, searched and skipped, the stage it is in —
+// and stops the query once the work reaches a cap of its Budget.
+//
+// A part of the query runs under a Child: every Store search does, and so
+// does each block an archive searches. Bytes scanned and decompressions are
+// charged on the child and every ancestor as they happen, because the caps
+// bind there; the other counts are tallied on the child alone and folded
+// into its parent once, when the child is closed. So a child's reading is
+// its own part (a block span reads it) and the root's is the whole query
+// (the wide event reads it). While a query runs, the live view reads the
+// root: exact in bytes, decompressions, blocks and stage, the rest as of
+// the last closed child.
 //
 // All methods are safe for concurrent use and counters only ever grow, so
 // a reading never runs backwards. A nil *BudgetState is unlimited, counts
 // nothing and is valid everywhere one is accepted.
 type BudgetState struct {
-	budget         Budget
-	scanned        atomic.Int64
-	decomp         atomic.Int64
-	blocksTotal    atomic.Int64
-	blocksSearched atomic.Int64
-	blocksSkipped  atomic.Int64
-	stage          atomic.Int32
+	budget Budget
+	parent *BudgetState
+	// scanned and decomp are charged on this meter and every ancestor.
+	scanned atomic.Int64
+	decomp  atomic.Int64
+	stage   atomic.Int32
+	// own is tallied by the one Store search this meter belongs to, which
+	// alone writes it: the stamp check, run thousands of times a query,
+	// costs a plain add.
+	own Ledger
+	// mu guards folded: blocks added here and closed children's ledgers.
+	mu     sync.Mutex
+	folded Ledger
 }
 
 // NewBudgetState starts a meter under a budget; a zero Budget counts
 // without capping.
 func NewBudgetState(b Budget) *BudgetState { return &BudgetState{budget: b} }
 
-// add records engine work as it is performed.
-func (bs *BudgetState) add(scannedBytes, decompressions int64) {
+// Child starts a meter for one part of the query under bs: bs's caps (and
+// its ancestors') still bind, and the child's counts reach bs as described
+// on BudgetState. Close it once the part is done. nil.Child() is a fresh
+// unlimited meter.
+func (bs *BudgetState) Child() *BudgetState { return &BudgetState{parent: bs} }
+
+// Close ends a child's part of the query: it folds the child's tallies
+// into its parent, once, and returns the child's reading.
+func (bs *BudgetState) Close() Ledger {
+	l := bs.Reading()
+	if bs != nil {
+		f := l
+		f.BytesScanned, f.Decompressions = 0, 0 // charged as they happened
+		bs.parent.fold(f)
+	}
+	return l
+}
+
+// fold adds counts to the meter under its lock.
+func (bs *BudgetState) fold(l Ledger) {
 	if bs == nil {
 		return
 	}
-	if scannedBytes > 0 {
-		bs.scanned.Add(scannedBytes)
+	bs.mu.Lock()
+	bs.folded.add(l)
+	bs.mu.Unlock()
+}
+
+// Reading returns the work counted so far.
+func (bs *BudgetState) Reading() Ledger {
+	if bs == nil {
+		return Ledger{}
 	}
-	if decompressions > 0 {
-		bs.decomp.Add(decompressions)
+	bs.mu.Lock()
+	l := bs.folded
+	bs.mu.Unlock()
+	l.add(bs.own)
+	l.BytesScanned, l.Decompressions = bs.scanned.Load(), bs.decomp.Load()
+	return l
+}
+
+// add charges engine work as it is performed.
+func (bs *BudgetState) add(scannedBytes, decompressions int64) {
+	for m := bs; m != nil; m = m.parent {
+		if scannedBytes > 0 {
+			m.scanned.Add(scannedBytes)
+		}
+		if decompressions > 0 {
+			m.decomp.Add(decompressions)
+		}
 	}
 }
 
 // Err returns ErrBudgetExceeded (wrapped with the blown cap) once any cap
-// has been reached, nil before that.
+// of the meter or an ancestor has been reached, nil before that.
 func (bs *BudgetState) Err() error {
-	if bs == nil {
-		return nil
-	}
-	if m := bs.budget.MaxScannedBytes; m > 0 && bs.scanned.Load() >= m {
-		return fmt.Errorf("%w: scanned %d bytes of a %d-byte cap", ErrBudgetExceeded, bs.scanned.Load(), m)
-	}
-	if m := bs.budget.MaxDecompressions; m > 0 && bs.decomp.Load() >= m {
-		return fmt.Errorf("%w: %d decompressions of a cap of %d", ErrBudgetExceeded, bs.decomp.Load(), m)
+	for m := bs; m != nil; m = m.parent {
+		if c := m.budget.MaxScannedBytes; c > 0 && m.scanned.Load() >= c {
+			return fmt.Errorf("%w: scanned %d bytes of a %d-byte cap", ErrBudgetExceeded, m.scanned.Load(), c)
+		}
+		if c := m.budget.MaxDecompressions; c > 0 && m.decomp.Load() >= c {
+			return fmt.Errorf("%w: %d decompressions of a cap of %d", ErrBudgetExceeded, m.decomp.Load(), c)
+		}
 	}
 	return nil
-}
-
-// ScannedBytes returns the payload bytes scanned so far.
-func (bs *BudgetState) ScannedBytes() int64 {
-	if bs == nil {
-		return 0
-	}
-	return bs.scanned.Load()
-}
-
-// Decompressions returns the capsule payloads decompressed so far.
-func (bs *BudgetState) Decompressions() int64 {
-	if bs == nil {
-		return 0
-	}
-	return bs.decomp.Load()
 }
 
 // Fraction is the consumed share of the tighter cap, clamped to [0, 1]; 0
@@ -149,31 +258,18 @@ func (bs *BudgetState) Fraction() float64 {
 // count as its search starts), and searched or skipped as each is decided.
 // Counts are never negative.
 func (bs *BudgetState) AddBlocks(total, searched, skipped int64) {
-	if bs == nil {
-		return
-	}
-	bs.blocksTotal.Add(total)
-	bs.blocksSearched.Add(searched)
-	bs.blocksSkipped.Add(skipped)
+	bs.fold(Ledger{Blocks: total, BlocksSearched: searched, BlocksSkipped: skipped})
 }
 
-// Blocks returns the block counts recorded so far.
-func (bs *BudgetState) Blocks() (total, searched, skipped int64) {
-	if bs == nil {
-		return 0, 0, 0
-	}
-	return bs.blocksTotal.Load(), bs.blocksSearched.Load(), bs.blocksSkipped.Load()
-}
-
-// SetStage raises the stage; lowering is ignored.
+// SetStage raises the stage of the meter and its ancestors; lowering is
+// ignored.
 func (bs *BudgetState) SetStage(s Stage) {
-	if bs == nil {
-		return
-	}
-	for {
-		cur := bs.stage.Load()
-		if int32(s) <= cur || bs.stage.CompareAndSwap(cur, int32(s)) {
-			return
+	for m := bs; m != nil; m = m.parent {
+		for {
+			cur := m.stage.Load()
+			if int32(s) <= cur || m.stage.CompareAndSwap(cur, int32(s)) {
+				break
+			}
 		}
 	}
 }
@@ -193,55 +289,37 @@ func (bs *BudgetState) Stage() Stage {
 // non-nil error aborts the read with that error.
 type ReadHook func(ctx context.Context) error
 
-// interruptState is the running query's context and meter, installed on
-// the Store (under its mutex) for the duration of one query.
-type interruptState struct {
-	ctx   context.Context
-	meter *BudgetState
-}
-
 // checkpoint is the cooperative gate called before each capsule scan or
 // payload fetch and per verified candidate: it surfaces context
-// cancellation and an exhausted budget. Callers must hold st.mu during a
-// query; outside a query it is a no-op.
+// cancellation and an exhausted budget. Callers must hold st.mu; outside a
+// query it is a no-op.
 func (st *Store) checkpoint() error {
-	in := st.intr
-	if in == nil {
-		return nil
-	}
-	if in.ctx != nil {
-		if err := in.ctx.Err(); err != nil {
+	if st.ctx != nil {
+		if err := st.ctx.Err(); err != nil {
 			return err
 		}
 	}
-	return in.meter.Err()
+	return st.en.meter.Err()
 }
 
-// charge adds work the store has just performed to the running query's
-// meter.
-func (st *Store) charge(scannedBytes, decompressions int) {
-	if st.intr != nil {
-		st.intr.meter.add(int64(scannedBytes), int64(decompressions))
-	}
-}
-
-// scanned counts one capsule scan over n payload bytes: in the store's
-// stats, which the trace reads, and on the query's meter.
+// scanned counts one capsule scan over n payload bytes on the running
+// search's meter.
 func (st *Store) scanned(n int) {
-	st.stats.scans++
-	st.stats.bytesScanned += n
-	st.charge(n, 0)
+	if m := st.en.meter; m != nil {
+		m.own.CapsuleScans++
+		m.add(int64(n), 0)
+	}
 }
 
 // read is the one door to capsule bytes no cache holds: the read hook
 // (latency/fault injection), the checkpoint, then fetch, whose
-// decompressions are charged to the query's meter. A cached payload is not
-// a read.
+// decompressions are charged to the running search's meter. A cached
+// payload is not a read.
 func (st *Store) read(fetch func() ([]byte, error)) ([]byte, error) {
 	if st.readHook != nil {
-		ctx := context.Background()
-		if st.intr != nil && st.intr.ctx != nil {
-			ctx = st.intr.ctx
+		ctx := st.ctx
+		if ctx == nil {
+			ctx = context.Background()
 		}
 		if err := st.readHook(ctx); err != nil {
 			return nil, err
@@ -252,7 +330,7 @@ func (st *Store) read(fetch func() ([]byte, error)) ([]byte, error) {
 	}
 	d0 := st.box.Decompressions
 	p, err := fetch()
-	st.charge(0, st.box.Decompressions-d0)
+	st.en.meter.add(0, int64(st.box.Decompressions-d0))
 	return p, err
 }
 

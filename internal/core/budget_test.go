@@ -163,7 +163,7 @@ func TestBudgetStateShared(t *testing.T) {
 	if _, err := st.Search(context.Background(), "ERROR", SearchOpts{Budget: bs}); err != nil {
 		t.Fatal(err)
 	}
-	if bs.Decompressions() == 0 {
+	if bs.Reading().Decompressions == 0 {
 		t.Fatal("budget state recorded no decompression work")
 	}
 	// The state is now exhausted; a fresh store stops immediately.
@@ -220,16 +220,18 @@ func TestConcurrentQueryClearCache(t *testing.T) {
 }
 
 // TestMeterMonotonicUnderConcurrency hammers one meter from many writer
-// goroutines while readers poll it, asserting no reading ever runs
-// backwards — what /v1/inflight promises its pollers. Run with -race this
-// doubles as the data-race check on the hot-path atomics.
+// goroutines — each block a child that charges as it works and folds its
+// tally when closed, like an archive's workers — while readers poll it,
+// asserting no reading ever runs backwards — what /v1/inflight promises its
+// pollers. Run with -race this doubles as the data-race check on the
+// hot-path atomics and the fold.
 func TestMeterMonotonicUnderConcurrency(t *testing.T) {
 	m := NewBudgetState(Budget{})
 	m.AddBlocks(64, 0, 0)
-	type reading struct{ total, searched, skipped, scanned, decomp int64 }
+	type reading struct{ total, searched, skipped, scanned, decomp, admits int64 }
 	read := func() reading {
-		total, searched, skipped := m.Blocks()
-		return reading{total, searched, skipped, m.ScannedBytes(), m.Decompressions()}
+		r := m.Reading()
+		return reading{r.Blocks, r.BlocksSearched, r.BlocksSkipped, r.BytesScanned, r.Decompressions, r.StampAdmits}
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -239,8 +241,14 @@ func TestMeterMonotonicUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				m.AddBlocks(0, 1, 1)
-				m.add(100, 1)
-				m.SetStage(StageFilter)
+				c := m.Child()
+				c.own.StampAdmits += 3
+				c.add(100, 1)
+				c.SetStage(StageFilter)
+				if l := c.Close(); l.BytesScanned != 100 || l.StampAdmits != 3 {
+					t.Errorf("child reading %+v, want its own 100 bytes and 3 admits", l)
+					return
+				}
 			}
 			m.SetStage(StageVerify)
 		}()
@@ -254,7 +262,7 @@ func TestMeterMonotonicUnderConcurrency(t *testing.T) {
 			for {
 				s := read()
 				if s.searched < prev.searched || s.skipped < prev.skipped || s.scanned < prev.scanned ||
-					s.decomp < prev.decomp || s.total < prev.total {
+					s.decomp < prev.decomp || s.total < prev.total || s.admits < prev.admits {
 					t.Errorf("meter ran backwards: %+v then %+v", prev, s)
 					return
 				}
@@ -270,8 +278,8 @@ func TestMeterMonotonicUnderConcurrency(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	readers.Wait()
-	if s := read(); s.searched != 8000 || s.scanned != 800000 || s.decomp != 8000 {
-		t.Fatalf("final reading %+v, want 8000 blocks / 800000 bytes / 8000 decompressions", s)
+	if s := read(); s.searched != 8000 || s.scanned != 800000 || s.decomp != 8000 || s.admits != 24000 {
+		t.Fatalf("final reading %+v, want 8000 blocks / 800000 bytes / 8000 decompressions / 24000 admits", s)
 	}
 	if m.Stage() != StageVerify {
 		t.Fatalf("stage = %v, want verify", m.Stage())
@@ -300,8 +308,7 @@ func TestMeterNilSafe(t *testing.T) {
 	m.AddBlocks(5, 1, 1)
 	m.add(10, 1)
 	m.SetStage(StageVerify)
-	if total, searched, skipped := m.Blocks(); m.ScannedBytes() != 0 || m.Decompressions() != 0 ||
-		total != 0 || searched != 0 || skipped != 0 || m.Fraction() != 0 || m.Err() != nil {
+	if m.Reading() != (Ledger{}) || m.Close() != (Ledger{}) || m.Fraction() != 0 || m.Err() != nil {
 		t.Fatal("nil meter reported work")
 	}
 	if got := m.Stage().String(); got != "queued" {

@@ -49,7 +49,7 @@ func TestChunkedReconstructTouchesFewChunks(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return st.Decompressions()
+		return st.box.Decompressions
 	}
 	whole := count(DefaultOptions())
 	chunked := count(chunkedOptions())

@@ -293,8 +293,8 @@ func TestStampFilteringSkipsCapsules(t *testing.T) {
 	if len(res.Lines) != 0 {
 		t.Fatal("impossible keyword matched")
 	}
-	if st.Decompressions() != 0 {
-		t.Fatalf("impossible keyword decompressed %d capsules", st.Decompressions())
+	if res.Decompressions != 0 {
+		t.Fatalf("impossible keyword decompressed %d capsules", res.Decompressions)
 	}
 }
 
@@ -312,8 +312,8 @@ func TestTemplateHitAvoidsCapsules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Lines) != 0 || st.Decompressions() != 0 {
-		t.Fatalf("static miss cost %d decompressions", st.Decompressions())
+	if len(res.Lines) != 0 || res.Decompressions != 0 {
+		t.Fatalf("static miss cost %d decompressions", res.Decompressions)
 	}
 }
 

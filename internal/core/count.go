@@ -29,42 +29,6 @@ func allExactLeaves(e query.Expr) bool {
 	return false
 }
 
-// exactEval evaluates an all-exact expression purely on filter sets,
-// restricted to within like overApprox (whose narrowing it shares: the sets
-// being exact, result = M(e) ∩ within). NOT complements soundly because the
-// leaf sets are exact — but only a set computed over all rows, so a NOT's
-// operand is evaluated unrestricted and the complement cut to within after.
-func (st *Store) exactEval(e query.Expr, within *rowSets) (*rowSets, error) {
-	switch x := e.(type) {
-	case *query.And:
-		hi, lo := andOrder(x)
-		l, err := st.exactEval(hi, within)
-		if err != nil || !l.any() {
-			return l, err
-		}
-		return st.exactEval(lo, l)
-	case *query.Or:
-		l, err := st.exactEval(x.L, within)
-		if err != nil {
-			return nil, err
-		}
-		r, err := st.exactEval(x.R, within)
-		if err != nil {
-			return nil, err
-		}
-		return l.or(r), nil
-	case *query.Not:
-		s, err := st.exactEval(x.X, nil)
-		if err != nil {
-			return nil, err
-		}
-		return st.rowsOf(within).andNot(s), nil
-	case *query.Search:
-		return st.searchCandidates(x, within)
-	}
-	return st.noRows(), nil
-}
-
 // RawQuery runs a command over an uncompressed block with the same exact
 // semantics as Search — the first-phase path for blocks that have not been
 // compressed yet (§2 of the paper).

@@ -28,13 +28,11 @@ type seqElem struct {
 }
 
 // engine carries the cross-cutting matcher state: whether stamps filter,
-// plus counters of stamp decisions (for Explain and query traces).
+// and the meter of the running search (nil outside one), on which stamp
+// decisions — and the store's scans, reads and line maps — are counted.
 type engine struct {
 	stamps bool
-	// pruned counts Capsule scans the stamps eliminated; admitted counts
-	// stamp checks that let a scan proceed.
-	pruned   int
-	admitted int
+	meter  *BudgetState
 }
 
 // admits applies the Capsule-stamp filter of §5.1 (skipped in the
@@ -48,12 +46,7 @@ func (en *engine) admits(h hole, part string) bool {
 	if !en.stamps {
 		return true
 	}
-	if !h.stamp().Admits(part) {
-		en.pruned++
-		return false
-	}
-	en.admitted++
-	return true
+	return en.count(h.stamp().Admits(part))
 }
 
 // admitsExact is the stamp filter for whole-value constraints, which can
@@ -62,12 +55,19 @@ func (en *engine) admitsExact(h hole, part string) bool {
 	if !en.stamps {
 		return true
 	}
-	if !h.stamp().AdmitsExact(part) {
-		en.pruned++
-		return false
+	return en.count(h.stamp().AdmitsExact(part))
+}
+
+// count tallies one stamp decision and returns it.
+func (en *engine) count(admit bool) bool {
+	if m := en.meter; m != nil {
+		if admit {
+			m.own.StampAdmits++
+		} else {
+			m.own.StampSkips++
+		}
 	}
-	en.admitted++
-	return true
+	return admit
 }
 
 // matchKind dispatches a (part, kind) constraint over a sequence of n rows.

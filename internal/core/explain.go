@@ -89,28 +89,28 @@ func (st *Store) Explain(command string) (*Explain, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	d0 := st.box.Decompressions
-	st.en.pruned = 0
 	ex := &Explain{Command: command, NumLines: st.NumLines()}
 	rec := &explainRec{ex: ex, leaves: query.Searches(expr)}
 	for _, s := range rec.leaves {
 		ex.Searches = append(ex.Searches, SearchExplain{Phrase: s.Raw})
 	}
 	rec.plan(expr)
-	st.ex = rec
-	_, err = st.overApprox(expr, nil)
-	st.ex = nil
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	m := NewBudgetState(Budget{})
+	st.ex, st.en.meter = rec, m
+	_, err = st.filter(expr, nil, false)
+	st.ex, st.en.meter = nil, nil
 	if err != nil {
 		return nil, err
 	}
-	ex.Decompressions = st.box.Decompressions - d0
-	ex.StampPrunes = st.en.pruned
+	work := m.Reading()
+	ex.Decompressions = int(work.Decompressions)
+	ex.StampPrunes = int(work.StampSkips)
 	return ex, nil
 }
 
-// plan numbers the search strings in the order overApprox reaches them.
+// plan numbers the search strings in the order filter reaches them.
 func (r *explainRec) plan(e query.Expr) {
 	switch x := e.(type) {
 	case *query.And:

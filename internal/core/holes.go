@@ -33,7 +33,9 @@ func (c *capsuleHole) find(part string, kind strmatch.Kind) (*bitset.Set, error)
 	// question along many possible matches; cache scans per store.
 	key := findKey{id: c.id, kind: kind, part: part}
 	if cached, ok := c.st.findCache[key]; ok {
-		c.st.stats.scanCacheHits++
+		if m := c.st.en.meter; m != nil {
+			m.own.ScanCacheHits++
+		}
 		return cached.Clone(), nil
 	}
 	if err := c.st.checkpoint(); err != nil {

@@ -81,11 +81,10 @@ func sourceKinds(t *testing.T, block []byte, lines []string) map[string]searcher
 //
 //   - cancelled: context.Canceled;
 //   - under a tight budget: a subset of the truth, flagged Partial unless
-//     complete;
-//   - metered and traced: the meter's decompressions are the Result's, its
-//     scanned bytes the sum of the trace spans' bytes_scanned, and its
-//     blocks searched plus skipped its blocks total, the trace's "blocks"
-//     (summed over a stream's sealed segments; none for a bare box);
+//     complete, with one ledger (ledgerDisagrees) however it was cut;
+//   - metered and traced: one ledger, and the meter's blocks searched plus
+//     skipped its blocks total (summed over a stream's sealed segments;
+//     none for a bare box);
 //   - CountOnly: the number of matching lines and no Lines or Entries;
 //   - plain: exactly what RawQuery finds in the raw block, byte for byte;
 //   - traced: the same, the trace's matches total agreeing, every block of
@@ -131,9 +130,13 @@ func TestSourceKindsAgree(t *testing.T) {
 				if ci%2 == 1 {
 					budget = core.Budget{MaxScannedBytes: 64}
 				}
-				res, err := src.Search(context.Background(), cmd, core.SearchOpts{Budget: core.NewBudgetState(budget)})
+				meter, mtr := core.NewBudgetState(budget), obsv.NewTrace("query")
+				res, err := src.Search(context.Background(), cmd, core.SearchOpts{Budget: meter, Trace: mtr})
 				if err != nil {
 					fail("budget %+v: %v", budget, err)
+				}
+				if msg := ledgerDisagrees(meter, res, mtr.Data()); msg != "" {
+					fail("budget %+v, partial=%v: %s", budget, res.Partial, msg)
 				}
 				for i, line := range res.Lines {
 					if _, ok := slices.BinarySearch(wantLines, line); !ok || res.Entries[i] != lines[line] {
@@ -149,18 +152,16 @@ func TestSourceKindsAgree(t *testing.T) {
 					cut++
 				}
 
-				meter, mtr := core.NewBudgetState(core.Budget{}), obsv.NewTrace("query")
+				meter, mtr = core.NewBudgetState(core.Budget{}), obsv.NewTrace("query")
 				res, err = src.Search(context.Background(), cmd, core.SearchOpts{Budget: meter, Trace: mtr})
 				if err != nil || res.Partial || res.Matches != len(wantLines) {
 					fail("metered: %+v, %v; want %d matches", res, err, len(wantLines))
 				}
-				md := mtr.Data()
-				if meter.Decompressions() != int64(res.Decompressions) || meter.ScannedBytes() != spanSum(md, "bytes_scanned") {
-					fail("meter says %d decompressions and %d bytes scanned; the result says %d, the trace's spans %d",
-						meter.Decompressions(), meter.ScannedBytes(), res.Decompressions, spanSum(md, "bytes_scanned"))
+				if msg := ledgerDisagrees(meter, res, mtr.Data()); msg != "" {
+					fail("metered: %s", msg)
 				}
-				if total, searched, skipped := meter.Blocks(); total != attr(md, "blocks") || searched+skipped != total {
-					fail("meter blocks %d searched + %d skipped of %d; the trace has %d", searched, skipped, total, attr(md, "blocks"))
+				if w := meter.Reading(); w.BlocksSearched+w.BlocksSkipped != w.Blocks {
+					fail("meter blocks %d searched + %d skipped of %d", w.BlocksSearched, w.BlocksSkipped, w.Blocks)
 				}
 
 				res, err = src.Search(context.Background(), cmd, core.SearchOpts{CountOnly: true})
@@ -204,6 +205,39 @@ func TestSourceKindsAgree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ledgerDisagrees states the one-ledger contract of a metered, traced
+// search, cut short or not: each counter of the meter is that counter
+// summed over the trace's spans (a Store's filter and verify spans, an
+// archive's block spans), its decompressions are the Result's, and the wide
+// event it writes carries the same counts, its blocks the trace's (skips
+// summed over their three reasons). It returns "" when all agree.
+func ledgerDisagrees(meter *core.BudgetState, res *core.Result, d obsv.TraceData) string {
+	w := meter.Reading()
+	ev := &obsv.WideEvent{}
+	w.FillEvent(ev)
+	for _, c := range []struct {
+		key string
+		got int64
+	}{
+		{"stamp_admits", ev.StampAdmits}, {"stamp_skips", ev.StampSkips}, {"capsule_scans", ev.CapsuleScans},
+		{"scan_cache_hits", ev.ScanCacheHits}, {"bytes_scanned", ev.BytesScanned},
+		{"decompressions", ev.Decompressions}, {"line_maps", w.LineMaps},
+	} {
+		if sum := spanSum(d, c.key); sum != c.got {
+			return fmt.Sprintf("the meter says %s=%d, the trace's spans %d", c.key, c.got, sum)
+		}
+	}
+	if int64(res.Decompressions) != w.Decompressions {
+		return fmt.Sprintf("the meter says %d decompressions, the result %d", w.Decompressions, res.Decompressions)
+	}
+	skipped := attr(d, "blocks_skipped") + attr(d, "blocks_skipped_postings") + attr(d, "blocks_skipped_blooms")
+	if ev.Blocks != attr(d, "blocks") || ev.BlocksSearched != attr(d, "blocks_searched") || ev.BlocksSkipped != skipped {
+		return fmt.Sprintf("the event says blocks %d, searched %d, skipped %d; the trace %d, %d, %d",
+			ev.Blocks, ev.BlocksSearched, ev.BlocksSkipped, attr(d, "blocks"), attr(d, "blocks_searched"), skipped)
+	}
+	return ""
 }
 
 // attr reads one trace-level counter.

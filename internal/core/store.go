@@ -44,7 +44,6 @@ type Store struct {
 	chunkSearchers map[[2]int]searcher
 	findCache      map[findKey]*bitset.Set
 	size           int
-	stats          scanStats
 	readHook       ReadHook
 	// lineIndex inverts the line maps (block line → group row). Queries
 	// never need it; lineRefs builds it for the by-line-number entry points.
@@ -54,32 +53,17 @@ type Store struct {
 	ex *explainRec
 
 	// mu serializes every path that touches the mutable state above
-	// (searchers, findCache, the box payload caches, stats, the engine's
-	// stamp counters): uncached queries, reconstruction, Explain, and the
-	// counter accessors.
+	// (searchers, findCache, the box payload caches, the running search's
+	// meter in en): uncached queries, reconstruction and Explain.
 	mu sync.Mutex
-	// intr is the active query's cancellation/budget state; non-nil only
-	// while mu is held by a query.
-	intr *interruptState
+	// ctx is the running query's (or reconstruction's) context; non-nil
+	// only while one holds mu.
+	ctx context.Context
 
 	// cacheMu guards the Query Cache independently of mu so cache hits
 	// never wait behind a running query.
 	cacheMu sync.RWMutex
 	qcache  map[string]*Result
-}
-
-// scanStats counts the scan-level work a store performed; queries snapshot
-// it before/after to fill their traces.
-type scanStats struct {
-	// scans counts Capsule payload scans actually executed; scanCacheHits
-	// counts scans answered from findCache.
-	scans         int
-	scanCacheHits int
-	// bytesScanned sums the decompressed payload bytes those scans
-	// examined.
-	bytesScanned int
-	// lineMaps counts line maps decoded (first touches).
-	lineMaps int
 }
 
 // findKey keys the per-store cache of capsule scan results.
@@ -257,11 +241,11 @@ func Open(data []byte, opts QueryOptions) (*Store, error) {
 }
 
 // lines returns a line map's numbers, counting its first touch.
-func (st *Store) lines(m *capsule.LineMap) ([]int, error) {
-	if m.Pending() {
-		st.stats.lineMaps++
+func (st *Store) lines(lm *capsule.LineMap) ([]int, error) {
+	if m := st.en.meter; m != nil && lm.Pending() {
+		m.own.LineMaps++
 	}
-	return m.Lines()
+	return lm.Lines()
 }
 
 // lineRefs returns the block line → (group, row) index, building it on
@@ -439,14 +423,6 @@ func (st *Store) NumLines() int { return st.box.Meta.NumLines }
 // CompressedSize returns the size of the CapsuleBox in bytes.
 func (st *Store) CompressedSize() int { return st.size }
 
-// Decompressions returns the number of capsule payloads decompressed since
-// the store was opened (or since ResetCounters).
-func (st *Store) Decompressions() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.box.Decompressions
-}
-
 // SetReadHook installs (or clears, with nil) the payload read hook. It
 // waits for any running query, so a hook never appears mid-query.
 func (st *Store) SetReadHook(h ReadHook) {
@@ -455,8 +431,8 @@ func (st *Store) SetReadHook(h ReadHook) {
 	st.readHook = h
 }
 
-// ResetCounters drops decompressed payload caches and counters, modelling a
-// cold query.
+// ResetCounters drops the decompressed payload and scan caches, modelling
+// a cold query.
 func (st *Store) ResetCounters() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -501,6 +477,7 @@ func (st *Store) Search(ctx context.Context, command string, o SearchOpts) (*Res
 		st.cacheMu.RUnlock()
 		if ok {
 			mQueryCacheHits.Inc()
+			o.Budget.fold(Ledger{QueryCacheHits: 1})
 			mQueryNS.Observe(time.Since(t0).Nanoseconds())
 			mQueryMatches.Observe(int64(r.Matches))
 			tr.Attr("cache_hit", 1)
@@ -529,95 +506,28 @@ func (st *Store) Search(ctx context.Context, command string, o SearchOpts) (*Res
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.intr = &interruptState{ctx: ctx, meter: o.Budget}
-	defer func() { st.intr = nil }()
-
-	res := &Result{}
-	d0 := st.box.Decompressions
-	pruned0, admitted0 := st.en.pruned, st.en.admitted
-	stats0 := st.stats
-	o.Budget.SetStage(StageFilter)
-	filterSpan := tr.StartSpan("filter")
-	var cand *rowSets
-	if exact {
-		cand, err = st.exactEval(expr, nil)
-	} else {
-		cand, err = st.overApprox(expr, nil)
-	}
-	if err != nil && !isInterrupt(err) {
-		filterSpan.End()
+	m := o.Budget.Child()
+	st.ctx, st.en.meter = ctx, m
+	defer func() { st.ctx, st.en.meter = nil, nil }()
+	res, err := st.search(expr, exact, tr)
+	work := m.Close()
+	mQueryStampSkips.Add(work.StampSkips)
+	mQueryScans.Add(work.CapsuleScans)
+	mQueryScanCacheHits.Add(work.ScanCacheHits)
+	mQueryBytesScanned.Add(work.BytesScanned)
+	mQueryDecompressions.Add(work.Decompressions)
+	if err != nil {
+		if isInterrupt(err) {
+			mQueriesCancelled.Inc()
+		}
 		return nil, err
 	}
-	if err != nil {
-		// Stopped mid-filter. Budget exhaustion degrades to an empty
-		// partial result (candidates collected so far are an incomplete
-		// superset — verifying them is sound but the filter has already
-		// discarded them); cancellation is a real error.
-		filterSpan.Attr("interrupted", 1).End()
-		if !isBudgetStop(err) {
-			mQueriesCancelled.Inc()
-			return nil, err
-		}
-		mQueryBudgetExceeded.Inc()
-		res.Partial, res.PartialReason = true, err.Error()
-		res.Decompressions = st.box.Decompressions - d0
-		mQueryNS.Observe(time.Since(t0).Nanoseconds())
-		return res, nil
-	}
-	filterSpan.Attr("candidates", int64(cand.count())).
-		Attr("stamp_admits", int64(st.en.admitted-admitted0)).
-		Attr("stamp_skips", int64(st.en.pruned-pruned0)).
-		Attr("capsule_scans", int64(st.stats.scans-stats0.scans)).
-		Attr("scan_cache_hits", int64(st.stats.scanCacheHits-stats0.scanCacheHits)).
-		Attr("bytes_scanned", int64(st.stats.bytesScanned-stats0.bytesScanned)).
-		Attr("decompressions", int64(st.box.Decompressions-d0)).
-		End()
-	mQueryStampSkips.Add(int64(st.en.pruned - pruned0))
-	mQueryScans.Add(int64(st.stats.scans - stats0.scans))
-	mQueryScanCacheHits.Add(int64(st.stats.scanCacheHits - stats0.scanCacheHits))
-	mQueryBytesScanned.Add(int64(st.stats.bytesScanned - stats0.bytesScanned))
-
-	if exact {
-		res.Matches = cand.count()
-	} else {
-		dFilter := st.box.Decompressions
-		o.Budget.SetStage(StageVerify)
-		verifySpan := tr.StartSpan("verify")
-		found, checked, verr := st.verify(expr, cand)
-		if verr != nil && !isInterrupt(verr) {
-			verifySpan.End()
-			return nil, verr
-		}
-		if verr != nil && !isBudgetStop(verr) {
-			verifySpan.Attr("interrupted", 1).End()
-			mQueriesCancelled.Inc()
-			return nil, verr
-		}
-		if verr != nil {
-			// Budget ran out mid-verification: everything verified so far is
-			// an exact match; report it and mark the cut.
-			mQueryBudgetExceeded.Inc()
-			res.Partial, res.PartialReason = true, verr.Error()
-		}
-		res.Matches = len(found)
-		if len(found) > 0 {
-			res.Lines, res.Entries = make([]int, len(found)), make([]string, len(found))
-			for i, m := range found {
-				res.Lines[i], res.Entries[i] = m.line, m.entry
-			}
-		}
-		verifySpan.Attr("candidates_checked", int64(checked)).
-			Attr("matches", int64(res.Matches)).
-			Attr("decompressions", int64(st.box.Decompressions-dFilter)).
-			Attr("line_maps", int64(st.stats.lineMaps-stats0.lineMaps)).
-			End()
-	}
-
-	res.Decompressions = st.box.Decompressions - d0
-	mQueryDecompressions.Add(int64(res.Decompressions))
+	res.Decompressions = int(work.Decompressions)
 	mQueryNS.Observe(time.Since(t0).Nanoseconds())
 	mQueryMatches.Observe(int64(res.Matches))
-	tr.Attr("matches", int64(res.Matches))
+	if res.Partial {
+		mQueryBudgetExceeded.Inc()
+	}
 	// A verifying count found the whole answer on its way, so it fills the
 	// cache like a query; only the exact-bitset count has no lines to keep.
 	if st.cacheOn && !res.Partial && !exact {
@@ -630,6 +540,69 @@ func (st *Store) Search(ctx context.Context, command string, o SearchOpts) (*Res
 		c.Lines, c.Entries = nil, nil
 		return &c, nil
 	}
+	return res, nil
+}
+
+// search is Search's uncached body, run under st.mu with the search's own
+// meter installed; its filter and verify spans read that meter. An
+// exhausted budget is a Partial result, any other error is returned.
+func (st *Store) search(expr query.Expr, exact bool, tr *obsv.Trace) (*Result, error) {
+	m := st.en.meter
+	res := &Result{}
+	m.SetStage(StageFilter)
+	filterSpan := tr.StartSpan("filter")
+	cand, err := st.filter(expr, nil, exact)
+	switch {
+	case err == nil:
+		filterSpan.Attr("candidates", int64(cand.count()))
+	case isInterrupt(err):
+		filterSpan.Attr("interrupted", 1)
+	}
+	filtered := m.Reading()
+	filtered.attrs(filterSpan, 0, keyLineMaps).End()
+	if err != nil {
+		if !isBudgetStop(err) {
+			return nil, err
+		}
+		// Budget exhaustion mid-filter degrades to an empty partial result
+		// (candidates collected so far are an incomplete superset — verifying
+		// them is sound but the filter has already discarded them).
+		res.Partial, res.PartialReason = true, err.Error()
+		return res, nil
+	}
+
+	if exact {
+		res.Matches = cand.count()
+	} else {
+		m.SetStage(StageVerify)
+		verifySpan := tr.StartSpan("verify")
+		found, checked, verr := st.verify(expr, cand)
+		switch {
+		case verr == nil || isBudgetStop(verr):
+			verifySpan.Attr("candidates_checked", int64(checked)).Attr("matches", int64(len(found)))
+		case isInterrupt(verr):
+			verifySpan.Attr("interrupted", 1)
+		}
+		verified := m.Reading()
+		Ledger{Decompressions: verified.Decompressions - filtered.Decompressions, LineMaps: verified.LineMaps - filtered.LineMaps}.
+			attrs(verifySpan, keyDecompressions, numKeys).End()
+		if verr != nil && !isBudgetStop(verr) {
+			return nil, verr
+		}
+		if verr != nil {
+			// Budget ran out mid-verification: everything verified so far is
+			// an exact match; report it and mark the cut.
+			res.Partial, res.PartialReason = true, verr.Error()
+		}
+		res.Matches = len(found)
+		if len(found) > 0 {
+			res.Lines, res.Entries = make([]int, len(found)), make([]string, len(found))
+			for i, m := range found {
+				res.Lines[i], res.Entries[i] = m.line, m.entry
+			}
+		}
+	}
+	tr.Attr("matches", int64(res.Matches))
 	return res, nil
 }
 
@@ -715,13 +688,20 @@ func (st *Store) outlierEntry(rank int) (string, error) {
 // interrupt errors.
 func isBudgetStop(err error) bool { return errors.Is(err, ErrBudgetExceeded) }
 
-// overApprox returns a superset of the rows of within that match the
-// expression — of all the block's rows when within is nil — and never a row
-// outside within. It does not modify within.
+// filter is the filtering phase: the rows of within (all of the block's
+// rows when within is nil) that may match the expression, and never a row
+// outside within. It does not modify within. exact decides only how a NOT
+// is handled:
 //
-// NOT nodes yield all of within (complementing a superset would not be
-// sound); their pruning happens in the verification phase, just as
-// "grep -v" scans what earlier pipeline stages let through.
+//   - false: the result is a superset. A NOT yields all of within
+//     (complementing a superset would not be sound); its pruning happens in
+//     the verification phase, just as "grep -v" scans what earlier pipeline
+//     stages let through.
+//   - true, for an expression of all-exact leaves (allExactLeaves): the leaf
+//     sets are exact, so the result is M(e) ∩ within itself. A NOT
+//     complements soundly, but only a set computed over all rows: its
+//     operand is evaluated unrestricted and the complement cut to within
+//     after.
 //
 // Narrowing (§5.2, "check these rows in the second Capsule instead of
 // scanning all rows"): an AND evaluates its more selective child first and
@@ -733,34 +713,38 @@ func isBudgetStop(err error) bool { return errors.Is(err, ErrBudgetExceeded) }
 // intersects its per-group sets into (a copy of) within. An OR hands within
 // to both children and unions. An AND's first child returns
 // L ⊇ M(hi) ∩ within and the second, given L, returns a superset of
-// M(lo) ∩ L ⊇ M(hi AND lo) ∩ within. A NOT's operand is never evaluated
-// here, so no narrowed set can reach under a NOT; it contributes all of
-// within. (exactEval in count.go does evaluate NOT operands, and keeps them
-// unrestricted.)
-func (st *Store) overApprox(e query.Expr, within *rowSets) (*rowSets, error) {
+// M(lo) ∩ L ⊇ M(hi AND lo) ∩ within. No narrowed set reaches under a NOT.
+func (st *Store) filter(e query.Expr, within *rowSets, exact bool) (*rowSets, error) {
 	switch x := e.(type) {
 	case *query.And:
 		// The higher-selectivity side first (longest required fragment
 		// wins): when it comes up empty the other side — and all of its
 		// capsule lookups — is skipped entirely.
 		hi, lo := andOrder(x)
-		l, err := st.overApprox(hi, within)
+		l, err := st.filter(hi, within, exact)
 		if err != nil || !l.any() {
 			return l, err
 		}
-		return st.overApprox(lo, l)
+		return st.filter(lo, l, exact)
 	case *query.Or:
-		l, err := st.overApprox(x.L, within)
+		l, err := st.filter(x.L, within, exact)
 		if err != nil {
 			return nil, err
 		}
-		r, err := st.overApprox(x.R, within)
+		r, err := st.filter(x.R, within, exact)
 		if err != nil {
 			return nil, err
 		}
 		return l.or(r), nil
 	case *query.Not:
-		return st.rowsOf(within), nil
+		if !exact {
+			return st.rowsOf(within), nil
+		}
+		s, err := st.filter(x.X, nil, true)
+		if err != nil {
+			return nil, err
+		}
+		return st.rowsOf(within).andNot(s), nil
 	case *query.Search:
 		return st.searchCandidates(x, within)
 	}
@@ -854,8 +838,8 @@ func (st *Store) searchCandidates(s *query.Search, within *rowSets) (*rowSets, e
 func (st *Store) ReconstructLine(ctx context.Context, line int) (string, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.intr = &interruptState{ctx: ctx}
-	defer func() { st.intr = nil }()
+	st.ctx = ctx
+	defer func() { st.ctx = nil }()
 	return st.reconstructLineLocked(line)
 }
 

@@ -380,7 +380,7 @@ func TestQueryBudgetSpansSegments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, meter.Decompressions()
+		return res, meter.Reading().Decompressions
 	}
 	// Budgeted run first, while every payload is still cold.
 	budget := core.Budget{MaxDecompressions: 4}

@@ -93,8 +93,8 @@ type EntryView struct {
 	// BudgetFraction is how much of the tighter work cap is consumed,
 	// in [0,1]; 0 when the request runs unbudgeted.
 	BudgetFraction float64 `json:"budget_fraction"`
-	// The meter's reading. Each field is individually atomic; fields may
-	// be skewed by in-flight adds, never by decrements (there are none).
+	// The meter's reading (core.BudgetState.Reading). Fields may be skewed
+	// by in-flight adds, never by decrements (there are none).
 	Stage          string `json:"stage"`
 	BlocksTotal    int64  `json:"blocks_total,omitempty"`
 	BlocksSearched int64  `json:"blocks_searched,omitempty"`
@@ -223,6 +223,7 @@ func (r *Registry) Snapshot() []EntryView {
 	out := make([]EntryView, len(es))
 	for i, e := range es {
 		ev, m := e.Event, e.Meter
+		work := m.Reading()
 		v := EntryView{
 			ID:             ev.TraceID,
 			Tenant:         ev.Tenant,
@@ -235,10 +236,12 @@ func (r *Registry) Snapshot() []EntryView {
 			Cancellable:    e.Cancel != nil,
 			BudgetFraction: m.Fraction(),
 			Stage:          m.Stage().String(),
-			BytesScanned:   m.ScannedBytes(),
-			Decompressions: m.Decompressions(),
+			BlocksTotal:    work.Blocks,
+			BlocksSearched: work.BlocksSearched,
+			BlocksSkipped:  work.BlocksSkipped,
+			BytesScanned:   work.BytesScanned,
+			Decompressions: work.Decompressions,
 		}
-		v.BlocksTotal, v.BlocksSearched, v.BlocksSkipped = m.Blocks()
 		if !e.Deadline.IsZero() {
 			ms := float64(e.Deadline.Sub(now).Microseconds()) / 1000
 			v.DeadlineMS = &ms

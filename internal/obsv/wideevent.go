@@ -49,7 +49,7 @@ type WideEvent struct {
 	Queued bool `json:"queued,omitempty"`
 	Shed   bool `json:"shed,omitempty"`
 
-	// Work counters, summed across all stages and blocks.
+	// Work counters: the query meter's reading, all stages and blocks.
 	StampAdmits    int64 `json:"stamp_admits"`
 	StampSkips     int64 `json:"stamp_skips"`
 	CapsuleScans   int64 `json:"capsule_scans"`
@@ -62,7 +62,9 @@ type WideEvent struct {
 	IngestBytes int64 `json:"ingest_bytes,omitempty"`
 	IngestLines int64 `json:"ingest_lines,omitempty"`
 
-	// Archive shape (zero for single-box sources).
+	// Archive shape (zero for single-box sources), also off the meter:
+	// BlocksSkipped counts every skip, by index or stamp, so searched plus
+	// skipped is Blocks unless the query was cut short.
 	Blocks         int64 `json:"blocks,omitempty"`
 	BlocksSearched int64 `json:"blocks_searched,omitempty"`
 	BlocksSkipped  int64 `json:"blocks_skipped,omitempty"`
@@ -88,30 +90,13 @@ type WideEvent struct {
 }
 
 // FillFromTrace folds a query trace into the event: spans are attached
-// verbatim, per-span work counters are summed, and trace-level attributes
-// map onto the corresponding event fields.
+// verbatim and the result's trace-level attributes map onto the
+// corresponding event fields. The work counters and block counts are not
+// read off spans: they are the query meter's (core.Ledger.FillEvent).
 func (e *WideEvent) FillFromTrace(d TraceData) {
 	e.Spans = d.Spans
 	if e.DurNS == 0 {
 		e.DurNS = d.DurNS
-	}
-	for _, sp := range d.Spans {
-		for _, a := range sp.Attrs {
-			switch a.Key {
-			case "stamp_admits":
-				e.StampAdmits += a.Val
-			case "stamp_skips":
-				e.StampSkips += a.Val
-			case "capsule_scans":
-				e.CapsuleScans += a.Val
-			case "scan_cache_hits":
-				e.ScanCacheHits += a.Val
-			case "bytes_scanned":
-				e.BytesScanned += a.Val
-			case "decompressions":
-				e.Decompressions += a.Val
-			}
-		}
 	}
 	for _, a := range d.Attrs {
 		switch a.Key {
@@ -123,12 +108,6 @@ func (e *WideEvent) FillFromTrace(d TraceData) {
 			e.CacheHit = a.Val != 0
 		case "partial":
 			e.Partial = a.Val != 0
-		case "blocks":
-			e.Blocks = a.Val
-		case "blocks_searched":
-			e.BlocksSearched = a.Val
-		case "blocks_skipped":
-			e.BlocksSkipped = a.Val
 		case "damaged_regions":
 			e.DamagedRegions = a.Val
 		}

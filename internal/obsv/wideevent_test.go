@@ -152,6 +152,10 @@ func TestWideEventGolden(t *testing.T) {
 	}
 }
 
+// TestFillFromTrace: a trace gives the event its spans and the result's
+// attributes, never work counters or block counts — those are the query
+// meter's, and summing span attributes by name was a second ledger that
+// disagreed with it.
 func TestFillFromTrace(t *testing.T) {
 	tr := NewTrace("query")
 	sp := tr.StartSpan("filter")
@@ -161,14 +165,17 @@ func TestFillFromTrace(t *testing.T) {
 	sp.End()
 	tr.Attr("matches", 4)
 	tr.Attr("cache_hit", 1)
+	tr.Attr("lines", 300)
+	tr.Attr("partial", 1)
+	tr.Attr("damaged_regions", 2)
 	tr.Attr("blocks", 5)
 
 	var ev WideEvent
 	ev.FillFromTrace(tr.Data())
-	if ev.CapsuleScans != 10 || ev.BytesScanned != 2048 || ev.StampSkips != 3 {
-		t.Errorf("span counters not summed: %+v", ev)
+	if ev.CapsuleScans != 0 || ev.BytesScanned != 0 || ev.StampSkips != 0 || ev.Blocks != 0 {
+		t.Errorf("work counters read off the trace: %+v", ev)
 	}
-	if ev.Matches != 4 || !ev.CacheHit || ev.Blocks != 5 {
+	if ev.Matches != 4 || !ev.CacheHit || ev.Lines != 300 || !ev.Partial || ev.DamagedRegions != 2 {
 		t.Errorf("trace attrs not mapped: %+v", ev)
 	}
 	if len(ev.Spans) != 1 || ev.DurNS <= 0 {

@@ -17,12 +17,14 @@ import (
 	"testing"
 	"time"
 
+	"loggrep/internal/archive"
 	"loggrep/internal/core"
 	"loggrep/internal/faultinject"
 	"loggrep/internal/flightrec"
 	"loggrep/internal/ingest"
 	"loggrep/internal/liveops"
 	"loggrep/internal/loggen"
+	"loggrep/internal/logparse"
 	"loggrep/internal/obsv"
 )
 
@@ -539,6 +541,124 @@ func TestUsageMetersEveryRead(t *testing.T) {
 	}
 	got := usageTotal(sv, "acme")
 	if got.Requests != sum.Requests || got.ScanBytes != sum.ScanBytes || got.Decompressions != sum.Decompressions {
+		t.Errorf("usage total %+v does not reconcile with the wide events' sum %+v", got, sum)
+	}
+}
+
+// TestUsageBillsCutQueries: a query cut short — by the scan budget on a
+// bare box, a multi-block archive and a sealed stream, by its deadline (a
+// 504), or by DELETE /v1/inflight — is billed for the work it did, and the
+// tenant's /v1/usage is the sum over the events. The events used to sum
+// their work off the trace's spans, which a budget-cut filter left bare and
+// a failed or cancelled query never read: the scan-capped box query, the
+// costliest kind, billed 0 bytes and 0 decompressions.
+func TestUsageBillsCutQueries(t *testing.T) {
+	lt, _ := loggen.ByName("A")
+	block := lt.Block(11, 4000)
+	sv := New()
+	sv.Liveops = liveops.New(liveops.Config{Registry: obsv.NewRegistry()})
+	buf := &syncBuffer{}
+	sv.Events = obsv.NewEventLog(buf, 0, 0)
+	m, _, err := ingest.Open(ingest.Config{Dir: t.TempDir(), SealBytes: 1 << 30, SealAge: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	sv.Ingest = m
+	lines := logparse.SplitLines(block)
+	for seg := 0; seg < 3; seg++ {
+		if err := m.Append("acme", "app", lines[seg*len(lines)/3:(seg+1)*len(lines)/3]); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.TriggerSeal(context.Background(), "acme", "app"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sv.Load("box", core.Compress(block, core.DefaultOptions())); err != nil {
+		t.Fatal(err)
+	}
+	aopts := archive.DefaultOptions()
+	aopts.BlockBytes = len(block) / 14
+	arc, err := archive.Compress(block, aopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"arc", "arc-slow", "arc-cancel"} {
+		if err := sv.Load(name, arc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sv.sources["arc-slow"].arch.SetReadHook(faultinject.SlowRead(20 * time.Millisecond))
+	sv.sources["arc-cancel"].arch.SetReadHook(faultinject.SlowRead(20 * time.Millisecond))
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+	query := func(src, extra string) string {
+		return ts.URL + "/v1/query?tenant=acme&q=20012&source=" + escape(src) + extra
+	}
+
+	const scanCap = 30_000
+	sv.Budget = core.Budget{MaxScannedBytes: scanCap}
+	for _, src := range []string{"box", "arc", "acme/app"} {
+		var qr queryResponse
+		getJSON(t, query(src, ""), http.StatusOK, &qr)
+		if !qr.Partial || !strings.Contains(qr.PartialTo, "budget") {
+			t.Fatalf("%s: a %d-byte scan cap did not cut the query: %+v", src, scanCap, qr)
+		}
+	}
+	sv.Budget = core.Budget{}
+	getJSON(t, query("arc-slow", "&timeout_ms=200"), http.StatusGatewayTimeout, nil)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		resp, err := http.Get(query("arc-cancel", ""))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		var qr queryResponse
+		json.NewDecoder(resp.Body).Decode(&qr)
+		if resp.StatusCode != http.StatusOK || !qr.Partial || !strings.Contains(qr.PartialTo, "cancelled") {
+			t.Errorf("cancelled query answered %d %+v", resp.StatusCode, qr)
+		}
+	}()
+	var id string
+	waitFor(t, "the stalled query to decompress a capsule", func() bool {
+		for _, v := range sv.Liveops.Inflight.Snapshot() {
+			if v.Decompressions > 0 {
+				id = v.ID
+			}
+		}
+		return id != ""
+	})
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/inflight/"+id, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	<-done
+
+	evs := parseEvents(t, buf.String())
+	if len(evs) != 5 {
+		t.Fatalf("got %d wide events, want 5", len(evs))
+	}
+	var sum liveops.Usage
+	for _, ev := range evs {
+		switch {
+		case ev.Status == http.StatusOK && strings.Contains(ev.PartialReason, "budget"):
+			if ev.BytesScanned < scanCap || ev.Decompressions < 1 {
+				t.Errorf("scan-capped query on %s billed %d bytes and %d decompressions, want >= %d and >= 1",
+					ev.Source, ev.BytesScanned, ev.Decompressions, scanCap)
+			}
+		case ev.BytesScanned == 0 && ev.Decompressions == 0:
+			t.Errorf("status %d (%s) on %s billed no work", ev.Status, ev.Error, ev.Source)
+		}
+		sum.Requests++
+		sum.ScanBytes += ev.BytesScanned
+		sum.Decompressions += ev.Decompressions
+	}
+	if got := usageTotal(sv, "acme"); got.Requests != sum.Requests || got.ScanBytes != sum.ScanBytes || got.Decompressions != sum.Decompressions {
 		t.Errorf("usage total %+v does not reconcile with the wide events' sum %+v", got, sum)
 	}
 }

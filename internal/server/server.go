@@ -98,8 +98,9 @@ type Server struct {
 	// (GET /v1/inflight, DELETE /v1/inflight/{id}), its engine work is
 	// attributed to its tenant in the usage meter (GET /v1/usage), and
 	// its outcome feeds the SLO burn-rate engine (GET /v1/slo). Like
-	// Events, setting it forces traced query execution so the meter sees
-	// engine-work fields. All plane methods are nil-safe.
+	// Events, setting it forces traced query execution, so the usage
+	// meter's CPU estimate sums span timings. All plane methods are
+	// nil-safe.
 	Liveops *liveops.Plane
 	// Ingest, when set, enables the write path: POST /ingest appends
 	// batches into per-tenant/stream WAL buffers and POST /ingest/seal
@@ -481,20 +482,20 @@ type request struct {
 	// they learned; the lifecycle stamps the outcome and emits it.
 	ev *obsv.WideEvent
 	// meter caps and counts the request's engine work under the server's
-	// budget; the in-flight registry reads it live.
+	// budget; the in-flight registry reads it live and the finished event
+	// carries its reading.
 	meter *core.BudgetState
 	// t0 is when the request arrived, before admission.
 	t0 time.Time
 }
 
 // lifecycle is the one path every evented request takes: start the wide
-// event, gate the method (and, for the write endpoints, that ingest is
-// enabled), pass admission control, derive the request context, attach
-// blob accounting, build the work meter, register in the in-flight view,
-// run the body, and —
-// exactly once, on every return path including a panic — finish the
-// event. A body does its work, writes its response and returns the
-// status and error message the event should carry.
+// event and the work meter, gate the method (and, for the write endpoints,
+// that ingest is enabled), pass admission control, derive the request
+// context, attach blob accounting, register in the in-flight view, run the
+// body, and — exactly once, on every return path including a panic —
+// finish the event from the meter. A body does its work, writes its
+// response and returns the status and error message the event should carry.
 //
 // write selects the POST /ingest* shape (POST only, 404 unless ingest is
 // enabled, no deadline, source "tenant/stream") over the GET /v1/* shape
@@ -507,11 +508,12 @@ func (sv *Server) lifecycle(endpoint string, write bool, body func(http.Response
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		ev := sv.startEvent(r, endpoint, write)
+		meter := core.NewBudgetState(sv.Budget)
 		var adm admitState
 		// A body that panics never assigns these, so the event of a
 		// recovered panic (instrument answers it) reads 500.
 		status, errMsg := http.StatusInternalServerError, "handler panic"
-		defer func() { sv.finishEvent(ev, t0, adm, status, errMsg) }()
+		defer func() { sv.finishEvent(ev, meter, t0, adm, status, errMsg) }()
 
 		if r.Method != method {
 			status, errMsg = fail(w, http.StatusMethodNotAllowed, method+" only")
@@ -537,7 +539,7 @@ func (sv *Server) lifecycle(endpoint string, write bool, body func(http.Response
 		// exemplars join the same trace.
 		bst := &blobstore.OpStats{TraceID: ev.TraceID}
 		defer stampBlobStats(ev, bst)
-		rq := &request{ctx: blobstore.WithStats(ctx, bst), ev: ev, meter: core.NewBudgetState(sv.Budget), t0: t0}
+		rq := &request{ctx: blobstore.WithStats(ctx, bst), ev: ev, meter: meter, t0: t0}
 		doneInflight := sv.beginLiveops(rq, cancelCause)
 		defer doneInflight()
 		status, errMsg = body(w, r, rq)
@@ -569,13 +571,16 @@ func (sv *Server) startEvent(r *http.Request, endpoint string, write bool) *obsv
 	}
 }
 
-// finishEvent stamps the event's outcome — wall-clock duration (what the
-// slowlog threshold applies to), admission state, final status — then emits
-// it through the log's threshold-or-sampled policy, buffers it in the
-// flight recorder (which may trigger a dump), hands it to the OTLP
-// exporter (a non-blocking enqueue; a full queue drops with a counter)
-// and feeds the usage meter and SLO engine. Every sink is nil-safe.
-func (sv *Server) finishEvent(ev *obsv.WideEvent, t0 time.Time, adm admitState, status int, errMsg string) {
+// finishEvent stamps the event's outcome — the engine work its meter
+// counted (whatever ended the request: an answer, a budget cut, a deadline,
+// a cancel), wall-clock duration (what the slowlog threshold applies to),
+// admission state, final status — then emits it through the log's
+// threshold-or-sampled policy, buffers it in the flight recorder (which may
+// trigger a dump), hands it to the OTLP exporter (a non-blocking enqueue; a
+// full queue drops with a counter) and feeds the usage meter and SLO
+// engine. Every sink is nil-safe.
+func (sv *Server) finishEvent(ev *obsv.WideEvent, meter *core.BudgetState, t0 time.Time, adm admitState, status int, errMsg string) {
+	meter.Reading().FillEvent(ev)
 	ev.DurNS = time.Since(t0).Nanoseconds()
 	ev.Queued, ev.Shed = adm.queued, adm.shed
 	ev.Status = status

@@ -198,6 +198,50 @@ func TestWideEventBudgetAndCache(t *testing.T) {
 	}
 }
 
+// TestWideEventBlocksAddUp: the event's blocks_skipped is every block the
+// query's meter saw skipped — by the index's postings or blooms, or by a
+// block stamp — so searched plus skipped is blocks, as on /v1/inflight. The
+// per-reason split stays on the trace. The event used to take the trace's
+// blocks_skipped, which is stamp skips alone, so a needle the index prunes
+// read "14 blocks, 12 searched, 0 skipped".
+func TestWideEventBlocksAddUp(t *testing.T) {
+	lt, _ := loggen.ByName("A")
+	block := lt.Block(11, 4000)
+	aopts := archive.DefaultOptions()
+	aopts.BlockBytes = len(block) / 14
+	data, err := archive.Compress(block, aopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := New()
+	buf := &syncBuffer{}
+	sv.Events = obsv.NewEventLog(buf, 0, 0)
+	if err := sv.Load("arc", data); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+	var qr queryResponse
+	getJSON(t, ts.URL+"/v1/query?trace=1&source=arc&q="+escape("reqId:5E9D21AD5E473938"), http.StatusOK, &qr)
+	byIndex := int64(0)
+	for _, a := range qr.Trace.Attrs {
+		if a.Key == "blocks_skipped_postings" || a.Key == "blocks_skipped_blooms" {
+			byIndex += a.Val
+		}
+	}
+	if byIndex == 0 {
+		t.Fatalf("the index pruned no block; the check proves nothing: %+v", qr.Trace.Attrs)
+	}
+	evs := parseEvents(t, buf.String())
+	if len(evs) != 1 {
+		t.Fatalf("got %d wide events, want 1", len(evs))
+	}
+	if ev := evs[0]; ev.Blocks == 0 || ev.BlocksSearched+ev.BlocksSkipped != ev.Blocks || ev.BlocksSkipped < byIndex {
+		t.Errorf("event says blocks %d, searched %d, skipped %d; the index alone skipped %d",
+			ev.Blocks, ev.BlocksSearched, ev.BlocksSkipped, byIndex)
+	}
+}
+
 // TestWideEventSlowlogThreshold: a high threshold suppresses fast requests
 // entirely.
 func TestWideEventSlowlogThreshold(t *testing.T) {

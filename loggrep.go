@@ -104,10 +104,10 @@ type Session = core.Session
 // SearchOpts.Budget.
 type Budget = core.Budget
 
-// BudgetState is one query's meter: it counts the query's work (bytes
-// scanned, decompressions, blocks) against a Budget; a single state can be
-// shared across stores so the caps bound the whole query. nil means
-// unlimited and counts nothing.
+// BudgetState is one query's meter: it counts the query's engine work
+// (Reading returns it) against a Budget; a single state can be shared
+// across stores so the caps bound the whole query. nil means unlimited and
+// counts nothing.
 type BudgetState = core.BudgetState
 
 // NewBudgetState starts a meter under a budget; a zero Budget counts
