@@ -7,6 +7,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"time"
 
 	"loggrep/internal/blockindex"
 	"loggrep/internal/core"
@@ -137,7 +138,9 @@ func (aw *Writer) worker() {
 		}
 		var scan *blockindex.BlockScan
 		if aw.index != nil {
+			t0 := time.Now()
 			scan = blockindex.ScanBlock(j.block)
+			mArchiveIndexScanNS.Observe(time.Since(t0).Nanoseconds())
 		}
 		aw.done <- result{seq: j.seq, meta: meta, box: box, scan: scan}
 	}
@@ -188,25 +191,24 @@ func countLines(block []byte) int {
 	return n
 }
 
-// blockStamp folds every line of the block into a block-level stamp.
+// blockStamp folds every line of the block into a block-level stamp: the
+// type mask of all its bytes, newlines included, and the longest line.
+// Once the mask holds every class the walk only looks for newlines.
 func blockStamp(block []byte) rtpattern.Stamp {
 	var st rtpattern.Stamp
-	st.TypeMask = rtpattern.TypeMaskOf(string(block))
-	maxLine, cur := 0, 0
-	for _, b := range block {
-		if b == '\n' {
-			if cur > maxLine {
-				maxLine = cur
-			}
-			cur = 0
-			continue
+	for rest := block; len(rest) > 0; {
+		line := rest
+		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+			st.TypeMask |= rtpattern.ClassOf('\n')
+		} else {
+			rest = nil
 		}
-		cur++
+		st.MaxLen = max(st.MaxLen, len(line))
+		if st.TypeMask != rtpattern.TypeAll {
+			st.TypeMask |= rtpattern.TypeMaskOf(line)
+		}
 	}
-	if cur > maxLine {
-		maxLine = cur
-	}
-	st.MaxLen = maxLine
 	return st
 }
 

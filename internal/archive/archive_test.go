@@ -14,6 +14,7 @@ import (
 	"loggrep/internal/logparse"
 	"loggrep/internal/obsv"
 	"loggrep/internal/query"
+	"loggrep/internal/rtpattern"
 )
 
 // attr reads one trace-level counter, 0 when the trace has none of the name.
@@ -57,6 +58,25 @@ func TestOnDiskBytesPinned(t *testing.T) {
 	}
 	if got := hex.EncodeToString(archives.Sum(nil)); got != wantArchives {
 		t.Errorf("archive.Compress over all types hashes to %s, pinned %s", got, wantArchives)
+	}
+}
+
+// blockStamp stops classifying bytes once every class is seen; the stamp
+// must equal the mask of every byte and the longest line all the same.
+func TestBlockStamp(t *testing.T) {
+	lt, _ := loggen.ByName("A")
+	for _, blk := range []string{
+		"", "\n", "\n\n", "abc", "abc\n", "a\n\nxyzw\n", "9F\nzz", "Gg1aA!\n" + strings.Repeat("q", 300),
+		"Gg1aA!\n0\n" + strings.Repeat("é", 80) + "\n", string(lt.Block(1, 500)),
+	} {
+		var want rtpattern.Stamp
+		for _, line := range strings.Split(blk, "\n") {
+			want.MaxLen = max(want.MaxLen, len(line))
+		}
+		want.TypeMask = rtpattern.TypeMaskOf(blk)
+		if got := blockStamp([]byte(blk)); got != want {
+			t.Errorf("blockStamp(%.20q) = %+v, want %+v", blk, got, want)
+		}
 	}
 }
 

@@ -24,6 +24,8 @@ var (
 	// Block-skipping index funnel (internal/blockindex).
 	mArchiveIndexBytes = obsv.Default.Counter("loggrep_archive_index_bytes_total",
 		"Bytes of block-skipping index sections written by archive writers")
+	mArchiveIndexScanNS = obsv.Default.Histogram("loggrep_archive_index_scan_ns", "ns",
+		"Per-block time archive writers spend scanning raw blocks for the index (4-gram set and token vocabulary)")
 	mArchiveIndexVocabOverflow = obsv.Default.Counter("loggrep_archive_index_vocab_overflow_total",
 		"Archives whose postings section was dropped at the vocabulary cap")
 	mArchiveSkippedPostings = obsv.Default.Counter("loggrep_archive_blocks_skipped_postings_total",

@@ -83,9 +83,9 @@ func TestFilterableMatchesExclusion(t *testing.T) {
 func TestBloomNoFalseNegatives(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for iter := 0; iter < 50; iter++ {
-		grams := make(map[uint64]struct{})
+		grams := newGramSet(0)
 		for i, n := 0, 1+rng.Intn(500); i < n; i++ {
-			grams[rng.Uint64()] = struct{}{}
+			grams.add(rng.Uint64())
 		}
 		// Unsaturated and budget-squeezed filters alike must hold every
 		// inserted gram: the budget may only raise the false-positive
@@ -98,7 +98,7 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 			if int(nbits) > 8*budget && nbits != 64 {
 				t.Fatalf("bloom of %d bits ignored its %d-byte budget", nbits, budget)
 			}
-			for h := range grams {
+			for h := range gramMap(grams) {
 				if !bloomTest(bits, nbits, k, h) {
 					t.Fatalf("false negative: inserted gram %x not found (nbits=%d k=%d budget=%d)", h, nbits, k, budget)
 				}

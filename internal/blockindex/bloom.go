@@ -1,5 +1,7 @@
 package blockindex
 
+import "math/bits"
+
 // Per-block bloom filter over raw token 4-grams. Sizing is budgeted, not
 // proportional: a block's filter never exceeds 1/bloomBudgetDenom of the
 // block's compressed frame, because unique high-entropy values (trace
@@ -56,6 +58,96 @@ func tokenGrams(dst []uint64, tok string) []uint64 {
 		dst = append(dst, gramHash(tok[i], tok[i+1], tok[i+2], tok[i+3]))
 	}
 	return dst
+}
+
+// gramSet is the distinct-gram set of one block scan: open addressing
+// with linear probing over a power-of-two table, 0 marking an empty slot
+// and the zero hash kept in a flag of its own. Bloom bits do not depend
+// on the order grams are set in, so buildBloom may walk the slots.
+type gramSet struct {
+	slots []uint64
+	shift uint // 64 - log2(len(slots)), for Fibonacci hashing
+	n     int  // non-zero hashes stored
+	zero  bool
+}
+
+// newGramSet returns an empty set of at least the given slot count.
+func newGramSet(slots int) *gramSet {
+	b := tableBits(slots)
+	return &gramSet{slots: make([]uint64, 1<<b), shift: 64 - b}
+}
+
+// tableBits is log2 of the power-of-two table size a set starts at for
+// a slot count: at least 1<<10, and at most 1<<18 so a huge block does
+// not pay for a table its tokens never fill; growth takes over past it.
+func tableBits(slots int) uint {
+	b := uint(bits.Len(uint(max(slots, 1) - 1)))
+	return min(max(b, 10), 18)
+}
+
+func (s *gramSet) len() int {
+	if s.zero {
+		return s.n + 1
+	}
+	return s.n
+}
+
+// addGrams inserts every 4-gram of tok and reports whether the set still
+// fits in maxBlockGrams; a set that does not is dropped by its caller.
+func (s *gramSet) addGrams(tok []byte) bool {
+	for i := 0; i+GramLen <= len(tok); i++ {
+		if !s.add(gramHash(tok[i], tok[i+1], tok[i+2], tok[i+3])) {
+			return false
+		}
+	}
+	return true
+}
+
+// add inserts h and reports whether the set still fits in maxBlockGrams.
+// The hash that would overflow it is not stored.
+func (s *gramSet) add(h uint64) bool {
+	if h == 0 {
+		if !s.zero {
+			if s.len() == maxBlockGrams {
+				return false
+			}
+			s.zero = true
+		}
+		return true
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := (h * 0x9E3779B97F4A7C15) >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case h:
+			return true
+		case 0:
+			if s.len() == maxBlockGrams {
+				return false
+			}
+			s.slots[i] = h
+			if s.n++; 2*s.n > len(s.slots) {
+				s.grow()
+			}
+			return true
+		}
+	}
+}
+
+func (s *gramSet) grow() {
+	old := s.slots
+	s.slots = make([]uint64, 2*len(old))
+	s.shift--
+	mask := uint64(len(s.slots) - 1)
+	for _, h := range old {
+		if h == 0 {
+			continue
+		}
+		i := (h * 0x9E3779B97F4A7C15) >> s.shift
+		for s.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = h
+	}
 }
 
 // bloomSize picks the bit count for n distinct grams under a byte
@@ -120,17 +212,23 @@ func bloomTest(bits []byte, nbits uint32, k uint8, h uint64) bool {
 }
 
 // buildBloom materializes a filter from a distinct-gram set within a
-// byte budget. A nil map (scan overflow) yields no filter: nbits 0
+// byte budget. A nil set (scan overflow) yields no filter: nbits 0
 // means "always admit".
-func buildBloom(grams map[uint64]struct{}, budgetBytes int) (nbits uint32, k uint8, bits []byte) {
+func buildBloom(grams *gramSet, budgetBytes int) (nbits uint32, k uint8, bits []byte) {
 	if grams == nil {
 		return 0, 0, nil
 	}
-	nbits = bloomSize(len(grams), budgetBytes)
-	k = bloomProbes(len(grams), nbits)
+	n := grams.len()
+	nbits = bloomSize(n, budgetBytes)
+	k = bloomProbes(n, nbits)
 	bits = make([]byte, nbits/8)
-	for h := range grams {
-		bloomSet(bits, nbits, k, h)
+	for _, h := range grams.slots {
+		if h != 0 {
+			bloomSet(bits, nbits, k, h)
+		}
+	}
+	if grams.zero {
+		bloomSet(bits, nbits, k, 0)
 	}
 	return nbits, k, bits
 }

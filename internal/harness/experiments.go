@@ -23,9 +23,6 @@ type Config struct {
 	QueryReps int
 }
 
-// QuickConfig is a fast run for tests.
-func QuickConfig() Config { return Config{LinesPerLog: 2000, Seed: 1, QueryReps: 1} }
-
 // ---- Figures 7a/7b/7c: latency, ratio, speed per log × system ----------
 
 // Fig7Row is one (log, system) measurement — one bar of Figure 7.

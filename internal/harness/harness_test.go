@@ -11,6 +11,9 @@ import (
 	"loggrep/internal/loggen"
 )
 
+// QuickConfig is a fast run for tests.
+func QuickConfig() Config { return Config{LinesPerLog: 2000, Seed: 1, QueryReps: 1} }
+
 func quickLogs(t *testing.T, names ...string) []loggen.LogType {
 	t.Helper()
 	var out []loggen.LogType

@@ -9,18 +9,22 @@ import (
 )
 
 // stageRows maps the compression-stage histograms in obsv.Default to the
-// row labels PrintStageBreakdown prints, in pipeline order.
+// row labels PrintStageBreakdown prints, in pipeline order. The last row
+// is the archive writer's index scan, which runs beside core.Compress on
+// each block; it reads 0 for runs that build bare boxes only.
 var stageRows = []struct{ label, metric string }{
 	{"parse (static patterns)", "loggrep_compress_parse_ns"},
 	{"extract (runtime patterns)", "loggrep_compress_extract_ns"},
 	{"assemble (capsules)", "loggrep_compress_assemble_ns"},
 	{"pack (LZMA + layout)", "loggrep_compress_pack_ns"},
+	{"index scan (grams + vocab)", "loggrep_archive_index_scan_ns"},
 }
 
 // PrintStageBreakdown reports where compression time went, per stage,
-// from the histograms the core package records in obsv.Default. It is the
-// text form of the paper's compression-cost discussion (§6.2): one row per
-// pipeline stage with total time, share, and per-block p50/p99.
+// from the histograms the core and archive packages record in
+// obsv.Default. It is the text form of the paper's compression-cost
+// discussion (§6.2): one row per pipeline stage with total time, share,
+// and per-block p50/p99.
 func PrintStageBreakdown(w io.Writer) {
 	var total int64
 	type row struct {

@@ -50,37 +50,35 @@ func AppendTokenize(dst []Piece, line string) []Piece {
 	return pieces
 }
 
-// Signature returns the static-layout key of a tokenized line: delimiter
-// runs verbatim, tokens as placeholders.
-func Signature(pieces []Piece) string {
-	var b strings.Builder
+// appendSignature appends the static-layout key of a tokenized line to
+// dst: delimiter runs verbatim, tokens as placeholders.
+func appendSignature(dst []byte, pieces []Piece) []byte {
 	for _, p := range pieces {
 		if p.IsToken {
-			b.WriteByte(0)
+			dst = append(dst, 0)
 		} else {
-			b.WriteString(p.Text)
-			b.WriteByte(1)
+			dst = append(dst, p.Text...)
+			dst = append(dst, 1)
 		}
 	}
-	return b.String()
+	return dst
 }
 
-// variantKey returns the level-2 key: digit-free tokens verbatim,
-// digit-bearing tokens as placeholders.
-func variantKey(pieces []Piece) string {
-	var b strings.Builder
+// appendVariantKey appends the level-2 key to dst: digit-free tokens
+// verbatim, digit-bearing tokens as placeholders.
+func appendVariantKey(dst []byte, pieces []Piece) []byte {
 	for _, p := range pieces {
 		if !p.IsToken {
 			continue
 		}
 		if containsDigit(p.Text) {
-			b.WriteByte(0)
+			dst = append(dst, 0)
 		} else {
-			b.WriteString(p.Text)
+			dst = append(dst, p.Text...)
 		}
-		b.WriteByte(1)
+		dst = append(dst, 1)
 	}
-	return b.String()
+	return dst
 }
 
 // Element is one element of a template: a literal (delimiter runs and static
@@ -106,19 +104,6 @@ func (t *Template) String() string {
 	for _, e := range t.Elems {
 		if e.Var >= 0 {
 			b.WriteString("<*>")
-		} else {
-			b.WriteString(e.Lit)
-		}
-	}
-	return b.String()
-}
-
-// Reconstruct fills vars into the template's slots.
-func (t *Template) Reconstruct(vars []string) string {
-	var b strings.Builder
-	for _, e := range t.Elems {
-		if e.Var >= 0 {
-			b.WriteString(vars[e.Var])
 		} else {
 			b.WriteString(e.Lit)
 		}
@@ -269,13 +254,13 @@ type sigState struct {
 	rep      []Piece               // any representative tokenization
 }
 
-func (st *sigState) observe(pieces []Piece, budget int) {
-	key := variantKey(pieces)
+// observe records one sampled line and its variant key.
+func (st *sigState) observe(pieces []Piece, key []byte, budget int) {
 	if st.variants == nil {
 		st.variants = make(map[string][]Piece)
 	}
-	if _, ok := st.variants[key]; !ok && len(st.variants) <= budget {
-		st.variants[key] = pieces
+	if _, ok := st.variants[string(key)]; !ok && len(st.variants) <= budget {
+		st.variants[string(key)] = pieces
 	}
 	if st.rep == nil {
 		st.rep = pieces
@@ -336,87 +321,83 @@ func Parse(block []byte, opts Options) *Parsed {
 		return p
 	}
 
-	// Pass 1: mine templates on an evenly spaced sample.
+	// Pass 1: mine templates on an evenly spaced sample. Signatures and
+	// variant keys are built into reused buffers and looked up as
+	// m[string(buf)], which does not allocate; only a new key is copied.
 	stride := int(1 / opts.SampleRate)
 	if stride < 1 {
 		stride = 1
 	}
 	states := make(map[string]*sigState)
+	var sig, key []byte
 	for i := 0; i < len(lines); i += stride {
-		pieces := Tokenize(lines[i])
-		sig := Signature(pieces)
-		st := states[sig]
+		pieces := Tokenize(lines[i]) // observe retains the slice
+		sig = appendSignature(sig[:0], pieces)
+		st := states[string(sig)]
 		if st == nil {
 			st = &sigState{}
-			states[sig] = st
+			states[string(sig)] = st
 		}
-		st.observe(pieces, opts.MaxVariants)
+		key = appendVariantKey(key[:0], pieces)
+		st.observe(pieces, key, opts.MaxVariants)
 	}
 	for _, st := range states {
 		st.seal(opts.MaxVariants)
 	}
 
-	// Pass 2: parse every line.
-	type groupKey struct{ sig, variant string }
-	groups := make(map[groupKey]*Group)
-	var order []groupKey
-	// Templates and values keep a piece's string, never the slice, so one
-	// buffer serves every line. Pass 1 cannot do the same: sigState.observe
-	// retains its slices.
+	// Pass 2: parse every line. Each template is one group, so groups are
+	// keyed by template and kept in first-seen order. Templates and values
+	// keep a piece's string, never the slice, so one buffer serves every
+	// line.
+	groups := make(map[*Template]*Group)
 	var pieces []Piece
 	for lineNo, line := range lines {
 		pieces = AppendTokenize(pieces[:0], line)
-		sig := Signature(pieces)
-		st := states[sig]
+		sig = appendSignature(sig[:0], pieces)
+		st := states[string(sig)]
 		if st == nil {
 			st = &sigState{byVariant: make(map[string]*Template)}
-			states[sig] = st
+			states[string(sig)] = st
 		}
-		var tmpl *Template
-		var gk groupKey
-		if st.merged != nil {
-			tmpl = st.merged
-			gk = groupKey{sig: sig}
-		} else {
-			key := variantKey(pieces)
-			tmpl = st.byVariant[key]
+		tmpl := st.merged
+		if tmpl == nil {
+			key = appendVariantKey(key[:0], pieces)
+			tmpl = st.byVariant[string(key)]
 			if tmpl == nil {
 				if len(st.byVariant) >= 4*opts.MaxVariants {
 					// Runaway variant growth at parse time: fall back
 					// to a merged all-variable template for new keys.
-					if st.merged == nil {
-						st.merged = mergedTemplate(pieces, make([]map[string]struct{}, countTokens(pieces)))
-					}
+					st.merged = mergedTemplate(pieces, make([]map[string]struct{}, countTokens(pieces)))
 					tmpl = st.merged
-					gk = groupKey{sig: sig}
 				} else {
 					tmpl = templateFromLine(pieces)
-					st.byVariant[key] = tmpl
-					gk = groupKey{sig: sig, variant: key}
+					st.byVariant[string(key)] = tmpl
 				}
-			} else {
-				gk = groupKey{sig: sig, variant: key}
 			}
 		}
-		vals, ok := matchTemplate(tmpl, pieces)
-		if !ok {
+		if !matchesStatic(tmpl, pieces) {
 			p.Outliers = append(p.Outliers, line)
 			p.OutlierLines = append(p.OutlierLines, lineNo)
 			continue
 		}
-		g := groups[gk]
+		g := groups[tmpl]
 		if g == nil {
 			g = &Group{Template: tmpl, Vars: make([][]string, tmpl.NumVars)}
-			groups[gk] = g
-			order = append(order, gk)
+			groups[tmpl] = g
+			p.Groups = append(p.Groups, g)
 		}
-		for v, val := range vals {
-			g.Vars[v] = append(g.Vars[v], val)
+		v, ti := 0, 0
+		for _, pc := range pieces {
+			if !pc.IsToken {
+				continue
+			}
+			if !tmpl.tokenStatic[ti] {
+				g.Vars[v] = append(g.Vars[v], pc.Text)
+				v++
+			}
+			ti++
 		}
 		g.Lines = append(g.Lines, lineNo)
-	}
-	for _, gk := range order {
-		p.Groups = append(p.Groups, groups[gk])
 	}
 	return p
 }
@@ -431,28 +412,18 @@ func countTokens(pieces []Piece) int {
 	return n
 }
 
-// matchTemplate checks static tokens and extracts variable values.
-func matchTemplate(t *Template, pieces []Piece) ([]string, bool) {
-	vals := make([]string, 0, t.NumVars)
+// matchesStatic reports whether the line's tokens line up with the
+// template's token positions and equal its static tokens.
+func matchesStatic(t *Template, pieces []Piece) bool {
 	ti := 0
 	for _, p := range pieces {
 		if !p.IsToken {
 			continue
 		}
-		if ti >= len(t.tokenStatic) {
-			return nil, false
-		}
-		if t.tokenStatic[ti] {
-			if p.Text != t.tokenLit[ti] {
-				return nil, false
-			}
-		} else {
-			vals = append(vals, p.Text)
+		if ti >= len(t.tokenStatic) || t.tokenStatic[ti] && p.Text != t.tokenLit[ti] {
+			return false
 		}
 		ti++
 	}
-	if ti != len(t.tokenStatic) {
-		return nil, false
-	}
-	return vals, true
+	return ti == len(t.tokenStatic)
 }

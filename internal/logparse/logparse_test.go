@@ -151,6 +151,22 @@ func TestParseReconstructsEverything(t *testing.T) {
 	}
 }
 
+// Signature returns the static-layout key of a tokenized line.
+func Signature(pieces []Piece) string { return string(appendSignature(nil, pieces)) }
+
+// Reconstruct fills vars into the template's slots.
+func (t *Template) Reconstruct(vars []string) string {
+	var b strings.Builder
+	for _, e := range t.Elems {
+		if e.Var >= 0 {
+			b.WriteString(vars[e.Var])
+		} else {
+			b.WriteString(e.Lit)
+		}
+	}
+	return b.String()
+}
+
 // ReconstructAll rebuilds the full block from a Parsed, in line order.
 // Exported via test only — the real reconstruction path lives in core.
 func ReconstructAll(p *Parsed) []string {

@@ -13,29 +13,39 @@ const (
 	TypeOther   uint8 = 1 << 5 // anything else
 )
 
-// ClassOf returns the type bit of a single byte.
-func ClassOf(b byte) uint8 {
-	switch {
-	case b >= '0' && b <= '9':
-		return TypeDigit
-	case b >= 'a' && b <= 'f':
-		return TypeHexLo
-	case b >= 'A' && b <= 'F':
-		return TypeHexUp
-	case b >= 'g' && b <= 'z':
-		return TypeAlphaLo
-	case b >= 'G' && b <= 'Z':
-		return TypeAlphaUp
-	default:
-		return TypeOther
+// TypeAll is the mask with every class present: folding more bytes into
+// it changes nothing.
+const TypeAll = TypeDigit | TypeHexLo | TypeHexUp | TypeAlphaLo | TypeAlphaUp | TypeOther
+
+// classTable holds the type bit of every byte value.
+var classTable = func() (t [256]uint8) {
+	for i := range t {
+		switch b := byte(i); {
+		case b >= '0' && b <= '9':
+			t[i] = TypeDigit
+		case b >= 'a' && b <= 'f':
+			t[i] = TypeHexLo
+		case b >= 'A' && b <= 'F':
+			t[i] = TypeHexUp
+		case b >= 'g' && b <= 'z':
+			t[i] = TypeAlphaLo
+		case b >= 'G' && b <= 'Z':
+			t[i] = TypeAlphaUp
+		default:
+			t[i] = TypeOther
+		}
 	}
-}
+	return t
+}()
+
+// ClassOf returns the type bit of a single byte.
+func ClassOf(b byte) uint8 { return classTable[b] }
 
 // TypeMaskOf returns the union of class bits over all bytes of s.
-func TypeMaskOf(s string) uint8 {
+func TypeMaskOf[T string | []byte](s T) uint8 {
 	var m uint8
 	for i := 0; i < len(s); i++ {
-		m |= ClassOf(s[i])
+		m |= classTable[s[i]]
 	}
 	return m
 }
