@@ -3,8 +3,8 @@
 //
 // A Capsule holds one sub-variable vector, dictionary vector, index vector,
 // or outlier vector, padded to fixed width (pad byte 0x00) so queries can
-// locate the i-th value in O(1) and convert Boyer–Moore hit positions to row
-// numbers by division. Each Capsule carries a stamp — a 6-bit character-type
+// locate the i-th value in O(1) and convert a fixed-length scan's hit
+// positions to row numbers by division. Each Capsule carries a stamp — a 6-bit character-type
 // mask and the maximal value length — used to skip decompression during
 // keyword matching. A CapsuleBox is the compressed form of one log block:
 // an LZMA-compressed directory (static patterns, runtime patterns, stamps,

@@ -12,7 +12,7 @@
 // filter-then-verify scheme: keywords are matched structurally against
 // static and runtime patterns, Capsule stamps prune Capsules that cannot
 // contain a keyword, the few surviving Capsules are scanned with
-// fixed-length Boyer–Moore, and every candidate entry is verified against
+// a fixed-length scan, and every candidate entry is verified against
 // the full phrase — so results are always exact.
 //
 // Both paths are instrumented: per-stage compression timings and sizes,

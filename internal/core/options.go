@@ -22,7 +22,7 @@ type Options struct {
 	// DisableStamps keeps stamps out of the filtering path ("w/o stamp").
 	DisableStamps bool
 	// DisablePadding stores variable-length capsules and queries them with
-	// KMP instead of fixed-length Boyer–Moore ("w/o fixed").
+	// KMP instead of the fixed-length scan ("w/o fixed").
 	DisablePadding bool
 
 	// ChunkBytes, when positive, cuts Capsule payloads larger than this

@@ -143,7 +143,8 @@ func (e *BlockError) Error() string {
 func (e *BlockError) Unwrap() error { return e.Err }
 
 // SearchOpts are the per-call choices of a Search, the same at every level:
-// an archive or stream passes them to each block it searches.
+// an archive passes them to each block it searches, a stream to each sealed
+// segment it searches (with Workers set to 1).
 type SearchOpts struct {
 	// Budget meters and caps the query's work; nil means unlimited and
 	// unmetered. One state bounds the whole query however many blocks (or
@@ -157,8 +158,10 @@ type SearchOpts struct {
 	// attributes are deterministic for a given source and command; durations
 	// are wall-clock. Nil records nothing and costs nothing.
 	Trace *obsv.Trace
-	// Workers bounds how many blocks an archive searches at once
-	// (0 = GOMAXPROCS). A Store is one block and ignores it.
+	// Workers bounds how many blocks an archive searches at once, and how
+	// many sealed segments a stream searches at once — each segment's
+	// blocks then one at a time (0 = GOMAXPROCS). A Store is one block and
+	// ignores it.
 	Workers int
 	// CountOnly asks for grep -c: Result.Matches alone, no Lines or
 	// Entries. When every search string filters exactly the count is pure

@@ -1,6 +1,10 @@
 package query
 
-import "testing"
+import (
+	"testing"
+
+	"loggrep/internal/logparse"
+)
 
 // FuzzParse: arbitrary commands must never panic; successful parses must
 // render and re-parse.
@@ -19,14 +23,69 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzGlobContains: must terminate on any (text, pattern) pair.
+// FuzzGlobContains: the compiled matcher agrees with the naive
+// backtracking oracle on every (text, pattern) pair small enough for the
+// oracle, and terminates on any pair.
 func FuzzGlobContains(f *testing.F) {
 	f.Add("some text here", "te*t")
 	f.Add("", "*")
+	f.Add("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa b", "a*a*a*b")
+	f.Add("state:503 dst:11.8.42", "**:5*3 dst:11.*.4*")
 	f.Fuzz(func(t *testing.T, text, pat string) {
+		got := GlobContains(text, pat)
 		if len(text) > 200 || len(pat) > 30 {
-			return // keep the backtracking bounded for fuzz throughput
+			return // beyond what the oracle's backtracking finishes quickly
 		}
-		GlobContains(text, pat)
+		if want := globContainsNaive(text, pat); got != want {
+			t.Fatalf("GlobContains(%q, %q) = %v, oracle says %v", text, pat, got, want)
+		}
 	})
+}
+
+// globContainsNaive is GlobContains by backtracking: try every start, and
+// at every star every length the star can take. It is the specification
+// the compiled matcher is fuzzed against. Bare, that recursion is
+// exponential in runs of stars ("***…*x"); memoizing it on the two
+// suffix lengths keeps it polynomial without changing what it computes.
+func globContainsNaive(text, pattern string) bool {
+	if pattern == "" {
+		return true
+	}
+	memo := map[[2]int]bool{}
+	for i := 0; i <= len(text); i++ {
+		if globHere(text[i:], pattern, memo) {
+			return true
+		}
+	}
+	return false
+}
+
+func globHere(s, p string, memo map[[2]int]bool) bool {
+	key := [2]int{len(s), len(p)}
+	if v, ok := memo[key]; ok {
+		return v
+	}
+	v := globStep(s, p, memo)
+	memo[key] = v
+	return v
+}
+
+func globStep(s, p string, memo map[[2]int]bool) bool {
+	if p == "" {
+		return true
+	}
+	if p[0] == '*' {
+		for j := 0; ; j++ {
+			if globHere(s[j:], p[1:], memo) {
+				return true
+			}
+			if j >= len(s) || logparse.IsDelim(s[j]) {
+				return false
+			}
+		}
+	}
+	if s == "" || s[0] != p[0] {
+		return false
+	}
+	return globHere(s[1:], p[1:], memo)
 }

@@ -36,6 +36,8 @@ type Search struct {
 	// the filtering machinery looks for. All must occur in an entry for
 	// it to be a candidate.
 	Fragments []string
+
+	glob *glob // Raw, compiled once for MatchEntry
 }
 
 // String renders the expression fully parenthesized.
@@ -59,7 +61,7 @@ func (s *Search) String() string {
 
 // NewSearch builds a Search leaf from a phrase.
 func NewSearch(phrase string) *Search {
-	s := &Search{Raw: phrase}
+	s := &Search{Raw: phrase, glob: compileGlob(phrase)}
 	for _, p := range logparse.Tokenize(phrase) {
 		if !p.IsToken {
 			continue
@@ -90,44 +92,97 @@ func (s *Search) Match(entry string) bool { return s.MatchEntry(entry) }
 // any run of non-delimiter characters. This is the exact semantics; the
 // filtering path may only over-approximate it.
 func (s *Search) MatchEntry(entry string) bool {
-	return GlobContains(entry, s.Raw)
+	return s.glob.match(entry)
 }
 
 // GlobContains reports whether pattern occurs as a substring of text,
 // where '*' in pattern matches any (possibly empty) run of non-delimiter
 // characters.
 func GlobContains(text, pattern string) bool {
-	if pattern == "" {
-		return true
+	return compileGlob(pattern).match(text)
+}
+
+// glob is a compiled GlobContains pattern. Leading and trailing stars are
+// dropped (a star may match nothing, so they never change a substring
+// match). A pattern with no star left is a plain substring. Otherwise it is
+// a Shift-And automaton over the pattern's literal bytes — bit i set means
+// "the first i+1 literal bytes have matched" — in which a star is a
+// self-loop, on non-delimiter bytes, of the position before it. Each text
+// byte costs one step over ⌈literals/64⌉ words, so a match is linear in
+// the text however many stars the pattern holds; whenever no partial match
+// is alive, strings.Index skips to the next occurrence of the literal piece
+// before the first star.
+type glob struct {
+	lit   string   // the whole pattern when it has no star; else the first piece
+	words int      // automaton width in 64-bit words; 0 for a plain substring
+	masks []uint64 // masks[b*words+w]: word w of the positions holding byte b
+	loops []uint64 // positions a star follows
+	final uint64   // the last position's bit, in the last word
+}
+
+func compileGlob(pattern string) *glob {
+	p := strings.Trim(pattern, "*")
+	star := strings.IndexByte(p, '*')
+	if star < 0 {
+		return &glob{lit: p}
 	}
-	for i := 0; i <= len(text); i++ {
-		if globHere(text[i:], pattern) {
+	n := len(p) - strings.Count(p, "*")
+	g := &glob{lit: p[:star], words: (n + 63) / 64}
+	g.masks = make([]uint64, 256*g.words)
+	g.loops = make([]uint64, g.words)
+	i := -1 // position of the last literal byte placed
+	for k := 0; k < len(p); k++ {
+		if p[k] == '*' {
+			g.loops[i/64] |= 1 << (i % 64)
+			continue
+		}
+		i++
+		g.masks[int(p[k])*g.words+i/64] |= 1 << (i % 64)
+	}
+	g.final = 1 << (i % 64)
+	return g
+}
+
+func (g *glob) match(text string) bool {
+	if g.words == 0 {
+		return strings.Contains(text, g.lit)
+	}
+	var small [4]uint64
+	d := small[:]
+	if g.words > len(small) {
+		d = make([]uint64, g.words)
+	}
+	d = d[:g.words]
+	last := g.words - 1
+	live := uint64(0)
+	for i := 0; i < len(text); i++ {
+		if live == 0 {
+			// No partial match: the next one starts at the first piece.
+			j := strings.Index(text[i:], g.lit)
+			if j < 0 {
+				return false
+			}
+			i += j
+		}
+		b := text[i]
+		m := g.masks[int(b)*g.words:]
+		loop := !logparse.IsDelim(b)
+		carry := uint64(1) // a match may start at every byte
+		live = 0
+		for w, old := range d {
+			next := (old<<1 | carry) & m[w]
+			if loop {
+				next |= old & g.loops[w]
+			}
+			carry = old >> 63
+			d[w] = next
+			live |= next
+		}
+		if d[last]&g.final != 0 {
 			return true
 		}
 	}
 	return false
-}
-
-func globHere(s, p string) bool {
-	for {
-		if p == "" {
-			return true
-		}
-		if p[0] == '*' {
-			for j := 0; ; j++ {
-				if globHere(s[j:], p[1:]) {
-					return true
-				}
-				if j >= len(s) || logparse.IsDelim(s[j]) {
-					return false
-				}
-			}
-		}
-		if s == "" || s[0] != p[0] {
-			return false
-		}
-		s, p = s[1:], p[1:]
-	}
 }
 
 // Parse parses a query command. Operators are the case-insensitive words

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -260,5 +261,47 @@ func TestQuotedOperatorWords(t *testing.T) {
 	s := Searches(e)
 	if len(s) != 1 || s[0].Raw != "AND" {
 		t.Fatalf("searches = %v", s)
+	}
+}
+
+// Property: the compiled matcher agrees with the backtracking oracle on
+// short texts and patterns over a small alphabet with delimiters, where
+// stars, repeats and near-misses are dense.
+func TestGlobMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	draw := func(alphabet string, n int) string {
+		b := make([]byte, rng.Intn(n+1))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(b)
+	}
+	for i := 0; i < 20000; i++ {
+		text, pat := draw("ab .", 24), draw("ab.* ", 8)
+		if got, want := GlobContains(text, pat), globContainsNaive(text, pat); got != want {
+			t.Fatalf("GlobContains(%q, %q) = %v, oracle says %v", text, pat, got, want)
+		}
+	}
+}
+
+// BenchmarkGlobContains times the exact matcher, compiled once as a
+// search's MatchEntry is, on a log line: a literal phrase, one star, and
+// a*a*a*b against a 200-byte delimiter-free token it does not match — where
+// a backtracking matcher's cost grows with the fourth power of the token.
+func BenchmarkGlobContains(b *testing.B) {
+	line := "2021-01-04 07:12:55.123 INFO blk_-4258993373224213718 Receiving block src: /10.250.19.102:54106 dest: /10.250.19.102:50010"
+	cases := []struct{ name, text, pat string }{
+		{"literal", line, "dest: /10.250.19.102:50010"},
+		{"one-star", line, "src: /10.250.*:54106"},
+		{"a*a*a*b", strings.Repeat("a", 200) + " b", "a*a*a*b"},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			s := NewSearch(c.pat)
+			b.SetBytes(int64(len(c.text)))
+			for i := 0; i < b.N; i++ {
+				s.MatchEntry(c.text)
+			}
+		})
 	}
 }

@@ -1,8 +1,14 @@
 package strmatch
 
+import (
+	"bytes"
+	"encoding/binary"
+)
+
 // Pad is the byte used to pad values of a Capsule to the Capsule's width.
 // 0x00 cannot appear in text logs, so a keyword never contains it and a
-// Boyer–Moore hit can never straddle the padding of a value (paper §5.2).
+// fixed-length scan's hit can never straddle the padding of a value (paper
+// §5.2).
 const Pad = 0x00
 
 // Kind is the flavor of constraint a keyword part puts on a Capsule value
@@ -86,8 +92,8 @@ func (fw *FixedWidth) valueLen(i int) int {
 }
 
 // FindRows returns every row whose value satisfies (kind, part), ascending.
-// It scans the packed buffer once with Boyer–Moore and converts positions to
-// rows by division, verifying that a hit does not cross a row boundary.
+// It scans the packed buffer once and converts positions to rows by
+// division, verifying that a hit does not cross a row boundary.
 func (fw *FixedWidth) FindRows(part string, kind Kind) []int {
 	var out []int
 	fw.ScanRows(part, kind, func(row int) bool {
@@ -99,6 +105,12 @@ func (fw *FixedWidth) FindRows(part string, kind Kind) []int {
 
 // ScanRows calls fn with each matching row in ascending order; fn returning
 // false stops the scan.
+//
+// Exact and Prefix compare each row head with one masked 8-byte load (and
+// the rest of the part only when the head agrees). Suffix and Substr run
+// bytes.Index over the whole packed buffer: a hit's row is its position
+// divided by the width, a hit straddling two rows resumes one byte later,
+// and an accepted row resumes the scan at the next row's start.
 func (fw *FixedWidth) ScanRows(part string, kind Kind, fn func(row int) bool) {
 	if fw.rows == 0 {
 		return
@@ -119,47 +131,75 @@ func (fw *FixedWidth) ScanRows(part string, kind Kind, fn func(row int) bool) {
 		}
 		return
 	}
-
 	switch kind {
 	case Exact, Prefix:
-		// The part must sit at the start of the row: check each row head
-		// directly; no scan needed.
-		for i := 0; i < fw.rows; i++ {
-			base := i * fw.width
-			if string(fw.buf[base:base+len(part)]) != part {
-				continue
-			}
-			if kind == Exact {
-				// Value must end right after the part.
-				if len(part) != fw.width && fw.buf[base+len(part)] != Pad {
-					continue
-				}
-			}
-			if !fn(i) {
-				return
-			}
-		}
+		fw.scanHeads(part, kind == Exact, fn)
 	case Suffix, Substr:
-		bm := NewBoyerMoore(part)
-		lastRow := -1
-		for pos := bm.Index(fw.buf, 0); pos >= 0; pos = bm.Index(fw.buf, pos+1) {
-			row := pos / fw.width
-			if (pos+len(part)-1)/fw.width != row {
-				continue // straddles a row boundary
-			}
-			if kind == Suffix {
-				end := pos + len(part)
-				if end != (row+1)*fw.width && fw.buf[end] != Pad {
-					continue // not at the end of the value
-				}
-			}
-			if row == lastRow {
-				continue // report each row once
-			}
-			lastRow = row
-			if !fn(row) {
-				return
-			}
+		fw.scanBody(part, kind == Suffix, fn)
+	}
+}
+
+// scanHeads reports the rows that start with part and, when exact, hold
+// nothing after it. An exact part shorter than the width is compared
+// together with the Pad byte that must follow it.
+func (fw *FixedWidth) scanHeads(part string, exact bool, fn func(row int) bool) {
+	n := len(part)
+	if exact && n < fw.width {
+		n++ // and the Pad after it, which want holds: Pad is 0x00
+	}
+	head := min(n, 8)
+	var want [8]byte
+	copy(want[:], part)
+	mask := ^uint64(0) >> (64 - 8*head)
+	key := binary.LittleEndian.Uint64(want[:]) & mask
+	rest := part[min(len(part), head):]
+	w, buf := fw.width, fw.buf
+	i := 0
+	// Rows whose 8-byte load stays inside the buffer take the fast path;
+	// the load covers the whole comparison unless it is longer than 8.
+	for ; i < fw.rows && i*w+8 <= len(buf); i++ {
+		base := i * w
+		if binary.LittleEndian.Uint64(buf[base:])&mask != key {
+			continue
 		}
+		if n > 8 && (string(buf[base+8:base+8+len(rest)]) != rest || n > len(part) && buf[base+len(part)] != Pad) {
+			continue
+		}
+		if !fn(i) {
+			return
+		}
+	}
+	for ; i < fw.rows; i++ {
+		base := i * w
+		if string(buf[base:base+len(part)]) != part || n > len(part) && buf[base+len(part)] != Pad {
+			continue
+		}
+		if !fn(i) {
+			return
+		}
+	}
+}
+
+// scanBody reports the rows that contain part — anywhere, or when suffix
+// only where it ends the value — finding candidates with bytes.Index.
+func (fw *FixedWidth) scanBody(part string, suffix bool, fn func(row int) bool) {
+	w, buf, p := fw.width, fw.buf, []byte(part)
+	for pos := 0; pos+len(p) <= len(buf); {
+		j := bytes.Index(buf[pos:], p)
+		if j < 0 {
+			return
+		}
+		pos += j
+		row := pos / w
+		end := pos + len(p)
+		rowEnd := (row + 1) * w
+		if end > rowEnd || suffix && end != rowEnd && buf[end] != Pad {
+			pos++ // straddles a row boundary, or is not at the value's end
+			continue
+		}
+		if !fn(row) {
+			return
+		}
+		pos = rowEnd
 	}
 }

@@ -8,44 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestBoyerMooreBasic(t *testing.T) {
-	cases := []struct {
-		text, pat string
-		want      []int
-	}{
-		{"hello world", "world", []int{6}},
-		{"aaaa", "aa", []int{0, 1, 2}},
-		{"abcabcabc", "abc", []int{0, 3, 6}},
-		{"abc", "abcd", nil},
-		{"", "a", nil},
-		{"mississippi", "issi", []int{1, 4}},
-		{"GCATCGCAGAGAGTATACAGTACG", "GCAGAGAG", []int{5}},
-	}
-	for _, c := range cases {
-		bm := NewBoyerMoore(c.pat)
-		var got []int // every occurrence, overlapping ones included
-		for pos := bm.Index([]byte(c.text), 0); pos >= 0; pos = bm.Index([]byte(c.text), pos+1) {
-			got = append(got, pos)
-		}
-		if !equalInts(got, c.want) {
-			t.Errorf("BM(%q) in %q = %v, want %v", c.pat, c.text, got, c.want)
-		}
-	}
-}
-
-func TestBoyerMooreEmptyPattern(t *testing.T) {
-	bm := NewBoyerMoore("")
-	if got := bm.Index([]byte("abc"), 0); got != 0 {
-		t.Fatalf("empty pattern Index = %d, want 0", got)
-	}
-	if got := bm.Index([]byte("abc"), 2); got != 2 {
-		t.Fatalf("empty pattern Index from 2 = %d, want 2", got)
-	}
-	if got := bm.Index([]byte("abc"), 4); got != -1 {
-		t.Fatalf("empty pattern Index past end = %d, want -1", got)
-	}
-}
-
 func TestKMPBasic(t *testing.T) {
 	k := NewKMP("abab")
 	got := []int{}
@@ -64,7 +26,7 @@ func TestKMPBasic(t *testing.T) {
 	}
 }
 
-// Property: BM and KMP agree with bytes.Index on random inputs.
+// Property: KMP agrees with bytes.Index on random inputs.
 func TestQuickSearchersAgree(t *testing.T) {
 	f := func(text []byte, patSeed uint32, patLen uint8) bool {
 		// Draw the pattern from the text half the time to get real hits.
@@ -85,10 +47,6 @@ func TestQuickSearchersAgree(t *testing.T) {
 			}
 		}
 		want := bytes.Index(text, pat)
-		if got := NewBoyerMoore(string(pat)).Index(text, 0); got != want {
-			t.Logf("BM: text=%q pat=%q got=%d want=%d", text, pat, got, want)
-			return false
-		}
 		if got := NewKMP(string(pat)).Index(text, 0); got != want {
 			t.Logf("KMP: text=%q pat=%q got=%d want=%d", text, pat, got, want)
 			return false
@@ -259,10 +217,10 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// BenchmarkFixedBMvsVarKMP supports §5.2's claim: fixed-length padding
-// enables Boyer–Moore with row recovery by division, which beats the
+// BenchmarkFixedVsVarKMP supports §5.2's claim: fixed-length padding
+// lets the scan recover a hit's row by division, which beats the
 // delimiter+KMP fallback the "w/o fixed" ablation uses.
-func BenchmarkFixedBMvsVarKMP(b *testing.B) {
+func BenchmarkFixedVsVarKMP(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	n := 200000
 	vals := make([]string, n)
@@ -277,7 +235,7 @@ func BenchmarkFixedBMvsVarKMP(b *testing.B) {
 	fixed := padBuf(vals, 16)
 	variable := []byte(strings.Join(vals, string(rune(Delim))))
 
-	b.Run("fixed-bm", func(b *testing.B) {
+	b.Run("fixed", func(b *testing.B) {
 		fw := NewFixedWidth(fixed, 16)
 		b.SetBytes(int64(len(fixed)))
 		for i := 0; i < b.N; i++ {
@@ -299,4 +257,42 @@ func BenchmarkFixedBMvsVarKMP(b *testing.B) {
 			}
 		}
 	})
+}
+
+// scanColumn builds a 24 000-row column of width 16 whose values draw from
+// alphabet, 8 to 15 bytes each, and a part of n bytes cut from one value's
+// head, so every kind has at least one hit.
+func scanColumn(alphabet string, n int) (*FixedWidth, string) {
+	rng := rand.New(rand.NewSource(24))
+	vals := make([]string, 24000)
+	for i := range vals {
+		v := make([]byte, 8+rng.Intn(8))
+		for j := range v {
+			v[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		vals[i] = string(v)
+	}
+	return NewFixedWidth(padBuf(vals, 16), 16), vals[len(vals)/2][:n]
+}
+
+// BenchmarkFixedWidthScan times ScanRows for every kind over columns of
+// digits, hex and words — the three alphabets padded capsules hold.
+func BenchmarkFixedWidthScan(b *testing.B) {
+	columns := []struct{ name, alphabet string }{
+		{"digit", "0123456789"},
+		{"hex", "0123456789abcdef"},
+		{"word", "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_-./:"},
+	}
+	for _, c := range columns {
+		fw, part := scanColumn(c.alphabet, 6)
+		for _, kind := range []Kind{Exact, Prefix, Suffix, Substr} {
+			b.Run(c.name+"/"+kind.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(fw.Bytes()))
+				for i := 0; i < b.N; i++ {
+					fw.ScanRows(part, kind, func(int) bool { return true })
+				}
+			})
+		}
+	}
 }

@@ -14,7 +14,7 @@
 // within-token '*' wildcards; the engine matches keywords on the static and
 // runtime patterns, uses Capsule stamps to avoid decompressing Capsules
 // that cannot contain a keyword, and scans the few remaining Capsules with
-// fixed-length Boyer–Moore matching.
+// a fixed-length scan.
 //
 // # Quick start
 //
