@@ -6,6 +6,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -112,6 +114,12 @@ func TestArchiveRoundTrip(t *testing.T) {
 	}
 }
 
+// TestArchiveQueryEquivalence: an archive query returns the same whole
+// Result at every worker count — lines, entries, matches, damage, partial
+// flag and reason, decompressions — on a pristine archive, one with a
+// payload-flipped block and one with a damaged frame header, for queries
+// and counts alike; the pristine answers are the oracle's; a budget-cut
+// query at any worker count is a flagged subset of the full answer.
 func TestArchiveQueryEquivalence(t *testing.T) {
 	lt, _ := loggen.ByName("G")
 	stream := lt.Block(4, 8000)
@@ -120,10 +128,21 @@ func TestArchiveQueryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Open(data)
+	frames, err := ScanFrames(data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(frames) < 5 {
+		t.Fatalf("%d frames, want several blocks and a terminator", len(frames))
+	}
+	payloadFlipped := bytes.Clone(data)
+	payloadFlipped[frames[1].PayloadOff+frames[1].PayloadLen/2] ^= 0x40
+	headerDamaged := bytes.Clone(data)
+	headerDamaged[frames[2].HeaderOff+4] ^= 0x01
+	inputs := []struct {
+		name string
+		data []byte
+	}{{"pristine", data}, {"payload-flipped", payloadFlipped}, {"header-damaged", headerDamaged}}
 	queries := []string{
 		lt.Query,
 		"Operation:WriteChunk",
@@ -131,23 +150,79 @@ func TestArchiveQueryEquivalence(t *testing.T) {
 		"NOT INFO",
 		"heartbeat AND node-7",
 	}
-	for _, cmd := range queries {
-		for _, workers := range []int{1, 4} {
-			res, err := a.Search(context.Background(), cmd, core.SearchOpts{Workers: workers})
-			if err != nil {
-				t.Fatalf("query %q: %v", cmd, err)
-			}
-			want := oracle(t, lines, cmd)
-			if len(res.Lines) != len(want) {
-				t.Fatalf("query %q (workers=%d): %d matches, want %d", cmd, workers, len(res.Lines), len(want))
-			}
-			for i := range want {
-				if res.Lines[i] != want[i] || res.Entries[i] != lines[want[i]] {
-					t.Fatalf("query %q: mismatch at %d", cmd, i)
+	// search opens the input afresh, so every run starts from cold caches
+	// and decompresses what the first run of its query does.
+	search := func(data []byte, cmd string, o core.SearchOpts) *Result {
+		t.Helper()
+		a, err := Open(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Budget != nil {
+			a.SetIndexEnabled(false) // the budget must bite, not the index
+		}
+		res, err := a.Search(context.Background(), cmd, o)
+		if err != nil {
+			t.Fatalf("query %q: %v", cmd, err)
+		}
+		return res
+	}
+	for _, in := range inputs {
+		for _, cmd := range queries {
+			for _, countOnly := range []bool{false, true} {
+				serial := search(in.data, cmd, core.SearchOpts{Workers: 1, CountOnly: countOnly})
+				if in.name == "pristine" {
+					want := oracle(t, lines, cmd)
+					if serial.Matches != len(want) || len(serial.Damaged) != 0 || serial.Partial {
+						t.Fatalf("query %q: %d matches, damage %v, partial %v; want %d, none, false", cmd, serial.Matches, serial.Damaged, serial.Partial, len(want))
+					}
+					for i := range serial.Lines {
+						if serial.Lines[i] != want[i] || serial.Entries[i] != lines[want[i]] {
+							t.Fatalf("query %q: mismatch at %d", cmd, i)
+						}
+					}
+				} else if len(serial.Damaged) == 0 {
+					t.Fatalf("%s, query %q: no damage reported", in.name, cmd)
+				}
+				for _, workers := range []int{0, 2, 4, 8} {
+					got := search(in.data, cmd, core.SearchOpts{Workers: workers, CountOnly: countOnly})
+					if !sameResult(got, serial) {
+						t.Fatalf("%s, query %q (count %v), workers %d: %+v; workers 1: %+v", in.name, cmd, countOnly, workers, got, serial)
+					}
 				}
 			}
 		}
 	}
+	full := search(data, queries[0], core.SearchOpts{Workers: 1})
+	inFull := map[int]string{}
+	for i, ln := range full.Lines {
+		inFull[ln] = full.Entries[i]
+	}
+	for _, workers := range []int{1, 0, 2, 8} {
+		cut := search(data, queries[0], core.SearchOpts{Workers: workers, Budget: core.NewBudgetState(core.Budget{MaxDecompressions: 2})})
+		if !cut.Partial || !strings.Contains(cut.PartialReason, "budget") || len(cut.Lines) >= len(full.Lines) {
+			t.Fatalf("workers %d: budget-cut query partial=%v %q, %d of %d lines; want a flagged strict subset", workers, cut.Partial, cut.PartialReason, len(cut.Lines), len(full.Lines))
+		}
+		for i, ln := range cut.Lines {
+			if e, ok := inFull[ln]; !ok || e != cut.Entries[i] {
+				t.Fatalf("workers %d: budget-cut query returned line %d %q, not in the full answer", workers, ln, cut.Entries[i])
+			}
+		}
+	}
+}
+
+// sameResult compares two Results field by field, damage by its reading.
+func sameResult(a, b *Result) bool {
+	damage := func(ds []BlockError) string {
+		var s strings.Builder
+		for _, d := range ds {
+			fmt.Fprintf(&s, "[%d %d+%d %v]", d.Block, d.FirstLine, d.NumLines, d.Err)
+		}
+		return s.String()
+	}
+	return reflect.DeepEqual(a.Lines, b.Lines) && reflect.DeepEqual(a.Entries, b.Entries) &&
+		a.Matches == b.Matches && a.Partial == b.Partial && a.PartialReason == b.PartialReason &&
+		a.Decompressions == b.Decompressions && damage(a.Damaged) == damage(b.Damaged)
 }
 
 func oracle(t *testing.T, lines []string, command string) []int {

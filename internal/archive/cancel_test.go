@@ -1,8 +1,10 @@
 package archive
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -124,5 +126,43 @@ func TestArchiveQueryPreCancelled(t *testing.T) {
 	cancel()
 	if _, err := a.Search(ctx, "ERROR", core.SearchOpts{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Search on cancelled ctx = %v, want context.Canceled", err)
+	}
+}
+
+// TestArchivePartialReasonRule: a spent budget names a partial result's
+// reason over a damaged block, whether the damaged block comes before the
+// budget runs out or after it, at one worker and at eight; a damaged block
+// searched before the cut is still reported.
+func TestArchivePartialReasonRule(t *testing.T) {
+	lt, _ := loggen.ByName("G")
+	data, err := Compress(lt.Block(7, 2500), testOptions(20_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, err := ScanFrames(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(frames) - 2 // the terminator closes the list
+	for _, damaged := range []int{0, last} {
+		bad := bytes.Clone(data)
+		bad[frames[damaged].PayloadOff+frames[damaged].PayloadLen/2] ^= 0x40
+		for _, workers := range []int{1, 8} {
+			a, err := Open(bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.SetIndexEnabled(false)
+			res, err := a.Search(context.Background(), "ERROR", core.SearchOpts{Workers: workers, Budget: core.NewBudgetState(core.Budget{MaxDecompressions: 2})})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Partial || !strings.Contains(res.PartialReason, "budget") {
+				t.Fatalf("block %d damaged, workers %d: partial=%v %q, want the budget named", damaged, workers, res.Partial, res.PartialReason)
+			}
+			if damaged == 0 && workers == 1 && (len(res.Damaged) != 1 || res.Damaged[0].FirstLine != 0) {
+				t.Fatalf("workers 1: damage %v, want block 0 reported", res.Damaged)
+			}
+		}
 	}
 }

@@ -3,7 +3,6 @@ package archive
 import (
 	"context"
 
-	"loggrep/internal/blockindex"
 	"loggrep/internal/core"
 	"loggrep/internal/query"
 	"loggrep/internal/rtpattern"
@@ -48,28 +47,8 @@ func (a *Archive) Explain(command string) (*core.Explain, error) {
 	if err != nil {
 		return nil, err
 	}
-	agg := &core.Explain{Command: command, NumLines: a.numLines, Blocks: len(a.blocks)}
-	var plan *blockindex.Plan
-	switch {
-	case a.indexDisabled.Load():
-		agg.IndexState = "disabled"
-	case a.index.Empty():
-		agg.IndexState = "absent"
-	default:
-		if p := a.index.NewPlan(expr); !p.Filterable {
-			agg.IndexState = "not-filterable"
-		} else {
-			plan = p
-			switch {
-			case p.UsedPostings && p.UsedBlooms:
-				agg.IndexState = "postings+blooms"
-			case p.UsedPostings:
-				agg.IndexState = "postings"
-			default:
-				agg.IndexState = "blooms"
-			}
-		}
-	}
+	plan, state := a.plan(expr)
+	agg := &core.Explain{Command: command, NumLines: a.numLines, Blocks: len(a.blocks), IndexState: state}
 	hook := a.hook()
 	for _, b := range a.blocks {
 		switch admit(plan, expr, b) {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -469,11 +468,12 @@ func (a *Archive) QueryTraced(command string, workers int) (*Result, *obsv.Trace
 	return res, tr, err
 }
 
-// Search runs a command over all blocks, o.Workers at a time, and merges
-// results in global line order. Damaged blocks do not fail the query: their
-// line ranges are reported in Result.Damaged and every other block's
-// matches are returned. Only an unparsable command, cancellation or
-// deadline expiry is an error.
+// Search runs a command over all blocks, o.Workers at a time on
+// core.FanOut, and merges their answers in global line order
+// (core.Result.Append). Damaged blocks do not fail the query: their line
+// ranges are reported in Result.Damaged and every other block's matches are
+// returned. Only an unparsable command, cancellation or deadline expiry is
+// an error.
 //
 // One budget state bounds and meters the whole query (and, when the caller
 // hands the same state to several archives, all of them, their block
@@ -499,163 +499,94 @@ func (a *Archive) Search(ctx context.Context, command string, o core.SearchOpts)
 	if err != nil {
 		return nil, err
 	}
-	workers, bs, tr := o.Workers, o.Budget, o.Trace
+	bs, tr := o.Budget, o.Trace
 	tr.SetName("archive-query")
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	mArchiveQueries.Inc()
 	hook := a.hook()
-	// Compile the query against the block-skipping index; a nil plan means
-	// full scan (index absent, damaged, disabled, or the query has no
-	// token-filterable fragment) — never wrong, only slower.
-	var plan *blockindex.Plan
-	if !a.indexDisabled.Load() {
-		if p := a.index.NewPlan(expr); p.Filterable {
-			plan = p
-		}
-	}
+	plan, _ := a.plan(expr)
 	if plan == nil {
 		mArchiveIndexUnusable.Inc()
 	}
-	// The meter counts this archive's blocks into the query's total;
-	// workers count each block searched or skipped as they decide it.
+	// The meter counts this archive's blocks into the query's total; each
+	// block is counted searched or skipped as it is decided.
 	bs.AddBlocks(int64(len(a.blocks)), 0, 0)
 	bs.SetStage(core.StageFilter)
 	var verdicts [numVerdicts]atomic.Int64
-	type blockRes struct {
-		idx int
-		res *core.Result
-		err error
-		// decompressions the block's search did, whatever its outcome
-		decompressions int64
-	}
-	var (
-		wg   sync.WaitGroup
-		work = make(chan int)
-		out  = make(chan blockRes, len(a.blocks))
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range work {
-				// A cancelled or out-of-budget query drains the remaining
-				// work without touching further blocks; the dispatcher
-				// stops feeding, this stops in-flight backlog.
-				if ctx.Err() != nil || bs.Err() != nil {
-					continue
-				}
-				b := a.blocks[idx]
-				v := admit(plan, expr, b)
-				verdicts[v].Add(1)
-				if plan != nil && (v == searchBlock || v == skipStamp) {
-					mArchiveIndexAdmitted.Inc()
-				}
-				if v != searchBlock {
-					skipCounters[v].Inc()
-					bs.AddBlocks(0, 0, 1)
-					continue
-				}
-				mArchiveBlocksSearched.Inc()
-				bs.AddBlocks(0, 1, 0)
-				span := tr.StartSpan("block").Attr("block", int64(idx))
-				tb := time.Now()
-				st, err := b.openStore(ctx, hook)
-				if err != nil {
-					if core.IsInterrupt(err) {
-						// Not damage: the open was interrupted, the block is
-						// (as far as anyone knows) healthy. ctx.Err() after
-						// the join reports the cancellation; a budget stop
-						// surfaces as Partial.
-						span.Attr("interrupted", 1).End()
-						continue
-					}
-					span.Attr("damaged", 1).End()
-					out <- blockRes{idx: idx, err: err}
-					continue
-				}
-				// The block searches under a meter of its own: its span
-				// reads it, and closing it folds the block into the query's.
-				bm := bs.Child()
-				res, err := st.Search(ctx, command, core.SearchOpts{Budget: bm, CountOnly: o.CountOnly})
-				spent := bm.Close()
-				mArchiveBlockNS.Observe(time.Since(tb).Nanoseconds())
-				r := blockRes{idx: idx, res: res, decompressions: spent.Decompressions}
-				switch {
-				case err == nil:
-					if plan != nil && res.Matches == 0 {
-						// The index admitted a block with no match — an upper
-						// bound on its false-positive rate (the block may have
-						// been admitted for sound reasons, e.g. a NOT branch).
-						mArchiveIndexFalseAdmit.Inc()
-					}
-					span.Attr("matches", int64(res.Matches))
-					if res.Partial {
-						span.Attr("partial", 1)
-					}
-				case core.IsInterrupt(err):
-					span.Attr("interrupted", 1)
-				default:
-					span.Attr("damaged", 1)
-					r.err = err
-				}
-				spent.BlockAttrs(span).End()
-				out <- r
-			}
-		}()
-	}
-	for idx := range a.blocks {
+	// search is one block's unit of the fan-out: its answer in block-local
+	// lines, nil when it has none — skipped, or interrupted, which ctx.Err()
+	// and the meter report once every block is done.
+	search := func(b *block) *Result {
 		if ctx.Err() != nil || bs.Err() != nil {
-			break
+			return nil
 		}
-		work <- idx
+		v := admit(plan, expr, b)
+		verdicts[v].Add(1)
+		if plan != nil && (v == searchBlock || v == skipStamp) {
+			mArchiveIndexAdmitted.Inc()
+		}
+		if v != searchBlock {
+			skipCounters[v].Inc()
+			bs.AddBlocks(0, 0, 1)
+			return nil
+		}
+		mArchiveBlocksSearched.Inc()
+		bs.AddBlocks(0, 1, 0)
+		span := tr.StartSpan("block").Attr("block", int64(b.idx))
+		tb := time.Now()
+		st, err := b.openStore(ctx, hook)
+		if err != nil {
+			if core.IsInterrupt(err) {
+				// Not damage: the open was interrupted, the block is (as
+				// far as anyone knows) healthy.
+				span.Attr("interrupted", 1).End()
+				return nil
+			}
+			span.Attr("damaged", 1).End()
+			return b.damaged(err)
+		}
+		// The block searches under a meter of its own: its span reads it,
+		// and closing it folds the block into the query's.
+		bm := bs.Child()
+		res, err := st.Search(ctx, command, core.SearchOpts{Budget: bm, CountOnly: o.CountOnly})
+		spent := bm.Close()
+		mArchiveBlockNS.Observe(time.Since(tb).Nanoseconds())
+		switch {
+		case err == nil:
+			if plan != nil && res.Matches == 0 {
+				// The index admitted a block with no match — an upper
+				// bound on its false-positive rate (the block may have
+				// been admitted for sound reasons, e.g. a NOT branch).
+				mArchiveIndexFalseAdmit.Inc()
+			}
+			span.Attr("matches", int64(res.Matches))
+			if res.Partial {
+				span.Attr("partial", 1)
+			}
+		case core.IsInterrupt(err):
+			span.Attr("interrupted", 1)
+		default:
+			span.Attr("damaged", 1)
+			res = b.damaged(err)
+			res.Decompressions = int(spent.Decompressions)
+		}
+		spent.BlockAttrs(span).End()
+		return res
 	}
-	close(work)
-	wg.Wait()
-	close(out)
-
+	parts := make([]*Result, len(a.blocks))
+	core.FanOut(o.Workers, len(a.blocks), func(i int) { parts[i] = search(a.blocks[i]) })
 	if err := ctx.Err(); err != nil {
 		mArchiveQueriesCancelled.Inc()
 		return nil, err
 	}
 
 	res := &Result{Damaged: a.Damage()}
-	byBlock := make([]*core.Result, len(a.blocks))
-	for r := range out {
-		res.Decompressions += int(r.decompressions)
-		if r.err != nil {
-			res.Damaged = append(res.Damaged, *a.blocks[r.idx].asBlockError(r.err))
-			continue
-		}
-		byBlock[r.idx] = r.res
+	for i, p := range parts {
+		res.Append(p, a.blocks[i].lineOff)
 	}
-
-	for idx, br := range byBlock {
-		if br == nil {
-			continue
-		}
-		if br.Partial {
-			res.Partial = true
-			if res.PartialReason == "" {
-				res.PartialReason = br.PartialReason
-			}
-		}
-		res.Matches += br.Matches
-		off := a.blocks[idx].lineOff
-		for i, line := range br.Lines {
-			res.Lines = append(res.Lines, off+line)
-			res.Entries = append(res.Entries, br.Entries[i])
-		}
-	}
-	if err := bs.Err(); err != nil {
-		res.Partial = true
-		res.PartialReason = err.Error()
-	}
+	res.Settle(bs)
 	if res.Partial {
 		mArchiveQueryPartial.Inc()
 	}
-	sort.SliceStable(res.Damaged, func(i, j int) bool { return res.Damaged[i].FirstLine < res.Damaged[j].FirstLine })
 	tr.AddAttr("blocks", int64(len(a.blocks)))
 	tr.AddAttr("blocks_searched", verdicts[searchBlock].Load())
 	tr.AddAttr("blocks_skipped", verdicts[skipStamp].Load())
@@ -670,6 +601,29 @@ func (a *Archive) Search(ctx context.Context, command string, o core.SearchOpts)
 	return res, nil
 }
 
+// plan compiles expr against the block-skipping index. It returns the plan,
+// nil when the index cannot filter the query (disabled, absent or damaged,
+// or the query has no token-filterable fragment: every block is scanned,
+// never wrong, only slower), and the index state Explain reports.
+func (a *Archive) plan(expr query.Expr) (*blockindex.Plan, string) {
+	switch {
+	case a.indexDisabled.Load():
+		return nil, "disabled"
+	case a.index.Empty():
+		return nil, "absent"
+	}
+	p := a.index.NewPlan(expr)
+	switch {
+	case !p.Filterable:
+		return nil, "not-filterable"
+	case p.UsedPostings && p.UsedBlooms:
+		return p, "postings+blooms"
+	case p.UsedPostings:
+		return p, "postings"
+	}
+	return p, "blooms"
+}
+
 // asBlockError normalizes a block failure: openStore already returns
 // *BlockError; anything else (a query-time decode fault) gets wrapped.
 func (b *block) asBlockError(err error) *BlockError {
@@ -677,6 +631,14 @@ func (b *block) asBlockError(err error) *BlockError {
 		return be
 	}
 	return b.fail(err)
+}
+
+// damaged is the answer of a block that could not be searched: its whole
+// line range, numbered from the block's first line like every block answer.
+func (b *block) damaged(err error) *Result {
+	d := *b.asBlockError(err)
+	d.FirstLine -= b.lineOff
+	return &Result{Damaged: []BlockError{d}}
 }
 
 // Entry reconstructs one entry by its global line number. A line lost to
@@ -713,16 +675,12 @@ func (a *Archive) ReconstructAll() ([]string, error) {
 		return nil, &d
 	}
 	out := make([]string, 0, a.numLines)
-	for _, b := range a.blocks {
-		st, err := b.openStore(context.Background(), a.hook())
-		if err != nil {
-			return nil, err
-		}
+	if d := a.walk(true, func(st *core.Store) error {
 		lines, err := st.ReconstructAll()
-		if err != nil {
-			return nil, b.asBlockError(err)
-		}
 		out = append(out, lines...)
+		return err
+	}); len(d) > 0 {
+		return nil, &d[0]
 	}
 	return out, nil
 }
@@ -732,21 +690,13 @@ func (a *Archive) ReconstructAll() ([]string, error) {
 // minus the damaged lines; each BlockError gives the FirstLine/NumLines of
 // a hole, so callers can reconstruct exact positions.
 func (a *Archive) ReconstructPartial() (lines []string, damaged []BlockError) {
-	damaged = a.Damage()
-	for _, b := range a.blocks {
-		st, err := b.openStore(context.Background(), a.hook())
-		if err != nil {
-			damaged = append(damaged, *b.asBlockError(err))
-			continue
-		}
+	damaged = a.walk(false, func(st *core.Store) error {
 		got, err := st.ReconstructAll()
-		if err != nil {
-			damaged = append(damaged, *b.asBlockError(err))
-			continue
+		if err == nil {
+			lines = append(lines, got...)
 		}
-		lines = append(lines, got...)
-	}
-	sort.SliceStable(damaged, func(i, j int) bool { return damaged[i].FirstLine < damaged[j].FirstLine })
+		return err
+	})
 	return lines, damaged
 }
 
@@ -755,22 +705,39 @@ func (a *Archive) ReconstructPartial() (lines []string, damaged []BlockError) {
 // plus metadata decode; deep additionally reconstructs every block's lines,
 // exercising the full decode path the way a restore would.
 func (a *Archive) Verify(deep bool) []BlockError {
+	var visit func(*core.Store) error
+	if deep {
+		visit = func(st *core.Store) error {
+			_, err := st.ReconstructAll()
+			return err
+		}
+	}
+	if d := a.walk(false, visit); len(d) > 0 {
+		return d
+	}
+	return nil
+}
+
+// walk is the one block-by-block pass over the archive: it opens each
+// readable block in line order (payload checksum and metadata decode) and
+// hands its store to visit, when visit is non-nil. It returns the
+// archive's damage in line order: the structural damage found at Open and
+// every block that failed to open or to visit — only the first such block
+// when strict.
+func (a *Archive) walk(strict bool, visit func(*core.Store) error) []BlockError {
 	damaged := a.Damage()
 	for _, b := range a.blocks {
 		st, err := b.openStore(context.Background(), a.hook())
+		if err == nil && visit != nil {
+			err = visit(st)
+		}
 		if err != nil {
 			damaged = append(damaged, *b.asBlockError(err))
-			continue
-		}
-		if deep {
-			if _, err := st.ReconstructAll(); err != nil {
-				damaged = append(damaged, *b.asBlockError(err))
+			if strict {
+				break
 			}
 		}
 	}
 	sort.SliceStable(damaged, func(i, j int) bool { return damaged[i].FirstLine < damaged[j].FirstLine })
-	if len(damaged) == 0 {
-		return nil
-	}
 	return damaged
 }

@@ -99,18 +99,24 @@ type Result struct {
 	// Decompressions is how many Capsule payloads were decompressed to
 	// answer this query (0 when served from the Query Cache).
 	Decompressions int
-	// Damaged lists blocks and line ranges that could not be searched;
-	// the answer is complete for every range not listed here. Always empty
-	// for a Store, and for a healthy archive.
+	// Damaged lists blocks and line ranges that could not be searched, in
+	// line order; the answer is complete for every range not listed here.
+	// Always empty for a Store, and for a healthy archive. An archive's or
+	// stream's result is the Append of its parts', so it lists every part's
+	// damage, shifted to its own line numbers.
 	Damaged []BlockError
 	// Partial marks a result cut short — by an exhausted query budget or,
 	// on a stream, by storage damage. Every returned entry is still a
 	// verified, exact match; only later matches may be missing. (Damaged
-	// alone is not Partial: an archive answers in full for the rest.)
-	// Partial results are never cached.
+	// alone is not Partial on an archive: it answers in full for the rest.)
+	// A merged result is Partial when any part is or the query's budget is
+	// spent. Partial results are never cached.
 	Partial bool
 	// PartialReason says what stopped the query (empty when Partial is
-	// false).
+	// false). One rule names it, in order of precedence: a spent query
+	// budget (Settle); otherwise the first part's reason in line order
+	// (Append); otherwise, on a stream with shed or damaged regions,
+	// "storage".
 	PartialReason string
 }
 
@@ -159,9 +165,9 @@ type SearchOpts struct {
 	// are wall-clock. Nil records nothing and costs nothing.
 	Trace *obsv.Trace
 	// Workers bounds how many blocks an archive searches at once, and how
-	// many sealed segments a stream searches at once — each segment's
-	// blocks then one at a time (0 = GOMAXPROCS). A Store is one block and
-	// ignores it.
+	// many segments a stream searches at once — each segment's blocks then
+	// one at a time (0 = GOMAXPROCS; see FanOut). Workers 1 runs every
+	// block on the calling goroutine. A Store is one block and ignores it.
 	Workers int
 	// CountOnly asks for grep -c: Result.Matches alone, no Lines or
 	// Entries. When every search string filters exactly the count is pure

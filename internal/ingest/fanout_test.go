@@ -374,3 +374,101 @@ func settledQuery(line string) (severity, id string) {
 	}
 	return severity, id
 }
+
+// TestStreamFanOutPartialReason: a spent budget names a partial stream
+// result's reason over storage damage — with the budget cut in the first
+// sealed segment, before the quarantined and damaged ones, and in the last,
+// after them — at one worker and at eight. Damage a serial query reached
+// before the cut is still reported.
+func TestStreamFanOutPartialReason(t *testing.T) {
+	dir, blob := fanOutDir(t)
+	search := func(workers int, b core.Budget) *core.Result {
+		m := mustOpen(t, fanOutConfig(dir, blob))
+		defer m.Close()
+		res, err := m.Lookup("acme/app").Search(context.Background(), fanQueries[0].cmd,
+			core.SearchOpts{Workers: workers, Budget: core.NewBudgetState(b)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	full := search(1, core.Budget{})
+	if !full.Partial || full.PartialReason != "storage" || len(full.Damaged) < 2 {
+		t.Fatalf("unbudgeted query: partial=%v %q damage %s, want storage", full.Partial, full.PartialReason, damageKey(full.Damaged))
+	}
+	for _, limit := range []int64{1, int64(full.Decompressions) - 1} {
+		for _, workers := range []int{1, 8} {
+			res := search(workers, core.Budget{MaxDecompressions: limit})
+			if !res.Partial || !strings.Contains(res.PartialReason, "budget") {
+				t.Fatalf("cap %d, workers %d: partial=%v %q, want the budget named", limit, workers, res.Partial, res.PartialReason)
+			}
+			if limit > 1 && workers == 1 && damageKey(res.Damaged) != damageKey(full.Damaged) {
+				t.Fatalf("cap %d: damage %s, want %s", limit, damageKey(res.Damaged), damageKey(full.Damaged))
+			}
+		}
+	}
+}
+
+// TestSearchWorkersOneStaysOnCaller: with Workers 1 an archive search and
+// a stream search start no goroutine — every read happens on the caller.
+// The count before is taken once it holds still, so that goroutines an
+// earlier test left winding down are not counted; one that exits during
+// the search can only lower the count, which is why it is an upper bound.
+func TestSearchWorkersOneStaysOnCaller(t *testing.T) {
+	var counts []int
+	record := func() { counts = append(counts, runtime.NumGoroutine()) }
+	settled := func() int {
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+			time.Sleep(20 * time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m == n {
+				break
+			}
+			n = m
+		}
+		return n
+	}
+	check := func(what string, before int) {
+		t.Helper()
+		if len(counts) == 0 {
+			t.Fatalf("%s: the read hook never ran", what)
+		}
+		for _, n := range counts {
+			if n > before {
+				t.Fatalf("%s: %d goroutines during the search, %d before", what, n, before)
+			}
+		}
+		counts = nil
+	}
+
+	lt, _ := loggen.ByName("G")
+	o := archive.DefaultOptions()
+	o.BlockBytes = 32 << 10
+	data, err := archive.Compress(lt.Block(3, 2000), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := archive.Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetReadHook(func(context.Context) error { record(); return nil })
+	before := settled()
+	if _, err := a.Search(context.Background(), lt.Query, core.SearchOpts{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	check("archive", before)
+
+	dir, blob := fanOutDir(t)
+	m := mustOpen(t, fanOutConfig(dir, blob))
+	defer m.Close()
+	evict(m, fanEvicted)
+	blob.hook.Store(&record)
+	defer blob.hook.Store(nil)
+	before = settled()
+	if _, err := m.Lookup("acme/app").Search(context.Background(), "ERROR", core.SearchOpts{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	check("stream", before)
+}

@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"loggrep/internal/blobstore"
 	"loggrep/internal/core"
@@ -56,12 +53,13 @@ func (st *Stream) snapshot() []segView {
 // the view is consistent: every line acknowledged before the call is
 // searched exactly once, whether it has been sealed yet or not.
 //
-// The sealed segments fan out over o.Workers goroutines (0 = GOMAXPROCS),
-// the calling goroutine among them once it has scanned the raw tail, and
-// each segment's archive searches its blocks one at a time: a query never
-// runs on more than Workers goroutines. Every segment's answer merges in
-// segment order, so the result is the same for every worker count. The
-// budget bounds the whole query: once it is spent no further sealed
+// The segments fan out on core.FanOut over o.Workers goroutines (0 =
+// GOMAXPROCS), the raw tail handed out first and the calling goroutine
+// among them, and each segment's archive searches its blocks one at a
+// time: a query never runs on more than Workers goroutines, and Workers 1
+// runs it on the caller. Every segment's answer merges in segment order
+// (core.Result.Append), so the result is the same for every worker count.
+// The budget bounds the whole query: once it is spent no further sealed
 // segment starts (the raw tail costs no budgeted work and is still
 // scanned), segments already running stop at their next checkpoint, and
 // the answer is a verified-exact subset flagged Partial. A cancelled ctx
@@ -70,156 +68,95 @@ func (st *Stream) snapshot() []segView {
 // spans, their totals summed, and one raw_tail span per unsealed segment.
 // Result.Damaged lists sealed regions lost to storage corruption in
 // stream-global lines; such a result, like one an unreadable segment cut
-// short, is Partial (reason "storage"): its matches are verified exact,
-// later ones may be missing — degraded, never wrong.
+// short, is Partial (reason "storage" unless the budget or a segment names
+// another): its matches are verified exact, later ones may be missing —
+// degraded, never wrong.
 func (st *Stream) Search(ctx context.Context, command string, o core.SearchOpts) (*core.Result, error) {
 	expr, err := query.Parse(command)
 	if err != nil {
 		return nil, err
 	}
 	views := st.snapshot()
-	outs := st.searchAll(ctx, views, expr, command, o)
+	order := make([]int, 0, len(views))
+	for _, sealed := range []bool{false, true} {
+		for i, v := range views {
+			if v.sealed == sealed {
+				order = append(order, i)
+			}
+		}
+	}
+	workers := o.Workers
+	o.Workers = 1 // the segments are the parallelism; their blocks run serially
+	parts, errs := make([]*core.Result, len(views)), make([]error, len(views))
+	core.FanOut(workers, len(order), func(k int) {
+		i := order[k]
+		parts[i], errs[i] = st.searchView(ctx, views[i], expr, command, o)
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
 	res := &core.Result{}
-	degraded := false
-	degrade := func() {
-		res.Partial = true
-		res.PartialReason = "storage"
-		if !degraded {
-			degraded = true
-			blobstore.FaultShedQueries.Inc()
-		}
-	}
 	for i, v := range views {
-		out := outs[i]
-		switch {
-		case out.err != nil:
-			return nil, out.err
-		case out.cut != nil:
-			res.Partial, res.PartialReason = true, out.cut.Error()
-		case out.shed != nil:
-			// The segment is unreadable right now; every line it holds is
-			// reported as damage and the result degrades to partial instead
-			// of failing the whole query. Matches from every other segment
-			// stay verified-exact: degraded, never wrong.
-			res.Damaged = append(res.Damaged, core.BlockError{
-				Block: int(v.sg.seq), FirstLine: v.base, NumLines: v.n, Err: out.shed,
-			})
-			degrade()
-		default:
-			sr := out.res
-			res.Matches += sr.Matches
-			res.Decompressions += sr.Decompressions
-			for k, ln := range sr.Lines {
-				res.Lines = append(res.Lines, v.base+ln)
-				res.Entries = append(res.Entries, sr.Entries[k])
-			}
-			for _, d := range sr.Damaged {
-				d.FirstLine += v.base
-				res.Damaged = append(res.Damaged, d)
-			}
-			if len(sr.Damaged) > 0 {
-				// Damaged blocks inside a sealed segment are the same
-				// degradation as an unreadable segment, just finer-grained:
-				// the result is a verified-exact subset, flagged as such.
-				degrade()
-			}
-			if sr.Partial {
-				res.Partial = true
-				res.PartialReason = sr.PartialReason
-			}
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		res.Append(parts[i], v.base)
+	}
+	res.Settle(o.Budget)
+	if len(res.Damaged) > 0 {
+		// Damaged blocks and unreadable segments degrade the result to a
+		// verified-exact subset, flagged as such.
+		blobstore.FaultShedQueries.Inc()
+		if !res.Partial {
+			res.Partial, res.PartialReason = true, "storage"
 		}
 	}
 	o.Trace.SetName("stream-query")
 	return res, nil
 }
 
-// segOutcome is what searching one segment came to: an answer in
-// segment-local lines, a budget cut before it started, an unreadable
-// segment to shed as damage, or an error that fails the whole query (the
-// caller gave up).
-type segOutcome struct {
-	res       *core.Result
-	cut, shed error
-	err       error
-}
-
-// searchAll searches every view and returns their outcomes, indexed like
-// views. The sealed segments go to a bounded worker set: Workers-1 extra
-// goroutines, and the calling goroutine once it has scanned the raw tail.
-// Each takes the next segment in order and starts none once ctx or the
-// budget is done, so one worker is exactly a serial loop over the segments.
-func (st *Stream) searchAll(ctx context.Context, views []segView, expr query.Expr, command string, o core.SearchOpts) []segOutcome {
-	outs := make([]segOutcome, len(views))
-	var sealed []int
-	for i, v := range views {
-		if v.sealed {
-			sealed = append(sealed, i)
-		}
+// searchView is one segment's unit of the fan-out: its answer in
+// segment-local lines, or an error that fails the whole query (the caller
+// gave up). A sealed segment the budget cuts before it starts answers
+// Partial; one that is unreadable right now answers with every line it
+// holds as damage instead of failing the query, so matches from every
+// other segment stay verified-exact: degraded, never wrong.
+func (st *Stream) searchView(ctx context.Context, v segView, expr query.Expr, command string, o core.SearchOpts) (*core.Result, error) {
+	if !v.sealed {
+		return scanRaw(ctx, v, expr, o)
 	}
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	o.Workers = 1 // the segments are the parallelism; their blocks run serially
-	var next atomic.Int64
-	work := func() {
-		for k := int(next.Add(1)) - 1; k < len(sealed); k = int(next.Add(1)) - 1 {
-			outs[sealed[k]] = st.searchSegment(ctx, views[sealed[k]], command, o)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(workers, len(sealed)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	for i, v := range views {
-		if !v.sealed {
-			outs[i] = scanRaw(ctx, v, expr, o)
-		}
-	}
-	work()
-	wg.Wait()
-	return outs
-}
-
-// searchSegment searches one sealed segment.
-func (st *Stream) searchSegment(ctx context.Context, v segView, command string, o core.SearchOpts) segOutcome {
 	if err := ctx.Err(); err != nil {
-		return segOutcome{err: err}
+		return nil, err
 	}
 	if err := o.Budget.Err(); err != nil {
-		return segOutcome{cut: err}
+		return &core.Result{Partial: true, PartialReason: err.Error()}, nil
+	}
+	shed := func(err error) *core.Result {
+		return &core.Result{Damaged: []core.BlockError{{Block: int(v.sg.seq), NumLines: v.n, Err: err}}}
 	}
 	if v.sg.quarantined {
-		return segOutcome{shed: errQuarantined}
+		return shed(errQuarantined), nil
 	}
 	a, err := st.archive(ctx, v.sg)
 	if err != nil {
 		if ctx.Err() != nil || blobstore.Classify(err) == blobstore.ClassAborted {
-			return segOutcome{err: err} // the caller gave up; nothing to degrade
+			return nil, err // the caller gave up; nothing to degrade
 		}
-		return segOutcome{shed: err}
+		return shed(err), nil
 	}
-	res, err := a.Search(ctx, command, o)
-	return segOutcome{res: res, err: err}
+	return a.Search(ctx, command, o)
 }
 
 // scanRaw matches every line of one raw segment under a raw_tail span.
-func scanRaw(ctx context.Context, v segView, expr query.Expr, o core.SearchOpts) segOutcome {
+func scanRaw(ctx context.Context, v segView, expr query.Expr, o core.SearchOpts) (*core.Result, error) {
 	span := o.Trace.StartSpan("raw_tail").Attr("segment", int64(v.sg.seq))
 	res := &core.Result{}
 	bytes := 0
 	for i, line := range v.lines {
 		if i%1024 == 1023 {
 			if err := ctx.Err(); err != nil {
-				return segOutcome{err: err}
+				return nil, err
 			}
 		}
 		bytes += len(line)
@@ -234,7 +171,7 @@ func scanRaw(ctx context.Context, v segView, expr query.Expr, o core.SearchOpts)
 	}
 	span.Attr("lines", int64(v.n)).Attr("bytes", int64(bytes)).Attr("matches", int64(res.Matches)).End()
 	o.Trace.AddAttr("matches", int64(res.Matches))
-	return segOutcome{res: res}
+	return res, nil
 }
 
 // Entry reconstructs one line by stream-global number.

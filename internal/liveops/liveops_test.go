@@ -179,6 +179,24 @@ func TestMeterWindowsRotate(t *testing.T) {
 	}
 }
 
+// TestMeterClockBackwards: a record made while the clock reads an earlier
+// window than one already recorded lands in the current window, not a
+// past one.
+func TestMeterClockBackwards(t *testing.T) {
+	m := NewMeter(obsv.NewRegistry(), 3, time.Minute, 8)
+	now, advance := testClock(time.Unix(10_000, 0))
+	m.now = now
+
+	m.Record("acme", Usage{Requests: 1})
+	advance(-time.Minute)
+	m.Record("acme", Usage{Requests: 1})
+	advance(time.Minute)
+	snap := m.Snapshot()
+	if cur, prev := snap[0].Current.Requests, snap[0].Windows[0].Requests; cur != 2 || prev != 0 {
+		t.Fatalf("current / previous window requests = %d / %d, want 2 / 0", cur, prev)
+	}
+}
+
 // TestMeterCardinalityBound: tenants beyond the bound aggregate under
 // OverflowTenant instead of growing the registry.
 func TestMeterCardinalityBound(t *testing.T) {
@@ -289,6 +307,29 @@ func TestSLOBurnAndFastBurnEdge(t *testing.T) {
 	}
 	if st.BudgetRemaining >= 1 {
 		t.Fatalf("budget remaining %v, want consumed below 1", st.BudgetRemaining)
+	}
+}
+
+// TestSLOClockBackwards: an outcome recorded while the clock reads an
+// earlier minute than one already recorded counts in the current minute,
+// not a past one.
+func TestSLOClockBackwards(t *testing.T) {
+	e := NewEngine(obsv.NewRegistry(), []Objective{
+		{Name: "avail", Target: 0.99, Window: 30 * 24 * time.Hour},
+	})
+	now, advance := testClock(time.Unix(100_000, 0))
+	e.now = now
+
+	e.Record(200, time.Millisecond)
+	advance(-time.Minute)
+	e.Record(500, time.Millisecond)
+	advance(time.Minute)
+	o := e.objectives[0]
+	o.mu.Lock()
+	cur, both := o.badShare(1), o.badShare(2)
+	o.mu.Unlock()
+	if cur != 0.5 || both != 0.5 {
+		t.Fatalf("bad share over the current minute = %v, over two = %v; want 0.5 and 0.5 (both outcomes in the current minute)", cur, both)
 	}
 }
 

@@ -98,40 +98,23 @@ type objectiveState struct {
 	Objective
 	label string // sanitized metrics label value
 
-	mu    sync.Mutex
-	epoch int64 // current minute index (unix seconds / 60)
-	ring  [burnRingMinutes]minuteBucket
-	good  int64 // since start
-	bad   int64
-	fast  bool // burn conditions currently met (edge detection)
-	slow  bool
+	mu   sync.Mutex
+	ring ring[minuteBucket] // epoch: unix seconds / 60
+	good int64              // since start
+	bad  int64
+	fast bool // burn conditions currently met (edge detection)
+	slow bool
 
 	cGood, cBad *obsv.Counter
 }
 
-// rotate advances the ring to minute ep, zeroing skipped minutes.
-// Caller holds o.mu.
-func (o *objectiveState) rotate(ep int64) {
-	if ep <= o.epoch {
-		return
-	}
-	gap := ep - o.epoch
-	if gap > burnRingMinutes {
-		gap = burnRingMinutes
-	}
-	for i := int64(1); i <= gap; i++ {
-		o.ring[(o.epoch+i)%burnRingMinutes] = minuteBucket{}
-	}
-	o.epoch = ep
-}
-
 // badShare returns the bad fraction over the trailing `minutes` window
 // (including the current minute); 0 with no traffic. Caller holds o.mu
-// and has rotated to the current epoch.
+// and has advanced the ring to the current minute.
 func (o *objectiveState) badShare(minutes int64) float64 {
 	var good, bad int64
 	for i := int64(0); i < minutes; i++ {
-		b := o.ring[((o.epoch-i)%burnRingMinutes+burnRingMinutes)%burnRingMinutes]
+		b := o.ring.back(i)
 		good += b.good
 		bad += b.bad
 	}
@@ -181,11 +164,10 @@ func NewEngine(reg *obsv.Registry, objectives []Objective) *Engine {
 			"Slow-burn edges detected across all SLO objectives"),
 	}
 	for _, obj := range objectives {
-		// epoch starts at 0: the first rotate jumps it to the current
-		// minute (the gap is capped at the ring length and the ring is
-		// already zero). Seeding it from time.Now here would misalign the
-		// ring for callers that inject a clock after construction.
-		o := &objectiveState{Objective: obj, label: SanitizeTenant(obj.Name)}
+		// The ring's epoch is not seeded from time.Now here: that would
+		// misalign it for callers that inject a clock after construction.
+		o := &objectiveState{Objective: obj, label: SanitizeTenant(obj.Name),
+			ring: ring[minuteBucket]{buckets: make([]minuteBucket, burnRingMinutes)}}
 		o.cGood = reg.Counter(fmt.Sprintf("loggrep_slo_good_total{objective=%q}", o.label),
 			"Requests meeting the objective, by objective")
 		o.cBad = reg.Counter(fmt.Sprintf("loggrep_slo_bad_total{objective=%q}", o.label),
@@ -245,8 +227,7 @@ func (e *Engine) Record(status int, dur time.Duration) {
 			bad = true
 		}
 		o.mu.Lock()
-		o.rotate(ep)
-		b := &o.ring[ep%burnRingMinutes]
+		b := o.ring.advance(ep)
 		if bad {
 			b.bad++
 			o.bad++
@@ -284,7 +265,7 @@ func (e *Engine) Evaluate() {
 	for _, o := range e.objectives {
 		ep := e.now().Unix() / 60
 		o.mu.Lock()
-		o.rotate(ep)
+		o.ring.advance(ep)
 		fast := o.burn(5) >= FastBurnThreshold && o.burn(60) >= FastBurnThreshold
 		slow := o.burn(30) >= SlowBurnThreshold && o.burn(360) >= SlowBurnThreshold
 		fastEdge := fast && !o.fast
@@ -308,7 +289,7 @@ func (e *Engine) Evaluate() {
 func (e *Engine) windowBurn(o *objectiveState, minutes int64) float64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.rotate(e.now().Unix() / 60)
+	o.ring.advance(e.now().Unix() / 60)
 	return o.burn(minutes)
 }
 
@@ -338,7 +319,7 @@ type ObjectiveStatus struct {
 func (e *Engine) status(o *objectiveState) ObjectiveStatus {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.rotate(e.now().Unix() / 60)
+	o.ring.advance(e.now().Unix() / 60)
 	st := ObjectiveStatus{
 		Name:               o.Name,
 		Target:             o.Target,

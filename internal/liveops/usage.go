@@ -51,32 +51,13 @@ func (u *Usage) add(v Usage) {
 // of plain adds under an uncontended lock — no allocation, ~tens of ns).
 type tenantUsage struct {
 	mu    sync.Mutex
-	epoch int64 // current window index (unix time / window duration)
-	ring  []Usage
+	ring  ring[Usage]
 	total Usage
 
 	// Cumulative obsv counters, created once per tenant so the record
 	// path is atomic adds only.
 	cRequests, cErrors, cScanBytes, cDecomp *obsv.Counter
 	cIngestBytes, cIngestLines, cCPU        *obsv.Counter
-}
-
-// rotate advances the ring to epoch ep, zeroing every window skipped
-// while the tenant was idle. Caller holds t.mu.
-func (t *tenantUsage) rotate(ep int64) {
-	if ep <= t.epoch {
-		// Same window, or a clock that went backwards: keep accumulating
-		// into the current window rather than resurrecting an old one.
-		return
-	}
-	gap := ep - t.epoch
-	if gap > int64(len(t.ring)) {
-		gap = int64(len(t.ring))
-	}
-	for i := int64(1); i <= gap; i++ {
-		t.ring[(t.epoch+i)%int64(len(t.ring))] = Usage{}
-	}
-	t.epoch = ep
 }
 
 // Meter attributes resource usage to tenants over rolling windows. The
@@ -140,8 +121,7 @@ func (m *Meter) Record(tenant string, u Usage) {
 	t := m.tenant(tenant)
 	ep := m.now().UnixNano() / int64(m.windowDur)
 	t.mu.Lock()
-	t.rotate(ep)
-	t.ring[ep%int64(len(t.ring))].add(u)
+	t.ring.advance(ep).add(u)
 	t.total.add(u)
 	t.mu.Unlock()
 	t.cRequests.Add(u.Requests)
@@ -174,8 +154,7 @@ func (m *Meter) tenant(name string) *tenantUsage {
 		m.mu.Unlock()
 		return m.tenant(OverflowTenant)
 	}
-	t = &tenantUsage{ring: make([]Usage, m.windows+1)}
-	t.epoch = m.now().UnixNano() / int64(m.windowDur)
+	t = &tenantUsage{ring: ring[Usage]{buckets: make([]Usage, m.windows+1)}}
 	c := func(kind, help string) *obsv.Counter {
 		return m.reg.Counter(fmt.Sprintf("loggrep_tenant_%s_total{tenant=%q}", kind, name), help)
 	}
@@ -224,16 +203,14 @@ func (m *Meter) Snapshot() []TenantUsage {
 			continue
 		}
 		t.mu.Lock()
-		t.rotate(ep)
-		n := int64(len(t.ring))
 		row := TenantUsage{
 			Tenant:        name,
 			Total:         t.total,
-			Current:       t.ring[ep%n],
+			Current:       *t.ring.advance(ep),
 			WindowSeconds: m.windowDur.Seconds(),
 		}
-		for i := int64(1); i < n; i++ {
-			row.Windows = append(row.Windows, t.ring[((ep-i)%n+n)%n])
+		for i := int64(1); i < int64(len(t.ring.buckets)); i++ {
+			row.Windows = append(row.Windows, *t.ring.back(i))
 		}
 		t.mu.Unlock()
 		out = append(out, row)

@@ -16,6 +16,10 @@
 # (Attr or a case label). And internal/archive records no trace of its own
 # outside the QueryTraced shim: a block's work reaches its span through the
 # block's meter.
+#
+# A query fans out one way: archive blocks and stream segments both run on
+# core.FanOut, so neither internal/archive/reader.go nor
+# internal/ingest/query.go starts a goroutine of its own.
 set -eu
 
 want='archive.Archive.Query
@@ -58,5 +62,12 @@ done)
 if [ -n "$traces" ]; then
     echo "check_query_surface: internal/archive creates a trace outside the QueryTraced shim:" >&2
     echo "$traces" >&2
+    exit 1
+fi
+
+fanouts=$(grep -nE '^[[:space:]]*go ' internal/archive/reader.go internal/ingest/query.go || true)
+if [ -n "$fanouts" ]; then
+    echo "check_query_surface: a query fans out on core.FanOut only; found a go statement:" >&2
+    echo "$fanouts" >&2
     exit 1
 fi
