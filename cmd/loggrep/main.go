@@ -27,6 +27,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -318,8 +319,12 @@ func newQueryCmd() *command {
 		if err != nil {
 			return err
 		}
+		out := bufio.NewWriter(os.Stdout)
 		for i, line := range res.Lines {
-			fmt.Printf("%d:%s\n", line+1, res.Entries[i])
+			fmt.Fprintf(out, "%d:%s\n", line+1, res.Entries[i])
+		}
+		if err := out.Flush(); err != nil {
+			return err
 		}
 		if res.Decompressions > 0 {
 			fmt.Fprintf(os.Stderr, "%d matches, %d capsules decompressed\n", res.Matches, res.Decompressions)
@@ -380,8 +385,13 @@ func newCatCmd() *command {
 		} else {
 			lines, damaged = a.ReconstructPartial()
 		}
+		out := bufio.NewWriter(os.Stdout)
 		for _, l := range lines {
-			fmt.Println(l)
+			out.WriteString(l)
+			out.WriteByte('\n')
+		}
+		if err := out.Flush(); err != nil {
+			return err
 		}
 		return reportDamage(damaged, *strict)
 	}

@@ -445,3 +445,37 @@ func TestCLIDiag(t *testing.T) {
 		t.Error("diag on missing file produced no error output")
 	}
 }
+
+// TestCLIStdoutWriteErrors: when standard output cannot be written (a full
+// disk, modelled by /dev/full), cat and query must fail rather than exit 0
+// with their output lost.
+func TestCLIStdoutWriteErrors(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary")
+	}
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skipf("no /dev/full: %v", err)
+	}
+	defer full.Close()
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "a.log")
+	lt, _ := loggen.ByName("A")
+	if err := os.WriteFile(logPath, lt.Block(3, 2000), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boxPath := filepath.Join(dir, "a.lgrep")
+	run(t, bin, "compress", "-o", boxPath, logPath)
+	for _, args := range [][]string{{"cat", boxPath}, {"query", boxPath, "ERROR"}} {
+		cmd := exec.Command(bin, args...)
+		cmd.Stdout = full
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err == nil {
+			t.Errorf("loggrep %s > /dev/full exited 0; stderr: %q", args[0], stderr.String())
+		} else if !strings.Contains(stderr.String(), "no space left") {
+			t.Errorf("loggrep %s > /dev/full: stderr %q does not name the write error", args[0], stderr.String())
+		}
+	}
+}

@@ -1,0 +1,75 @@
+package core
+
+import (
+	"context"
+	"sync"
+	"testing"
+
+	"loggrep/internal/loggen"
+)
+
+// benchBox is the CapsuleBox of a 2 MiB block — the benchmark's archive
+// block size — of seven log types, each a contiguous run, as an archive
+// block cut from a type-contiguous stream holds them. Compressing it takes
+// seconds, so every benchmark run shares one.
+var benchBox = sync.OnceValue(func() []byte {
+	const size = 2 << 20
+	var block []byte
+	for i, name := range []string{"A", "F", "G", "I", "J", "S", "U"} {
+		lt, _ := loggen.ByName(name)
+		for _, l := range lt.Lines(int64(1+i), size/64) {
+			if len(block)+len(l)+1 > (i+1)*size/7 {
+				break
+			}
+			block = append(append(block, l...), '\n')
+		}
+	}
+	return Compress(block, DefaultOptions())
+})
+
+// BenchmarkReconstructAll restores a whole 2 MiB block from a cold store —
+// Open, then ReconstructAll, decompressing every capsule — as restoring an
+// archive does block by block.
+func BenchmarkReconstructAll(b *testing.B) {
+	data := benchBox()
+	b.ReportAllocs()
+	lines := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := Open(data, QueryOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, err := st.ReconstructAll()
+		if err != nil {
+			b.Fatal(err)
+		}
+		lines += len(out)
+	}
+	b.ReportMetric(float64(lines)/b.Elapsed().Seconds(), "lines/s")
+}
+
+// BenchmarkVerifyBroad runs the broad "ERROR" query on a warm store with
+// the Query Cache off: every payload is already decompressed, so the time
+// is the filter's bitsets and the verification of every candidate.
+func BenchmarkVerifyBroad(b *testing.B) {
+	st, err := Open(benchBox(), QueryOptions{DisableCache: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := st.Search(context.Background(), "ERROR", SearchOpts{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res.Matches < 1000 {
+		b.Fatalf("broad query matched %d entries", res.Matches)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := st.Search(context.Background(), "ERROR", SearchOpts{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Matches*b.N)/b.Elapsed().Seconds(), "entries/s")
+}

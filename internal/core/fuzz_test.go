@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
+	"loggrep/internal/capsule"
+	"loggrep/internal/loggen"
 	"loggrep/internal/logparse"
 )
 
@@ -44,12 +47,21 @@ func FuzzCompressReconstruct(f *testing.F) {
 	})
 }
 
-// FuzzOpen: arbitrary bytes must never panic Store construction or simple
-// queries.
+// FuzzOpen: arbitrary bytes must never panic Store construction, simple
+// queries or reconstruction, and on a box that opens the whole-block and
+// one-line restores agree: the same lines, or both fail, with corruption.
 func FuzzOpen(f *testing.F) {
 	f.Add(Compress([]byte("a b c\n"), DefaultOptions()))
 	f.Add([]byte("LGRPBOX1 garbage"))
 	f.Add([]byte("LGRPBOX2 garbage"))
+	// Nominal and real vectors, padded and delimited: the Reconstructor's
+	// every path, for the mutator to damage.
+	noPad := DefaultOptions()
+	noPad.DisablePadding = true
+	lt, _ := loggen.ByName("I")
+	for _, o := range []Options{DefaultOptions(), noPad} {
+		f.Add(Compress(lt.Block(1, 40), o))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Open(data, QueryOptions{})
 		if err != nil {
@@ -58,5 +70,34 @@ func FuzzOpen(f *testing.F) {
 		st.Search(context.Background(), "a AND b", SearchOpts{})
 		st.Search(context.Background(), "read OR NOT state:", SearchOpts{})
 		st.ReconstructAll()
+
+		all, allErr := mustReopen(t, data).ReconstructAll()
+		if allErr != nil && !errors.Is(allErr, capsule.ErrCorrupt) {
+			t.Fatalf("ReconstructAll: %v, want corruption", allErr)
+		}
+		one := mustReopen(t, data)
+		var lineErr error
+		for i := 0; i < one.NumLines() && lineErr == nil; i++ {
+			var s string
+			if s, lineErr = one.ReconstructLine(context.Background(), i); lineErr == nil && allErr == nil && s != all[i] {
+				t.Fatalf("line %d: ReconstructLine %q, ReconstructAll %q", i, s, all[i])
+			}
+		}
+		if lineErr != nil && !errors.Is(lineErr, capsule.ErrCorrupt) {
+			t.Fatalf("ReconstructLine: %v, want corruption", lineErr)
+		}
+		if (allErr == nil) != (lineErr == nil) {
+			t.Fatalf("ReconstructAll: %v; ReconstructLine: %v", allErr, lineErr)
+		}
 	})
+}
+
+// mustReopen opens a box that opened once already.
+func mustReopen(t *testing.T, data []byte) *Store {
+	t.Helper()
+	st, err := Open(data, QueryOptions{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	return st
 }

@@ -204,25 +204,11 @@ func (h *nominalVarHole) find(part string, kind strmatch.Kind) (*bitset.Set, err
 	dictRows := h.st.box.Meta.Capsules[h.vm.DictCapID].Rows
 	member := bitset.FromRows(dictRows, dictIdxs)
 	for row := 0; row < idxSr.Rows(); row++ {
-		idx := parseDecimal(idxSr.Value(row))
-		if member.Test(idx) {
+		if idx, ok := parseIndex(idxSr.Value(row)); ok && member.Test(idx) {
 			out.Set(row)
 		}
 	}
 	return out, nil
-}
-
-// parseDecimal reads a non-negative fixed-width decimal; index entries are
-// always digits by construction.
-func parseDecimal(b []byte) int {
-	v := 0
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return -1
-		}
-		v = v*10 + int(c-'0')
-	}
-	return v
 }
 
 // findDict returns the dictionary positions whose value satisfies
@@ -230,26 +216,26 @@ func parseDecimal(b []byte) int {
 func (h *nominalVarHole) findDict(part string, kind strmatch.Kind) ([]int, error) {
 	var dictIdxs []int
 	if h.st.padding {
-		w, err := h.st.walkDict(h.vm)
+		d, err := h.st.dictSegments(h.vm)
 		if err != nil {
 			return nil, err
 		}
-		for w.next() {
-			if !h.feasible(*w.dp, part, kind) {
+		for i := range d.segs {
+			if !h.feasible(h.vm.DictPatterns[i], part, kind) {
 				continue
 			}
 			if err := h.st.checkpoint(); err != nil {
 				return nil, err
 			}
-			h.st.scanned(len(w.seg))
-			base := w.base
-			strmatch.NewFixedWidth(w.seg, w.width).ScanRows(part, kind, func(row int) bool {
-				dictIdxs = append(dictIdxs, base+row)
+			s := &d.segs[i]
+			h.st.scanned(s.fw.Bytes())
+			s.fw.ScanRows(part, kind, func(row int) bool {
+				dictIdxs = append(dictIdxs, s.base+row)
 				return true
 			})
 		}
-		if err := w.err(); err != nil {
-			return nil, err
+		if d.err != nil {
+			return nil, d.err
 		}
 		return dictIdxs, nil
 	}

@@ -5,9 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -40,7 +40,7 @@ type Store struct {
 	padding        bool
 	cacheOn        bool
 	groups         []*qGroup
-	searchers      map[int]searcher
+	cols           []column // the column table, by capsule id (made on first use)
 	chunkSearchers map[[2]int]searcher
 	findCache      map[findKey]*bitset.Set
 	size           int
@@ -51,9 +51,11 @@ type Store struct {
 	lineIndexErr error
 	// ex, non-nil only while Explain holds mu, records the filter funnel.
 	ex *explainRec
+	// scratch is the row buffer of ReconstructLine and verify.
+	scratch []byte
 
 	// mu serializes every path that touches the mutable state above
-	// (searchers, findCache, the box payload caches, the running search's
+	// (cols, findCache, the box payload caches, the running search's
 	// meter in en): uncached queries, reconstruction and Explain.
 	mu sync.Mutex
 	// ctx is the running query's (or reconstruction's) context; non-nil
@@ -191,7 +193,6 @@ func Open(data []byte, opts QueryOptions) (*Store, error) {
 		en:             engine{stamps: box.Meta.Flags&capsule.FlagNoStamps == 0},
 		padding:        box.Meta.Flags&capsule.FlagNoPadding == 0,
 		cacheOn:        !opts.DisableCache,
-		searchers:      make(map[int]searcher),
 		chunkSearchers: make(map[[2]int]searcher),
 		findCache:      make(map[findKey]*bitset.Set),
 		qcache:         make(map[string]*Result),
@@ -352,16 +353,45 @@ func (st *Store) checkNominalVar(vm *capsule.VarMeta, groupRows int) error {
 	return nil
 }
 
-// value fetches the row-th value of a capsule. For chunked capsules whose
-// full payload is not already materialized, only the chunk containing the
-// row is decompressed — the point of Options.ChunkBytes.
+// column is one capsule resolved whole: the searcher scans use and its row
+// count. For a padded capsule fw is the same searcher, concretely typed: the
+// Reconstructor slices row i straight out of its payload at i·width.
+type column struct {
+	sr   searcher // nil until the capsule is resolved
+	fw   *strmatch.FixedWidth
+	rows int
+	// dict is the segment table of a padded dictionary, built on its first
+	// lookup.
+	dict *dictTable
+}
+
+// col returns capsule id's entry in the column table, making the table on
+// first use.
+func (st *Store) col(id int) *column {
+	if st.cols == nil {
+		st.cols = make([]column, len(st.box.Meta.Capsules))
+	}
+	return &st.cols[id]
+}
+
+// value fetches the row-th value of a capsule: out of its column once the
+// capsule is resolved. Until then, a chunked capsule decompresses only the
+// chunk holding the row — the point of Options.ChunkBytes — and any other
+// is resolved whole.
 func (st *Store) value(id, row int) ([]byte, error) {
-	info := st.box.Meta.Capsules[id]
+	c := st.col(id)
+	if c.sr != nil && uint(row) < uint(c.rows) {
+		if c.fw != nil {
+			return c.fw.Value(row), nil
+		}
+		return c.sr.Value(row), nil
+	}
+	info := &st.box.Meta.Capsules[id]
 	if row < 0 || row >= info.Rows {
 		return nil, fmt.Errorf("%w: row %d beyond capsule %d", capsule.ErrCorrupt, row, id)
 	}
 	if info.ChunkRows > 0 && st.box.ChunkCount(id) > 1 {
-		if _, whole := st.searchers[id]; !whole {
+		if c.sr == nil {
 			ci := row / info.ChunkRows
 			key := [2]int{id, ci}
 			sr, ok := st.chunkSearchers[key]
@@ -403,27 +433,32 @@ func (st *Store) payload(id int) ([]byte, error) {
 	return st.read(func() ([]byte, error) { return st.box.Payload(id) })
 }
 
-// searcher returns the cached payload searcher of a capsule.
+// searcher returns a capsule's payload searcher, resolving its column on
+// first use. A resolved column holds exactly the rows the directory
+// promises: box.Payload checks a padded payload's size, and this a
+// delimited one's value count.
 func (st *Store) searcher(id int) (searcher, error) {
-	if sr, ok := st.searchers[id]; ok {
-		return sr, nil
+	c := st.col(id)
+	if c.sr != nil {
+		return c.sr, nil
 	}
 	payload, err := st.payload(id)
 	if err != nil {
 		return nil, err
 	}
 	info := st.box.Meta.Capsules[id]
-	var sr searcher
 	if info.Width > 0 {
-		sr = strmatch.NewFixedWidth(payload, info.Width)
+		c.fw = strmatch.NewFixedWidth(payload, info.Width)
+		c.sr = c.fw
 	} else {
-		sr = strmatch.NewVarWidth(payload, info.Rows)
+		sr := strmatch.NewVarWidth(payload, info.Rows)
 		if sr.Rows() != info.Rows {
 			return nil, fmt.Errorf("%w: capsule %d holds %d values, want %d", capsule.ErrCorrupt, id, sr.Rows(), info.Rows)
 		}
+		c.sr = sr
 	}
-	st.searchers[id] = sr
-	return sr, nil
+	c.rows = c.sr.Rows()
+	return c.sr, nil
 }
 
 // NumLines returns the number of entries in the block.
@@ -447,7 +482,7 @@ func (st *Store) ResetCounters() {
 	defer st.mu.Unlock()
 	st.box.DropCache()
 	st.lineIndex = nil
-	st.searchers = make(map[int]searcher)
+	st.cols = nil
 	st.chunkSearchers = make(map[[2]int]searcher)
 	st.findCache = make(map[findKey]*bitset.Set)
 }
@@ -624,11 +659,13 @@ type match struct {
 // verify reconstructs every candidate row, keeps those the exact expression
 // matches, and returns them in ascending line order with how many rows it
 // checked. Only groups that produced a match have their line map decoded.
+// Each candidate is assembled in the store's scratch buffer and costs one
+// string of its own length, so a cached answer holds only its own entries.
 // On an interrupt it returns the matches verified so far with the error.
 func (st *Store) verify(expr query.Expr, cand *rowSets) (found []match, checked int, err error) {
 	runs := 0
-	// check verifies one group's (or the outlier capsule's) candidates.
-	check := func(set *bitset.Set, m *capsule.LineMap, entryOf func(row int) (string, error)) error {
+	// check verifies one group's (gi < 0: the outlier capsule's) candidates.
+	check := func(gi int, set *bitset.Set, m *capsule.LineMap) error {
 		if set == nil {
 			return nil
 		}
@@ -639,11 +676,10 @@ func (st *Store) verify(expr query.Expr, cand *rowSets) (found []match, checked 
 				return false
 			}
 			checked++
-			var entry string
-			if entry, stop = entryOf(row); stop != nil {
+			if st.scratch, stop = st.appendRow(st.scratch[:0], gi, row); stop != nil {
 				return false
 			}
-			if expr.Match(entry) {
+			if entry := string(st.scratch); expr.Match(entry) {
 				found = append(found, match{line: row, entry: entry})
 			}
 			return true
@@ -662,13 +698,12 @@ func (st *Store) verify(expr query.Expr, cand *rowSets) (found []match, checked 
 		return stop
 	}
 	for gi, g := range st.groups {
-		err = check(cand.sets[gi], &g.meta.Lines, func(row int) (string, error) { return st.reconstructRow(gi, row) })
-		if err != nil {
+		if err = check(gi, cand.sets[gi], &g.meta.Lines); err != nil {
 			break
 		}
 	}
 	if err == nil {
-		err = check(cand.outlier(), &st.box.Meta.OutlierLines, st.outlierEntry)
+		err = check(-1, cand.outlier(), &st.box.Meta.OutlierLines)
 	}
 	if err != nil && !isInterrupt(err) {
 		return nil, checked, err
@@ -679,18 +714,6 @@ func (st *Store) verify(expr query.Expr, cand *rowSets) (found []match, checked 
 		slices.SortFunc(found, func(a, b match) int { return cmp.Compare(a.line, b.line) })
 	}
 	return found, checked, err
-}
-
-// outlierEntry returns the rank-th block outlier line.
-func (st *Store) outlierEntry(rank int) (string, error) {
-	sr, err := st.searcher(st.box.Meta.OutlierCapID)
-	if err != nil {
-		return "", err
-	}
-	if rank < 0 || rank >= sr.Rows() {
-		return "", fmt.Errorf("%w: outlier line %d beyond its capsule", capsule.ErrCorrupt, rank)
-	}
-	return string(sr.Value(rank)), nil
 }
 
 // isBudgetStop distinguishes budget exhaustion from cancellation among
@@ -849,12 +872,6 @@ func (st *Store) ReconstructLine(ctx context.Context, line int) (string, error) 
 	defer st.mu.Unlock()
 	st.ctx = ctx
 	defer func() { st.ctx = nil }()
-	return st.reconstructLineLocked(line)
-}
-
-// reconstructLineLocked is ReconstructLine for callers already holding
-// st.mu (ReconstructAll).
-func (st *Store) reconstructLineLocked(line int) (string, error) {
 	index, err := st.lineRefs()
 	if err != nil {
 		return "", err
@@ -863,169 +880,217 @@ func (st *Store) reconstructLineLocked(line int) (string, error) {
 		return "", fmt.Errorf("core: line %d out of range", line)
 	}
 	ref := index[line]
-	if ref.group < 0 {
-		return st.outlierEntry(ref.row)
+	if st.scratch, err = st.appendRow(st.scratch[:0], ref.group, ref.row); err != nil {
+		return "", err
 	}
-	return st.reconstructRow(ref.group, ref.row)
+	return string(st.scratch), nil
 }
 
-// reconstructRow rebuilds entry row of group gi by fetching the row-th
-// value of every Capsule of the group (O(1) per value thanks to padding)
-// and filling the static and runtime patterns (§3 Reconstruction).
-func (st *Store) reconstructRow(gi, row int) (string, error) {
+// ReconstructAll rebuilds the entire block, one string per line. The lines
+// are assembled into one buffer, in line order, and sliced out of a single
+// string, so they share its memory.
+func (st *Store) ReconstructAll() ([]string, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	index, err := st.lineRefs()
+	if err != nil {
+		return nil, err
+	}
+	ends := make([]int, len(index))
+	var buf []byte
+	for line, ref := range index {
+		if cap(buf)-len(buf) < 1<<10 {
+			// Double rather than let append grow a large buffer by a
+			// quarter at a time.
+			buf = slices.Grow(buf, max(len(buf), 64<<10))
+		}
+		if buf, err = st.appendRow(buf, ref.group, ref.row); err != nil {
+			return nil, err
+		}
+		ends[line] = len(buf)
+	}
+	text := string(buf)
+	out := make([]string, len(index))
+	start := 0
+	for line, end := range ends {
+		out[line], start = text[start:end], end
+	}
+	return out, nil
+}
+
+// appendRow is the Reconstructor (§3): it appends the text of row of group
+// gi — or, for gi < 0, of the row-th block outlier line — to dst. A
+// group's row is its template with every variable filled in from the
+// row-th value of the variable's capsules, which is O(1) per value in a
+// resolved column thanks to padding.
+func (st *Store) appendRow(dst []byte, gi, row int) ([]byte, error) {
+	if gi < 0 {
+		sr, err := st.searcher(st.box.Meta.OutlierCapID)
+		if err != nil {
+			return dst, err
+		}
+		if row < 0 || row >= sr.Rows() {
+			return dst, fmt.Errorf("%w: outlier line %d beyond its capsule", capsule.ErrCorrupt, row)
+		}
+		return append(dst, sr.Value(row)...), nil
+	}
 	g := st.groups[gi]
-	var out []byte
 	for _, te := range g.meta.Template {
 		if te.Var < 0 {
-			out = append(out, te.Lit...)
+			dst = append(dst, te.Lit...)
 			continue
 		}
-		val, err := st.varValue(&g.meta.Vars[te.Var], row)
-		if err != nil {
-			return "", err
+		var err error
+		if dst, err = st.appendVar(dst, &g.meta.Vars[te.Var], row); err != nil {
+			return dst, err
 		}
-		out = append(out, val...)
 	}
-	return string(out), nil
+	return dst, nil
 }
 
-// varValue fetches the row-th value of one variable vector.
-func (st *Store) varValue(vm *capsule.VarMeta, row int) (string, error) {
+// appendVar appends the row-th value of one variable vector: a real
+// vector's runtime pattern filled from its sub-variable capsules (or its
+// outlier capsule's value), a nominal vector's dictionary entry named by
+// its index capsule.
+func (st *Store) appendVar(dst []byte, vm *capsule.VarMeta, row int) ([]byte, error) {
 	switch vm.Kind {
 	case capsule.RealVar:
 		if len(vm.OutRows) > 0 {
-			oi := sort.SearchInts(vm.OutRows, row)
-			if oi < len(vm.OutRows) && vm.OutRows[oi] == row {
+			oi, out := slices.BinarySearch(vm.OutRows, row)
+			if out {
 				v, err := st.value(vm.OutCapID, oi)
-				if err != nil {
-					return "", err
-				}
-				return string(v), nil
+				return append(dst, v...), err
 			}
 			row -= oi // rank among matched rows
 		}
-		var out []byte
 		for _, e := range vm.Pattern {
 			if e.Sub < 0 {
-				out = append(out, e.Lit...)
+				dst = append(dst, e.Lit...)
 				continue
 			}
 			v, err := st.value(e.CapID, row)
 			if err != nil {
-				return "", err
+				return dst, err
 			}
-			out = append(out, v...)
+			dst = append(dst, v...)
 		}
-		return string(out), nil
+		return dst, nil
 
 	case capsule.NominalVar:
 		iv, err := st.value(vm.IndexCapID, row)
 		if err != nil {
-			return "", err
+			return dst, err
 		}
-		idx, err := strconv.Atoi(string(iv))
-		if err != nil {
-			return "", fmt.Errorf("%w: bad index entry: %v", capsule.ErrCorrupt, err)
+		idx, ok := parseIndex(iv)
+		if !ok {
+			return dst, fmt.Errorf("%w: bad index entry %q", capsule.ErrCorrupt, iv)
 		}
-		return st.dictValue(vm, idx)
+		v, err := st.dictValue(vm, idx)
+		return append(dst, v...), err
 	}
-	return "", fmt.Errorf("%w: unknown variable kind", capsule.ErrCorrupt)
+	return dst, fmt.Errorf("%w: unknown variable kind", capsule.ErrCorrupt)
 }
 
-// dictValue fetches dictionary entry idx, jumping to its pattern's segment
-// via the (count, length) stamps when the dictionary is padded.
-func (st *Store) dictValue(vm *capsule.VarMeta, idx int) (string, error) {
+// parseIndex reads a dictionary index entry as strconv.Atoi would — an
+// optional sign, then decimal digits that fit an int — without allocating.
+// ok is false exactly where Atoi fails.
+func parseIndex(b []byte) (idx int, ok bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
+		b = b[1:]
+	}
+	if len(b) == 0 {
+		return 0, false
+	}
+	limit := uint64(math.MaxInt)
+	if neg {
+		limit++
+	}
+	var u uint64
+	for _, c := range b {
+		d := uint64(c - '0')
+		if d > 9 || u > (limit-d)/10 {
+			return 0, false
+		}
+		u = u*10 + d
+	}
+	if neg {
+		return -int(u), true
+	}
+	return int(u), true
+}
+
+// dictValue fetches dictionary entry idx: by binary search of the padded
+// dictionary's segment table, or from the delimited dictionary's column.
+func (st *Store) dictValue(vm *capsule.VarMeta, idx int) ([]byte, error) {
 	if idx < 0 {
-		return "", fmt.Errorf("%w: dict index %d out of range", capsule.ErrCorrupt, idx)
+		return nil, fmt.Errorf("%w: dict index %d out of range", capsule.ErrCorrupt, idx)
 	}
 	if !st.padding {
 		sr, err := st.searcher(vm.DictCapID)
 		if err != nil {
-			return "", err
-		}
-		if idx >= sr.Rows() {
-			return "", fmt.Errorf("%w: dict index %d out of range", capsule.ErrCorrupt, idx)
-		}
-		return string(sr.Value(idx)), nil
-	}
-	w, err := st.walkDict(vm)
-	if err != nil {
-		return "", err
-	}
-	for w.next() {
-		if idx < w.base+w.dp.Count {
-			return string(strmatch.NewFixedWidth(w.seg, w.width).Value(idx - w.base)), nil
-		}
-	}
-	if err := w.err(); err != nil {
-		return "", err
-	}
-	return "", fmt.Errorf("%w: dict index %d out of range", capsule.ErrCorrupt, idx)
-}
-
-// dictWalk steps through a padded dictionary capsule one runtime pattern's
-// segment at a time, in dictionary order. It is the one place that fetches
-// a dictionary's bytes and checks the directory's segment sizes against
-// them.
-type dictWalk struct {
-	payload []byte
-	pats    []capsule.DictPatternMeta
-	capID   int
-	i       int // segments visited so far
-	end     int // payload offset just past the current segment
-
-	// The current segment, valid after next returns true.
-	dp    *capsule.DictPatternMeta
-	base  int    // dictionary position of its first entry
-	seg   []byte // its entries: dp.Count rows of width bytes
-	width int
-}
-
-func (st *Store) walkDict(vm *capsule.VarMeta) (dictWalk, error) {
-	payload, err := st.payload(vm.DictCapID)
-	return dictWalk{payload: payload, pats: vm.DictPatterns, capID: vm.DictCapID}, err
-}
-
-// next moves to the following segment. It returns false after the last
-// one, and at a segment the capsule is too short to hold: err tells which.
-func (w *dictWalk) next() bool {
-	if w.i == len(w.pats) {
-		return false
-	}
-	if w.dp != nil {
-		w.base += w.dp.Count
-	}
-	w.dp = &w.pats[w.i]
-	w.width = max(1, w.dp.MaxLen)
-	off := w.end
-	w.end += w.dp.Count * w.width
-	if w.end > len(w.payload) {
-		return false
-	}
-	w.seg = w.payload[off:w.end]
-	w.i++
-	return true
-}
-
-// err reports why next returned false: nil at the end of the dictionary.
-func (w *dictWalk) err() error {
-	if w.i == len(w.pats) {
-		return nil
-	}
-	return fmt.Errorf("%w: dict capsule %d shorter than its segments", capsule.ErrCorrupt, w.capID)
-}
-
-// ReconstructAll rebuilds the entire block, one string per line.
-func (st *Store) ReconstructAll() ([]string, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]string, st.NumLines())
-	for line := range out {
-		s, err := st.reconstructLineLocked(line)
-		if err != nil {
 			return nil, err
 		}
-		out[line] = s
+		if idx >= sr.Rows() {
+			return nil, fmt.Errorf("%w: dict index %d out of range", capsule.ErrCorrupt, idx)
+		}
+		return sr.Value(idx), nil
 	}
-	return out, nil
+	d, err := st.dictSegments(vm)
+	if err != nil {
+		return nil, err
+	}
+	segs := d.segs
+	i := sort.Search(len(segs), func(i int) bool { return segs[i].end > idx })
+	if i == len(segs) {
+		if d.err != nil {
+			return nil, d.err
+		}
+		return nil, fmt.Errorf("%w: dict index %d out of range", capsule.ErrCorrupt, idx)
+	}
+	return segs[i].fw.Value(idx - segs[i].base), nil
+}
+
+// dictTable is a padded dictionary's segment table: one entry per runtime
+// pattern's segment — segs[i] holds vm.DictPatterns[i]'s entries — in
+// dictionary order, up to the first segment the capsule is too short to
+// hold (err then says so). Lookups and filter scans both use it.
+type dictTable struct {
+	vm   *capsule.VarMeta
+	segs []dictSeg
+	err  error
+}
+
+// dictSeg is one segment of a padded dictionary.
+type dictSeg struct {
+	base, end int // dictionary positions of its first entry and just past its last
+	fw        strmatch.FixedWidth
+}
+
+// dictSegments returns vm's dictionary segment table, built on the
+// dictionary's first use: one read of the capsule, and the directory's
+// segment sizes checked against it.
+func (st *Store) dictSegments(vm *capsule.VarMeta) (*dictTable, error) {
+	c := st.col(vm.DictCapID)
+	if c.dict != nil && c.dict.vm == vm {
+		return c.dict, nil
+	}
+	payload, err := st.payload(vm.DictCapID)
+	if err != nil {
+		return nil, err
+	}
+	d := &dictTable{vm: vm, segs: make([]dictSeg, 0, len(vm.DictPatterns))}
+	base, off := 0, 0
+	for _, dp := range vm.DictPatterns {
+		width := max(1, dp.MaxLen)
+		if dp.Count > (len(payload)-off)/width {
+			d.err = fmt.Errorf("%w: dict capsule %d shorter than its segments", capsule.ErrCorrupt, vm.DictCapID)
+			break
+		}
+		end := off + dp.Count*width
+		d.segs = append(d.segs, dictSeg{base: base, end: base + dp.Count, fw: *strmatch.NewFixedWidth(payload[off:end], width)})
+		base, off = base+dp.Count, end
+	}
+	c.dict = d
+	return d, nil
 }

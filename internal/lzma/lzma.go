@@ -55,11 +55,16 @@ const (
 	distSlotBits  = 6
 )
 
-func (m *models) reset() {
+// initModels is every probability at probInit: the state each stream,
+// encoded or decoded, starts from. reset copies it in one move.
+var initModels = func() (m models) {
 	for i := range m {
 		m[i] = probInit
 	}
-}
+	return m
+}()
+
+func (m *models) reset() { *m = initModels }
 
 func (m *models) isMatch() []prob { return m[offIsMatch : offIsMatch+nStates] }
 func (m *models) isRep() []prob   { return m[offIsRep : offIsRep+nStates] }
@@ -196,8 +201,9 @@ func DecompressLimit(comp []byte, limit uint64) ([]byte, error) {
 		return []byte{}, nil
 	}
 	d := newRangeDecoder(rest[n:])
-	m := new(models)
-	m.reset()
+	// The models stay on the stack: a copy of the initial table, with no
+	// zeroing or per-probability loop before it.
+	m := initModels
 	isMatch, isRep := m.isMatch(), m.isRep()
 	lenC, repLenC, distC := m.lenCoder(offLen), m.lenCoder(offRepLen), m.distCoder()
 
