@@ -219,6 +219,21 @@ func getInto(t *testing.T, url string, v any) {
 // two copies of the fixture commit 7abb5d0 wrote — replays and answers
 // exactly what grep over the raw lines answers, untouched on disk.
 func TestLoggrepdServesRev1Segments(t *testing.T) {
+	serveFixtureSegments(t, "box1_fixture", "box1_fixture")
+}
+
+// TestLoggrepdServesRev2Segments does the same for a stream sealed first by
+// a rev-1 and then by a rev-2 loggrepd (the fixture commit 52d28eb wrote:
+// every section LZMA-lite) before this one, which seals rev-3 boxes.
+func TestLoggrepdServesRev2Segments(t *testing.T) {
+	serveFixtureSegments(t, "box1_fixture", "box2_fixture")
+}
+
+// serveFixtureSegments installs the named archive fixtures as one stream's
+// sealed segments, in order, starts a real loggrepd on them, and checks its
+// answers against grep over the fixtures' raw logs laid end to end.
+func serveFixtureSegments(t *testing.T, fixtures ...string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds a binary and runs a daemon")
 	}
@@ -227,31 +242,34 @@ func TestLoggrepdServesRev1Segments(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", daemon, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build loggrepd: %v\n%s", err, out)
 	}
-	fixture := filepath.Join("..", "..", "internal", "archive", "testdata", "box1_fixture")
-	seg, err := os.ReadFile(fixture + ".lgrep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(fixture + ".log")
-	if err != nil {
-		t.Fatal(err)
-	}
 	streamDir := filepath.Join(dir, "ingest", "acme", "app")
 	if err := os.MkdirAll(streamDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	segs := []string{filepath.Join(streamDir, "seg-00000001.lgrep"), filepath.Join(streamDir, "seg-00000002.lgrep")}
-	for _, p := range segs {
+	var raw []byte
+	segs := map[string][]byte{}
+	for i, name := range fixtures {
+		fixture := filepath.Join("..", "..", "internal", "archive", "testdata", name)
+		seg, err := os.ReadFile(fixture + ".lgrep")
+		if err != nil {
+			t.Fatal(err)
+		}
+		log, err := os.ReadFile(fixture + ".log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = append(raw, log...)
+		p := filepath.Join(streamDir, fmt.Sprintf("seg-%08d.lgrep", i+1))
 		if err := os.WriteFile(p, seg, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		segs[p] = seg
 	}
 
 	base, _, _, preamble := startDaemon(t, daemon, "-ingest", "-ingest-dir", filepath.Join(dir, "ingest"))
-	if banner := strings.Join(preamble, "\n"); !strings.Contains(banner, "2 sealed") {
-		t.Fatalf("replay banner does not report the two sealed segments:\n%s", banner)
+	if banner := strings.Join(preamble, "\n"); !strings.Contains(banner, fmt.Sprintf("%d sealed", len(fixtures))) {
+		t.Fatalf("replay banner does not report the %d sealed segments:\n%s", len(fixtures), banner)
 	}
-	perSeg := bytes.Count(raw, []byte("\n"))
 	for _, cmd := range []string{"ERROR", "Operation:ReadChunk AND SATADiskId:7", "NOT INFO"} {
 		want, wantEntries, err := loggrep.RawQuery(raw, cmd)
 		if err != nil {
@@ -263,17 +281,16 @@ func TestLoggrepdServesRev1Segments(t *testing.T) {
 			Partial bool     `json:"partial"`
 		}
 		getInto(t, base+"/v1/query?source=acme/app&q="+url.QueryEscape(cmd), &q)
-		if q.Partial || len(q.Lines) != 2*len(want) {
-			t.Fatalf("query %q: %d matches (partial=%v), want %d", cmd, len(q.Lines), q.Partial, 2*len(want))
+		if q.Partial || len(q.Lines) != len(want) {
+			t.Fatalf("query %q: %d matches (partial=%v), want %d", cmd, len(q.Lines), q.Partial, len(want))
 		}
 		for i, line := range q.Lines {
-			w := i % len(want)
-			if line != want[w]+i/len(want)*perSeg || q.Entries[i] != wantEntries[w] {
-				t.Fatalf("query %q: match %d is line %d %q", cmd, i, line, q.Entries[i])
+			if line != want[i] || q.Entries[i] != wantEntries[i] {
+				t.Fatalf("query %q: match %d is line %d %q, want %d %q", cmd, i, line, q.Entries[i], want[i], wantEntries[i])
 			}
 		}
 	}
-	for _, p := range segs {
+	for p, seg := range segs {
 		if got, err := os.ReadFile(p); err != nil || !bytes.Equal(got, seg) {
 			t.Fatalf("%s changed on disk (%v)", p, err)
 		}

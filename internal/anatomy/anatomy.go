@@ -212,19 +212,25 @@ func Inspect(data []byte) (*Report, error) {
 	return rep, nil
 }
 
+// framingNote labels the bytes no stage claims: magics and length varints.
+const framingNote = "magic + length varints"
+
 // finish sums the per-block stages and kinds into the report, appending
-// the archive-level framing bytes to the framing stage.
+// the archive-level framing bytes to the framing stage. Rows of one stage
+// whose notes differ stay apart: blocks of different box revisions pack
+// with different codecs.
 func (r *Report) finish(archiveFraming int) {
-	stageIdx := map[string]int{}
+	stageIdx := map[[2]string]int{}
 	kindIdx := map[string]int{}
 	for _, blk := range r.Blocks {
 		r.PaddingBytes += blk.Box.PaddingBytes
 		r.PayloadBytes += blk.Box.PayloadBytes
 		for _, sg := range blk.Box.Stages {
-			i, ok := stageIdx[sg.Stage]
+			key := [2]string{sg.Stage, sg.Note}
+			i, ok := stageIdx[key]
 			if !ok {
 				i = len(r.Stages)
-				stageIdx[sg.Stage] = i
+				stageIdx[key] = i
 				r.Stages = append(r.Stages, StageBytes{Stage: sg.Stage, Note: sg.Note})
 			}
 			r.Stages[i].RawBytes += sg.RawBytes
@@ -247,10 +253,10 @@ func (r *Report) finish(archiveFraming int) {
 	}
 	sort.Slice(r.Kinds, func(i, j int) bool { return r.Kinds[i].Kind < r.Kinds[j].Kind })
 	if archiveFraming > 0 {
-		i, ok := stageIdx["framing"]
+		i, ok := stageIdx[[2]string{"framing", framingNote}]
 		if !ok {
 			i = len(r.Stages)
-			r.Stages = append(r.Stages, StageBytes{Stage: "framing"})
+			r.Stages = append(r.Stages, StageBytes{Stage: "framing", Note: framingNote})
 		}
 		r.Stages[i].PackedBytes += archiveFraming
 	}
@@ -379,16 +385,19 @@ func inspectBox(data []byte) (*BoxStats, error) {
 	// framing, so the column sums to the file size exactly.
 	metaComp, _ := box.MetaSizes()
 	lineMaps := box.LineMapBytes()
-	blobBytes := 0
+	// Blob bytes by codec, in codec order: one pack row per codec present.
+	var blobBytes [capsule.CodecDeflate + 1]int
 	for id := range meta.Capsules {
-		blobBytes += box.BlobSize(id)
+		blobBytes[box.Codec(id)] += box.BlobSize(id)
 	}
-	parseNote := "templates + all pattern metadata (lzma, one section)"
+	dir := box.DirCodec()
+	parseNote := fmt.Sprintf("templates + all pattern metadata (%s, one section)", dir)
 	lineMapNote := "row→line maps, one Rice bitstream per group; raw = one newline per line"
 	if lineMaps == 0 && meta.NumLines > 0 {
-		parseNote = "templates, line maps + all pattern metadata (lzma, one section)"
+		parseNote = fmt.Sprintf("templates, line maps + all pattern metadata (%s, one section)", dir)
 		lineMapNote = "rev-1 box: row→line maps are packed inside the parse section"
 	}
+	framing := len(data) - metaComp - lineMaps
 	bs.Stages = []StageBytes{
 		{Stage: "parse", RawBytes: parseRaw, PackedBytes: metaComp, Note: parseNote},
 		{Stage: "linemap", RawBytes: meta.NumLines, PackedBytes: lineMaps, Note: lineMapNote},
@@ -396,11 +405,15 @@ func inspectBox(data []byte) (*BoxStats, error) {
 			Note: "runtime-pattern literals (stored in the parse metadata section)"},
 		{Stage: "assemble", RawBytes: assembleRaw,
 			Note: "capsule values; compressed bytes appear under pack"},
-		{Stage: "pack", PackedBytes: blobBytes,
-			Note: "lzma capsule blobs incl chunk framing"},
-		{Stage: "framing", PackedBytes: len(data) - metaComp - lineMaps - blobBytes,
-			Note: "magic + length varints"},
 	}
+	for c, n := range blobBytes {
+		if n > 0 {
+			bs.Stages = append(bs.Stages, StageBytes{Stage: "pack", PackedBytes: n,
+				Note: capsule.Codec(c).String() + " capsule blobs incl chunk framing"})
+			framing -= n
+		}
+	}
+	bs.Stages = append(bs.Stages, StageBytes{Stage: "framing", PackedBytes: framing, Note: framingNote})
 	return bs, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"loggrep/internal/archive"
@@ -249,5 +250,51 @@ func TestInspectRev1Box(t *testing.T) {
 	}
 	if got, want := rep.RawTotal(), bi.RawBytes; got < want*99/100 || got > want*101/100 {
 		t.Errorf("raw column %d, the frame says the block was %d bytes", got, want)
+	}
+}
+
+// TestInspectPackByCodec: the pack stage reports capsule blob bytes per
+// codec — LZMA-lite for the rev-2 fixture's blocks, DEFLATE for a freshly
+// written archive — and the codecs' rows hold every capsule's bytes.
+func TestInspectPackByCodec(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("..", "archive", "testdata", "box2_fixture.lgrep"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lt, _ := loggen.ByName("S")
+	opts := archive.DefaultOptions()
+	opts.BlockBytes = 32 << 10
+	fresh, err := archive.Compress(lt.Block(1, 1000), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name       string
+		data       []byte
+		pack, skip string
+	}{
+		{"rev-2 fixture", fixture, "lzma", "deflate"},
+		{"rev-3 archive", fresh, "deflate", "lzma"},
+	} {
+		rep, err := Inspect(tc.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.PackedTotal(); got != len(tc.data) {
+			t.Errorf("%s: packed total %d, file is %d bytes", tc.name, got, len(tc.data))
+		}
+		capsules := 0
+		for _, k := range rep.Kinds {
+			capsules += k.PackedBytes
+		}
+		packed := map[string]int{}
+		for _, s := range rep.Stages {
+			if s.Stage == "pack" {
+				packed[strings.Fields(s.Note)[0]] += s.PackedBytes
+			}
+		}
+		if packed[tc.pack] != capsules || packed[tc.skip] != 0 || len(packed) != 1 {
+			t.Errorf("%s: pack rows %v, want all %d capsule bytes under %s", tc.name, packed, capsules, tc.pack)
+		}
 	}
 }

@@ -7,10 +7,12 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 
+	"loggrep/internal/capsule"
 	"loggrep/internal/core"
 	"loggrep/internal/loggen"
 	"loggrep/internal/logparse"
@@ -38,12 +40,12 @@ func testOptions(blockBytes int) Options {
 
 // TestOnDiskBytesPinned holds the writer's output still: every loggen type
 // (seed 1, 4 000 lines) as one box and as a multi-block archive hashes to
-// what commit bf7eea6 wrote. A format or mining change moves these on
+// what the first rev-3 (LGRPBOX3, DEFLATE capsules) writer wrote. A format or mining change moves these on
 // purpose and re-measures them; a refactor must not.
 func TestOnDiskBytesPinned(t *testing.T) {
 	const (
-		wantBoxes    = "7f4c6310951af707888acd9ec71f63feecd67971b10d30146b5052ea435bc984"
-		wantArchives = "d3695ec3a737487f9fad1e1de6f7c0ed06473124fff6ae7575593f24a95defc0"
+		wantBoxes    = "3b74f9b353612ad8b962432fa424b52eb1f688d8ebbf3b02b008d50f4654d335"
+		wantArchives = "21a360b74dd3c6b8495f70f1593493fda536ab4db60f593b18a9241700c22fa8"
 	)
 	boxes, archives := sha256.New(), sha256.New()
 	for _, lt := range loggen.All() {
@@ -119,15 +121,90 @@ func TestArchiveRoundTrip(t *testing.T) {
 // flag and reason, decompressions — on a pristine archive, one with a
 // payload-flipped block and one with a damaged frame header, for queries
 // and counts alike; the pristine answers are the oracle's; a budget-cut
-// query at any worker count is a flagged subset of the full answer.
+// query at any worker count is a flagged subset of the full answer. It
+// holds for a fresh archive and for one whose frames alternate rev-2 and
+// rev-3 boxes (LZMA-lite and DEFLATE capsules).
 func TestArchiveQueryEquivalence(t *testing.T) {
 	lt, _ := loggen.ByName("G")
 	stream := lt.Block(4, 8000)
-	lines := logparse.SplitLines(stream)
 	data, err := Compress(stream, testOptions(150_000))
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Run("fresh", func(t *testing.T) {
+		checkQueryEquivalence(t, logparse.SplitLines(stream), data, []string{
+			lt.Query,
+			"Operation:WriteChunk",
+			"ERROR OR TraceId:3615*",
+			"NOT INFO",
+			"heartbeat AND node-7",
+		})
+	})
+	t.Run("rev2+rev3", func(t *testing.T) {
+		raw, err := os.ReadFile("testdata/box2_fixture.log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rev2, err := os.ReadFile("testdata/box2_fixture.lgrep")
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := DefaultOptions()
+		opts.BlockBytes = 32 << 10 // the fixture's cut
+		rev3, err := Compress(raw, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mixed := spliceFrames(t, rev3, rev2)
+		if n := bytes.Count(mixed, []byte("LGRPBOX2")); n != 3 || bytes.Count(mixed, []byte(capsule.BoxMagic)) != 3 {
+			t.Fatalf("spliced archive holds %d rev-2 boxes, want 3 of each revision", n)
+		}
+		// Every query must open block 1, the payload the check flips: each
+		// type's Table-1 query rides beside ERROR, which every block holds.
+		queries := []string{"ERROR", "NOT INFO"}
+		for _, name := range []string{"A", "G", "S"} {
+			lt, _ := loggen.ByName(name)
+			queries = append(queries, "ERROR OR "+lt.Query)
+		}
+		checkQueryEquivalence(t, logparse.SplitLines(raw), mixed, queries)
+	})
+}
+
+// spliceFrames interleaves two archives of one stream cut into the same
+// blocks: even frames, the terminator and the index tail from a, odd
+// frames from b. Frame headers carry absolute line offsets and their own
+// checksums, so frames move between archives verbatim.
+func spliceFrames(t *testing.T, a, b []byte) []byte {
+	t.Helper()
+	fa, err := ScanFrames(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := ScanFrames(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fa) != len(fb) {
+		t.Fatalf("%d frames against %d: the archives are cut differently", len(fa), len(fb))
+	}
+	out := []byte(Magic)
+	for i, f := range fa[:len(fa)-1] {
+		src := a
+		if i%2 == 1 {
+			src, f = b, fb[i]
+		}
+		if f.Lines != fa[i].Lines {
+			t.Fatalf("frame %d: %d lines against %d", i, f.Lines, fa[i].Lines)
+		}
+		out = append(out, src[f.HeaderOff:f.PayloadOff+f.PayloadLen]...)
+	}
+	return append(out, a[fa[len(fa)-1].HeaderOff:]...)
+}
+
+// checkQueryEquivalence is TestArchiveQueryEquivalence over one archive of
+// lines; queries[0] must need more than two decompressions.
+func checkQueryEquivalence(t *testing.T, lines []string, data []byte, queries []string) {
+	t.Helper()
 	frames, err := ScanFrames(data)
 	if err != nil {
 		t.Fatal(err)
@@ -143,13 +220,6 @@ func TestArchiveQueryEquivalence(t *testing.T) {
 		name string
 		data []byte
 	}{{"pristine", data}, {"payload-flipped", payloadFlipped}, {"header-damaged", headerDamaged}}
-	queries := []string{
-		lt.Query,
-		"Operation:WriteChunk",
-		"ERROR OR TraceId:3615*",
-		"NOT INFO",
-		"heartbeat AND node-7",
-	}
 	// search opens the input afresh, so every run starts from cold caches
 	// and decompresses what the first run of its query does.
 	search := func(data []byte, cmd string, o core.SearchOpts) *Result {

@@ -38,6 +38,23 @@ func TestBox1FixtureCompat(t *testing.T) {
 	}
 }
 
+// TestBox2FixtureCompat does the same for a v2-frame archive whose blocks
+// are rev-2 CapsuleBoxes (LGRPBOX2: Rice line maps, every section
+// LZMA-lite), written by commit 52d28eb — the last whose writer emitted
+// them — from 700 lines each of loggen types A, G and S (seed 1) in 32 KiB
+// blocks.
+func TestBox2FixtureCompat(t *testing.T) {
+	queries := []string{"ERROR", "NOT INFO"}
+	for _, name := range []string{"A", "G", "S"} {
+		lt, _ := loggen.ByName(name)
+		queries = append(queries, lt.Query)
+	}
+	data := checkFixture(t, "box2_fixture", Magic, 6, queries)
+	if n := bytes.Count(data, []byte("LGRPBOX2")); n != 6 || bytes.Contains(data, []byte(capsule.BoxMagic)) {
+		t.Fatalf("fixture holds %d rev-2 boxes (want 6) or a current-revision one", n)
+	}
+}
+
 // checkFixture opens testdata/<name>.lgrep, checks it against the raw log
 // beside it, and returns the archive bytes.
 func checkFixture(t *testing.T, name, magic string, minBlocks int, queries []string) []byte {

@@ -34,17 +34,20 @@ func fuzzSeedArchives(f *testing.F) [][]byte {
 		f.Fatal(err)
 	}
 	// Bare CapsuleBoxes, which Open serves as one-block archives: one of
-	// the current revision, one of the previous (the fixture's first block).
-	box2 := core.Compress(stream, opts.Core)
-	fixture, err := os.ReadFile("testdata/box1_fixture.lgrep")
-	if err != nil {
-		f.Fatal(err)
+	// the current revision, one of each earlier (a fixture's first block).
+	box3 := core.Compress(stream, opts.Core)
+	firstBox := func(name string) []byte {
+		fixture, err := os.ReadFile("testdata/" + name + ".lgrep")
+		if err != nil {
+			f.Fatal(err)
+		}
+		frames, err := ScanFrames(fixture)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return fixture[frames[0].PayloadOff : frames[0].PayloadOff+frames[0].PayloadLen]
 	}
-	frames, err := ScanFrames(fixture)
-	if err != nil {
-		f.Fatal(err)
-	}
-	box1 := fixture[frames[0].PayloadOff : frames[0].PayloadOff+frames[0].PayloadLen]
+	box1, box2 := firstBox("box1_fixture"), firstBox("box2_fixture")
 	flipped := append([]byte(nil), v2...)
 	flipped[len(flipped)/3] ^= 0x10
 	headerHit := append([]byte(nil), v2...)
@@ -62,9 +65,10 @@ func fuzzSeedArchives(f *testing.F) [][]byte {
 		flipped,        // payload or header bit flip
 		headerHit,      // first frame header bit flip
 		indexHit,       // index tail bit flip
+		box3,
 		box2,
 		box1,
-		box2[:len(box2)/2], // truncated box
+		box3[:len(box3)/2], // truncated box
 		[]byte(Magic),
 		[]byte(MagicV1),
 		[]byte(capsule.BoxMagic),

@@ -51,6 +51,9 @@ type Info struct {
 	// ChunkRows is the rows-per-chunk of a chunked capsule (see
 	// chunk.go); 0 means the payload compresses as one piece.
 	ChunkRows int
+	// Codec codes every chunk of the capsule (LZMA-lite in a rev-1 or
+	// rev-2 box).
+	Codec Codec
 }
 
 // PackFixed pads each value to width with the pad byte and concatenates

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"loggrep/internal/lzma"
 	"loggrep/internal/strmatch"
 )
 
@@ -17,11 +16,11 @@ import (
 // trade-off is a slightly lower compression ratio (smaller compression
 // contexts), quantified by BenchmarkChunkedCapsules.
 //
-// Blob wire format (per capsule):
+// Blob wire format (per capsule; every chunk in its capsule's codec):
 //
 //	uvarint numChunks
-//	  numChunks == 1: uvarint(len) + lzma blob            (unchunked)
-//	  else: uvarint rowsPerChunk, then per chunk uvarint(len) + lzma blob
+//	  numChunks == 1: uvarint(len) + chunk                (unchunked)
+//	  else: uvarint rowsPerChunk, then per chunk uvarint(len) + chunk
 
 // chunkRowBoundaries returns the byte offset of each row boundary for a
 // var-width payload (delimiter-separated values).
@@ -58,11 +57,11 @@ func chunkRows(info *Info, payload []byte, target int) int {
 
 // appendBlob compresses one capsule payload, chunked as chunkRows says, and
 // appends its blob to dst.
-func appendBlob(dst []byte, info *Info, payload []byte, target int) []byte {
+func (z *deflater) appendBlob(dst []byte, info *Info, payload []byte, target int) []byte {
 	rowsPerChunk := chunkRows(info, payload, target)
 	if rowsPerChunk == 0 {
 		dst = binary.AppendUvarint(dst, 1)
-		return appendChunk(dst, payload)
+		return z.appendChunk(dst, payload)
 	}
 	var chunks [][]byte
 	if info.Width > 0 {
@@ -77,14 +76,14 @@ func appendBlob(dst []byte, info *Info, payload []byte, target int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(chunks)))
 	dst = binary.AppendUvarint(dst, uint64(rowsPerChunk))
 	for _, ch := range chunks {
-		dst = appendChunk(dst, ch)
+		dst = z.appendChunk(dst, ch)
 	}
 	return dst
 }
 
-// appendChunk appends uvarint(len) + lzma blob for one chunk.
-func appendChunk(dst, chunk []byte) []byte {
-	c := lzma.Compress(chunk)
+// appendChunk appends uvarint(len) + the DEFLATE chunk of raw.
+func (z *deflater) appendChunk(dst, raw []byte) []byte {
+	c := z.chunk(raw)
 	dst = binary.AppendUvarint(dst, uint64(len(c)))
 	return append(dst, c...)
 }
@@ -96,7 +95,10 @@ type blobRef struct {
 	encLen       int      // encoded size in the box, chunk framing included
 }
 
-func decodeBlobRef(data []byte) (blobRef, int, error) {
+// decodeBlobRef parses one capsule's blob framing. Its chunk slices are
+// appended to arena, which every capsule of a box shares, and br.chunks is
+// the capped tail that holds them: one allocation per box, not per capsule.
+func decodeBlobRef(data []byte, arena *[][]byte) (blobRef, int, error) {
 	var br blobRef
 	pos := 0
 	numChunks, n := binary.Uvarint(data)
@@ -112,14 +114,16 @@ func decodeBlobRef(data []byte) (blobRef, int, error) {
 		pos += n
 		br.rowsPerChunk = int(rpc)
 	}
+	start := len(*arena)
 	for i := uint64(0); i < numChunks; i++ {
 		cl, n := binary.Uvarint(data[pos:])
 		if n <= 0 || uint64(len(data)-pos-n) < cl {
 			return br, 0, fmt.Errorf("%w: chunk %d truncated", ErrCorrupt, i)
 		}
 		pos += n
-		br.chunks = append(br.chunks, data[pos:pos+int(cl)])
+		*arena = append(*arena, data[pos:pos+int(cl)])
 		pos += int(cl)
 	}
+	br.chunks = (*arena)[start:len(*arena):len(*arena)]
 	return br, pos, nil
 }

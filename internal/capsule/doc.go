@@ -7,8 +7,10 @@
 // positions to row numbers by division. Each Capsule carries a stamp — a 6-bit character-type
 // mask and the maximal value length — used to skip decompression during
 // keyword matching. A CapsuleBox is the compressed form of one log block:
-// an LZMA-compressed directory (static patterns, runtime patterns, stamps,
-// capsule table, per-group row counts), the groups' row→line maps as Rice
-// bitstreams that decode on first touch, then independently
-// LZMA-compressed Capsule payloads.
+// a compressed directory (static patterns, runtime patterns, stamps,
+// capsule table with each capsule's codec, per-group row counts), the
+// groups' row→line maps as Rice bitstreams that decode on first touch,
+// then independently compressed Capsule payloads. The writer codes the
+// directory with LZMA-lite and the payloads with DEFLATE (box revision 3);
+// revisions 1 and 2, LZMA-lite throughout, still read.
 package capsule

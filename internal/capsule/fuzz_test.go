@@ -11,6 +11,10 @@ func FuzzReadBox(f *testing.F) {
 	meta, payloads := sampleMeta()
 	valid := WriteBox(meta, payloads, 0)
 	f.Add(valid)
+	// Rev 3 with chunked DEFLATE capsules: a 2-byte target cuts every
+	// multi-row capsule but the dictionary row by row.
+	m, p := sampleMeta()
+	f.Add(WriteBox(m, p, 2))
 	f.Add([]byte(BoxMagic))
 	f.Add([]byte(nil))
 	f.Add(valid[:len(valid)/2])

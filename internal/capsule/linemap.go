@@ -7,14 +7,14 @@ import (
 
 // LineMap is the ascending block line numbers of one group's rows (or of
 // the block's outlier lines). A map built by the compressor or read from a
-// rev-1 box holds its numbers; one read from a rev-2 box holds the Rice
+// rev-1 box holds its numbers; one read from a later box holds the Rice
 // bitstream the box stores and decodes it on first touch — most queries
 // need the numbers of a few groups only, and none before they have matches.
 type LineMap struct {
 	rows  int
 	lines []int // nil until decoded while enc is set
 
-	// A rev-2 map before (and after) its first touch: the Rice parameter,
+	// A rev-2 or rev-3 map before (and after) its first touch: the Rice parameter,
 	// the bitstream (aliasing the box buffer) and the block's line count,
 	// which bounds every number.
 	k     uint8
@@ -32,7 +32,7 @@ func (m *LineMap) Rows() int { return m.rows }
 // Pending reports whether the next Lines call has to decode the bitstream.
 func (m *LineMap) Pending() bool { return m.lines == nil && m.rows > 0 && m.err == nil }
 
-// Lines returns the line numbers, decoding a rev-2 bitstream on first
+// Lines returns the line numbers, decoding a Rice bitstream on first
 // touch. That decode is where a stored map is validated: exactly Rows
 // numbers, strictly ascending, each below the block's line count, the
 // bitstream consumed to its last byte with zero padding. The result is

@@ -15,7 +15,8 @@ import (
 // patterns per vector (tree expanding for real vectors, pattern merging for
 // nominal ones); the Assembler decomposes vectors into Capsules and stamps
 // them; the Packer pads each Capsule's values to the Capsule's maximal
-// length and LZMA-compresses every Capsule independently.
+// length and compresses every Capsule independently, with the codec
+// capsule.WriteBox writes.
 //
 // Each stage's duration and the block's sizes are recorded into
 // obsv.Default (loggrep_compress_* metrics; see OPERATIONS.md).

@@ -7,8 +7,8 @@
 // Compression (Compress) turns one raw log block into a CapsuleBox:
 // logparse mines static patterns and partitions entries into per-template
 // variable vectors, rtpattern decomposes each vector by runtime patterns
-// into Capsules, and the packer pads, stamps, and LZMA-compresses each
-// Capsule independently. Querying (Store.Search) runs the paper's
+// into Capsules, and the packer pads, stamps, and compresses each Capsule
+// independently (capsule.WriteBox chooses the codec). Querying (Store.Search) runs the paper's
 // filter-then-verify scheme: keywords are matched structurally against
 // static and runtime patterns, Capsule stamps prune Capsules that cannot
 // contain a keyword, the few surviving Capsules are scanned with

@@ -54,12 +54,15 @@ func FuzzOpen(f *testing.F) {
 	f.Add(Compress([]byte("a b c\n"), DefaultOptions()))
 	f.Add([]byte("LGRPBOX1 garbage"))
 	f.Add([]byte("LGRPBOX2 garbage"))
-	// Nominal and real vectors, padded and delimited: the Reconstructor's
-	// every path, for the mutator to damage.
+	f.Add([]byte("LGRPBOX3\x01 garbage"))
+	// Nominal and real vectors, padded and delimited, whole and in chunks:
+	// the Reconstructor's every path, for the mutator to damage.
 	noPad := DefaultOptions()
 	noPad.DisablePadding = true
+	chunked := DefaultOptions()
+	chunked.ChunkBytes = 64
 	lt, _ := loggen.ByName("I")
-	for _, o := range []Options{DefaultOptions(), noPad} {
+	for _, o := range []Options{DefaultOptions(), noPad, chunked} {
 		f.Add(Compress(lt.Block(1, 40), o))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -19,7 +19,7 @@ var (
 	mCompressAssembleNS = obsv.Default.Histogram("loggrep_compress_assemble_ns", "ns",
 		"Per-block capsule assembly time (Assembler stage)")
 	mCompressPackNS = obsv.Default.Histogram("loggrep_compress_pack_ns", "ns",
-		"Per-block padding+LZMA packing time (Packer stage)")
+		"Per-block padding and capsule compression time (Packer stage)")
 	mCompressPatternNS = obsv.Default.Histogram("loggrep_compress_pattern_ns", "ns",
 		"Per-static-pattern (group) extract+assemble time")
 	mCompressGroups = obsv.Default.Histogram("loggrep_compress_groups", "1",

@@ -16,7 +16,7 @@ var stageRows = []struct{ label, metric string }{
 	{"parse (static patterns)", "loggrep_compress_parse_ns"},
 	{"extract (runtime patterns)", "loggrep_compress_extract_ns"},
 	{"assemble (capsules)", "loggrep_compress_assemble_ns"},
-	{"pack (LZMA + layout)", "loggrep_compress_pack_ns"},
+	{"pack (codec + layout)", "loggrep_compress_pack_ns"},
 	{"index scan (grams + vocab)", "loggrep_archive_index_scan_ns"},
 }
 

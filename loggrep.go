@@ -9,8 +9,8 @@
 // CapsuleBox: log entries are parsed into static-pattern groups, each
 // variable vector is decomposed by automatically extracted runtime patterns
 // into Capsules, and every Capsule is padded to fixed width, stamped with a
-// character-type mask and maximal length, and LZMA-compressed
-// independently. Queries are grep-like commands with AND/OR/NOT and
+// character-type mask and maximal length, and compressed independently
+// (DEFLATE since box revision 3; the paper uses LZMA). Queries are grep-like commands with AND/OR/NOT and
 // within-token '*' wildcards; the engine matches keywords on the static and
 // runtime patterns, uses Capsule stamps to avoid decompressing Capsules
 // that cannot contain a keyword, and scans the few remaining Capsules with
