@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"loggrep/internal/capsule"
 	"loggrep/internal/core"
 	"loggrep/internal/loggen"
 	"loggrep/internal/logparse"
@@ -40,12 +39,13 @@ func testOptions(blockBytes int) Options {
 
 // TestOnDiskBytesPinned holds the writer's output still: every loggen type
 // (seed 1, 4 000 lines) as one box and as a multi-block archive hashes to
-// what the first rev-3 (LGRPBOX3, DEFLATE capsules) writer wrote. A format or mining change moves these on
+// what the rev-3 (LGRPBOX3) writer wrote once it coded the directory with
+// DEFLATE as well as the capsules. A format or mining change moves these on
 // purpose and re-measures them; a refactor must not.
 func TestOnDiskBytesPinned(t *testing.T) {
 	const (
-		wantBoxes    = "3b74f9b353612ad8b962432fa424b52eb1f688d8ebbf3b02b008d50f4654d335"
-		wantArchives = "21a360b74dd3c6b8495f70f1593493fda536ab4db60f593b18a9241700c22fa8"
+		wantBoxes    = "af6db7cadd9905f4570e54c3ca7d9e7aa0b0f9f4c9d18e282a0b27fead062a8e"
+		wantArchives = "84af361065f926464f15c61eb2fafd4cd0980d9558e0f3453c5d9ee51e0043d0"
 	)
 	boxes, archives := sha256.New(), sha256.New()
 	for _, lt := range loggen.All() {
@@ -122,8 +122,9 @@ func TestArchiveRoundTrip(t *testing.T) {
 // payload-flipped block and one with a damaged frame header, for queries
 // and counts alike; the pristine answers are the oracle's; a budget-cut
 // query at any worker count is a flagged subset of the full answer. It
-// holds for a fresh archive and for one whose frames alternate rev-2 and
-// rev-3 boxes (LZMA-lite and DEFLATE capsules).
+// holds for a fresh archive, for one whose frames alternate rev-2 and
+// rev-3 boxes (LZMA-lite and DEFLATE capsules), and for one whose rev-3
+// boxes alternate LZMA-lite and DEFLATE directories.
 func TestArchiveQueryEquivalence(t *testing.T) {
 	lt, _ := loggen.ByName("G")
 	stream := lt.Block(4, 8000)
@@ -140,34 +141,43 @@ func TestArchiveQueryEquivalence(t *testing.T) {
 			"heartbeat AND node-7",
 		})
 	})
-	t.Run("rev2+rev3", func(t *testing.T) {
-		raw, err := os.ReadFile("testdata/box2_fixture.log")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rev2, err := os.ReadFile("testdata/box2_fixture.lgrep")
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := DefaultOptions()
-		opts.BlockBytes = 32 << 10 // the fixture's cut
-		rev3, err := Compress(raw, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mixed := spliceFrames(t, rev3, rev2)
-		if n := bytes.Count(mixed, []byte("LGRPBOX2")); n != 3 || bytes.Count(mixed, []byte(capsule.BoxMagic)) != 3 {
-			t.Fatalf("spliced archive holds %d rev-2 boxes, want 3 of each revision", n)
-		}
-		// Every query must open block 1, the payload the check flips: each
-		// type's Table-1 query rides beside ERROR, which every block holds.
-		queries := []string{"ERROR", "NOT INFO"}
-		for _, name := range []string{"A", "G", "S"} {
-			lt, _ := loggen.ByName(name)
-			queries = append(queries, "ERROR OR "+lt.Query)
-		}
-		checkQueryEquivalence(t, logparse.SplitLines(raw), mixed, queries)
-	})
+	for _, tc := range []struct {
+		name, fixture string
+		old           func(box []byte) bool // a box the fixture's writer wrote
+	}{
+		{"rev2+rev3", "box2_fixture", func(box []byte) bool { return bytes.HasPrefix(box, []byte("LGRPBOX2")) }},
+		{"lzma-dir+deflate-dir", "box3_fixture", lzmaDirBox},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			raw, err := os.ReadFile("testdata/" + tc.fixture + ".log")
+			if err != nil {
+				t.Fatal(err)
+			}
+			fixture, err := os.ReadFile("testdata/" + tc.fixture + ".lgrep")
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := DefaultOptions()
+			opts.BlockBytes = 32 << 10 // the fixture's cut
+			fresh, err := Compress(raw, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mixed := spliceFrames(t, fresh, fixture)
+			if o, n := countBoxes(t, mixed, tc.old), countBoxes(t, mixed, deflateDirBox); o != 3 || n != 3 {
+				t.Fatalf("spliced archive holds %d old and %d fresh boxes, want 3 of each", o, n)
+			}
+			// Every query must open block 1, the payload the check flips:
+			// each type's Table-1 query rides beside ERROR, which every
+			// block holds.
+			queries := []string{"ERROR", "NOT INFO"}
+			for _, name := range []string{"A", "G", "S"} {
+				lt, _ := loggen.ByName(name)
+				queries = append(queries, "ERROR OR "+lt.Query)
+			}
+			checkQueryEquivalence(t, logparse.SplitLines(raw), mixed, queries)
+		})
+	}
 }
 
 // spliceFrames interleaves two archives of one stream cut into the same
@@ -529,5 +539,30 @@ func TestArchiveEntry(t *testing.T) {
 	}
 	if _, err := a.Entry(context.Background(), len(lines)); err == nil {
 		t.Fatal("past-end line accepted")
+	}
+}
+
+// TestBlockOpenMetric: loggrep_archive_block_open_ns observes each block's
+// cold open once — checksum and CapsuleBox open — and nothing on a block
+// whose store is already open.
+func TestBlockOpenMetric(t *testing.T) {
+	lt, _ := loggen.ByName("A")
+	data, err := Compress(lt.Block(2, 3000), testOptions(40_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := mArchiveBlockOpenNS.Count()
+	for pass := range 2 {
+		if _, err := a.ReconstructAll(); err != nil {
+			t.Fatal(err)
+		}
+		want := int64(a.NumBlocks()) // every open is the first pass's
+		if got := mArchiveBlockOpenNS.Count() - before; got != want {
+			t.Fatalf("pass %d: %d block opens observed, want %d", pass, got, want)
+		}
 	}
 }

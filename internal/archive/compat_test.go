@@ -55,6 +55,49 @@ func TestBox2FixtureCompat(t *testing.T) {
 	}
 }
 
+// TestBox3FixtureCompat does the same for a v2-frame archive whose blocks
+// are rev-3 CapsuleBoxes with an LZMA-lite directory (LGRPBOX3, directory
+// codec byte 0, DEFLATE capsules), written by commit 7cad226 — the last
+// whose writer coded the directory with LZMA-lite — from 700 lines each of
+// loggen types A, G and S (seed 1) in 32 KiB blocks.
+func TestBox3FixtureCompat(t *testing.T) {
+	queries := []string{"ERROR", "NOT INFO"}
+	for _, name := range []string{"A", "G", "S"} {
+		lt, _ := loggen.ByName(name)
+		queries = append(queries, lt.Query)
+	}
+	data := checkFixture(t, "box3_fixture", Magic, 6, queries)
+	if n := countBoxes(t, data, lzmaDirBox); n != 6 || bytes.Contains(data, []byte("LGRPBOX2")) {
+		t.Fatalf("fixture holds %d rev-3 boxes with an LZMA-lite directory (want 6) or an older one", n)
+	}
+}
+
+// lzmaDirBox and deflateDirBox tell rev-3 boxes apart by the codec byte
+// after the magic.
+func lzmaDirBox(box []byte) bool    { return dirCodecIs(box, capsule.CodecLZMA) }
+func deflateDirBox(box []byte) bool { return dirCodecIs(box, capsule.CodecDeflate) }
+
+func dirCodecIs(box []byte, c capsule.Codec) bool {
+	n := len(capsule.BoxMagic)
+	return bytes.HasPrefix(box, []byte(capsule.BoxMagic)) && len(box) > n && capsule.Codec(box[n]) == c
+}
+
+// countBoxes counts the frames of an archive whose box is is's kind.
+func countBoxes(t *testing.T, data []byte, is func(box []byte) bool) int {
+	t.Helper()
+	frames, err := ScanFrames(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, f := range frames {
+		if is(data[f.PayloadOff : f.PayloadOff+f.PayloadLen]) {
+			n++
+		}
+	}
+	return n
+}
+
 // checkFixture opens testdata/<name>.lgrep, checks it against the raw log
 // beside it, and returns the archive bytes.
 func checkFixture(t *testing.T, name, magic string, minBlocks int, queries []string) []byte {

@@ -33,8 +33,9 @@ func fuzzSeedArchives(f *testing.F) [][]byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// Bare CapsuleBoxes, which Open serves as one-block archives: one of
-	// the current revision, one of each earlier (a fixture's first block).
+	// Bare CapsuleBoxes, which Open serves as one-block archives: one the
+	// writer writes now, and a fixture's first block for each earlier
+	// revision and for rev 3 with an LZMA-lite directory.
 	box3 := core.Compress(stream, opts.Core)
 	firstBox := func(name string) []byte {
 		fixture, err := os.ReadFile("testdata/" + name + ".lgrep")
@@ -47,7 +48,7 @@ func fuzzSeedArchives(f *testing.F) [][]byte {
 		}
 		return fixture[frames[0].PayloadOff : frames[0].PayloadOff+frames[0].PayloadLen]
 	}
-	box1, box2 := firstBox("box1_fixture"), firstBox("box2_fixture")
+	box1, box2, box3lzmaDir := firstBox("box1_fixture"), firstBox("box2_fixture"), firstBox("box3_fixture")
 	flipped := append([]byte(nil), v2...)
 	flipped[len(flipped)/3] ^= 0x10
 	headerHit := append([]byte(nil), v2...)
@@ -66,6 +67,7 @@ func fuzzSeedArchives(f *testing.F) [][]byte {
 		headerHit,      // first frame header bit flip
 		indexHit,       // index tail bit flip
 		box3,
+		box3lzmaDir,
 		box2,
 		box1,
 		box3[:len(box3)/2], // truncated box

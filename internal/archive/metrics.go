@@ -16,6 +16,8 @@ var (
 		"Blocks whose stores actually executed a query")
 	mArchiveBlockNS = obsv.Default.Histogram("loggrep_archive_block_query_ns", "ns",
 		"Per-block query latency within archive queries")
+	mArchiveBlockOpenNS = obsv.Default.Histogram("loggrep_archive_block_open_ns", "ns",
+		"Cold block opens: payload checksum and CapsuleBox open, once per block")
 	mArchiveQueriesCancelled = obsv.Default.Counter("loggrep_archive_query_cancelled_total",
 		"Archive queries stopped by context cancellation or deadline expiry")
 	mArchiveQueryPartial = obsv.Default.Counter("loggrep_archive_query_partial_total",

@@ -60,6 +60,7 @@ func (b *block) openStore(ctx context.Context, hook core.ReadHook) (*core.Store,
 				return nil, err
 			}
 		}
+		start := time.Now()
 		if b.hasCRC && crc32.Checksum(b.box, castagnoli) != b.crc {
 			b.storeErr = b.fail(ErrChecksum)
 		} else if st, err := core.Open(b.box, core.QueryOptions{ReadHook: hook}); err != nil {
@@ -67,6 +68,7 @@ func (b *block) openStore(ctx context.Context, hook core.ReadHook) (*core.Store,
 		} else {
 			b.store = st
 		}
+		mArchiveBlockOpenNS.Observe(time.Since(start).Nanoseconds())
 	}
 	return b.store, b.storeErr
 }

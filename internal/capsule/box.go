@@ -116,203 +116,8 @@ func (m *Meta) lineMaps() []*LineMap {
 	return append(maps, &m.OutlierLines)
 }
 
-// encode serializes the directory: everything but the line maps, of which
-// it records the row counts only.
-func (m *Meta) encode() []byte {
-	var e encbuf
-	e.uint(uint64(m.NumLines))
-	e.uint(m.Flags)
-	e.int(m.OutlierCapID)
-	e.uint(uint64(m.OutlierLines.Rows()))
-	e.uint(uint64(len(m.Capsules)))
-	for _, c := range m.Capsules {
-		e.uint(uint64(c.Kind))
-		e.uint(uint64(c.Stamp.TypeMask))
-		e.uint(uint64(c.Stamp.MaxLen))
-		e.uint(uint64(c.Stamp.MinLen))
-		e.uint(uint64(c.Rows))
-		e.uint(uint64(c.Width))
-		e.uint(uint64(c.ChunkRows))
-		e.uint(uint64(c.Codec))
-	}
-	e.uint(uint64(len(m.Groups)))
-	for _, g := range m.Groups {
-		e.uint(uint64(len(g.Template)))
-		for _, t := range g.Template {
-			e.int(t.Var)
-			if t.Var < 0 {
-				e.str(t.Lit)
-			}
-		}
-		e.uint(uint64(g.Rows()))
-		e.uint(uint64(len(g.Vars)))
-		for _, v := range g.Vars {
-			e.uint(uint64(v.Kind))
-			switch v.Kind {
-			case RealVar:
-				encodeElems(&e, v.Pattern)
-				e.uint(uint64(v.NumSubs))
-				e.int(v.OutCapID)
-				e.ascInts(v.OutRows)
-			case NominalVar:
-				e.int(v.DictCapID)
-				e.int(v.IndexCapID)
-				e.uint(uint64(v.IndexWidth))
-				e.uint(uint64(len(v.DictPatterns)))
-				for _, dp := range v.DictPatterns {
-					encodeElems(&e, dp.Elems)
-					e.uint(uint64(dp.Count))
-					e.uint(uint64(dp.MaxLen))
-				}
-			}
-		}
-	}
-	return e.b
-}
-
-func encodeElems(e *encbuf, elems []PatternElem) {
-	e.uint(uint64(len(elems)))
-	for _, el := range elems {
-		e.int(el.Sub)
-		if el.Sub < 0 {
-			e.str(el.Lit)
-		} else {
-			e.uint(uint64(el.Stamp.TypeMask))
-			e.uint(uint64(el.Stamp.MaxLen))
-			e.uint(uint64(el.Stamp.MinLen))
-			e.int(el.CapID)
-		}
-	}
-}
-
-func decodeElems(d *decbuf) []PatternElem {
-	n := d.length(2)
-	elems := make([]PatternElem, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		var el PatternElem
-		el.Sub = d.int()
-		if el.Sub < 0 {
-			el.Lit = d.str()
-			el.CapID = -1
-		} else {
-			el.Stamp.TypeMask = uint8(d.uint())
-			el.Stamp.MaxLen = d.size()
-			el.Stamp.MinLen = d.size()
-			el.CapID = d.int()
-		}
-		elems = append(elems, el)
-	}
-	return elems
-}
-
-// decodeMeta parses the metadata section of a box of revision rev. A rev-1
-// section carries the line maps inline; later directories carry their row
-// counts and readLineMaps attaches the bitstreams. Rev 3 adds each capsule's
-// codec.
-func decodeMeta(raw []byte, rev int) (*Meta, error) {
-	rev1 := rev == 1
-	d := &decbuf{b: raw}
-	m := &Meta{}
-	lineMap := func() LineMap {
-		if !rev1 {
-			return LineMap{rows: d.size()}
-		}
-		// Decoded here, so validated here — what a rev-2 map's first touch
-		// checks: strictly ascending, inside the block.
-		lines := d.ascInts()
-		for i, l := range lines {
-			if l < 0 || l >= m.NumLines || (i > 0 && l <= lines[i-1]) {
-				d.fail("line map out of order or range")
-				break
-			}
-		}
-		return NewLineMap(lines)
-	}
-	m.NumLines = d.size()
-	// Every rev-1 line costs at least one encoded byte in the group line
-	// maps or the outlier line list, so a line count beyond the metadata
-	// size is forged — reject it before it sizes the line index allocation.
-	// (readLineMaps bounds a rev-2 count by the bitstreams the same way.)
-	if rev1 && d.err == nil && m.NumLines > len(raw) {
-		d.fail("implausible line count")
-	}
-	m.Flags = d.uint()
-	m.OutlierCapID = d.int()
-	m.OutlierLines = lineMap()
-	nc := d.length(4)
-	m.Capsules = make([]Info, 0, nc)
-	for i := 0; i < nc && d.err == nil; i++ {
-		var c Info
-		c.Kind = Kind(d.uint())
-		c.Stamp.TypeMask = uint8(d.uint())
-		c.Stamp.MaxLen = d.size()
-		c.Stamp.MinLen = d.size()
-		c.Rows = d.size()
-		c.Width = d.size()
-		c.ChunkRows = d.size()
-		if rev >= 3 {
-			if c.Codec = Codec(d.uint()); c.Codec > CodecDeflate {
-				d.fail("unknown capsule codec")
-			}
-		}
-		m.Capsules = append(m.Capsules, c)
-	}
-	ng := d.length(4)
-	m.Groups = make([]GroupMeta, 0, ng)
-	for i := 0; i < ng && d.err == nil; i++ {
-		var g GroupMeta
-		nt := d.length(2)
-		g.Template = make([]TemplateElem, 0, nt)
-		for j := 0; j < nt && d.err == nil; j++ {
-			var t TemplateElem
-			t.Var = d.int()
-			if t.Var < 0 {
-				t.Lit = d.str()
-			}
-			g.Template = append(g.Template, t)
-		}
-		g.Lines = lineMap()
-		nv := d.length(2)
-		g.Vars = make([]VarMeta, 0, nv)
-		for j := 0; j < nv && d.err == nil; j++ {
-			var v VarMeta
-			v.Kind = VarKind(d.uint())
-			switch v.Kind {
-			case RealVar:
-				v.Pattern = decodeElems(d)
-				v.NumSubs = d.size()
-				v.OutCapID = d.int()
-				v.OutRows = d.ascInts()
-				v.DictCapID, v.IndexCapID = -1, -1
-			case NominalVar:
-				v.DictCapID = d.int()
-				v.IndexCapID = d.int()
-				v.IndexWidth = d.size()
-				ndp := d.length(3)
-				v.DictPatterns = make([]DictPatternMeta, 0, ndp)
-				for k := 0; k < ndp && d.err == nil; k++ {
-					var dp DictPatternMeta
-					dp.Elems = decodeElems(d)
-					dp.Count = d.size()
-					dp.MaxLen = d.size()
-					v.DictPatterns = append(v.DictPatterns, dp)
-				}
-				v.OutCapID = -1
-			default:
-				d.fail("unknown variable kind")
-			}
-			g.Vars = append(g.Vars, v)
-		}
-		m.Groups = append(m.Groups, g)
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	return m, nil
-}
-
 // WriteBox assembles a rev-3 CapsuleBox: the directory codec byte, the
-// compressed directory, the line-map section, then one DEFLATE blob per
+// DEFLATE-coded directory, the line-map section, then one DEFLATE blob per
 // Capsule payload (payloads[i] belongs to meta.Capsules[i]).
 // chunkTarget > 0 cuts large capsules into ~chunkTarget-byte chunks that
 // compress independently (see chunk.go); 0 compresses each capsule whole,
@@ -332,20 +137,20 @@ func WriteBox(meta *Meta, payloads [][]byte, chunkTarget int) []byte {
 		}
 		raw += len(p)
 	}
-	// The directory stays LZMA-lite: over the 37 loggen types at 2 MiB
-	// blocks it packs them into 199 951 bytes and DEFLATE level 9 into
-	// 237 331 (+18.7 %). The capsules, where DEFLATE is 4.9 % smaller,
-	// change codec.
-	mc := lzma.Compress(meta.encode())
+	// The directory is DEFLATE too, one chunk through the same writer.
+	// LZMA-lite would pack it 18.7 % smaller (199 951 against 237 331
+	// bytes over the 37 loggen types at 2 MiB blocks, +0.4 % of the box),
+	// but range-decoding it was two thirds of a cold ReadBox.
+	var z deflater
+	dir := z.chunk(meta.encode())
 	// Room for payloads that pack 2:1; append grows it if they do worse.
-	out := make([]byte, 0, len(BoxMagic)+1+len(mc)+raw/2+3*binary.MaxVarintLen64)
+	out := make([]byte, 0, len(BoxMagic)+1+len(dir)+raw/2+3*binary.MaxVarintLen64)
 	out = append(out, BoxMagic...)
-	out = append(out, byte(CodecLZMA))
-	out = binary.AppendUvarint(out, uint64(len(mc)))
-	out = append(out, mc...)
+	out = append(out, byte(CodecDeflate))
+	out = binary.AppendUvarint(out, uint64(len(dir)))
+	out = append(out, dir...)
 	out = appendLineMaps(out, meta.lineMaps(), meta.NumLines)
 	out = binary.AppendUvarint(out, uint64(len(payloads)))
-	var z deflater
 	for i, p := range payloads {
 		out = z.appendBlob(out, &meta.Capsules[i], p, chunkTarget)
 	}
@@ -470,15 +275,11 @@ func ReadBox(data []byte) (*Box, error) {
 		return nil, fmt.Errorf("%w: bad meta length", ErrCorrupt)
 	}
 	rest = rest[n:]
-	metaRaw, err := b.decode(b.dirCodec, rest[:mlen], lzma.MaxOutput)
-	if err != nil {
-		return nil, fmt.Errorf("%w: meta: %v", ErrCorrupt, err)
-	}
-	rest = rest[mlen:]
-	meta, err := decodeMeta(metaRaw, rev)
+	meta, metaRawLen, err := decodeDir(b.dirCodec, rest[:mlen], rev)
 	if err != nil {
 		return nil, err
 	}
+	rest = rest[mlen:]
 	var lmlen uint64
 	if rev >= 2 {
 		lmlen, n = binary.Uvarint(rest)
@@ -511,11 +312,12 @@ func ReadBox(data []byte) (*Box, error) {
 	}
 	b.Meta, b.refs = meta, refs
 	b.cache, b.chunkCache = make(map[int][]byte), make(map[[2]int][]byte)
-	b.metaCompLen, b.metaRawLen, b.lineMapLen = int(mlen), len(metaRaw), int(lmlen)
+	b.metaCompLen, b.metaRawLen, b.lineMapLen = int(mlen), metaRawLen, int(lmlen)
 	return b, nil
 }
 
-// decode decodes one section coded with c, emitting at most limit bytes.
+// decode decodes one capsule chunk coded with c, emitting at most limit
+// bytes. (The directory decodes through decodeDir.)
 func (b *Box) decode(c Codec, chunk []byte, limit uint64) ([]byte, error) {
 	if c == CodecDeflate {
 		return b.inflate.decode(chunk, limit)

@@ -45,7 +45,17 @@ func (d *decbuf) fail(what string) {
 	}
 }
 
+// uint reads a uvarint. Directory fields are mostly below 128: a one-byte
+// value skips the general decode.
 func (d *decbuf) uint() uint64 {
+	if p := d.pos; p < len(d.b) && d.b[p] < 0x80 && d.err == nil {
+		d.pos = p + 1
+		return uint64(d.b[p])
+	}
+	return d.uintSlow()
+}
+
+func (d *decbuf) uintSlow() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -66,8 +76,14 @@ const maxFieldValue = 1<<31 - 1
 
 // size reads a non-negative size-like field, rejecting implausible values
 // so they can never become negative ints or overflow products downstream.
+// A one-byte value, the common case, is read here without the call to
+// uint: six of a capsule's eight directory fields are sizes.
 func (d *decbuf) size() int {
-	v := d.uint()
+	if p := d.pos; p < len(d.b) && d.b[p] < 0x80 && d.err == nil {
+		d.pos = p + 1
+		return int(d.b[p])
+	}
+	v := d.uintSlow()
 	if d.err != nil {
 		return 0
 	}
@@ -78,7 +94,17 @@ func (d *decbuf) size() int {
 	return int(v)
 }
 
+// int reads a zig-zag varint, a one-byte value as uint does.
 func (d *decbuf) int() int {
+	if p := d.pos; p < len(d.b) && d.b[p] < 0x80 && d.err == nil {
+		d.pos = p + 1
+		u := int(d.b[p])
+		return u>>1 ^ -(u & 1)
+	}
+	return d.intSlow()
+}
+
+func (d *decbuf) intSlow() int {
 	if d.err != nil {
 		return 0
 	}
@@ -98,37 +124,38 @@ func (d *decbuf) length(min int) int {
 	if d.err != nil {
 		return 0
 	}
-	if min > 0 && int(n) > (len(d.b)-d.pos)/min+1 {
-		d.fail("implausible length")
-		return 0
-	}
-	if n > uint64(len(d.b)) && min >= 1 {
+	// No more than the whole buffer, and no more than fit in the rest at
+	// min bytes apiece, the last possibly shorter (n-1 > rest/min, without
+	// the division).
+	if min > 0 && n > 0 && (n > uint64(len(d.b)) || (n-1)*uint64(min) > uint64(len(d.b)-d.pos)) {
 		d.fail("implausible length")
 		return 0
 	}
 	return int(n)
 }
 
-func (d *decbuf) str() string {
-	n := d.length(1)
-	if d.err != nil {
-		return ""
-	}
-	if d.pos+n > len(d.b) {
-		d.fail("string overruns buffer")
-		return ""
-	}
-	s := string(d.b[d.pos : d.pos+n])
-	d.pos += n
-	return s
-}
-
-func (d *decbuf) ascInts() []int {
+// bytes reads a length-prefixed string and returns its bytes, uncopied.
+func (d *decbuf) bytes() []byte {
 	n := d.length(1)
 	if d.err != nil {
 		return nil
 	}
-	out := make([]int, n)
+	if d.pos+n > len(d.b) {
+		d.fail("string overruns buffer")
+		return nil
+	}
+	d.pos += n
+	return d.b[d.pos-n : d.pos]
+}
+
+// ascInts decodes a delta-coded ascending slice into the next run of the
+// ints slab.
+func (d *decbuf) ascInts(ints *slab[int]) []int {
+	n := d.length(1)
+	if d.err != nil {
+		return nil
+	}
+	out := ints.take(n)
 	prev := 0
 	for i := 0; i < n; i++ {
 		prev += int(d.uint())

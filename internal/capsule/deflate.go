@@ -64,8 +64,9 @@ func (z *deflater) chunk(raw []byte) []byte {
 	return z.buf.Bytes()
 }
 
-// inflater is a Box's DEFLATE reader state: one flate reader, Reset per
-// chunk onto a reused bytes.Reader, so a decode allocates only its output.
+// inflater is DEFLATE reader state: one flate reader, Reset per chunk onto
+// a reused bytes.Reader, so a decode allocates only its output. A Box owns
+// one for its capsules, a dirDecoder one for directories.
 type inflater struct {
 	src   bytes.Reader
 	fr    io.ReadCloser
@@ -82,6 +83,12 @@ var errDeflateLength = errors.New("deflate stream does not end at its declared l
 // there, so a forged chunk can never allocate or emit more than the
 // directory promises.
 func (z *inflater) decode(chunk []byte, limit uint64) ([]byte, error) {
+	return z.decodeInto(nil, chunk, limit)
+}
+
+// decodeInto is decode into buf when its capacity holds the declared
+// length; the result aliases buf then.
+func (z *inflater) decodeInto(buf, chunk []byte, limit uint64) ([]byte, error) {
 	rawLen, n := binary.Uvarint(chunk)
 	if n <= 0 {
 		return nil, errors.New("bad deflate length")
@@ -95,7 +102,11 @@ func (z *inflater) decode(chunk []byte, limit uint64) ([]byte, error) {
 	} else {
 		z.fr.(flate.Resetter).Reset(&z.src, nil)
 	}
-	out := make([]byte, rawLen)
+	out := buf
+	if uint64(cap(out)) < rawLen {
+		out = make([]byte, rawLen)
+	}
+	out = out[:rawLen]
 	if _, err := io.ReadFull(z.fr, out); err != nil {
 		return nil, fmt.Errorf("deflate: %v", err)
 	}

@@ -3,14 +3,24 @@ package capsule
 import (
 	"bytes"
 	"testing"
+
+	"loggrep/internal/lzma"
 )
 
 // FuzzReadBox: arbitrary bytes must never panic, and whatever opens must
 // serve payloads without panicking.
 func FuzzReadBox(f *testing.F) {
 	meta, payloads := sampleMeta()
-	valid := WriteBox(meta, payloads, 0)
+	valid := WriteBox(meta, payloads, 0) // a DEFLATE directory
 	f.Add(valid)
+	// The directory as the rev-3 writer coded it before (LZMA-lite), and
+	// forged DEFLATE directories: trailed by a byte, declaring a length
+	// over the expansion ceiling, inflating past their declared length.
+	enc := meta.encode()
+	f.Add(withDir(valid, CodecLZMA, lzma.Compress(enc)))
+	f.Add(withDir(valid, CodecDeflate, append(forgeChunk(uint64(len(enc)), rawDeflate(enc, true)), 0)))
+	f.Add(withDir(valid, CodecDeflate, forgeChunk(1<<40, rawDeflate(enc, true))))
+	f.Add(withDir(valid, CodecDeflate, forgeChunk(uint64(len(enc))-1, rawDeflate(enc, true))))
 	// Rev 3 with chunked DEFLATE capsules: a 2-byte target cuts every
 	// multi-row capsule but the dictionary row by row.
 	m, p := sampleMeta()

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"loggrep/internal/capsule"
 	"loggrep/internal/loggen"
 )
 
@@ -47,6 +48,30 @@ func BenchmarkReconstructAll(b *testing.B) {
 		lines += len(out)
 	}
 	b.ReportMetric(float64(lines)/b.Elapsed().Seconds(), "lines/s")
+}
+
+// BenchmarkOpen opens the 2 MiB block cold, as an archive does each block
+// a query admits: ReadBox parses the CapsuleBox (directory, line-map
+// table, blob framing), Open is a whole core.Open on top of it. Neither
+// decompresses a capsule.
+func BenchmarkOpen(b *testing.B) {
+	data := benchBox()
+	b.Run("ReadBox", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := capsule.ReadBox(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Open", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Open(data, QueryOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkVerifyBroad runs the broad "ERROR" query on a warm store with
