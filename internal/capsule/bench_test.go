@@ -2,7 +2,11 @@ package capsule_test
 
 import (
 	"bytes"
+	"compress/flate"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
@@ -55,7 +59,9 @@ func BenchmarkWriteBox(b *testing.B) {
 // codec and size class: the first real payload of the class's size or
 // larger, cut to it. The small classes carry each codec's fixed cost per
 // capsule (flate's level-9 Reset clears its hash tables), the large ones
-// its throughput.
+// its throughput. The deflate-stdlib rows decode the deflate rows' chunks
+// with compress/flate's reader, Reset per chunk, as a reference for the
+// whole-buffer decoder.
 func BenchmarkCapsuleCodec(b *testing.B) {
 	_, box := benchBlock()
 	payloads := decodeAll(b, box)
@@ -71,23 +77,28 @@ func BenchmarkCapsuleCodec(b *testing.B) {
 			b.Fatalf("no payload of %d bytes", size)
 		}
 		var c capsule.ChunkCodec
+		var std stdlibChunkReader
 		codecs := []struct {
-			name   string
-			encode func([]byte) []byte
-			decode func([]byte) ([]byte, error)
+			name       string
+			encode     func([]byte) []byte
+			decode     func([]byte) ([]byte, error)
+			decodeOnly bool // the encoder is another row's
 		}{
-			{"lzma", lzma.Compress, func(c []byte) ([]byte, error) { return lzma.DecompressLimit(c, uint64(size)) }},
-			{"deflate", c.Deflate, func(chunk []byte) ([]byte, error) { return c.Inflate(chunk, uint64(size)) }},
+			{"lzma", lzma.Compress, func(c []byte) ([]byte, error) { return lzma.DecompressLimit(c, uint64(size)) }, false},
+			{"deflate", c.Deflate, func(chunk []byte) ([]byte, error) { return c.Inflate(chunk, uint64(size)) }, false},
+			{"deflate-stdlib", c.Deflate, std.decode, true},
 		}
 		for _, cd := range codecs {
 			enc := bytes.Clone(cd.encode(p))
-			b.Run(fmt.Sprintf("%s/%dB/encode", cd.name, size), func(b *testing.B) {
-				b.SetBytes(int64(size))
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					sink = cd.encode(p)
-				}
-			})
+			if !cd.decodeOnly {
+				b.Run(fmt.Sprintf("%s/%dB/encode", cd.name, size), func(b *testing.B) {
+					b.SetBytes(int64(size))
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						sink = cd.encode(p)
+					}
+				})
+			}
 			b.Run(fmt.Sprintf("%s/%dB/decode", cd.name, size), func(b *testing.B) {
 				b.SetBytes(int64(size))
 				b.ReportAllocs()
@@ -100,4 +111,27 @@ func BenchmarkCapsuleCodec(b *testing.B) {
 			})
 		}
 	}
+}
+
+// stdlibChunkReader decodes a DEFLATE chunk (uvarint length, raw stream)
+// with one compress/flate reader Reset per chunk onto one bytes.Reader.
+type stdlibChunkReader struct {
+	src bytes.Reader
+	fr  io.ReadCloser
+}
+
+func (r *stdlibChunkReader) decode(chunk []byte) ([]byte, error) {
+	n, k := binary.Uvarint(chunk)
+	if k <= 0 {
+		return nil, errors.New("bad length")
+	}
+	r.src.Reset(chunk[k:])
+	if r.fr == nil {
+		r.fr = flate.NewReader(&r.src)
+	} else {
+		r.fr.(flate.Resetter).Reset(&r.src, nil)
+	}
+	out := make([]byte, n)
+	_, err := io.ReadFull(r.fr, out)
+	return out, err
 }

@@ -222,8 +222,8 @@ func readLineMaps(meta *Meta, sec []byte) error {
 
 // Box is a read-opened CapsuleBox. Payloads decompress lazily and are
 // cached — the whole point of the format is that most queries touch few
-// Capsules. A Box is not safe for concurrent use: its caches and its
-// DEFLATE reader are shared by every decode.
+// Capsules. A Box is not safe for concurrent use: its caches are shared by
+// every decode.
 type Box struct {
 	Meta       *Meta
 	refs       []blobRef
@@ -238,7 +238,6 @@ type Box struct {
 	metaRawLen  int   // decompressed metadata size
 	lineMapLen  int   // line-map section size (0 in a rev-1 box)
 	dirCodec    Codec // the metadata section's codec
-	inflate     inflater
 }
 
 // boxRev returns the format revision data's magic names, 0 for none.
@@ -316,11 +315,17 @@ func ReadBox(data []byte) (*Box, error) {
 	return b, nil
 }
 
-// decode decodes one capsule chunk coded with c, emitting at most limit
-// bytes. (The directory decodes through decodeDir.)
-func (b *Box) decode(c Codec, chunk []byte, limit uint64) ([]byte, error) {
-	if c == CodecDeflate {
-		return b.inflate.decode(chunk, limit)
+// decode decodes one chunk of capsule info that holds rows rows, emitting
+// at most chunkLimit's bytes; a DEFLATE chunk of a fixed-width capsule
+// must declare exactly that many. (The directory decodes through
+// decodeDir.)
+func (b *Box) decode(info *Info, chunk []byte, rows int) ([]byte, error) {
+	limit, exact := chunkLimit(rows, info)
+	if info.Codec == CodecDeflate {
+		dd := getDirDecoder()
+		p, err := dd.z.decodeInto(nil, chunk, limit, exact)
+		putDirDecoder(dd)
+		return p, err
 	}
 	return lzma.DecompressLimit(chunk, limit)
 }
@@ -367,6 +372,16 @@ func payloadBound(rows int, info *Info) uint64 {
 	return uint64(rows) * uint64(w+1)
 }
 
+// chunkLimit returns what rows rows of capsule info decode to: exactly
+// rows×Width bytes for a fixed-width capsule, at most payloadBound for a
+// variable-width one.
+func chunkLimit(rows int, info *Info) (limit uint64, exact bool) {
+	if info.Width > 0 {
+		return uint64(rows) * uint64(info.Width), true
+	}
+	return payloadBound(rows, info), false
+}
+
 // Payload returns the whole decompressed payload of capsule id, caching
 // it. For chunked capsules every chunk is decompressed and concatenated
 // (delimiter-joined for var-width capsules).
@@ -382,7 +397,7 @@ func (b *Box) Payload(id int) ([]byte, error) {
 	var p []byte
 	if len(ref.chunks) == 1 {
 		var err error
-		p, err = b.decode(info.Codec, ref.chunks[0], payloadBound(info.Rows, &info))
+		p, err = b.decode(&info, ref.chunks[0], info.Rows)
 		if err != nil {
 			return nil, fmt.Errorf("%w: capsule %d: %v", ErrCorrupt, id, err)
 		}
@@ -430,7 +445,7 @@ func (b *Box) PayloadChunk(id, ci int) ([]byte, error) {
 			rowsBound = r
 		}
 	}
-	p, err := b.decode(info.Codec, ref.chunks[ci], payloadBound(rowsBound, &info))
+	p, err := b.decode(&info, ref.chunks[ci], rowsBound)
 	if err != nil {
 		return nil, fmt.Errorf("%w: capsule %d chunk %d: %v", ErrCorrupt, id, ci, err)
 	}

@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
 )
 
 // Codec names the coder of one CapsuleBox section: a capsule's chunks (all
@@ -62,58 +59,4 @@ func (z *deflater) chunk(raw []byte) []byte {
 	z.fw.Write(raw)
 	z.fw.Close()
 	return z.buf.Bytes()
-}
-
-// inflater is DEFLATE reader state: one flate reader, Reset per chunk onto
-// a reused bytes.Reader, so a decode allocates only its output. A Box owns
-// one for its capsules, a dirDecoder one for directories.
-type inflater struct {
-	src   bytes.Reader
-	fr    io.ReadCloser
-	extra [1]byte // the read that must find EOF
-}
-
-// errDeflateLength rejects a chunk whose stream and declared length
-// disagree: longer, shorter, not final, or trailed by extra bytes.
-var errDeflateLength = errors.New("deflate stream does not end at its declared length")
-
-// decode inflates one DEFLATE chunk into a buffer of exactly its declared
-// length. A length above limit or the format's expansion ceiling is
-// rejected before anything is allocated, and the stream must end right
-// there, so a forged chunk can never allocate or emit more than the
-// directory promises.
-func (z *inflater) decode(chunk []byte, limit uint64) ([]byte, error) {
-	return z.decodeInto(nil, chunk, limit)
-}
-
-// decodeInto is decode into buf when its capacity holds the declared
-// length; the result aliases buf then.
-func (z *inflater) decodeInto(buf, chunk []byte, limit uint64) ([]byte, error) {
-	rawLen, n := binary.Uvarint(chunk)
-	if n <= 0 {
-		return nil, errors.New("bad deflate length")
-	}
-	if ceiling := 64 + uint64(len(chunk))*maxDeflateExpansion; rawLen > limit || rawLen > ceiling {
-		return nil, fmt.Errorf("implausible deflate length %d (limit %d, ceiling %d)", rawLen, limit, ceiling)
-	}
-	z.src.Reset(chunk[n:])
-	if z.fr == nil {
-		z.fr = flate.NewReader(&z.src)
-	} else {
-		z.fr.(flate.Resetter).Reset(&z.src, nil)
-	}
-	out := buf
-	if uint64(cap(out)) < rawLen {
-		out = make([]byte, rawLen)
-	}
-	out = out[:rawLen]
-	if _, err := io.ReadFull(z.fr, out); err != nil {
-		return nil, fmt.Errorf("deflate: %v", err)
-	}
-	// A bytes.Reader is an io.ByteReader, so flate reads no byte past the
-	// final block: EOF here and nothing left means the stream ended exactly.
-	if k, err := z.fr.Read(z.extra[:]); k != 0 || err != io.EOF || z.src.Len() != 0 {
-		return nil, errDeflateLength
-	}
-	return out, nil
 }

@@ -63,7 +63,7 @@ func TestDeflateForgedChunksBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first decode builds the Box's flate reader; measure after it.
+	// The first decode fills the decoder pool; measure after it.
 	if got, err := box.Payload(0); err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("pristine capsule: %v", err)
 	}
@@ -86,6 +86,9 @@ func TestDeflateForgedChunksBounded(t *testing.T) {
 		{"stream not final", 0, forgeChunk(uint64(len(payload)), rawDeflate(payload, false)), bound + errText},
 		{"bytes after the final block", 0, forgeChunk(uint64(len(payload)), append(bytes.Clone(whole), 0)), bound + errText},
 		{"declared length over the 1032:1 ceiling", 1, forgeChunk(64+1032*16, bytes.Repeat([]byte{0}, 12)), errText},
+		// Within the payload bound but not rows×width: a fixed-width
+		// capsule knows its exact size before inflating.
+		{"fixed-width declared length above rows×width", 0, forgeChunk(bound, rawDeflate(make([]byte, bound), true)), errText},
 		{"no length", 0, []byte{0x80}, errText},
 	} {
 		box.DropCache()

@@ -99,11 +99,11 @@ func decodeElems(d *decbuf, a *dirArena) []PatternElem {
 	return elems
 }
 
-// dirDecoder holds what one directory decode can hand to the next: a
-// DEFLATE reader, the buffer the directory inflates into and the arena's
-// scratch. None of it is in the Meta a decode returns, so ReadBox borrows
-// a decoder instead of paying for the reader's 40 KB, the buffer and the
-// scratch per box. Capsules still inflate through the Box's own reader.
+// dirDecoder holds what one decode can hand to the next: the DEFLATE
+// decode tables, the buffer a directory inflates into and the arena's
+// scratch. None of it is in the Meta or the payload a decode returns, so
+// ReadBox borrows a decoder instead of paying for the tables, the buffer
+// and the scratch per box, and a capsule decode borrows one for its tables.
 type dirDecoder struct {
 	z   inflater
 	raw []byte
@@ -145,8 +145,7 @@ func decodeDir(c Codec, sec []byte, rev int) (*Meta, int, error) {
 	var raw []byte
 	var err error
 	if c == CodecDeflate {
-		raw, err = dd.z.decodeInto(dd.raw, sec, lzma.MaxOutput)
-		dd.z.src.Reset(nil) // the pool keeps no box alive
+		raw, err = dd.z.decodeInto(dd.raw, sec, lzma.MaxOutput, false)
 	} else {
 		raw, err = lzma.DecompressLimit(sec, lzma.MaxOutput)
 	}

@@ -1,8 +1,8 @@
 package capsule
 
-// ChunkCodec exposes the DEFLATE chunk codec, one deflater and one
-// inflater reused across calls as WriteBox and Box reuse theirs, to the
-// external benchmarks.
+// ChunkCodec exposes the DEFLATE chunk codec, one deflater and one set of
+// decode tables reused across calls as WriteBox and the decoder pool reuse
+// theirs, to the external benchmarks.
 type ChunkCodec struct {
 	z  deflater
 	in inflater
@@ -14,4 +14,9 @@ func (c *ChunkCodec) Deflate(raw []byte) []byte { return c.z.chunk(raw) }
 // Inflate decodes one chunk of at most limit bytes.
 func (c *ChunkCodec) Inflate(chunk []byte, limit uint64) ([]byte, error) {
 	return c.in.decode(chunk, limit)
+}
+
+// decode is decodeInto into a fresh buffer, under limit alone.
+func (z *inflater) decode(chunk []byte, limit uint64) ([]byte, error) {
+	return z.decodeInto(nil, chunk, limit, false)
 }
