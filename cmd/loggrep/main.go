@@ -1,5 +1,5 @@
-// Command loggrep compresses log blocks into CapsuleBoxes (or multi-block
-// archives) and runs grep-like queries on them.
+// Command loggrep compresses a log file into a block archive and runs
+// grep-like queries on archives and bare CapsuleBoxes.
 //
 // Run `loggrep help` for the command list and `loggrep help <command>`
 // for one command's flags; both are generated from the real flag sets,
@@ -14,7 +14,7 @@
 // Examples:
 //
 //	loggrep compress -o app.lgrep app.log
-//	loggrep compress -archive -block-mb 16 big.log
+//	loggrep compress -block-mb 16 big.log
 //	loggrep query app.lgrep 'ERROR AND dst:11.8.* NOT state:503'
 //	loggrep query -trace app.lgrep ERROR
 //	loggrep query -trace=json app.lgrep ERROR
@@ -163,18 +163,16 @@ func main() {
 func newCompressCmd() *command {
 	fs := flag.NewFlagSet("compress", flag.ExitOnError)
 	out := fs.String("o", "", "output file (default <logfile>.lgrep)")
-	arch := fs.Bool("archive", false, "build a multi-block archive")
 	blockMB := fs.Int("block-mb", 64, "archive block size in MB")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "archive compression workers")
 	sp := fs.Bool("sp", false, "static patterns only (LogGrep-SP)")
 	noPad := fs.Bool("no-pad", false, "disable fixed-length padding")
 	noStamps := fs.Bool("no-stamps", false, "disable capsule stamps")
-	noIndex := fs.Bool("no-index", false, "disable the block-skipping index sections (archive mode)")
 	chunkKB := fs.Int("chunk-kb", 0, "cut capsules into N-KB chunks (0 = whole capsules)")
 	c := &command{
 		name:    "compress",
 		args:    "<logfile>",
-		summary: "compress a log file into a CapsuleBox or archive",
+		summary: "compress a log file into a block archive",
 		fs:      fs,
 	}
 	c.run = func() error {
@@ -182,42 +180,59 @@ func newCompressCmd() *command {
 			return fmt.Errorf("compress needs exactly one log file")
 		}
 		in := fs.Arg(0)
-		block, err := os.ReadFile(in)
-		if err != nil {
-			return err
-		}
-		opts := loggrep.DefaultOptions()
-		opts.StaticOnly = *sp
-		opts.DisablePadding = *noPad
-		opts.DisableStamps = *noStamps
-		opts.ChunkBytes = *chunkKB << 10
-
-		var data []byte
-		if *arch {
-			aopts := loggrep.DefaultArchiveOptions()
-			aopts.Core = opts
-			aopts.BlockBytes = *blockMB << 20
-			aopts.Workers = *workers
-			aopts.NoIndex = *noIndex
-			data, err = loggrep.CompressArchive(block, aopts)
-			if err != nil {
-				return err
-			}
-		} else {
-			data = loggrep.Compress(block, opts)
-		}
+		opts := loggrep.ArchiveOptions{Core: loggrep.DefaultOptions(), BlockBytes: *blockMB << 20, Workers: *workers}
+		opts.Core.StaticOnly = *sp
+		opts.Core.DisablePadding = *noPad
+		opts.Core.DisableStamps = *noStamps
+		opts.Core.ChunkBytes = *chunkKB << 10
 		dst := *out
 		if dst == "" {
 			dst = in + ".lgrep"
 		}
-		if err := os.WriteFile(dst, data, 0o644); err != nil {
+		raw, packed, err := compressFile(in, dst, opts)
+		if err != nil {
 			return err
 		}
-		fmt.Printf("%s: %d -> %d bytes (%.2fx)\n", dst, len(block), len(data),
-			float64(len(block))/float64(len(data)))
+		fmt.Printf("%s: %d -> %d bytes (%.2fx)\n", dst, raw, packed, float64(raw)/float64(packed))
 		return nil
 	}
 	return c
+}
+
+// compressFile streams the log at in through an archive writer into a temp
+// file beside dst, renamed over dst once synced, so a failed run leaves
+// nothing under dst's name. It returns the bytes read and written.
+func compressFile(in, dst string, opts loggrep.ArchiveOptions) (raw, packed int64, err error) {
+	src, err := os.Open(in)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer src.Close()
+	tmp, err := os.OpenFile(fmt.Sprintf("%s.tmp%d", dst, os.Getpid()), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer func() {
+		if err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	bw := bufio.NewWriterSize(tmp, 1<<20)
+	aw, err := loggrep.NewArchiveWriter(bw, opts)
+	if err != nil {
+		return 0, 0, err
+	}
+	if raw, err = io.Copy(aw, src); err != nil {
+		return 0, 0, err // the writer's workers end with the process
+	}
+	size := func() (err error) { packed, err = tmp.Seek(0, io.SeekCurrent); return err }
+	for _, step := range []func() error{aw.Close, bw.Flush, size, tmp.Sync, tmp.Close} {
+		if err = step(); err != nil {
+			return 0, 0, err
+		}
+	}
+	return raw, packed, os.Rename(tmp.Name(), dst)
 }
 
 // cliBlobs is the CLI's fault-policy blob store: plain paths, default
@@ -284,7 +299,6 @@ func newQueryCmd() *command {
 	var trace traceFlag
 	fs.Var(&trace, "trace", "print a per-stage span breakdown to stderr; -trace=json emits one wide-event JSON line instead")
 	timeout := fs.Duration("timeout", 0, "abort the query after this long (0 = no deadline)")
-	noIndex := fs.Bool("no-index", false, "ignore block-skipping index sections, always full-scan (archives)")
 	c := &command{
 		name:    "query",
 		args:    "<file.lgrep> <query command>",
@@ -298,9 +312,6 @@ func newQueryCmd() *command {
 		a, _, err := openFile(fs.Arg(0))
 		if err != nil {
 			return err
-		}
-		if *noIndex {
-			a.SetIndexEnabled(false)
 		}
 		ctx := context.Background()
 		if *timeout > 0 {

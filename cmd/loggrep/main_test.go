@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"loggrep"
 	"loggrep/internal/flightrec"
 	"loggrep/internal/loggen"
 	"loggrep/internal/obsv"
@@ -39,6 +41,15 @@ func run(t *testing.T, bin string, args ...string) (string, string) {
 	return stdout.String(), stderr.String()
 }
 
+// writeBox writes raw as one bare CapsuleBox, the single-block format the
+// query commands still read.
+func writeBox(t *testing.T, path string, raw []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, loggrep.Compress(raw, loggrep.DefaultOptions()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCLIEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary")
@@ -52,18 +63,22 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// compress (box)
-	boxPath := filepath.Join(dir, "a.box")
-	out, _ := run(t, bin, "compress", "-o", boxPath, logPath)
-	if !strings.Contains(out, "->") {
-		t.Fatalf("compress output: %q", out)
+	// compress with default flags: one archive at <logfile>.lgrep
+	out, _ := run(t, bin, "compress", logPath)
+	defPath := logPath + ".lgrep"
+	if want := fmt.Sprintf("%s: %d -> ", defPath, len(raw)); !strings.HasPrefix(out, want) {
+		t.Fatalf("compress output %q, want prefix %q", out, want)
 	}
 
-	// compress (archive, chunked)
+	// compress (small blocks, chunked capsules)
 	arcPath := filepath.Join(dir, "a.arc")
-	run(t, bin, "compress", "-archive", "-block-mb", "1", "-chunk-kb", "32", "-o", arcPath, logPath)
+	run(t, bin, "compress", "-block-mb", "1", "-chunk-kb", "32", "-o", arcPath, logPath)
 
-	for _, path := range []string{boxPath, arcPath} {
+	// a bare box, written by the library, still reads
+	boxPath := filepath.Join(dir, "a.box")
+	writeBox(t, boxPath, raw)
+
+	for _, path := range []string{defPath, arcPath, boxPath} {
 		// stat
 		out, _ = run(t, bin, "stat", path)
 		if !strings.Contains(out, "lines: 4000") {
@@ -82,6 +97,67 @@ func TestCLIEndToEnd(t *testing.T) {
 		if out != string(raw) {
 			t.Fatalf("cat %s does not round-trip (%d vs %d bytes)", path, len(out), len(raw))
 		}
+	}
+}
+
+// TestCLICompressMatchesLibrary: the CLI streams the file through the
+// archive writer, and the bytes it writes are exactly what the one-shot
+// CompressArchive returns for the same options, across several blocks and
+// workers.
+func TestCLICompressMatchesLibrary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary")
+	}
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "g.log")
+	lt, _ := loggen.ByName("G")
+	raw := lt.Block(7, 30000) // ~3 MB: three or more 1 MB blocks
+	if err := os.WriteFile(logPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	arcPath := filepath.Join(dir, "g.arc")
+	run(t, bin, "compress", "-block-mb", "1", "-workers", "2", "-chunk-kb", "16", "-o", arcPath, logPath)
+	got, err := os.ReadFile(arcPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := loggrep.DefaultArchiveOptions()
+	opts.BlockBytes = 1 << 20
+	opts.Workers = 2
+	opts.Core.ChunkBytes = 16 << 10
+	want, err := loggrep.CompressArchive(raw, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("CLI archive (%d bytes) differs from CompressArchive (%d bytes)", len(got), len(want))
+	}
+	a, err := loggrep.OpenArchive(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.NumBlocks() < 3 || !a.HasIndex() {
+		t.Fatalf("archive has %d blocks, index %v; want >= 3 blocks and an index", a.NumBlocks(), a.HasIndex())
+	}
+}
+
+// TestCLICompressFailureLeavesNothing: when the copy fails after the temp
+// file exists (the input is a directory, which opens but cannot be read),
+// compress exits non-zero and leaves neither the output nor a temp file.
+func TestCLICompressFailureLeavesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary")
+	}
+	bin := buildCLI(t)
+	outDir := t.TempDir()
+	runFail(t, bin, "compress", "-o", filepath.Join(outDir, "x.lgrep"), t.TempDir())
+	ents, err := os.ReadDir(outDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		t.Errorf("failed compress left %s behind", e.Name())
 	}
 }
 
@@ -110,7 +186,7 @@ func TestCLIVerifyAndStrict(t *testing.T) {
 		t.Fatal(err)
 	}
 	arcPath := filepath.Join(dir, "g.arc")
-	run(t, bin, "compress", "-archive", "-block-mb", "1", "-o", arcPath, logPath)
+	run(t, bin, "compress", "-block-mb", "1", "-o", arcPath, logPath)
 
 	out, _ := run(t, bin, "verify", "-deep", arcPath)
 	if !strings.Contains(out, "ok") {
@@ -219,15 +295,25 @@ func TestCLITraceFlag(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "a.log")
 	lt, _ := loggen.ByName("A")
-	if err := os.WriteFile(logPath, lt.Block(3, 2000), 0o644); err != nil {
+	raw := lt.Block(3, 2000)
+	if err := os.WriteFile(logPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	arcPath := filepath.Join(dir, "a.lgrep")
+	run(t, bin, "compress", "-o", arcPath, logPath)
+	_, stderr := run(t, bin, "query", "-trace", arcPath, "ERROR")
+	for _, want := range []string{"trace archive-query", "blocks=1", "block ", "decompressions="} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("archive trace output missing %q:\n%s", want, stderr)
+		}
+	}
+	// A bare box's query is its one store's, traced stage by stage.
 	boxPath := filepath.Join(dir, "a.box")
-	run(t, bin, "compress", "-o", boxPath, logPath)
-	_, stderr := run(t, bin, "query", "-trace", boxPath, "ERROR")
+	writeBox(t, boxPath, raw)
+	_, stderr = run(t, bin, "query", "-trace", boxPath, "ERROR")
 	for _, want := range []string{"trace query", "filter", "verify"} {
 		if !strings.Contains(stderr, want) {
-			t.Errorf("trace output missing %q:\n%s", want, stderr)
+			t.Errorf("box trace output missing %q:\n%s", want, stderr)
 		}
 	}
 }
@@ -264,9 +350,9 @@ func TestCLITraceJSON(t *testing.T) {
 	if err := os.WriteFile(logPath, lt.Block(3, 2000), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	boxPath := filepath.Join(dir, "a.box")
-	run(t, bin, "compress", "-o", boxPath, logPath)
-	_, stderr := run(t, bin, "query", "-trace=json", boxPath, lt.Query)
+	arcPath := filepath.Join(dir, "a.lgrep")
+	run(t, bin, "compress", "-o", arcPath, logPath)
+	_, stderr := run(t, bin, "query", "-trace=json", arcPath, lt.Query)
 	var evLine string
 	for _, line := range strings.Split(stderr, "\n") {
 		if strings.HasPrefix(line, "{") {
@@ -290,7 +376,7 @@ func TestCLITraceJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(evLine), &ev); err != nil {
 		t.Fatalf("wide event not valid JSON: %v\n%s", err, evLine)
 	}
-	if len(ev.TraceID) != 32 || ev.Endpoint != "cli" || ev.Source != boxPath {
+	if len(ev.TraceID) != 32 || ev.Endpoint != "cli" || ev.Source != arcPath {
 		t.Errorf("event identity wrong: %+v", ev)
 	}
 	if ev.Command != lt.Query || ev.DurNS <= 0 || ev.Matches == 0 || len(ev.Spans) == 0 {
@@ -309,13 +395,14 @@ func TestCLIStats(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "a.log")
 	lt, _ := loggen.ByName("A")
-	if err := os.WriteFile(logPath, lt.Block(3, 4000), 0o644); err != nil {
+	raw := lt.Block(3, 4000)
+	if err := os.WriteFile(logPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	boxPath := filepath.Join(dir, "a.box")
-	run(t, bin, "compress", "-o", boxPath, logPath)
+	writeBox(t, boxPath, raw)
 	arcPath := filepath.Join(dir, "a.arc")
-	run(t, bin, "compress", "-archive", "-block-mb", "1", "-o", arcPath, logPath)
+	run(t, bin, "compress", "-block-mb", "1", "-o", arcPath, logPath)
 
 	for _, path := range []string{boxPath, arcPath} {
 		out, _ := run(t, bin, "stats", path)
@@ -359,11 +446,12 @@ func TestCLIExplainArchive(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "a.log")
 	lt, _ := loggen.ByName("A")
-	if err := os.WriteFile(logPath, lt.Block(3, 15000), 0o644); err != nil {
+	raw := lt.Block(3, 15000)
+	if err := os.WriteFile(logPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	arcPath := filepath.Join(dir, "a.arc")
-	run(t, bin, "compress", "-archive", "-block-mb", "1", "-o", arcPath, logPath)
+	run(t, bin, "compress", "-block-mb", "1", "-o", arcPath, logPath)
 	out, _ := run(t, bin, "explain", arcPath, lt.Query)
 	for _, want := range []string{"explain", "archive:", "blocks", "searched", "candidate lines"} {
 		if !strings.Contains(out, want) {
@@ -372,7 +460,7 @@ func TestCLIExplainArchive(t *testing.T) {
 	}
 	// A plain box explains as an archive of one block.
 	boxPath := filepath.Join(dir, "a.box")
-	run(t, bin, "compress", "-o", boxPath, logPath)
+	writeBox(t, boxPath, raw)
 	out, _ = run(t, bin, "explain", boxPath, lt.Query)
 	if !strings.Contains(out, "candidate lines") || !strings.Contains(out, "archive: 1 blocks (1 searched") {
 		t.Errorf("box explain wrong:\n%s", out)
@@ -465,9 +553,9 @@ func TestCLIStdoutWriteErrors(t *testing.T) {
 	if err := os.WriteFile(logPath, lt.Block(3, 2000), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	boxPath := filepath.Join(dir, "a.lgrep")
-	run(t, bin, "compress", "-o", boxPath, logPath)
-	for _, args := range [][]string{{"cat", boxPath}, {"query", boxPath, "ERROR"}} {
+	arcPath := filepath.Join(dir, "a.lgrep")
+	run(t, bin, "compress", "-o", arcPath, logPath)
+	for _, args := range [][]string{{"cat", arcPath}, {"query", arcPath, "ERROR"}} {
 		cmd := exec.Command(bin, args...)
 		cmd.Stdout = full
 		var stderr bytes.Buffer

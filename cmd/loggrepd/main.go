@@ -37,11 +37,6 @@
 // in-flight queries get half of -shutdown-grace to finish, then are
 // cancelled; a drained server exits 0.
 //
-// Archive sources consult their embedded block-skipping indexes (token
-// postings + per-block bloom filters) before decompressing anything;
-// -no-index turns that off so every query full-scans. Results are
-// identical either way — the index only prunes, never filters matches.
-//
 // Forensics: -slowlog <dur> writes one wide JSON event per slow request to
 // stderr (0 logs every request); -slowlog-sample N additionally emits every
 // Nth request so a healthy baseline stays visible; -slowlog-file redirects
@@ -116,7 +111,6 @@ func main() {
 	shutdownGrace := flag.Duration("shutdown-grace", 20*time.Second, "grace period for draining in-flight queries on SIGTERM")
 	maxScanMB := flag.Int64("max-scan-mb", 0, "per-query cap on scanned megabytes, exceeding returns partial results (0 = unlimited)")
 	maxDecomp := flag.Int64("max-decompressions", 0, "per-query cap on capsule decompressions, exceeding returns partial results (0 = unlimited)")
-	noIndex := flag.Bool("no-index", false, "make archive sources ignore block-skipping index sections, always full-scan")
 	ingestOn := flag.Bool("ingest", false, "enable the write path: POST /ingest with WAL-durable buffering and background sealing (see INGEST.md)")
 	ingestDir := flag.String("ingest-dir", "ingest", "root directory for ingest WAL segments and sealed archives")
 	ingestSealMB := flag.Int64("ingest-seal-mb", 4, "seal a stream's raw segment once it reaches this many megabytes")
@@ -151,7 +145,6 @@ func main() {
 	sv.MaxConcurrent = *maxConcurrent
 	sv.QueryTimeout = *queryTimeout
 	sv.Budget = core.Budget{MaxScannedBytes: *maxScanMB << 20, MaxDecompressions: *maxDecomp}
-	sv.DisableIndex = *noIndex
 	sv.Blobs = blobstore.Wrap(blobstore.NewLocal(""), blobstore.Policy{MaxAttempts: *blobAttempts, Name: "server"})
 	// The live operations plane is always on: every request registers in
 	// the in-flight view, meters its tenant, and feeds the SLO engine.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"loggrep"
+	"loggrep/internal/archive"
 	"loggrep/internal/loggen"
 	"loggrep/internal/logparse"
 )
@@ -85,10 +86,12 @@ func TestArchiveGrepOracle(t *testing.T) {
 }
 
 // TestArchiveIndexOracle is the golden claim for the block-skipping
-// index: the same archive queried with the index enabled, with the index
-// disabled at read time, and rebuilt without index sections must return
-// byte-identical results for every query, all equal to a plain grep over
-// the raw stream. The index may only skip work, never change answers.
+// index: the same archive queried with its index and with its index tail
+// cut off at the terminator (what a reader finds in an archive from a
+// writer that predates the index), and the same stream as one bare box,
+// must return identical results for every query, all equal to a plain
+// grep over the raw stream. The index may only skip work, never change
+// answers.
 func TestArchiveIndexOracle(t *testing.T) {
 	for _, name := range []string{"A", "G", "L"} {
 		name := name
@@ -108,10 +111,9 @@ func TestArchiveIndexOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts.NoIndex = true
-			plain, err := loggrep.CompressArchive(stream, opts)
-			if err != nil {
-				t.Fatal(err)
+			tailOff, _, err := archive.IndexSectionRange(indexed)
+			if err != nil || tailOff < 0 || tailOff >= len(indexed) {
+				t.Fatalf("index tail at %d of %d bytes: %v", tailOff, len(indexed), err)
 			}
 
 			ai, err := loggrep.OpenArchive(indexed)
@@ -121,18 +123,17 @@ func TestArchiveIndexOracle(t *testing.T) {
 			if !ai.HasIndex() {
 				t.Fatal("default archive carries no index")
 			}
-			ap, err := loggrep.OpenArchive(plain)
+			ac, err := loggrep.OpenArchive(indexed[:tailOff])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ap.HasIndex() {
-				t.Fatal("NoIndex archive still carries an index")
+			if ac.HasIndex() || len(ac.Damage()) != 0 {
+				t.Fatalf("tail-cut archive: index %v, damage %v; want neither", ac.HasIndex(), ac.Damage())
 			}
-			aq, err := loggrep.OpenArchive(indexed)
+			ab, err := loggrep.OpenArchive(loggrep.Compress(stream, loggrep.DefaultOptions()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			aq.SetIndexEnabled(false)
 
 			// Sample real tokens out of the stream so the queries hit the
 			// postings (textual keywords) and the blooms (values, ids).
@@ -160,7 +161,7 @@ func TestArchiveIndexOracle(t *testing.T) {
 			skips := loggrep.NewTrace("archive-query")
 			for _, q := range queries {
 				want := oracle(t, lines, q)
-				for which, a := range map[string]*loggrep.Archive{"indexed": ai, "no-index-build": ap, "index-disabled": aq} {
+				for which, a := range map[string]*loggrep.Archive{"indexed": ai, "index tail cut": ac, "bare box": ab} {
 					opts := loggrep.SearchOpts{Workers: 3}
 					if a == ai {
 						opts.Trace = skips

@@ -133,7 +133,7 @@ type Report struct {
 	PayloadBytes   int          `json:"payload_bytes"`
 	Blocks         []BlockStats `json:"blocks"`
 	// Index describes the block-skipping index sections; nil when the
-	// file has none (bare box, v1 archive, -no-index writer).
+	// file has none (bare box, v1 archive, an older writer, a cut tail).
 	Index *IndexStats `json:"index,omitempty"`
 }
 

@@ -43,9 +43,6 @@ type Options struct {
 	// Workers is the number of concurrent block compressors
 	// (default: GOMAXPROCS).
 	Workers int
-	// NoIndex disables the block-skipping index sections normally
-	// appended after the terminator.
-	NoIndex bool
 }
 
 // DefaultOptions mirrors the production setting.
@@ -80,7 +77,7 @@ type Writer struct {
 	wg       sync.WaitGroup
 	collDone chan struct{}
 	// index accumulates block scans for the skip-index sections Close
-	// appends after the terminator; nil when disabled.
+	// appends after the terminator.
 	index *blockindex.Builder
 }
 
@@ -93,7 +90,7 @@ type result struct {
 	seq  int
 	meta blockMeta
 	box  []byte
-	scan *blockindex.BlockScan // nil when indexing is off
+	scan *blockindex.BlockScan
 }
 
 // NewWriter starts a concurrent archive writer. Close must be called to
@@ -115,9 +112,7 @@ func NewWriter(w io.Writer, opts Options) (*Writer, error) {
 		done:     make(chan result, opts.Workers),
 		pending:  make(map[int]result),
 		collDone: make(chan struct{}),
-	}
-	if !opts.NoIndex {
-		aw.index = blockindex.NewBuilder()
+		index:    blockindex.NewBuilder(),
 	}
 	for i := 0; i < opts.Workers; i++ {
 		aw.wg.Add(1)
@@ -136,12 +131,9 @@ func (aw *Writer) worker() {
 			rawBytes: len(j.block),
 			stamp:    blockStamp(j.block),
 		}
-		var scan *blockindex.BlockScan
-		if aw.index != nil {
-			t0 := time.Now()
-			scan = blockindex.ScanBlock(j.block)
-			mArchiveIndexScanNS.Observe(time.Since(t0).Nanoseconds())
-		}
+		t0 := time.Now()
+		scan := blockindex.ScanBlock(j.block)
+		mArchiveIndexScanNS.Observe(time.Since(t0).Nanoseconds())
 		aw.done <- result{seq: j.seq, meta: meta, box: box, scan: scan}
 	}
 }
@@ -164,9 +156,7 @@ func (aw *Writer) collector() {
 			if aw.werr == nil {
 				aw.werr = aw.writeFrame(next.meta, next.box)
 			}
-			if aw.index != nil && next.scan != nil {
-				aw.index.Add(uint64(aw.lines), next.meta.numLines, len(next.box), next.scan)
-			}
+			aw.index.Add(uint64(aw.lines), next.meta.numLines, len(next.box), next.scan)
 			aw.lines += next.meta.numLines
 			aw.next++
 		}
@@ -280,15 +270,13 @@ func (aw *Writer) Close() error {
 	}
 	// Index sections ride after the terminator: readers that predate them
 	// (or find them damaged) stop at the terminator and scan every block.
-	if aw.index != nil {
-		if sections := aw.index.Sections(); len(sections) > 0 {
-			if _, err = aw.w.Write(sections); err != nil {
-				return err
-			}
-			mArchiveIndexBytes.Add(int64(len(sections)))
-			if aw.index.VocabOverflowed() {
-				mArchiveIndexVocabOverflow.Inc()
-			}
+	if sections := aw.index.Sections(); len(sections) > 0 {
+		if _, err = aw.w.Write(sections); err != nil {
+			return err
+		}
+		mArchiveIndexBytes.Add(int64(len(sections)))
+		if aw.index.VocabOverflowed() {
+			mArchiveIndexVocabOverflow.Inc()
 		}
 	}
 	return nil

@@ -239,7 +239,7 @@ func checkQueryEquivalence(t *testing.T, lines []string, data []byte, queries []
 			t.Fatal(err)
 		}
 		if o.Budget != nil {
-			a.SetIndexEnabled(false) // the budget must bite, not the index
+			a.index = nil // the budget must bite, not the index
 		}
 		res, err := a.Search(context.Background(), cmd, o)
 		if err != nil {
@@ -362,8 +362,8 @@ func TestArchiveBlockStampSkipping(t *testing.T) {
 		t.Fatalf("blocks = %d", a.NumBlocks())
 	}
 	// The block-skipping index would eliminate the digit blocks first;
-	// turn it off so the stamp layer is what this test exercises.
-	a.SetIndexEnabled(false)
+	// drop it so the stamp layer is what this test exercises.
+	a.index = nil
 	tr := obsv.NewTrace("archive-query")
 	res, err := a.Search(context.Background(), "alpha", core.SearchOpts{Workers: 2, Trace: tr})
 	if err != nil {

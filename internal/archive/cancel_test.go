@@ -86,11 +86,11 @@ func TestArchiveBudgetPartial(t *testing.T) {
 	}
 
 	// A fresh archive, so payload caches are cold and the cap bites. The
-	// block-skipping index is turned off: it can prove most blocks
+	// block-skipping index is dropped: it can prove most blocks
 	// matchless and finish the query inside any budget, and this test is
 	// about the budget contract on the full-scan path.
 	a2, _ := buildTestArchive(t, "G", 20_000, 2500)
-	a2.SetIndexEnabled(false)
+	a2.index = nil
 	res, err := a2.Search(context.Background(), "ERROR", core.SearchOpts{Workers: 2, Budget: core.NewBudgetState(core.Budget{MaxDecompressions: 2})})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestArchivePartialReasonRule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a.SetIndexEnabled(false)
+			a.index = nil
 			res, err := a.Search(context.Background(), "ERROR", core.SearchOpts{Workers: workers, Budget: core.NewBudgetState(core.Budget{MaxDecompressions: 2})})
 			if err != nil {
 				t.Fatal(err)

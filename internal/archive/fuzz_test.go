@@ -24,10 +24,9 @@ func fuzzSeedArchives(f *testing.F) [][]byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	opts.NoIndex = true
-	noIx, err := Compress(stream, opts)
-	if err != nil {
-		f.Fatal(err)
+	tailOff, _, err := IndexSectionRange(v2)
+	if err != nil || tailOff < 0 || tailOff >= len(v2) {
+		f.Fatalf("index tail at %d of %d bytes: %v", tailOff, len(v2), err)
 	}
 	v1, err := os.ReadFile("testdata/v1_fixture.lgrep")
 	if err != nil {
@@ -54,13 +53,11 @@ func fuzzSeedArchives(f *testing.F) [][]byte {
 	headerHit := append([]byte(nil), v2...)
 	headerHit[len(Magic)+4] ^= 0x01
 	indexHit := append([]byte(nil), v2...)
-	if tailOff, _, err := IndexSectionRange(indexHit); err == nil && tailOff >= 0 && tailOff < len(indexHit) {
-		indexHit[tailOff+(len(indexHit)-tailOff)/2] ^= 0x20
-	}
+	indexHit[tailOff+(len(indexHit)-tailOff)/2] ^= 0x20
 	return [][]byte{
 		v2, // carries index sections after the terminator
 		v1,
-		noIx,           // v2 without index sections
+		v2[:tailOff],   // index tail cut at the terminator
 		v2[:len(v2)/2], // truncated mid-stream
 		v2[:len(v2)-1], // terminator clipped
 		flipped,        // payload or header bit flip

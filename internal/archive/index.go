@@ -6,12 +6,6 @@ import (
 	"loggrep/internal/blockindex"
 )
 
-// SetIndexEnabled turns the block-skipping index on or off for this
-// opened archive's queries (it is on by default). Disabling it never
-// changes results — every block is simply scanned — which is what makes
-// index-on/index-off differential testing meaningful.
-func (a *Archive) SetIndexEnabled(on bool) { a.indexDisabled.Store(!on) }
-
 // HasIndex reports whether a usable index section was decoded at Open.
 func (a *Archive) HasIndex() bool { return !a.index.Empty() }
 

@@ -39,5 +39,5 @@ var (
 	mArchiveIndexFalseAdmit = obsv.Default.Counter("loggrep_archive_index_false_admit_total",
 		"Index-admitted blocks that were searched and yielded no match (upper bound on index false positives)")
 	mArchiveIndexUnusable = obsv.Default.Counter("loggrep_archive_index_unusable_total",
-		"Archive queries that ran as full scans: index absent, damaged, disabled, or query not token-filterable")
+		"Archive queries that ran as full scans: index absent or damaged, or query not token-filterable")
 )

@@ -82,12 +82,10 @@ type Archive struct {
 	rawBytes int
 
 	// index is the block-skipping index decoded from the sections after
-	// the terminator; nil or empty when the archive has none (old writer,
-	// -no-index, damage, a bare box). indexDisabled turns it off at query
-	// time.
-	index         *blockindex.Index
-	indexDisabled atomic.Bool
-	bare          *core.Store // the one block's store, for a bare CapsuleBox
+	// the terminator; nil or empty when the archive has none (a v1
+	// archive, an older writer, a damaged or cut tail, a bare box).
+	index *blockindex.Index
+	bare  *core.Store // the one block's store, for a bare CapsuleBox
 
 	hookMu   sync.Mutex
 	readHook core.ReadHook
@@ -604,14 +602,11 @@ func (a *Archive) Search(ctx context.Context, command string, o core.SearchOpts)
 }
 
 // plan compiles expr against the block-skipping index. It returns the plan,
-// nil when the index cannot filter the query (disabled, absent or damaged,
-// or the query has no token-filterable fragment: every block is scanned,
-// never wrong, only slower), and the index state Explain reports.
+// nil when the index cannot filter the query (absent or damaged, or the
+// query has no token-filterable fragment: every block is scanned, never
+// wrong, only slower), and the index state Explain reports.
 func (a *Archive) plan(expr query.Expr) (*blockindex.Plan, string) {
-	switch {
-	case a.indexDisabled.Load():
-		return nil, "disabled"
-	case a.index.Empty():
+	if a.index.Empty() {
 		return nil, "absent"
 	}
 	p := a.index.NewPlan(expr)

@@ -479,3 +479,93 @@ func TestRawQueryMatchesCompressedQuery(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyMergesManyGroups checks a verified answer drawn from several
+// groups and the outlier capsule against the oracle: each run arrives
+// ascending on its own and the merged result must interleave them by line.
+func TestVerifyMergesManyGroups(t *testing.T) {
+	lines := genBlock(31, 2000)
+	// One delimiter layout with more word variants than the parser keeps
+	// apart merges into one template whose "login" is static. Lines off
+	// the sampling stride that say "logout" there match no template and
+	// land in the outlier capsule.
+	for i := 0; i < 800; i++ {
+		lines = append(lines, fmt.Sprintf("user u%c%c login ok", 'a'+i%26, 'a'+i/26%26))
+	}
+	for _, i := range []int{2101, 2203, 2305} {
+		lines[i] = "user zed logout ok"
+	}
+	st, _ := mustOpen(t, makeBlock(lines...), DefaultOptions())
+	// "NOT INFO" verifies every candidate: WARN, both ERROR templates,
+	// DEBUG, the user logins and the outliers all match.
+	const cmd = "NOT INFO"
+	checkQuery(t, st, lines, cmd)
+
+	res, err := st.Search(context.Background(), cmd, SearchOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	matched := make(map[int]bool, len(res.Lines))
+	for _, l := range res.Lines {
+		matched[l] = true
+	}
+	groups := 0
+	for _, g := range st.groups {
+		gl, err := g.meta.Lines.Lines()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range gl {
+			if matched[l] {
+				groups++
+				break
+			}
+		}
+	}
+	outl, err := st.box.Meta.OutlierLines.Lines()
+	if err != nil {
+		t.Fatal(err)
+	}
+	outliers := 0
+	for _, l := range outl {
+		if matched[l] {
+			outliers++
+		}
+	}
+	if groups < 3 || outliers == 0 {
+		t.Fatalf("%q drew from %d groups and %d outlier lines; want >= 3 groups and an outlier", cmd, groups, outliers)
+	}
+}
+
+// TestMergeRuns merges one to seven disjoint ascending runs of uneven
+// length into one ascending slice.
+func TestMergeRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for k := 1; k <= 7; k++ {
+		owner := make([]int, 300) // line -> run
+		for i := range owner {
+			owner[i] = rng.Intn(k)
+		}
+		var found []match
+		bounds := []int{0}
+		for r := 0; r < k; r++ {
+			for line, o := range owner {
+				if o == r {
+					found = append(found, match{line: line, entry: fmt.Sprint(line)})
+				}
+			}
+			if len(found) > bounds[len(bounds)-1] {
+				bounds = append(bounds, len(found))
+			}
+		}
+		got := mergeRuns(found, bounds)
+		if len(got) != len(owner) {
+			t.Fatalf("k=%d: merged %d entries, want %d", k, len(got), len(owner))
+		}
+		for i, m := range got {
+			if m.line != i || m.entry != fmt.Sprint(i) {
+				t.Fatalf("k=%d: entry %d is line %d (%q)", k, i, m.line, m.entry)
+			}
+		}
+	}
+}

@@ -35,7 +35,7 @@ type Explain struct {
 	// postings, BlocksSkippedBlooms by per-block gram bloom filters.
 	// IndexState says how the index participated: "postings+blooms",
 	// "postings", "blooms", "not-filterable" (index present, query has no
-	// indexable fragment), "absent" (no usable index), or "disabled".
+	// indexable fragment), or "absent" (no usable index).
 	// Empty when explaining a single box.
 	BlocksSkippedPostings int
 	BlocksSkippedBlooms   int

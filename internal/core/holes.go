@@ -181,7 +181,7 @@ func (h *nominalVarHole) find(part string, kind strmatch.Kind) (*bitset.Set, err
 		return nil, err
 	}
 	if len(dictIdxs) <= 8 {
-		// Few dictionary hits: one Boyer–Moore pass per index id.
+		// Few dictionary hits: one ScanRows Exact pass per index id.
 		for _, di := range dictIdxs {
 			if err := h.st.checkpoint(); err != nil {
 				return nil, err

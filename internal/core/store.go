@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -663,7 +662,7 @@ type match struct {
 // string of its own length, so a cached answer holds only its own entries.
 // On an interrupt it returns the matches verified so far with the error.
 func (st *Store) verify(expr query.Expr, cand *rowSets) (found []match, checked int, err error) {
-	runs := 0
+	bounds := []int{0} // where each group's run of matches starts in found, then its end
 	// check verifies one group's (gi < 0: the outlier capsule's) candidates.
 	check := func(gi int, set *bitset.Set, m *capsule.LineMap) error {
 		if set == nil {
@@ -694,7 +693,7 @@ func (st *Store) verify(expr query.Expr, cand *rowSets) (found []match, checked 
 		for i := start; i < len(found); i++ {
 			found[i].line = lines[found[i].line]
 		}
-		runs++
+		bounds = append(bounds, len(found))
 		return stop
 	}
 	for gi, g := range st.groups {
@@ -710,10 +709,35 @@ func (st *Store) verify(expr query.Expr, cand *rowSets) (found []match, checked 
 	}
 	// Each run ascends already (rows ascend with lines); only a result
 	// drawn from several groups needs merging.
-	if runs > 1 {
-		slices.SortFunc(found, func(a, b match) int { return cmp.Compare(a.line, b.line) })
+	if len(bounds) > 2 {
+		found = mergeRuns(found, bounds)
 	}
 	return found, checked, err
+}
+
+// mergeRuns merges the ascending runs found[bounds[i]:bounds[i+1]], no line
+// in two, by rounds of pairwise merges between found and one buffer.
+func mergeRuns(found []match, bounds []int) []match {
+	src, dst := found, make([]match, len(found))
+	for len(bounds) > 2 {
+		next := bounds[:0] // written behind the reads
+		for i := 0; i+1 < len(bounds); i += 2 {
+			lo, mid, hi := bounds[i], bounds[i+1], bounds[min(i+2, len(bounds)-1)]
+			k, a, b := lo, lo, mid
+			for ; a < mid && b < hi; k++ {
+				if src[a].line < src[b].line {
+					dst[k], a = src[a], a+1
+				} else {
+					dst[k], b = src[b], b+1
+				}
+			}
+			copy(dst[k+copy(dst[k:], src[a:mid]):], src[b:hi])
+			next = append(next, lo)
+		}
+		bounds = append(next, len(found))
+		src, dst = dst, src
+	}
+	return src
 }
 
 // isBudgetStop distinguishes budget exhaustion from cancellation among

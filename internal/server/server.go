@@ -73,10 +73,6 @@ type Server struct {
 	// Budget caps the work of each query; zero fields mean unlimited.
 	// Queries that exhaust it return partial results, never errors.
 	Budget core.Budget
-	// DisableIndex makes archive sources ignore their block-skipping
-	// index sections and always full-scan (loggrepd -no-index). Set
-	// before Load; it applies to every source loaded afterwards.
-	DisableIndex bool
 	// Events, when set, receives one wide observability event per query
 	// and count request (loggrepd wires -slowlog here). Setting it forces
 	// traced query execution so the events carry per-stage span timings.
@@ -148,9 +144,6 @@ func (sv *Server) Load(name string, data []byte) error {
 	a, err := archive.Open(data)
 	if err != nil {
 		return err
-	}
-	if sv.DisableIndex {
-		a.SetIndexEnabled(false)
 	}
 	src := &loaded{arch: a, kind: "box", bytes: len(data)}
 	if archive.IsArchive(data) {
