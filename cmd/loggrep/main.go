@@ -385,23 +385,8 @@ func newCatCmd() *command {
 		if err != nil {
 			return err
 		}
-		var (
-			lines   []string
-			damaged []loggrep.ArchiveBlockError
-		)
-		if *strict {
-			if lines, err = a.ReconstructAll(); err != nil {
-				return err
-			}
-		} else {
-			lines, damaged = a.ReconstructPartial()
-		}
-		out := bufio.NewWriter(os.Stdout)
-		for _, l := range lines {
-			out.WriteString(l)
-			out.WriteByte('\n')
-		}
-		if err := out.Flush(); err != nil {
+		damaged, err := a.Restore(os.Stdout, *strict)
+		if err != nil {
 			return err
 		}
 		return reportDamage(damaged, *strict)

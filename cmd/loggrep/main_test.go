@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"loggrep"
+	"loggrep/internal/archive"
 	"loggrep/internal/flightrec"
 	"loggrep/internal/loggen"
 	"loggrep/internal/obsv"
@@ -224,6 +225,71 @@ func TestCLIVerifyAndStrict(t *testing.T) {
 		t.Fatalf("cat stderr lacks damage report: %q", stderr)
 	}
 	runFail(t, bin, "cat", "-strict", badPath)
+}
+
+// TestCLICatStreamsBlocks: cat of a multi-block archive, pristine and
+// with one block's payload flipped, writes what the whole-archive restore
+// it streams in place of wrote — the raw log; the surviving blocks' lines
+// (ReconstructPartial) and one stderr line per damaged region; with
+// -strict, nothing and the first region as the error (ReconstructAll).
+func TestCLICatStreamsBlocks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary")
+	}
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "a.log")
+	var raw []byte
+	for _, name := range []string{"A", "G", "S"} {
+		lt, _ := loggen.ByName(name)
+		raw = append(raw, lt.Block(6, 12000)...)
+	}
+	if err := os.WriteFile(logPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	arcPath := filepath.Join(dir, "a.lgrep")
+	run(t, bin, "compress", "-block-mb", "1", "-o", arcPath, logPath)
+	if out, stderr := run(t, bin, "cat", arcPath); out != string(raw) || stderr != "" {
+		t.Fatalf("cat of a pristine archive: %d bytes of %d, stderr %q", len(out), len(raw), stderr)
+	}
+
+	data, err := os.ReadFile(arcPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, err := archive.ScanFrames(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frames) < 4 {
+		t.Fatalf("%d frames, want several blocks", len(frames))
+	}
+	f := frames[len(frames)/2]
+	data[f.PayloadOff+f.PayloadLen/2] ^= 0x40
+	badPath := filepath.Join(dir, "a.bad.lgrep")
+	if err := os.WriteFile(badPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a, err := loggrep.OpenArchive(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, damaged := a.ReconstructPartial()
+	if len(damaged) != 1 {
+		t.Fatalf("%d damaged regions, want 1", len(damaged))
+	}
+	wantOut := strings.Join(lines, "\n") + "\n"
+	wantErr := "loggrep: damaged: " + damaged[0].Error() + "\n"
+	if out, stderr := run(t, bin, "cat", badPath); out != wantOut || stderr != wantErr {
+		t.Fatalf("cat of a damaged archive: %d bytes (want %d), stderr %q (want %q)", len(out), len(wantOut), stderr, wantErr)
+	}
+	_, allErr := a.ReconstructAll()
+	cmd := exec.Command(bin, "cat", "-strict", badPath)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err == nil || stdout.Len() != 0 || stderr.String() != "loggrep: "+allErr.Error()+"\n" {
+		t.Fatalf("cat -strict of a damaged archive: %v, %d bytes out, stderr %q", err, stdout.Len(), stderr.String())
+	}
 }
 
 // TestUsageListsEveryCommand pins the property the help system exists

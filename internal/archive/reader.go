@@ -3,8 +3,10 @@ package archive
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"sort"
 	"sync"
@@ -697,15 +699,67 @@ func (a *Archive) ReconstructPartial() (lines []string, damaged []BlockError) {
 	return lines, damaged
 }
 
+// Restore writes every line the archive can restore to w, in line order,
+// each ending in '\n', and returns the damaged regions it left out, as
+// ReconstructPartial does. It restores one block at a time into one reused
+// buffer and releases each block's decoded payloads before the next, so
+// its memory follows the block, not the archive.
+//
+// strict fails it on any damage instead, with the first damaged region, as
+// ReconstructAll does. Every block is opened — checksum and metadata — before
+// a byte is written, so damage found there leaves w untouched; only a fault
+// that restoring itself finds (a payload whose checksum holds but that does
+// not decode) can stop the output part way. A write error ends it at once.
+func (a *Archive) Restore(w io.Writer, strict bool) ([]BlockError, error) {
+	if strict {
+		if len(a.damage) > 0 {
+			d := a.damage[0]
+			return nil, &d
+		}
+		if d := a.walk(true, nil); len(d) > 0 {
+			return nil, &d[0]
+		}
+	}
+	var buf []byte
+	var werr error
+	damaged := a.walk(strict, func(st *core.Store) (err error) {
+		if buf, err = restoreBlock(st, buf); err != nil {
+			return err
+		}
+		if _, werr = w.Write(buf); werr != nil {
+			return errStopWalk
+		}
+		return nil
+	})
+	switch {
+	case werr != nil:
+		return nil, werr
+	case len(damaged) == 0:
+		return nil, nil
+	case strict:
+		return nil, &damaged[0]
+	}
+	return damaged, nil
+}
+
+// restoreBlock sets buf to st's whole block and then drops the payloads the
+// restore decoded.
+func restoreBlock(st *core.Store, buf []byte) ([]byte, error) {
+	buf, err := st.AppendAll(buf[:0])
+	st.ResetCounters()
+	return buf, err
+}
+
 // Verify checks the archive's integrity and returns every damaged region
 // (nil when pristine). It always verifies structure and payload checksums
-// plus metadata decode; deep additionally reconstructs every block's lines,
-// exercising the full decode path the way a restore would.
+// plus metadata decode; deep additionally restores every block, one at a
+// time as Restore does, exercising the full decode path.
 func (a *Archive) Verify(deep bool) []BlockError {
 	var visit func(*core.Store) error
 	if deep {
-		visit = func(st *core.Store) error {
-			_, err := st.ReconstructAll()
+		var buf []byte
+		visit = func(st *core.Store) (err error) {
+			buf, err = restoreBlock(st, buf)
 			return err
 		}
 	}
@@ -714,6 +768,10 @@ func (a *Archive) Verify(deep bool) []BlockError {
 	}
 	return nil
 }
+
+// errStopWalk, returned by a walk's visit, ends the walk there without
+// marking the block damaged.
+var errStopWalk = errors.New("archive: walk stopped")
 
 // walk is the one block-by-block pass over the archive: it opens each
 // readable block in line order (payload checksum and metadata decode) and
@@ -727,6 +785,9 @@ func (a *Archive) walk(strict bool, visit func(*core.Store) error) []BlockError 
 		st, err := b.openStore(context.Background(), a.hook())
 		if err == nil && visit != nil {
 			err = visit(st)
+		}
+		if err == errStopWalk {
+			break
 		}
 		if err != nil {
 			damaged = append(damaged, *b.asBlockError(err))

@@ -1,14 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
+	"loggrep/internal/capsule"
 	"loggrep/internal/loggen"
 	"loggrep/internal/logparse"
 )
@@ -17,53 +20,200 @@ import (
 // paper's default, each ablation that changes a capsule's layout, and
 // chunked capsules.
 func reconstructOptions() map[string]Options {
-	noPad, noStamps, sp := DefaultOptions(), DefaultOptions(), DefaultOptions()
+	noPad, noStamps, sp, noNominal := DefaultOptions(), DefaultOptions(), DefaultOptions(), DefaultOptions()
 	noPad.DisablePadding = true
 	noStamps.DisableStamps = true
 	sp.StaticOnly = true
+	noNominal.DisableNominal = true
 	chunked := DefaultOptions()
 	chunked.ChunkBytes = 2 << 10
-	return map[string]Options{"default": DefaultOptions(), "no-pad": noPad, "no-stamps": noStamps, "sp": sp, "chunked": chunked}
+	return map[string]Options{"default": DefaultOptions(), "no-pad": noPad, "no-stamps": noStamps, "sp": sp, "no-nominal": noNominal, "chunked": chunked}
 }
 
-// TestReconstructPathsAgree: over every log type and box layout, the whole
-// block restore and the one-line restore both give back the input lines.
-func TestReconstructPathsAgree(t *testing.T) {
+// restoreCase is one block of the Reconstructor's conformance corpus.
+type restoreCase struct {
+	name  string // layout/type
+	block []byte // the raw block, every line ending in '\n'
+	data  []byte // its CapsuleBox
+}
+
+// shapeBlocks are blocks made to take the Reconstructor's rarer branches,
+// which no loggen type's block does: a real vector with outlier rows (two
+// addresses its runtime pattern cannot parse; the pattern ends in a literal
+// "/" that an outlier row must not print), a nominal dictionary of
+// several runtime patterns, so several padded segments, and a fifth of the
+// lines block outliers (a merged template's static "login" said otherwise
+// on lines off the parser's sampling stride).
+func shapeBlocks() map[string][]byte {
+	var real, nominal, outliers []string
+	for i := 0; i < 800; i++ {
+		if i%5 == 1 {
+			outliers = append(outliers, fmt.Sprintf("user zed logoutafteralongidlesessionnumber%d ok", i))
+		} else {
+			outliers = append(outliers, fmt.Sprintf("user u%c%c login ok", 'a'+i%26, 'a'+i/26%26))
+		}
+	}
+	for i := 0; i < 60; i++ {
+		addr := fmt.Sprintf("10.%d.%d.%d:%d/", i%7, i*13%256, i*29%256, 8000+i)
+		if i == 17 || i == 40 {
+			addr = []string{"10.1.2", "fe80::1"}[i%2]
+		}
+		real = append(real, fmt.Sprintf("connect to %s done", addr))
+		nominal = append(nominal, fmt.Sprintf("state %s now", []string{"alpha", "beta-12", "gamma:3:x", "delta_77"}[i%4]))
+	}
+	return map[string][]byte{"outlier-rows": makeBlock(real...), "dict-segments": makeBlock(nominal...), "outlier-lines": makeBlock(outliers...)}
+}
+
+// restoreCases compresses a block of every log type, and each of
+// shapeBlocks, under every layout of reconstructOptions, once per test
+// binary.
+var restoreCases = sync.OnceValue(func() []restoreCase {
 	n := 600
 	if testing.Short() {
 		n = 150
 	}
+	var cases []restoreCase
 	for name, opts := range reconstructOptions() {
 		for ti, lt := range loggen.All() {
 			block := lt.Block(int64(11+ti), n)
-			want := logparse.SplitLines(block)
-			data := Compress(block, opts)
-			st, err := Open(data, QueryOptions{})
+			cases = append(cases, restoreCase{name: name + "/" + lt.Name, block: block, data: Compress(block, opts)})
+		}
+		for shape, block := range shapeBlocks() {
+			cases = append(cases, restoreCase{name: name + "/" + shape, block: block, data: Compress(block, opts)})
+		}
+	}
+	slices.SortFunc(cases, func(a, b restoreCase) int { return strings.Compare(a.name, b.name) })
+	return cases
+})
+
+// TestReconstructPathsAgree: over every log type and box layout, the whole
+// block restore — as bytes and as lines — and the one-line restore all give
+// back the input.
+func TestReconstructPathsAgree(t *testing.T) {
+	for _, c := range restoreCases() {
+		want := logparse.SplitLines(c.block)
+		st, err := Open(c.data, QueryOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		raw, err := st.AppendAll([]byte("prefix"))
+		if err != nil {
+			t.Fatalf("%s: AppendAll: %v", c.name, err)
+		}
+		if !bytes.Equal(raw, append([]byte("prefix"), c.block...)) {
+			t.Fatalf("%s: AppendAll differs from the input", c.name)
+		}
+		all, err := st.ReconstructAll()
+		if err != nil {
+			t.Fatalf("%s: ReconstructAll: %v", c.name, err)
+		}
+		if !slices.Equal(all, want) {
+			t.Fatalf("%s: ReconstructAll differs from the input", c.name)
+		}
+		one := mustReopen(t, c.data)
+		for i := range want {
+			got, err := one.ReconstructLine(context.Background(), i)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", name, lt.Name, err)
+				t.Fatalf("%s: ReconstructLine(%d): %v", c.name, i, err)
 			}
-			all, err := st.ReconstructAll()
-			if err != nil {
-				t.Fatalf("%s/%s: ReconstructAll: %v", name, lt.Name, err)
-			}
-			if !slices.Equal(all, want) {
-				t.Fatalf("%s/%s: ReconstructAll differs from the input", name, lt.Name)
-			}
-			one, err := Open(data, QueryOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				got, err := one.ReconstructLine(context.Background(), i)
-				if err != nil {
-					t.Fatalf("%s/%s: ReconstructLine(%d): %v", name, lt.Name, i, err)
-				}
-				if got != want[i] {
-					t.Fatalf("%s/%s: ReconstructLine(%d) = %q, want %q", name, lt.Name, i, got, want[i])
-				}
+			if got != want[i] {
+				t.Fatalf("%s: ReconstructLine(%d) = %q, want %q", c.name, i, got, want[i])
 			}
 		}
 	}
+}
+
+// TestRestoreBoundHolds: the bound AppendAll sizes its buffer from is never
+// below what the block restores to, on every log type and box layout, so
+// the buffer is allocated once and never regrown.
+func TestRestoreBoundHolds(t *testing.T) {
+	var ratios []float64
+	for _, c := range restoreCases() {
+		st := mustReopen(t, c.data)
+		bound := st.restoreBound()
+		if bound < len(c.block) {
+			t.Fatalf("%s: bound %d below the block's %d bytes", c.name, bound, len(c.block))
+		}
+		out, err := st.AppendAll(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Never regrown: the capacity is the first allocation's, the bound
+		// rounded up to its size class.
+		if want := cap(slices.Grow([]byte(nil), bound)); cap(out) != want {
+			t.Fatalf("%s: AppendAll(nil) ended with capacity %d, want the bound's %d", c.name, cap(out), want)
+		}
+		ratios = append(ratios, float64(bound)/float64(len(c.block)))
+	}
+	slices.Sort(ratios)
+	t.Logf("bound/restored over %d blocks: min %.3f, median %.3f, max %.3f",
+		len(ratios), ratios[0], ratios[len(ratios)/2], ratios[len(ratios)-1])
+}
+
+// TestReconstructLineDecompressions: on chunked boxes, restoring one line
+// from a fresh store decodes, per capsule the row reads, the one chunk
+// holding its value — and a capsule resolved whole (a dictionary, the block
+// outlier capsule) every chunk of it, once.
+func TestReconstructLineDecompressions(t *testing.T) {
+	for _, c := range restoreCases() {
+		if !strings.HasPrefix(c.name, "chunked/") {
+			continue
+		}
+		lines := []int{0, 1, len(logparse.SplitLines(c.block)) / 2}
+		for _, line := range lines {
+			st := mustReopen(t, c.data)
+			if _, err := st.ReconstructLine(context.Background(), line); err != nil {
+				t.Fatal(err)
+			}
+			if want := touchedChunks(t, st, line); st.box.Decompressions != want {
+				t.Fatalf("%s: line %d decoded %d chunks, want %d", c.name, line, st.box.Decompressions, want)
+			}
+		}
+	}
+}
+
+// touchedChunks counts, off the directory alone, the chunks a restore of
+// line decodes: one per capsule read value by value (sub-variables, an
+// outlier value, the index), every chunk of a capsule read whole.
+func touchedChunks(t *testing.T, st *Store, line int) int {
+	t.Helper()
+	index, err := st.lineRefs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := index[line]
+	whole := func(id int) int { return st.box.ChunkCount(id) }
+	byValue := func(id int) int {
+		if st.box.Meta.Capsules[id].ChunkRows > 0 {
+			return 1
+		}
+		return whole(id)
+	}
+	if ref.group < 0 {
+		return whole(st.box.Meta.OutlierCapID)
+	}
+	g := &st.box.Meta.Groups[ref.group]
+	n := 0
+	for _, te := range g.Template {
+		if te.Var < 0 {
+			continue
+		}
+		vm := &g.Vars[te.Var]
+		if vm.Kind == capsule.NominalVar {
+			n += byValue(vm.IndexCapID) + whole(vm.DictCapID)
+			continue
+		}
+		if _, out := slices.BinarySearch(vm.OutRows, ref.row); out {
+			n += byValue(vm.OutCapID)
+			continue
+		}
+		for _, e := range vm.Pattern {
+			if e.Sub >= 0 {
+				n += byValue(e.CapID)
+			}
+		}
+	}
+	return n
 }
 
 // readOrder runs op on a fresh store over data and returns the payload
@@ -190,4 +340,43 @@ func TestParseIndexMatchesAtoi(t *testing.T) {
 			t.Fatalf("parseIndex(%q) = %d, %v; strconv.Atoi = %d, %v", c, got, ok, want, werr)
 		}
 	}
+}
+
+// TestPlanSharedAcrossGoroutines restores from one store on several
+// goroutines at once — whole blocks, single lines, verifying queries — while
+// another drops its columns and row plans between rounds, as a sealed
+// stream's store is shared by concurrent queries. Every answer stays whole.
+func TestPlanSharedAcrossGoroutines(t *testing.T) {
+	lt, _ := loggen.ByName("I")
+	block := lt.Block(7, 800)
+	want := logparse.SplitLines(block)
+	st := mustReopen(t, Compress(block, DefaultOptions()))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				switch g {
+				case 0:
+					if got, err := st.AppendAll(nil); err != nil || !bytes.Equal(got, block) {
+						t.Errorf("AppendAll: %v, equal %v", err, bytes.Equal(got, block))
+					}
+				case 1:
+					line := (i * 131) % len(want)
+					if got, err := st.ReconstructLine(context.Background(), line); err != nil || got != want[line] {
+						t.Errorf("ReconstructLine(%d) = %q, %v", line, got, err)
+					}
+				case 2:
+					res, err := st.Search(context.Background(), fmt.Sprintf("ERROR OR absent%d", i), SearchOpts{})
+					if err != nil || res.Matches == 0 {
+						t.Errorf("query: %v", err)
+					}
+				default:
+					st.ResetCounters()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

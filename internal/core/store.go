@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync"
 	"time"
+	"unsafe"
 
 	"loggrep/internal/bitset"
 	"loggrep/internal/capsule"
@@ -39,7 +40,8 @@ type Store struct {
 	padding        bool
 	cacheOn        bool
 	groups         []*qGroup
-	cols           []column // the column table, by capsule id (made on first use)
+	cols           []column   // the column table, by capsule id (made on first use)
+	plans          []*rowPlan // each group's row plan, made and dropped with cols
 	chunkSearchers map[[2]int]searcher
 	findCache      map[findKey]*bitset.Set
 	size           int
@@ -353,12 +355,13 @@ func (st *Store) checkNominalVar(vm *capsule.VarMeta, groupRows int) error {
 }
 
 // column is one capsule resolved whole: the searcher scans use and its row
-// count. For a padded capsule fw is the same searcher, concretely typed: the
-// Reconstructor slices row i straight out of its payload at i·width.
+// count. For a padded capsule pad and width are the searcher's payload and
+// value width, which the Reconstructor's row plan reads rows out of.
 type column struct {
-	sr   searcher // nil until the capsule is resolved
-	fw   *strmatch.FixedWidth
-	rows int
+	sr    searcher // nil until the capsule is resolved
+	pad   []byte
+	width int // 0 unless the capsule is padded and resolved
+	rows  int
 	// dict is the segment table of a padded dictionary, built on its first
 	// lookup.
 	dict *dictTable
@@ -380,9 +383,6 @@ func (st *Store) col(id int) *column {
 func (st *Store) value(id, row int) ([]byte, error) {
 	c := st.col(id)
 	if c.sr != nil && uint(row) < uint(c.rows) {
-		if c.fw != nil {
-			return c.fw.Value(row), nil
-		}
 		return c.sr.Value(row), nil
 	}
 	info := &st.box.Meta.Capsules[id]
@@ -447,8 +447,8 @@ func (st *Store) searcher(id int) (searcher, error) {
 	}
 	info := st.box.Meta.Capsules[id]
 	if info.Width > 0 {
-		c.fw = strmatch.NewFixedWidth(payload, info.Width)
-		c.sr = c.fw
+		c.sr = strmatch.NewFixedWidth(payload, info.Width)
+		c.pad, c.width = payload, info.Width
 	} else {
 		sr := strmatch.NewVarWidth(payload, info.Rows)
 		if sr.Rows() != info.Rows {
@@ -481,7 +481,7 @@ func (st *Store) ResetCounters() {
 	defer st.mu.Unlock()
 	st.box.DropCache()
 	st.lineIndex = nil
-	st.cols = nil
+	st.cols, st.plans = nil, nil
 	st.chunkSearchers = make(map[[2]int]searcher)
 	st.findCache = make(map[findKey]*bitset.Set)
 }
@@ -910,43 +910,225 @@ func (st *Store) ReconstructLine(ctx context.Context, line int) (string, error) 
 	return string(st.scratch), nil
 }
 
-// ReconstructAll rebuilds the entire block, one string per line. The lines
-// are assembled into one buffer, in line order, and sliced out of a single
-// string, so they share its memory.
+// ReconstructAll rebuilds the entire block, one string per line: AppendAll's
+// bytes, cut into lines of one string that shares their memory.
 func (st *Store) ReconstructAll() ([]string, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	index, err := st.lineRefs()
+	ends := make([]int, st.NumLines())
+	buf, err := st.appendAll(nil, ends)
 	if err != nil {
 		return nil, err
 	}
-	ends := make([]int, len(index))
-	var buf []byte
-	for line, ref := range index {
-		if cap(buf)-len(buf) < 1<<10 {
-			// Double rather than let append grow a large buffer by a
-			// quarter at a time.
-			buf = slices.Grow(buf, max(len(buf), 64<<10))
-		}
-		if buf, err = st.appendRow(buf, ref.group, ref.row); err != nil {
-			return nil, err
-		}
-		ends[line] = len(buf)
-	}
-	text := string(buf)
-	out := make([]string, len(index))
+	// Nothing writes buf again, so the string may alias it.
+	text := unsafe.String(unsafe.SliceData(buf), len(buf))
+	out := make([]string, len(ends))
 	start := 0
 	for line, end := range ends {
-		out[line], start = text[start:end], end
+		out[line], start = text[start:end-1], end
 	}
 	return out, nil
 }
 
+// AppendAll appends the whole block to dst in line order, each line ending
+// in '\n'. Room for it is made once, from restoreBound, so a dst of
+// len(dst)+restoreBound capacity is never regrown. On an error dst comes
+// back unchanged.
+func (st *Store) AppendAll(dst []byte) ([]byte, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	out, err := st.appendAll(dst, nil)
+	if err != nil {
+		return dst, err
+	}
+	return out, nil
+}
+
+// appendAll is AppendAll under st.mu. When ends is non-nil, ends[i] is set
+// to the length of dst just past line i's '\n'.
+func (st *Store) appendAll(dst []byte, ends []int) ([]byte, error) {
+	index, err := st.lineRefs()
+	if err != nil {
+		return dst, err
+	}
+	dst = slices.Grow(dst, st.restoreBound())
+	for line, ref := range index {
+		if dst, err = st.appendRow(dst, ref.group, ref.row); err != nil {
+			return dst, err
+		}
+		dst = append(dst, '\n')
+		if ends != nil {
+			ends[line] = len(dst)
+		}
+	}
+	return dst, nil
+}
+
+// maxRestoreRatio caps restoreBound at this many bytes per box byte. A
+// forged directory can promise any width; a real block restores to far
+// less than this (DEFLATE cannot even inflate a payload past 1032:1), and
+// one whose templates alone repeat beyond it only regrows its buffer.
+const maxRestoreRatio = 1024
+
+// restoreBound is an upper bound, read off the directory, on the bytes
+// AppendAll appends: per group row, the template's literals, each
+// variable's widest value and the newline; per outlier line, its capsule's
+// widest value and the newline. No value is wider than its capsule's
+// padded width or its stamp's MaxLen, whichever is larger (a padded
+// dictionary segment's width is its pattern's MaxLen); a capsule with no
+// width (delimited values) is bounded by the stamp alone.
+func (st *Store) restoreBound() int {
+	limit := maxRestoreRatio*st.size + 64<<10
+	add := func(a, b int) int { return min(a+b, limit) }
+	widest := func(id int) int {
+		info := &st.box.Meta.Capsules[id]
+		return min(max(info.Width, info.Stamp.MaxLen), limit)
+	}
+	total := 0
+	span := func(rows, perRow int) {
+		if rows > 0 && perRow > (limit-total)/rows {
+			total = limit
+		} else {
+			total += rows * perRow
+		}
+	}
+	for _, g := range st.groups {
+		perRow := 1
+		for _, te := range g.meta.Template {
+			if te.Var < 0 {
+				perRow = add(perRow, len(te.Lit))
+				continue
+			}
+			vm := &g.meta.Vars[te.Var]
+			w := 0
+			switch vm.Kind {
+			case capsule.RealVar:
+				for _, e := range vm.Pattern {
+					if e.Sub < 0 {
+						w = add(w, len(e.Lit))
+					} else {
+						w = add(w, widest(e.CapID))
+					}
+				}
+				if vm.OutCapID >= 0 {
+					w = max(w, widest(vm.OutCapID))
+				}
+			case capsule.NominalVar:
+				w = widest(vm.DictCapID)
+				for _, dp := range vm.DictPatterns {
+					w = max(w, min(dp.MaxLen, limit))
+				}
+			}
+			perRow = add(perRow, w)
+		}
+		span(g.n, perRow)
+	}
+	if oc := st.box.Meta.OutlierCapID; oc >= 0 {
+		span(st.box.Meta.Capsules[oc].Rows, add(widest(oc), 1))
+	}
+	return total
+}
+
+// rowPlan is one group's row assembly compiled (§3): its template with every
+// real vector's runtime pattern inlined, as one run of ops, adjacent
+// literals joined. Open has checked every capsule an op reads against the
+// directory — its id, and that it holds the rows the op reads at — and a
+// padded column is read inline only within the rows its payload holds.
+type rowPlan struct {
+	ops []rowOp
+}
+
+type opKind uint8
+
+const (
+	// opLit appends lit.
+	opLit opKind = iota
+	// opCol appends the value of capsule id at the row — at the rank among
+	// the vector's matched rows when ranked.
+	opCol
+	// opOutlier starts a real vector that has outlier rows: an outlier row
+	// appends its value from the outlier capsule and skips the vector's
+	// next skip ops; any other row sets the rank its sub-variables read at.
+	opOutlier
+	// opNominal appends the dictionary entry that index capsule id names.
+	opNominal
+)
+
+type rowOp struct {
+	kind   opKind
+	ranked bool
+	skip   int
+	id     int
+	c      *column // capsule id's column
+	// pad, width and rows copy c's once it is resolved and padded, so a
+	// row reads its value without going through c.
+	pad         []byte
+	width, rows int
+	lit         string
+	vm          *capsule.VarMeta
+	dict        *dictTable // opNominal's dictionary, once looked up
+}
+
+// plan returns group gi's row plan, compiled on the group's first
+// assembled row. Compiling reads no payload: each column still resolves on
+// its first use.
+func (st *Store) plan(gi int) *rowPlan {
+	if st.plans == nil {
+		st.plans = make([]*rowPlan, len(st.groups))
+	}
+	if p := st.plans[gi]; p != nil {
+		return p
+	}
+	p := &rowPlan{}
+	fence := 0 // ops before it take no more literal: an outlier row skips them
+	lit := func(l string) {
+		if n := len(p.ops); n > fence && p.ops[n-1].kind == opLit {
+			p.ops[n-1].lit += l
+		} else if l != "" {
+			p.ops = append(p.ops, rowOp{kind: opLit, lit: l})
+		}
+	}
+	read := func(kind opKind, id int, ranked bool, vm *capsule.VarMeta) {
+		p.ops = append(p.ops, rowOp{kind: kind, id: id, c: st.col(id), ranked: ranked, vm: vm})
+	}
+	g := st.groups[gi].meta
+	for _, te := range g.Template {
+		if te.Var < 0 {
+			lit(te.Lit)
+			continue
+		}
+		vm := &g.Vars[te.Var]
+		if vm.Kind == capsule.NominalVar {
+			read(opNominal, vm.IndexCapID, false, vm)
+			continue
+		}
+		ranked := len(vm.OutRows) > 0
+		start := len(p.ops)
+		if ranked {
+			read(opOutlier, vm.OutCapID, false, vm)
+		}
+		for _, e := range vm.Pattern {
+			if e.Sub < 0 {
+				lit(e.Lit)
+			} else {
+				read(opCol, e.CapID, ranked, nil)
+			}
+		}
+		if ranked {
+			p.ops[start].skip = len(p.ops) - start - 1
+			fence = len(p.ops)
+		}
+	}
+	st.plans[gi] = p
+	return p
+}
+
 // appendRow is the Reconstructor (§3): it appends the text of row of group
-// gi — or, for gi < 0, of the row-th block outlier line — to dst. A
-// group's row is its template with every variable filled in from the
-// row-th value of the variable's capsules, which is O(1) per value in a
-// resolved column thanks to padding.
+// gi — or, for gi < 0, of the row-th block outlier line — to dst, running
+// the group's row plan. A padded column's value is sliced out of its
+// payload at row·width, O(1) thanks to padding; every other read goes
+// through value, which resolves a column — or fetches a chunk — on first
+// use, so a row never decodes a capsule it does not read.
 func (st *Store) appendRow(dst []byte, gi, row int) ([]byte, error) {
 	if gi < 0 {
 		sr, err := st.searcher(st.box.Meta.OutlierCapID)
@@ -958,61 +1140,65 @@ func (st *Store) appendRow(dst []byte, gi, row int) ([]byte, error) {
 		}
 		return append(dst, sr.Value(row)...), nil
 	}
-	g := st.groups[gi]
-	for _, te := range g.meta.Template {
-		if te.Var < 0 {
-			dst = append(dst, te.Lit...)
+	ops := st.plan(gi).ops
+	rank := row
+	for i := 0; i < len(ops); i++ {
+		op := &ops[i]
+		r := row
+		switch op.kind {
+		case opLit:
+			dst = append(dst, op.lit...)
 			continue
+		case opOutlier:
+			oi, out := slices.BinarySearch(op.vm.OutRows, row)
+			if !out {
+				rank = row - oi
+				continue
+			}
+			r, i = oi, i+op.skip
+		case opCol:
+			if op.ranked {
+				r = rank
+			}
 		}
-		var err error
-		if dst, err = st.appendVar(dst, &g.meta.Vars[te.Var], row); err != nil {
-			return dst, err
+		var v []byte
+		if uint(r) < uint(op.rows) {
+			v = strmatch.Unpad(op.pad[r*op.width : (r+1)*op.width])
+		} else {
+			var err error
+			if v, err = st.value(op.id, r); err != nil {
+				return dst, err
+			}
+			if c := op.c; c.width > 0 {
+				op.pad, op.width, op.rows = c.pad, c.width, c.rows
+			}
 		}
+		if op.kind == opNominal {
+			var err error
+			if v, err = st.dictEntry(op, v); err != nil {
+				return dst, err
+			}
+		}
+		dst = append(dst, v...)
 	}
 	return dst, nil
 }
 
-// appendVar appends the row-th value of one variable vector: a real
-// vector's runtime pattern filled from its sub-variable capsules (or its
-// outlier capsule's value), a nominal vector's dictionary entry named by
-// its index capsule.
-func (st *Store) appendVar(dst []byte, vm *capsule.VarMeta, row int) ([]byte, error) {
-	switch vm.Kind {
-	case capsule.RealVar:
-		if len(vm.OutRows) > 0 {
-			oi, out := slices.BinarySearch(vm.OutRows, row)
-			if out {
-				v, err := st.value(vm.OutCapID, oi)
-				return append(dst, v...), err
-			}
-			row -= oi // rank among matched rows
-		}
-		for _, e := range vm.Pattern {
-			if e.Sub < 0 {
-				dst = append(dst, e.Lit...)
-				continue
-			}
-			v, err := st.value(e.CapID, row)
-			if err != nil {
-				return dst, err
-			}
-			dst = append(dst, v...)
-		}
-		return dst, nil
-
-	case capsule.NominalVar:
-		iv, err := st.value(vm.IndexCapID, row)
-		if err != nil {
-			return dst, err
-		}
-		idx, ok := parseIndex(iv)
-		if !ok {
-			return dst, fmt.Errorf("%w: bad index entry %q", capsule.ErrCorrupt, iv)
-		}
-		v, err := st.dictValue(vm, idx)
-		return append(dst, v...), err
+// dictEntry returns the entry of op's dictionary that index entry iv names,
+// keeping the dictionary on op once a lookup has laid it out.
+func (st *Store) dictEntry(op *rowOp, iv []byte) ([]byte, error) {
+	idx, ok := parseIndex(iv)
+	if !ok {
+		return nil, fmt.Errorf("%w: bad index entry %q", capsule.ErrCorrupt, iv)
 	}
-	return dst, fmt.Errorf("%w: unknown variable kind", capsule.ErrCorrupt)
+	if d := op.dict; d != nil && uint(idx) < uint(len(d.vals)) {
+		return d.vals[idx], nil
+	}
+	v, err := st.dictValue(op.vm, idx)
+	if err == nil {
+		op.dict = st.col(op.vm.DictCapID).dict
+	}
+	return v, err
 }
 
 // parseIndex reads a dictionary index entry as strconv.Atoi would — an
@@ -1044,51 +1230,77 @@ func parseIndex(b []byte) (idx int, ok bool) {
 	return int(u), true
 }
 
-// dictValue fetches dictionary entry idx: by binary search of the padded
-// dictionary's segment table, or from the delimited dictionary's column.
+// dictValue fetches dictionary entry idx out of vm's dictionary, whose
+// entries are laid out by position on its first lookup.
 func (st *Store) dictValue(vm *capsule.VarMeta, idx int) ([]byte, error) {
-	if idx < 0 {
-		return nil, fmt.Errorf("%w: dict index %d out of range", capsule.ErrCorrupt, idx)
-	}
-	if !st.padding {
-		sr, err := st.searcher(vm.DictCapID)
+	if idx >= 0 {
+		d, err := st.dict(vm)
 		if err != nil {
 			return nil, err
 		}
-		if idx >= sr.Rows() {
-			return nil, fmt.Errorf("%w: dict index %d out of range", capsule.ErrCorrupt, idx)
+		if idx < len(d.vals) {
+			return d.vals[idx], nil
 		}
-		return sr.Value(idx), nil
-	}
-	d, err := st.dictSegments(vm)
-	if err != nil {
-		return nil, err
-	}
-	segs := d.segs
-	i := sort.Search(len(segs), func(i int) bool { return segs[i].end > idx })
-	if i == len(segs) {
 		if d.err != nil {
 			return nil, d.err
 		}
-		return nil, fmt.Errorf("%w: dict index %d out of range", capsule.ErrCorrupt, idx)
 	}
-	return segs[i].fw.Value(idx - segs[i].base), nil
+	return nil, fmt.Errorf("%w: dict index %d out of range", capsule.ErrCorrupt, idx)
 }
 
-// dictTable is a padded dictionary's segment table: one entry per runtime
-// pattern's segment — segs[i] holds vm.DictPatterns[i]'s entries — in
-// dictionary order, up to the first segment the capsule is too short to
-// hold (err then says so). Lookups and filter scans both use it.
+// dict returns vm's dictionary with vals filled: out of the segment table
+// of a padded dictionary, out of the column of a delimited one.
+func (st *Store) dict(vm *capsule.VarMeta) (*dictTable, error) {
+	if st.padding {
+		d, err := st.dictSegments(vm)
+		if err != nil || d.vals != nil {
+			return d, err
+		}
+		n := 0
+		for i := range d.segs {
+			n += d.segs[i].fw.Rows()
+		}
+		d.vals = make([][]byte, 0, n)
+		for i := range d.segs {
+			fw := &d.segs[i].fw
+			for r := 0; r < fw.Rows(); r++ {
+				d.vals = append(d.vals, fw.Value(r))
+			}
+		}
+		return d, nil
+	}
+	c := st.col(vm.DictCapID)
+	if c.dict != nil && c.dict.vm == vm {
+		return c.dict, nil
+	}
+	sr, err := st.searcher(vm.DictCapID)
+	if err != nil {
+		return nil, err
+	}
+	d := &dictTable{vm: vm, vals: make([][]byte, sr.Rows())}
+	for i := range d.vals {
+		d.vals[i] = sr.Value(i)
+	}
+	c.dict = d
+	return d, nil
+}
+
+// dictTable is a dictionary laid out for lookups and scans. For a padded
+// dictionary segs holds one entry per runtime pattern's segment — segs[i]
+// vm.DictPatterns[i]'s entries — in dictionary order, up to the first
+// segment the capsule is too short to hold (err then says so). vals, once
+// the Reconstructor has looked an entry up, holds every entry by position.
 type dictTable struct {
 	vm   *capsule.VarMeta
 	segs []dictSeg
+	vals [][]byte
 	err  error
 }
 
 // dictSeg is one segment of a padded dictionary.
 type dictSeg struct {
-	base, end int // dictionary positions of its first entry and just past its last
-	fw        strmatch.FixedWidth
+	base int // dictionary position of its first entry
+	fw   strmatch.FixedWidth
 }
 
 // dictSegments returns vm's dictionary segment table, built on the
@@ -1112,7 +1324,7 @@ func (st *Store) dictSegments(vm *capsule.VarMeta) (*dictTable, error) {
 			break
 		}
 		end := off + dp.Count*width
-		d.segs = append(d.segs, dictSeg{base: base, end: base + dp.Count, fw: *strmatch.NewFixedWidth(payload[off:end], width)})
+		d.segs = append(d.segs, dictSeg{base: base, fw: *strmatch.NewFixedWidth(payload[off:end], width)})
 		base, off = base+dp.Count, end
 	}
 	c.dict = d

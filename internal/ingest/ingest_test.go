@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -424,4 +425,46 @@ func TestSearchCancel(t *testing.T) {
 	if _, err := m.Lookup("t/s").Search(ctx, "filler", core.SearchOpts{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+}
+
+// TestStreamEntryBesideQueries looks lines up by number and runs queries on
+// one stream at once, on goroutines of their own: each sealed segment's
+// stores compile row plans and lay out dictionaries on first use, shared
+// by every request on that segment.
+func TestStreamEntryBesideQueries(t *testing.T) {
+	m := mustOpen(t, testConfig(t.TempDir()))
+	defer m.Close()
+	var want []string
+	for i := 0; i < 600; i++ {
+		want = append(want, fmt.Sprintf("req id=%04d level=%s path=/api/v%d", i, []string{"INFO", "ERROR", "WARN"}[i%3], i%4))
+	}
+	for _, part := range [][]string{want[:250], want[250:500]} {
+		appendLines(t, m, "acme", "app", part...)
+		if err := m.TriggerSeal(context.Background(), "acme", "app"); err != nil {
+			t.Fatalf("seal: %v", err)
+		}
+	}
+	appendLines(t, m, "acme", "app", want[500:]...)
+	st := m.Lookup("acme/app")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				if g%2 == 0 {
+					line := (g*97 + i*41) % len(want)
+					if got, err := st.Entry(context.Background(), line); err != nil || got != want[line] {
+						t.Errorf("Entry(%d) = %q, %v; want %q", line, got, err, want[line])
+					}
+					continue
+				}
+				res, err := st.Search(context.Background(), fmt.Sprintf("level=ERROR OR absent%d_%d", g, i), core.SearchOpts{})
+				if err != nil || res.Matches != 200 {
+					t.Errorf("query: %v, %d matches, want 200", err, res.Matches)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

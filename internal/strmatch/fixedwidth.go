@@ -3,6 +3,7 @@ package strmatch
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 )
 
 // Pad is the byte used to pad values of a Capsule to the Capsule's width.
@@ -73,22 +74,25 @@ func (fw *FixedWidth) Width() int { return fw.width }
 
 // Value returns the unpadded value of row i.
 func (fw *FixedWidth) Value(i int) []byte {
-	row := fw.buf[i*fw.width : (i+1)*fw.width]
-	end := len(row)
-	for end > 0 && row[end-1] == Pad {
-		end--
-	}
-	return row[:end]
+	return Unpad(fw.buf[i*fw.width : (i+1)*fw.width])
 }
 
-// valueLen returns the unpadded length of row i without slicing.
-func (fw *FixedWidth) valueLen(i int) int {
-	row := fw.buf[i*fw.width : (i+1)*fw.width]
-	end := len(row)
-	for end > 0 && row[end-1] == Pad {
-		end--
+// Unpad returns row without its trailing Pad bytes, the value a padded row
+// holds. It tests eight bytes at a time: in a little-endian load of a row's
+// last eight bytes, its trailing Pad bytes are the word's leading zero bytes.
+func Unpad(row []byte) []byte {
+	n := len(row)
+	for n >= 8 {
+		w := binary.LittleEndian.Uint64(row[n-8 : n])
+		if w != 0 {
+			return row[:n-bits.LeadingZeros64(w)/8]
+		}
+		n -= 8
 	}
-	return end
+	for n > 0 && row[n-1] == Pad {
+		n--
+	}
+	return row[:n]
 }
 
 // FindRows returns every row whose value satisfies (kind, part), ascending.
@@ -122,7 +126,7 @@ func (fw *FixedWidth) ScanRows(part string, kind Kind, fn func(row int) bool) {
 		// Every value contains/starts with/ends with the empty string;
 		// Exact matches only empty values.
 		for i := 0; i < fw.rows; i++ {
-			if kind == Exact && fw.valueLen(i) != 0 {
+			if kind == Exact && len(fw.Value(i)) != 0 {
 				continue
 			}
 			if !fn(i) {

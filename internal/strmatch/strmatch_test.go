@@ -82,6 +82,31 @@ func TestFixedWidthValues(t *testing.T) {
 	}
 }
 
+// TestUnpadMatchesByteLoop: Unpad strips exactly the trailing Pad bytes a
+// byte-at-a-time loop strips, a Pad inside a value kept, at every length
+// around the eight-byte word.
+func TestUnpadMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 20000; i++ {
+		row := make([]byte, rng.Intn(40))
+		for j := range row {
+			if rng.Intn(3) > 0 {
+				row[j] = byte('a' + rng.Intn(3))
+			}
+		}
+		for j := len(row) - rng.Intn(len(row)+1); j < len(row); j++ {
+			row[j] = Pad
+		}
+		want := len(row)
+		for want > 0 && row[want-1] == Pad {
+			want--
+		}
+		if got := Unpad(row); len(got) != want {
+			t.Fatalf("Unpad(%q) kept %d bytes, want %d", row, len(got), want)
+		}
+	}
+}
+
 func TestFixedWidthFindRows(t *testing.T) {
 	vals := []string{"ERR", "SUCC", "ERRX", "XERR", "RRS", ""}
 	fw := NewFixedWidth(padBuf(vals, 4), 4)
