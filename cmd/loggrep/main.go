@@ -437,7 +437,7 @@ func newStatCmd() *command {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("format: archive\nblocks: %d\nlines: %d\n", a.NumBlocks(), a.NumLines())
+		fmt.Printf("format: %s\nblocks: %d\nlines: %d\n", a.Format(), a.NumBlocks(), a.NumLines())
 		if raw := a.RawBytes(); raw > 0 { // a bare box does not record its raw size
 			fmt.Printf("raw bytes: %d\n", raw)
 		}

@@ -79,10 +79,11 @@ func TestCLIEndToEnd(t *testing.T) {
 	boxPath := filepath.Join(dir, "a.box")
 	writeBox(t, boxPath, raw)
 
+	formats := map[string]string{defPath: "archive-v2", arcPath: "archive-v2", boxPath: "box"}
 	for _, path := range []string{defPath, arcPath, boxPath} {
 		// stat
 		out, _ = run(t, bin, "stat", path)
-		if !strings.Contains(out, "lines: 4000") {
+		if !strings.Contains(out, "lines: 4000") || !strings.HasPrefix(out, "format: "+formats[path]+"\n") {
 			t.Fatalf("stat %s: %q", path, out)
 		}
 		// query

@@ -139,24 +139,17 @@ type Report struct {
 
 // Inspect decodes a CapsuleBox or archive and returns its anatomy. Both go
 // through archive.Open, which serves a bare box, of either format
-// revision, as a one-block archive; what stays box-specific is the format
-// label, a raw size re-derived from the capsules (a box records none) and
-// no block stamp (a box has none).
+// revision, as a one-block archive and names the format it found; what
+// stays box-specific is a raw size re-derived from the capsules (a box
+// records none) and no block stamp (a box has none).
 func Inspect(data []byte) (*Report, error) {
 	a, err := archive.Open(data)
 	if err != nil {
 		return nil, err
 	}
-	bare := capsule.IsBox(data)
-	format := "archive-v2"
-	switch {
-	case bare:
-		format = "box"
-	case len(data) >= len(archive.MagicV1) && string(data[:len(archive.MagicV1)]) == archive.MagicV1:
-		format = "archive-v1"
-	}
+	bare := a.Format() == "box"
 	rep := &Report{
-		Format:         format,
+		Format:         a.Format(),
 		TotalBytes:     len(data),
 		RawBytes:       a.RawBytes(),
 		NumLines:       a.NumLines(),

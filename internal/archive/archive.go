@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 	"time"
 
 	"loggrep/internal/blockindex"
@@ -57,44 +56,34 @@ type blockMeta struct {
 	stamp    rtpattern.Stamp
 }
 
-// Writer cuts a raw log stream into blocks and compresses them
-// concurrently, writing frames in order.
+// Writer cuts a raw log stream into blocks, compresses up to Workers of
+// them at once and writes their frames in stream order. It holds at most
+// Workers + 1 raw blocks: the ones compressing and the one filling.
+//
+// A Writer is not safe for concurrent use.
 type Writer struct {
 	w    io.Writer
 	opts Options
 
-	buf  []byte
-	seq  int
-	jobs chan job
-	done chan result
-
-	mu       sync.Mutex
-	pending  map[int]result // seq -> finished block, reordering buffer
-	next     int
-	lines    int // running global line count, becomes the terminator stamp
-	werr     error
-	closed   bool
-	wg       sync.WaitGroup
-	collDone chan struct{}
+	buf    []byte            // the block filling
+	queue  []chan compressed // blocks compressing, oldest first
+	lines  int               // lines written so far, the next frame's line offset
+	err    error             // first write error, latched
+	closed bool
 	// index accumulates block scans for the skip-index sections Close
 	// appends after the terminator.
 	index *blockindex.Builder
 }
 
-type job struct {
-	seq   int
-	block []byte
-}
-
-type result struct {
-	seq  int
+// compressed is one block's finished work.
+type compressed struct {
 	meta blockMeta
 	box  []byte
 	scan *blockindex.BlockScan
 }
 
-// NewWriter starts a concurrent archive writer. Close must be called to
-// flush the final partial block and the terminator.
+// NewWriter starts an archive writer. Close must be called to flush the
+// final partial block and the terminator.
 func NewWriter(w io.Writer, opts Options) (*Writer, error) {
 	if opts.BlockBytes <= 0 {
 		opts.BlockBytes = DefaultOptions().BlockBytes
@@ -105,72 +94,130 @@ func NewWriter(w io.Writer, opts Options) (*Writer, error) {
 	if _, err := w.Write([]byte(Magic)); err != nil {
 		return nil, err
 	}
-	aw := &Writer{
-		w:        w,
-		opts:     opts,
-		jobs:     make(chan job, opts.Workers),
-		done:     make(chan result, opts.Workers),
-		pending:  make(map[int]result),
-		collDone: make(chan struct{}),
-		index:    blockindex.NewBuilder(),
-	}
-	for i := 0; i < opts.Workers; i++ {
-		aw.wg.Add(1)
-		go aw.worker()
-	}
-	go aw.collector()
-	return aw, nil
+	return &Writer{w: w, opts: opts, index: blockindex.NewBuilder()}, nil
 }
 
-func (aw *Writer) worker() {
-	defer aw.wg.Done()
-	for j := range aw.jobs {
-		box := core.Compress(j.block, aw.opts.Core)
-		meta := blockMeta{
-			numLines: countLines(j.block),
-			rawBytes: len(j.block),
-			stamp:    blockStamp(j.block),
+// Write buffers raw log bytes and cuts a block at the last line boundary
+// inside BlockBytes, or, when a single line is longer than that, at the
+// end of that line. The cuts depend only on the stream, never on how it is
+// split into writes. A cut block starts compressing at once; when Workers
+// blocks already are, Write first writes the oldest one's frame.
+func (aw *Writer) Write(p []byte) (int, error) {
+	if aw.err != nil {
+		return 0, aw.err
+	}
+	if aw.closed {
+		return 0, errors.New("archive: write after Close")
+	}
+	n := len(p)
+	for len(p) > 0 {
+		if room := aw.opts.BlockBytes - len(aw.buf); room > 0 {
+			k := min(room, len(p))
+			aw.buf = append(aw.buf, p[:k]...)
+			p = p[k:]
+			if len(aw.buf) == aw.opts.BlockBytes {
+				if cut := bytes.LastIndexByte(aw.buf, '\n'); cut >= 0 {
+					aw.cut(cut + 1)
+				}
+			}
+			continue
 		}
+		// The buffer holds BlockBytes or more and no newline: the block
+		// ends with the line that is still arriving.
+		nl := bytes.IndexByte(p, '\n')
+		if nl < 0 {
+			aw.buf = append(aw.buf, p...)
+			break
+		}
+		aw.buf = append(aw.buf, p[:nl+1]...)
+		p = p[nl+1:]
+		aw.cut(len(aw.buf))
+	}
+	return n, aw.err
+}
+
+// cut sends the first n buffered bytes off as a block and keeps the rest,
+// a partial line, as the start of the next. The next buffer is sized like
+// the block just cut: a stream that filled one block tends to fill another.
+func (aw *Writer) cut(n int) {
+	block, rest := aw.buf[:n:n], aw.buf[n:]
+	aw.dispatch(block)
+	aw.buf = append(make([]byte, 0, min(n, aw.opts.BlockBytes)), rest...)
+}
+
+// dispatch starts compressing block on a goroutine of its own, first
+// writing the oldest block's frame when Workers blocks are in flight.
+func (aw *Writer) dispatch(block []byte) {
+	if len(aw.queue) == aw.opts.Workers {
+		aw.writeOldest()
+	}
+	c := make(chan compressed, 1)
+	go func() {
+		box := core.Compress(block, aw.opts.Core)
+		meta := blockMeta{numLines: countLines(block), rawBytes: len(block), stamp: blockStamp(block)}
 		t0 := time.Now()
-		scan := blockindex.ScanBlock(j.block)
+		scan := blockindex.ScanBlock(block)
 		mArchiveIndexScanNS.Observe(time.Since(t0).Nanoseconds())
-		aw.done <- result{seq: j.seq, meta: meta, box: box, scan: scan}
-	}
+		c <- compressed{meta: meta, box: box, scan: scan}
+	}()
+	aw.queue = append(aw.queue, c)
 }
 
-// collector writes finished frames in sequence order. Frames are encoded
-// here rather than in the workers because the v2 header carries the
-// block's absolute line offset, which is only known once every earlier
-// block has been counted.
-func (aw *Writer) collector() {
-	defer close(aw.collDone)
-	for r := range aw.done {
-		aw.mu.Lock()
-		aw.pending[r.seq] = r
-		for {
-			next, ok := aw.pending[aw.next]
-			if !ok {
-				break
-			}
-			delete(aw.pending, aw.next)
-			if aw.werr == nil {
-				aw.werr = aw.writeFrame(next.meta, next.box)
-			}
-			aw.index.Add(uint64(aw.lines), next.meta.numLines, len(next.box), next.scan)
-			aw.lines += next.meta.numLines
-			aw.next++
-		}
-		aw.mu.Unlock()
+// writeOldest waits for the oldest block in flight and writes its frame at
+// the running line offset — the v2 header carries the block's absolute
+// first line, known only once every earlier block is counted.
+func (aw *Writer) writeOldest() {
+	r := <-aw.queue[0]
+	aw.queue = aw.queue[1:]
+	if aw.err == nil {
+		aw.err = aw.writeFrame(r.meta, r.box)
 	}
+	aw.index.Add(uint64(aw.lines), r.meta.numLines, len(r.box), r.scan)
+	aw.lines += r.meta.numLines
 }
 
-// writeFrame emits one block. Caller holds aw.mu.
 func (aw *Writer) writeFrame(meta blockMeta, box []byte) error {
 	if _, err := aw.w.Write(encodeHeader(meta, aw.lines, box)); err != nil {
 		return err
 	}
 	_, err := aw.w.Write(box)
 	return err
+}
+
+// Close flushes the final partial block, writes every frame still in
+// flight, then the terminator and the index sections.
+func (aw *Writer) Close() error {
+	if aw.closed {
+		return nil
+	}
+	aw.closed = true
+	if len(aw.buf) > 0 {
+		aw.dispatch(aw.buf)
+		aw.buf = nil
+	}
+	for len(aw.queue) > 0 {
+		aw.writeOldest()
+	}
+	if aw.err != nil {
+		return aw.err
+	}
+	// The terminator is a checksummed empty frame carrying the total
+	// line count, so truncation at a frame boundary is detectable.
+	if _, err := aw.w.Write(encodeHeader(blockMeta{}, aw.lines, nil)); err != nil {
+		return err
+	}
+	// Index sections ride after the terminator: readers that predate them
+	// (or find them damaged) stop at the terminator and scan every block.
+	if sections := aw.index.Sections(); len(sections) > 0 {
+		if _, err := aw.w.Write(sections); err != nil {
+			return err
+		}
+		mArchiveIndexBytes.Add(int64(len(sections)))
+		if aw.index.VocabOverflowed() {
+			mArchiveIndexVocabOverflow.Inc()
+		}
+	}
+	return nil
 }
 
 func countLines(block []byte) int {
@@ -200,86 +247,6 @@ func blockStamp(block []byte) rtpattern.Stamp {
 		}
 	}
 	return st
-}
-
-// Write buffers raw log bytes, cutting and dispatching full blocks at line
-// boundaries.
-func (aw *Writer) Write(p []byte) (int, error) {
-	aw.mu.Lock()
-	err := aw.werr
-	closed := aw.closed
-	aw.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if closed {
-		return 0, errors.New("archive: write after Close")
-	}
-	aw.buf = append(aw.buf, p...)
-	for len(aw.buf) >= aw.opts.BlockBytes {
-		cut := bytes.LastIndexByte(aw.buf[:aw.opts.BlockBytes], '\n')
-		if cut < 0 {
-			// No newline within the window: wait for one (a single
-			// entry larger than the block size is pathological).
-			nl := bytes.IndexByte(aw.buf[aw.opts.BlockBytes:], '\n')
-			if nl < 0 {
-				break
-			}
-			cut = aw.opts.BlockBytes + nl
-		}
-		block := make([]byte, cut+1)
-		copy(block, aw.buf[:cut+1])
-		aw.buf = aw.buf[cut+1:]
-		aw.jobs <- job{seq: aw.seq, block: block}
-		aw.seq++
-	}
-	return len(p), nil
-}
-
-// Close flushes the final partial block, waits for all workers and writes
-// the terminator.
-func (aw *Writer) Close() error {
-	aw.mu.Lock()
-	if aw.closed {
-		aw.mu.Unlock()
-		return nil
-	}
-	aw.closed = true
-	aw.mu.Unlock()
-
-	if len(aw.buf) > 0 {
-		aw.jobs <- job{seq: aw.seq, block: aw.buf}
-		aw.seq++
-		aw.buf = nil
-	}
-	close(aw.jobs)
-	aw.wg.Wait()
-	close(aw.done)
-	<-aw.collDone // every frame flushed (or a write error latched)
-	aw.mu.Lock()
-	err := aw.werr
-	lines := aw.lines
-	aw.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	// The terminator is a checksummed empty frame carrying the total
-	// line count, so truncation at a frame boundary is detectable.
-	if _, err = aw.w.Write(encodeHeader(blockMeta{}, lines, nil)); err != nil {
-		return err
-	}
-	// Index sections ride after the terminator: readers that predate them
-	// (or find them damaged) stop at the terminator and scan every block.
-	if sections := aw.index.Sections(); len(sections) > 0 {
-		if _, err = aw.w.Write(sections); err != nil {
-			return err
-		}
-		mArchiveIndexBytes.Add(int64(len(sections)))
-		if aw.index.VocabOverflowed() {
-			mArchiveIndexVocabOverflow.Inc()
-		}
-	}
-	return nil
 }
 
 // Compress is the convenience one-shot form: the whole stream in memory.

@@ -99,85 +99,186 @@ type FrameInfo struct {
 }
 
 // ScanFrames structurally parses an archive and returns the location of
-// every frame, terminator included. It fails on the first undecodable
-// frame — it is a layout scan for tooling and tests, not the quarantining
-// reader (use Open for that).
+// every frame, terminator included. It fails on the first structural fault
+// the format's walk finds — it is a layout scan for tooling and tests, not
+// the quarantining reader (use Open for that).
 func ScanFrames(data []byte) ([]FrameInfo, error) {
+	var w walk
 	switch {
 	case hasMagic(data, Magic):
-		return scanFramesV2(data)
+		w = walkV2(data)
 	case hasMagic(data, MagicV1):
-		return scanFramesV1(data)
+		w = walkV1(data)
+	default:
+		return nil, errBadMagic
 	}
-	return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	if len(w.causes) > 0 {
+		return nil, w.causes[0]
+	}
+	out := make([]FrameInfo, len(w.frames))
+	for i, f := range w.frames {
+		out[i] = FrameInfo{
+			HeaderOff:  f.off,
+			PayloadOff: f.payloadOff,
+			PayloadLen: f.boxLen,
+			Lines:      f.meta.numLines,
+			Terminator: f.terminator(),
+		}
+	}
+	return out, nil
 }
 
-func scanFramesV2(data []byte) ([]FrameInfo, error) {
-	var out []FrameInfo
+var errBadMagic = fmt.Errorf("%w: bad magic", ErrCorrupt)
+
+// frame is one frame a walk found: where it sits and what its v2 header,
+// or v1 length and trailer, says. A v1 frame has no payload checksum, and
+// its line offset is the sum of the frames before it.
+type frame struct {
+	frameHeader
+	off        int // offset of the v2 header or of the v1 length varint
+	payloadOff int
+}
+
+// walk is an archive's frame structure as far as its format's walk could
+// read it.
+type walk struct {
+	// frames are the frames found, in stream order, every payload inside
+	// the data; the terminator, when one was found, is last.
+	frames []frame
+	// causes are the structural faults found, in stream order. A v1 walk
+	// stops at its first.
+	causes []error
+	// endLine is the line after the last frame header read, a truncated
+	// frame's included.
+	endLine int
+}
+
+// walkV2 walks a v2 archive's frame headers, every one checksum-verified.
+// A damaged header costs the frames up to the next header resync accepts;
+// a frame whose payload runs past the data, or data that ends before a
+// terminator, ends the walk. Each of these is a cause.
+func walkV2(data []byte) walk {
+	var w walk
 	pos := len(Magic)
 	for {
-		h, ok := decodeHeader(data[pos:min(pos+headerSize, len(data))])
+		if len(data)-pos < headerSize {
+			w.causes = append(w.causes, fmt.Errorf("%w: archive ends mid-frame at offset %d (no terminator)", ErrCorrupt, pos))
+			return w
+		}
+		h, ok := decodeHeader(data[pos : pos+headerSize])
 		if !ok {
-			return nil, fmt.Errorf("%w: bad frame header at %d", ErrCorrupt, pos)
+			np, nh, found := resync(data, pos+1, w.endLine)
+			if !found {
+				w.causes = append(w.causes, fmt.Errorf("%w: frame header damaged at offset %d; no later frame found", ErrCorrupt, pos))
+				return w
+			}
+			w.causes = append(w.causes, fmt.Errorf("%w: frame header damaged at offset %d; resynchronized at offset %d", ErrCorrupt, pos, np))
+			pos, h = np, nh
 		}
-		fi := FrameInfo{
-			HeaderOff:  pos,
-			PayloadOff: pos + headerSize,
-			PayloadLen: h.boxLen,
-			Lines:      h.meta.numLines,
-			Terminator: h.terminator(),
+		f := frame{frameHeader: h, off: pos, payloadOff: pos + headerSize}
+		if h.terminator() {
+			w.frames = append(w.frames, f)
+			return w
 		}
-		if h.boxLen > len(data)-pos-headerSize {
-			return nil, fmt.Errorf("%w: truncated frame at %d", ErrCorrupt, pos)
+		// The header survived, so a truncated frame's line extent is
+		// known exactly and counts in endLine.
+		w.endLine = h.lineOff + h.meta.numLines
+		if h.boxLen > len(data)-f.payloadOff {
+			w.causes = append(w.causes, fmt.Errorf("%w: frame payload truncated at offset %d", ErrCorrupt, pos))
+			return w
 		}
-		out = append(out, fi)
-		pos += headerSize + h.boxLen
-		if fi.Terminator {
-			return out, nil
-		}
+		w.frames = append(w.frames, f)
+		pos = f.payloadOff + h.boxLen
 	}
 }
 
-func scanFramesV1(data []byte) ([]FrameInfo, error) {
-	var out []FrameInfo
-	pos := len(MagicV1)
-	for {
-		start := pos
-		boxLen, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: bad frame length at %d", ErrCorrupt, pos)
+// resync scans forward from pos for a frame header whose checksum
+// verifies and whose fields are self-consistent, so one damaged header
+// costs one block, not the archive's tail. The extra field checks guard
+// against the 2^-32 chance of payload bytes masquerading as a header.
+func resync(data []byte, pos, expectLine int) (int, frameHeader, bool) {
+	for ; pos+headerSize <= len(data); pos++ {
+		h, ok := decodeHeader(data[pos : pos+headerSize])
+		if !ok {
+			continue
 		}
-		pos += n
+		if h.terminator() {
+			if h.meta.numLines == 0 && h.meta.rawBytes == 0 && h.lineOff >= expectLine {
+				return pos, h, true
+			}
+			continue
+		}
+		if h.meta.numLines >= 1 && h.lineOff >= expectLine && h.boxLen <= len(data)-pos-headerSize {
+			return pos, h, true
+		}
+	}
+	return 0, frameHeader{}, false
+}
+
+// walkV1 walks the legacy checksum-free format: each frame is a length
+// varint, the payload, and a trailer of numLines, rawBytes, the stamp's
+// type mask byte and its max line length; a zero length is the
+// terminator. With no checksum there is nothing to resynchronize on, so
+// the walk stops at its first fault.
+func walkV1(data []byte) walk {
+	var w walk
+	fail := func(what string, off int) walk {
+		w.causes = append(w.causes, fmt.Errorf("%w: %s at offset %d", ErrCorrupt, what, off))
+		return w
+	}
+	pos := len(MagicV1)
+	uv := func() (uint64, bool) {
+		v, n := binary.Uvarint(data[pos:])
+		pos += max(n, 0)
+		return v, n > 0
+	}
+	for {
+		f := frame{off: pos}
+		boxLen, ok := uv()
+		if !ok {
+			return fail("bad frame length", f.off)
+		}
+		f.payloadOff = pos
+		f.lineOff = w.endLine
 		if boxLen == 0 {
-			out = append(out, FrameInfo{HeaderOff: start, PayloadOff: pos, Terminator: true})
-			return out, nil
+			w.frames = append(w.frames, f)
+			return w
 		}
 		if boxLen > uint64(len(data)-pos) {
-			return nil, fmt.Errorf("%w: truncated frame at %d", ErrCorrupt, start)
+			return fail("truncated frame", f.off)
 		}
-		fi := FrameInfo{HeaderOff: start, PayloadOff: pos, PayloadLen: int(boxLen)}
-		pos += int(boxLen)
-		// v1 trailer: numLines, rawBytes, mask, maxLen.
-		lines, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: bad frame meta at %d", ErrCorrupt, pos)
+		f.boxLen = int(boxLen)
+		pos += f.boxLen
+		numLines, ok1 := uv()
+		rawBytes, ok2 := uv()
+		if !ok1 || !ok2 || pos >= len(data) {
+			return fail("bad frame meta", f.off)
 		}
-		fi.Lines = int(lines)
-		pos += n
-		if _, n = binary.Uvarint(data[pos:]); n <= 0 {
-			return nil, fmt.Errorf("%w: bad frame meta at %d", ErrCorrupt, pos)
+		mask := data[pos]
+		pos++
+		maxLen, ok := uv()
+		if !ok {
+			return fail("bad frame meta", f.off)
 		}
-		pos += n + 1 // rawBytes + mask byte
-		if pos > len(data) {
-			return nil, fmt.Errorf("%w: bad frame stamp at %d", ErrCorrupt, start)
+		if numLines > maxFrameLines || rawBytes > maxFrameBytes || maxLen > maxFrameBytes {
+			return fail("implausible frame meta", f.off)
 		}
-		if _, n = binary.Uvarint(data[pos:]); n <= 0 {
-			return nil, fmt.Errorf("%w: bad frame meta at %d", ErrCorrupt, pos)
+		f.meta = blockMeta{
+			numLines: int(numLines),
+			rawBytes: int(rawBytes),
+			stamp:    rtpattern.Stamp{TypeMask: mask, MaxLen: int(maxLen)},
 		}
-		pos += n
-		out = append(out, fi)
+		w.frames = append(w.frames, f)
+		w.endLine += f.meta.numLines
 	}
 }
+
+// maxFrameLines/maxFrameBytes bound v1 frame metadata, which carries no
+// checksum: a corrupt varint must not become a giant line count.
+const (
+	maxFrameLines = 1 << 40
+	maxFrameBytes = 1 << 40
+)
 
 // hasMagic reports whether data starts with the given magic string.
 func hasMagic(data []byte, magic string) bool {

@@ -1,10 +1,6 @@
 package archive
 
-import (
-	"fmt"
-
-	"loggrep/internal/blockindex"
-)
+import "loggrep/internal/blockindex"
 
 // HasIndex reports whether a usable index section was decoded at Open.
 func (a *Archive) HasIndex() bool { return !a.index.Empty() }
@@ -21,23 +17,19 @@ func (a *Archive) IndexStats() blockindex.Stats {
 // IndexSectionRange locates the index tail of a v2 archive: the byte
 // offset just past the terminator frame and the framed sections found
 // there. Fault-injection and inspection tooling uses it to target exact
-// byte regions; a v1 archive or one with no terminator returns offset -1.
+// byte regions. A v1 archive has no index and returns offset -1; a v2
+// archive fails on the first structural fault of its frame walk.
 func IndexSectionRange(data []byte) (tailOff int, sections []blockindex.SectionInfo, err error) {
-	if !hasMagic(data, Magic) {
-		if hasMagic(data, MagicV1) {
-			return -1, nil, nil
-		}
-		return -1, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	switch {
+	case hasMagic(data, MagicV1):
+		return -1, nil, nil
+	case !hasMagic(data, Magic):
+		return -1, nil, errBadMagic
 	}
-	frames, err := ScanFrames(data)
-	if err != nil {
-		return -1, nil, err
+	w := walkV2(data)
+	if len(w.causes) > 0 {
+		return -1, nil, w.causes[0]
 	}
-	for _, f := range frames {
-		if f.Terminator {
-			off := f.HeaderOff + headerSize
-			return off, blockindex.ScanSections(data[off:]), nil
-		}
-	}
-	return -1, nil, nil
+	off := w.frames[len(w.frames)-1].payloadOff // past the terminator
+	return off, blockindex.ScanSections(data[off:]), nil
 }

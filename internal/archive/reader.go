@@ -2,7 +2,6 @@ package archive
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -78,6 +77,7 @@ func (b *block) openStore(ctx context.Context, hook core.ReadHook) (*core.Store,
 // Archive is an opened multi-block archive. It is safe for concurrent
 // use: block stores synchronize internally.
 type Archive struct {
+	format   string
 	blocks   []*block
 	damage   []BlockError // line ranges lost to structural damage, by FirstLine
 	numLines int
@@ -128,13 +128,13 @@ func (a *Archive) hook() core.ReadHook {
 func Open(data []byte) (*Archive, error) {
 	switch {
 	case hasMagic(data, Magic):
-		return openV2(data)
+		return openV2(data), nil
 	case hasMagic(data, MagicV1):
 		return openV1(data)
 	case capsule.IsBox(data):
 		return openBox(data)
 	}
-	return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	return nil, errBadMagic
 }
 
 // openBox wraps a bare CapsuleBox as an archive of one block with no
@@ -147,61 +147,33 @@ func openBox(data []byte) (*Archive, error) {
 	}
 	admitAll := rtpattern.Stamp{TypeMask: 0xff, MaxLen: math.MaxInt}
 	b := &block{box: data, store: st, meta: blockMeta{numLines: st.NumLines(), stamp: admitAll}}
-	return &Archive{blocks: []*block{b}, numLines: st.NumLines(), bare: st}, nil
+	return &Archive{format: "box", blocks: []*block{b}, numLines: st.NumLines(), bare: st}, nil
 }
 
-func openV2(data []byte) (*Archive, error) {
-	a := &Archive{}
-	var causes []error // structural faults in stream order
-	pos := len(Magic)
-	expect := 0 // line number the next in-order frame should start at
+// openV2 builds the archive from the v2 walk: every frame it found is a
+// block, whatever it could not read is damage (finishV2), and the index
+// sections past the terminator are decoded. Decoding them never fails —
+// damage drops the affected section and queries scan every block.
+func openV2(data []byte) *Archive {
+	w := walkV2(data)
+	a := &Archive{format: "archive-v2"}
 	termLines := -1
-	tailStart := -1 // byte offset of the index tail, past the terminator
-	for {
-		if len(data)-pos < headerSize {
-			causes = append(causes, fmt.Errorf("%w: archive ends mid-frame at offset %d (no terminator)", ErrCorrupt, pos))
-			break
-		}
-		h, ok := decodeHeader(data[pos : pos+headerSize])
-		if !ok {
-			np, nh, found := resync(data, pos+1, expect)
-			if !found {
-				causes = append(causes, fmt.Errorf("%w: frame header damaged at offset %d; no later frame found", ErrCorrupt, pos))
-				break
-			}
-			causes = append(causes, fmt.Errorf("%w: frame header damaged at offset %d; resynchronized at offset %d", ErrCorrupt, pos, np))
-			pos, h = np, nh
-		}
-		if h.terminator() {
-			termLines = h.lineOff
-			tailStart = pos + headerSize
-			break
-		}
-		if h.boxLen > len(data)-pos-headerSize {
-			// The header survived, so the lost extent is known exactly:
-			// advancing expect past the block makes finishV2's coverage scan
-			// emit one damage entry for it, paired with this cause.
-			causes = append(causes, fmt.Errorf("%w: frame payload truncated at offset %d", ErrCorrupt, pos))
-			expect = h.lineOff + h.meta.numLines
+	for _, f := range w.frames {
+		if f.terminator() {
+			termLines = f.lineOff
+			a.index = blockindex.DecodeSections(data[f.payloadOff:])
 			break
 		}
 		a.blocks = append(a.blocks, &block{
-			box:     data[pos+headerSize : pos+headerSize+h.boxLen],
-			meta:    h.meta,
-			lineOff: h.lineOff,
+			box:     data[f.payloadOff : f.payloadOff+f.boxLen],
+			meta:    f.meta,
+			lineOff: f.lineOff,
 			hasCRC:  true,
-			crc:     h.payloadCRC,
+			crc:     f.payloadCRC,
 		})
-		expect = h.lineOff + h.meta.numLines
-		pos += headerSize + h.boxLen
 	}
-	a.finishV2(termLines, expect, causes)
-	if tailStart >= 0 && tailStart <= len(data) {
-		// Index sections live past the terminator. Decoding never fails —
-		// damage drops the affected section and queries scan every block.
-		a.index = blockindex.DecodeSections(data[tailStart:])
-	}
-	return a, nil
+	a.finishV2(termLines, w.endLine, w.causes)
+	return a
 }
 
 // finishV2 reconciles the parsed blocks against the line space. Headers
@@ -284,95 +256,30 @@ func countDamageBefore(d []BlockError, line int) int {
 	return n
 }
 
-// resync scans forward from pos for a frame header whose checksum
-// verifies and whose fields are self-consistent, so one damaged header
-// costs one block, not the archive's tail. The extra field checks guard
-// against the 2^-32 chance of payload bytes masquerading as a header.
-func resync(data []byte, pos, expectLine int) (int, frameHeader, bool) {
-	for ; pos+headerSize <= len(data); pos++ {
-		h, ok := decodeHeader(data[pos : pos+headerSize])
-		if !ok {
-			continue
-		}
-		if h.terminator() {
-			if h.meta.numLines == 0 && h.meta.rawBytes == 0 && h.lineOff >= expectLine {
-				return pos, h, true
-			}
-			continue
-		}
-		if h.meta.numLines >= 1 && h.lineOff >= expectLine && h.boxLen <= len(data)-pos-headerSize {
-			return pos, h, true
-		}
-	}
-	return 0, frameHeader{}, false
-}
-
-// openV1 parses the legacy checksum-free format. Structural damage is not
-// recoverable without checksummed headers, so any parse fault fails the
-// open, exactly as v1 readers always did.
+// openV1 builds the archive from the v1 walk. Structural damage is not
+// recoverable without checksummed headers, so any fault the walk finds
+// fails the open, exactly as v1 readers always did.
 func openV1(data []byte) (*Archive, error) {
-	a := &Archive{}
-	pos := len(MagicV1)
-	for {
-		boxLen, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: bad frame length", ErrCorrupt)
-		}
-		pos += n
-		if boxLen == 0 {
-			break // terminator
-		}
-		if uint64(len(data)-pos) < boxLen {
-			return nil, fmt.Errorf("%w: truncated frame", ErrCorrupt)
-		}
-		b := &block{idx: len(a.blocks), box: data[pos : pos+int(boxLen)], lineOff: a.numLines}
-		pos += int(boxLen)
-		uv := func() (uint64, error) {
-			v, n := binary.Uvarint(data[pos:])
-			if n <= 0 {
-				return 0, fmt.Errorf("%w: bad frame meta", ErrCorrupt)
-			}
-			pos += n
-			return v, nil
-		}
-		numLines, err := uv()
-		if err != nil {
-			return nil, err
-		}
-		rawBytes, err := uv()
-		if err != nil {
-			return nil, err
-		}
-		if pos >= len(data) {
-			return nil, fmt.Errorf("%w: bad frame stamp", ErrCorrupt)
-		}
-		mask := data[pos]
-		pos++
-		maxLen, err := uv()
-		if err != nil {
-			return nil, err
-		}
-		if numLines > maxFrameLines || rawBytes > maxFrameBytes || maxLen > maxFrameBytes {
-			return nil, fmt.Errorf("%w: implausible frame meta", ErrCorrupt)
-		}
-		b.meta = blockMeta{
-			numLines: int(numLines),
-			rawBytes: int(rawBytes),
-			stamp:    rtpattern.Stamp{TypeMask: mask, MaxLen: int(maxLen)},
-		}
-		a.numLines += b.meta.numLines
-		a.rawBytes += b.meta.rawBytes
-		a.blocks = append(a.blocks, b)
+	w := walkV1(data)
+	if len(w.causes) > 0 {
+		return nil, w.causes[0]
+	}
+	a := &Archive{format: "archive-v1", numLines: w.endLine}
+	for _, f := range w.frames[:len(w.frames)-1] {
+		a.blocks = append(a.blocks, &block{
+			idx:     len(a.blocks),
+			box:     data[f.payloadOff : f.payloadOff+f.boxLen],
+			meta:    f.meta,
+			lineOff: f.lineOff,
+		})
+		a.rawBytes += f.meta.rawBytes
 	}
 	return a, nil
 }
 
-// maxFrameLines/maxFrameBytes bound v1 frame metadata, which carries no
-// checksum: a corrupt varint must not become a giant line count.
-const (
-	maxFrameLines = 1 << 40
-	maxFrameBytes = 1 << 40
-)
+// Format names what Open found: "box" for a bare CapsuleBox, "archive-v1"
+// or "archive-v2" for the two frame formats.
+func (a *Archive) Format() string { return a.format }
 
 // NumBlocks returns the count of readable blocks.
 func (a *Archive) NumBlocks() int { return len(a.blocks) }

@@ -145,9 +145,9 @@ func (sv *Server) Load(name string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	src := &loaded{arch: a, kind: "box", bytes: len(data)}
-	if archive.IsArchive(data) {
-		src.kind = "archive"
+	src := &loaded{arch: a, kind: "archive", bytes: len(data)}
+	if a.Format() == "box" {
+		src.kind = "box"
 	}
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
