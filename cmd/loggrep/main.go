@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -165,9 +166,6 @@ func newCompressCmd() *command {
 	out := fs.String("o", "", "output file (default <logfile>.lgrep)")
 	blockMB := fs.Int("block-mb", 64, "archive block size in MB")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "archive compression workers")
-	sp := fs.Bool("sp", false, "static patterns only (LogGrep-SP)")
-	noPad := fs.Bool("no-pad", false, "disable fixed-length padding")
-	noStamps := fs.Bool("no-stamps", false, "disable capsule stamps")
 	chunkKB := fs.Int("chunk-kb", 0, "cut capsules into N-KB chunks (0 = whole capsules)")
 	c := &command{
 		name:    "compress",
@@ -181,9 +179,6 @@ func newCompressCmd() *command {
 		}
 		in := fs.Arg(0)
 		opts := loggrep.ArchiveOptions{Core: loggrep.DefaultOptions(), BlockBytes: *blockMB << 20, Workers: *workers}
-		opts.Core.StaticOnly = *sp
-		opts.Core.DisablePadding = *noPad
-		opts.Core.DisableStamps = *noStamps
 		opts.Core.ChunkBytes = *chunkKB << 10
 		dst := *out
 		if dst == "" {
@@ -199,9 +194,15 @@ func newCompressCmd() *command {
 	return c
 }
 
+// syncDir makes a rename in a directory durable; a variable so a test can
+// see compressFile call it.
+var syncDir = flightrec.SyncDir
+
 // compressFile streams the log at in through an archive writer into a temp
 // file beside dst, renamed over dst once synced, so a failed run leaves
-// nothing under dst's name. It returns the bytes read and written.
+// nothing under dst's name; the directory is synced after the rename so a
+// host crash cannot lose the new name. It returns the bytes read and
+// written.
 func compressFile(in, dst string, opts loggrep.ArchiveOptions) (raw, packed int64, err error) {
 	src, err := os.Open(in)
 	if err != nil {
@@ -232,7 +233,10 @@ func compressFile(in, dst string, opts loggrep.ArchiveOptions) (raw, packed int6
 			return 0, 0, err
 		}
 	}
-	return raw, packed, os.Rename(tmp.Name(), dst)
+	if err = os.Rename(tmp.Name(), dst); err != nil {
+		return 0, 0, err
+	}
+	return raw, packed, syncDir(filepath.Dir(dst))
 }
 
 // cliBlobs is the CLI's fault-policy blob store: plain paths, default

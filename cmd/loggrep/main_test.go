@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -160,6 +161,39 @@ func TestCLICompressFailureLeavesNothing(t *testing.T) {
 	}
 	for _, e := range ents {
 		t.Errorf("failed compress left %s behind", e.Name())
+	}
+}
+
+// TestCompressSyncsDirAfterRename: compressFile syncs the output's
+// directory once the rename has published the archive, so a host crash
+// after compress returns cannot lose the new name, and a failed sync is
+// the command's error.
+func TestCompressSyncsDirAfterRename(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "a.log")
+	lt, _ := loggen.ByName("A")
+	if err := os.WriteFile(in, lt.Block(1, 200), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dst := filepath.Join(dir, "out", "a.lgrep")
+	if err := os.Mkdir(filepath.Dir(dst), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	defer func(f func(string) error) { syncDir = f }(syncDir)
+	var synced []string
+	syncErr := errors.New("injected sync failure")
+	syncDir = func(d string) error {
+		if _, err := os.Stat(dst); err != nil {
+			t.Errorf("directory synced before the rename: %v", err)
+		}
+		synced = append(synced, d)
+		return syncErr
+	}
+	if _, _, err := compressFile(in, dst, loggrep.DefaultArchiveOptions()); !errors.Is(err, syncErr) {
+		t.Fatalf("compressFile = %v, want the sync error", err)
+	}
+	if len(synced) != 1 || synced[0] != filepath.Dir(dst) {
+		t.Fatalf("synced %q, want [%q]", synced, filepath.Dir(dst))
 	}
 }
 

@@ -15,18 +15,15 @@ import (
 // types are the server's own (shared module), so the renderer cannot
 // drift from the wire shape.
 type inflightPayload struct {
-	Enabled  bool                `json:"enabled"`
 	Inflight []liveops.EntryView `json:"inflight"`
 	Count    int                 `json:"count"`
 }
 
 type usagePayload struct {
-	Enabled bool                  `json:"enabled"`
 	Tenants []liveops.TenantUsage `json:"tenants"`
 }
 
 type sloPayload struct {
-	Enabled    bool                      `json:"enabled"`
 	Objectives []liveops.ObjectiveStatus `json:"objectives"`
 }
 
@@ -92,11 +89,6 @@ func renderTop(client *http.Client, base string) (string, error) {
 	}
 	var w strings.Builder
 	fmt.Fprintf(&w, "loggrep top  %s  %s\n", base, time.Now().Format("15:04:05"))
-	if !inf.Enabled {
-		fmt.Fprintf(&w, "\nlive operations plane disabled on this server\n")
-		return w.String(), nil
-	}
-
 	fmt.Fprintf(&w, "\nin-flight (%d):\n", inf.Count)
 	if len(inf.Inflight) == 0 {
 		fmt.Fprintf(&w, "  (idle)\n")

@@ -140,12 +140,6 @@ func main() {
 		return
 	}
 
-	sv := server.New()
-	sv.Pprof = *pprofOn
-	sv.MaxConcurrent = *maxConcurrent
-	sv.QueryTimeout = *queryTimeout
-	sv.Budget = core.Budget{MaxScannedBytes: *maxScanMB << 20, MaxDecompressions: *maxDecomp}
-	sv.Blobs = blobstore.Wrap(blobstore.NewLocal(""), blobstore.Policy{MaxAttempts: *blobAttempts, Name: "server"})
 	// The live operations plane is always on: every request registers in
 	// the in-flight view, meters its tenant, and feeds the SLO engine.
 	var objectives []liveops.Objective
@@ -156,8 +150,12 @@ func main() {
 		}
 		objectives = append(objectives, o)
 	}
-	plane := liveops.New(liveops.Config{Objectives: objectives})
-	sv.Liveops = plane
+	sv := server.New(liveops.Config{Objectives: objectives})
+	sv.Pprof = *pprofOn
+	sv.MaxConcurrent = *maxConcurrent
+	sv.QueryTimeout = *queryTimeout
+	sv.Budget = core.Budget{MaxScannedBytes: *maxScanMB << 20, MaxDecompressions: *maxDecomp}
+	sv.Blobs = blobstore.Wrap(blobstore.NewLocal(""), blobstore.Policy{MaxAttempts: *blobAttempts, Name: "server"})
 	if len(objectives) > 0 {
 		names := make([]string, len(objectives))
 		for i, o := range objectives {
@@ -246,7 +244,7 @@ func main() {
 		sv.FlightRec = rec
 		// A fast SLO burn is exactly the moment a diagnostic bundle is
 		// worth its cost: snapshot the rings while the burn is happening.
-		plane.SLO.OnFastBurn(rec.RecordSLOBurn)
+		sv.Liveops.SLO.OnFastBurn(rec.RecordSLOBurn)
 		quit := make(chan os.Signal, 1)
 		signal.Notify(quit, syscall.SIGQUIT)
 		go rec.DumpOn(quit, "sigquit")

@@ -156,3 +156,79 @@ func TestLoggrepdSIGQUITBundle(t *testing.T) {
 		t.Errorf("slowlog event wrong: %+v", ev)
 	}
 }
+
+// TestLoggrepdInflightGauge: a request in flight on the plane loggrepd
+// serves is the one loggrep_inflight_queries on /metrics counts. The
+// gauge belongs to the first plane built on obsv.Default, so a daemon
+// that built a second plane would serve one and report the other's zero.
+func TestLoggrepdInflightGauge(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary and runs a daemon")
+	}
+	dir := t.TempDir()
+	daemon := filepath.Join(dir, "loggrepd")
+	if out, err := exec.Command("go", "build", "-o", daemon, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build loggrepd: %v\n%s", err, out)
+	}
+	base, _, stderr, _ := startDaemon(t, daemon, "-ingest", "-ingest-dir", filepath.Join(dir, "ingest"))
+	gauge := func() string {
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			if v, ok := strings.CutPrefix(sc.Text(), "loggrep_inflight_queries "); ok {
+				return v
+			}
+		}
+		t.Fatalf("no loggrep_inflight_queries on /metrics; stderr:\n%s", stderr.String())
+		return ""
+	}
+	inflight := func() int {
+		resp, err := http.Get(base + "/v1/inflight")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct{ Count int }
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Count
+	}
+
+	// An ingest batch whose body is still arriving stays registered in
+	// flight until the body ends.
+	body, w := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(base+"/ingest?tenant=t&stream=s", "text/plain", body)
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("ingest status %d", resp.StatusCode)
+			}
+		}
+		done <- err
+	}()
+	if _, err := w.Write([]byte("first line\n")); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); inflight() != 1; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the ingest request never showed in /v1/inflight")
+		}
+	}
+	if g := gauge(); g != "1" {
+		t.Errorf("loggrep_inflight_queries = %s with one request in flight, want 1", g)
+	}
+	w.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n, g := inflight(), gauge(); n != 0 || g != "0" {
+		t.Errorf("after the request: /v1/inflight count %d, gauge %s, want 0 and 0", n, g)
+	}
+}

@@ -104,7 +104,7 @@ func (r *Recorder) writeBundle(trigger string, seq int) (string, error) {
 	return path, nil
 }
 
-// retain prunes the oldest bundles so at most MaxBundles remain.
+// retain prunes the oldest bundles so at most maxBundles remain.
 func (r *Recorder) retain() {
 	entries, err := os.ReadDir(r.cfg.Dir)
 	if err != nil {
@@ -116,11 +116,11 @@ func (r *Recorder) retain() {
 			names = append(names, e.Name())
 		}
 	}
-	if len(names) <= r.cfg.MaxBundles {
+	if len(names) <= r.cfg.maxBundles {
 		return
 	}
 	sort.Strings(names) // timestamp-first names: lexical == chronological
-	for _, n := range names[:len(names)-r.cfg.MaxBundles] {
+	for _, n := range names[:len(names)-r.cfg.maxBundles] {
 		os.Remove(filepath.Join(r.cfg.Dir, n))
 	}
 }

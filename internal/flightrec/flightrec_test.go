@@ -23,8 +23,8 @@ func testRecorder(t *testing.T, mut func(*Config)) *Recorder {
 	t.Helper()
 	cfg := Config{
 		Dir:           t.TempDir(),
-		EventRingSize: 16,
-		Cooldown:      time.Nanosecond,
+		eventRingSize: 16,
+		cooldown:      time.Nanosecond,
 		Registry:      obsv.NewRegistry(),
 		Static:        map[string]any{"addr": ":8080"},
 	}
@@ -115,7 +115,7 @@ func TestDumpWritesLoadableBundle(t *testing.T) {
 // during dump — must produce exactly one bundle, never interleaved
 // writes. Run under -race in CI.
 func TestDumpCoalesce(t *testing.T) {
-	r := testRecorder(t, func(c *Config) { c.Cooldown = time.Hour })
+	r := testRecorder(t, func(c *Config) { c.cooldown = time.Hour })
 	r.Record(&obsv.WideEvent{DurNS: 1})
 
 	const n = 32
@@ -191,7 +191,7 @@ func TestLatencyTrigger(t *testing.T) {
 // TestErrorSpikeTrigger: N fast 5xx responses within the window dump
 // once; sub-threshold counts don't.
 func TestErrorSpikeTrigger(t *testing.T) {
-	r := testRecorder(t, func(c *Config) { c.ErrorBurst = 3; c.Cooldown = time.Hour })
+	r := testRecorder(t, func(c *Config) { c.ErrorBurst = 3; c.cooldown = time.Hour })
 	r.Record(&obsv.WideEvent{Status: 503})
 	r.Record(&obsv.WideEvent{Status: 200}) // non-5xx doesn't count
 	r.Record(&obsv.WideEvent{Status: 500})
@@ -231,7 +231,7 @@ func TestBudgetBurstTrigger(t *testing.T) {
 func TestPanicRecordAndTrigger(t *testing.T) {
 	// Long cooldown: the repeated panics below must coalesce into one
 	// bundle, and no dump goroutine may outlive the test.
-	r := testRecorder(t, func(c *Config) { c.Cooldown = time.Hour })
+	r := testRecorder(t, func(c *Config) { c.cooldown = time.Hour })
 	big := bytes.Repeat([]byte("s"), maxPanicStack+100)
 	for i := 0; i < maxPanicsKept+2; i++ {
 		r.RecordPanic("query", "boom", big)
@@ -257,9 +257,9 @@ func TestPanicRecordAndTrigger(t *testing.T) {
 	}
 }
 
-// TestRetention: bundles beyond MaxBundles are pruned oldest-first.
+// TestRetention: bundles beyond maxBundles are pruned oldest-first.
 func TestRetention(t *testing.T) {
-	r := testRecorder(t, func(c *Config) { c.MaxBundles = 2 })
+	r := testRecorder(t, func(c *Config) { c.maxBundles = 2 })
 	var last string
 	for i := 0; i < 5; i++ {
 		p, err := r.TriggerDump("manual")
@@ -391,7 +391,7 @@ func TestNilRecorder(t *testing.T) {
 
 // TestStartStop: the sampler runs and halts cleanly.
 func TestStartStop(t *testing.T) {
-	r := testRecorder(t, func(c *Config) { c.SampleInterval = 2 * time.Millisecond })
+	r := testRecorder(t, func(c *Config) { c.sampleInterval = 2 * time.Millisecond })
 	r.Start()
 	deadline := time.Now().Add(5 * time.Second)
 	for r.metrics.Len() == 0 {

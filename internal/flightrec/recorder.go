@@ -12,38 +12,42 @@ import (
 	"loggrep/internal/obsv"
 )
 
+// The recorder's fixed settings. loggrepd runs with these and no caller
+// sets another; the package's own tests shrink the ring, window, cadence,
+// cooldown and retention through Config's unexported fields.
+const (
+	// eventRingSize is how many wide events the ring keeps.
+	eventRingSize = 256
+	// metricsWindow is how much per-second history the metrics ring covers.
+	metricsWindow = 10 * time.Minute
+	// sampleInterval is the metrics sampling cadence.
+	sampleInterval = time.Second
+	// burstWindow is the window ErrorBurst and BudgetBurst count within.
+	burstWindow = 30 * time.Second
+	// cooldown is the minimum gap between bundles; triggers inside it are
+	// counted but suppressed.
+	cooldown = time.Minute
+	// maxBundles caps the bundle files kept in Dir; the oldest are removed
+	// after each dump.
+	maxBundles = 8
+)
+
 // Config tunes a Recorder. The zero value is usable: NewRecorder fills
 // every unset field with the defaults documented here.
 type Config struct {
 	// Dir is where bundles land (created on first dump). Default
 	// "flightrec".
 	Dir string
-	// EventRingSize is how many wide events the ring keeps. Default 256.
-	EventRingSize int
-	// MetricsWindow is how much per-second history the metrics ring
-	// covers. Default 10m.
-	MetricsWindow time.Duration
-	// SampleInterval is the metrics sampling cadence. Default 1s.
-	SampleInterval time.Duration
 
 	// LatencyTrigger dumps when a request at least this slow completes.
 	// 0 disables the trigger.
 	LatencyTrigger time.Duration
-	// ErrorBurst dumps when this many 5xx responses land within Window.
+	// ErrorBurst dumps when this many 5xx responses land within 30s.
 	// 0 disables the trigger.
 	ErrorBurst int
 	// BudgetBurst dumps when this many budget-exhausted (partial)
-	// queries land within Window. 0 disables the trigger.
+	// queries land within 30s. 0 disables the trigger.
 	BudgetBurst int
-	// Window is the burst-detection window. Default 30s.
-	Window time.Duration
-
-	// Cooldown is the minimum gap between bundles; triggers inside it
-	// are counted but suppressed. Default 1m.
-	Cooldown time.Duration
-	// MaxBundles caps bundle files kept in Dir; the oldest are removed
-	// after each dump. Default 8.
-	MaxBundles int
 
 	// Registry is the counter source for metric deltas and the absolute
 	// counter snapshot in bundles. Default obsv.Default.
@@ -55,29 +59,33 @@ type Config struct {
 	// (loggrepd wires the open-source summary here). It must be safe
 	// for concurrent use and should return quickly.
 	StateFn func() any
+
+	// Test seams; zero picks the constant of the same name.
+	eventRingSize  int
+	metricsWindow  time.Duration
+	sampleInterval time.Duration
+	cooldown       time.Duration
+	maxBundles     int
 }
 
 func (c Config) withDefaults() Config {
 	if c.Dir == "" {
 		c.Dir = "flightrec"
 	}
-	if c.EventRingSize <= 0 {
-		c.EventRingSize = 256
+	if c.eventRingSize <= 0 {
+		c.eventRingSize = eventRingSize
 	}
-	if c.MetricsWindow <= 0 {
-		c.MetricsWindow = 10 * time.Minute
+	if c.metricsWindow <= 0 {
+		c.metricsWindow = metricsWindow
 	}
-	if c.SampleInterval <= 0 {
-		c.SampleInterval = time.Second
+	if c.sampleInterval <= 0 {
+		c.sampleInterval = sampleInterval
 	}
-	if c.Window <= 0 {
-		c.Window = 30 * time.Second
+	if c.cooldown == 0 {
+		c.cooldown = cooldown
 	}
-	if c.Cooldown == 0 {
-		c.Cooldown = time.Minute
-	}
-	if c.MaxBundles <= 0 {
-		c.MaxBundles = 8
+	if c.maxBundles <= 0 {
+		c.maxBundles = maxBundles
 	}
 	if c.Registry == nil {
 		c.Registry = obsv.Default
@@ -150,8 +158,8 @@ func NewRecorder(cfg Config) *Recorder {
 	cfg = cfg.withDefaults()
 	r := &Recorder{
 		cfg:     cfg,
-		events:  NewEventRing(cfg.EventRingSize),
-		metrics: NewMetricsRing(int(cfg.MetricsWindow / cfg.SampleInterval)),
+		events:  NewEventRing(cfg.eventRingSize),
+		metrics: NewMetricsRing(int(cfg.metricsWindow / cfg.sampleInterval)),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -182,7 +190,7 @@ func (r *Recorder) Stop() {
 
 func (r *Recorder) loop() {
 	defer close(r.done)
-	t := time.NewTicker(r.cfg.SampleInterval)
+	t := time.NewTicker(r.cfg.sampleInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -216,7 +224,7 @@ func (r *Recorder) Record(ev *obsv.WideEvent) {
 }
 
 // burst appends now to times (bounded at n entries) and reports whether
-// the last n arrivals all landed within the configured window.
+// the last n arrivals all landed within burstWindow.
 func (r *Recorder) burst(times *[]time.Time, n int) bool {
 	now := time.Now()
 	r.burstMu.Lock()
@@ -225,7 +233,7 @@ func (r *Recorder) burst(times *[]time.Time, n int) bool {
 	if len(*times) > n {
 		*times = (*times)[len(*times)-n:]
 	}
-	return len(*times) == n && now.Sub((*times)[0]) <= r.cfg.Window
+	return len(*times) == n && now.Sub((*times)[0]) <= burstWindow
 }
 
 // RecordPanic stores a recovered handler panic (bounded: the last 4,
@@ -276,7 +284,7 @@ func (r *Recorder) RecordSLOBurn(objective string) {
 // spawns goroutines while a trigger is flapping.
 func (r *Recorder) triggerAsync(reason string) {
 	r.dumpMu.Lock()
-	blocked := r.dumping || (!r.lastDump.IsZero() && time.Since(r.lastDump) < r.cfg.Cooldown)
+	blocked := r.dumping || (!r.lastDump.IsZero() && time.Since(r.lastDump) < r.cfg.cooldown)
 	r.dumpMu.Unlock()
 	if blocked {
 		r.suppressed.Add(1)
@@ -288,8 +296,8 @@ func (r *Recorder) triggerAsync(reason string) {
 // TriggerDump writes one diagnostic bundle and returns its path. Dumps
 // are single-flight: a trigger while another dump is writing returns
 // ErrDumpInProgress (the in-flight bundle covers it), and a trigger
-// within Cooldown of the previous bundle returns ErrCooldown. After a
-// successful dump, bundles beyond MaxBundles are pruned oldest-first.
+// within the cooldown of the previous bundle returns ErrCooldown. After a
+// successful dump, bundles beyond the newest 8 are pruned oldest-first.
 func (r *Recorder) TriggerDump(reason string) (string, error) {
 	if r == nil {
 		return "", errors.New("flightrec: recorder disabled")
@@ -300,7 +308,7 @@ func (r *Recorder) TriggerDump(reason string) (string, error) {
 		r.suppressed.Add(1)
 		return "", ErrDumpInProgress
 	}
-	if !r.lastDump.IsZero() && time.Since(r.lastDump) < r.cfg.Cooldown {
+	if !r.lastDump.IsZero() && time.Since(r.lastDump) < r.cfg.cooldown {
 		r.dumpMu.Unlock()
 		r.suppressed.Add(1)
 		return "", ErrCooldown
@@ -332,7 +340,7 @@ func (r *Recorder) TriggerDump(reason string) (string, error) {
 
 // Sample takes one metrics observation: runtime stats plus counter
 // deltas since the previous sample. Called by the Start loop every
-// SampleInterval; tests call it directly.
+// second; tests call it directly.
 func (r *Recorder) Sample() {
 	if r == nil {
 		return

@@ -116,9 +116,9 @@ func TestMetricsRingSoak(t *testing.T) {
 func TestRecorderSoak(t *testing.T) {
 	r := NewRecorder(Config{
 		Dir:            t.TempDir(),
-		EventRingSize:  32,
-		MetricsWindow:  40 * time.Second,
-		SampleInterval: time.Second,
+		eventRingSize:  32,
+		metricsWindow:  40 * time.Second,
+		sampleInterval: time.Second,
 		LatencyTrigger: time.Hour, // armed, never fires
 		Registry:       obsv.NewRegistry(),
 	})

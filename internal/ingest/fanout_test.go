@@ -100,9 +100,9 @@ func fanOutDir(t *testing.T) (string, *hookBlob) {
 
 func fanOutConfig(dir string, blob *hookBlob) Config {
 	cfg := testConfig(dir)
-	cfg.SealInterval = time.Hour // the replayed raw tail stays raw
-	cfg.Archive = archive.DefaultOptions()
-	cfg.Archive.BlockBytes = 16 << 10
+	cfg.sealInterval = time.Hour // the replayed raw tail stays raw
+	cfg.archive = archive.DefaultOptions()
+	cfg.archive.BlockBytes = 16 << 10
 	cfg.Blobs = blobstore.Wrap(blob, blobstore.Policy{MaxAttempts: 1, BreakerFailures: -1})
 	return cfg
 }

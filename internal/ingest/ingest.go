@@ -58,12 +58,6 @@ type Config struct {
 	// reloaded from disk by the next query touching them, so total
 	// ingested volume no longer grows process memory — only disk.
 	MaxSealedBytes int64
-	// Archive configures seal-time compression; the zero value means
-	// archive.DefaultOptions() (v2 frames + block-skipping index).
-	Archive archive.Options
-	// SealInterval is the background sealer's poll cadence (default
-	// 250ms).
-	SealInterval time.Duration
 	// Blobs serves every sealed-segment and WAL read — replay at startup
 	// and cache reloads at query time. Keys are "tenant/stream/<file>"
 	// relative to Dir. Nil wraps the local filesystem under Dir in the
@@ -90,7 +84,17 @@ type Config struct {
 	// treated as a fsync failure. Tests use it to exercise the NACK
 	// rollback path.
 	walSyncHook func() error
+	// archive configures seal-time compression; the zero value means
+	// archive.DefaultOptions() (v2 frames + block-skipping index). Tests
+	// shrink its blocks.
+	archive archive.Options
+	// sealInterval is the background sealer's poll cadence; zero picks
+	// the constant of the same name. Tests shorten or stretch it.
+	sealInterval time.Duration
 }
+
+// sealInterval is the background sealer's poll cadence.
+const sealInterval = 250 * time.Millisecond
 
 func (c Config) withDefaults() Config {
 	if c.SealBytes <= 0 {
@@ -105,11 +109,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxSealedBytes <= 0 {
 		c.MaxSealedBytes = 256 << 20
 	}
-	if c.Archive == (archive.Options{}) {
-		c.Archive = archive.DefaultOptions()
+	if c.archive == (archive.Options{}) {
+		c.archive = archive.DefaultOptions()
 	}
-	if c.SealInterval <= 0 {
-		c.SealInterval = 250 * time.Millisecond
+	if c.sealInterval <= 0 {
+		c.sealInterval = sealInterval
 	}
 	if c.Blobs == nil {
 		c.Blobs = blobstore.Wrap(blobstore.NewLocal(c.Dir), blobstore.Policy{Name: "ingest"})

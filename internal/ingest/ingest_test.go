@@ -23,7 +23,7 @@ func testConfig(dir string) Config {
 		SealBytes:      1 << 30,
 		SealAge:        time.Hour,
 		MaxTenantBytes: 1 << 30,
-		SealInterval:   10 * time.Millisecond,
+		sealInterval:   10 * time.Millisecond,
 	}
 }
 

@@ -110,10 +110,10 @@ func TestWALFsyncFailureRollback(t *testing.T) {
 
 // TestSealFailureBacksOff proves a persistently failing seal is retried
 // with exponential backoff instead of re-compressing the segment every
-// SealInterval.
+// sealInterval.
 func TestSealFailureBacksOff(t *testing.T) {
 	dir := t.TempDir()
-	cfg := testConfig(dir) // SealInterval 10ms
+	cfg := testConfig(dir) // sealInterval 10ms
 	var attempts atomic.Int64
 	cfg.sealHook = func(stage string) error {
 		if stage == "compressed" {

@@ -13,7 +13,7 @@ import (
 )
 
 // maxSealBackoff caps the per-segment retry delay of a persistently
-// failing seal, which doubles from SealInterval per consecutive failure.
+// failing seal, which doubles from sealInterval per consecutive failure.
 const maxSealBackoff = 30 * time.Second
 
 // kickSealer nudges the sealer without blocking (it also wakes on its
@@ -30,7 +30,7 @@ func (m *Manager) kickSealer() {
 // Compression itself parallelizes across blocks inside archive.Compress.
 func (m *Manager) sealer() {
 	defer close(m.done)
-	tick := time.NewTicker(m.cfg.SealInterval)
+	tick := time.NewTicker(m.cfg.sealInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -87,13 +87,13 @@ func (st *Stream) sealPending(stop <-chan struct{}, force bool, bound uint64) er
 			// Leave the segment raw (still queryable, still on disk as
 			// WAL) and back off: each attempt re-compresses the whole
 			// segment, so hammering a persistently failing seal (disk
-			// full) every SealInterval burns CPU exactly when the host is
+			// full) every sealInterval burns CPU exactly when the host is
 			// least able to spare it. Test failpoints land here too.
 			st.mu.Lock()
 			sg.sealing = false
 			sg.failures++
 			// Un-jittered: one sealer paces one segment, there is no herd.
-			sg.retryAt = time.Now().Add(retry.Backoff(st.m.cfg.SealInterval, maxSealBackoff, sg.failures))
+			sg.retryAt = time.Now().Add(retry.Backoff(st.m.cfg.sealInterval, maxSealBackoff, sg.failures))
 			st.mu.Unlock()
 			return err
 		}
@@ -150,7 +150,7 @@ func (st *Stream) sealOne(sg *segment) error {
 		raw = append(raw, l...)
 		raw = append(raw, '\n')
 	}
-	data, err := archive.Compress(raw, st.m.cfg.Archive)
+	data, err := archive.Compress(raw, st.m.cfg.archive)
 	if err != nil {
 		return err
 	}

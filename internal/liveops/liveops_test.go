@@ -39,7 +39,8 @@ func testClock(start time.Time) (func() time.Time, func(time.Duration)) {
 // oldest-first ordering, idempotent removal, and the cancel cause
 // reaching the request context.
 func TestRegistryLifecycle(t *testing.T) {
-	reg := NewRegistry(obsv.NewRegistry(), 8)
+	reg := NewRegistry(obsv.NewRegistry())
+	reg.max = 8
 	now, advance := testClock(time.Unix(1000, 0))
 	reg.now = now
 
@@ -110,7 +111,8 @@ func TestRegistryLifecycle(t *testing.T) {
 // TestRegistryBound: beyond max entries Register still returns a working
 // untracked entry, and id collisions are not tracked twice.
 func TestRegistryBound(t *testing.T) {
-	reg := NewRegistry(obsv.NewRegistry(), 2)
+	reg := NewRegistry(obsv.NewRegistry())
+	reg.max = 2
 	spec := func(id string) EntrySpec {
 		return EntrySpec{Event: &obsv.WideEvent{TraceID: id}, Meter: core.NewBudgetState(core.Budget{})}
 	}
@@ -145,7 +147,8 @@ func TestRegistryBound(t *testing.T) {
 // history as the clock advances, and falls off the ring after `windows`
 // rotations — while the cumulative total never decays.
 func TestMeterWindowsRotate(t *testing.T) {
-	m := NewMeter(obsv.NewRegistry(), 3, time.Minute, 8)
+	m := NewMeter(obsv.NewRegistry())
+	m.windows, m.windowDur, m.maxTenants = 3, time.Minute, 8
 	now, advance := testClock(time.Unix(10_000, 0))
 	m.now = now
 
@@ -183,7 +186,8 @@ func TestMeterWindowsRotate(t *testing.T) {
 // window than one already recorded lands in the current window, not a
 // past one.
 func TestMeterClockBackwards(t *testing.T) {
-	m := NewMeter(obsv.NewRegistry(), 3, time.Minute, 8)
+	m := NewMeter(obsv.NewRegistry())
+	m.windows, m.windowDur, m.maxTenants = 3, time.Minute, 8
 	now, advance := testClock(time.Unix(10_000, 0))
 	m.now = now
 
@@ -200,7 +204,8 @@ func TestMeterClockBackwards(t *testing.T) {
 // TestMeterCardinalityBound: tenants beyond the bound aggregate under
 // OverflowTenant instead of growing the registry.
 func TestMeterCardinalityBound(t *testing.T) {
-	m := NewMeter(obsv.NewRegistry(), 2, time.Minute, 2)
+	m := NewMeter(obsv.NewRegistry())
+	m.windows, m.windowDur, m.maxTenants = 2, time.Minute, 2
 	m.Record("a", Usage{Requests: 1})
 	m.Record("b", Usage{Requests: 1})
 	m.Record("c", Usage{Requests: 1})

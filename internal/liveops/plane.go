@@ -6,31 +6,34 @@ import (
 	"loggrep/internal/obsv"
 )
 
-// Config assembles a Plane. The zero value is a working default: a
-// 1024-entry in-flight registry, a 12×5m usage window ring for up to 64
-// tenants, no SLO objectives, metrics in obsv.Default.
+// The plane's fixed settings. loggrepd runs with these and no caller sets
+// another; the package's own tests shrink them on a built Registry or
+// Meter.
+const (
+	// inflightMax bounds the in-flight registry.
+	inflightMax = 1024
+	// usageWindows is how many completed rolling windows the usage meter
+	// keeps besides the current one.
+	usageWindows = 12
+	// usageWindowDur is each usage window's length.
+	usageWindowDur = 5 * time.Minute
+	// MaxTenants bounds tenant-label cardinality; overflow aggregates
+	// under OverflowTenant.
+	MaxTenants = 64
+)
+
+// Config assembles a Plane. The zero value is a working default: no SLO
+// objectives, metrics in obsv.Default.
 type Config struct {
 	// Registry receives the plane's metrics; nil means obsv.Default.
 	Registry *obsv.Registry
-	// InflightMax bounds the in-flight registry (default 1024).
-	InflightMax int
-	// UsageWindows is how many completed rolling windows the usage meter
-	// keeps besides the current one (default 12).
-	UsageWindows int
-	// UsageWindowDur is each usage window's length (default 5m).
-	UsageWindowDur time.Duration
-	// MaxTenants bounds tenant-label cardinality; overflow aggregates
-	// under OverflowTenant.
-	MaxTenants int
 	// Objectives are the SLO objectives to evaluate (loggrepd -slo).
 	Objectives []Objective
-	// Now injects a clock for deterministic tests; nil means time.Now.
-	Now func() time.Time
 }
 
 // Plane is the assembled live operations plane: the in-flight registry,
-// the per-tenant usage meter and the SLO engine, sharing one clock and
-// one metric registry. All methods are nil-safe.
+// the per-tenant usage meter and the SLO engine, sharing one metric
+// registry. All methods are nil-safe.
 type Plane struct {
 	Inflight *Registry
 	Usage    *Meter
@@ -39,17 +42,11 @@ type Plane struct {
 
 // New assembles a Plane from cfg.
 func New(cfg Config) *Plane {
-	p := &Plane{
-		Inflight: NewRegistry(cfg.Registry, cfg.InflightMax),
-		Usage:    NewMeter(cfg.Registry, cfg.UsageWindows, cfg.UsageWindowDur, cfg.MaxTenants),
+	return &Plane{
+		Inflight: NewRegistry(cfg.Registry),
+		Usage:    NewMeter(cfg.Registry),
 		SLO:      NewEngine(cfg.Registry, cfg.Objectives),
 	}
-	if cfg.Now != nil {
-		p.Inflight.now = cfg.Now
-		p.Usage.now = cfg.Now
-		p.SLO.now = cfg.Now
-	}
-	return p
 }
 
 // RecordEvent folds one finished request's wide event into the usage

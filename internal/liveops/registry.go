@@ -120,17 +120,14 @@ type Registry struct {
 	dropped    *obsv.Counter
 }
 
-// NewRegistry returns a registry bounded to max entries (max <= 0 picks
-// 1024), registering its gauge and counters in reg (nil = obsv.Default).
-func NewRegistry(reg *obsv.Registry, max int) *Registry {
+// NewRegistry returns a registry bounded to 1024 entries,
+// registering its gauge and counters in reg (nil = obsv.Default).
+func NewRegistry(reg *obsv.Registry) *Registry {
 	if reg == nil {
 		reg = obsv.Default
 	}
-	if max <= 0 {
-		max = 1024
-	}
 	r := &Registry{
-		max:     max,
+		max:     inflightMax,
 		now:     time.Now,
 		entries: make(map[string]*Entry),
 		registered: reg.Counter("loggrep_inflight_registered_total",

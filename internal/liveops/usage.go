@@ -76,30 +76,20 @@ type Meter struct {
 	tenants map[string]*tenantUsage
 }
 
-// NewMeter returns a meter keeping the current window plus `windows`
-// rolling ones of windowDur each (windows <= 0 picks 12, windowDur <= 0
-// picks 5m) for up to maxTenants distinct tenants (<= 0 picks 64);
-// beyond that, usage aggregates under OverflowTenant. Metrics register
-// in reg (nil = obsv.Default).
-func NewMeter(reg *obsv.Registry, windows int, windowDur time.Duration, maxTenants int) *Meter {
+// NewMeter returns a meter keeping the current window plus 12 rolling
+// ones of 5 minutes each for up to MaxTenants distinct tenants; beyond
+// that, usage aggregates under OverflowTenant. Metrics register in reg
+// (nil = obsv.Default).
+func NewMeter(reg *obsv.Registry) *Meter {
 	if reg == nil {
 		reg = obsv.Default
 	}
-	if windows <= 0 {
-		windows = 12
-	}
-	if windowDur <= 0 {
-		windowDur = 5 * time.Minute
-	}
-	if maxTenants <= 0 {
-		maxTenants = 64
-	}
 	m := &Meter{
-		windows:    windows,
-		windowDur:  windowDur,
+		windows:    usageWindows,
+		windowDur:  usageWindowDur,
 		now:        time.Now,
 		reg:        reg,
-		maxTenants: maxTenants,
+		maxTenants: MaxTenants,
 		tenants:    make(map[string]*tenantUsage),
 	}
 	reg.Gauge("loggrep_tenants_tracked",

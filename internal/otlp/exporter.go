@@ -19,6 +19,25 @@ import (
 	"loggrep/internal/version"
 )
 
+// The exporter's fixed settings. loggrepd runs with these and no caller
+// sets another; the package's own tests shorten the batch, timeout and
+// backoff through Config's unexported fields.
+const (
+	// batchSize caps the wide events per trace POST.
+	batchSize = 128
+	// postTimeout bounds each POST attempt.
+	postTimeout = 5 * time.Second
+	// maxAttempts is the total POST attempts per payload, the first one
+	// included. Only transient failures (HTTP 429/5xx, network errors)
+	// are retried; other 4xx responses are terminal and drop the payload —
+	// mirroring internal/blobstore's retryable/terminal taxonomy.
+	maxAttempts = 3
+	// backoffBase seeds the full-jitter exponential backoff between
+	// retries; backoffMax caps it.
+	backoffBase = 100 * time.Millisecond
+	backoffMax  = 2 * time.Second
+)
+
 // Config configures an Exporter. The zero value of every field picks the
 // documented default; Endpoint is the only required field.
 type Config struct {
@@ -32,37 +51,26 @@ type Config struct {
 	// QueueSize bounds the in-memory span queue (default 1024). A full
 	// queue drops new events with a counter — the hot path never blocks.
 	QueueSize int
-	// BatchSize caps the wide events per trace POST (default 128).
-	BatchSize int
-	// Timeout bounds each POST attempt (default 5s).
-	Timeout time.Duration
-	// MaxAttempts is the total POST attempts per payload, the first one
-	// included (default 3; 1 disables retries). Only transient failures
-	// (HTTP 429/5xx, network errors) are retried; other 4xx responses are
-	// terminal and drop the payload — mirroring internal/blobstore's
-	// retryable/terminal taxonomy.
-	MaxAttempts int
-	// BackoffBase seeds the full-jitter exponential backoff between
-	// retries (default 100ms); BackoffMax caps it (default 2s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// ServiceName is the resource's service.name (default "loggrepd");
-	// service.version is always internal/version.Version.
-	ServiceName string
 	// Resource adds extra resource attributes (loggrepd stamps its
-	// explicitly-set flags here), exported key-sorted.
+	// explicitly-set flags here), exported key-sorted, after
+	// service.name "loggrepd" and service.version
+	// internal/version.Version.
 	Resource map[string]string
 	// Registry is the metrics source pushed every Interval (default
 	// obsv.Default).
 	Registry *obsv.Registry
-	// Client is the HTTP client for POSTs (default a plain &http.Client;
-	// per-attempt deadlines come from Timeout, not the client).
-	Client *http.Client
 
-	// Test seams; nil uses the real clock, sleep, and math/rand.
-	now   func() time.Time
-	sleep func(ctx context.Context, d time.Duration) error
-	rnd   func() float64
+	// Test seams; zero picks the matching constant, a plain &http.Client
+	// (per-attempt deadlines come from the timeout, not the client), the
+	// real clock, sleep, and math/rand.
+	batchSize   int
+	timeout     time.Duration
+	backoffBase time.Duration
+	backoffMax  time.Duration
+	client      *http.Client
+	now         func() time.Time
+	sleep       func(ctx context.Context, d time.Duration) error
+	rnd         func() float64
 }
 
 func (c Config) withDefaults() Config {
@@ -72,29 +80,23 @@ func (c Config) withDefaults() Config {
 	if c.QueueSize <= 0 {
 		c.QueueSize = 1024
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 128
+	if c.batchSize <= 0 {
+		c.batchSize = batchSize
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = 5 * time.Second
+	if c.timeout <= 0 {
+		c.timeout = postTimeout
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
+	if c.backoffBase <= 0 {
+		c.backoffBase = backoffBase
 	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 100 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 2 * time.Second
-	}
-	if c.ServiceName == "" {
-		c.ServiceName = instrumentedName
+	if c.backoffMax <= 0 {
+		c.backoffMax = backoffMax
 	}
 	if c.Registry == nil {
 		c.Registry = obsv.Default
 	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
+	if c.client == nil {
+		c.client = &http.Client{}
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -155,7 +157,7 @@ func New(cfg Config) *Exporter {
 	}
 	return &Exporter{
 		cfg:   cfg,
-		res:   buildResource(cfg.ServiceName, version.Version, extra),
+		res:   buildResource(instrumentedName, version.Version, extra),
 		q:     make(chan *obsv.WideEvent, cfg.QueueSize),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
@@ -230,7 +232,7 @@ func (e *Exporter) Close(ctx context.Context) error {
 // loop is the background sender.
 func (e *Exporter) loop() {
 	defer close(e.done)
-	batch := make([]*obsv.WideEvent, 0, e.cfg.BatchSize)
+	batch := make([]*obsv.WideEvent, 0, e.cfg.batchSize)
 	tick := time.NewTicker(e.cfg.Interval)
 	defer tick.Stop()
 	for {
@@ -238,7 +240,7 @@ func (e *Exporter) loop() {
 		case ev := <-e.q:
 			queueDepth.Store(int64(len(e.q)))
 			batch = append(batch, ev)
-			if len(batch) >= e.cfg.BatchSize {
+			if len(batch) >= e.cfg.batchSize {
 				e.sendSpans(context.Background(), batch)
 				batch = batch[:0]
 			}
@@ -261,7 +263,7 @@ func (e *Exporter) loop() {
 				select {
 				case ev := <-e.q:
 					batch = append(batch, ev)
-					if len(batch) >= e.cfg.BatchSize {
+					if len(batch) >= e.cfg.batchSize {
 						e.sendSpans(fctx, batch)
 						batch = batch[:0]
 					}
@@ -361,7 +363,7 @@ func retryable(err error) bool {
 // post delivers one payload with bounded retries and full-jitter backoff.
 func (e *Exporter) post(ctx context.Context, url string, body []byte) error {
 	var lastErr error
-	for attempt := 0; attempt < e.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			mRetries.Inc()
 			if err := e.sleepBackoff(ctx, attempt); err != nil {
@@ -380,19 +382,19 @@ func (e *Exporter) post(ctx context.Context, url string, body []byte) error {
 			return err
 		}
 	}
-	return fmt.Errorf("after %d attempts: %w", e.cfg.MaxAttempts, lastErr)
+	return fmt.Errorf("after %d attempts: %w", maxAttempts, lastErr)
 }
 
 // postOnce runs one POST attempt under the per-attempt timeout.
 func (e *Exporter) postOnce(ctx context.Context, url string, body []byte) error {
-	actx, cancel := context.WithTimeout(ctx, e.cfg.Timeout)
+	actx, cancel := context.WithTimeout(ctx, e.cfg.timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := e.cfg.Client.Do(req)
+	resp, err := e.cfg.client.Do(req)
 	if err != nil {
 		return err
 	}
@@ -408,7 +410,7 @@ func (e *Exporter) postOnce(ctx context.Context, url string, body []byte) error 
 // aborting early on ctx cancellation or exporter shutdown (the final
 // flush must not sit in a backoff against a dead collector).
 func (e *Exporter) sleepBackoff(ctx context.Context, attempt int) error {
-	d := time.Duration(e.cfg.rnd() * float64(retry.Backoff(e.cfg.BackoffBase, e.cfg.BackoffMax, attempt)))
+	d := time.Duration(e.cfg.rnd() * float64(retry.Backoff(e.cfg.backoffBase, e.cfg.backoffMax, attempt)))
 	if e.cfg.sleep != nil {
 		return e.cfg.sleep(ctx, d)
 	}

@@ -92,8 +92,8 @@ func testConfig(fc *fakeCollector) Config {
 	return Config{
 		Endpoint:    fc.srv.URL,
 		Interval:    20 * time.Millisecond,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  2 * time.Millisecond,
+		backoffBase: time.Millisecond,
+		backoffMax:  2 * time.Millisecond,
 		Registry:    obsv.NewRegistry(),
 	}
 }
@@ -147,13 +147,13 @@ func TestExporterEndToEnd(t *testing.T) {
 	}
 }
 
-// TestExporterBatchSize: BatchSize events trigger a send without waiting
+// TestExporterBatchSize: batchSize events trigger a send without waiting
 // for the interval tick.
 func TestExporterBatchSize(t *testing.T) {
 	fc := newFakeCollector(t)
 	cfg := testConfig(fc)
 	cfg.Interval = time.Hour // only the size trigger may fire
-	cfg.BatchSize = 4
+	cfg.batchSize = 4
 	e := New(cfg)
 	e.Start()
 	defer e.Close(context.Background())
@@ -237,7 +237,7 @@ func TestExporterTerminal4xx(t *testing.T) {
 	}
 	cfg := testConfig(fc)
 	cfg.Interval = time.Hour
-	cfg.BatchSize = 1
+	cfg.batchSize = 1
 	dropBefore := mDroppedSend.Value()
 	failBefore := mExportFailTraces.Value()
 	e := New(cfg)
@@ -344,7 +344,7 @@ func TestExporterShutdownFlushRetries(t *testing.T) {
 func TestExporterCloseDeadCollector(t *testing.T) {
 	fc := newFakeCollector(t)
 	cfg := testConfig(fc)
-	cfg.Timeout = 50 * time.Millisecond
+	cfg.timeout = 50 * time.Millisecond
 	fc.srv.Close() // collector gone
 	e := New(cfg)
 	e.Start()
@@ -382,7 +382,7 @@ func TestExporterConcurrentSoak(t *testing.T) {
 	// A dedicated transport so the settle check below can distinguish the
 	// exporter's goroutine from idle keep-alive connection goroutines.
 	tr := &http.Transport{}
-	cfg.Client = &http.Client{Transport: tr}
+	cfg.client = &http.Client{Transport: tr}
 	e := New(cfg)
 	e.Start()
 	var wg sync.WaitGroup

@@ -13,16 +13,16 @@ import (
 // overrides and the server default are both clamped to it.
 const maxTimeout = 5 * time.Minute
 
-// initAdmission builds the semaphore and wait queue from MaxConcurrent /
-// QueueDepth. Called once from Handler; changing the fields afterwards has
-// no effect.
+// initAdmission builds the semaphore and a wait queue of twice its slots
+// from MaxConcurrent. Called once from Handler; changing the field
+// afterwards has no effect.
 func (sv *Server) initAdmission() {
 	sv.admitOnce.Do(func() {
 		if sv.MaxConcurrent <= 0 {
 			return
 		}
 		sv.sem = make(chan struct{}, sv.MaxConcurrent)
-		qd := sv.QueueDepth
+		qd := sv.queueDepth
 		if qd <= 0 {
 			qd = 2 * sv.MaxConcurrent
 		}

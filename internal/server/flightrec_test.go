@@ -23,19 +23,19 @@ import (
 
 // newFlightRecServer is newTestServer with the flight recorder wired the
 // way loggrepd wires it: private bundle dir, the server's source summary
-// as live state, and a long cooldown so stray async dumps can't race the
-// test dir's cleanup. mut adjusts the config before the recorder is built.
-func newFlightRecServer(t *testing.T, mut func(*flightrec.Config)) (*httptest.Server, *Server, *flightrec.Recorder) {
+// as live state; the recorder's one-minute cooldown keeps stray async
+// dumps from racing the test dir's cleanup. mut adjusts the config before
+// the recorder is built; the server's live operations plane evaluates the
+// given SLO objectives.
+func newFlightRecServer(t *testing.T, mut func(*flightrec.Config), objectives ...liveops.Objective) (*httptest.Server, *Server, *flightrec.Recorder) {
 	t.Helper()
 	lt, _ := loggen.ByName("A")
 	block := lt.Block(5, 3000)
-	sv := New()
+	sv := New(liveops.Config{Registry: obsv.NewRegistry(), Objectives: objectives})
 	cfg := flightrec.Config{
-		Dir:           filepath.Join(t.TempDir(), "flightrec"),
-		EventRingSize: 32,
-		Cooldown:      time.Hour,
-		Registry:      obsv.NewRegistry(),
-		StateFn:       func() any { return sv.SourcesSummary() },
+		Dir:      filepath.Join(t.TempDir(), "flightrec"),
+		Registry: obsv.NewRegistry(),
+		StateFn:  func() any { return sv.SourcesSummary() },
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -91,8 +91,8 @@ func TestFlightRecRecordsAllRequests(t *testing.T) {
 	if len(b.Events) != 3 {
 		t.Fatalf("bundle has %d events, want 3", len(b.Events))
 	}
-	// Recorder-only mode still forces traced execution: span timings must
-	// be present on the successful query's event.
+	// Every query runs traced: span timings must be present on the
+	// successful query's event.
 	if len(b.Events[0].Spans) == 0 {
 		t.Errorf("query event has no spans: %+v", b.Events[0])
 	}
@@ -115,7 +115,7 @@ func TestFlightRecStatusEndpoint(t *testing.T) {
 	getJSON(t, ts.URL+"/debug/flightrec", http.StatusOK, &st)
 	// The status request itself is not buffered yet when rendered, so
 	// expect exactly the count request plus ring shape.
-	if !st.Enabled || st.EventCapacity != 32 || st.EventsRecorded < 1 {
+	if !st.Enabled || st.EventCapacity != 256 || st.EventsRecorded < 1 {
 		t.Fatalf("status = %+v", st)
 	}
 
@@ -153,7 +153,7 @@ func TestDebugDumpEndpoint(t *testing.T) {
 		t.Fatalf("manifest = %+v", b.Manifest)
 	}
 
-	// Cooldown (1h in this fixture) suppresses the next manual dump.
+	// The recorder's one-minute cooldown suppresses the next manual dump.
 	resp2, err := http.Post(ts.URL+"/debug/dump", "", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -186,11 +186,8 @@ func TestDebugDumpEndpoint(t *testing.T) {
 // exactly one wide event: status 500 in the recorder's ring (and so in
 // the bundle the panic triggers) and a bad event for the SLO engine.
 func TestPanicRecoveredAndDumped(t *testing.T) {
-	api, sv, rec := newFlightRecServer(t, nil)
-	sv.Liveops = liveops.New(liveops.Config{
-		Registry:   obsv.NewRegistry(),
-		Objectives: []liveops.Objective{{Name: "availability", Target: 0.999, Window: 30 * 24 * time.Hour}},
-	})
+	api, sv, rec := newFlightRecServer(t, nil,
+		liveops.Objective{Name: "availability", Target: 0.999, Window: 30 * 24 * time.Hour})
 	ts := httptest.NewServer(sv.instrument("query", sv.lifecycle("query", false,
 		func(http.ResponseWriter, *http.Request, *request) (int, string) {
 			panic("injected read panic")
@@ -349,7 +346,7 @@ func TestRuntimeGaugesExported(t *testing.T) {
 func BenchmarkQueryFlightRec(b *testing.B) {
 	lt, _ := loggen.ByName("A")
 	block := lt.Block(5, 3000)
-	sv := New()
+	sv := newServer()
 	rec := flightrec.NewRecorder(flightrec.Config{Dir: b.TempDir(), Registry: obsv.NewRegistry()})
 	rec.Start()
 	defer rec.Stop()

@@ -23,7 +23,7 @@ func newIngestServer(t *testing.T) (*httptest.Server, *Server) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m.Close() })
-	sv := New()
+	sv := newServer()
 	sv.Ingest = m
 	ts := httptest.NewServer(sv.Handler())
 	t.Cleanup(ts.Close)
@@ -130,7 +130,7 @@ func TestIngestBadRequests(t *testing.T) {
 }
 
 func TestIngestDisabled(t *testing.T) {
-	sv := New()
+	sv := newServer()
 	ts := httptest.NewServer(sv.Handler())
 	defer ts.Close()
 	resp, err := http.Post(ts.URL+"/ingest", "text/plain", strings.NewReader("x\n"))

@@ -32,12 +32,9 @@ func requestTenant(q url.Values, h http.Header) string {
 }
 
 // beginLiveops registers one request in the in-flight registry: its wide
-// event and meter are what /v1/inflight shows. The returned done func is
-// always usable; with the plane disabled it is a no-op.
+// event and meter are what /v1/inflight shows. The returned done func
+// removes it.
 func (sv *Server) beginLiveops(rq *request, cancel context.CancelCauseFunc) func() {
-	if sv.Liveops == nil {
-		return func() {}
-	}
 	deadline, _ := rq.ctx.Deadline()
 	return sv.Liveops.Inflight.Register(liveops.EntrySpec{
 		Event: rq.ev, Meter: rq.meter, Deadline: deadline, Cancel: cancel,
@@ -45,16 +42,10 @@ func (sv *Server) beginLiveops(rq *request, cancel context.CancelCauseFunc) func
 }
 
 // handleInflight serves GET /v1/inflight: the live in-flight requests,
-// oldest first. With the plane disabled it reports {"enabled": false}
-// rather than 404, like /debug/flightrec, so probes can tell "off" from
-// "wrong URL".
+// oldest first.
 func (sv *Server) handleInflight(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET only (DELETE takes /v1/inflight/{id})")
-		return
-	}
-	if sv.Liveops == nil {
-		writeJSON(w, http.StatusOK, map[string]any{"enabled": false})
 		return
 	}
 	views := sv.Liveops.Inflight.Snapshot()
@@ -79,10 +70,6 @@ func (sv *Server) handleInflightID(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "DELETE only")
 		return
 	}
-	if sv.Liveops == nil {
-		httpError(w, http.StatusServiceUnavailable, "liveops disabled")
-		return
-	}
 	if !sv.Liveops.Inflight.Cancel(id) {
 		httpError(w, http.StatusNotFound, "no cancellable in-flight request with that id")
 		return
@@ -97,10 +84,6 @@ func (sv *Server) handleUsage(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	if sv.Liveops == nil {
-		writeJSON(w, http.StatusOK, map[string]any{"enabled": false})
-		return
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"enabled": true,
 		"tenants": sv.Liveops.Usage.Snapshot(),
@@ -112,10 +95,6 @@ func (sv *Server) handleUsage(w http.ResponseWriter, r *http.Request) {
 func (sv *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	if sv.Liveops == nil {
-		writeJSON(w, http.StatusOK, map[string]any{"enabled": false})
 		return
 	}
 	sv.Liveops.SLO.Evaluate()

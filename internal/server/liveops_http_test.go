@@ -45,31 +45,27 @@ type inflightResp struct {
 	Count    int                 `json:"count"`
 }
 
-// newLiveopsServer is newStressServer plus a live operations plane on a
-// private metric registry (so parallel tests don't fight over gauges).
-func newLiveopsServer(t *testing.T, objectives ...liveops.Objective) *Server {
-	t.Helper()
-	sv := newStressServer(t)
-	sv.Liveops = liveops.New(liveops.Config{
-		Registry:   obsv.NewRegistry(),
-		Objectives: objectives,
-	})
-	return sv
-}
-
-// TestLiveopsDisabledEndpoints: without a plane the read endpoints
-// report {"enabled": false} (probes can tell "off" from "wrong URL") and
-// cancellation is a 503.
-func TestLiveopsDisabledEndpoints(t *testing.T) {
-	sv := New()
-	ts := httptest.NewServer(sv.Handler())
+// TestLiveopsAlwaysOn: a server from New with nothing else wired serves
+// the live operations plane — every read endpoint reports enabled, the
+// request that just ran shows in /v1/usage, and cancelling an unknown id
+// is a 404, not a disabled plane's 503.
+func TestLiveopsAlwaysOn(t *testing.T) {
+	ts := httptest.NewServer(newServer().Handler())
 	defer ts.Close()
+	getJSON(t, ts.URL+"/v1/count?source=nope&q=ERROR", http.StatusNotFound, nil)
 	for _, path := range []string{"/v1/inflight", "/v1/usage", "/v1/slo"} {
 		var out map[string]any
 		getJSON(t, ts.URL+path, http.StatusOK, &out)
-		if enabled, _ := out["enabled"].(bool); enabled {
-			t.Errorf("%s reports enabled on a plane-less server", path)
+		if enabled, _ := out["enabled"].(bool); !enabled {
+			t.Errorf("%s = %v, want enabled", path, out)
 		}
+	}
+	var usage struct {
+		Tenants []liveops.TenantUsage `json:"tenants"`
+	}
+	getJSON(t, ts.URL+"/v1/usage", http.StatusOK, &usage)
+	if len(usage.Tenants) != 1 || usage.Tenants[0].Tenant != "default" || usage.Tenants[0].Total.Requests != 1 {
+		t.Errorf("usage = %+v, want the one count request under tenant default", usage.Tenants)
 	}
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/inflight/deadbeef", nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -77,8 +73,8 @@ func TestLiveopsDisabledEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("DELETE on disabled plane = %d, want 503", resp.StatusCode)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("DELETE of an unknown id = %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -90,7 +86,7 @@ func TestLiveopsDisabledEndpoints(t *testing.T) {
 // not negative), and no goroutine may outlive its request.
 func TestInflightProgressMonotonic(t *testing.T) {
 	gBefore := runtime.NumGoroutine()
-	sv := newLiveopsServer(t)
+	sv := newStressServer(t)
 	sv.QueryTimeout = 0
 	sv.Budget = core.Budget{MaxScannedBytes: 1 << 30, MaxDecompressions: 1 << 20}
 	sv.sources["arc"].arch.SetReadHook(faultinject.SlowRead(15 * time.Millisecond))
@@ -179,7 +175,7 @@ poll:
 // interval — a 200 with zero matches, marked partial with a "cancelled"
 // reason. Degraded, never wrong: no fabricated match lines.
 func TestInflightCancelStalledQuery(t *testing.T) {
-	sv := newLiveopsServer(t)
+	sv := newStressServer(t)
 	sv.QueryTimeout = 0
 	sv.sources["arc"].arch.SetReadHook(faultinject.SlowRead(30 * time.Second))
 	ts := httptest.NewServer(sv.Handler())
@@ -282,14 +278,14 @@ func TestInflightCancelStalledQuery(t *testing.T) {
 // reconcile exactly with the summed wide events; and an SLO fast burn
 // captures a flight-recorder bundle whose manifest names the objective.
 func TestLiveopsE2E(t *testing.T) {
-	sv := newLiveopsServer(t, liveops.Objective{
+	sv := newStressServer(t, liveops.Objective{
 		Name: "query-latency", Target: 0.99, Window: 30 * 24 * time.Hour,
 		LatencyThreshold: time.Nanosecond, // every request breaches: instant fast burn
 	})
 	buf := &syncBuffer{}
 	sv.Events = obsv.NewEventLog(buf, 0, 0)
 	dir := t.TempDir()
-	rec := flightrec.NewRecorder(flightrec.Config{Dir: dir, EventRingSize: 64})
+	rec := flightrec.NewRecorder(flightrec.Config{Dir: dir})
 	sv.FlightRec = rec
 	sv.Liveops.SLO.OnFastBurn(rec.RecordSLOBurn)
 	sv.sources["arc"].arch.SetReadHook(faultinject.SlowRead(10 * time.Millisecond))
@@ -408,7 +404,7 @@ func TestLiveopsE2E(t *testing.T) {
 // TestIngestMetersTenantUsage: the write path attributes acknowledged
 // bytes and lines to its tenant.
 func TestIngestMetersTenantUsage(t *testing.T) {
-	sv := newLiveopsServer(t)
+	sv := newStressServer(t)
 	m, _, err := ingest.Open(ingest.Config{
 		Dir:            t.TempDir(),
 		SealBytes:      1 << 30,
@@ -439,22 +435,19 @@ func TestIngestMetersTenantUsage(t *testing.T) {
 	}
 }
 
-// BenchmarkQueryLiveops is BenchmarkQueryWideEvents plus the full live
-// operations plane — in-flight registration, per-tenant metering, and
-// SLO recording on every request. Compared against that baseline it
-// pins the plane's overhead on the ~65µs uncached-query hot path
-// (budget: <=3%, see EXPERIMENTS.md).
+// BenchmarkQueryLiveops is BenchmarkQueryWideEvents plus one SLO
+// objective, so every request is also classified and recorded by the
+// burn-rate engine.
 func BenchmarkQueryLiveops(b *testing.B) {
 	lt, _ := loggen.ByName("A")
 	block := lt.Block(5, 3000)
-	sv := New()
-	sv.Events = obsv.NewEventLog(io.Discard, 0, 0)
-	sv.Liveops = liveops.New(liveops.Config{
+	sv := New(liveops.Config{
 		Registry: obsv.NewRegistry(),
 		Objectives: []liveops.Objective{
 			{Name: "availability", Target: 0.999, Window: 30 * 24 * time.Hour},
 		},
 	})
+	sv.Events = obsv.NewEventLog(io.Discard, 0, 0)
 	if err := sv.Load("boxA", core.Compress(block, core.DefaultOptions())); err != nil {
 		b.Fatal(err)
 	}
@@ -479,8 +472,7 @@ func BenchmarkQueryLiveops(b *testing.B) {
 // source, counts and stream queries ran untraced and billed zero.
 func TestUsageMetersEveryRead(t *testing.T) {
 	lt, _ := loggen.ByName("A")
-	sv := New()
-	sv.Liveops = liveops.New(liveops.Config{Registry: obsv.NewRegistry()})
+	sv := newServer()
 	buf := &syncBuffer{}
 	sv.Events = obsv.NewEventLog(buf, 0, 0)
 	m, _, err := ingest.Open(ingest.Config{Dir: t.TempDir(), SealBytes: 1 << 30, SealAge: time.Hour})
@@ -555,8 +547,7 @@ func TestUsageMetersEveryRead(t *testing.T) {
 func TestUsageBillsCutQueries(t *testing.T) {
 	lt, _ := loggen.ByName("A")
 	block := lt.Block(11, 4000)
-	sv := New()
-	sv.Liveops = liveops.New(liveops.Config{Registry: obsv.NewRegistry()})
+	sv := newServer()
 	buf := &syncBuffer{}
 	sv.Events = obsv.NewEventLog(buf, 0, 0)
 	m, _, err := ingest.Open(ingest.Config{Dir: t.TempDir(), SealBytes: 1 << 30, SealAge: time.Hour})
@@ -669,7 +660,7 @@ func TestUsageBillsCutQueries(t *testing.T) {
 // deadlined archive query stalled in its first blocks, whose command has a
 // canonical form of its own.
 func TestInflightKeySet(t *testing.T) {
-	sv := newLiveopsServer(t)
+	sv := newStressServer(t)
 	sv.Budget = core.Budget{MaxDecompressions: 1 << 20}
 	sv.sources["arc"].arch.SetReadHook(faultinject.SlowRead(30 * time.Second))
 	ts := httptest.NewServer(sv.Handler())

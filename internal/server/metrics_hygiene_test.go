@@ -37,10 +37,9 @@ func TestMetricHygiene(t *testing.T) {
 	// label families (loggrep_tenant_*{tenant=}, loggrep_slo_*{objective=})
 	// enter the sweep — including the cardinality guard: more tenants than
 	// the cap must fold into the OverflowTenant label, not mint new ones.
-	const maxTenants = 4
+	const maxTenants = liveops.MaxTenants
 	plane := liveops.New(liveops.Config{
 		Registry:   obsv.Default,
-		MaxTenants: maxTenants,
 		Objectives: []liveops.Objective{{Name: "hygiene", Target: 0.99, Window: 24 * time.Hour}},
 	})
 	for i := 0; i < 3*maxTenants; i++ {

@@ -75,13 +75,13 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestQueryTraceParam checks &trace=1 returns a span breakdown and that
-// untraced responses omit it.
+// responses without it omit it.
 func TestQueryTraceParam(t *testing.T) {
 	ts, _ := newTestServer(t)
 	var plain queryResponse
 	getJSON(t, ts.URL+"/v1/query?source=boxA&q=ERROR", http.StatusOK, &plain)
 	if plain.Trace != nil {
-		t.Errorf("untraced response has trace: %+v", plain.Trace)
+		t.Errorf("response without trace=1 has trace: %+v", plain.Trace)
 	}
 	// Query a keyword the cache has not seen so the trace carries spans
 	// (a Query Cache hit legitimately produces a span-free trace).

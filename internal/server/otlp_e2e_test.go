@@ -80,7 +80,7 @@ func TestTraceJoinAcrossAllLayers(t *testing.T) {
 	sink := newOTLPSink(t)
 	lt, _ := loggen.ByName("A")
 	block := lt.Block(5, 500)
-	sv := New()
+	sv := newServer()
 	buf := &syncBuffer{}
 	sv.Events = obsv.NewEventLog(buf, 0, 0)
 	exp := otlp.New(otlp.Config{
@@ -218,7 +218,7 @@ func TestTraceJoinAcrossAllLayers(t *testing.T) {
 func TestOTLPForcesEventWithoutLog(t *testing.T) {
 	sink := newOTLPSink(t)
 	lt, _ := loggen.ByName("A")
-	sv := New()
+	sv := newServer()
 	exp := otlp.New(otlp.Config{Endpoint: sink.srv.URL, Interval: 10 * time.Millisecond})
 	exp.Start()
 	sv.OTLP = exp

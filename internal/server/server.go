@@ -60,12 +60,9 @@ type Server struct {
 	Pprof bool
 
 	// MaxConcurrent caps the queries (and counts) executing at once; 0
-	// means unlimited. Excess requests wait in a short queue and are shed
-	// with 429 + Retry-After once it is full.
+	// means unlimited. Excess requests wait in a queue of 2×MaxConcurrent
+	// places and are shed with 429 + Retry-After once it is full.
 	MaxConcurrent int
-	// QueueDepth sizes the wait queue in front of the semaphore. 0 picks
-	// the default of 2×MaxConcurrent. Ignored when MaxConcurrent is 0.
-	QueueDepth int
 	// QueryTimeout is the default per-request deadline. A request may
 	// override it with ?timeout_ms=; either way the deadline is clamped to
 	// maxTimeout, which is also what 0 (no default) gets.
@@ -74,29 +71,28 @@ type Server struct {
 	// Queries that exhaust it return partial results, never errors.
 	Budget core.Budget
 	// Events, when set, receives one wide observability event per query
-	// and count request (loggrepd wires -slowlog here). Setting it forces
-	// traced query execution so the events carry per-stage span timings.
+	// and count request (loggrepd wires -slowlog here).
 	Events *obsv.EventLog
 	// FlightRec, when set, buffers every request's wide event in the
-	// flight recorder's ring and evaluates its dump triggers. Like
-	// Events, setting it forces traced query execution. All recorder
-	// methods are nil-safe, so handlers call through unconditionally.
+	// flight recorder's ring and evaluates its dump triggers. All
+	// recorder methods are nil-safe, so handlers call through
+	// unconditionally.
 	FlightRec *flightrec.Recorder
 	// OTLP, when set, exports one OTLP span tree per finished request —
 	// the request as a root SERVER span joining the caller's W3C trace,
 	// per-stage query spans as children — through the dependency-free
-	// export pipeline (loggrepd -otlp-endpoint). Like Events, setting it
-	// forces traced query execution so exported spans carry stage
-	// timings. All exporter methods are nil-safe and never block.
+	// export pipeline (loggrepd -otlp-endpoint). All exporter methods are
+	// nil-safe and never block.
 	OTLP *otlp.Exporter
-	// Liveops, when set, is the live operations plane: every
+	// Liveops is the live operations plane New builds, never nil: every
 	// query/count/ingest request registers in the in-flight registry
 	// (GET /v1/inflight, DELETE /v1/inflight/{id}), its engine work is
 	// attributed to its tenant in the usage meter (GET /v1/usage), and
-	// its outcome feeds the SLO burn-rate engine (GET /v1/slo). Like
-	// Events, setting it forces traced query execution, so the usage
-	// meter's CPU estimate sums span timings. All plane methods are
-	// nil-safe.
+	// its outcome feeds the SLO burn-rate engine (GET /v1/slo). Every
+	// query runs traced, so wide events carry per-stage span timings and
+	// the usage meter's CPU estimate sums them. Replacing it would leave
+	// the plane's gauges, which the first plane on a registry owns,
+	// reading a plane that serves nothing.
 	Liveops *liveops.Plane
 	// Ingest, when set, enables the write path: POST /ingest appends
 	// batches into per-tenant/stream WAL buffers and POST /ingest/seal
@@ -114,9 +110,10 @@ type Server struct {
 	sources map[string]*loaded
 	start   time.Time
 
-	admitOnce sync.Once
-	sem       chan struct{} // execution slots (nil = unlimited)
-	queue     chan struct{} // wait-queue slots
+	admitOnce  sync.Once
+	sem        chan struct{} // execution slots (nil = unlimited)
+	queue      chan struct{} // wait-queue slots
+	queueDepth int           // wait-queue size; 0 picks 2×MaxConcurrent
 
 	// lifecycle: draining stops admission (503); stopCtx cancels every
 	// in-flight request context on hard stop.
@@ -126,10 +123,12 @@ type Server struct {
 	stopCancel context.CancelFunc
 }
 
-// New returns an empty server.
-func New() *Server {
+// New returns an empty server whose live operations plane is built from
+// ops (loggrepd passes its -slo objectives).
+func New(ops liveops.Config) *Server {
 	stopCtx, stopCancel := context.WithCancel(context.Background())
 	return &Server{
+		Liveops: liveops.New(ops),
 		sources: make(map[string]*loaded), start: time.Now(),
 		stopCtx: stopCtx, stopCancel: stopCancel,
 	}
@@ -456,14 +455,6 @@ func (sv *Server) queryError(w http.ResponseWriter, err error) int {
 	}
 }
 
-// observed reports whether anything consumes this server's wide events
-// (the event log, the flight recorder, the OTLP exporter or the live
-// operations plane). When something does, queries run traced so the
-// events carry per-stage span timings.
-func (sv *Server) observed() bool {
-	return sv.Events != nil || sv.FlightRec != nil || sv.OTLP != nil || sv.Liveops != nil
-}
-
 // request is the per-request state the lifecycle hands a handler body.
 type request struct {
 	// ctx is cancelled when the client disconnects, on HardStop, when an
@@ -596,10 +587,10 @@ func stampBlobStats(ev *obsv.WideEvent, bst *blobstore.OpStats) {
 }
 
 // search is the shared body of /v1/query and /v1/count: resolve the
-// source, run the command under the server's work budget, and stamp the
-// outcome into the wide event. It returns the trace it recorded, nil
-// unless something reads one. A nil result means the error response has
-// been written.
+// source, run the command traced under the server's work budget, and
+// stamp the outcome into the wide event. It returns the trace it recorded,
+// nil when an operator cancelled the request. A nil result means the error
+// response has been written.
 func (sv *Server) search(w http.ResponseWriter, r *http.Request, rq *request, count bool) (res *core.Result, tr *obsv.Trace, status int, errMsg string) {
 	src, cmd, status, errMsg := sv.lookup(r)
 	if status != 0 {
@@ -608,9 +599,7 @@ func (sv *Server) search(w http.ResponseWriter, r *http.Request, rq *request, co
 	}
 	// The wide event wants span timings even when the client didn't ask
 	// for a trace; the response only carries it when requested.
-	if sv.observed() || r.URL.Query().Get("trace") == "1" {
-		tr = obsv.NewTrace("query")
-	}
+	tr = obsv.NewTrace("query")
 	res, err := src.Search(rq.ctx, cmd, core.SearchOpts{
 		Budget: rq.meter, Trace: tr, CountOnly: count,
 	})

@@ -14,16 +14,22 @@ import (
 	"loggrep/internal/archive"
 	"loggrep/internal/core"
 	"loggrep/internal/faultinject"
+	"loggrep/internal/liveops"
 	"loggrep/internal/loggen"
 	"loggrep/internal/logparse"
+	"loggrep/internal/obsv"
 )
+
+// newServer is New with its live operations plane on a private metric
+// registry, so no test's plane owns a gauge in obsv.Default.
+func newServer() *Server { return New(liveops.Config{Registry: obsv.NewRegistry()}) }
 
 func newTestServer(t *testing.T) (*httptest.Server, []string) {
 	t.Helper()
 	lt, _ := loggen.ByName("A")
 	block := lt.Block(5, 3000)
 	lines := logparse.SplitLines(block)
-	sv := New()
+	sv := newServer()
 	if err := sv.Load("boxA", core.Compress(block, core.DefaultOptions())); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +289,7 @@ func escape(q string) string {
 func TestEntryHearsCancellation(t *testing.T) {
 	for _, how := range []string{"client gone", "hard stop"} {
 		t.Run(how, func(t *testing.T) {
-			sv := New()
+			sv := newServer()
 			if err := sv.Load("arc", lifecycleArchive()); err != nil {
 				t.Fatal(err)
 			}

@@ -38,7 +38,7 @@ func TestQueryDegradesUnderStorageFaults(t *testing.T) {
 	t.Cleanup(func() { m.Close() })
 
 	buf := &syncBuffer{}
-	sv := New()
+	sv := newServer()
 	sv.Ingest = m
 	sv.Events = obsv.NewEventLog(buf, 0, 0)
 	ts := httptest.NewServer(sv.Handler())

@@ -26,8 +26,9 @@ import (
 
 // newStressServer builds a Server with one fresh (never-queried) archive
 // source named "arc", so a read hook installed on it fires on the first
-// query of every block.
-func newStressServer(t *testing.T) *Server {
+// query of every block. Its live operations plane, on a private metric
+// registry, evaluates the given SLO objectives.
+func newStressServer(t *testing.T, objectives ...liveops.Objective) *Server {
 	t.Helper()
 	lt, _ := loggen.ByName("A")
 	block := lt.Block(11, 2500)
@@ -37,7 +38,7 @@ func newStressServer(t *testing.T) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := New()
+	sv := New(liveops.Config{Registry: obsv.NewRegistry(), Objectives: objectives})
 	if err := sv.Load("arc", data); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,6 @@ func TestGracefulShutdownSIGTERM(t *testing.T) {
 	}
 	defer m.Close()
 	sv.Ingest = m
-	sv.Liveops = liveops.New(liveops.Config{Registry: obsv.NewRegistry()})
 
 	// Stalls honor ctx, so HardStop's cancellation unwinds them; count
 	// arrivals so the signal lands only once queries are truly in flight.
@@ -293,7 +293,7 @@ func TestGracefulShutdownSIGTERM(t *testing.T) {
 	}
 
 	// Draining is latched: a request after shutdown is refused outright.
-	sv2 := New()
+	sv2 := newServer()
 	sv2.StartDraining()
 	rec := httptest.NewRecorder()
 	sv2.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/query?source=x&q=a", nil))
@@ -311,7 +311,7 @@ func TestHardStopCancelsRequestContexts(t *testing.T) {
 	ids := obsv.ReqIDs{TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", SpanID: "00f067aa0ba902b7"}
 	lagged := 0
 	for i := 0; i < 1000; i++ {
-		sv := New()
+		sv := newServer()
 		r := httptest.NewRequest("GET", "/v1/query?q=x", nil)
 		r = r.WithContext(obsv.ContextWithIDs(r.Context(), ids))
 		ctx, cancel, _, _ := sv.requestContext(r, true)
@@ -329,7 +329,7 @@ func TestHardStopCancelsRequestContexts(t *testing.T) {
 	}
 
 	client, leave := context.WithCancel(context.Background())
-	ctx, cancel, _, _ := New().requestContext(httptest.NewRequest("GET", "/v1/query?q=x", nil).WithContext(client), true)
+	ctx, cancel, _, _ := newServer().requestContext(httptest.NewRequest("GET", "/v1/query?q=x", nil).WithContext(client), true)
 	defer cancel()
 	leave()
 	select {

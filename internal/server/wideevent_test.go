@@ -19,7 +19,6 @@ import (
 	"loggrep/internal/core"
 	"loggrep/internal/faultinject"
 	"loggrep/internal/ingest"
-	"loggrep/internal/liveops"
 	"loggrep/internal/loggen"
 	"loggrep/internal/obsv"
 	"loggrep/internal/otlp"
@@ -49,7 +48,7 @@ func newWideEventServer(t *testing.T) (*httptest.Server, *syncBuffer) {
 	t.Helper()
 	lt, _ := loggen.ByName("A")
 	block := lt.Block(5, 3000)
-	sv := New()
+	sv := newServer()
 	buf := &syncBuffer{}
 	sv.Events = obsv.NewEventLog(buf, 0, 0)
 	if err := sv.Load("boxA", core.Compress(block, core.DefaultOptions())); err != nil {
@@ -169,7 +168,7 @@ func TestWideEventPerRequest(t *testing.T) {
 func TestWideEventBudgetAndCache(t *testing.T) {
 	lt, _ := loggen.ByName("A")
 	block := lt.Block(5, 3000)
-	sv := New()
+	sv := newServer()
 	buf := &syncBuffer{}
 	sv.Events = obsv.NewEventLog(buf, 0, 0)
 	sv.Budget = core.Budget{MaxScannedBytes: 1 << 30, MaxDecompressions: 1 << 20}
@@ -213,7 +212,7 @@ func TestWideEventBlocksAddUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := New()
+	sv := newServer()
 	buf := &syncBuffer{}
 	sv.Events = obsv.NewEventLog(buf, 0, 0)
 	if err := sv.Load("arc", data); err != nil {
@@ -247,7 +246,7 @@ func TestWideEventBlocksAddUp(t *testing.T) {
 func TestWideEventSlowlogThreshold(t *testing.T) {
 	lt, _ := loggen.ByName("A")
 	block := lt.Block(5, 1000)
-	sv := New()
+	sv := newServer()
 	buf := &syncBuffer{}
 	sv.Events = obsv.NewEventLog(buf, 1<<62, 0)
 	if err := sv.Load("boxA", core.Compress(block, core.DefaultOptions())); err != nil {
@@ -337,9 +336,8 @@ var lifecycleArchive = sync.OnceValue(func() []byte {
 
 func newLifecycleEnv(t *testing.T, withIngest bool) *lifecycleEnv {
 	t.Helper()
-	sv := New()
-	sv.MaxConcurrent, sv.QueueDepth = 1, 1
-	sv.Liveops = liveops.New(liveops.Config{Registry: obsv.NewRegistry()})
+	sv := newServer()
+	sv.MaxConcurrent, sv.queueDepth = 1, 1
 	if err := sv.Load("arc", lifecycleArchive()); err != nil {
 		t.Fatal(err)
 	}
@@ -599,7 +597,7 @@ func TestLifecycleConformance(t *testing.T) {
 func benchQueries(b *testing.B, events bool) {
 	lt, _ := loggen.ByName("A")
 	block := lt.Block(5, 3000)
-	sv := New()
+	sv := newServer()
 	if events {
 		sv.Events = obsv.NewEventLog(io.Discard, 0, 0)
 	}
@@ -619,8 +617,7 @@ func benchQueries(b *testing.B, events bool) {
 }
 
 // The pair behind the "<2% overhead" claim in EXPERIMENTS.md: identical
-// uncached query work with the wide-event log (and its forced tracing +
-// exemplars) on and off.
+// uncached query work with the wide-event log on and off.
 func BenchmarkQueryBaseline(b *testing.B)   { benchQueries(b, false) }
 func BenchmarkQueryWideEvents(b *testing.B) { benchQueries(b, true) }
 
@@ -638,7 +635,7 @@ func BenchmarkQueryOTLP(b *testing.B) {
 	defer collector.Close()
 	lt, _ := loggen.ByName("A")
 	block := lt.Block(5, 3000)
-	sv := New()
+	sv := newServer()
 	sv.Events = obsv.NewEventLog(io.Discard, 0, 0)
 	exp := otlp.New(otlp.Config{Endpoint: collector.URL})
 	exp.Start()
@@ -651,27 +648,6 @@ func BenchmarkQueryOTLP(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := httptest.NewRequest("GET", fmt.Sprintf("/v1/query?source=boxA&q=needle%dmissing", i), nil)
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, r)
-		if w.Code != http.StatusOK {
-			b.Fatalf("status %d", w.Code)
-		}
-	}
-}
-
-// BenchmarkQueryTracedOnly isolates the forced-tracing share of the
-// wide-event cost: tracing on, no event log.
-func BenchmarkQueryTracedOnly(b *testing.B) {
-	lt, _ := loggen.ByName("A")
-	block := lt.Block(5, 3000)
-	sv := New()
-	if err := sv.Load("boxA", core.Compress(block, core.DefaultOptions())); err != nil {
-		b.Fatal(err)
-	}
-	h := sv.Handler()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := httptest.NewRequest("GET", fmt.Sprintf("/v1/query?source=boxA&q=needle%dmissing&trace=1", i), nil)
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, r)
 		if w.Code != http.StatusOK {
