@@ -31,7 +31,7 @@ var benchBlock = sync.OnceValues(func() (int, *capsule.Box) {
 })
 
 // decodeAll decompresses every capsule of box.
-func decodeAll(b *testing.B, box *capsule.Box) [][]byte {
+func decodeAll(b testing.TB, box *capsule.Box) [][]byte {
 	out := make([][]byte, len(box.Meta.Capsules))
 	for id := range out {
 		var err error
@@ -40,6 +40,21 @@ func decodeAll(b *testing.B, box *capsule.Box) [][]byte {
 		}
 	}
 	return out
+}
+
+// TestWriteBoxAllocatesNoEncoder: once an encoder is pooled, packing a
+// real 2 MiB block allocates the box's own buffer (presized to half the
+// payload bytes, regrown if they pack worse) and the line maps' scratch,
+// which stay under twice the box; an encoder is 733 KB and a compress/flate
+// writer more, over twice a 340 KB box on their own.
+func TestWriteBoxAllocatesNoEncoder(t *testing.T) {
+	_, box := benchBlock()
+	payloads := decodeAll(t, box)
+	out := capsule.WriteBox(box.Meta, payloads, 0)
+	n := capsule.Allocated(func() { sink = capsule.WriteBox(box.Meta, payloads, 0) })
+	if bound := 2 * uint64(len(out)); n > bound {
+		t.Fatalf("WriteBox allocated %d bytes for a %d-byte box, want at most %d", n, len(out), bound)
+	}
 }
 
 // BenchmarkWriteBox packs one real 2 MiB block's directory and payloads:
@@ -58,10 +73,10 @@ func BenchmarkWriteBox(b *testing.B) {
 // BenchmarkCapsuleCodec encodes and decodes one capsule payload per op, by
 // codec and size class: the first real payload of the class's size or
 // larger, cut to it. The small classes carry each codec's fixed cost per
-// capsule (flate's level-9 Reset clears its hash tables), the large ones
-// its throughput. The deflate-stdlib rows decode the deflate rows' chunks
-// with compress/flate's reader, Reset per chunk, as a reference for the
-// whole-buffer decoder.
+// capsule, the large ones its throughput. The deflate-stdlib rows code
+// the same chunks with compress/flate, one level-9 writer and one reader
+// Reset per chunk, as a reference for the package's own encoder and
+// decoder; the chunks are byte-identical.
 func BenchmarkCapsuleCodec(b *testing.B) {
 	_, box := benchBlock()
 	payloads := decodeAll(b, box)
@@ -77,28 +92,25 @@ func BenchmarkCapsuleCodec(b *testing.B) {
 			b.Fatalf("no payload of %d bytes", size)
 		}
 		var c capsule.ChunkCodec
-		var std stdlibChunkReader
+		var std stdlibChunkCodec
 		codecs := []struct {
-			name       string
-			encode     func([]byte) []byte
-			decode     func([]byte) ([]byte, error)
-			decodeOnly bool // the encoder is another row's
+			name   string
+			encode func([]byte) []byte
+			decode func([]byte) ([]byte, error)
 		}{
-			{"lzma", lzma.Compress, func(c []byte) ([]byte, error) { return lzma.DecompressLimit(c, uint64(size)) }, false},
-			{"deflate", c.Deflate, func(chunk []byte) ([]byte, error) { return c.Inflate(chunk, uint64(size)) }, false},
-			{"deflate-stdlib", c.Deflate, std.decode, true},
+			{"lzma", lzma.Compress, func(c []byte) ([]byte, error) { return lzma.DecompressLimit(c, uint64(size)) }},
+			{"deflate", c.Deflate, func(chunk []byte) ([]byte, error) { return c.Inflate(chunk, uint64(size)) }},
+			{"deflate-stdlib", std.encode, std.decode},
 		}
 		for _, cd := range codecs {
 			enc := bytes.Clone(cd.encode(p))
-			if !cd.decodeOnly {
-				b.Run(fmt.Sprintf("%s/%dB/encode", cd.name, size), func(b *testing.B) {
-					b.SetBytes(int64(size))
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						sink = cd.encode(p)
-					}
-				})
-			}
+			b.Run(fmt.Sprintf("%s/%dB/encode", cd.name, size), func(b *testing.B) {
+				b.SetBytes(int64(size))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sink = cd.encode(p)
+				}
+			})
 			b.Run(fmt.Sprintf("%s/%dB/decode", cd.name, size), func(b *testing.B) {
 				b.SetBytes(int64(size))
 				b.ReportAllocs()
@@ -113,25 +125,40 @@ func BenchmarkCapsuleCodec(b *testing.B) {
 	}
 }
 
-// stdlibChunkReader decodes a DEFLATE chunk (uvarint length, raw stream)
-// with one compress/flate reader Reset per chunk onto one bytes.Reader.
-type stdlibChunkReader struct {
+// stdlibChunkCodec codes a DEFLATE chunk (uvarint length, raw stream) with
+// one compress/flate level-9 writer and one reader, each Reset per chunk.
+type stdlibChunkCodec struct {
+	out bytes.Buffer
+	fw  *flate.Writer
 	src bytes.Reader
 	fr  io.ReadCloser
 }
 
-func (r *stdlibChunkReader) decode(chunk []byte) ([]byte, error) {
+func (s *stdlibChunkCodec) encode(raw []byte) []byte {
+	s.out.Reset()
+	s.out.Write(binary.AppendUvarint(nil, uint64(len(raw))))
+	if s.fw == nil {
+		s.fw, _ = flate.NewWriter(&s.out, flate.BestCompression)
+	} else {
+		s.fw.Reset(&s.out)
+	}
+	s.fw.Write(raw)
+	s.fw.Close()
+	return s.out.Bytes()
+}
+
+func (s *stdlibChunkCodec) decode(chunk []byte) ([]byte, error) {
 	n, k := binary.Uvarint(chunk)
 	if k <= 0 {
 		return nil, errors.New("bad length")
 	}
-	r.src.Reset(chunk[k:])
-	if r.fr == nil {
-		r.fr = flate.NewReader(&r.src)
+	s.src.Reset(chunk[k:])
+	if s.fr == nil {
+		s.fr = flate.NewReader(&s.src)
 	} else {
-		r.fr.(flate.Resetter).Reset(&r.src, nil)
+		s.fr.(flate.Resetter).Reset(&s.src, nil)
 	}
 	out := make([]byte, n)
-	_, err := io.ReadFull(r.fr, out)
+	_, err := io.ReadFull(s.fr, out)
 	return out, err
 }

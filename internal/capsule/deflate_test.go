@@ -5,10 +5,14 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"runtime"
+	"sync"
 	"testing"
 
+	"loggrep/internal/loggen"
 	"loggrep/internal/rtpattern"
 )
 
@@ -104,6 +108,154 @@ func TestDeflateForgedChunksBounded(t *testing.T) {
 	}
 }
 
+// checkTwin codes p with z after prefix, and fails unless the prefix is
+// kept, the stream is byte for byte compress/flate's level-9 stream of p,
+// and inflate decodes it back to p.
+func checkTwin(t testing.TB, z *deflater, p, want []byte) {
+	t.Helper()
+	const prefix = "chunk"
+	got := z.appendStream([]byte(prefix), p)
+	if string(got[:len(prefix)]) != prefix {
+		t.Fatalf("%d bytes: the prefix was overwritten", len(p))
+	}
+	got = got[len(prefix):]
+	if !bytes.Equal(got, want) {
+		i := 0
+		for i < min(len(got), len(want)) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("%d bytes: %d-byte stream, compress/flate's is %d bytes; first difference at byte %d", len(p), len(got), len(want), i)
+	}
+	var in inflater
+	out := make([]byte, len(p))
+	if err := in.inflate(out, got); err != nil || !bytes.Equal(out, p) {
+		t.Fatalf("%d bytes: inflate: %v", len(p), err)
+	}
+}
+
+// FuzzDeflateMatchesStdlib: for any payload, the encoder's stream is
+// compress/flate's level-9 stream, and inflates back to the payload. Each
+// input then codes a seeded run of its own pieces through the same pooled
+// encoder, whose tables hold the strings of the streams before it.
+func FuzzDeflateMatchesStdlib(f *testing.F) {
+	lt, _ := loggen.ByName("G")
+	logText := lt.Block(1, 2000)
+	for _, p := range [][]byte{
+		nil,
+		[]byte("a"),
+		[]byte("abcdabcdabcd"),
+		bytes.Repeat([]byte("T134 bk.FF.13 read\n"), 40),
+		bytes.Repeat([]byte{0}, 5000),
+		logText[:300],
+		logText[:70_000],
+	} {
+		f.Add(p, uint64(len(p)))
+	}
+	// One compress/flate writer, Reset per stream, serves the calls of one
+	// fuzzing process, which come one at a time.
+	var b bytes.Buffer
+	std, _ := flate.NewWriter(&b, flate.BestCompression)
+	stdlib := func(p []byte) []byte {
+		b.Reset()
+		std.Reset(&b)
+		std.Write(p)
+		std.Close()
+		return b.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, p []byte, seed uint64) {
+		z := deflaters.Get().(*deflater)
+		defer deflaters.Put(z)
+		checkTwin(t, z, p, stdlib(p))
+		r := rand.New(rand.NewPCG(seed, 1))
+		for range 4 {
+			i := r.IntN(len(p) + 1)
+			q := p[i : i+r.IntN(len(p)-i+1)]
+			checkTwin(t, z, q, stdlib(q))
+		}
+	})
+}
+
+// TestDeflateMatchesStdlibLong holds the encoder to compress/flate on the
+// cases short payloads never reach: empty, 1-byte and incompressible
+// payloads (a stored block), more than 64 KiB (the window slides), more
+// than 16 384 tokens (several blocks), and more than 16 MiB through one
+// encoder, so that the hash offset passes compress/flate's 1<<24 rebase
+// bound once at a stream's start (the tables are cleared) and once inside
+// a stream (they are rebased).
+func TestDeflateMatchesStdlibLong(t *testing.T) {
+	lt, _ := loggen.ByName("A")
+	logText := lt.Block(3, 30_000)
+	if len(logText) < 2<<20 {
+		t.Fatalf("log text is %d bytes", len(logText))
+	}
+	random := make([]byte, 40_000)
+	r := rand.New(rand.NewPCG(7, 7))
+	for i := range random {
+		random[i] = byte(r.Uint32())
+	}
+	z := new(deflater)
+	for _, tc := range []struct {
+		name   string
+		p      []byte
+		stored bool
+	}{
+		{"empty", nil, true},
+		{"1 byte", []byte{'x'}, false},
+		{"incompressible, 3 blocks", random, true},
+		{"log text, 1 MiB", logText[:1<<20], false},
+		{"64 KiB + 1", logText[:windowSize*2+1], false},
+		{"log text, 200 B", logText[:200], false},
+	} {
+		want := rawDeflate(tc.p, true)
+		checkTwin(t, z, tc.p, want)
+		// Incompressible input is stored a block of 16 384 literals at a
+		// time, 5 bytes of header each, then the 5-byte trailer.
+		if tc.stored {
+			if blocks := (len(tc.p) + maxFlateBlockTokens - 1) / maxFlateBlockTokens; len(want) != len(tc.p)+5*blocks+5 {
+				t.Fatalf("%s: %d bytes, not %d stored blocks", tc.name, len(want), blocks)
+			}
+		}
+	}
+
+	// Pass the bound at a stream's start: 1 MiB streams up to the last
+	// 1.5 MiB before it, then 60 KB streams, which never slide. Then
+	// inside a stream: 1 MiB streams up to the last 1.5 MiB again, then a
+	// 2 MiB stream, which slides past it. The 1 MiB streams repeat 4 KiB
+	// of log text, which level 9 codes fast; the streams that pass the
+	// bound are log text.
+	climb := bytes.Repeat(logText[:4096], 256)
+	near, across := logText[:60_000], logText[:2<<20]
+	refs := map[int][]byte{} // by length, which tells the three apart
+	for _, p := range [][]byte{climb, near, across} {
+		refs[len(p)] = rawDeflate(p, true)
+	}
+	var startClear, midRebase bool
+	for total := 0; !midRebase; {
+		if total > 40<<20 {
+			t.Fatalf("%d MiB in without passing the rebase bound (start %v, inside %v)", total>>20, startClear, midRebase)
+		}
+		pre := z.hashOffset + z.windowEnd
+		p := climb
+		if maxHashOffset-pre <= 3<<19 {
+			p = near
+			if startClear {
+				p = across
+			}
+		}
+		checkTwin(t, z, p, refs[len(p)])
+		total += len(p)
+		switch {
+		case pre > maxHashOffset:
+			startClear = true
+		case z.hashOffset < pre:
+			if !startClear {
+				t.Fatalf("rebased inside a %d-byte stream before a start-of-stream clear", len(p))
+			}
+			midRebase = true
+		}
+	}
+}
+
 // TestDeflateChunkRoundTrip: every size class round-trips through one
 // deflater and one inflater reused across chunks, and a chunk decodes
 // under a limit of exactly its length but not one byte less.
@@ -152,4 +304,40 @@ func FuzzDecodeChunk(f *testing.F) {
 			t.Fatalf("%d bytes out of a %d-byte chunk declaring %d, limit %d", len(out), len(chunk), rawLen, limit)
 		}
 	})
+}
+
+// TestWriteBoxFromManyGoroutines writes boxes from four goroutines at
+// once, as archive.Writer compresses blocks: their encoders come from one
+// pool, each holding what other boxes left in its tables, and every box
+// must come out byte for byte as one written alone.
+func TestWriteBoxFromManyGoroutines(t *testing.T) {
+	const boxes = 12
+	write := func(seed int64) []byte {
+		meta, payloads := randomMeta(seed)
+		return WriteBox(meta, payloads, int(seed%3)*16)
+	}
+	want := make([][]byte, boxes)
+	for seed := range want {
+		want[seed] = write(int64(seed))
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 3 * boxes {
+				seed := (i*5 + w) % boxes
+				if !bytes.Equal(write(int64(seed)), want[seed]) {
+					errs <- fmt.Errorf("box %d differs from the one written alone", seed)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
 }

@@ -9,10 +9,10 @@ import (
 	"loggrep/internal/lzma"
 )
 
-// encode serializes the directory: everything but the line maps, of which
-// it records the row counts only.
-func (m *Meta) encode() []byte {
-	var e encbuf
+// encode appends the serialized directory to dst: everything but the
+// line maps, of which it records the row counts only.
+func (m *Meta) encode(dst []byte) []byte {
+	e := encbuf{b: dst}
 	e.uint(uint64(m.NumLines))
 	e.uint(m.Flags)
 	e.int(m.OutlierCapID)

@@ -102,7 +102,7 @@ func TestDirectoryRoundTrip(t *testing.T) {
 	var cases []dirCase
 	add := func(name string, meta *Meta, payloads [][]byte) {
 		box := WriteBox(meta, payloads, 0)
-		enc := meta.encode()
+		enc := meta.encode(nil)
 		if box[len(BoxMagic)] != byte(CodecDeflate) {
 			t.Fatalf("%s: WriteBox wrote directory codec %d", name, box[len(BoxMagic)])
 		}
@@ -121,7 +121,7 @@ func TestDirectoryRoundTrip(t *testing.T) {
 		if err != nil {
 			return fmt.Errorf("%s: %v", c.name, err)
 		}
-		if got := box.Meta.encode(); !bytes.Equal(got, c.want) {
+		if got := box.Meta.encode(nil); !bytes.Equal(got, c.want) {
 			return fmt.Errorf("%s: directory re-encodes to %d bytes unlike the %d written", c.name, len(got), len(c.want))
 		}
 		return nil
@@ -160,7 +160,7 @@ func TestDirectoryRoundTrip(t *testing.T) {
 func TestDeflateDirectoryForgedBounded(t *testing.T) {
 	meta, payloads := randomMeta(7)
 	box := WriteBox(meta, payloads, 0)
-	enc := meta.encode()
+	enc := meta.encode(nil)
 	if _, err := ReadBox(box); err != nil {
 		t.Fatal(err)
 	}

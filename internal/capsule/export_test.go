@@ -1,15 +1,21 @@
 package capsule
 
-// ChunkCodec exposes the DEFLATE chunk codec, one deflater and one set of
-// decode tables reused across calls as WriteBox and the decoder pool reuse
-// theirs, to the external benchmarks.
+// ChunkCodec exposes the DEFLATE chunk codec to the external benchmarks:
+// each Deflate borrows an encoder from the pool WriteBox draws on, and one
+// set of decode tables is reused across calls as the decoder pool reuses
+// its own.
 type ChunkCodec struct {
-	z  deflater
-	in inflater
+	buf []byte
+	in  inflater
 }
 
 // Deflate codes raw as one chunk, valid until the next call.
-func (c *ChunkCodec) Deflate(raw []byte) []byte { return c.z.chunk(raw) }
+func (c *ChunkCodec) Deflate(raw []byte) []byte {
+	z := deflaters.Get().(*deflater)
+	c.buf = append(c.buf[:0], z.chunk(raw)...)
+	deflaters.Put(z)
+	return c.buf
+}
 
 // Inflate decodes one chunk of at most limit bytes.
 func (c *ChunkCodec) Inflate(chunk []byte, limit uint64) ([]byte, error) {
@@ -20,3 +26,6 @@ func (c *ChunkCodec) Inflate(chunk []byte, limit uint64) ([]byte, error) {
 func (z *inflater) decode(chunk []byte, limit uint64) ([]byte, error) {
 	return z.decodeInto(nil, chunk, limit, false)
 }
+
+// Allocated is allocated, for the external tests.
+var Allocated = allocated

@@ -16,7 +16,7 @@ func FuzzReadBox(f *testing.F) {
 	// The directory as the rev-3 writer coded it before (LZMA-lite), and
 	// forged DEFLATE directories: trailed by a byte, declaring a length
 	// over the expansion ceiling, inflating past their declared length.
-	enc := meta.encode()
+	enc := meta.encode(nil)
 	f.Add(withDir(valid, CodecLZMA, lzma.Compress(enc)))
 	f.Add(withDir(valid, CodecDeflate, append(forgeChunk(uint64(len(enc)), rawDeflate(enc, true)), 0)))
 	f.Add(withDir(valid, CodecDeflate, forgeChunk(1<<40, rawDeflate(enc, true))))

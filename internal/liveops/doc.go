@@ -36,7 +36,6 @@
 // The package sits above the engine: it reads internal/core's meter and
 // internal/query's canonical form, and neither internal/core nor
 // internal/archive imports it (scripts/check_query_surface.sh fails the
-// build if one does). Every hot-path type is nil-safe: a nil *Registry,
-// *Meter, *Engine or *Plane accepts all calls as no-ops, so instrumented
-// code needs no "is liveops on" branches.
+// build if one does). The server builds one Plane in server.New and
+// always runs it, so instrumented code needs no "is liveops on" branches.
 package liveops

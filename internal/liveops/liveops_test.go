@@ -393,5 +393,5 @@ func TestPlaneRecordEventReconciles(t *testing.T) {
 	if b := totalOf(p.Usage, "bravo"); b.IngestBytes != 2048 || b.IngestLines != 32 || b.CPUNanos != 5e5 {
 		t.Fatalf("bravo usage %+v", b)
 	}
-	p.RecordEvent(nil) // nil-safe
+	p.RecordEvent(nil) // a nil event is ignored
 }

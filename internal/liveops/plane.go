@@ -33,7 +33,7 @@ type Config struct {
 
 // Plane is the assembled live operations plane: the in-flight registry,
 // the per-tenant usage meter and the SLO engine, sharing one metric
-// registry. All methods are nil-safe.
+// registry.
 type Plane struct {
 	Inflight *Registry
 	Usage    *Meter
@@ -55,7 +55,7 @@ func New(cfg Config) *Plane {
 // Decompressions) are exactly what the meter attributes, so per-tenant
 // totals reconcile with summed wide events.
 func (p *Plane) RecordEvent(ev *obsv.WideEvent) {
-	if p == nil || ev == nil {
+	if ev == nil {
 		return
 	}
 	u := Usage{

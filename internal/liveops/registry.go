@@ -144,14 +144,8 @@ func NewRegistry(reg *obsv.Registry) *Registry {
 }
 
 // Register adds a request to the registry and returns its live entry.
-// Nil-safe: a nil registry returns an untracked entry whose methods all
-// work.
 func (r *Registry) Register(spec EntrySpec) *Entry {
 	e := &Entry{EntrySpec: spec}
-	if r == nil {
-		e.Start = time.Now()
-		return e
-	}
 	e.Start = r.now()
 	e.reg = r
 	r.registered.Inc()
@@ -174,9 +168,6 @@ func (r *Registry) Register(spec EntrySpec) *Entry {
 // registered until its handler unwinds and calls Done — an operator
 // polling /v1/inflight sees the stage freeze, then the entry vanish.
 func (r *Registry) Cancel(id string) bool {
-	if r == nil {
-		return false
-	}
 	r.mu.Lock()
 	e := r.entries[id]
 	r.mu.Unlock()
@@ -190,9 +181,6 @@ func (r *Registry) Cancel(id string) bool {
 
 // Len returns how many entries are currently tracked.
 func (r *Registry) Len() int {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.entries)
@@ -201,9 +189,6 @@ func (r *Registry) Len() int {
 // Snapshot lists the tracked in-flight requests, oldest first (the
 // request most likely to need an operator's attention leads).
 func (r *Registry) Snapshot() []EntryView {
-	if r == nil {
-		return nil
-	}
 	now := r.now()
 	r.mu.Lock()
 	es := make([]*Entry, 0, len(r.entries))

@@ -138,7 +138,7 @@ func (o *objectiveState) burn(minutes int64) float64 {
 // Record classifies one finished request against every objective and,
 // at most once a second, re-evaluates the multi-window burn rates,
 // firing the fast-burn hook on a rising edge. All methods are safe for
-// concurrent use and nil-safe.
+// concurrent use.
 type Engine struct {
 	objectives []*objectiveState
 	now        func() time.Time
@@ -195,9 +195,6 @@ func NewEngine(reg *obsv.Registry, objectives []Objective) *Engine {
 // OnFastBurn installs the fast-burn hook (loggrepd wires the
 // flight-recorder trigger here). Safe to call at any time; nil clears.
 func (e *Engine) OnFastBurn(fn func(objective string)) {
-	if e == nil {
-		return
-	}
 	if fn == nil {
 		e.onFastBurn.Store(nil)
 		return
@@ -213,7 +210,7 @@ func (e *Engine) OnFastBurn(fn func(objective string)) {
 // and one short per-objective critical section, with burn evaluation
 // rate-limited to once a second.
 func (e *Engine) Record(status int, dur time.Duration) {
-	if e == nil || len(e.objectives) == 0 {
+	if len(e.objectives) == 0 {
 		return
 	}
 	if status < 200 || (status >= 300 && status < 500) {
@@ -259,9 +256,6 @@ func (e *Engine) maybeEvaluate() {
 // edge-triggered fast/slow hooks and counters. Called automatically by
 // Record (rate-limited); exported for tests and the status endpoints.
 func (e *Engine) Evaluate() {
-	if e == nil {
-		return
-	}
 	for _, o := range e.objectives {
 		ep := e.now().Unix() / 60
 		o.mu.Lock()
@@ -351,9 +345,6 @@ func (e *Engine) status(o *objectiveState) ObjectiveStatus {
 
 // Snapshot reads every objective's live status, in declaration order.
 func (e *Engine) Snapshot() []ObjectiveStatus {
-	if e == nil {
-		return nil
-	}
 	out := make([]ObjectiveStatus, 0, len(e.objectives))
 	for _, o := range e.objectives {
 		out = append(out, e.status(o))

@@ -64,7 +64,7 @@ type tenantUsage struct {
 // record path takes one read-locked map lookup, one short per-tenant
 // critical section and a handful of atomic counter adds — no
 // allocations after a tenant's first record. All methods are safe for
-// concurrent use and nil-safe.
+// concurrent use.
 type Meter struct {
 	windows    int // completed rolling windows kept besides the current
 	windowDur  time.Duration
@@ -105,9 +105,6 @@ func NewMeter(reg *obsv.Registry) *Meter {
 // Record attributes u to tenant. The tenant name is sanitized for use
 // as a Prometheus label value; an empty name records under "default".
 func (m *Meter) Record(tenant string, u Usage) {
-	if m == nil {
-		return
-	}
 	t := m.tenant(tenant)
 	ep := m.now().UnixNano() / int64(m.windowDur)
 	t.mu.Lock()
@@ -173,9 +170,6 @@ type TenantUsage struct {
 
 // Snapshot reads every tenant's usage, tenant-sorted.
 func (m *Meter) Snapshot() []TenantUsage {
-	if m == nil {
-		return nil
-	}
 	ep := m.now().UnixNano() / int64(m.windowDur)
 	m.mu.RLock()
 	names := make([]string, 0, len(m.tenants))

@@ -562,7 +562,8 @@ func (sv *Server) startEvent(r *http.Request, endpoint string, write bool) *obsv
 // threshold-or-sampled policy, buffers it in the flight recorder (which may
 // trigger a dump), hands it to the OTLP exporter (a non-blocking enqueue; a
 // full queue drops with a counter) and feeds the usage meter and SLO
-// engine. Every sink is nil-safe.
+// engine. The recorder and the exporter are nil-safe when unset; the
+// plane is always set.
 func (sv *Server) finishEvent(ev *obsv.WideEvent, meter *core.BudgetState, t0 time.Time, adm admitState, status int, errMsg string) {
 	meter.Reading().FillEvent(ev)
 	ev.DurNS = time.Since(t0).Nanoseconds()
