@@ -152,8 +152,10 @@ func (s *Set) Rows() []int {
 
 // ForEach calls fn for every set bit in ascending order. If fn returns
 // false, iteration stops early.
-func (s *Set) ForEach(fn func(i int) bool) {
-	for wi, w := range s.words {
+func (s *Set) ForEach(fn func(i int) bool) { forEach(s.words, fn) }
+
+func forEach(words []uint64, fn func(i int) bool) {
+	for wi, w := range words {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			if !fn(wi*wordBits + b) {

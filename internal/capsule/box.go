@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"loggrep/internal/lzma"
 	"loggrep/internal/rtpattern"
@@ -163,24 +165,39 @@ func WriteBox(meta *Meta, payloads [][]byte, chunkTarget int) []byte {
 // its byte length, then a table of (Rice parameter byte, stream length
 // uvarint) per map, then the streams back to back. Each map gets the
 // parameter that codes it smallest; a map that came out of a rev-2 or rev-3
-// box is copied as stored.
+// box is copied as stored. Every length is known before a stream is coded,
+// so the section is written straight into dst.
 func appendLineMaps(dst []byte, maps []*LineMap, numLines int) []byte {
-	var table, streams []byte
-	for _, m := range maps {
-		k, start := uint(m.k), len(streams)
-		if m.enc != nil {
-			streams = append(streams, m.enc...)
-		} else {
-			k = riceParam(m.lines, numLines)
-			streams = appendRice(streams, m.lines, k, numLines)
-		}
-		table = append(table, byte(k))
-		table = binary.AppendUvarint(table, uint64(len(streams)-start))
+	type stream struct {
+		k    uint
+		size int
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(table)+len(streams)))
-	dst = append(dst, table...)
-	return append(dst, streams...)
+	plan := make([]stream, len(maps))
+	size := 0
+	for i, m := range maps {
+		if m.enc != nil {
+			plan[i] = stream{uint(m.k), len(m.enc)}
+		} else {
+			plan[i].k, plan[i].size = riceParam(m.lines, numLines)
+		}
+		size += 1 + uvarintLen(uint64(plan[i].size)) + plan[i].size
+	}
+	dst = binary.AppendUvarint(slices.Grow(dst, uvarintLen(uint64(size))+size), uint64(size))
+	for _, p := range plan {
+		dst = binary.AppendUvarint(append(dst, byte(p.k)), uint64(p.size))
+	}
+	for i, m := range maps {
+		if m.enc != nil {
+			dst = append(dst, m.enc...)
+		} else {
+			dst = appendRice(dst, m.lines, plan[i].k, numLines)
+		}
+	}
+	return dst
 }
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // readLineMaps attaches a rev-2 or rev-3 line-map section to the maps whose
 // row counts the directory declared. Nothing is decoded; the checks are the

@@ -376,8 +376,11 @@ func TestLineMapRoundTrip(t *testing.T) {
 			lines = append(lines, next)
 			next += 1 + rng.Intn(stride)
 		}
-		k := riceParam(lines, next)
+		k, size := riceParam(lines, next)
 		enc := appendRice(nil, lines, k, next)
+		if len(enc) != size {
+			t.Fatalf("stride %d k %d: coded %d bytes, riceParam said %d", stride, k, len(enc), size)
+		}
 		for other := uint(0); other <= maxRiceParam; other++ {
 			if n := len(appendRice(nil, lines, other, next)); n < len(enc) {
 				t.Fatalf("stride %d: parameter %d codes %d bytes, chosen %d codes %d", stride, other, n, k, len(enc))

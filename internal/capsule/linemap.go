@@ -61,9 +61,9 @@ const riceEscape = 16
 func gapBits(limit int) uint { return uint(bits.Len(uint(limit))) }
 
 // riceParam returns the parameter that codes the gaps of lines in the
-// fewest bits: a gap g costs (g>>k)+1+k bits, or riceEscape+gapBits once
-// g>>k reaches riceEscape.
-func riceParam(lines []int, limit int) uint {
+// fewest bits, and the byte length of that code: a gap g costs (g>>k)+1+k
+// bits, or riceEscape+gapBits once g>>k reaches riceEscape.
+func riceParam(lines []int, limit int) (k uint, size int) {
 	w := gapBits(limit)
 	bestK, bestBits := uint(0), uint64(1)<<63
 	for k := uint(0); k <= min(w, maxRiceParam); k++ {
@@ -81,7 +81,7 @@ func riceParam(lines []int, limit int) uint {
 			bestK, bestBits = k, total
 		}
 	}
-	return bestK
+	return bestK, int((bestBits + 7) / 8)
 }
 
 // appendRice appends the code of strictly ascending lines below limit: per

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 
@@ -120,4 +121,69 @@ func BenchmarkVerifyBroad(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(res.Matches*b.N)/b.Elapsed().Seconds(), "entries/s")
+}
+
+// refineCommands derives up to n distinct refine-shaped commands,
+// "<severity> AND <token>", from a block's lines, as the query-refine
+// workload draws them: the token is the line's longest word of at least 12
+// bytes holding a digit, past the two timestamp words, so each command
+// matches few lines of one template.
+func refineCommands(lines []string, n int) []string {
+	seen := make(map[string]bool)
+	var cmds []string
+	for i := 0; i < len(lines) && len(cmds) < n; i += 7 {
+		words := strings.Split(lines[i], " ")
+		sev, tok := "", ""
+		for _, w := range words {
+			if sev == "" && (w == "ERROR" || w == "WARNING" || w == "INFO" || w == "DEBUG") {
+				sev = w
+			}
+		}
+		if sev == "" || len(words) < 3 {
+			continue
+		}
+		for _, w := range words[2:] {
+			if len(w) >= 12 && len(w) > len(tok) && strings.ContainsAny(w, "0123456789") && !strings.ContainsAny(w, `()"*`) {
+				tok = w
+			}
+		}
+		if tok != "" && !seen[tok] {
+			seen[tok] = true
+			cmds = append(cmds, sev+" AND "+tok)
+		}
+	}
+	return cmds
+}
+
+// BenchmarkWarmRefine runs refine-shaped commands on a warm 2 MiB store
+// with the Query Cache off: every payload is decoded and every scan cached
+// by a first pass, so the time and the allocations are the filter engine's
+// (stamps, runtime-pattern matching, row sets) and the verification of the
+// few candidates.
+func BenchmarkWarmRefine(b *testing.B) {
+	st, err := Open(benchBox(), QueryOptions{DisableCache: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lines, err := st.ReconstructAll()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cmds := refineCommands(lines, 400)
+	if len(cmds) < 100 {
+		b.Fatalf("only %d refine commands", len(cmds))
+	}
+	ctx := context.Background()
+	for _, c := range cmds {
+		if _, err := st.Search(ctx, c, SearchOpts{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := st.Search(ctx, cmds[i%len(cmds)], SearchOpts{}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

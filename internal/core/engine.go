@@ -12,11 +12,13 @@ import (
 // Capsules (a sub-variable vector, a whole variable vector, a nominal
 // dictionary+index pair, ...).
 //
-// find must return a fresh set (callers mutate results) sized rows().
+// find returns a read-only set sized rows(): a hole may hand out a set it
+// keeps (the scan cache does), and nobody writes a result. The engine's
+// own results are read-only too; its combinators copy on write.
 type hole interface {
 	stamp() rtpattern.Stamp
 	rows() int
-	find(part string, kind strmatch.Kind) (*bitset.Set, error)
+	find(part string, kind strmatch.Kind) (bitset.View, error)
 }
 
 // seqElem is one element of a value layout: a literal or a hole. Sequences
@@ -71,7 +73,7 @@ func (en *engine) count(admit bool) bool {
 }
 
 // matchKind dispatches a (part, kind) constraint over a sequence of n rows.
-func (en *engine) matchKind(seq []seqElem, n int, part string, kind strmatch.Kind) (*bitset.Set, error) {
+func (en *engine) matchKind(seq []seqElem, n int, part string, kind strmatch.Kind) (bitset.View, error) {
 	switch kind {
 	case strmatch.Substr:
 		return en.findSubstr(seq, n, part)
@@ -90,17 +92,17 @@ func (en *engine) matchKind(seq []seqElem, n int, part string, kind strmatch.Kin
 // inside one hole, inside one literal (all rows match), or overlap a
 // literal in the head / tail / body fashion, which recurses into anchored
 // prefix and suffix matching on the surrounding elements.
-func (en *engine) findSubstr(seq []seqElem, n int, frag string) (*bitset.Set, error) {
-	res := bitset.New(n)
+func (en *engine) findSubstr(seq []seqElem, n int, frag string) (bitset.View, error) {
 	if frag == "" {
-		return bitset.NewFull(n), nil
+		return bitset.All(n), nil
 	}
+	res := bitset.NewUnion(n)
 	for i, e := range seq {
 		if e.h != nil {
 			if en.admits(e.h, frag) {
 				sub, err := e.h.find(frag, strmatch.Substr)
 				if err != nil {
-					return nil, err
+					return bitset.View{}, err
 				}
 				res.Or(sub)
 			}
@@ -108,67 +110,69 @@ func (en *engine) findSubstr(seq []seqElem, n int, frag string) (*bitset.Set, er
 		}
 		L := e.lit
 		if strings.Contains(L, frag) {
-			return bitset.NewFull(n), nil
+			return bitset.All(n), nil
 		}
-		// Head case: a suffix of L is a proper prefix of frag.
-		maxOverlap := len(L)
-		if maxOverlap > len(frag)-1 {
-			maxOverlap = len(frag) - 1
-		}
+		// Head case: a suffix of L is a proper prefix of frag. The overlap's
+		// first byte is checked before the whole of it.
+		maxOverlap := min(len(L), len(frag)-1)
 		for sl := 1; sl <= maxOverlap; sl++ {
-			if L[len(L)-sl:] != frag[:sl] {
+			if L[len(L)-sl] != frag[0] || L[len(L)-sl:] != frag[:sl] {
 				continue
 			}
 			sub, err := en.prefixFrom(seq, i+1, n, frag[sl:], false)
 			if err != nil {
-				return nil, err
+				return bitset.View{}, err
 			}
 			res.Or(sub)
 		}
-		// Tail case: a prefix of L is a proper suffix of frag.
+		// Tail case: a prefix of L is a proper suffix of frag; its last byte
+		// is checked first.
 		for pl := 1; pl <= maxOverlap; pl++ {
-			if L[:pl] != frag[len(frag)-pl:] {
+			if L[pl-1] != frag[len(frag)-1] || L[:pl] != frag[len(frag)-pl:] {
 				continue
 			}
 			sub, err := en.suffixFrom(seq, i-1, n, frag[:len(frag)-pl], false)
 			if err != nil {
-				return nil, err
+				return bitset.View{}, err
 			}
 			res.Or(sub)
 		}
-		// Body case: L occurs strictly inside frag.
+		// Body case: L occurs strictly inside frag, at each k that
+		// strings.Index finds in frag[1:len(frag)-1].
 		for k := 1; k+len(L) < len(frag); k++ {
-			if frag[k:k+len(L)] != L {
-				continue
+			j := strings.Index(frag[k:len(frag)-1], L)
+			if j < 0 {
+				break
 			}
+			k += j
 			pre, err := en.suffixFrom(seq, i-1, n, frag[:k], false)
 			if err != nil {
-				return nil, err
+				return bitset.View{}, err
 			}
 			if !pre.Any() {
 				continue
 			}
 			post, err := en.prefixFrom(seq, i+1, n, frag[k+len(L):], false)
 			if err != nil {
-				return nil, err
+				return bitset.View{}, err
 			}
-			res.Or(pre.And(post))
+			res.OrAnd(pre, post)
 		}
 	}
-	return res, nil
+	return res.View(), nil
 }
 
 // prefixFrom returns the rows whose value following seq[i:] starts with
 // frag (exact=false) or equals frag (exact=true).
-func (en *engine) prefixFrom(seq []seqElem, i, n int, frag string, exact bool) (*bitset.Set, error) {
+func (en *engine) prefixFrom(seq []seqElem, i, n int, frag string, exact bool) (bitset.View, error) {
 	if frag == "" {
 		if !exact {
-			return bitset.NewFull(n), nil
+			return bitset.All(n), nil
 		}
 		return en.allEmpty(seq[i:], n)
 	}
 	if i >= len(seq) {
-		return bitset.New(n), nil
+		return bitset.None(n), nil
 	}
 	e := seq[i]
 	if e.h == nil {
@@ -178,26 +182,26 @@ func (en *engine) prefixFrom(seq []seqElem, i, n int, frag string, exact bool) (
 				if frag == L {
 					return en.allEmpty(seq[i+1:], n)
 				}
-				return bitset.New(n), nil
+				return bitset.None(n), nil
 			}
 			if strings.HasPrefix(L, frag) {
-				return bitset.NewFull(n), nil
+				return bitset.All(n), nil
 			}
-			return bitset.New(n), nil
+			return bitset.None(n), nil
 		}
 		if strings.HasPrefix(frag, L) {
 			return en.prefixFrom(seq, i+1, n, frag[len(L):], exact)
 		}
-		return bitset.New(n), nil
+		return bitset.None(n), nil
 	}
 
 	h := e.h
-	res := bitset.New(n)
+	res := bitset.NewUnion(n)
 	if !exact && en.admits(h, frag) {
 		// The whole remaining fragment sits inside this hole's prefix.
 		sub, err := h.find(frag, strmatch.Prefix)
 		if err != nil {
-			return nil, err
+			return bitset.View{}, err
 		}
 		res.Or(sub)
 	}
@@ -215,34 +219,31 @@ func (en *engine) prefixFrom(seq []seqElem, i, n int, frag string, exact bool) (
 		}
 		sub, err := h.find(part, strmatch.Exact)
 		if err != nil {
-			return nil, err
+			return bitset.View{}, err
 		}
 		if !sub.Any() {
 			continue
 		}
 		rest, err := en.prefixFrom(seq, i+1, n, frag[j:], exact)
 		if err != nil {
-			return nil, err
+			return bitset.View{}, err
 		}
-		if !rest.Any() {
-			continue
-		}
-		res.Or(sub.And(rest))
+		res.OrAnd(sub, rest)
 	}
-	return res, nil
+	return res.View(), nil
 }
 
 // suffixFrom returns the rows whose value of seq[:i+1] ends with frag
 // (exact=false) or equals frag (exact=true).
-func (en *engine) suffixFrom(seq []seqElem, i, n int, frag string, exact bool) (*bitset.Set, error) {
+func (en *engine) suffixFrom(seq []seqElem, i, n int, frag string, exact bool) (bitset.View, error) {
 	if frag == "" {
 		if !exact {
-			return bitset.NewFull(n), nil
+			return bitset.All(n), nil
 		}
 		return en.allEmpty(seq[:i+1], n)
 	}
 	if i < 0 {
-		return bitset.New(n), nil
+		return bitset.None(n), nil
 	}
 	e := seq[i]
 	if e.h == nil {
@@ -252,25 +253,25 @@ func (en *engine) suffixFrom(seq []seqElem, i, n int, frag string, exact bool) (
 				if frag == L {
 					return en.allEmpty(seq[:i], n)
 				}
-				return bitset.New(n), nil
+				return bitset.None(n), nil
 			}
 			if strings.HasSuffix(L, frag) {
-				return bitset.NewFull(n), nil
+				return bitset.All(n), nil
 			}
-			return bitset.New(n), nil
+			return bitset.None(n), nil
 		}
 		if strings.HasSuffix(frag, L) {
 			return en.suffixFrom(seq, i-1, n, frag[:len(frag)-len(L)], exact)
 		}
-		return bitset.New(n), nil
+		return bitset.None(n), nil
 	}
 
 	h := e.h
-	res := bitset.New(n)
+	res := bitset.NewUnion(n)
 	if !exact && en.admits(h, frag) {
 		sub, err := h.find(frag, strmatch.Suffix)
 		if err != nil {
-			return nil, err
+			return bitset.View{}, err
 		}
 		res.Or(sub)
 	}
@@ -288,43 +289,39 @@ func (en *engine) suffixFrom(seq []seqElem, i, n int, frag string, exact bool) (
 		}
 		sub, err := h.find(part, strmatch.Exact)
 		if err != nil {
-			return nil, err
+			return bitset.View{}, err
 		}
 		if !sub.Any() {
 			continue
 		}
 		rest, err := en.suffixFrom(seq, i-1, n, frag[:len(frag)-j], exact)
 		if err != nil {
-			return nil, err
+			return bitset.View{}, err
 		}
-		if !rest.Any() {
-			continue
-		}
-		res.Or(sub.And(rest))
+		res.OrAnd(sub, rest)
 	}
-	return res, nil
+	return res.View(), nil
 }
 
 // allEmpty returns rows for which every element of seq is empty: literals
 // must be empty strings and holes must hold empty values.
-func (en *engine) allEmpty(seq []seqElem, n int) (*bitset.Set, error) {
-	res := bitset.NewFull(n)
+func (en *engine) allEmpty(seq []seqElem, n int) (bitset.View, error) {
+	res := bitset.All(n)
 	for _, e := range seq {
 		if e.h == nil {
 			if e.lit != "" {
-				return bitset.New(n), nil
+				return bitset.None(n), nil
 			}
 			continue
 		}
 		if !en.admitsExact(e.h, "") {
-			return bitset.New(n), nil
+			return bitset.None(n), nil
 		}
 		sub, err := e.h.find("", strmatch.Exact)
 		if err != nil {
-			return nil, err
+			return bitset.View{}, err
 		}
-		res.And(sub)
-		if !res.Any() {
+		if res = bitset.And(res, sub); !res.Any() {
 			return res, nil
 		}
 	}

@@ -25,7 +25,7 @@ func newMemHole(vals ...string) *memHole {
 func (m *memHole) stamp() rtpattern.Stamp { return m.st }
 func (m *memHole) rows() int              { return len(m.vals) }
 
-func (m *memHole) find(part string, kind strmatch.Kind) (*bitset.Set, error) {
+func (m *memHole) find(part string, kind strmatch.Kind) (bitset.View, error) {
 	set := bitset.New(len(m.vals))
 	for i, v := range m.vals {
 		ok := false
@@ -43,7 +43,7 @@ func (m *memHole) find(part string, kind strmatch.Kind) (*bitset.Set, error) {
 			set.Set(i)
 		}
 	}
-	return set, nil
+	return set.Freeze(), nil
 }
 
 // values renders row i of a sequence.

@@ -141,7 +141,7 @@ func (r *explainRec) search(s *query.Search) *SearchExplain {
 }
 
 // group starts recording one entered group, seeded with cand.
-func (se *SearchExplain) group(g *qGroup, cand *bitset.Set) *GroupExplain {
+func (se *SearchExplain) group(g *qGroup, cand bitset.View) *GroupExplain {
 	if se == nil {
 		return nil
 	}
@@ -150,14 +150,14 @@ func (se *SearchExplain) group(g *qGroup, cand *bitset.Set) *GroupExplain {
 }
 
 // after records the candidates left once one more fragment is intersected.
-func (ge *GroupExplain) after(cand *bitset.Set) {
+func (ge *GroupExplain) after(cand bitset.View) {
 	if ge != nil {
 		ge.AfterFragment = append(ge.AfterFragment, cand.Count())
 	}
 }
 
 // add counts the candidates one group, or the outlier capsule, ended with.
-func (se *SearchExplain) add(cand *bitset.Set) {
+func (se *SearchExplain) add(cand bitset.View) {
 	if se != nil {
 		se.Candidates += cand.Count()
 	}

@@ -28,22 +28,23 @@ func (c *capsuleHole) stamp() rtpattern.Stamp {
 
 func (c *capsuleHole) rows() int { return c.st.box.Meta.Capsules[c.id].Rows }
 
-func (c *capsuleHole) find(part string, kind strmatch.Kind) (*bitset.Set, error) {
+func (c *capsuleHole) find(part string, kind strmatch.Kind) (bitset.View, error) {
 	// The split enumeration of §5.1 asks the same (capsule, part, kind)
-	// question along many possible matches; cache scans per store.
+	// question along many possible matches; cache scans per store. A hit
+	// hands out the cached set itself: results are read-only.
 	key := findKey{id: c.id, kind: kind, part: part}
 	if cached, ok := c.st.findCache[key]; ok {
 		if m := c.st.en.meter; m != nil {
 			m.own.ScanCacheHits++
 		}
-		return cached.Clone(), nil
+		return cached, nil
 	}
 	if err := c.st.checkpoint(); err != nil {
-		return nil, err
+		return bitset.View{}, err
 	}
 	sr, err := c.st.searcher(c.id)
 	if err != nil {
-		return nil, err
+		return bitset.View{}, err
 	}
 	c.st.scanned(sr.Bytes())
 	set := bitset.New(c.rows())
@@ -51,8 +52,9 @@ func (c *capsuleHole) find(part string, kind strmatch.Kind) (*bitset.Set, error)
 		set.Set(row)
 		return true
 	})
-	c.st.findCache[key] = set
-	return set.Clone(), nil
+	v := set.Freeze()
+	c.st.findCache[key] = v
+	return v, nil
 }
 
 // realVarHole is a variable vector stored with a single runtime pattern:
@@ -64,8 +66,9 @@ type realVarHole struct {
 	vm      *capsule.VarMeta
 	n       int // group rows
 	inner   []seqElem
-	innerN  int   // rows of the inner sequence (matched values)
-	matched []int // matched rank -> group row (lazy)
+	innerN  int          // rows of the inner sequence (matched values)
+	matched []int        // matched rank -> group row (lazy)
+	out     *capsuleHole // the outlier capsule, or nil
 	stampV  rtpattern.Stamp
 }
 
@@ -87,7 +90,8 @@ func newRealVarHole(st *Store, vm *capsule.VarMeta, groupRows int) *realVarHole 
 	h.stampV.MaxLen += litLen
 	h.stampV.MinLen += litLen
 	if vm.OutCapID >= 0 {
-		os := st.box.Meta.Capsules[vm.OutCapID].Stamp
+		h.out = &capsuleHole{st: st, id: vm.OutCapID}
+		os := h.out.stamp()
 		h.stampV.TypeMask |= os.TypeMask
 		if os.MaxLen > h.stampV.MaxLen {
 			h.stampV.MaxLen = os.MaxLen
@@ -119,34 +123,40 @@ func (h *realVarHole) matchedRows() []int {
 	return h.matched
 }
 
-func (h *realVarHole) find(part string, kind strmatch.Kind) (*bitset.Set, error) {
-	out := bitset.New(h.n)
+// find maps the inner sequence's rows, and the outlier capsule's, to group
+// rows. With no outliers the inner result is the answer as it is; a set is
+// written only when some row needs mapping.
+func (h *realVarHole) find(part string, kind strmatch.Kind) (bitset.View, error) {
 	inner, err := h.st.en.matchKind(h.inner, h.innerN, part, kind)
 	if err != nil {
-		return nil, err
+		return bitset.View{}, err
 	}
-	if m := h.matchedRows(); m == nil {
-		out.Or(inner)
-	} else {
-		inner.ForEach(func(rank int) bool {
-			out.Set(m[rank])
-			return true
-		})
-	}
-	if h.vm.OutCapID >= 0 {
-		oc := &capsuleHole{st: h.st, id: h.vm.OutCapID}
-		if h.st.en.admits(oc, part) {
-			os, err := oc.find(part, kind)
-			if err != nil {
-				return nil, err
-			}
-			os.ForEach(func(rank int) bool {
-				out.Set(h.vm.OutRows[rank])
-				return true
-			})
+	m := h.matchedRows()
+	var outliers bitset.View
+	if h.out != nil && h.st.en.admits(h.out, part) {
+		if outliers, err = h.out.find(part, kind); err != nil {
+			return bitset.View{}, err
 		}
 	}
-	return out, nil
+	switch {
+	case m == nil && !outliers.Any():
+		return inner, nil
+	case !inner.Any() && !outliers.Any():
+		return bitset.None(h.n), nil
+	}
+	out := bitset.New(h.n)
+	inner.ForEach(func(rank int) bool {
+		if m != nil {
+			rank = m[rank]
+		}
+		out.Set(rank)
+		return true
+	})
+	outliers.ForEach(func(rank int) bool {
+		out.Set(h.vm.OutRows[rank])
+		return true
+	})
+	return out.Freeze(), nil
 }
 
 // nominalVarHole is a variable vector stored as a dictionary Capsule plus
@@ -159,6 +169,12 @@ type nominalVarHole struct {
 	st *Store
 	vm *capsule.VarMeta
 	n  int
+	// feasSeqs holds, per dictionary pattern, the stamp-only sequence
+	// feasible matches against; built on the first call.
+	feasSeqs [][]seqElem
+	// dictIdxs is findDict's result buffer, reused by every search (they
+	// hold st.mu).
+	dictIdxs []int
 }
 
 func (h *nominalVarHole) stamp() rtpattern.Stamp {
@@ -167,24 +183,21 @@ func (h *nominalVarHole) stamp() rtpattern.Stamp {
 
 func (h *nominalVarHole) rows() int { return h.n }
 
-func (h *nominalVarHole) find(part string, kind strmatch.Kind) (*bitset.Set, error) {
+func (h *nominalVarHole) find(part string, kind strmatch.Kind) (bitset.View, error) {
 	dictIdxs, err := h.findDict(part, kind)
-	if err != nil {
-		return nil, err
-	}
-	out := bitset.New(h.n)
-	if len(dictIdxs) == 0 {
-		return out, nil
+	if err != nil || len(dictIdxs) == 0 {
+		return bitset.None(h.n), err
 	}
 	idxSr, err := h.st.searcher(h.vm.IndexCapID)
 	if err != nil {
-		return nil, err
+		return bitset.View{}, err
 	}
+	out := bitset.New(h.n)
 	if len(dictIdxs) <= 8 {
 		// Few dictionary hits: one ScanRows Exact pass per index id.
 		for _, di := range dictIdxs {
 			if err := h.st.checkpoint(); err != nil {
-				return nil, err
+				return bitset.View{}, err
 			}
 			key := capsule.FormatIndex(di, h.vm.IndexWidth)
 			h.st.scanned(idxSr.Bytes())
@@ -193,12 +206,12 @@ func (h *nominalVarHole) find(part string, kind strmatch.Kind) (*bitset.Set, err
 				return true
 			})
 		}
-		return out, nil
+		return out.Freeze(), nil
 	}
 	// Many hits: one membership pass over the index capsule beats
 	// len(dictIdxs) separate scans.
 	if err := h.st.checkpoint(); err != nil {
-		return nil, err
+		return bitset.View{}, err
 	}
 	h.st.scanned(idxSr.Bytes())
 	dictRows := h.st.box.Meta.Capsules[h.vm.DictCapID].Rows
@@ -208,20 +221,21 @@ func (h *nominalVarHole) find(part string, kind strmatch.Kind) (*bitset.Set, err
 			out.Set(row)
 		}
 	}
-	return out, nil
+	return out.Freeze(), nil
 }
 
 // findDict returns the dictionary positions whose value satisfies
-// (part, kind), scanning only the segments of feasible patterns.
+// (part, kind), scanning only the segments of feasible patterns. The slice
+// is the hole's buffer, valid until the next call.
 func (h *nominalVarHole) findDict(part string, kind strmatch.Kind) ([]int, error) {
-	var dictIdxs []int
+	h.dictIdxs = h.dictIdxs[:0]
 	if h.st.padding {
 		d, err := h.st.dictSegments(h.vm)
 		if err != nil {
 			return nil, err
 		}
 		for i := range d.segs {
-			if !h.feasible(h.vm.DictPatterns[i], part, kind) {
+			if !h.feasible(i, part, kind) {
 				continue
 			}
 			if err := h.st.checkpoint(); err != nil {
@@ -230,14 +244,14 @@ func (h *nominalVarHole) findDict(part string, kind strmatch.Kind) ([]int, error
 			s := &d.segs[i]
 			h.st.scanned(s.fw.Bytes())
 			s.fw.ScanRows(part, kind, func(row int) bool {
-				dictIdxs = append(dictIdxs, s.base+row)
+				h.dictIdxs = append(h.dictIdxs, s.base+row)
 				return true
 			})
 		}
 		if d.err != nil {
 			return nil, d.err
 		}
-		return dictIdxs, nil
+		return h.dictIdxs, nil
 	}
 	// Unpadded ("w/o fixed"): one variable-length scan over the whole
 	// dictionary; per-pattern jumps are impossible without fixed lengths.
@@ -250,25 +264,32 @@ func (h *nominalVarHole) findDict(part string, kind strmatch.Kind) ([]int, error
 	}
 	h.st.scanned(sr.Bytes())
 	sr.ScanRows(part, kind, func(row int) bool {
-		dictIdxs = append(dictIdxs, row)
+		h.dictIdxs = append(h.dictIdxs, row)
 		return true
 	})
-	return dictIdxs, nil
+	return h.dictIdxs, nil
 }
 
-// feasible structurally matches (part, kind) against a dictionary runtime
-// pattern using only literals and sub-variable stamps — no data access.
-// It reuses the recursive matcher with 1-row stamp-only holes.
-func (h *nominalVarHole) feasible(dp capsule.DictPatternMeta, part string, kind strmatch.Kind) bool {
-	seq := make([]seqElem, 0, len(dp.Elems))
-	for _, e := range dp.Elems {
-		if e.Sub < 0 {
-			seq = append(seq, seqElem{lit: e.Lit})
-		} else {
-			seq = append(seq, seqElem{h: &stampHole{s: e.Stamp, en: &h.st.en}})
+// feasible structurally matches (part, kind) against dictionary runtime
+// pattern i using only literals and sub-variable stamps — no data access.
+// It reuses the recursive matcher with 1-row stamp-only holes, whose
+// answers are the word-free empty and full sets: nothing is allocated.
+func (h *nominalVarHole) feasible(i int, part string, kind strmatch.Kind) bool {
+	if h.feasSeqs == nil {
+		h.feasSeqs = make([][]seqElem, len(h.vm.DictPatterns))
+		for pi, dp := range h.vm.DictPatterns {
+			seq := make([]seqElem, 0, len(dp.Elems))
+			for _, e := range dp.Elems {
+				if e.Sub < 0 {
+					seq = append(seq, seqElem{lit: e.Lit})
+				} else {
+					seq = append(seq, seqElem{h: &stampHole{s: e.Stamp, en: &h.st.en}})
+				}
+			}
+			h.feasSeqs[pi] = seq
 		}
 	}
-	res, err := h.st.en.matchKind(seq, 1, part, kind)
+	res, err := h.st.en.matchKind(h.feasSeqs[i], 1, part, kind)
 	if err != nil {
 		return true // never filter on an internal error
 	}
@@ -286,9 +307,9 @@ type stampHole struct {
 func (s *stampHole) stamp() rtpattern.Stamp { return s.s }
 func (s *stampHole) rows() int              { return 1 }
 
-func (s *stampHole) find(part string, kind strmatch.Kind) (*bitset.Set, error) {
+func (s *stampHole) find(part string, kind strmatch.Kind) (bitset.View, error) {
 	if !s.en.stamps {
-		return bitset.NewFull(1), nil
+		return bitset.All(1), nil
 	}
 	ok := s.s.Admits(part)
 	if kind == strmatch.Exact {
@@ -298,7 +319,7 @@ func (s *stampHole) find(part string, kind strmatch.Kind) (*bitset.Set, error) {
 		ok = true
 	}
 	if ok {
-		return bitset.NewFull(1), nil
+		return bitset.All(1), nil
 	}
-	return bitset.New(1), nil
+	return bitset.None(1), nil
 }

@@ -43,7 +43,7 @@ type Store struct {
 	cols           []column   // the column table, by capsule id (made on first use)
 	plans          []*rowPlan // each group's row plan, made and dropped with cols
 	chunkSearchers map[[2]int]searcher
-	findCache      map[findKey]*bitset.Set
+	findCache      map[findKey]bitset.View
 	size           int
 	readHook       ReadHook
 	// lineIndex inverts the line maps (block line → group row). Queries
@@ -57,7 +57,8 @@ type Store struct {
 
 	// mu serializes every path that touches the mutable state above
 	// (cols, findCache, the box payload caches, the running search's
-	// meter in en): uncached queries, reconstruction and Explain.
+	// meter in en, the holes' lazily built state): uncached queries,
+	// reconstruction and Explain.
 	mu sync.Mutex
 	// ctx is the running query's (or reconstruction's) context; non-nil
 	// only while one holds mu.
@@ -195,7 +196,7 @@ func Open(data []byte, opts QueryOptions) (*Store, error) {
 		padding:        box.Meta.Flags&capsule.FlagNoPadding == 0,
 		cacheOn:        !opts.DisableCache,
 		chunkSearchers: make(map[[2]int]searcher),
-		findCache:      make(map[findKey]*bitset.Set),
+		findCache:      make(map[findKey]bitset.View),
 		qcache:         make(map[string]*Result),
 		size:           len(data),
 		readHook:       opts.ReadHook,
@@ -483,7 +484,7 @@ func (st *Store) ResetCounters() {
 	st.lineIndex = nil
 	st.cols, st.plans = nil, nil
 	st.chunkSearchers = make(map[[2]int]searcher)
-	st.findCache = make(map[findKey]*bitset.Set)
+	st.findCache = make(map[findKey]bitset.View)
 }
 
 // ClearCache empties the Query Cache.
@@ -658,14 +659,15 @@ type match struct {
 // verify reconstructs every candidate row, keeps those the exact expression
 // matches, and returns them in ascending line order with how many rows it
 // checked. Only groups that produced a match have their line map decoded.
-// Each candidate is assembled in the store's scratch buffer and costs one
-// string of its own length, so a cached answer holds only its own entries.
+// Each candidate is assembled in the store's scratch buffer and matched
+// there; only a match costs a string, of its own length, so a cached answer
+// holds only its own entries.
 // On an interrupt it returns the matches verified so far with the error.
 func (st *Store) verify(expr query.Expr, cand *rowSets) (found []match, checked int, err error) {
 	bounds := []int{0} // where each group's run of matches starts in found, then its end
 	// check verifies one group's (gi < 0: the outlier capsule's) candidates.
-	check := func(gi int, set *bitset.Set, m *capsule.LineMap) error {
-		if set == nil {
+	check := func(gi int, set bitset.View, m *capsule.LineMap) error {
+		if !set.Any() {
 			return nil
 		}
 		start := len(found)
@@ -678,8 +680,9 @@ func (st *Store) verify(expr query.Expr, cand *rowSets) (found []match, checked 
 			if st.scratch, stop = st.appendRow(st.scratch[:0], gi, row); stop != nil {
 				return false
 			}
-			if entry := string(st.scratch); expr.Match(entry) {
-				found = append(found, match{line: row, entry: entry})
+			// The expression only reads the row; a match keeps a copy.
+			if entry := unsafe.String(unsafe.SliceData(st.scratch), len(st.scratch)); expr.Match(entry) {
+				found = append(found, match{line: row, entry: string(st.scratch)})
 			}
 			return true
 		})
@@ -837,14 +840,11 @@ func (st *Store) searchCandidates(s *query.Search, within *rowSets) (*rowSets, e
 	frags := fragmentOrder(s)
 	se := st.ex.search(s)
 	for gi, g := range st.groups {
-		var cand *bitset.Set
-		switch {
-		case within == nil:
-			cand = bitset.NewFull(g.n)
-		case within.sets[gi] != nil:
-			cand = within.sets[gi].Clone()
-		default:
-			continue
+		cand := bitset.All(g.n)
+		if within != nil {
+			if cand = within.sets[gi]; !cand.Any() {
+				continue
+			}
 		}
 		ge := se.group(g, cand)
 		for _, frag := range frags {
@@ -853,26 +853,30 @@ func (st *Store) searchCandidates(s *query.Search, within *rowSets) (*rowSets, e
 				if err != nil {
 					return nil, err
 				}
-				cand.And(fs)
+				cand = bitset.And(cand, fs)
 			} else if ge == nil {
 				break
 			}
 			ge.after(cand)
 		}
 		se.add(cand)
-		out.sets[gi] = nonEmpty(cand)
+		out.sets[gi] = cand
 	}
 	oc := st.box.Meta.OutlierCapID
-	if oc < 0 || (within != nil && within.outlier() == nil) {
+	if oc < 0 || (within != nil && !within.outlier().Any()) {
 		return out, nil
 	}
 	sr, err := st.searcher(oc)
 	if err != nil {
 		return nil, err
 	}
-	hits := bitset.New(sr.Rows())
+	var hits *bitset.Set // made at the first hit
 	test := func(rank int) bool {
-		if s.MatchEntry(string(sr.Value(rank))) {
+		// MatchEntry only reads the value, in place.
+		if v := sr.Value(rank); s.MatchEntry(unsafe.String(unsafe.SliceData(v), len(v))) {
+			if hits == nil {
+				hits = bitset.New(sr.Rows())
+			}
 			hits.Set(rank)
 		}
 		return true
@@ -884,8 +888,10 @@ func (st *Store) searchCandidates(s *query.Search, within *rowSets) (*rowSets, e
 			test(rank)
 		}
 	}
-	se.add(hits)
-	out.sets[len(st.groups)] = nonEmpty(hits)
+	if hits != nil {
+		out.sets[len(st.groups)] = hits.Freeze()
+	}
+	se.add(out.outlier())
 	return out, nil
 }
 

@@ -242,6 +242,15 @@ func SplitLines(block []byte) []string {
 	return lines
 }
 
+// splitText is SplitLines over a string: its lines are slices of text, so
+// a block costs one string however many lines it holds.
+func splitText(text string) []string {
+	if text == "" {
+		return nil
+	}
+	return strings.Split(strings.TrimSuffix(text, "\n"), "\n")
+}
+
 // sigState is the per-signature mining and parsing state.
 type sigState struct {
 	// byVariant maps level-2 keys to their templates; nil once merged.
@@ -315,7 +324,7 @@ func Parse(block []byte, opts Options) *Parsed {
 	if opts.MaxVariants <= 0 {
 		opts.MaxVariants = DefaultOptions().MaxVariants
 	}
-	lines := SplitLines(block)
+	lines := splitText(string(block))
 	p := &Parsed{NumLines: len(lines)}
 	if len(lines) == 0 {
 		return p

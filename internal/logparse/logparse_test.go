@@ -348,3 +348,15 @@ func BenchmarkParse(b *testing.B) {
 		Parse(blk, DefaultOptions())
 	}
 }
+
+// Parse splits its block with splitText; it must cut exactly the lines
+// SplitLines does.
+func TestSplitTextMatchesSplitLines(t *testing.T) {
+	for _, block := range []string{"", "\n", "\n\n", "a", "a\n", "a\n\nb", "a\nb\n\n", "\na"} {
+		want := SplitLines([]byte(block))
+		got := splitText(block)
+		if !slices.Equal(got, want) {
+			t.Errorf("splitText(%q) = %q, SplitLines says %q", block, got, want)
+		}
+	}
+}
