@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"time"
 
 	"loggrep/internal/blockindex"
 	"loggrep/internal/core"
@@ -137,12 +136,14 @@ func (aw *Writer) Write(p []byte) (int, error) {
 }
 
 // cut sends the first n buffered bytes off as a block and keeps the rest,
-// a partial line, as the start of the next. The next buffer is sized like
-// the block just cut: a stream that filled one block tends to fill another.
+// a partial line, as the start of the next. The next buffer holds a whole
+// block: a stream that filled one block tends to fill another, and a cut
+// falls at the last newline, so the block just cut is almost always
+// shorter than the next fill.
 func (aw *Writer) cut(n int) {
 	block, rest := aw.buf[:n:n], aw.buf[n:]
 	aw.dispatch(block)
-	aw.buf = append(make([]byte, 0, min(n, aw.opts.BlockBytes)), rest...)
+	aw.buf = append(make([]byte, 0, aw.opts.BlockBytes), rest...)
 }
 
 // dispatch starts compressing block on a goroutine of its own, first
@@ -153,11 +154,9 @@ func (aw *Writer) dispatch(block []byte) {
 	}
 	c := make(chan compressed, 1)
 	go func() {
-		box := core.Compress(block, aw.opts.Core)
+		box, scan, scanNS := core.CompressScan(block, aw.opts.Core)
+		mArchiveIndexScanNS.Observe(scanNS)
 		meta := blockMeta{numLines: countLines(block), rawBytes: len(block), stamp: blockStamp(block)}
-		t0 := time.Now()
-		scan := blockindex.ScanBlock(block)
-		mArchiveIndexScanNS.Observe(time.Since(t0).Nanoseconds())
 		c <- compressed{meta: meta, box: box, scan: scan}
 	}()
 	aw.queue = append(aw.queue, c)

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"loggrep/internal/core"
 	"loggrep/internal/loggen"
@@ -333,5 +334,63 @@ func TestParallelQueryStress(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+}
+
+// writeCounter is a sink that counts its Write calls.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestWriterGrowsNoBufferAfterFirstBlock: after a cut the next block's
+// buffer holds a whole block, so the writes that fill it never move it.
+// A cut falls at the last newline, so the block cut is almost always
+// shorter than BlockBytes; a buffer sized like it would be re-allocated
+// and copied by the fill that overflows it.
+func TestWriterGrowsNoBufferAfterFirstBlock(t *testing.T) {
+	lt, _ := loggen.ByName("A")
+	stream := lt.Block(4, 3_000)
+	opts := testOptions(16_000)
+	sink := &writeCounter{}
+	aw, err := NewWriter(sink, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The magic is one write and every frame two: header, then box.
+	cuts := func() int { return (sink.writes-1)/2 + len(aw.queue) }
+	prevCuts, prevBuf := 0, unsafe.SliceData(aw.buf)
+	for off := 0; off < len(stream); {
+		n := min(997, len(stream)-off)
+		if _, err := aw.Write(stream[off : off+n]); err != nil {
+			t.Fatal(err)
+		}
+		off += n
+		c, buf := cuts(), unsafe.SliceData(aw.buf)
+		if c > 0 && cap(aw.buf) < opts.BlockBytes {
+			t.Fatalf("after %d blocks the buffer holds %d bytes, not a block of %d", c, cap(aw.buf), opts.BlockBytes)
+		}
+		if c > 0 && c == prevCuts && buf != prevBuf {
+			t.Fatalf("the write ending at byte %d moved block %d's buffer", off, c+1)
+		}
+		prevCuts, prevBuf = c, buf
+	}
+	if c := cuts(); c < 10 {
+		t.Fatalf("the stream cut into %d blocks, too few to show growth", c)
+	}
+	if err := aw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := Compress(stream, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sink.Bytes(), want) {
+		t.Fatal("archive written in pieces differs from the whole-stream Compress")
 	}
 }

@@ -92,9 +92,10 @@ func (s *gramSet) len() int {
 	return s.n
 }
 
-// addGrams inserts every 4-gram of tok and reports whether the set still
-// fits in maxBlockGrams; a set that does not is dropped by its caller.
-func (s *gramSet) addGrams(tok []byte) bool {
+// addGrams inserts every 4-gram of tok into s and reports whether the set
+// still fits in maxBlockGrams; a set that does not is dropped by its
+// caller.
+func addGrams[T string | []byte](s *gramSet, tok T) bool {
 	for i := 0; i+GramLen <= len(tok); i++ {
 		if !s.add(gramHash(tok[i], tok[i+1], tok[i+2], tok[i+3])) {
 			return false

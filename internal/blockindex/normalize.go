@@ -49,7 +49,7 @@ var byteClass = func() (t [256]uint8) {
 // normal form of f is a substring of the normal form of t. (The leading
 // and trailing runs of f may be truncated pieces of longer runs in t, but
 // a truncated run still collapses to the same single marker.)
-func AppendNormalize(dst, tok []byte) []byte {
+func AppendNormalize[T string | []byte](dst []byte, tok T) []byte {
 	for i := 0; i < len(tok); {
 		if byteClass[tok[i]]&clsNumeric == 0 {
 			dst = append(dst, tok[i])
@@ -66,7 +66,7 @@ func AppendNormalize(dst, tok []byte) []byte {
 
 // Normalize is AppendNormalize for a string, used to normalize query
 // fragments.
-func Normalize(s string) string { return string(AppendNormalize(nil, []byte(s))) }
+func Normalize(s string) string { return string(AppendNormalize(nil, s)) }
 
 // Filterable reports whether a normalized fragment can consult the
 // postings table: it must keep at least one non-volatile byte, because

@@ -15,6 +15,11 @@ const maxVocabTokenLen = 96
 // BlockScan is the index-relevant digest of one raw block, computed by
 // the archive writer's compression workers before the block order is
 // known; Builder.Add later binds it to a line offset.
+//
+// The digest is a pure function of the block's distinct tokens. It has
+// one feeder, AddToken, and two callers of it: the seal, which feeds the
+// tokens its parse has already told apart (core.CompressScan), and
+// ScanBlock, which walks the raw block and is the seal's oracle.
 type BlockScan struct {
 	// grams is the distinct 4-gram hash set of all tokens; nil when the
 	// block exceeded maxBlockGrams (no bloom, always admit).
@@ -26,6 +31,40 @@ type BlockScan struct {
 	// maxVocabTokenLen and was left out of vocab, so postings must
 	// always admit this block.
 	overlong bool
+	// norm is AddToken's normalization buffer.
+	norm []byte
+}
+
+// NewBlockScan returns the empty digest of a block of blockBytes raw
+// bytes; the size only presizes its tables.
+func NewBlockScan(blockBytes int) *BlockScan {
+	// loggen's types hold one distinct token per 36–55 bytes and one
+	// distinct gram per 25–65.
+	return &BlockScan{grams: newGramSet(blockBytes / 8), vocab: make(map[string]struct{})}
+}
+
+// AddToken digests one token of the block: a maximal run of bytes that
+// are neither '\n' nor a logparse delimiter. Feeding every token of the
+// block, in any order and any number of times, gives the block's digest;
+// a token fed again adds nothing, so a caller that knows which tokens are
+// distinct feeds each once. The empty token adds nothing.
+func (sc *BlockScan) AddToken(tok string) { addToken(sc, tok) }
+
+func addToken[T string | []byte](sc *BlockScan, tok T) {
+	if sc.grams != nil && !addGrams(sc.grams, tok) {
+		sc.grams = nil
+	}
+	sc.norm = AppendNormalize(sc.norm[:0], tok)
+	if pureVolatile(sc.norm) {
+		return
+	}
+	if len(sc.norm) > maxVocabTokenLen {
+		sc.overlong = true
+		return
+	}
+	if _, ok := sc.vocab[string(sc.norm)]; !ok {
+		sc.vocab[string(sc.norm)] = struct{}{}
+	}
 }
 
 // ScanBlock tokenizes one raw block and digests it for indexing. Tokens
@@ -34,16 +73,12 @@ type BlockScan struct {
 // because entries are single lines and a fragment spanning a newline can
 // match nothing.
 //
-// The digest is a pure function of the block's distinct tokens, so the
-// walk digests each distinct token once: a repeat, recognised by its
-// bytes, adds nothing to the gram set, the vocabulary or the overlong
-// flag.
+// The walk digests each distinct token once: a repeat, recognised by its
+// bytes, is not fed again. The archive writer gets the same digest from
+// the seal instead; ScanBlock is the walk that digest is tested against.
 func ScanBlock(block []byte) *BlockScan {
-	// Presized from the block: loggen's types hold one distinct token per
-	// 36–55 bytes and one distinct gram per 25–65.
-	sc := &BlockScan{grams: newGramSet(len(block) / 8), vocab: make(map[string]struct{})}
+	sc := NewBlockScan(len(block))
 	seen := newTokenSet(len(block) / 16)
-	var norm []byte
 	for i, n := 0, len(block); i < n; {
 		for i < n && byteClass[block[i]]&clsBreak != 0 {
 			i++
@@ -55,21 +90,7 @@ func ScanBlock(block []byte) *BlockScan {
 		if i == start || !seen.insert(block, start, i) {
 			continue
 		}
-		tok := block[start:i]
-		if sc.grams != nil && !sc.grams.addGrams(tok) {
-			sc.grams = nil
-		}
-		norm = AppendNormalize(norm[:0], tok)
-		if pureVolatile(norm) {
-			continue
-		}
-		if len(norm) > maxVocabTokenLen {
-			sc.overlong = true
-			continue
-		}
-		if _, ok := sc.vocab[string(norm)]; !ok {
-			sc.vocab[string(norm)] = struct{}{}
-		}
+		addToken(sc, block[start:i])
 	}
 	return sc
 }

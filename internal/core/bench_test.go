@@ -29,6 +29,31 @@ var benchBox = sync.OnceValue(func() []byte {
 	return Compress(block, DefaultOptions())
 })
 
+// BenchmarkCompress seals one 2 MiB block of types A, G and S: parse,
+// extraction, assembly and pack, as Compress runs them; scan also feeds
+// the block's index digest, as an archive writer's seal does. B/op is
+// what TestCompressAllocBound bounds.
+func BenchmarkCompress(b *testing.B) {
+	for _, name := range []string{"A", "G", "S"} {
+		lt, _ := loggen.ByName(name)
+		blk := typeBlock(b, lt, 2<<20)
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(blk)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Compress(blk, DefaultOptions())
+			}
+		})
+		b.Run(name+"/scan", func(b *testing.B) {
+			b.SetBytes(int64(len(blk)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				CompressScan(blk, DefaultOptions())
+			}
+		})
+	}
+}
+
 // BenchmarkReconstructAll restores a whole 2 MiB block. cold is a fresh
 // store each time — Open, then ReconstructAll, decompressing every capsule —
 // as restoring an archive does block by block. warm restores a store whose

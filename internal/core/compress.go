@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"loggrep/internal/blockindex"
 	"loggrep/internal/capsule"
 	"loggrep/internal/logparse"
 	"loggrep/internal/rtpattern"
@@ -21,10 +22,34 @@ import (
 // Each stage's duration and the block's sizes are recorded into
 // obsv.Default (loggrep_compress_* metrics; see OPERATIONS.md).
 func Compress(block []byte, opts Options) []byte {
+	box, _, _ := compress(block, opts, false)
+	return box
+}
+
+// CompressScan is Compress for an archive block: it also returns the
+// block's skip-index digest, equal to blockindex.ScanBlock(block), and the
+// nanoseconds spent building it. The digest comes from the seal's own walk
+// rather than a second tokenization: the parse has split every line into
+// its template's static tokens and its variable values, the vector pass
+// that decides each vector's category collects the values into one
+// block-wide set, and each distinct token of the block is digested once.
+// The stage histograms stay a partition of the block's wall time: the
+// digest's time is not assembly's.
+func CompressScan(block []byte, opts Options) (box []byte, scan *blockindex.BlockScan, scanNS int64) {
+	return compress(block, opts, true)
+}
+
+func compress(block []byte, opts Options, scan bool) ([]byte, *blockindex.BlockScan, int64) {
 	t0 := time.Now()
 	parsed := logparse.Parse(block, opts.Parse)
 	tParsed := time.Now()
 	b := &builder{opts: opts}
+	if scan {
+		tScan := time.Now()
+		b.scan = blockindex.NewBlockScan(len(block))
+		feedUnheld(b.scan, parsed)
+		b.scanNS += time.Since(tScan).Nanoseconds()
+	}
 
 	meta := &capsule.Meta{
 		NumLines:     parsed.NumLines,
@@ -66,10 +91,42 @@ func Compress(block []byte, opts Options) []byte {
 	mCompressGroups.Observe(int64(len(parsed.Groups)))
 	mCompressParseNS.Observe(tParsed.Sub(t0).Nanoseconds())
 	mCompressExtractNS.Observe(b.extractNS)
-	// Assembly is the builder's time net of the extraction calls it made.
-	mCompressAssembleNS.Observe(tAssembled.Sub(tParsed).Nanoseconds() - b.extractNS)
+	// Assembly is the builder's time net of the extraction calls it made
+	// and of the index digest.
+	mCompressAssembleNS.Observe(tAssembled.Sub(tParsed).Nanoseconds() - b.extractNS - b.scanNS)
 	mCompressPackNS.Observe(time.Since(tAssembled).Nanoseconds())
-	return out
+	return out, b.scan, b.scanNS
+}
+
+// feedUnheld digests the tokens of the block that no variable vector
+// holds: each grouped template's static tokens and every token of the
+// outlier lines, each distinct one once. With every vector's values they
+// are every token of the block: a grouped line's tokens are its
+// template's static tokens and its variable values.
+func feedUnheld(sc *blockindex.BlockScan, parsed *logparse.Parsed) {
+	seen := make(map[string]struct{})
+	add := func(tok string) {
+		if _, ok := seen[tok]; !ok {
+			seen[tok] = struct{}{}
+			sc.AddToken(tok)
+		}
+	}
+	var toks []string
+	for _, g := range parsed.Groups {
+		toks = g.Template.AppendStaticTokens(toks[:0])
+		for _, tok := range toks {
+			add(tok)
+		}
+	}
+	var pieces []logparse.Piece
+	for _, line := range parsed.Outliers {
+		pieces = logparse.AppendTokenize(pieces[:0], line)
+		for _, p := range pieces {
+			if p.IsToken {
+				add(p.Text)
+			}
+		}
+	}
 }
 
 // builder accumulates the capsule directory and payloads.
@@ -77,6 +134,13 @@ type builder struct {
 	opts     Options
 	infos    []capsule.Info
 	payloads [][]byte
+	// distinct tells the values of the vector being built apart; it is
+	// reused vector after vector.
+	distinct rtpattern.Distinct
+	// scan is the block's index digest, nil when the seal builds none;
+	// scanNS accumulates the time spent feeding it.
+	scan   *blockindex.BlockScan
+	scanNS int64
 	// extractNS accumulates time spent inside rtpattern extraction calls,
 	// separating the Extractor stage from the Assembler stage it is
 	// interleaved with.
@@ -120,14 +184,23 @@ func (b *builder) addVarCap(kind capsule.Kind, values []string) int {
 	return len(b.infos) - 1
 }
 
-// buildVar encodes one variable vector.
+// buildVar encodes one variable vector. One distinct pass over its values
+// decides its category, feeds the index digest each distinct value once
+// and, for a nominal vector, builds the dictionary. A static-only seal
+// decides no category and makes the pass only for the digest.
 func (b *builder) buildVar(values []string, opts Options) capsule.VarMeta {
 	if opts.StaticOnly {
+		if b.scan != nil {
+			tScan := time.Now()
+			b.distinct.Of(values)
+			b.scanNS += time.Since(tScan).Nanoseconds()
+			b.feedDistinct()
+		}
 		return b.buildWhole(values)
 	}
-	var cat rtpattern.Category
-	b.timeExtract(func() { cat = rtpattern.Categorize(values, opts.Extract) })
-	switch cat {
+	b.timeExtract(func() { b.distinct.Of(values) })
+	b.feedDistinct()
+	switch rtpattern.CategorizeCount(len(values), len(b.distinct.Values), opts.Extract) {
 	case rtpattern.Real:
 		if opts.DisableReal {
 			return b.buildWhole(values)
@@ -137,8 +210,21 @@ func (b *builder) buildVar(values []string, opts Options) capsule.VarMeta {
 		if opts.DisableNominal {
 			return b.buildWhole(values)
 		}
-		return b.buildNominal(values)
+		return b.buildNominal()
 	}
+}
+
+// feedDistinct digests the distinct values of the vector being built,
+// when the seal builds an index digest.
+func (b *builder) feedDistinct() {
+	if b.scan == nil {
+		return
+	}
+	tScan := time.Now()
+	for _, v := range b.distinct.Values {
+		b.scan.AddToken(v)
+	}
+	b.scanNS += time.Since(tScan).Nanoseconds()
 }
 
 // buildWhole stores the vector as a single capsule behind a degenerate
@@ -185,11 +271,11 @@ func (b *builder) buildReal(values []string, opts Options) capsule.VarMeta {
 	return vm
 }
 
-// buildNominal runs pattern merging and encodes the dictionary and index
-// capsules (Figure 5).
-func (b *builder) buildNominal(values []string) capsule.VarMeta {
+// buildNominal runs pattern merging on the vector b.distinct holds and
+// encodes the dictionary and index capsules (Figure 5).
+func (b *builder) buildNominal() capsule.VarMeta {
 	var res *rtpattern.NominalResult
-	b.timeExtract(func() { res = rtpattern.ExtractNominal(values) })
+	b.timeExtract(func() { res = rtpattern.ExtractNominalDistinct(&b.distinct) })
 	vm := capsule.VarMeta{
 		Kind:       capsule.NominalVar,
 		IndexWidth: res.IndexWidth,

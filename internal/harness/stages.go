@@ -10,14 +10,15 @@ import (
 
 // stageRows maps the compression-stage histograms in obsv.Default to the
 // row labels PrintStageBreakdown prints, in pipeline order. The last row
-// is the archive writer's index scan, which runs beside core.Compress on
-// each block; it reads 0 for runs that build bare boxes only.
+// is the index digest an archive block's seal feeds from its parse
+// (core.CompressScan), net of which assembly is reported, so the rows
+// partition the seal; it reads 0 for runs that build bare boxes only.
 var stageRows = []struct{ label, metric string }{
 	{"parse (static patterns)", "loggrep_compress_parse_ns"},
 	{"extract (runtime patterns)", "loggrep_compress_extract_ns"},
 	{"assemble (capsules)", "loggrep_compress_assemble_ns"},
 	{"pack (codec + layout)", "loggrep_compress_pack_ns"},
-	{"index scan (grams + vocab)", "loggrep_archive_index_scan_ns"},
+	{"index digest (grams + vocab)", "loggrep_archive_index_scan_ns"},
 }
 
 // PrintStageBreakdown reports where compression time went, per stage,

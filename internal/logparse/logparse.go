@@ -8,19 +8,33 @@ import (
 // IsDelim reports whether b separates tokens. The set matches the paper's
 // examples: spaces and commas split tokens; ':' does not, so "state:503"
 // stays one token (§3 Query).
-func IsDelim(b byte) bool {
-	switch b {
-	case ' ', '\t', ',', ';', '"', '(', ')', '[', ']', '=':
-		return true
+func IsDelim(b byte) bool { return class[b]&clsDelim != 0 }
+
+// Byte classes, one bit each in class, so the tokenizer pays one load per
+// byte.
+const (
+	clsDelim uint8 = 1 << iota
+	clsDigit
+)
+
+var class = func() (t [256]uint8) {
+	for _, b := range []byte(" \t,;\"()[]=") {
+		t[b] |= clsDelim
 	}
-	return false
-}
+	for b := '0'; b <= '9'; b++ {
+		t[b] |= clsDigit
+	}
+	return t
+}()
 
 // Piece is one fragment of a tokenized line: either a token or the exact
 // run of delimiter bytes between tokens.
 type Piece struct {
 	Text    string
 	IsToken bool
+	// digit records that a token holds a decimal digit, which makes it a
+	// variable when a template is mined from its line.
+	digit bool
 }
 
 // Tokenize splits line into alternating delimiter-run and token pieces.
@@ -34,16 +48,18 @@ func AppendTokenize(dst []Piece, line string) []Piece {
 	i := 0
 	for i < len(line) {
 		j := i
-		if IsDelim(line[i]) {
-			for j < len(line) && IsDelim(line[j]) {
+		if class[line[i]]&clsDelim != 0 {
+			for j < len(line) && class[line[j]]&clsDelim != 0 {
 				j++
 			}
 			pieces = append(pieces, Piece{Text: line[i:j]})
 		} else {
-			for j < len(line) && !IsDelim(line[j]) {
+			var seen uint8
+			for j < len(line) && class[line[j]]&clsDelim == 0 {
+				seen |= class[line[j]]
 				j++
 			}
-			pieces = append(pieces, Piece{Text: line[i:j], IsToken: true})
+			pieces = append(pieces, Piece{Text: line[i:j], IsToken: true, digit: seen&clsDigit != 0})
 		}
 		i = j
 	}
@@ -71,7 +87,7 @@ func appendVariantKey(dst []byte, pieces []Piece) []byte {
 		if !p.IsToken {
 			continue
 		}
-		if containsDigit(p.Text) {
+		if p.digit {
 			dst = append(dst, 0)
 		} else {
 			dst = append(dst, p.Text...)
@@ -96,6 +112,23 @@ type Template struct {
 	// tokenLit[i] holds its required value; used during parsing.
 	tokenStatic []bool
 	tokenLit    []string
+	// sampled counts the sampled lines the template was mined for; times
+	// the sampling stride it estimates the rows of its group.
+	sampled int
+	// group is the template's group in the block being parsed.
+	group *Group
+}
+
+// AppendStaticTokens appends the template's static tokens to dst in line
+// order: the tokens every line of the template's group holds verbatim.
+// With the group's variable values they are every token of those lines.
+func (t *Template) AppendStaticTokens(dst []string) []string {
+	for i, static := range t.tokenStatic {
+		if static {
+			dst = append(dst, t.tokenLit[i])
+		}
+	}
+	return dst
 }
 
 // String renders the template with "<*>" in variable positions.
@@ -167,7 +200,7 @@ func templateFromLine(pieces []Piece) *Template {
 			appendLit(t, p.Text)
 			continue
 		}
-		static := !containsDigit(p.Text)
+		static := !p.digit
 		t.tokenStatic = append(t.tokenStatic, static)
 		if static {
 			t.tokenLit = append(t.tokenLit, p.Text)
@@ -258,18 +291,29 @@ type sigState struct {
 	// merged is the single template after a variant-budget overflow.
 	merged *Template
 	// mining state (sampling pass only).
-	variants map[string][]Piece    // representative line per variant
+	variants map[string]*variant   // representative line per variant
 	distinct []map[string]struct{} // per token position, values seen
 	rep      []Piece               // any representative tokenization
+	sampled  int                   // sampled lines of the signature
+}
+
+// variant is one level-2 key's representative line and the number of
+// sampled lines with that key.
+type variant struct {
+	pieces  []Piece
+	sampled int
 }
 
 // observe records one sampled line and its variant key.
 func (st *sigState) observe(pieces []Piece, key []byte, budget int) {
 	if st.variants == nil {
-		st.variants = make(map[string][]Piece)
+		st.variants = make(map[string]*variant)
 	}
-	if _, ok := st.variants[string(key)]; !ok && len(st.variants) <= budget {
-		st.variants[string(key)] = pieces
+	st.sampled++
+	if v := st.variants[string(key)]; v != nil {
+		v.sampled++
+	} else if len(st.variants) <= budget {
+		st.variants[string(key)] = &variant{pieces: pieces, sampled: 1}
 	}
 	if st.rep == nil {
 		st.rep = pieces
@@ -306,10 +350,13 @@ func (st *sigState) observe(pieces []Piece, key []byte, budget int) {
 func (st *sigState) seal(budget int) {
 	if len(st.variants) > budget {
 		st.merged = mergedTemplate(st.rep, st.distinct)
+		st.merged.sampled = st.sampled
 	} else {
 		st.byVariant = make(map[string]*Template, len(st.variants))
-		for key, pieces := range st.variants {
-			st.byVariant[key] = templateFromLine(pieces)
+		for key, v := range st.variants {
+			t := templateFromLine(v.pieces)
+			t.sampled = v.sampled
+			st.byVariant[key] = t
 		}
 	}
 	st.variants, st.distinct, st.rep = nil, nil, nil
@@ -354,11 +401,9 @@ func Parse(block []byte, opts Options) *Parsed {
 		st.seal(opts.MaxVariants)
 	}
 
-	// Pass 2: parse every line. Each template is one group, so groups are
-	// keyed by template and kept in first-seen order. Templates and values
-	// keep a piece's string, never the slice, so one buffer serves every
-	// line.
-	groups := make(map[*Template]*Group)
+	// Pass 2: parse every line. Each template is one group, kept in
+	// first-seen order. Templates and values keep a piece's string, never
+	// the slice, so one buffer serves every line.
 	var pieces []Piece
 	for lineNo, line := range lines {
 		pieces = AppendTokenize(pieces[:0], line)
@@ -389,10 +434,9 @@ func Parse(block []byte, opts Options) *Parsed {
 			p.OutlierLines = append(p.OutlierLines, lineNo)
 			continue
 		}
-		g := groups[tmpl]
+		g := tmpl.group
 		if g == nil {
-			g = &Group{Template: tmpl, Vars: make([][]string, tmpl.NumVars)}
-			groups[tmpl] = g
+			g = newGroup(tmpl, tmpl.sampled*stride)
 			p.Groups = append(p.Groups, g)
 		}
 		v, ti := 0, 0
@@ -409,6 +453,25 @@ func Parse(block []byte, opts Options) *Parsed {
 		g.Lines = append(g.Lines, lineNo)
 	}
 	return p
+}
+
+// newGroup starts the group of tmpl with its columns sized for rows
+// entries, out of one backing array, when the sample gives an estimate.
+// The estimate is padded by a quarter: a column it still falls short of
+// grows on its own.
+func newGroup(tmpl *Template, rows int) *Group {
+	g := &Group{Template: tmpl, Vars: make([][]string, tmpl.NumVars)}
+	tmpl.group = g
+	if rows == 0 {
+		return g
+	}
+	rows += rows / 4
+	cols := make([]string, tmpl.NumVars*rows)
+	for v := range g.Vars {
+		g.Vars[v] = cols[v*rows : v*rows : (v+1)*rows]
+	}
+	g.Lines = make([]int, 0, rows)
+	return g
 }
 
 func countTokens(pieces []Piece) int {

@@ -85,8 +85,14 @@ func (c Category) String() string {
 
 // Categorize applies the duplication-rate heuristic of §4.1.
 func Categorize(values []string, opts Options) Category {
-	opts = opts.normalized()
-	if DuplicationRate(values) < opts.DupThreshold {
+	return CategorizeCount(len(values), distinctCount(values), opts)
+}
+
+// CategorizeCount is Categorize for a vector of n values, distinct of them
+// distinct, for a caller that has counted them already: the seal reads the
+// count off the Distinct pass it also feeds the index digest from.
+func CategorizeCount(n, distinct int, opts Options) Category {
+	if dupRate(n, distinct) < opts.normalized().DupThreshold {
 		return Real
 	}
 	return Nominal
@@ -127,11 +133,21 @@ func ExtractReal(values []string, opts Options) *RealResult {
 	return res
 }
 
+// decompose splits every value against pat. Each sub-variable column and
+// the match rows are sized for the whole vector up front, the columns out
+// of one backing array, so a vector costs the same few allocations however
+// many values it holds.
 func decompose(pat *Pattern, values []string) *RealResult {
-	res := &RealResult{Pattern: pat, Subs: make([][]string, pat.NumSubs)}
+	n := len(values)
+	res := &RealResult{Pattern: pat, Subs: make([][]string, pat.NumSubs), MatchRows: make([]int, 0, n)}
+	cols := make([]string, pat.NumSubs*n)
+	for s := range res.Subs {
+		res.Subs[s] = cols[s*n : s*n : (s+1)*n]
+	}
+	subs := make([]string, 0, pat.NumSubs)
 	for row, v := range values {
-		subs, ok := pat.Parse(v)
-		if !ok {
+		var ok bool
+		if subs, ok = pat.AppendParse(subs[:0], v); !ok {
 			res.Outliers = append(res.Outliers, v)
 			res.OutlierRows = append(res.OutlierRows, row)
 			continue
@@ -368,47 +384,52 @@ type NominalResult struct {
 // fold sub-variables, then order the dictionary by pattern and build the
 // index vector.
 func ExtractNominal(values []string) *NominalResult {
-	uniq := make(map[string]int) // value -> first-seen order
-	var order []string
-	for _, v := range values {
-		if _, ok := uniq[v]; !ok {
-			uniq[v] = len(order)
-			order = append(order, v)
-		}
-	}
+	var d Distinct
+	d.Of(values)
+	return ExtractNominalDistinct(&d)
+}
 
-	// Sketch each unique value and group by sketch form.
-	bySketch := make(map[string][]string)
+// ExtractNominalDistinct is ExtractNominal for a vector whose values d
+// has already told apart. The result does not keep d's slices.
+func ExtractNominalDistinct(d *Distinct) *NominalResult {
+	// Sketch each unique value and group the values' indexes by sketch
+	// form.
+	bySketch := make(map[string][]int32)
 	var sketches []string
-	for _, v := range order {
+	for id, v := range d.Values {
 		sk := sketchOf(v)
 		if _, ok := bySketch[sk]; !ok {
 			sketches = append(sketches, sk)
 		}
-		bySketch[sk] = append(bySketch[sk], v)
+		bySketch[sk] = append(bySketch[sk], int32(id))
 	}
 	// Sort sketches so all values of one pattern are stored sequentially
 	// and the layout is deterministic (the paper sorts pattern sketches).
 	sort.Strings(sketches)
 
-	res := &NominalResult{}
-	dictPos := make(map[string]int, len(order))
+	res := &NominalResult{DictValues: make([]string, 0, len(d.Values))}
+	dictPos := make([]int, len(d.Values))
+	var vals []string
 	for _, sk := range sketches {
-		vals := bySketch[sk]
+		ids := bySketch[sk]
+		vals = vals[:0]
+		for _, id := range ids {
+			vals = append(vals, d.Values[id])
+		}
 		pat := mergeSketchGroup(vals)
 		dp := DictPattern{Pattern: pat, Count: len(vals)}
-		for _, v := range vals {
+		for k, v := range vals {
 			if len(v) > dp.MaxLen {
 				dp.MaxLen = len(v)
 			}
-			dictPos[v] = len(res.DictValues)
+			dictPos[ids[k]] = len(res.DictValues)
 			res.DictValues = append(res.DictValues, v)
 		}
 		res.Patterns = append(res.Patterns, dp)
 	}
-	res.RowIndex = make([]int, len(values))
-	for k, v := range values {
-		res.RowIndex[k] = dictPos[v]
+	res.RowIndex = make([]int, len(d.Rows))
+	for k, id := range d.Rows {
+		res.RowIndex[k] = dictPos[id]
 	}
 	res.IndexWidth = digitWidth(len(res.DictValues))
 	return res

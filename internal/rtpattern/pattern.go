@@ -40,20 +40,31 @@ func (p *Pattern) String() string {
 // single source of truth for pattern membership — values it rejects go to
 // the outlier capsule.
 func (p *Pattern) Parse(value string) ([]string, bool) {
-	subs := make([]string, 0, p.NumSubs)
+	subs, ok := p.AppendParse(make([]string, 0, p.NumSubs), value)
+	if !ok {
+		return nil, false
+	}
+	return subs, true
+}
+
+// AppendParse is Parse appending the fragments to dst, so a caller that
+// parses a whole vector reuses one buffer. On a rejected value it returns
+// false and dst with whatever fragments it appended before the mismatch.
+func (p *Pattern) AppendParse(dst []string, value string) ([]string, bool) {
+	n0 := len(dst)
 	rest := value
 	for i := 0; i < len(p.Elems); i++ {
 		e := p.Elems[i]
 		if e.Sub < 0 {
 			// A literal not preceded by a sub-variable must be a prefix.
 			if !strings.HasPrefix(rest, e.Lit) {
-				return nil, false
+				return dst, false
 			}
 			rest = rest[len(e.Lit):]
 			continue
 		}
 		if i == len(p.Elems)-1 {
-			subs = append(subs, rest) // trailing sub takes the remainder
+			dst = append(dst, rest) // trailing sub takes the remainder
 			rest = ""
 			continue
 		}
@@ -63,23 +74,20 @@ func (p *Pattern) Parse(value string) ([]string, bool) {
 		var idx int
 		if i+1 == len(p.Elems)-1 {
 			if !strings.HasSuffix(rest, lit) {
-				return nil, false
+				return dst, false
 			}
 			idx = len(rest) - len(lit)
 		} else {
 			idx = strings.Index(rest, lit)
 			if idx < 0 {
-				return nil, false
+				return dst, false
 			}
 		}
-		subs = append(subs, rest[:idx])
+		dst = append(dst, rest[:idx])
 		rest = rest[idx+len(lit):]
 		i++ // the literal was consumed together with the fragment
 	}
-	if rest != "" || len(subs) != p.NumSubs {
-		return nil, false
-	}
-	return subs, true
+	return dst, rest == "" && len(dst)-n0 == p.NumSubs
 }
 
 // Reconstruct rebuilds a value from sub-variable fragments.
@@ -104,14 +112,25 @@ func singleSub() *Pattern {
 // DuplicationRate returns (total-unique)/total (§4.1); 0 for an empty
 // vector.
 func DuplicationRate(values []string) float64 {
-	if len(values) == 0 {
+	return dupRate(len(values), distinctCount(values))
+}
+
+// dupRate is the duplication rate of n values of which distinct are
+// distinct.
+func dupRate(n, distinct int) float64 {
+	if n == 0 {
 		return 0
 	}
+	return float64(n-distinct) / float64(n)
+}
+
+// distinctCount returns the number of distinct values.
+func distinctCount(values []string) int {
 	seen := make(map[string]struct{}, len(values))
 	for _, v := range values {
 		seen[v] = struct{}{}
 	}
-	return float64(len(values)-len(seen)) / float64(len(values))
+	return len(seen)
 }
 
 // isAlnum reports whether b is alphanumeric.
