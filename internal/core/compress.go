@@ -29,12 +29,13 @@ func Compress(block []byte, opts Options) []byte {
 // CompressScan is Compress for an archive block: it also returns the
 // block's skip-index digest, equal to blockindex.ScanBlock(block), and the
 // nanoseconds spent building it. The digest comes from the seal's own walk
-// rather than a second tokenization: the parse has split every line into
-// its template's static tokens and its variable values, the vector pass
-// that decides each vector's category collects the values into one
-// block-wide set, and each distinct token of the block is digested once.
-// The stage histograms stay a partition of the block's wall time: the
-// digest's time is not assembly's.
+// rather than a second tokenization: the parse has split every grouped
+// line into its template's static tokens and its variable values, and the
+// distinct pass that decides a vector's category hands over the vector's
+// distinct values. A value several vectors hold is digested once per
+// vector, which a block-wide set would save at more than it costs. The
+// stage histograms stay a partition of the block's wall time: the digest's
+// time is not assembly's.
 func CompressScan(block []byte, opts Options) (box []byte, scan *blockindex.BlockScan, scanNS int64) {
 	return compress(block, opts, true)
 }

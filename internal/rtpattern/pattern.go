@@ -126,11 +126,9 @@ func dupRate(n, distinct int) float64 {
 
 // distinctCount returns the number of distinct values.
 func distinctCount(values []string) int {
-	seen := make(map[string]struct{}, len(values))
-	for _, v := range values {
-		seen[v] = struct{}{}
-	}
-	return len(seen)
+	var d Distinct
+	d.Of(values)
+	return len(d.Values)
 }
 
 // isAlnum reports whether b is alphanumeric.

@@ -3,6 +3,7 @@ package rtpattern
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -473,5 +474,36 @@ func TestPatternStringFormat(t *testing.T) {
 	want := "block_<typ=1,len=1>F8<typ=5,len=4>"
 	if got := p.String(); got != want {
 		t.Errorf("String = %q, want %q", got, want)
+	}
+}
+
+// Distinct agrees with a map on first-seen order and row indexes, through
+// table growth, and when one Distinct serves vectors of very different
+// sizes one after another.
+func TestDistinctMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var d Distinct
+	for _, n := range []int{0, 1, 5000, 3, 20000, 0, 700} {
+		values := make([]string, n)
+		for i := range values {
+			values[i] = fmt.Sprintf("v%d", rng.Intn(n/2+1))
+		}
+		d.Of(values)
+		ids := make(map[string]int32)
+		var order []string
+		for k, v := range values {
+			id, ok := ids[v]
+			if !ok {
+				id = int32(len(order))
+				ids[v] = id
+				order = append(order, v)
+			}
+			if d.Rows[k] != id {
+				t.Fatalf("n=%d: row %d indexes %d, want %d", n, k, d.Rows[k], id)
+			}
+		}
+		if !slices.Equal(d.Values, order) || len(d.Rows) != n {
+			t.Fatalf("n=%d: %d distinct values and %d rows, want %d and %d", n, len(d.Values), len(d.Rows), len(order), n)
+		}
 	}
 }
