@@ -436,7 +436,11 @@ func Parse(block []byte, opts Options) *Parsed {
 		}
 		g := tmpl.group
 		if g == nil {
-			g = newGroup(tmpl, tmpl.sampled*stride)
+			// The sample estimates the group's rows; a quarter more
+			// covers most of its error, and a column the estimate still
+			// falls short of grows on its own.
+			est := tmpl.sampled * stride
+			g = newGroup(tmpl, min(est+est/4, len(lines)))
 			p.Groups = append(p.Groups, g)
 		}
 		v, ti := 0, 0
@@ -456,16 +460,13 @@ func Parse(block []byte, opts Options) *Parsed {
 }
 
 // newGroup starts the group of tmpl with its columns sized for rows
-// entries, out of one backing array, when the sample gives an estimate.
-// The estimate is padded by a quarter: a column it still falls short of
-// grows on its own.
+// entries out of one backing array; with rows 0 they start empty.
 func newGroup(tmpl *Template, rows int) *Group {
 	g := &Group{Template: tmpl, Vars: make([][]string, tmpl.NumVars)}
 	tmpl.group = g
 	if rows == 0 {
 		return g
 	}
-	rows += rows / 4
 	cols := make([]string, tmpl.NumVars*rows)
 	for v := range g.Vars {
 		g.Vars[v] = cols[v*rows : v*rows : (v+1)*rows]
