@@ -22,6 +22,7 @@
 //	loggrep explain app.lgrep ERROR
 //	loggrep cat app.lgrep > app.log.restored
 //	loggrep verify -deep app.lgrep
+//	loggrep upgrade old.lgrep app.lgrep
 //	loggrep diag flightrec/bundle-20260805T100000.000-0001-sigquit.json
 //	loggrep top -server http://localhost:8080
 package main
@@ -30,6 +31,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -42,8 +44,10 @@ import (
 
 	"loggrep"
 	"loggrep/internal/anatomy"
+	"loggrep/internal/archive"
 	"loggrep/internal/blobstore"
 	"loggrep/internal/flightrec"
+	"loggrep/internal/legacy"
 	"loggrep/internal/obsv"
 	"loggrep/internal/version"
 )
@@ -87,6 +91,7 @@ func commands() []*command {
 		newStatCmd(),
 		newStatsCmd(),
 		newExplainCmd(),
+		newUpgradeCmd(),
 		newDiagCmd(),
 		newTopCmd(),
 		newVersionCmd(),
@@ -198,20 +203,36 @@ func newCompressCmd() *command {
 // see compressFile call it.
 var syncDir = flightrec.SyncDir
 
-// compressFile streams the log at in through an archive writer into a temp
-// file beside dst, renamed over dst once synced, so a failed run leaves
-// nothing under dst's name; the directory is synced after the rename so a
-// host crash cannot lose the new name. It returns the bytes read and
-// written.
+// compressFile streams the log at in through an archive writer into dst
+// (replaceFile). It returns the bytes read and written.
 func compressFile(in, dst string, opts loggrep.ArchiveOptions) (raw, packed int64, err error) {
 	src, err := os.Open(in)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer src.Close()
+	packed, err = replaceFile(dst, func(w io.Writer) error {
+		aw, err := loggrep.NewArchiveWriter(w, opts)
+		if err != nil {
+			return err
+		}
+		if raw, err = io.Copy(aw, src); err != nil {
+			return err // the writer's workers end with the process
+		}
+		return aw.Close()
+	}, nil)
+	return raw, packed, err
+}
+
+// replaceFile has fill write dst's new content into a temp file beside it.
+// Once check, when non-nil, accepts the temp file's path, the file is
+// synced and renamed over dst, and the directory synced so a host crash
+// cannot lose the new name. A failed run leaves nothing behind and dst as
+// it was. It returns the bytes written.
+func replaceFile(dst string, fill func(io.Writer) error, check func(tmp string) error) (size int64, err error) {
 	tmp, err := os.OpenFile(fmt.Sprintf("%s.tmp%d", dst, os.Getpid()), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	defer func() {
 		if err != nil {
@@ -220,23 +241,23 @@ func compressFile(in, dst string, opts loggrep.ArchiveOptions) (raw, packed int6
 		}
 	}()
 	bw := bufio.NewWriterSize(tmp, 1<<20)
-	aw, err := loggrep.NewArchiveWriter(bw, opts)
-	if err != nil {
-		return 0, 0, err
+	steps := []func() error{
+		func() error { return fill(bw) },
+		bw.Flush,
+		func() (err error) { size, err = tmp.Seek(0, io.SeekCurrent); return err },
 	}
-	if raw, err = io.Copy(aw, src); err != nil {
-		return 0, 0, err // the writer's workers end with the process
+	if check != nil {
+		steps = append(steps, func() error { return check(tmp.Name()) })
 	}
-	size := func() (err error) { packed, err = tmp.Seek(0, io.SeekCurrent); return err }
-	for _, step := range []func() error{aw.Close, bw.Flush, size, tmp.Sync, tmp.Close} {
+	for _, step := range append(steps, tmp.Sync, tmp.Close) {
 		if err = step(); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	}
 	if err = os.Rename(tmp.Name(), dst); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	return raw, packed, syncDir(filepath.Dir(dst))
+	return size, syncDir(filepath.Dir(dst))
 }
 
 // cliBlobs is the CLI's fault-policy blob store: plain paths, default
@@ -515,6 +536,51 @@ func newStatsCmd() *command {
 			return enc.Encode(rep)
 		}
 		fmt.Print(rep.String())
+		return nil
+	}
+	return c
+}
+
+func newUpgradeCmd() *command {
+	fs := flag.NewFlagSet("upgrade", flag.ExitOnError)
+	c := &command{
+		name:    "upgrade",
+		args:    "<in> <out>",
+		summary: "rewrite an archive or box of a retired format as a current archive",
+		fs:      fs,
+	}
+	c.run = func() error {
+		if fs.NArg() != 2 {
+			return fmt.Errorf("upgrade needs an input and an output file")
+		}
+		in, out := fs.Arg(0), fs.Arg(1)
+		data, err := readBlob(in)
+		if err != nil {
+			return err
+		}
+		if _, err := loggrep.OpenArchive(data); err == nil {
+			_, err = replaceFile(out, func(w io.Writer) error { _, err := w.Write(data); return err }, nil)
+			if err == nil {
+				fmt.Printf("%s: already current, copied unchanged\n", out)
+			}
+			return err
+		} else if !errors.Is(err, archive.ErrOldFormat) {
+			return err
+		}
+		// Restore the input's text into a current archive, then check that
+		// the live reader restores the written file to that same text
+		// before it replaces out.
+		size, err := replaceFile(out, func(w io.Writer) error { return legacy.Upgrade(data, w) }, func(tmp string) error {
+			upgraded, err := os.ReadFile(tmp)
+			if err != nil {
+				return err
+			}
+			return legacy.Verify(data, upgraded)
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Printf("%s: upgraded, %d -> %d bytes, restore verified\n", out, len(data), size)
 		return nil
 	}
 	return c

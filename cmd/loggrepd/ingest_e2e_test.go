@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 
 	"loggrep"
 )
@@ -214,33 +216,26 @@ func getInto(t *testing.T, url string, v any) {
 	}
 }
 
-// TestLoggrepdServesRev1Segments: an ingest directory sealed by an older
-// loggrepd — seg-N.lgrep archives whose blocks are rev-1 CapsuleBoxes, here
-// two copies of the fixture commit 7abb5d0 wrote — replays and answers
-// exactly what grep over the raw lines answers, untouched on disk.
-func TestLoggrepdServesRev1Segments(t *testing.T) {
-	serveFixtureSegments(t, "box1_fixture", "box1_fixture")
-}
-
-// TestLoggrepdServesRev2Segments does the same for a stream sealed first by
-// a rev-1 and then by a rev-2 loggrepd (the fixture commit 52d28eb wrote:
-// every section LZMA-lite) before this one, which seals rev-3 boxes.
-func TestLoggrepdServesRev2Segments(t *testing.T) {
-	serveFixtureSegments(t, "box1_fixture", "box2_fixture")
-}
-
-// serveFixtureSegments installs the named archive fixtures as one stream's
-// sealed segments, in order, starts a real loggrepd on them, and checks its
-// answers against grep over the fixtures' raw logs laid end to end.
-func serveFixtureSegments(t *testing.T, fixtures ...string) {
-	t.Helper()
+// TestLoggrepdOldSegmentsNeedUpgrade: an ingest directory sealed by older
+// loggrepds — seg-N.lgrep archives of rev-1, then rev-2 boxes, the fixtures
+// commits 7abb5d0 and 52d28eb wrote — holds segments in retired formats.
+// The daemon refuses to start on it, naming the segment and `loggrep
+// upgrade`, and leaves every file as it was; once `loggrep upgrade seg seg`
+// has rewritten each segment in place, it replays them and answers exactly
+// what grep over the raw lines answers.
+func TestLoggrepdOldSegmentsNeedUpgrade(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds a binary and runs a daemon")
+		t.Skip("builds binaries and runs a daemon")
 	}
+	fixtures := []string{"box1_fixture", "box2_fixture"}
 	dir := t.TempDir()
 	daemon := filepath.Join(dir, "loggrepd")
 	if out, err := exec.Command("go", "build", "-o", daemon, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build loggrepd: %v\n%s", err, out)
+	}
+	cli := filepath.Join(dir, "loggrep")
+	if out, err := exec.Command("go", "build", "-o", cli, "../loggrep").CombinedOutput(); err != nil {
+		t.Fatalf("go build loggrep: %v\n%s", err, out)
 	}
 	streamDir := filepath.Join(dir, "ingest", "acme", "app")
 	if err := os.MkdirAll(streamDir, 0o755); err != nil {
@@ -266,6 +261,32 @@ func serveFixtureSegments(t *testing.T, fixtures ...string) {
 		segs[p] = seg
 	}
 
+	// 1. The daemon refuses to start, and the segments stay as they were.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, daemon, "-addr", "127.0.0.1:0", "-flightrec=false",
+		"-ingest", "-ingest-dir", filepath.Join(dir, "ingest")).CombinedOutput()
+	first := filepath.Join(streamDir, "seg-00000001.lgrep")
+	if err == nil || !strings.Contains(string(out), first) || !strings.Contains(string(out), "loggrep upgrade") {
+		t.Fatalf("daemon on retired segments: %v\n%s\nwant a refusal naming %s and loggrep upgrade", err, out, first)
+	}
+	for p, seg := range segs {
+		if got, err := os.ReadFile(p); err != nil || !bytes.Equal(got, seg) {
+			t.Fatalf("%s changed on disk (%v)", p, err)
+		}
+	}
+	if ents, err := os.ReadDir(streamDir); err != nil || len(ents) != len(segs) {
+		t.Fatalf("stream directory holds %d entries, want the %d segments (%v)", len(ents), len(segs), err)
+	}
+
+	// 2. Each segment is upgraded in place.
+	for p := range segs {
+		if out, err := exec.Command(cli, "upgrade", p, p).CombinedOutput(); err != nil {
+			t.Fatalf("loggrep upgrade %s: %v\n%s", p, err, out)
+		}
+	}
+
+	// 3. The daemon replays them and answers as grep does.
 	base, _, _, preamble := startDaemon(t, daemon, "-ingest", "-ingest-dir", filepath.Join(dir, "ingest"))
 	if banner := strings.Join(preamble, "\n"); !strings.Contains(banner, fmt.Sprintf("%d sealed", len(fixtures))) {
 		t.Fatalf("replay banner does not report the %d sealed segments:\n%s", len(fixtures), banner)
@@ -288,11 +309,6 @@ func serveFixtureSegments(t *testing.T, fixtures ...string) {
 			if line != want[i] || q.Entries[i] != wantEntries[i] {
 				t.Fatalf("query %q: match %d is line %d %q, want %d %q", cmd, i, line, q.Entries[i], want[i], wantEntries[i])
 			}
-		}
-	}
-	for p, seg := range segs {
-		if got, err := os.ReadFile(p); err != nil || !bytes.Equal(got, seg) {
-			t.Fatalf("%s changed on disk (%v)", p, err)
 		}
 	}
 }

@@ -118,7 +118,7 @@ type IndexStats struct {
 
 // Report is the full anatomy of a box or archive file.
 type Report struct {
-	// Format is "box", "archive-v1", or "archive-v2".
+	// Format is "box" or "archive-v2".
 	Format     string `json:"format"`
 	TotalBytes int    `json:"total_bytes"`
 	// RawBytes is the original log size: frame metadata for archives,
@@ -133,15 +133,16 @@ type Report struct {
 	PayloadBytes   int          `json:"payload_bytes"`
 	Blocks         []BlockStats `json:"blocks"`
 	// Index describes the block-skipping index sections; nil when the
-	// file has none (bare box, v1 archive, an older writer, a cut tail).
+	// file has none (bare box, an older writer, a cut tail).
 	Index *IndexStats `json:"index,omitempty"`
 }
 
 // Inspect decodes a CapsuleBox or archive and returns its anatomy. Both go
-// through archive.Open, which serves a bare box, of either format
-// revision, as a one-block archive and names the format it found; what
-// stays box-specific is a raw size re-derived from the capsules (a box
-// records none) and no block stamp (a box has none).
+// through archive.Open, which serves a bare box as a one-block archive and
+// names the format it found, and refuses a retired format with
+// archive.ErrOldFormat; what stays box-specific is a raw size re-derived
+// from the capsules (a box records none) and no block stamp (a box has
+// none).
 func Inspect(data []byte) (*Report, error) {
 	a, err := archive.Open(data)
 	if err != nil {
@@ -210,8 +211,7 @@ const framingNote = "magic + length varints"
 
 // finish sums the per-block stages and kinds into the report, appending
 // the archive-level framing bytes to the framing stage. Rows of one stage
-// whose notes differ stay apart: blocks of different box revisions pack
-// with different codecs.
+// whose notes differ stay apart.
 func (r *Report) finish(archiveFraming int) {
 	stageIdx := map[[2]string]int{}
 	kindIdx := map[string]int{}
@@ -378,34 +378,26 @@ func inspectBox(data []byte) (*BoxStats, error) {
 	// framing, so the column sums to the file size exactly.
 	metaComp, _ := box.MetaSizes()
 	lineMaps := box.LineMapBytes()
-	// Blob bytes by codec, in codec order: one pack row per codec present.
-	var blobBytes [capsule.CodecDeflate + 1]int
+	blobBytes := 0
 	for id := range meta.Capsules {
-		blobBytes[box.Codec(id)] += box.BlobSize(id)
+		blobBytes += box.BlobSize(id)
 	}
-	dir := box.DirCodec()
-	parseNote := fmt.Sprintf("templates + all pattern metadata (%s, one section)", dir)
-	lineMapNote := "row→line maps, one Rice bitstream per group; raw = one newline per line"
-	if lineMaps == 0 && meta.NumLines > 0 {
-		parseNote = fmt.Sprintf("templates, line maps + all pattern metadata (%s, one section)", dir)
-		lineMapNote = "rev-1 box: row→line maps are packed inside the parse section"
-	}
-	framing := len(data) - metaComp - lineMaps
+	codec := capsule.CodecDeflate.String()
 	bs.Stages = []StageBytes{
-		{Stage: "parse", RawBytes: parseRaw, PackedBytes: metaComp, Note: parseNote},
-		{Stage: "linemap", RawBytes: meta.NumLines, PackedBytes: lineMaps, Note: lineMapNote},
+		{Stage: "parse", RawBytes: parseRaw, PackedBytes: metaComp,
+			Note: "templates + all pattern metadata (" + codec + ", one section)"},
+		{Stage: "linemap", RawBytes: meta.NumLines, PackedBytes: lineMaps,
+			Note: "row→line maps, one Rice bitstream per group; raw = one newline per line"},
 		{Stage: "extract", RawBytes: extractRaw,
 			Note: "runtime-pattern literals (stored in the parse metadata section)"},
 		{Stage: "assemble", RawBytes: assembleRaw,
 			Note: "capsule values; compressed bytes appear under pack"},
 	}
-	for c, n := range blobBytes {
-		if n > 0 {
-			bs.Stages = append(bs.Stages, StageBytes{Stage: "pack", PackedBytes: n,
-				Note: capsule.Codec(c).String() + " capsule blobs incl chunk framing"})
-			framing -= n
-		}
+	if blobBytes > 0 {
+		bs.Stages = append(bs.Stages, StageBytes{Stage: "pack", PackedBytes: blobBytes,
+			Note: codec + " capsule blobs incl chunk framing"})
 	}
+	framing := len(data) - metaComp - lineMaps - blobBytes
 	bs.Stages = append(bs.Stages, StageBytes{Stage: "framing", PackedBytes: framing, Note: framingNote})
 	return bs, nil
 }

@@ -3,6 +3,7 @@ package anatomy
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"loggrep/internal/archive"
 	"loggrep/internal/core"
+	"loggrep/internal/legacy"
 	"loggrep/internal/loggen"
 	"loggrep/internal/logparse"
 )
@@ -55,18 +57,27 @@ func TestInspectBoxAccounting(t *testing.T) {
 }
 
 // TestInspectArchiveFixture pins the anatomy of the committed v1 fixture
-// archive: packed bytes sum to the exact file size, raw bytes match the
-// frame metadata within 1%, and the rendered table matches the golden.
+// archive as `loggrep upgrade` rewrites it: packed bytes sum to the exact
+// file size, raw bytes match the frame metadata within 1%, and the
+// rendered table matches the golden. The fixture itself is refused.
 func TestInspectArchiveFixture(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("..", "archive", "testdata", "v1_fixture.lgrep"))
+	old, err := os.ReadFile(filepath.Join("..", "archive", "testdata", "v1_fixture.lgrep"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := Inspect(old); !errors.Is(err, archive.ErrOldFormat) {
+		t.Fatalf("Inspect of the v1 fixture: %v, want ErrOldFormat", err)
+	}
+	var up bytes.Buffer
+	if err := legacy.Upgrade(old, &up); err != nil {
+		t.Fatal(err)
+	}
+	data := up.Bytes()
 	rep, err := Inspect(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Format != "archive-v1" {
+	if rep.Format != "archive-v2" {
 		t.Fatalf("format %q", rep.Format)
 	}
 	if got := rep.PackedTotal(); got != len(data) {
@@ -221,44 +232,36 @@ func TestInspectArchiveRoundTrip(t *testing.T) {
 	}
 }
 
-// TestInspectRev1Box: a bare box of the previous format revision inspects
-// as a box, like a current one — its raw size re-derived from its capsules,
-// no block stamp — not as an archive holding it.
+// TestInspectRev1Box: a bare box of a retired revision is refused with
+// archive.ErrOldFormat, as the archive holding it is — not inspected, and
+// not reported as damage.
 func TestInspectRev1Box(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "archive", "testdata", "box1_fixture.lgrep"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := archive.Open(data)
+	frames, err := archive.ScanFrames(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bi := a.BlockInfos()[0]
-	rep, err := Inspect(bi.Box)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Format != "box" || rep.NumLines != bi.NumLines || len(rep.Blocks) != 1 || rep.Blocks[0].Stamp != "" {
-		t.Fatalf("rev-1 box inspects as %s, %d lines, %d blocks, stamp %q; want a box of %d lines and no stamp",
-			rep.Format, rep.NumLines, len(rep.Blocks), rep.Blocks[0].Stamp, bi.NumLines)
-	}
-	if got := rep.PackedTotal(); got != len(bi.Box) {
-		t.Errorf("packed total %d, box is %d bytes", got, len(bi.Box))
-	}
-	if rep.RawBytes == 0 || rep.RawBytes != rep.Blocks[0].Box.RawAccounted {
-		t.Errorf("raw bytes %d, want the box's accounted %d", rep.RawBytes, rep.Blocks[0].Box.RawAccounted)
-	}
-	if got, want := rep.RawTotal(), bi.RawBytes; got < want*99/100 || got > want*101/100 {
-		t.Errorf("raw column %d, the frame says the block was %d bytes", got, want)
+	box := data[frames[0].PayloadOff : frames[0].PayloadOff+frames[0].PayloadLen]
+	for name, in := range map[string][]byte{"archive": data, "bare box": box} {
+		if rep, err := Inspect(in); !errors.Is(err, archive.ErrOldFormat) || rep != nil {
+			t.Fatalf("%s: Inspect: %v, want ErrOldFormat", name, err)
+		}
 	}
 }
 
-// TestInspectPackByCodec: the pack stage reports capsule blob bytes per
-// codec — LZMA-lite for the rev-2 fixture's blocks, DEFLATE for a freshly
-// written archive — and the codecs' rows hold every capsule's bytes.
+// TestInspectPackByCodec: the pack stage reports every capsule's blob
+// bytes in one DEFLATE row, for a freshly written archive and for the rev-2
+// fixture (LZMA-lite capsules) once upgraded.
 func TestInspectPackByCodec(t *testing.T) {
 	fixture, err := os.ReadFile(filepath.Join("..", "archive", "testdata", "box2_fixture.lgrep"))
 	if err != nil {
+		t.Fatal(err)
+	}
+	var upgraded bytes.Buffer
+	if err := legacy.Upgrade(fixture, &upgraded); err != nil {
 		t.Fatal(err)
 	}
 	lt, _ := loggen.ByName("S")
@@ -268,20 +271,13 @@ func TestInspectPackByCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name       string
-		data       []byte
-		pack, skip string
-	}{
-		{"rev-2 fixture", fixture, "lzma", "deflate"},
-		{"rev-3 archive", fresh, "deflate", "lzma"},
-	} {
-		rep, err := Inspect(tc.data)
+	for name, data := range map[string][]byte{"upgraded rev-2 fixture": upgraded.Bytes(), "fresh archive": fresh} {
+		rep, err := Inspect(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := rep.PackedTotal(); got != len(tc.data) {
-			t.Errorf("%s: packed total %d, file is %d bytes", tc.name, got, len(tc.data))
+		if got := rep.PackedTotal(); got != len(data) {
+			t.Errorf("%s: packed total %d, file is %d bytes", name, got, len(data))
 		}
 		capsules := 0
 		for _, k := range rep.Kinds {
@@ -293,8 +289,8 @@ func TestInspectPackByCodec(t *testing.T) {
 				packed[strings.Fields(s.Note)[0]] += s.PackedBytes
 			}
 		}
-		if packed[tc.pack] != capsules || packed[tc.skip] != 0 || len(packed) != 1 {
-			t.Errorf("%s: pack rows %v, want all %d capsule bytes under %s", tc.name, packed, capsules, tc.pack)
+		if packed["deflate"] != capsules || len(packed) != 1 {
+			t.Errorf("%s: pack rows %v, want all %d capsule bytes under deflate", name, packed, capsules)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"runtime"
 
 	"loggrep/internal/blockindex"
+	"loggrep/internal/capsule"
 	"loggrep/internal/core"
 	"loggrep/internal/rtpattern"
 )
@@ -15,17 +16,17 @@ import (
 // Magic identifies a v2 archive stream (checksummed frames).
 const Magic = "LGRPARC2"
 
-// MagicV1 identifies the legacy v1 stream (no checksums). The writer no
-// longer emits it; Open still accepts it.
-const MagicV1 = "LGRPARC1"
-
-// IsArchive reports whether data begins with any supported archive magic.
-func IsArchive(data []byte) bool {
-	return hasMagic(data, Magic) || hasMagic(data, MagicV1)
-}
+// IsArchive reports whether data begins with the archive magic.
+func IsArchive(data []byte) bool { return hasMagic(data, Magic) }
 
 // ErrCorrupt reports an undecodable archive.
 var ErrCorrupt = errors.New("archive: corrupt archive")
+
+// ErrOldFormat reports an input in a retired on-disk format: a v1 archive,
+// a bare box of a retired revision, or a v2 archive holding such a box.
+// It is never damage: Open refuses the whole input, and `loggrep upgrade`
+// rewrites it. It is capsule.ErrOldFormat, so errors.Is matches either.
+var ErrOldFormat = capsule.ErrOldFormat
 
 // ErrChecksum reports a frame whose stored CRC32C does not match its
 // bytes. It wraps ErrCorrupt.

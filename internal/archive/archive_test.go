@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -121,10 +120,7 @@ func TestArchiveRoundTrip(t *testing.T) {
 // flag and reason, decompressions — on a pristine archive, one with a
 // payload-flipped block and one with a damaged frame header, for queries
 // and counts alike; the pristine answers are the oracle's; a budget-cut
-// query at any worker count is a flagged subset of the full answer. It
-// holds for a fresh archive, for one whose frames alternate rev-2 and
-// rev-3 boxes (LZMA-lite and DEFLATE capsules), and for one whose rev-3
-// boxes alternate LZMA-lite and DEFLATE directories.
+// query at any worker count is a flagged subset of the full answer.
 func TestArchiveQueryEquivalence(t *testing.T) {
 	lt, _ := loggen.ByName("G")
 	stream := lt.Block(4, 8000)
@@ -141,74 +137,6 @@ func TestArchiveQueryEquivalence(t *testing.T) {
 			"heartbeat AND node-7",
 		})
 	})
-	for _, tc := range []struct {
-		name, fixture string
-		old           func(box []byte) bool // a box the fixture's writer wrote
-	}{
-		{"rev2+rev3", "box2_fixture", func(box []byte) bool { return bytes.HasPrefix(box, []byte("LGRPBOX2")) }},
-		{"lzma-dir+deflate-dir", "box3_fixture", lzmaDirBox},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			raw, err := os.ReadFile("testdata/" + tc.fixture + ".log")
-			if err != nil {
-				t.Fatal(err)
-			}
-			fixture, err := os.ReadFile("testdata/" + tc.fixture + ".lgrep")
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts := DefaultOptions()
-			opts.BlockBytes = 32 << 10 // the fixture's cut
-			fresh, err := Compress(raw, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mixed := spliceFrames(t, fresh, fixture)
-			if o, n := countBoxes(t, mixed, tc.old), countBoxes(t, mixed, deflateDirBox); o != 3 || n != 3 {
-				t.Fatalf("spliced archive holds %d old and %d fresh boxes, want 3 of each", o, n)
-			}
-			// Every query must open block 1, the payload the check flips:
-			// each type's Table-1 query rides beside ERROR, which every
-			// block holds.
-			queries := []string{"ERROR", "NOT INFO"}
-			for _, name := range []string{"A", "G", "S"} {
-				lt, _ := loggen.ByName(name)
-				queries = append(queries, "ERROR OR "+lt.Query)
-			}
-			checkQueryEquivalence(t, logparse.SplitLines(raw), mixed, queries)
-		})
-	}
-}
-
-// spliceFrames interleaves two archives of one stream cut into the same
-// blocks: even frames, the terminator and the index tail from a, odd
-// frames from b. Frame headers carry absolute line offsets and their own
-// checksums, so frames move between archives verbatim.
-func spliceFrames(t *testing.T, a, b []byte) []byte {
-	t.Helper()
-	fa, err := ScanFrames(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := ScanFrames(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fa) != len(fb) {
-		t.Fatalf("%d frames against %d: the archives are cut differently", len(fa), len(fb))
-	}
-	out := []byte(Magic)
-	for i, f := range fa[:len(fa)-1] {
-		src := a
-		if i%2 == 1 {
-			src, f = b, fb[i]
-		}
-		if f.Lines != fa[i].Lines {
-			t.Fatalf("frame %d: %d lines against %d", i, f.Lines, fa[i].Lines)
-		}
-		out = append(out, src[f.HeaderOff:f.PayloadOff+f.PayloadLen]...)
-	}
-	return append(out, a[fa[len(fa)-1].HeaderOff:]...)
 }
 
 // checkQueryEquivalence is TestArchiveQueryEquivalence over one archive of

@@ -12,8 +12,11 @@
 //
 // Frame format v2 adds per-frame CRC32C checksums (see frame.go) so that
 // storage corruption is detected and quarantined block by block instead of
-// poisoning the whole archive; Open still reads v1 streams, and serves a
-// bare CapsuleBox as an archive of one block.
+// poisoning the whole archive. Open reads that one frame format of boxes of
+// the one current revision, and serves a bare CapsuleBox as an archive of
+// one block. Retired formats — v1 frames, older box revisions — are
+// ErrOldFormat, a clean refusal that is never damage; internal/legacy and
+// `loggrep upgrade` rewrite them.
 //
 // Cross-block query work is observable: each query records block-skip and
 // per-block latency metrics into obsv.Default (the loggrep_archive_*

@@ -83,10 +83,9 @@ func decodeHeader(b []byte) (h frameHeader, ok bool) {
 }
 
 // FrameInfo locates one frame inside an archive buffer (diagnostics,
-// verification tooling and fault-injection tests).
+// verification tooling, internal/legacy and fault-injection tests).
 type FrameInfo struct {
-	// HeaderOff is the offset of the frame header (v2) or of the frame's
-	// leading length varint (v1).
+	// HeaderOff is the offset of the frame header.
 	HeaderOff int
 	// PayloadOff is the offset of the CapsuleBox payload.
 	PayloadOff int
@@ -96,22 +95,25 @@ type FrameInfo struct {
 	Lines int
 	// Terminator marks the archive's final frame.
 	Terminator bool
+
+	payloadCRC uint32 // as the header records it; ScanFrames does not check it
 }
 
-// ScanFrames structurally parses an archive and returns the location of
+// PayloadIntact reports whether payload, the frame's payload in its
+// archive, matches the CRC32C its header records.
+func (f *FrameInfo) PayloadIntact(payload []byte) bool {
+	return crc32.Checksum(payload, castagnoli) == f.payloadCRC
+}
+
+// ScanFrames structurally parses a v2 archive and returns the location of
 // every frame, terminator included. It fails on the first structural fault
-// the format's walk finds — it is a layout scan for tooling and tests, not
-// the quarantining reader (use Open for that).
+// the walk finds — it is a layout scan for tooling and tests, not the
+// quarantining reader (use Open for that). A v1 archive is ErrOldFormat.
 func ScanFrames(data []byte) ([]FrameInfo, error) {
-	var w walk
-	switch {
-	case hasMagic(data, Magic):
-		w = walkV2(data)
-	case hasMagic(data, MagicV1):
-		w = walkV1(data)
-	default:
-		return nil, errBadMagic
+	if err := checkMagic(data); err != nil {
+		return nil, err
 	}
+	w := walkV2(data)
 	if len(w.causes) > 0 {
 		return nil, w.causes[0]
 	}
@@ -123,6 +125,7 @@ func ScanFrames(data []byte) ([]FrameInfo, error) {
 			PayloadLen: f.boxLen,
 			Lines:      f.meta.numLines,
 			Terminator: f.terminator(),
+			payloadCRC: f.payloadCRC,
 		}
 	}
 	return out, nil
@@ -130,12 +133,26 @@ func ScanFrames(data []byte) ([]FrameInfo, error) {
 
 var errBadMagic = fmt.Errorf("%w: bad magic", ErrCorrupt)
 
-// frame is one frame a walk found: where it sits and what its v2 header,
-// or v1 length and trailer, says. A v1 frame has no payload checksum, and
-// its line offset is the sum of the frames before it.
+// errV1 refuses the checksum-free v1 frame format ("LGRPARC1"), which only
+// retired writers wrote; internal/legacy reads it.
+var errV1 = fmt.Errorf("archive: v1 archive: %w", ErrOldFormat)
+
+// checkMagic accepts a v2 archive's magic: a v1 archive is errV1, anything
+// else errBadMagic.
+func checkMagic(data []byte) error {
+	switch {
+	case hasMagic(data, Magic):
+		return nil
+	case hasMagic(data, "LGRPARC1"):
+		return errV1
+	}
+	return errBadMagic
+}
+
+// frame is one frame a walk found: where it sits and what its header says.
 type frame struct {
 	frameHeader
-	off        int // offset of the v2 header or of the v1 length varint
+	off        int // offset of the header
 	payloadOff int
 }
 
@@ -145,8 +162,7 @@ type walk struct {
 	// frames are the frames found, in stream order, every payload inside
 	// the data; the terminator, when one was found, is last.
 	frames []frame
-	// causes are the structural faults found, in stream order. A v1 walk
-	// stops at its first.
+	// causes are the structural faults found, in stream order.
 	causes []error
 	// endLine is the line after the last frame header read, a truncated
 	// frame's included.
@@ -214,71 +230,6 @@ func resync(data []byte, pos, expectLine int) (int, frameHeader, bool) {
 	}
 	return 0, frameHeader{}, false
 }
-
-// walkV1 walks the legacy checksum-free format: each frame is a length
-// varint, the payload, and a trailer of numLines, rawBytes, the stamp's
-// type mask byte and its max line length; a zero length is the
-// terminator. With no checksum there is nothing to resynchronize on, so
-// the walk stops at its first fault.
-func walkV1(data []byte) walk {
-	var w walk
-	fail := func(what string, off int) walk {
-		w.causes = append(w.causes, fmt.Errorf("%w: %s at offset %d", ErrCorrupt, what, off))
-		return w
-	}
-	pos := len(MagicV1)
-	uv := func() (uint64, bool) {
-		v, n := binary.Uvarint(data[pos:])
-		pos += max(n, 0)
-		return v, n > 0
-	}
-	for {
-		f := frame{off: pos}
-		boxLen, ok := uv()
-		if !ok {
-			return fail("bad frame length", f.off)
-		}
-		f.payloadOff = pos
-		f.lineOff = w.endLine
-		if boxLen == 0 {
-			w.frames = append(w.frames, f)
-			return w
-		}
-		if boxLen > uint64(len(data)-pos) {
-			return fail("truncated frame", f.off)
-		}
-		f.boxLen = int(boxLen)
-		pos += f.boxLen
-		numLines, ok1 := uv()
-		rawBytes, ok2 := uv()
-		if !ok1 || !ok2 || pos >= len(data) {
-			return fail("bad frame meta", f.off)
-		}
-		mask := data[pos]
-		pos++
-		maxLen, ok := uv()
-		if !ok {
-			return fail("bad frame meta", f.off)
-		}
-		if numLines > maxFrameLines || rawBytes > maxFrameBytes || maxLen > maxFrameBytes {
-			return fail("implausible frame meta", f.off)
-		}
-		f.meta = blockMeta{
-			numLines: int(numLines),
-			rawBytes: int(rawBytes),
-			stamp:    rtpattern.Stamp{TypeMask: mask, MaxLen: int(maxLen)},
-		}
-		w.frames = append(w.frames, f)
-		w.endLine += f.meta.numLines
-	}
-}
-
-// maxFrameLines/maxFrameBytes bound v1 frame metadata, which carries no
-// checksum: a corrupt varint must not become a giant line count.
-const (
-	maxFrameLines = 1 << 40
-	maxFrameBytes = 1 << 40
-)
 
 // hasMagic reports whether data starts with the given magic string.
 func hasMagic(data []byte, magic string) bool {

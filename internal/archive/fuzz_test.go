@@ -2,6 +2,7 @@ package archive
 
 import (
 	"context"
+	"errors"
 	"os"
 	"sort"
 	"testing"
@@ -12,7 +13,7 @@ import (
 )
 
 // fuzzSeedArchives builds small v2 archives and damaged variants of them
-// and adds the committed v1 fixture and bare boxes of both revisions — the
+// and adds bare boxes and the committed fixtures of retired formats — the
 // corpus every archive fuzz target starts from.
 func fuzzSeedArchives(f *testing.F) [][]byte {
 	f.Helper()
@@ -33,8 +34,8 @@ func fuzzSeedArchives(f *testing.F) [][]byte {
 		f.Fatal(err)
 	}
 	// Bare CapsuleBoxes, which Open serves as one-block archives: one the
-	// writer writes now, and a fixture's first block for each earlier
-	// revision and for rev 3 with an LZMA-lite directory.
+	// writer writes now, and a fixture's first block for each retired
+	// revision, which Open refuses.
 	box3 := core.Compress(stream, opts.Core)
 	firstBox := func(name string) []byte {
 		fixture, err := os.ReadFile("testdata/" + name + ".lgrep")
@@ -48,6 +49,10 @@ func fuzzSeedArchives(f *testing.F) [][]byte {
 		return fixture[frames[0].PayloadOff : frames[0].PayloadOff+frames[0].PayloadLen]
 	}
 	box1, box2, box3lzmaDir := firstBox("box1_fixture"), firstBox("box2_fixture"), firstBox("box3_fixture")
+	box2Fixture, err := os.ReadFile("testdata/box2_fixture.lgrep")
+	if err != nil {
+		f.Fatal(err)
+	}
 	flipped := append([]byte(nil), v2...)
 	flipped[len(flipped)/3] ^= 0x10
 	headerHit := append([]byte(nil), v2...)
@@ -67,9 +72,10 @@ func fuzzSeedArchives(f *testing.F) [][]byte {
 		box3lzmaDir,
 		box2,
 		box1,
+		box2Fixture,
 		box3[:len(box3)/2], // truncated box
 		[]byte(Magic),
-		[]byte(MagicV1),
+		[]byte("LGRPARC1"),
 		[]byte(capsule.BoxMagic),
 		nil,
 	}
@@ -77,13 +83,18 @@ func fuzzSeedArchives(f *testing.F) [][]byte {
 
 // FuzzOpenArchive: arbitrary bytes must never panic Open or the lazy
 // per-block verification behind Verify, and whatever opens must expose a
-// consistent line space.
+// consistent line space. A v1 archive or a bare box of a retired revision
+// is ErrOldFormat.
 func FuzzOpenArchive(f *testing.F) {
 	for _, seed := range fuzzSeedArchives(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := Open(data)
+		retired := hasMagic(data, "LGRPARC1") || errors.Is(capsule.CheckPrefix(data), ErrOldFormat)
+		if retired && !errors.Is(err, ErrOldFormat) {
+			t.Fatalf("retired input opened as %v", err)
+		}
 		if err != nil {
 			return
 		}

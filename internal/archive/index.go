@@ -17,14 +17,10 @@ func (a *Archive) IndexStats() blockindex.Stats {
 // IndexSectionRange locates the index tail of a v2 archive: the byte
 // offset just past the terminator frame and the framed sections found
 // there. Fault-injection and inspection tooling uses it to target exact
-// byte regions. A v1 archive has no index and returns offset -1; a v2
-// archive fails on the first structural fault of its frame walk.
+// byte regions. It fails on the first structural fault of the frame walk.
 func IndexSectionRange(data []byte) (tailOff int, sections []blockindex.SectionInfo, err error) {
-	switch {
-	case hasMagic(data, MagicV1):
-		return -1, nil, nil
-	case !hasMagic(data, Magic):
-		return -1, nil, errBadMagic
+	if err := checkMagic(data); err != nil {
+		return -1, nil, err
 	}
 	w := walkV2(data)
 	if len(w.causes) > 0 {

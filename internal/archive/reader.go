@@ -28,9 +28,8 @@ type block struct {
 	idx      int // ordinal among the archive's frames
 	box      []byte
 	meta     blockMeta
-	lineOff  int // global line number of the block's first line
-	hasCRC   bool
-	crc      uint32 // expected payload CRC32C (v2 only)
+	lineOff  int    // global line number of the block's first line
+	crc      uint32 // expected payload CRC32C
 	storeMu  sync.Mutex
 	store    *core.Store
 	storeErr error
@@ -62,7 +61,7 @@ func (b *block) openStore(ctx context.Context, hook core.ReadHook) (*core.Store,
 			}
 		}
 		start := time.Now()
-		if b.hasCRC && crc32.Checksum(b.box, castagnoli) != b.crc {
+		if crc32.Checksum(b.box, castagnoli) != b.crc {
 			b.storeErr = b.fail(ErrChecksum)
 		} else if st, err := core.Open(b.box, core.QueryOptions{ReadHook: hook}); err != nil {
 			b.storeErr = b.fail(err)
@@ -84,8 +83,8 @@ type Archive struct {
 	rawBytes int
 
 	// index is the block-skipping index decoded from the sections after
-	// the terminator; nil or empty when the archive has none (a v1
-	// archive, an older writer, a damaged or cut tail, a bare box).
+	// the terminator; nil or empty when the archive has none (an older
+	// writer, a damaged or cut tail, a bare box).
 	index *blockindex.Index
 	bare  *core.Store // the one block's store, for a bare CapsuleBox
 
@@ -117,24 +116,25 @@ func (a *Archive) hook() core.ReadHook {
 	return a.readHook
 }
 
-// Open parses an archive produced by Writer/Compress, either format, or a
-// bare CapsuleBox, which it serves as a one-block archive.
+// Open parses an archive produced by Writer/Compress, or a bare CapsuleBox,
+// which it serves as a one-block archive.
 //
-// For v2 archives every frame header is checksum-verified up front; frames
-// with damaged headers are skipped by re-synchronizing on the next valid
-// header, and the lost line ranges are recorded (see Damage) rather than
-// failing the open. Payload checksums are deferred to first use. Open
-// itself only fails when the data is not an archive at all.
+// Every frame header is checksum-verified up front; frames with damaged
+// headers are skipped by re-synchronizing on the next valid header, and
+// the lost line ranges are recorded (see Damage) rather than failing the
+// open. Payload checksums are deferred to first use. Open itself only
+// fails when the data is not an archive at all, or is one in a retired
+// format (ErrOldFormat).
 func Open(data []byte) (*Archive, error) {
-	switch {
-	case hasMagic(data, Magic):
-		return openV2(data), nil
-	case hasMagic(data, MagicV1):
-		return openV1(data)
-	case capsule.IsBox(data):
-		return openBox(data)
+	if hasMagic(data, Magic) {
+		return openV2(data)
 	}
-	return nil, errBadMagic
+	if err := capsule.CheckPrefix(data); err == nil {
+		return openBox(data)
+	} else if errors.Is(err, ErrOldFormat) {
+		return nil, err
+	}
+	return nil, checkMagic(data)
 }
 
 // openBox wraps a bare CapsuleBox as an archive of one block with no
@@ -154,7 +154,13 @@ func openBox(data []byte) (*Archive, error) {
 // block, whatever it could not read is damage (finishV2), and the index
 // sections past the terminator are decoded. Decoding them never fails —
 // damage drops the affected section and queries scan every block.
-func openV2(data []byte) *Archive {
+//
+// A block whose box does not begin with capsule.BoxPrefix is either damaged
+// or of a retired revision, and only its payload checksum tells which: a
+// payload that verifies and names a retired revision fails the open with
+// ErrOldFormat; any other stays a block, whose first open reports it. So
+// Open computes no checksum for a current box.
+func openV2(data []byte) (*Archive, error) {
 	w := walkV2(data)
 	a := &Archive{format: "archive-v2"}
 	termLines := -1
@@ -164,16 +170,19 @@ func openV2(data []byte) *Archive {
 			a.index = blockindex.DecodeSections(data[f.payloadOff:])
 			break
 		}
+		box := data[f.payloadOff : f.payloadOff+f.boxLen]
+		if err := capsule.CheckPrefix(box); errors.Is(err, ErrOldFormat) && crc32.Checksum(box, castagnoli) == f.payloadCRC {
+			return nil, fmt.Errorf("archive: block at line %d: %w", f.lineOff, err)
+		}
 		a.blocks = append(a.blocks, &block{
-			box:     data[f.payloadOff : f.payloadOff+f.boxLen],
+			box:     box,
 			meta:    f.meta,
 			lineOff: f.lineOff,
-			hasCRC:  true,
 			crc:     f.payloadCRC,
 		})
 	}
 	a.finishV2(termLines, w.endLine, w.causes)
-	return a
+	return a, nil
 }
 
 // finishV2 reconciles the parsed blocks against the line space. Headers
@@ -256,29 +265,8 @@ func countDamageBefore(d []BlockError, line int) int {
 	return n
 }
 
-// openV1 builds the archive from the v1 walk. Structural damage is not
-// recoverable without checksummed headers, so any fault the walk finds
-// fails the open, exactly as v1 readers always did.
-func openV1(data []byte) (*Archive, error) {
-	w := walkV1(data)
-	if len(w.causes) > 0 {
-		return nil, w.causes[0]
-	}
-	a := &Archive{format: "archive-v1", numLines: w.endLine}
-	for _, f := range w.frames[:len(w.frames)-1] {
-		a.blocks = append(a.blocks, &block{
-			idx:     len(a.blocks),
-			box:     data[f.payloadOff : f.payloadOff+f.boxLen],
-			meta:    f.meta,
-			lineOff: f.lineOff,
-		})
-		a.rawBytes += f.meta.rawBytes
-	}
-	return a, nil
-}
-
-// Format names what Open found: "box" for a bare CapsuleBox, "archive-v1"
-// or "archive-v2" for the two frame formats.
+// Format names what Open found: "box" for a bare CapsuleBox, "archive-v2"
+// for an archive.
 func (a *Archive) Format() string { return a.format }
 
 // NumBlocks returns the count of readable blocks.

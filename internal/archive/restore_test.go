@@ -6,64 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"loggrep/internal/loggen"
-	"loggrep/internal/logparse"
 )
-
-// TestReconstructFixtures restores every checked-in archive — the v1 frame
-// format and rev-1, rev-2 and rev-3 (LZMA-lite directory) boxes — through
-// each path: Restore, strict and not, gives back the raw log; each block's
-// AppendAll gives back its own lines; Entry gives back every line.
-func TestReconstructFixtures(t *testing.T) {
-	for _, name := range []string{"v1_fixture", "box1_fixture", "box2_fixture", "box3_fixture"} {
-		raw, err := os.ReadFile("testdata/" + name + ".log")
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile("testdata/" + name + ".lgrep")
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := Open(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, strict := range []bool{false, true} {
-			var out bytes.Buffer
-			if d, err := a.Restore(&out, strict); err != nil || d != nil {
-				t.Fatalf("%s: Restore(strict %v): %v, damage %v", name, strict, err, d)
-			}
-			if !bytes.Equal(out.Bytes(), raw) {
-				t.Fatalf("%s: Restore(strict %v) differs from the raw log", name, strict)
-			}
-		}
-		lines := logparse.SplitLines(raw)
-		for _, b := range a.blocks {
-			st, err := b.openStore(context.Background(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := st.AppendAll(nil)
-			if err != nil {
-				t.Fatalf("%s: block %d: AppendAll: %v", name, b.idx, err)
-			}
-			if want := strings.Join(lines[b.lineOff:b.lineOff+b.meta.numLines], "\n") + "\n"; string(got) != want {
-				t.Fatalf("%s: block %d: AppendAll differs from its lines", name, b.idx)
-			}
-		}
-		for i, want := range lines {
-			if got, err := a.Entry(context.Background(), i); err != nil || got != want {
-				t.Fatalf("%s: Entry(%d) = %q, %v; want %q", name, i, got, err, want)
-			}
-		}
-	}
-}
 
 // TestReconstructRestoreDamaged: on archives with a damaged block and with
 // a cut tail, Restore writes exactly what ReconstructPartial returns and

@@ -1,29 +1,49 @@
 package capsule
 
 import (
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
 
-	"loggrep/internal/lzma"
 	"loggrep/internal/rtpattern"
 )
 
-// BoxMagic identifies a CapsuleBox stream: the one format WriteBox emits.
-// Rev 3 records a codec byte per capsule directory entry and one for the
-// directory itself, and WriteBox codes every capsule with DEFLATE.
+// BoxMagic identifies a CapsuleBox stream: the one format WriteBox emits
+// and ReadBox reads. It records a codec byte per capsule directory entry
+// and one for the directory itself, and every section is DEFLATE.
 const BoxMagic = "LGRPBOX3"
 
-// Earlier revisions, which ReadBox still opens; every section of theirs is
-// LZMA-lite. Rev 2 keeps the row→line maps out of the compressed directory,
-// as per-map Rice bitstreams that decode on first touch (see LineMap); rev 1
-// carried every line map in the directory as delta varints.
-const (
-	boxMagicV2 = "LGRPBOX2"
-	boxMagicV1 = "LGRPBOX1"
-)
+// BoxPrefix begins every box WriteBox writes: the magic, then the
+// directory's codec byte.
+const BoxPrefix = BoxMagic + string(rune(CodecDeflate))
+
+// retiredPrefixes begin the boxes earlier writers wrote: revisions 1 and 2
+// (LZMA-lite throughout) and revision 3 with an LZMA-lite directory.
+// internal/legacy reads them; `loggrep upgrade` rewrites them.
+var retiredPrefixes = []string{"LGRPBOX1", "LGRPBOX2", BoxMagic + "\x00"}
+
+// ErrOldFormat reports data in an on-disk format the readers no longer
+// open: a box of a retired revision here, a v1 archive in package
+// archive. It is never damage; `loggrep upgrade` rewrites such a file into
+// the current format.
+var ErrOldFormat = errors.New("retired on-disk format: rewrite it with `loggrep upgrade IN OUT`")
+
+// CheckPrefix reports whether data begins as a box of the current format:
+// nil when it does, ErrOldFormat when it begins as a retired revision's,
+// ErrCorrupt otherwise. It reads the first len(BoxPrefix) bytes only.
+func CheckPrefix(data []byte) error {
+	if len(data) >= len(BoxPrefix) && string(data[:len(BoxPrefix)]) == BoxPrefix {
+		return nil
+	}
+	for _, p := range retiredPrefixes {
+		if len(data) >= len(p) && string(data[:len(p)]) == p {
+			return fmt.Errorf("capsule: %q box: %w", p, ErrOldFormat)
+		}
+	}
+	return fmt.Errorf("%w: bad magic", ErrCorrupt)
+}
 
 // Flags recorded in a CapsuleBox header. They echo the compressor options a
 // box was built with so the query engine adapts (ablation modes).
@@ -118,7 +138,7 @@ func (m *Meta) lineMaps() []*LineMap {
 	return append(maps, &m.OutlierLines)
 }
 
-// WriteBox assembles a rev-3 CapsuleBox: the directory codec byte, the
+// WriteBox assembles a CapsuleBox: the directory codec byte, the
 // DEFLATE-coded directory, the line-map section, then one DEFLATE blob per
 // Capsule payload (payloads[i] belongs to meta.Capsules[i]).
 // chunkTarget > 0 cuts large capsules into ~chunkTarget-byte chunks that
@@ -164,8 +184,8 @@ func WriteBox(meta *Meta, payloads [][]byte, chunkTarget int) []byte {
 // appendLineMaps appends the line-map section of a block of numLines lines:
 // its byte length, then a table of (Rice parameter byte, stream length
 // uvarint) per map, then the streams back to back. Each map gets the
-// parameter that codes it smallest; a map that came out of a rev-2 or rev-3
-// box is copied as stored. Every length is known before a stream is coded,
+// parameter that codes it smallest; a map that came out of a stored box is
+// copied as stored. Every length is known before a stream is coded,
 // so the section is written straight into dst.
 func appendLineMaps(dst []byte, maps []*LineMap, numLines int) []byte {
 	type stream struct {
@@ -199,9 +219,24 @@ func appendLineMaps(dst []byte, maps []*LineMap, numLines int) []byte {
 // uvarintLen is the length of binary.AppendUvarint's encoding of v.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// readLineMaps attaches a rev-2 or rev-3 line-map section to the maps whose
-// row counts the directory declared. Nothing is decoded; the checks are the
-// ones that bound what a later decode may allocate.
+// ReadLineMaps attaches a line-map section, laid out as WriteBox lays it
+// out, to meta's maps, which hold rows[i] numbers each in stored order: one
+// per group, then the outlier lines'. internal/legacy reads the sections of
+// retired boxes through it.
+func ReadLineMaps(meta *Meta, rows []int, sec []byte) error {
+	maps := meta.lineMaps()
+	if len(rows) != len(maps) {
+		return fmt.Errorf("%w: line maps: %d row counts for %d maps", ErrCorrupt, len(rows), len(maps))
+	}
+	for i, m := range maps {
+		*m = LineMap{rows: rows[i]}
+	}
+	return readLineMaps(meta, sec)
+}
+
+// readLineMaps attaches a line-map section to the maps whose row counts
+// the directory declared. Nothing is decoded; the checks are the ones that
+// bound what a later decode may allocate.
 func readLineMaps(meta *Meta, sec []byte) error {
 	bad := func(what string) error { return fmt.Errorf("%w: line maps: %s", ErrCorrupt, what) }
 	// A line costs at least one bit of some map's stream.
@@ -253,62 +288,37 @@ type Box struct {
 	// per chunk.
 	Decompressions int
 
-	metaCompLen int   // compressed metadata section size
-	metaRawLen  int   // decompressed metadata size
-	lineMapLen  int   // line-map section size (0 in a rev-1 box)
-	dirCodec    Codec // the metadata section's codec
+	metaCompLen int // compressed metadata section size
+	metaRawLen  int // decompressed metadata size
+	lineMapLen  int // line-map section size
 }
 
-// boxRev returns the format revision data's magic names, 0 for none.
-func boxRev(data []byte) int {
-	for rev, magic := range []string{boxMagicV1, boxMagicV2, BoxMagic} {
-		if bytes.HasPrefix(data, []byte(magic)) {
-			return rev + 1
-		}
-	}
-	return 0
-}
-
-// IsBox reports whether data begins with a CapsuleBox magic, of this or an
-// earlier format revision.
-func IsBox(data []byte) bool { return boxRev(data) > 0 }
-
-// ReadBox parses a CapsuleBox produced by WriteBox, of this or an earlier
-// format revision.
+// ReadBox parses a CapsuleBox produced by WriteBox. A box of a retired
+// revision is ErrOldFormat, anything else it cannot read ErrCorrupt.
 func ReadBox(data []byte) (*Box, error) {
-	rev := boxRev(data)
-	if rev == 0 {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	if err := CheckPrefix(data); err != nil {
+		return nil, err
 	}
 	b := &Box{}
-	rest := data[len(BoxMagic):]
-	if rev >= 3 {
-		if len(rest) == 0 || Codec(rest[0]) > CodecDeflate {
-			return nil, fmt.Errorf("%w: bad directory codec", ErrCorrupt)
-		}
-		b.dirCodec, rest = Codec(rest[0]), rest[1:]
-	}
+	rest := data[len(BoxPrefix):]
 	mlen, n := binary.Uvarint(rest)
 	if n <= 0 || uint64(len(rest)-n) < mlen {
 		return nil, fmt.Errorf("%w: bad meta length", ErrCorrupt)
 	}
 	rest = rest[n:]
-	meta, metaRawLen, err := decodeDir(b.dirCodec, rest[:mlen], rev)
+	meta, metaRawLen, err := decodeDir(rest[:mlen])
 	if err != nil {
 		return nil, err
 	}
 	rest = rest[mlen:]
-	var lmlen uint64
-	if rev >= 2 {
-		lmlen, n = binary.Uvarint(rest)
-		if n <= 0 || uint64(len(rest)-n) < lmlen {
-			return nil, fmt.Errorf("%w: bad line-map section length", ErrCorrupt)
-		}
-		if err := readLineMaps(meta, rest[n:n+int(lmlen)]); err != nil {
-			return nil, err
-		}
-		rest = rest[n+int(lmlen):]
+	lmlen, n := binary.Uvarint(rest)
+	if n <= 0 || uint64(len(rest)-n) < lmlen {
+		return nil, fmt.Errorf("%w: bad line-map section length", ErrCorrupt)
 	}
+	if err := readLineMaps(meta, rest[n:n+int(lmlen)]); err != nil {
+		return nil, err
+	}
+	rest = rest[n+int(lmlen):]
 	nb, n := binary.Uvarint(rest)
 	if n <= 0 || nb != uint64(len(meta.Capsules)) {
 		return nil, fmt.Errorf("%w: capsule count mismatch", ErrCorrupt)
@@ -334,35 +344,25 @@ func ReadBox(data []byte) (*Box, error) {
 	return b, nil
 }
 
-// decode decodes one chunk of capsule info that holds rows rows, emitting
-// at most chunkLimit's bytes; a DEFLATE chunk of a fixed-width capsule
+// decode decodes one DEFLATE chunk of capsule info that holds rows rows,
+// emitting at most chunkLimit's bytes; a chunk of a fixed-width capsule
 // must declare exactly that many. (The directory decodes through
 // decodeDir.)
 func (b *Box) decode(info *Info, chunk []byte, rows int) ([]byte, error) {
 	limit, exact := chunkLimit(rows, info)
-	if info.Codec == CodecDeflate {
-		dd := getDirDecoder()
-		p, err := dd.z.decodeInto(nil, chunk, limit, exact)
-		putDirDecoder(dd)
-		return p, err
-	}
-	return lzma.DecompressLimit(chunk, limit)
+	dd := getDirDecoder()
+	p, err := dd.z.decodeInto(nil, chunk, limit, exact)
+	putDirDecoder(dd)
+	return p, err
 }
 
-// Codec returns the codec of capsule id's chunks.
-func (b *Box) Codec(id int) Codec { return b.Meta.Capsules[id].Codec }
-
-// DirCodec returns the codec of the box's metadata section.
-func (b *Box) DirCodec() Codec { return b.dirCodec }
-
 // MetaSizes returns the compressed and decompressed byte size of the box's
-// metadata section (templates, runtime patterns, capsule directory; in a
-// rev-1 box the line maps too) — the "parse/extract" share of the packed
-// bytes.
+// metadata section (templates, runtime patterns, capsule directory) — the
+// "parse/extract" share of the packed bytes.
 func (b *Box) MetaSizes() (compressed, raw int) { return b.metaCompLen, b.metaRawLen }
 
 // LineMapBytes returns the size of the box's line-map section (table and
-// Rice streams); 0 for a rev-1 box, whose maps sit in the metadata section.
+// Rice streams).
 func (b *Box) LineMapBytes() int { return b.lineMapLen }
 
 // BlobSize returns the encoded size of capsule id's blob inside the box:
@@ -381,8 +381,8 @@ func (b *Box) BlobSize(id int) int {
 // capsule payload holding rows values: stamps record the true maximal value
 // length even in ablation modes, padded widths never exceed max(1, MaxLen),
 // and variable-length packing adds at most one delimiter per value. A
-// corrupt stream of either codec therefore cannot expand beyond what the
-// capsule directory promises.
+// corrupt stream therefore cannot expand beyond what the capsule directory
+// promises.
 func payloadBound(rows int, info *Info) uint64 {
 	w := info.Width
 	if w < max(1, info.Stamp.MaxLen) {

@@ -51,8 +51,7 @@ type Info struct {
 	// ChunkRows is the rows-per-chunk of a chunked capsule (see
 	// chunk.go); 0 means the payload compresses as one piece.
 	ChunkRows int
-	// Codec codes every chunk of the capsule (LZMA-lite in a rev-1 or
-	// rev-2 box).
+	// Codec codes every chunk of the capsule.
 	Codec Codec
 }
 

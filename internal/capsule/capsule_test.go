@@ -452,6 +452,6 @@ func TestBoxReencodeKeepsLineMapsPacked(t *testing.T) {
 		}
 	}
 	if box.LineMapBytes() == 0 {
-		t.Fatal("rev-2 box reports no line-map section")
+		t.Fatal("box reports no line-map section")
 	}
 }

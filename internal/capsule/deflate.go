@@ -42,27 +42,20 @@ import (
 )
 
 // Codec names the coder of one CapsuleBox section: a capsule's chunks (all
-// chunks of a capsule share its codec) or the directory. A rev-3 box
-// records one codec byte per capsule directory entry and one ahead of the
-// directory; every section of a rev-1 or rev-2 box is LZMA-lite.
+// chunks of a capsule share its codec) or the directory. A box records one
+// codec byte per capsule directory entry and one ahead of the directory,
+// and DEFLATE is the one codec a box holds. Byte 0 named LZMA-lite, which
+// only retired boxes hold (internal/legacy reads them).
 type Codec uint8
 
-const (
-	// CodecLZMA is LZMA-lite (internal/lzma): a chunk is its self-framed
-	// "LZL1" stream.
-	CodecLZMA Codec = iota
-	// CodecDeflate is level-9 DEFLATE, as compress/flate writes it: a chunk
-	// is uvarint rawLen followed by one raw DEFLATE stream (RFC 1951) that
-	// ends exactly after rawLen bytes.
-	CodecDeflate
-)
+// CodecDeflate is level-9 DEFLATE, as compress/flate writes it: a chunk is
+// uvarint rawLen followed by one raw DEFLATE stream (RFC 1951) that ends
+// exactly after rawLen bytes.
+const CodecDeflate Codec = 1
 
 // String returns the codec name.
 func (c Codec) String() string {
-	switch c {
-	case CodecLZMA:
-		return "lzma"
-	case CodecDeflate:
+	if c == CodecDeflate {
 		return "deflate"
 	}
 	return "unknown"

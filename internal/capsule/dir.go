@@ -5,8 +5,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-
-	"loggrep/internal/lzma"
 )
 
 // encode appends the serialized directory to dst: everything but the
@@ -138,33 +136,29 @@ func putDirDecoder(dd *dirDecoder) {
 // scratch, which can reach ~30 bytes per directory byte.
 const maxPooledDir = 256 << 10
 
-// decodeDir decodes a directory section coded with c for a box of revision
-// rev, and returns it with its decoded size.
-func decodeDir(c Codec, sec []byte, rev int) (*Meta, int, error) {
+// maxDirBytes bounds a directory's decoded size. A DEFLATE chunk's own
+// expansion ceiling (maxDeflateExpansion) binds long before it.
+const maxDirBytes = 1 << 34
+
+// decodeDir decodes a directory section and returns it with its decoded
+// size.
+func decodeDir(sec []byte) (*Meta, int, error) {
 	dd := getDirDecoder()
-	var raw []byte
-	var err error
-	if c == CodecDeflate {
-		raw, err = dd.z.decodeInto(dd.raw, sec, lzma.MaxOutput, false)
-	} else {
-		raw, err = lzma.DecompressLimit(sec, lzma.MaxOutput)
-	}
+	raw, err := dd.z.decodeInto(dd.raw, sec, maxDirBytes, false)
 	if err != nil {
 		putDirDecoder(dd)
 		return nil, 0, fmt.Errorf("%w: meta: %v", ErrCorrupt, err)
 	}
-	m, err := dd.a.decodeMeta(raw, rev)
+	m, err := dd.a.decodeMeta(raw)
 	if len(raw) <= maxPooledDir {
-		if c == CodecDeflate {
-			dd.raw = raw
-		}
+		dd.raw = raw
 		putDirDecoder(dd)
 	}
 	return m, len(raw), err
 }
 
 // dirArena collects a directory's nested slices — template and pattern
-// elements, vars, dictionary patterns, outlier rows and rev-1 line maps —
+// elements, vars, dictionary patterns and outlier rows —
 // in one scratch slab per element type while decode runs, and its
 // literals' bytes back to back; carve then moves each slab into one exact
 // array of the Meta's own and the literals into one string. A directory
@@ -185,15 +179,14 @@ func (a *dirArena) lit(b []byte) {
 	a.litEnds = append(a.litEnds, len(a.lits))
 }
 
-// decodeMeta parses the metadata section of a box of revision rev. A rev-1
-// section carries the line maps inline; later directories carry their row
-// counts and readLineMaps attaches the bitstreams. Rev 3 adds each capsule's
-// codec. Literals are substrings of one string of all of them.
-func (a *dirArena) decodeMeta(raw []byte, rev int) (*Meta, error) {
+// decodeMeta parses a box's metadata section. It carries the line maps'
+// row counts, and readLineMaps attaches their bitstreams. Literals are
+// substrings of one string of all of them.
+func (a *dirArena) decodeMeta(raw []byte) (*Meta, error) {
 	defer a.reset()
 	d := &decbuf{b: raw}
 	m := &Meta{}
-	a.decode(d, rev, m)
+	a.decode(d, m)
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -207,7 +200,6 @@ func (a *dirArena) decodeMeta(raw []byte, rev int) (*Meta, error) {
 func (a *dirArena) carve(m *Meta) {
 	tmpl, elems, vars, dicts, ints := a.tmpl.own(), a.elems.own(), a.vars.own(), a.dicts.own(), a.ints.own()
 	lits := litCursor{s: string(a.lits), ends: a.litEnds}
-	m.OutlierLines.lines = next(&ints, m.OutlierLines.lines)
 	for gi := range m.Groups {
 		g := &m.Groups[gi]
 		g.Template = next(&tmpl, g.Template)
@@ -216,7 +208,6 @@ func (a *dirArena) carve(m *Meta) {
 				t.Lit = lits.next()
 			}
 		}
-		g.Lines.lines = next(&ints, g.Lines.lines)
 		g.Vars = next(&vars, g.Vars)
 		for vi := range g.Vars {
 			v := &g.Vars[vi]
@@ -304,34 +295,11 @@ func next[T any](dst *[]T, run []T) []T {
 }
 
 // decode parses d into m, taking m's nested slices from the scratch.
-func (a *dirArena) decode(d *decbuf, rev int, m *Meta) {
-	rev1 := rev == 1
-	lineMap := func() LineMap {
-		if !rev1 {
-			return LineMap{rows: d.size()}
-		}
-		// Decoded here, so validated here — what a rev-2 map's first touch
-		// checks: strictly ascending, inside the block.
-		lines := d.ascInts(&a.ints)
-		for i, l := range lines {
-			if l < 0 || l >= m.NumLines || (i > 0 && l <= lines[i-1]) {
-				d.fail("line map out of order or range")
-				break
-			}
-		}
-		return NewLineMap(lines)
-	}
+func (a *dirArena) decode(d *decbuf, m *Meta) {
 	m.NumLines = d.size()
-	// Every rev-1 line costs at least one encoded byte in the group line
-	// maps or the outlier line list, so a line count beyond the metadata
-	// size is forged — reject it before it sizes the line index allocation.
-	// (readLineMaps bounds a rev-2 count by the bitstreams the same way.)
-	if rev1 && d.err == nil && m.NumLines > len(d.b) {
-		d.fail("implausible line count")
-	}
 	m.Flags = d.uint()
 	m.OutlierCapID = d.int()
-	m.OutlierLines = lineMap()
+	m.OutlierLines = LineMap{rows: d.size()}
 	m.Capsules = make([]Info, d.length(4))
 	for i := 0; i < len(m.Capsules) && d.err == nil; i++ {
 		c := &m.Capsules[i]
@@ -342,10 +310,8 @@ func (a *dirArena) decode(d *decbuf, rev int, m *Meta) {
 		c.Rows = d.size()
 		c.Width = d.size()
 		c.ChunkRows = d.size()
-		if rev >= 3 {
-			if c.Codec = Codec(d.uint()); c.Codec > CodecDeflate {
-				d.fail("unknown capsule codec")
-			}
+		if c.Codec = Codec(d.uint()); c.Codec != CodecDeflate {
+			d.fail("unknown capsule codec")
 		}
 	}
 	m.Groups = make([]GroupMeta, d.length(4))
@@ -361,7 +327,7 @@ func (a *dirArena) decode(d *decbuf, rev int, m *Meta) {
 				a.lit(d.bytes())
 			}
 		}
-		g.Lines = lineMap()
+		g.Lines = LineMap{rows: d.size()}
 		g.Vars = a.vars.take(d.length(2))
 		for j := range g.Vars {
 			if d.err != nil {

@@ -9,12 +9,11 @@ import (
 	"sync"
 	"testing"
 
-	"loggrep/internal/lzma"
 	"loggrep/internal/rtpattern"
 )
 
 // withDir returns box with its directory section replaced by dir under
-// codec byte c: what an older writer (LZMA-lite) or a forger wrote.
+// codec byte c: what an older writer (byte 0, LZMA-lite) or a forger wrote.
 func withDir(box []byte, c Codec, dir []byte) []byte {
 	n := len(BoxMagic)
 	mlen, k := binary.Uvarint(box[n+1:])
@@ -89,10 +88,10 @@ func randomMeta(seed int64) (*Meta, [][]byte) {
 }
 
 // TestDirectoryRoundTrip: a directory decodes to exactly what was encoded
-// — literals, stamps, every slice — whether the box carries it as DEFLATE
-// (what WriteBox writes) or as LZMA-lite (what the rev-3 writer wrote
-// before), and however the decoder's reused scratch was last shaped:
-// directories of different shapes decode in turn, from many goroutines.
+// — literals, stamps, every slice — however the decoder's reused scratch
+// was last shaped: directories of different shapes decode in turn, from
+// many goroutines. The same box with its directory codec byte set to 0,
+// LZMA-lite, which only a retired writer wrote, is ErrOldFormat.
 func TestDirectoryRoundTrip(t *testing.T) {
 	type dirCase struct {
 		name string
@@ -106,9 +105,10 @@ func TestDirectoryRoundTrip(t *testing.T) {
 		if box[len(BoxMagic)] != byte(CodecDeflate) {
 			t.Fatalf("%s: WriteBox wrote directory codec %d", name, box[len(BoxMagic)])
 		}
-		cases = append(cases,
-			dirCase{name + "/deflate", enc, box},
-			dirCase{name + "/lzma", enc, withDir(box, CodecLZMA, lzma.Compress(enc))})
+		cases = append(cases, dirCase{name + "/deflate", enc, box})
+		if _, err := ReadBox(withDir(box, 0, enc)); !errors.Is(err, ErrOldFormat) {
+			t.Fatalf("%s: directory codec 0 read as %v, want ErrOldFormat", name, err)
+		}
 	}
 	meta, payloads := sampleMeta()
 	add("sample", meta, payloads)

@@ -11,7 +11,8 @@
 // capsule table with each capsule's codec, per-group row counts), the
 // groups' row→line maps as Rice bitstreams that decode on first touch,
 // then independently compressed Capsule payloads. The writer codes the
-// directory and the payloads with DEFLATE (box revision 3), which a
-// whole-buffer decoder reads back; revisions 1 and 2, LZMA-lite
-// throughout, still read.
+// directory and the payloads with DEFLATE, which a whole-buffer decoder
+// reads back. ReadBox reads that one format (BoxPrefix): a box of a retired
+// revision is ErrOldFormat, which internal/legacy and `loggrep upgrade`
+// turn into a current one.
 package capsule

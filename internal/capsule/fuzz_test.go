@@ -2,27 +2,30 @@ package capsule
 
 import (
 	"bytes"
+	"errors"
 	"testing"
-
-	"loggrep/internal/lzma"
 )
 
-// FuzzReadBox: arbitrary bytes must never panic, and whatever opens must
-// serve payloads without panicking.
+// FuzzReadBox: arbitrary bytes must never panic, whatever opens must serve
+// payloads without panicking, and a box of a retired revision is refused
+// as ErrOldFormat, never read.
 func FuzzReadBox(f *testing.F) {
 	meta, payloads := sampleMeta()
 	valid := WriteBox(meta, payloads, 0) // a DEFLATE directory
 	f.Add(valid)
-	// The directory as the rev-3 writer coded it before (LZMA-lite), and
-	// forged DEFLATE directories: trailed by a byte, declaring a length
-	// over the expansion ceiling, inflating past their declared length.
+	// Retired prefixes — revisions 1 and 2, and the LZMA-lite directory
+	// codec byte — and forged DEFLATE directories: trailed by a byte,
+	// declaring a length over the expansion ceiling, inflating past their
+	// declared length.
 	enc := meta.encode(nil)
-	f.Add(withDir(valid, CodecLZMA, lzma.Compress(enc)))
+	f.Add(withDir(valid, 0, enc))
+	f.Add(append([]byte("LGRPBOX1"), valid[len(BoxPrefix):]...))
+	f.Add(append([]byte("LGRPBOX2"), valid[len(BoxPrefix):]...))
 	f.Add(withDir(valid, CodecDeflate, append(forgeChunk(uint64(len(enc)), rawDeflate(enc, true)), 0)))
 	f.Add(withDir(valid, CodecDeflate, forgeChunk(1<<40, rawDeflate(enc, true))))
 	f.Add(withDir(valid, CodecDeflate, forgeChunk(uint64(len(enc))-1, rawDeflate(enc, true))))
-	// Rev 3 with chunked DEFLATE capsules: a 2-byte target cuts every
-	// multi-row capsule but the dictionary row by row.
+	// Chunked capsules: a 2-byte target cuts every multi-row capsule but
+	// the dictionary row by row.
 	m, p := sampleMeta()
 	f.Add(WriteBox(m, p, 2))
 	f.Add([]byte(BoxMagic))
@@ -48,6 +51,9 @@ func FuzzReadBox(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		box, err := ReadBox(data)
+		if retired := errors.Is(CheckPrefix(data), ErrOldFormat); retired != errors.Is(err, ErrOldFormat) {
+			t.Fatalf("retired prefix %v, ReadBox: %v", retired, err)
+		}
 		if err != nil {
 			return
 		}

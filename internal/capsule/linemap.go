@@ -6,15 +6,15 @@ import (
 )
 
 // LineMap is the ascending block line numbers of one group's rows (or of
-// the block's outlier lines). A map built by the compressor or read from a
-// rev-1 box holds its numbers; one read from a later box holds the Rice
-// bitstream the box stores and decodes it on first touch — most queries
-// need the numbers of a few groups only, and none before they have matches.
+// the block's outlier lines). A map built by the compressor holds its
+// numbers; one read from a box holds the Rice bitstream the box stores and
+// decodes it on first touch — most queries need the numbers of a few groups
+// only, and none before they have matches.
 type LineMap struct {
 	rows  int
 	lines []int // nil until decoded while enc is set
 
-	// A rev-2 or rev-3 map before (and after) its first touch: the Rice parameter,
+	// A stored map before (and after) its first touch: the Rice parameter,
 	// the bitstream (aliasing the box buffer) and the block's line count,
 	// which bounds every number.
 	k     uint8

@@ -3,6 +3,7 @@ package ingest
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -123,6 +124,11 @@ func (m *Manager) load(ctx context.Context, tenant, stream string, sg *segment) 
 		}
 		size := int64(len(data))
 		a, err := archive.Open(data)
+		if errors.Is(err, archive.ErrOldFormat) {
+			// A segment an older loggrepd sealed: intact, and no re-fetch
+			// changes its format.
+			return nil, 0, err
+		}
 		if err != nil {
 			// Readable bytes, broken archive: a torn read or real on-disk
 			// corruption. Re-fetch — a torn read heals, corruption repeats.

@@ -331,6 +331,12 @@ func (m *Manager) replayStream(tenant, name string, stats *ReplayStats) (*Stream
 			// of refusing startup.
 			sg := &segment{seq: q, sealed: true}
 			a, size, err := m.load(ctx, tenant, name, sg)
+			if errors.Is(err, archive.ErrOldFormat) {
+				// Sealed by an older loggrepd in a retired format: neither
+				// damage to degrade around nor a file to drop for its WAL.
+				// Startup stops until `loggrep upgrade` rewrites it.
+				return nil, fmt.Errorf("sealed segment %s: %w", segPath(dir, q), err)
+			}
 			if err != nil {
 				if wals[q] {
 					// A crash between the seal's publish and its WAL

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -237,6 +238,40 @@ func TestUploadAndDelete(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage upload status %d", resp.StatusCode)
+	}
+}
+
+// TestUploadOldFormat: an upload in a retired format — a v1 archive, a v2
+// archive of rev-1 boxes, one such box bare — is refused with 400 and the
+// error that names `loggrep upgrade`, and registers no source.
+func TestUploadOldFormat(t *testing.T) {
+	ts, _ := newTestServer(t)
+	v1, err := os.ReadFile("../archive/testdata/v1_fixture.lgrep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	box1, err := os.ReadFile("../archive/testdata/box1_fixture.lgrep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, err := archive.ScanFrames(box1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := box1[frames[0].PayloadOff : frames[0].PayloadOff+frames[0].PayloadLen]
+	for name, body := range map[string][]byte{"v1": v1, "rev1-archive": box1, "rev1-box": bare} {
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/sources/"+name, bytes.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.HasSuffix(e.Error, archive.ErrOldFormat.Error()) {
+			t.Fatalf("%s: upload answered %d %q, want 400 ending %q", name, resp.StatusCode, e.Error, archive.ErrOldFormat)
+		}
+		getJSON(t, ts.URL+"/v1/query?source="+name+"&q=x", http.StatusNotFound, nil)
 	}
 }
 

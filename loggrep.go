@@ -168,14 +168,15 @@ func CompressArchive(stream []byte, opts ArchiveOptions) ([]byte, error) {
 	return archive.Compress(stream, opts)
 }
 
-// OpenArchive parses an archive produced by an ArchiveWriter, either
-// format version, or a bare CapsuleBox, which it serves as an archive of
-// one block. Damaged v2 frames are quarantined rather than failing the
-// open; inspect Archive.Damage or Archive.Verify for their extent.
+// OpenArchive parses an archive produced by an ArchiveWriter, or a bare
+// CapsuleBox, which it serves as an archive of one block. Damaged frames
+// are quarantined rather than failing the open; inspect Archive.Damage or
+// Archive.Verify for their extent. An input in a retired format fails it
+// with an error that names `loggrep upgrade`.
 func OpenArchive(data []byte) (*Archive, error) { return archive.Open(data) }
 
-// IsArchive reports whether data looks like an archive (any supported
-// format version) rather than a single CapsuleBox.
+// IsArchive reports whether data looks like an archive rather than a
+// single CapsuleBox.
 func IsArchive(data []byte) bool { return archive.IsArchive(data) }
 
 // Trace records the per-stage spans of one query: start one with NewTrace
