@@ -216,18 +216,34 @@ func getInto(t *testing.T, url string, v any) {
 	}
 }
 
-// TestLoggrepdOldSegmentsNeedUpgrade: an ingest directory sealed by older
-// loggrepds — seg-N.lgrep archives of rev-1, then rev-2 boxes, the fixtures
-// commits 7abb5d0 and 52d28eb wrote — holds segments in retired formats.
-// The daemon refuses to start on it, naming the segment and `loggrep
-// upgrade`, and leaves every file as it was; once `loggrep upgrade seg seg`
-// has rewritten each segment in place, it replays them and answers exactly
-// what grep over the raw lines answers.
-func TestLoggrepdOldSegmentsNeedUpgrade(t *testing.T) {
+// TestLoggrepdServesRev1Segments: an ingest directory sealed by an older
+// loggrepd — seg-N.lgrep archives whose blocks are rev-1 CapsuleBoxes, here
+// two copies of the fixture commit 7abb5d0 wrote — holds segments in a
+// retired format. The daemon refuses to start on it until `loggrep upgrade`
+// has rewritten each segment in place; then it replays them and answers
+// exactly what grep over the raw lines answers.
+func TestLoggrepdServesRev1Segments(t *testing.T) {
+	upgradeAndServeFixtureSegments(t, "box1_fixture", "box1_fixture")
+}
+
+// TestLoggrepdServesRev2Segments does the same for a stream sealed first by
+// a rev-1 and then by a rev-2 loggrepd (the fixture commit 52d28eb wrote:
+// every section LZMA-lite) before this one, which seals rev-3 boxes.
+func TestLoggrepdServesRev2Segments(t *testing.T) {
+	upgradeAndServeFixtureSegments(t, "box1_fixture", "box2_fixture")
+}
+
+// upgradeAndServeFixtureSegments installs the named archive fixtures as one
+// stream's sealed segments, in order, and checks three steps with real
+// binaries: loggrepd refuses to start, naming the first segment and
+// `loggrep upgrade`, and leaves every file as it was; `loggrep upgrade seg
+// seg` rewrites each segment in place; loggrepd then replays them and
+// answers as grep over the fixtures' raw logs laid end to end.
+func upgradeAndServeFixtureSegments(t *testing.T, fixtures ...string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds binaries and runs a daemon")
 	}
-	fixtures := []string{"box1_fixture", "box2_fixture"}
 	dir := t.TempDir()
 	daemon := filepath.Join(dir, "loggrepd")
 	if out, err := exec.Command("go", "build", "-o", daemon, ".").CombinedOutput(); err != nil {
