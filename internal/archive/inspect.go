@@ -85,6 +85,7 @@ func (a *Archive) Explain(command string) (*core.Explain, error) {
 func mergeExplain(agg, ex *core.Explain) {
 	agg.Decompressions += ex.Decompressions
 	agg.StampPrunes += ex.StampPrunes
+	agg.GroupsDroppedBeforeDecode += ex.GroupsDroppedBeforeDecode
 	for si, se := range ex.Searches {
 		if si >= len(agg.Searches) {
 			agg.Searches = append(agg.Searches, core.SearchExplain{Phrase: se.Phrase})

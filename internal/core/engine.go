@@ -30,11 +30,14 @@ type seqElem struct {
 }
 
 // engine carries the cross-cutting matcher state: whether stamps filter,
-// and the meter of the running search (nil outside one), on which stamp
-// decisions — and the store's scans, reads and line maps — are counted.
+// the meter of the running search (nil outside one), on which stamp
+// decisions — and the store's scans, reads and line maps — are counted, and
+// whether the decode-free pass (Store.narrow) is running: then a hole that
+// cannot answer without a payload answers "all rows".
 type engine struct {
-	stamps bool
-	meter  *BudgetState
+	stamps   bool
+	meter    *BudgetState
+	noDecode bool
 }
 
 // admits applies the Capsule-stamp filter of §5.1 (skipped in the

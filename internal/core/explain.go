@@ -22,6 +22,11 @@ type Explain struct {
 	Decompressions int
 	// StampPrunes counts Capsule scans the stamps eliminated.
 	StampPrunes int
+	// GroupsDroppedBeforeDecode counts the groups the decode-free pass
+	// emptied, so the filter never entered them (0 when the command holds
+	// no conjunction the pass runs for). It is the filter span's
+	// groups_dropped_before_decode.
+	GroupsDroppedBeforeDecode int
 	// Blocks/BlocksSearched/BlocksSkipped/BlocksDamaged describe archive-
 	// level aggregation (all zero when explaining a single box): how many
 	// blocks exist, how many the per-block stamps let through, how many
@@ -60,9 +65,10 @@ type SearchExplain struct {
 	// 1; 0 means the filter never evaluates it because it sits under a NOT
 	// (NOT operands are checked on the reconstructed text).
 	Order int
-	// Groups holds the groups the string was evaluated in — all of them
-	// for the first conjunct, only those an earlier AND operand left
-	// candidates in for a later one, none when that left nothing.
+	// Groups holds the groups the string was evaluated in — for the first
+	// conjunct every group the decode-free pass left candidates in, for a
+	// later one only those an earlier AND operand left candidates in, none
+	// when that left nothing.
 	Groups     []GroupExplain
 	Candidates int // total candidate lines across groups and outliers
 }
@@ -71,8 +77,9 @@ type SearchExplain struct {
 type GroupExplain struct {
 	Template string
 	Rows     int
-	// Seed is how many of the group's rows the string started from: Rows,
-	// or the survivors of the AND operands evaluated before it.
+	// Seed is how many of the group's rows the string started from: the
+	// decode-free pass's survivors (Rows when it did not run), or the
+	// survivors of the AND operands evaluated before it.
 	Seed int
 	// AfterFragment[i] is how many of the seed rows remain candidates
 	// after intersecting fragments [0..i] (sorted longest-first, the
@@ -81,9 +88,10 @@ type GroupExplain struct {
 }
 
 // Explain analyzes a command without producing result entries. It runs the
-// filter phase a Search would — the same evaluation order, the same
-// narrowing, the same caches warmed — with a recorder attached, and skips
-// verification and reconstruction.
+// filter phase a Search would — the same decode-free pass, the same
+// evaluation order, the same narrowing, the same caches warmed — with a
+// recorder attached to the filter proper, and skips verification and
+// reconstruction.
 func (st *Store) Explain(command string) (*Explain, error) {
 	expr, err := query.Parse(command)
 	if err != nil {
@@ -99,10 +107,14 @@ func (st *Store) Explain(command string) (*Explain, error) {
 	defer st.mu.Unlock()
 	m := NewBudgetState(Budget{})
 	st.ex, st.en.meter = rec, m
-	_, err = st.filter(expr, nil, false)
+	within := st.narrow(expr)
+	_, err = st.filter(expr, within, false)
 	st.ex, st.en.meter = nil, nil
 	if err != nil {
 		return nil, err
+	}
+	if within != nil {
+		ex.GroupsDroppedBeforeDecode = st.dropped(within)
 	}
 	work := m.Reading()
 	ex.Decompressions = int(work.Decompressions)
@@ -202,8 +214,8 @@ func (ex *Explain) String() string {
 		fmt.Fprintf(&b, "  -> %d candidate lines in %d groups (%d groups entered with %d rows, %d fully pruned)\n",
 			se.Candidates, shown, len(se.Groups), seeded, len(se.Groups)-shown)
 	}
-	fmt.Fprintf(&b, "capsules decompressed: %d, scans pruned by stamps: %d\n",
-		ex.Decompressions, ex.StampPrunes)
+	fmt.Fprintf(&b, "capsules decompressed: %d, scans pruned by stamps: %d, groups dropped before decode: %d\n",
+		ex.Decompressions, ex.StampPrunes, ex.GroupsDroppedBeforeDecode)
 	return b.String()
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"loggrep/internal/query"
 )
 
 func TestExplainFunnel(t *testing.T) {
@@ -56,9 +58,10 @@ func TestExplainBadQuery(t *testing.T) {
 }
 
 // TestExplainFollowsNarrowing: Explain runs the filter a Query runs, so the
-// second conjunct is shown entering only the groups the first left
-// candidates in, a NOT operand is shown unfiltered, and the predicted
-// decompressions are the filter phase's actual ones.
+// first conjunct is shown entering exactly the groups the decode-free pass
+// left, seeded with the pass's rows, the second entering only the groups
+// the first left candidates in, a NOT operand is shown unfiltered, and the
+// predicted decompressions are the filter phase's actual ones.
 func TestExplainFollowsNarrowing(t *testing.T) {
 	block := makeBlock(genBlock(44, 1200)...)
 	st, _ := mustOpen(t, block, DefaultOptions())
@@ -72,24 +75,38 @@ func TestExplainFollowsNarrowing(t *testing.T) {
 		t.Fatalf("evaluation order: state %d, ERROR %d, NOT operand %d with %d groups",
 			stateLeaf.Order, errorLeaf.Order, notLeaf.Order, len(notLeaf.Groups))
 	}
+	// The pass reads the directory and the scan cache alone, so a fresh
+	// store's pass is the one Explain ran on its fresh store.
+	fresh, _ := mustOpen(t, block, DefaultOptions())
+	expr, _ := query.Parse(cmd)
+	pass := fresh.narrow(expr)
+	if pass == nil || ex.GroupsDroppedBeforeDecode != fresh.dropped(pass) || ex.GroupsDroppedBeforeDecode == 0 {
+		t.Fatalf("explain reports %d groups dropped before decode, the pass %v", ex.GroupsDroppedBeforeDecode, pass)
+	}
+	seeds := map[string]int{}
+	for _, s := range pass.slots {
+		if s.slot < len(fresh.groups) {
+			seeds[templateString(fresh.groups[s.slot])] += s.rows.Count()
+		}
+	}
 	survivors := 0
 	for _, ge := range stateLeaf.Groups {
-		if ge.Seed != ge.Rows {
-			t.Fatalf("first conjunct seeded %d of %d rows in %q", ge.Seed, ge.Rows, ge.Template)
+		if ge.Seed != seeds[ge.Template] || ge.Seed == 0 {
+			t.Fatalf("first conjunct seeded %d of %d rows in %q, the pass left %d", ge.Seed, ge.Rows, ge.Template, seeds[ge.Template])
 		}
 		if n := len(ge.AfterFragment); n > 0 && ge.AfterFragment[n-1] > 0 {
 			survivors++
 		}
 	}
-	if len(stateLeaf.Groups) != len(st.groups) || len(errorLeaf.Groups) != survivors || survivors == len(st.groups) {
-		t.Fatalf("groups entered: first conjunct %d of %d, second %d, survivors of the first %d",
-			len(stateLeaf.Groups), len(st.groups), len(errorLeaf.Groups), survivors)
+	if len(stateLeaf.Groups) != len(st.groups)-ex.GroupsDroppedBeforeDecode || len(errorLeaf.Groups) != survivors {
+		t.Fatalf("groups entered: first conjunct %d of %d (%d dropped before decode), second %d, survivors of the first %d",
+			len(stateLeaf.Groups), len(st.groups), ex.GroupsDroppedBeforeDecode, len(errorLeaf.Groups), survivors)
 	}
 	if !strings.Contains(ex.String(), "not filtered") {
 		t.Fatalf("render does not mark the NOT operand:\n%s", ex)
 	}
 
-	fresh, _ := mustOpen(t, block, DefaultOptions())
+	fresh, _ = mustOpen(t, block, DefaultOptions())
 	_, tr, err := searchTraced(fresh, cmd)
 	if err != nil {
 		t.Fatal(err)

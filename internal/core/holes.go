@@ -39,6 +39,9 @@ func (c *capsuleHole) find(part string, kind strmatch.Kind) (bitset.View, error)
 		}
 		return cached, nil
 	}
+	if c.st.en.noDecode {
+		return bitset.All(c.rows()), nil
+	}
 	if err := c.st.checkpoint(); err != nil {
 		return bitset.View{}, err
 	}
@@ -143,6 +146,8 @@ func (h *realVarHole) find(part string, kind strmatch.Kind) (bitset.View, error)
 		return inner, nil
 	case !inner.Any() && !outliers.Any():
 		return bitset.None(h.n), nil
+	case inner.Count() == h.innerN && outliers.Count() == len(h.vm.OutRows):
+		return bitset.All(h.n), nil
 	}
 	out := bitset.New(h.n)
 	inner.ForEach(func(rank int) bool {
@@ -184,6 +189,16 @@ func (h *nominalVarHole) stamp() rtpattern.Stamp {
 func (h *nominalVarHole) rows() int { return h.n }
 
 func (h *nominalVarHole) find(part string, kind strmatch.Kind) (bitset.View, error) {
+	if h.st.en.noDecode {
+		// Decode-free: the rows of a dictionary no feasible pattern can
+		// hold a match in are none; otherwise any row may match.
+		for i := range h.vm.DictPatterns {
+			if h.feasible(i, part, kind) {
+				return bitset.All(h.n), nil
+			}
+		}
+		return bitset.None(h.n), nil
+	}
 	dictIdxs, err := h.findDict(part, kind)
 	if err != nil || len(dictIdxs) == 0 {
 		return bitset.None(h.n), err

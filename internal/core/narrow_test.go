@@ -13,6 +13,7 @@ import (
 	"loggrep/internal/loggen"
 	"loggrep/internal/logparse"
 	"loggrep/internal/obsv"
+	"loggrep/internal/query"
 )
 
 // randomLeaf draws a search string from the block's own text, so most
@@ -312,4 +313,170 @@ func TestNarrowingCounters(t *testing.T) {
 	if got := spanAttrs(tr); len(res.Lines) != 0 || got["line_maps"] != 0 {
 		t.Errorf("absent first conjunct: %d matches, %d line maps decoded, want 0 and 0\n%s", len(res.Lines), got["line_maps"], tr.Outline())
 	}
+}
+
+// TestDecodeFreeNarrowingCounters pins what the decode-free pass saves, in
+// work counters: the Table-1 needle of log type I, whose other conjunct is
+// the template literal WARNING, decompresses at most half of what the
+// parent commit (e99ebe2, no pass: the date conjunct was evaluated in every
+// group, 135 filter + 1 verify decompressions and 27 capsule scans on this
+// block) did on one cold block, and the filter span says how many groups
+// the pass emptied.
+func TestDecodeFreeNarrowingCounters(t *testing.T) {
+	const parentDecompressions = 136
+	lt, _ := loggen.ByName("I")
+	st, err := Open(Compress(lt.Block(11, 20000), DefaultOptions()), QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, tr, err := searchTraced(st, lt.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := spanAttrs(tr)
+	if len(res.Lines) != 61 {
+		t.Fatalf("%d matches, want 61", len(res.Lines))
+	}
+	if 2*got["decompressions"] > parentDecompressions || res.Decompressions != int(got["decompressions"]) {
+		t.Errorf("decompressions %d (result %d, parent %d): want at most half\n%s",
+			got["decompressions"], res.Decompressions, parentDecompressions, tr.Outline())
+	}
+	if got["groups_dropped_before_decode"] == 0 {
+		t.Errorf("the filter span reports no group dropped before decode\n%s", tr.Outline())
+	}
+}
+
+// TestDecodeFreePassSound is the soundness test of the decode-free
+// narrowing pass (Store.narrow). Over every production type, random
+// AND/OR/NOT/wildcard trees — each run through the pass whatever its shape —
+// must leave a set that holds every row the raw-grep oracle matches, per
+// group and in the outlier slot, while the pass decompresses nothing,
+// calls no read hook, decodes no line map and leaves the scan cache as it
+// found it. Each store also answers every tree for real in between, so
+// later passes meet cached scans. Nominal-heavy I also runs unpadded,
+// without stamps and as LogGrep-SP, and a block of parse outliers puts
+// matches in the outlier slot.
+func TestDecodeFreePassSound(t *testing.T) {
+	trees := 30
+	if testing.Short() {
+		trees = 8
+	}
+	type variant struct {
+		name  string
+		block []byte
+		query string
+		opts  Options
+	}
+	var variants []variant
+	for ti, lt := range loggen.Production() {
+		variants = append(variants, variant{lt.Name, lt.Block(int64(500+ti), 1200), lt.Query, DefaultOptions()})
+	}
+	lt, _ := loggen.ByName("I")
+	noPad, noStamps, sp := DefaultOptions(), DefaultOptions(), DefaultOptions()
+	noPad.DisablePadding, noStamps.DisableStamps, sp.StaticOnly = true, true, true
+	for _, o := range []struct {
+		name string
+		opts Options
+	}{{"I/no-pad", noPad}, {"I/no-stamps", noStamps}, {"I/static-only", sp}} {
+		variants = append(variants, variant{o.name, lt.Block(600, 1200), lt.Query, o.opts})
+	}
+	variants = append(variants, variant{"outliers", outlierBlock(), "CONST AND v1", DefaultOptions()})
+
+	ctx := context.Background()
+	outlierMatches, dropped := 0, 0
+	for vi, v := range variants {
+		block := v.block
+		lines := logparse.SplitLines(block)
+		data := Compress(block, v.opts)
+		hooks := 0
+		st, err := Open(data, QueryOptions{DisableCache: true, ReadHook: func(context.Context) error { hooks++; return nil }})
+		if err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		ref, err := Open(data, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		index, err := ref.lineRefs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pendingMaps := func() int {
+			n := 0
+			for _, g := range st.groups {
+				if g.meta.Lines.Pending() {
+					n++
+				}
+			}
+			return n
+		}
+		rng := rand.New(rand.NewSource(int64(vi)))
+		cmds := []string{v.query}
+		for i := 0; i < trees; i++ {
+			cmds = append(cmds, randomTree(rng, lines, 1+rng.Intn(3)))
+		}
+		for _, cmd := range cmds {
+			expr, err := query.Parse(cmd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cached := make(map[findKey][]int, len(st.findCache))
+			for key, set := range st.findCache {
+				cached[key] = set.Rows()
+			}
+			dec, hooks0, pending := st.box.Decompressions, hooks, pendingMaps()
+			pass := st.decodeFree(expr)
+			if d := st.box.Decompressions - dec; d != 0 || hooks != hooks0 || pendingMaps() != pending {
+				t.Fatalf("%s %q: the pass made %d decompressions, %d read-hook calls, decoded %d line maps",
+					v.name, cmd, d, hooks-hooks0, pending-pendingMaps())
+			}
+			if len(st.findCache) != len(cached) {
+				t.Fatalf("%s %q: the pass grew the scan cache from %d to %d entries", v.name, cmd, len(cached), len(st.findCache))
+			}
+			for key, set := range st.findCache {
+				if rows, ok := cached[key]; !ok || !slices.Equal(set.Rows(), rows) {
+					t.Fatalf("%s %q: the pass changed the cached scan %+v", v.name, cmd, key)
+				}
+			}
+			want, _, err := RawQuery(block, cmd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, line := range want {
+				r := index[line]
+				slot := r.group
+				if slot < 0 {
+					slot = len(st.groups)
+					outlierMatches++
+				}
+				if !passHolds(pass, slot, r.row) {
+					t.Fatalf("%s %q: line %d (slot %d of %d, row %d) matches the raw block; the pass dropped it",
+						v.name, cmd, line, slot, len(st.groups), r.row)
+				}
+			}
+			dropped += st.dropped(pass)
+			res, err := st.Search(ctx, cmd, SearchOpts{})
+			if err != nil || !slices.Equal(res.Lines, want) {
+				t.Fatalf("%s %q: %v, %d lines, raw grep %d", v.name, cmd, err, len(res.Lines), len(want))
+			}
+		}
+	}
+	if outlierMatches == 0 || dropped == 0 {
+		t.Errorf("the series matched %d outlier lines and the pass dropped %d groups: it proves nothing about one of them", outlierMatches, dropped)
+	}
+}
+
+// passHolds reports whether rs lists row in slot.
+func passHolds(rs *rowSets, slot, row int) bool {
+	for _, s := range rs.slots {
+		if s.slot == slot {
+			found := false
+			s.rows.ForEach(func(r int) bool {
+				found = r == row
+				return r < row
+			})
+			return found
+		}
+	}
+	return false
 }

@@ -2,76 +2,93 @@ package core
 
 import "loggrep/internal/bitset"
 
-// rowSets is a candidate set in the structurized layout: the candidate
-// rows of each group and, in the last slot, the candidate ranks in the
-// block outlier capsule. Its sets are read-only Views, which it may share
-// with other rowSets and with the scan cache; or and andNot replace a slot,
-// never write into one.
+// rowSets is a candidate set in the structurized layout, kept sparse: the
+// slots that hold a candidate, in ascending order. Slot gi < len(groups)
+// holds group gi's candidate rows, slot len(groups) the candidate ranks in
+// the block outlier capsule, and a slot not listed holds none, so a slot
+// the filter never enters costs nothing. The sets are read-only Views,
+// which a rowSets may share with other rowSets and with the scan cache;
+// or and andNot build a new list, never write into one.
 type rowSets struct {
-	sets []bitset.View
+	slots []slotRows
 }
 
-// noRows returns the empty candidate set.
-func (st *Store) noRows() *rowSets { return st.uniformRows(bitset.None) }
+// slotRows is one listed slot: never an empty set.
+type slotRows struct {
+	slot int
+	rows bitset.View
+}
+
+// add lists slot with rows, unless rows is empty. Slots are added in
+// ascending order.
+func (rs *rowSets) add(slot int, rows bitset.View) {
+	if rows.Any() {
+		rs.slots = append(rs.slots, slotRows{slot: slot, rows: rows})
+	}
+}
 
 // allRows returns the set of every row of the block.
-func (st *Store) allRows() *rowSets { return st.uniformRows(bitset.All) }
-
-// uniformRows returns the candidate set whose every slot is set(its rows).
-func (st *Store) uniformRows(set func(n int) bitset.View) *rowSets {
-	rs := &rowSets{sets: make([]bitset.View, len(st.groups)+1)}
+func (st *Store) allRows() *rowSets {
+	rs := &rowSets{slots: make([]slotRows, 0, len(st.groups)+1)}
 	for gi, g := range st.groups {
-		rs.sets[gi] = set(g.n)
+		rs.add(gi, bitset.All(g.n))
 	}
-	rs.sets[len(st.groups)] = set(st.box.Meta.OutlierLines.Rows())
+	rs.add(len(st.groups), bitset.All(st.box.Meta.OutlierLines.Rows()))
 	return rs
 }
 
-// rowsOf returns a copy of within whose slots the caller may replace —
-// every row of the block when within is nil, which is how the filter spells
-// "unrestricted". The sets themselves are shared.
+// rowsOf returns within, or every row of the block when within is nil,
+// which is how the filter spells "unrestricted".
 func (st *Store) rowsOf(within *rowSets) *rowSets {
 	if within == nil {
 		return st.allRows()
 	}
-	return &rowSets{sets: append([]bitset.View(nil), within.sets...)}
+	return within
 }
 
-// outlier returns the candidate ranks in the block outlier capsule.
-func (rs *rowSets) outlier() bitset.View { return rs.sets[len(rs.sets)-1] }
-
-func (rs *rowSets) any() bool {
-	for _, s := range rs.sets {
-		if s.Any() {
-			return true
-		}
-	}
-	return false
-}
+func (rs *rowSets) any() bool { return len(rs.slots) > 0 }
 
 func (rs *rowSets) count() int {
 	n := 0
-	for _, s := range rs.sets {
-		n += s.Count()
+	for _, s := range rs.slots {
+		n += s.rows.Count()
 	}
 	return n
 }
 
-// or unions o into rs.
+// or returns the union of rs and o.
 func (rs *rowSets) or(o *rowSets) *rowSets {
-	for i, s := range o.sets {
-		u := bitset.NewUnion(s.Len())
-		u.Or(rs.sets[i])
-		u.Or(s)
-		rs.sets[i] = u.View()
+	out := &rowSets{slots: make([]slotRows, 0, len(rs.slots)+len(o.slots))}
+	a, b := rs.slots, o.slots
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0].slot < b[0].slot:
+			out.slots, a = append(out.slots, a[0]), a[1:]
+		case b[0].slot < a[0].slot:
+			out.slots, b = append(out.slots, b[0]), b[1:]
+		default:
+			u := bitset.NewUnion(a[0].rows.Len())
+			u.Or(a[0].rows)
+			u.Or(b[0].rows)
+			out.slots, a, b = append(out.slots, slotRows{slot: a[0].slot, rows: u.View()}), a[1:], b[1:]
+		}
 	}
-	return rs
+	out.slots = append(append(out.slots, a...), b...)
+	return out
 }
 
-// andNot removes o's rows from rs.
+// andNot returns the rows of rs that are not in o.
 func (rs *rowSets) andNot(o *rowSets) *rowSets {
-	for i, s := range o.sets {
-		rs.sets[i] = bitset.AndNot(rs.sets[i], s)
+	out := &rowSets{slots: make([]slotRows, 0, len(rs.slots))}
+	b := o.slots
+	for _, s := range rs.slots {
+		for len(b) > 0 && b[0].slot < s.slot {
+			b = b[1:]
+		}
+		if len(b) > 0 && b[0].slot == s.slot {
+			s.rows = bitset.AndNot(s.rows, b[0].rows)
+		}
+		out.add(s.slot, s.rows)
 	}
-	return rs
+	return out
 }

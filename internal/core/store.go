@@ -501,9 +501,11 @@ func (st *Store) ClearCache() {
 // string, a superset of matching rows using runtime-pattern matching and
 // Capsule-stamp filtering (§5.1), and combines those supersets across
 // AND/OR (a NOT operand contributes "all rows", keeping the union an
-// over-approximation). The verification phase reconstructs only the
-// surviving candidate rows and evaluates the exact expression on their
-// text, so results are precisely what grep on the raw block would return.
+// over-approximation). It starts with a pass that decompresses nothing
+// (narrow): the groups that pass rules out are never entered. The
+// verification phase reconstructs only the surviving candidate rows and
+// evaluates the exact expression on their text, so results are precisely
+// what grep on the raw block would return.
 // Candidates stay (group, row) pairs throughout; line numbers are looked up
 // last, for the groups that produced matches.
 //
@@ -588,19 +590,25 @@ func (st *Store) Search(ctx context.Context, command string, o SearchOpts) (*Res
 }
 
 // search is Search's uncached body, run under st.mu with the search's own
-// meter installed; its filter and verify spans read that meter. An
-// exhausted budget is a Partial result, any other error is returned.
+// meter installed; its filter and verify spans read that meter (the
+// decode-free pass counts nothing on it), and the filter span carries how
+// many groups that pass emptied when it ran. An exhausted budget is a
+// Partial result, any other error is returned.
 func (st *Store) search(expr query.Expr, exact bool, tr *obsv.Trace) (*Result, error) {
 	m := st.en.meter
 	res := &Result{}
 	m.SetStage(StageFilter)
 	filterSpan := tr.StartSpan("filter")
-	cand, err := st.filter(expr, nil, exact)
+	within := st.narrow(expr)
+	cand, err := st.filter(expr, within, exact)
 	switch {
 	case err == nil:
 		filterSpan.Attr("candidates", int64(cand.count()))
 	case isInterrupt(err):
 		filterSpan.Attr("interrupted", 1)
+	}
+	if filterSpan != nil && within != nil {
+		filterSpan.Attr("groups_dropped_before_decode", int64(st.dropped(within)))
 	}
 	filtered := m.Reading()
 	filtered.attrs(filterSpan, 0, keyLineMaps).End()
@@ -667,9 +675,6 @@ func (st *Store) verify(expr query.Expr, cand *rowSets) (found []match, checked 
 	bounds := []int{0} // where each group's run of matches starts in found, then its end
 	// check verifies one group's (gi < 0: the outlier capsule's) candidates.
 	check := func(gi int, set bitset.View, m *capsule.LineMap) error {
-		if !set.Any() {
-			return nil
-		}
 		start := len(found)
 		var stop error
 		set.ForEach(func(row int) bool {
@@ -699,13 +704,14 @@ func (st *Store) verify(expr query.Expr, cand *rowSets) (found []match, checked 
 		bounds = append(bounds, len(found))
 		return stop
 	}
-	for gi, g := range st.groups {
-		if err = check(gi, cand.sets[gi], &g.meta.Lines); err != nil {
+	for _, s := range cand.slots {
+		gi, lm := -1, &st.box.Meta.OutlierLines
+		if s.slot < len(st.groups) {
+			gi, lm = s.slot, &st.groups[s.slot].meta.Lines
+		}
+		if err = check(gi, s.rows, lm); err != nil {
 			break
 		}
-	}
-	if err == nil {
-		err = check(-1, cand.outlier(), &st.box.Meta.OutlierLines)
 	}
 	if err != nil && !isInterrupt(err) {
 		return nil, checked, err
@@ -773,6 +779,10 @@ func isBudgetStop(err error) bool { return errors.Is(err, ErrBudgetExceeded) }
 // to both children and unions. An AND's first child returns
 // L ⊇ M(hi) ∩ within and the second, given L, returns a superset of
 // M(lo) ∩ L ⊇ M(hi AND lo) ∩ within. No narrowed set reaches under a NOT.
+//
+// Search runs the decode-free pass (narrow) first and hands its superset
+// of M(e) in as within, so every conjunct, the first one too, enters only
+// the groups the pass left.
 func (st *Store) filter(e query.Expr, within *rowSets, exact bool) (*rowSets, error) {
 	switch x := e.(type) {
 	case *query.And:
@@ -810,6 +820,81 @@ func (st *Store) filter(e query.Expr, within *rowSets, exact bool) (*rowSets, er
 	return nil, fmt.Errorf("core: unknown query node %T", e)
 }
 
+// narrow is the decode-free narrowing pass: the whole expression evaluated
+// on what needs no payload — template literals, the literals of a real
+// variable's runtime pattern, capsule stamps, each nominal dictionary's
+// pattern feasibility and the scans findCache already holds — where every
+// hole it cannot decide answers "all rows". It is the filter itself, run
+// with the engine's noDecode set and no meter or explain recorder attached,
+// on the exact=false path, so a NOT answers within and nothing narrowed
+// reaches under one. It reads no payload, line map or outlier capsule,
+// never calls the read hook or checkpoint, and writes nothing to findCache.
+//
+// Its result is a superset of M(e), so the filter given it as within still
+// answers M(e) ∩ within = M(e), now without entering any group the pass
+// emptied. It returns nil — the filter starts unrestricted — when the
+// expression holds no conjunction the pass could cut (passPays).
+func (st *Store) narrow(e query.Expr) *rowSets {
+	if !passPays(e) {
+		return nil
+	}
+	return st.decodeFree(e)
+}
+
+// decodeFree runs narrow's pass whatever the expression's shape.
+func (st *Store) decodeFree(e query.Expr) *rowSets {
+	meter, ex := st.en.meter, st.ex
+	st.en.meter, st.ex, st.en.noDecode = nil, nil, true
+	defer func() { st.en.meter, st.ex, st.en.noDecode = meter, ex, false }()
+	within, err := st.filter(e, nil, false)
+	if err != nil {
+		return nil // nothing it runs can fail; the filter proper reports it
+	}
+	return within
+}
+
+// passPays reports whether e holds, outside any NOT, a conjunction both of
+// whose sides narrow: an AND of two narrowing operands, or a search string
+// of more than one fragment. Without one the filter's first conjunct is
+// its only one, and a hole the pass cannot decide costs the filter the same
+// decode with the pass as without. The rule reads only the query's shape.
+func passPays(e query.Expr) bool {
+	switch x := e.(type) {
+	case *query.And:
+		return narrows(x.L) && narrows(x.R) || passPays(x.L) || passPays(x.R)
+	case *query.Or:
+		return passPays(x.L) || passPays(x.R)
+	case *query.Search:
+		return len(x.Fragments) > 1
+	}
+	return false
+}
+
+// narrows reports whether the filter may answer e with fewer rows than its
+// within: a NOT never does, an OR only when both operands do.
+func narrows(e query.Expr) bool {
+	switch x := e.(type) {
+	case *query.And:
+		return narrows(x.L) || narrows(x.R)
+	case *query.Or:
+		return narrows(x.L) && narrows(x.R)
+	case *query.Search:
+		return true
+	}
+	return false
+}
+
+// dropped counts the groups the decode-free pass emptied.
+func (st *Store) dropped(within *rowSets) int {
+	n := len(st.groups)
+	for _, s := range within.slots {
+		if s.slot < len(st.groups) {
+			n--
+		}
+	}
+	return n
+}
+
 // andOrder returns an AND's children in evaluation order: the one with the
 // higher selectivity hint first.
 func andOrder(x *query.And) (hi, lo query.Expr) {
@@ -824,6 +909,9 @@ func andOrder(x *query.And) (hi, lo query.Expr) {
 // first for the same reason); putting them first lets the per-group
 // intersection go empty before cheaper fragments are even looked up.
 func fragmentOrder(s *query.Search) []string {
+	if len(s.Fragments) < 2 {
+		return s.Fragments // read only: nothing to order
+	}
 	frags := append([]string(nil), s.Fragments...)
 	sort.SliceStable(frags, func(i, j int) bool { return len(frags[i]) > len(frags[j]) })
 	return frags
@@ -835,35 +923,45 @@ func fragmentOrder(s *query.Search) []string {
 // (runtime-pattern matching plus stamp filtering); block-level outlier
 // lines match no template, so their text is always scanned (§4.1). Groups
 // and outlier lines outside within are not looked at.
+//
+// In the decode-free pass (engine.noDecode) the outlier lines are not
+// scanned: they stay candidates unless the outlier capsule's stamp rules a
+// fragment out.
 func (st *Store) searchCandidates(s *query.Search, within *rowSets) (*rowSets, error) {
-	out := st.noRows()
+	out := &rowSets{}
 	frags := fragmentOrder(s)
 	se := st.ex.search(s)
-	for gi, g := range st.groups {
-		cand := bitset.All(g.n)
-		if within != nil {
-			if cand = within.sets[gi]; !cand.Any() {
-				continue
+	outliers := bitset.None(0) // the outlier ranks to search
+	if within == nil {
+		out.slots = make([]slotRows, 0, len(st.groups)+1)
+		for gi, g := range st.groups {
+			if err := st.searchGroup(out, gi, bitset.All(g.n), frags, se); err != nil {
+				return nil, err
 			}
 		}
-		ge := se.group(g, cand)
-		for _, frag := range frags {
-			if cand.Any() {
-				fs, err := st.en.findSubstr(g.seq, g.n, frag)
-				if err != nil {
-					return nil, err
-				}
-				cand = bitset.And(cand, fs)
-			} else if ge == nil {
-				break
+		outliers = bitset.All(st.box.Meta.OutlierLines.Rows())
+	} else {
+		out.slots = make([]slotRows, 0, len(within.slots))
+		for _, w := range within.slots {
+			if w.slot == len(st.groups) {
+				outliers = w.rows
+			} else if err := st.searchGroup(out, w.slot, w.rows, frags, se); err != nil {
+				return nil, err
 			}
-			ge.after(cand)
 		}
-		se.add(cand)
-		out.sets[gi] = cand
 	}
 	oc := st.box.Meta.OutlierCapID
-	if oc < 0 || (within != nil && !within.outlier().Any()) {
+	if oc < 0 || !outliers.Any() {
+		return out, nil
+	}
+	if st.en.noDecode {
+		stamp := st.box.Meta.Capsules[oc].Stamp
+		for _, frag := range frags {
+			if st.en.stamps && !stamp.Admits(frag) {
+				return out, nil
+			}
+		}
+		out.add(len(st.groups), outliers)
 		return out, nil
 	}
 	sr, err := st.searcher(oc)
@@ -871,7 +969,7 @@ func (st *Store) searchCandidates(s *query.Search, within *rowSets) (*rowSets, e
 		return nil, err
 	}
 	var hits *bitset.Set // made at the first hit
-	test := func(rank int) bool {
+	outliers.ForEach(func(rank int) bool {
 		// MatchEntry only reads the value, in place.
 		if v := sr.Value(rank); s.MatchEntry(unsafe.String(unsafe.SliceData(v), len(v))) {
 			if hits == nil {
@@ -880,19 +978,35 @@ func (st *Store) searchCandidates(s *query.Search, within *rowSets) (*rowSets, e
 			hits.Set(rank)
 		}
 		return true
-	}
-	if within != nil {
-		within.outlier().ForEach(test)
-	} else {
-		for rank := 0; rank < sr.Rows(); rank++ {
-			test(rank)
-		}
-	}
+	})
 	if hits != nil {
-		out.sets[len(st.groups)] = hits.Freeze()
+		v := hits.Freeze()
+		out.add(len(st.groups), v)
+		se.add(v)
 	}
-	se.add(out.outlier())
 	return out, nil
+}
+
+// searchGroup intersects group gi's candidates cand with the rows that may
+// hold each fragment, and lists what is left on out.
+func (st *Store) searchGroup(out *rowSets, gi int, cand bitset.View, frags []string, se *SearchExplain) error {
+	g := st.groups[gi]
+	ge := se.group(g, cand)
+	for _, frag := range frags {
+		if cand.Any() {
+			fs, err := st.en.findSubstr(g.seq, g.n, frag)
+			if err != nil {
+				return err
+			}
+			cand = bitset.And(cand, fs)
+		} else if ge == nil {
+			break
+		}
+		ge.after(cand)
+	}
+	se.add(cand)
+	out.add(gi, cand)
+	return nil
 }
 
 // ReconstructLine rebuilds the original text of one block line. The

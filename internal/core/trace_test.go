@@ -23,7 +23,7 @@ func TestQueryTracedGolden(t *testing.T) {
 	}
 	const want = `query lines=502 cache_hit=0 matches=27
   parse
-  filter candidates=27 stamp_admits=2 stamp_skips=42 capsule_scans=2 scan_cache_hits=0 bytes_scanned=74 decompressions=2
+  filter candidates=27 groups_dropped_before_decode=11 stamp_admits=2 stamp_skips=10 capsule_scans=2 scan_cache_hits=0 bytes_scanned=74 decompressions=2
   verify candidates_checked=27 matches=27 decompressions=8 line_maps=1
 `
 	if got := tr.Outline(); got != want {
